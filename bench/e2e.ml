@@ -27,23 +27,17 @@
      the arrival pipeline itself — generation, representation, delivery —
      the part this bench gates (speedup >= 2x, allocation >= 5x lower).
 
-   - e2e/flat/<model>/<size>/{linked,flat}/{slots_per_sec,minor_words_per_slot}
-     e2e/flat/<model>/<size>/speedup     sizes n4, n64, n256, n1024
+   - e2e/flat/<model>/<size>/flat/{slots_per_sec,minor_words_per_slot}
+     sizes n4, n64, n256, n1024
      e2e/flat/proc/target_slots_per_sec  (the 10M hot-cell target)
      The raw switch slot loop — occupancy-conserving fuzzed arrivals,
-     fields-based transmission, slot advance — on the linked versus the
-     flat struct-of-arrays backend, across a size panel from the paper's
-     contiguous 4-port switch (the hot cell, where the flat backend must
-     clear the recorded 10M slots/s target) up to 1024 unit-work ports.
-     Nothing sits between the loop and the switch — no workload
-     generation, no metrics, no policy admission (whose shared threshold
-     arithmetic is identical on both arms and is priced by the point
-     cells and bench/hotpath.ml) — so this is the representation cost
-     itself: where the linked backend pays a packet record plus a queue
-     node per arrival and pointer-chases cold heap nodes at scale, the
-     flat backend re-links integer slots in place.  CI gates the
-     flat/linked ratio (floor 3x on proc at n256), every speedup against
-     the committed baseline, and the near-zero flat minor words/slot.
+     transmission, slot advance — on the struct-of-arrays switch, across a
+     size panel from the paper's contiguous 4-port switch (the hot cell,
+     where the switch must clear the recorded 10M slots/s target) up to
+     1024 unit-work ports.  Nothing sits between the loop and the switch —
+     no workload generation, no metrics, no policy admission (priced by
+     the point cells) — so this is the representation cost itself.  CI
+     gates the near-zero minor words/slot against the committed baseline.
 
    - e2e/flight/proc/{off,on}/{slots_per_sec,minor_words_per_slot}
      e2e/flight/proc/overhead
@@ -84,7 +78,7 @@ let () =
         "R  timed runs per cell (the best rate is kept)" );
       ( "--flat-scale",
         Arg.Set_float flat_scale,
-        "X  multiplier on the flat-backend cells' slot counts" );
+        "X  multiplier on the switch-loop cells' slot counts" );
       ("--out", Arg.Set_string out, "FILE  JSONL output path");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
@@ -207,9 +201,8 @@ let pipeline_cell ~model ~pipeline =
 
 (* ----- flat cells: the raw switch slot loop across a size panel ----- *)
 
-(* Deterministic private arrival stream; both backends replay the same
-   sequence (the three-way lockstep suite proves the states stay
-   bit-identical, so equal work is being timed). *)
+(* Deterministic private arrival stream, so every repeat times the same
+   work. *)
 let lcg seed =
   let s = ref seed in
   fun bound ->
@@ -217,8 +210,7 @@ let lcg seed =
     !s mod bound
 
 (* (row label, ports, buffer, timed slots).  The n4 row is the hot cell;
-   the scale rows grow the working set past cache so the linked backend's
-   pointer-chasing shows its real cost. *)
+   the scale rows grow the working set past cache. *)
 let flat_sizes =
   [
     ("n4", 4, 64, 600_000);
@@ -233,7 +225,7 @@ let flat_row_slots slots =
 (* One switch per cell, filled once; the timed loop re-accepts exactly
    what each slot transmitted, so occupancy is conserved and every repeat
    times the same steady-state churn (fill and flush stay outside). *)
-let flat_proc_cell ~n ~buffer ~slots ~backend =
+let flat_proc_cell ~n ~buffer ~slots =
   (* The hot cell runs the paper's contiguous configuration (works 1..4);
      the scale rows run unit works — the classical shared-memory switch —
      so every port completes a packet every slot, maximizing churn. *)
@@ -241,48 +233,48 @@ let flat_proc_cell ~n ~buffer ~slots ~backend =
     if n <= 4 then Smbm_core.Proc_config.contiguous ~k:n ~buffer ()
     else Smbm_core.Proc_config.uniform ~n ~work:1 ~buffer ()
   in
-  let sw = Smbm_core.Proc_switch.create ~backend config in
+  let sw = Smbm_core.Proc_switch.create config in
   let next = lcg 0x5eed in
   let d = ref 0 in
   while not (Smbm_core.Proc_switch.is_full sw) do
-    Smbm_core.Proc_switch.accept_unit sw ~dest:(!d mod n);
+    Smbm_core.Proc_switch.accept sw ~dest:(!d mod n);
     incr d
   done;
   measure (fun () ->
       for _ = 1 to slots do
         let freed =
-          Smbm_core.Proc_switch.transmit_phase_fields sw
+          Smbm_core.Proc_switch.transmit_phase sw
             ~on_transmit:(fun ~dest:_ ~arrival:_ -> ())
         in
         Smbm_core.Proc_switch.advance_slot sw;
         for _ = 1 to freed do
-          Smbm_core.Proc_switch.accept_unit sw ~dest:(next n)
+          Smbm_core.Proc_switch.accept sw ~dest:(next n)
         done
       done;
       slots)
 
-let flat_value_cell ~n ~buffer ~slots ~backend =
+let flat_value_cell ~n ~buffer ~slots =
   let k = 16 in
   let config =
     Smbm_core.Value_config.make ~ports:n ~max_value:k ~buffer ()
   in
-  let sw = Smbm_core.Value_switch.create ~backend config in
+  let sw = Smbm_core.Value_switch.create config in
   let next = lcg 0x5eed in
   let d = ref 0 in
   while not (Smbm_core.Value_switch.is_full sw) do
-    Smbm_core.Value_switch.accept_unit sw ~dest:(!d mod n)
+    Smbm_core.Value_switch.accept sw ~dest:(!d mod n)
       ~value:(next k + 1);
     incr d
   done;
   measure (fun () ->
       for _ = 1 to slots do
         let freed =
-          Smbm_core.Value_switch.transmit_phase_fields sw
+          Smbm_core.Value_switch.transmit_phase sw
             ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ())
         in
         Smbm_core.Value_switch.advance_slot sw;
         for _ = 1 to freed do
-          Smbm_core.Value_switch.accept_unit sw ~dest:(next n)
+          Smbm_core.Value_switch.accept sw ~dest:(next n)
             ~value:(next k + 1)
         done
       done;
@@ -290,7 +282,7 @@ let flat_value_cell ~n ~buffer ~slots ~backend =
 
 (* ----- flight cells: the always-on black box priced on the hot loop ----- *)
 
-(* The flat hot cell's loop with the engine's flight-recording seam:
+(* The proc hot cell's loop with the engine's flight-recording seam:
    per-packet transmit and arrival events plus a slot_end, guarded by the
    same option match the engines compile.  [flight = None] is the
    tracing-off arm; [Some ring] is always-on recording into a wrapped
@@ -299,21 +291,21 @@ let flight_cell ~flight =
   let n = 4 and buffer = 64 in
   let slots = flat_row_slots 600_000 in
   let config = Smbm_core.Proc_config.contiguous ~k:n ~buffer () in
-  let sw = Smbm_core.Proc_switch.create ~backend:`Flat config in
+  let sw = Smbm_core.Proc_switch.create config in
   let fsrc =
     match flight with Some f -> Smbm_obs.Flight.intern f "hot" | None -> 0
   in
   let next = lcg 0x5eed in
   let d = ref 0 in
   while not (Smbm_core.Proc_switch.is_full sw) do
-    Smbm_core.Proc_switch.accept_unit sw ~dest:(!d mod n);
+    Smbm_core.Proc_switch.accept sw ~dest:(!d mod n);
     incr d
   done;
   measure (fun () ->
       for _ = 1 to slots do
         let now = Smbm_core.Proc_switch.now sw in
         let freed =
-          Smbm_core.Proc_switch.transmit_phase_fields sw
+          Smbm_core.Proc_switch.transmit_phase sw
             ~on_transmit:(fun ~dest ~arrival ->
               match flight with
               | None -> ()
@@ -327,7 +319,7 @@ let flight_cell ~flight =
           (match flight with
           | None -> ()
           | Some f -> Smbm_obs.Flight.arrival f ~slot:now ~src:fsrc ~dest);
-          Smbm_core.Proc_switch.accept_unit sw ~dest
+          Smbm_core.Proc_switch.accept sw ~dest
         done;
         match flight with
         | None -> ()
@@ -369,21 +361,13 @@ let () =
       List.iter
         (fun (size, n, buffer, slots) ->
           let slots = flat_row_slots slots in
-          let linked_rate, linked_words = cell ~n ~buffer ~slots ~backend:`Linked in
-          let flat_rate, flat_words = cell ~n ~buffer ~slots ~backend:`Flat in
+          let rate, words = cell ~n ~buffer ~slots in
           let prefix = "e2e/flat/" ^ name ^ "/" ^ size in
-          gauge (prefix ^ "/linked/slots_per_sec") linked_rate;
-          gauge (prefix ^ "/flat/slots_per_sec") flat_rate;
-          gauge (prefix ^ "/linked/minor_words_per_slot") linked_words;
-          gauge (prefix ^ "/flat/minor_words_per_slot") flat_words;
-          gauge (prefix ^ "/speedup") (flat_rate /. linked_rate);
-          Printf.printf
-            "%-28s linked %8.0f slots/s %8.1f w/slot   flat %8.0f slots/s \
-             %8.2f w/slot   speedup %.2fx\n\
-             %!"
+          gauge (prefix ^ "/flat/slots_per_sec") rate;
+          gauge (prefix ^ "/flat/minor_words_per_slot") words;
+          Printf.printf "%-28s %8.0f slots/s %8.2f w/slot\n%!"
             ("flat/" ^ name ^ "/" ^ size)
-            linked_rate linked_words flat_rate flat_words
-            (flat_rate /. linked_rate))
+            rate words)
         flat_sizes)
     [ ("proc", flat_proc_cell); ("value", flat_value_cell) ];
   gauge "e2e/flat/proc/target_slots_per_sec" 10_000_000.0;

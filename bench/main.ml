@@ -541,16 +541,20 @@ let micro () =
     [
       Test.make ~name:"switch/proc-transmit-phase"
         (Staged.stage (fun () ->
-             ignore (Proc_switch.transmit_phase sw ~on_transmit:(fun _ -> ()));
+             ignore
+               (Proc_switch.transmit_phase sw
+                  ~on_transmit:(fun ~dest:_ ~arrival:_ -> ()));
              (* Top the switch back up so the workload stays stable. *)
              while not (Proc_switch.is_full sw) do
-               ignore (Proc_switch.accept sw ~dest:0)
+               Proc_switch.accept sw ~dest:0
              done));
       Test.make ~name:"switch/value-transmit-phase"
         (Staged.stage (fun () ->
-             ignore (Value_switch.transmit_phase vsw ~on_transmit:(fun _ -> ()));
+             ignore
+               (Value_switch.transmit_phase vsw
+                  ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ()));
              while not (Value_switch.is_full vsw) do
-               ignore (Value_switch.accept vsw ~dest:0 ~value:1)
+               Value_switch.accept vsw ~dest:0 ~value:1
              done));
       Test.make ~name:"opt-ref/arrive+transmit"
         (Staged.stage (fun () ->

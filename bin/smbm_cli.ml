@@ -1437,19 +1437,19 @@ let parse_floor spec =
     | Some x when name <> "" -> (name, x)
     | _ -> failwith (Printf.sprintf "--floor %s: expected METRIC=X" spec))
 
-let run_bench_diff baseline current tolerance cap slack mrd_floor alloc_tolerance
-    floors =
+let run_bench_diff baseline current tolerance cap slack alloc_tolerance floors
+    =
   let floors = List.map parse_floor floors in
   let base = load_bench_metrics baseline
   and cur = load_bench_metrics current in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  (* Raw arrivals/sec are machine-dependent; the indexed/scan speedup
-     ratios transfer between machines, so the regression gate compares
-     those.  Ratios are saturated at [cap] before comparison: beyond it
-     the indexed run's wall time is so short that the exact magnitude is
-     timing noise, while any real regression (an accidental O(n) rescan)
-     collapses the ratio toward 1x and is caught regardless. *)
+  (* Raw slots/sec are machine-dependent; speedup ratios between two arms
+     of one run transfer between machines, so the regression gate compares
+     those.  Ratios are saturated at [cap] before comparison: beyond it the
+     faster arm's wall time is so short that the exact magnitude is timing
+     noise, while any real regression collapses the ratio toward 1x and is
+     caught regardless. *)
   let is_ratio n =
     has_suffix ~suffix:"/speedup" n || has_suffix ~suffix:"/total" n
   in
@@ -1500,16 +1500,8 @@ let run_bench_diff baseline current tolerance cap slack mrd_floor alloc_toleranc
       if gated name && not (List.mem_assoc name base) then
         Printf.printf "%-32s %9s %8.2f  [new]\n" name "-" c)
     cur;
-  (* Absolute acceptance floors.  The historical MRD floor (the full-buffer
-     MRD hot path at n = 256 must stay at least [mrd_floor] times faster
-     than the rescans) applies whenever the baseline carries that metric —
-     benchmark files without it (e.g. BENCH_e2e.json) skip it.  [floors]
-     adds explicit METRIC=X floors checked against the current run. *)
-  let floor_metric = "hotpath/value/MRD/n256/speedup" in
-  let floors =
-    if List.mem_assoc floor_metric base then (floor_metric, mrd_floor) :: floors
-    else floors
-  in
+  (* Absolute acceptance floors: explicit METRIC=X floors checked against
+     the current run. *)
   List.iter
     (fun (name, floor) ->
       match List.assoc_opt name cur with
@@ -1563,14 +1555,6 @@ let bench_diff_cmd =
             "Absolute jitter allowance subtracted from each gate threshold \
              (default 0.3).")
   in
-  let mrd_floor =
-    Arg.(
-      value & opt float 2.0
-      & info [ "mrd-floor" ] ~docv:"X"
-          ~doc:
-            "Minimum indexed/scan speedup for value-model MRD at n=256 \
-             (checked only when the baseline carries that metric).")
-  in
   let alloc_tolerance =
     Arg.(
       value & opt float 0.2
@@ -1591,13 +1575,13 @@ let bench_diff_cmd =
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
-         "Compare two benchmark JSONL outputs ($(b,bench/hotpath.exe), \
-          $(b,bench/e2e.exe)) and fail on speedup-ratio regressions beyond \
+         "Compare two benchmark JSONL outputs (e.g. $(b,bench/e2e.exe)) and \
+          fail on speedup-ratio regressions beyond \
           the tolerance, allocation-budget regressions, or floor violations \
           (CI gate against the committed BENCH_*.json).")
     Term.(
       const run_bench_diff $ baseline $ current $ tolerance $ cap $ slack
-      $ mrd_floor $ alloc_tolerance $ floors)
+      $ alloc_tolerance $ floors)
 
 (* ----- serve / loadgen ----- *)
 

@@ -43,20 +43,11 @@ let () =
   let config = Proc_config.make ~works ~buffer () in
   let policies = Policies.proc config in
 
-  (* One tally of per-service transmissions per policy, via the engine's
-     observe hook; all instances run in lockstep on identical traffic. *)
-  let tallies =
-    List.map (fun (p : Proc_policy.t) -> (p.name, Array.make 3 0)) policies
-  in
+  (* All instances run in lockstep on identical traffic; each engine keeps
+     its per-service transmission tallies in [ports]. *)
   let instances =
     Opt_ref.proc_instance config
-    :: List.map
-         (fun (p : Proc_policy.t) ->
-           let tally = List.assoc p.name tallies in
-           Proc_engine.instance
-             ~observe:(fun pkt -> tally.(pkt.dest) <- tally.(pkt.dest) + 1)
-             config p)
-         policies
+    :: List.map (Proc_engine.instance config) policies
   in
   Experiment.run
     ~params:{ Experiment.slots = slots; flush_every = Some 6_000; check_every = None }
@@ -73,14 +64,14 @@ let () =
       List.map
         (fun (i : Instance.t) ->
           let m = i.metrics in
-          let tally = List.assoc i.name tallies in
+          let ports = Option.get i.ports in
           [
             i.name;
             string_of_int (Metrics.transmitted m);
             Table.float_cell (Experiment.ratio ~objective:`Packets ~opt ~alg:i);
-            string_of_int tally.(0);
-            string_of_int tally.(1);
-            string_of_int tally.(2);
+            string_of_int (Port_stats.transmitted ports 0);
+            string_of_int (Port_stats.transmitted ports 1);
+            string_of_int (Port_stats.transmitted ports 2);
             Table.float_cell ~digits:1
               (Smbm_prelude.Running_stats.mean (Metrics.latency_stats m));
           ])

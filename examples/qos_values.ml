@@ -41,18 +41,9 @@ let run_regime ~title ~weights =
       ~buffer ()
   in
   let policies = Policies.value_port ~port_value:class_values config in
-  let tallies =
-    List.map (fun (p : Value_policy.t) -> (p.name, Array.make 4 0)) policies
-  in
   let instances =
     Opt_ref.value_instance config
-    :: List.map
-         (fun (p : Value_policy.t) ->
-           let tally = List.assoc p.name tallies in
-           Value_engine.instance
-             ~observe:(fun pkt -> tally.(pkt.dest) <- tally.(pkt.dest) + 1)
-             config p)
-         policies
+    :: List.map (Value_engine.instance config) policies
   in
   Experiment.run
     ~params:{ Experiment.slots = slots; flush_every = Some 6_000; check_every = None }
@@ -63,16 +54,13 @@ let run_regime ~title ~weights =
     let rows =
       List.map
         (fun (i : Instance.t) ->
-          let tally = List.assoc i.name tallies in
+          let ports = Option.get i.ports in
           [
             i.name;
             string_of_int (Metrics.transmitted_value i.metrics);
             Table.float_cell (Experiment.ratio ~objective:`Value ~opt ~alg:i);
-            string_of_int tally.(0);
-            string_of_int tally.(1);
-            string_of_int tally.(2);
-            string_of_int tally.(3);
-          ])
+          ]
+          @ List.init 4 (fun c -> string_of_int (Port_stats.transmitted ports c)))
         algs
     in
     print_string

@@ -45,25 +45,34 @@ let violate st fmt =
       if st.violation_count <= 10 then st.violations <- msg :: st.violations)
     fmt
 
-(* Packets of a queue with their physical latencies (prefix sums of residual
-   work: the number of transmission phases until each one completes). *)
-let with_latencies q =
-  let _, packets =
-    List.fold_left
-      (fun (acc_lat, acc) (p : Packet.Proc.t) ->
-        let lat = acc_lat + p.residual in
-        (lat, (p, lat) :: acc))
-      (0, [])
-      (Work_queue.to_list q)
-  in
-  List.rev packets
+(* Packet ids of queue [i] with their physical latencies (prefix sums of
+   residual work: the number of transmission phases until each one
+   completes), head of line first. *)
+let with_latencies sw i =
+  let acc = ref [] and lat = ref 0 in
+  Proc_switch.iter_port sw i (fun ~id ~residual ~arrival:_ ->
+      lat := !lat + residual;
+      acc := (id, !lat) :: !acc);
+  List.rev !acc
 
-let lwd_queue_packets st i = with_latencies (Proc_switch.queue st.lwd_sw i)
+let lwd_queue_packets st i = with_latencies st.lwd_sw i
 
 let opt_eligible_packets st i =
   List.filter
-    (fun ((p : Packet.Proc.t), _) -> not (Hashtbl.mem st.ineligible p.id))
-    (with_latencies (Proc_switch.queue st.opt_sw i))
+    (fun (id, _) -> not (Hashtbl.mem st.ineligible id))
+    (with_latencies st.opt_sw i)
+
+(* Id of the head-of-line (or tail) packet of queue [i]; the queue must be
+   non-empty. *)
+let head_id sw i =
+  match with_latencies sw i with
+  | (id, _) :: _ -> id
+  | [] -> invalid_arg "Mapping_certifier: empty queue"
+
+let tail_id sw i =
+  match List.rev (with_latencies sw i) with
+  | (id, _) :: _ -> id
+  | [] -> invalid_arg "Mapping_certifier: empty queue"
 
 let lwd_all_packets st =
   let acc = ref [] in
@@ -74,7 +83,7 @@ let lwd_all_packets st =
 
 let lwd_latency_of st lwd_id =
   List.find_map
-    (fun ((q : Packet.Proc.t), lat) -> if q.id = lwd_id then Some lat else None)
+    (fun (q_id, lat) -> if q_id = lwd_id then Some lat else None)
     (lwd_all_packets st)
 
 let image_of st opt_id =
@@ -101,21 +110,21 @@ let clear_mapping st opt_id =
    buffered packet carrying no A1 image, latency-dominated; take the
    largest-latency feasible candidate, leaving low-latency packets free for
    tighter future constraints. *)
-let assign_a1 st ~context (p : Packet.Proc.t) ~lat_p =
+let assign_a1 st ~context p_id ~lat_p =
   let best = ref None in
   List.iter
-    (fun ((q : Packet.Proc.t), lat_q) ->
-      if (not (Hashtbl.mem st.a1_inv q.id)) && lat_q <= lat_p then
+    (fun (q_id, lat_q) ->
+      if (not (Hashtbl.mem st.a1_inv q_id)) && lat_q <= lat_p then
         match !best with
         | Some (_, best_lat) when best_lat >= lat_q -> ()
-        | Some _ | None -> best := Some (q, lat_q))
+        | Some _ | None -> best := Some (q_id, lat_q))
     (lwd_all_packets st);
   match !best with
-  | Some (q, _) ->
-    Hashtbl.replace st.a1 p.id q.id;
-    Hashtbl.replace st.a1_inv q.id p.id
+  | Some (q_id, _) ->
+    Hashtbl.replace st.a1 p_id q_id;
+    Hashtbl.replace st.a1_inv q_id p_id
   | None ->
-    violate st "%s: no A1 target for OPT packet #%d (lat %d)" context p.id
+    violate st "%s: no A1 target for OPT packet #%d (lat %d)" context p_id
       lat_p
 
 (* Charge one transmitted-or-doomed OPT packet to the transmitted LWD packet
@@ -133,7 +142,7 @@ let count_strict_mismatches st =
   for i = 0 to Proc_switch.n st.opt_sw - 1 do
     let lwd = Array.of_list (lwd_queue_packets st i) in
     List.iteri
-      (fun l ((_ : Packet.Proc.t), lat_p) ->
+      (fun l (_, lat_p) ->
         if l < Array.length lwd then begin
           let _, lat_q = lwd.(l) in
           if lat_p < lat_q then
@@ -147,30 +156,32 @@ let count_strict_mismatches st =
 let check st ~context ~latencies =
   for i = 0 to Proc_switch.n st.opt_sw - 1 do
     List.iter
-      (fun ((p : Packet.Proc.t), lat_p) ->
-        match image_of st p.id with
+      (fun (p_id, lat_p) ->
+        match image_of st p_id with
         | None ->
-          violate st "%s: eligible OPT packet #%d (Q%d) unmapped" context p.id
+          violate st "%s: eligible OPT packet #%d (Q%d) unmapped" context p_id
             i
         | Some (kind, q_id) -> (
           let kind = match kind with `A0 -> "A0" | `A1 -> "A1" in
           match lwd_latency_of st q_id with
           | None ->
             violate st "%s: %s target #%d of OPT #%d left the buffer" context
-              kind q_id p.id
+              kind q_id p_id
           | Some lat_q ->
             if latencies && lat_p < lat_q then
               violate st "%s: %s latency violated: OPT #%d lat %d < LWD #%d lat %d"
-                context kind p.id lat_p q_id lat_q))
+                context kind p_id lat_p q_id lat_q))
       (opt_eligible_packets st i)
   done
 
-(* One processing cycle for a port of one switch (speedup is 1); returns the
-   transmitted packet, if any. *)
+(* One processing cycle for a non-empty port of one switch (speedup is 1);
+   returns the id of the transmitted packet — necessarily the head of
+   line — if any. *)
 let serve sw i =
-  let sent = ref None in
-  ignore (Proc_switch.serve_port sw i ~on_transmit:(fun p -> sent := Some p));
-  !sent
+  let hol = head_id sw i in
+  if Proc_switch.serve_port sw i ~on_transmit:(fun ~dest:_ ~arrival:_ -> ()) > 0
+  then Some hol
+  else None
 
 let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
   if config.Proc_config.speedup <> 1 then
@@ -207,52 +218,53 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
     if latencies then count_strict_mismatches st
   in
   (* Step T0: LWD transmitted [q]. *)
-  let on_lwd_transmit (q : Packet.Proc.t) =
+  let on_lwd_transmit q_id =
     st.lwd_transmitted <- st.lwd_transmitted + 1;
-    Hashtbl.replace st.lwd_done q.id ();
-    (match Hashtbl.find_opt st.a0_inv q.id with
+    Hashtbl.replace st.lwd_done q_id ();
+    (match Hashtbl.find_opt st.a0_inv q_id with
     | Some opt_id ->
-      Hashtbl.remove st.a0_inv q.id;
+      Hashtbl.remove st.a0_inv q_id;
       Hashtbl.remove st.a0 opt_id;
-      charge st q.id opt_id
+      charge st q_id opt_id
     | None -> ());
-    (match Hashtbl.find_opt st.a1_inv q.id with
+    (match Hashtbl.find_opt st.a1_inv q_id with
     | Some opt_id ->
-      Hashtbl.remove st.a1_inv q.id;
+      Hashtbl.remove st.a1_inv q_id;
       Hashtbl.remove st.a1 opt_id;
-      charge st q.id opt_id
+      charge st q_id opt_id
     | None -> ());
-    match Hashtbl.find_opt st.pending q.id with
+    match Hashtbl.find_opt st.pending q_id with
     | Some opt_ids ->
-      Hashtbl.remove st.pending q.id;
-      List.iter (charge st q.id) opt_ids
+      Hashtbl.remove st.pending q_id;
+      List.iter (charge st q_id) opt_ids
     | None -> ()
   in
   (* The opponent transmitted [p]. *)
-  let on_opt_transmit (p : Packet.Proc.t) =
+  let on_opt_transmit p_id =
     st.opt_transmitted <- st.opt_transmitted + 1;
-    if Hashtbl.mem st.ineligible p.id then Hashtbl.remove st.ineligible p.id
+    if Hashtbl.mem st.ineligible p_id then Hashtbl.remove st.ineligible p_id
     else begin
-      match image_of st p.id with
+      match image_of st p_id with
       | None ->
         violate st
           "transmission: eligible OPT packet #%d transmitted while unmapped"
-          p.id
+          p_id
       | Some (_, q_id) ->
-        clear_mapping st p.id;
-        if Hashtbl.mem st.lwd_done q_id then charge st q_id p.id
+        clear_mapping st p_id;
+        if Hashtbl.mem st.lwd_done q_id then charge st q_id p_id
         else
           (* The image's latency is at most [p]'s, so it must complete
              before this transmission phase ends; defer the charge. *)
           Hashtbl.replace st.pending q_id
-            (p.id :: Option.value ~default:[] (Hashtbl.find_opt st.pending q_id))
+            (p_id :: Option.value ~default:[] (Hashtbl.find_opt st.pending q_id))
     end
   in
   let handle_arrival (a : Arrival.t) =
     (* LWD first ("q can be p" in the paper's step A0). *)
     (match Proc_policy.admit st.lwd st.lwd_sw ~dest:a.dest with
     | Decision.Accept ->
-      let q = Proc_switch.accept st.lwd_sw ~dest:a.dest in
+      Proc_switch.accept st.lwd_sw ~dest:a.dest;
+      let q_id = tail_id st.lwd_sw a.dest in
       (* Repaired step A3 / proof case (4): the newly covered OPT packet
          trades its A1 assignment for the positional pairing — but only
          when the latency constraint actually holds (the uncovered gap:
@@ -260,39 +272,40 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
          positional pair is invalid; such packets keep their A1). *)
       let l = Proc_switch.queue_length st.lwd_sw a.dest in
       (match List.nth_opt (opt_eligible_packets st a.dest) (l - 1) with
-      | Some (p, lat_p) when not (Hashtbl.mem st.a0 p.id) ->
+      | Some (p_id, lat_p) when not (Hashtbl.mem st.a0 p_id) ->
         let lat_q =
-          Option.value ~default:max_int (lwd_latency_of st q.id)
+          Option.value ~default:max_int (lwd_latency_of st q_id)
         in
-        if lat_p >= lat_q && not (Hashtbl.mem st.a0_inv q.id) then begin
-          clear_mapping st p.id;
-          Hashtbl.replace st.a0 p.id q.id;
-          Hashtbl.replace st.a0_inv q.id p.id
+        if lat_p >= lat_q && not (Hashtbl.mem st.a0_inv q_id) then begin
+          clear_mapping st p_id;
+          Hashtbl.replace st.a0 p_id q_id;
+          Hashtbl.replace st.a0_inv q_id p_id
         end
       | Some _ | None -> ())
     | Decision.Push_out { victim } ->
-      let p' = Proc_switch.push_out st.lwd_sw ~victim in
+      let p' = tail_id st.lwd_sw victim in
+      Proc_switch.push_out st.lwd_sw ~victim;
       (* Step A2: collect and reassign the OPT packets mapped to p'. *)
       let orphans = ref [] in
-      (match Hashtbl.find_opt st.a0_inv p'.id with
+      (match Hashtbl.find_opt st.a0_inv p' with
       | Some opt_id ->
-        Hashtbl.remove st.a0_inv p'.id;
+        Hashtbl.remove st.a0_inv p';
         Hashtbl.remove st.a0 opt_id;
         orphans := opt_id :: !orphans
       | None -> ());
-      (match Hashtbl.find_opt st.a1_inv p'.id with
+      (match Hashtbl.find_opt st.a1_inv p' with
       | Some opt_id ->
-        Hashtbl.remove st.a1_inv p'.id;
+        Hashtbl.remove st.a1_inv p';
         Hashtbl.remove st.a1 opt_id;
         orphans := opt_id :: !orphans
       | None -> ());
-      ignore (Proc_switch.accept st.lwd_sw ~dest:a.dest);
+      Proc_switch.accept st.lwd_sw ~dest:a.dest;
       List.iter
         (fun opt_id ->
           for i = 0 to Proc_switch.n st.opt_sw - 1 do
             List.iter
-              (fun ((p : Packet.Proc.t), lat_p) ->
-                if p.id = opt_id then assign_a1 st ~context:"A2" p ~lat_p)
+              (fun (p_id, lat_p) ->
+                if p_id = opt_id then assign_a1 st ~context:"A2" p_id ~lat_p)
               (opt_eligible_packets st i)
           done)
         !orphans
@@ -300,7 +313,8 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
     (* Opponent side (non-push-out). *)
     (match Proc_policy.admit st.opponent st.opt_sw ~dest:a.dest with
     | Decision.Accept ->
-      let p = Proc_switch.accept st.opt_sw ~dest:a.dest in
+      Proc_switch.accept st.opt_sw ~dest:a.dest;
+      let p_id = tail_id st.opt_sw a.dest in
       let eligible = opt_eligible_packets st a.dest in
       let l = List.length eligible in
       let lat_p = match List.nth_opt eligible (l - 1) with
@@ -311,11 +325,11 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
          availability allow; A1 otherwise. *)
       let partner = List.nth_opt (lwd_queue_packets st a.dest) (l - 1) in
       (match partner with
-      | Some (q, lat_q)
-        when lat_p >= lat_q && not (Hashtbl.mem st.a0_inv q.id) ->
-        Hashtbl.replace st.a0 p.id q.id;
-        Hashtbl.replace st.a0_inv q.id p.id
-      | Some _ | None -> assign_a1 st ~context:"A1(arrival)" p ~lat_p)
+      | Some (q_id, lat_q)
+        when lat_p >= lat_q && not (Hashtbl.mem st.a0_inv q_id) ->
+        Hashtbl.replace st.a0 p_id q_id;
+        Hashtbl.replace st.a0_inv q_id p_id
+      | Some _ | None -> assign_a1 st ~context:"A1(arrival)" p_id ~lat_p)
     | Decision.Push_out _ ->
       violate st "opponent pushed out: not a valid Theorem 7 opponent"
     | Decision.Drop -> ());
@@ -324,11 +338,11 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
   let transmission_phase () =
     let opt_served = Array.make (Proc_config.n config) false in
     for i = 0 to Proc_config.n config - 1 do
-      if not (Work_queue.is_empty (Proc_switch.queue st.lwd_sw i)) then begin
+      if Proc_switch.queue_length st.lwd_sw i > 0 then begin
         (match serve st.lwd_sw i with
         | Some q -> on_lwd_transmit q
         | None -> ());
-        if not (Work_queue.is_empty (Proc_switch.queue st.opt_sw i)) then begin
+        if Proc_switch.queue_length st.opt_sw i > 0 then begin
           opt_served.(i) <- true;
           match serve st.opt_sw i with
           | Some p -> on_opt_transmit p
@@ -340,7 +354,7 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
     for i = 0 to Proc_config.n config - 1 do
       if
         (not opt_served.(i))
-        && not (Work_queue.is_empty (Proc_switch.queue st.opt_sw i))
+        && Proc_switch.queue_length st.opt_sw i > 0
       then begin
         (match serve st.opt_sw i with
         | Some p -> on_opt_transmit p

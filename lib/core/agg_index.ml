@@ -1,10 +1,12 @@
 (* Tournament tree over queue indices 0 .. n-1.
 
-   Internal nodes store the *index* of the winning leaf, never a key: the
-   comparator reads the live switch state of the two candidates, so the only
-   maintenance obligation is to re-run the matches on an element's root path
-   after that element's state changes ([invalidate]).  Matches elsewhere in
-   the tree compare unchanged elements and therefore keep their outcome.
+   Internal nodes store the *index* of the winning leaf, never a key: a
+   match reads the two candidates' entries in int key columns (often
+   aliases of the switch's own per-port aggregates), so the only
+   maintenance obligation is to refresh an element's derived keys and
+   re-run the matches on its root path after its state changes
+   ([invalidate]).  Matches elsewhere in the tree compare unchanged elements
+   and therefore keep their outcome.
 
    The order must be a strict total order (callers end every comparison
    chain with an index comparison), which makes the winner of a match
@@ -12,15 +14,9 @@
    maximum — the same element a left-to-right scan with the matching tie
    convention selects.
 
-   Three comparator shapes:
+   Two comparator shapes:
 
-   - [Closure]: the original caller-supplied [better] function.  Each match
-     pays an indirect call whose body typically re-reads switch accessors —
-     fine for the linked backend, where the accessor is the cost anyway.
-
-   - [Lex]: a monomorphic two-key variant for the flat backend.  The keys
-     live in caller-owned [int array] columns (often aliases of the flat
-     switch's own per-port aggregates), and a match is three unboxed array
+   - [Lex]: a two-key lexicographic order.  A match is three unboxed array
      loads and integer compares: k1 desc, then k2 desc, then the index tie.
      Derived keys are recomputed by [refresh_key] once per invalidation —
      O(1) amortized per mutation — instead of once per comparison.
@@ -32,7 +28,6 @@
      ones and among themselves by index. *)
 
 type kind =
-  | Closure of (int -> int -> bool)
   | Lex of {
       k1 : int array;
       k2 : int array;
@@ -56,10 +51,9 @@ type t = {
 (* The match comparison.  [a]/[b] are in [0, n) whenever this runs (the
    tree stores only valid indices or -1, and [combine] filters the -1s), so
    the key-column accesses skip the bounds check — this is the per-mutation
-   hot path of every victim index on the flat backend. *)
+   hot path of every victim index. *)
 let better t a b =
   match t.kind with
-  | Closure f -> f a b
   | Lex { k1; k2; largest_tie; _ } ->
     let ka = Array.unsafe_get k1 a and kb = Array.unsafe_get k1 b in
     ka > kb
@@ -88,7 +82,6 @@ let combine t a b =
 
 let refresh_key t j =
   match t.kind with
-  | Closure _ -> ()
   | Lex { refresh_key; _ } -> refresh_key j
   | Ratio { refresh_key; _ } -> refresh_key j
 
@@ -98,12 +91,9 @@ let rebuild t =
   done
 
 let refresh t =
-  (match t.kind with
-  | Closure _ -> ()
-  | Lex _ | Ratio _ ->
-    for j = 0 to t.n - 1 do
-      refresh_key t j
-    done);
+  for j = 0 to t.n - 1 do
+    refresh_key t j
+  done;
   rebuild t
 
 let make ~n kind =
@@ -120,8 +110,6 @@ let make ~n kind =
   let t = { n; leaves; tree; kind } in
   refresh t;
   t
-
-let create ~n ~better = make ~n (Closure better)
 
 let check_columns ~n name cols =
   List.iter
@@ -176,10 +164,9 @@ let top_excluding t j =
   !best
 
 let check t =
-  (* Keyed variants first prove no key is stale: recomputing any element's
-     keys must be a no-op, or some mutation skipped its [invalidate]. *)
+  (* First prove no key is stale: recomputing any element's keys must be a
+     no-op, or some mutation skipped its [invalidate]. *)
   (match t.kind with
-  | Closure _ -> ()
   | Lex { k1; k2; refresh_key; _ } ->
     for j = 0 to t.n - 1 do
       let a = k1.(j) and b = k2.(j) in
@@ -204,3 +191,13 @@ let check t =
            "Agg_index.check: stale match at node %d (holds %d, expects %d)" i
            t.tree.(i) w)
   done
+
+let per_switch index =
+  let cache = ref None in
+  fun sw ->
+    match !cache with
+    | Some (sw', idx) when sw' == sw -> idx
+    | Some _ | None ->
+      let idx = index sw in
+      cache := Some (sw, idx);
+      idx

@@ -1,34 +1,20 @@
 (** Incremental argmax over queue indices: a tournament tree whose matches
-    are decided by a comparator reading live switch state.
+    compare int key columns.
 
     The switches maintain one of these per registered victim-selection key
     (see {!Proc_switch.find_index} / {!Value_switch.find_index}): a queue
-    mutation re-runs the O(log n) matches on that queue's root path, and a
-    policy reads the argmax — or the argmax excluding the destination
-    queue — in O(log n) instead of rescanning all n queues.
+    mutation refreshes that queue's keys and re-runs the O(log n) matches on
+    its root path, and a policy reads the argmax — or the argmax excluding
+    the destination queue — in O(log n) instead of rescanning all n queues.
 
-    Internal nodes store winner {e indices}, not keys, so the comparator may
-    read mutable per-queue aggregates (lengths, total work, cached minimum
-    values); the contract is only that after any queue's state changes,
-    {!invalidate} is called for it before the next query.
-
-    Two comparator families:
-    - {!create} takes an arbitrary [better] closure — one indirect call per
-      match.
-    - {!create_lex} / {!create_ratio} are the flat backend's monomorphic
-      variants: matches read unboxed int key columns directly (three array
-      loads, no closure), and any {e derived} keys are recomputed once per
-      invalidation by a caller-supplied [refresh] instead of once per
-      comparison.  Key columns are caller-owned and may alias the switch's
-      live per-port aggregate arrays (then [refresh] is [ignore]). *)
+    Internal nodes store winner {e indices}, not keys.  Key columns are
+    caller-owned [int array]s and may alias the switch's live per-port
+    aggregate arrays (then [refresh] is [ignore]); any {e derived} keys are
+    recomputed once per invalidation by a caller-supplied [refresh] instead
+    of once per comparison.  The contract is only that after any queue's
+    state changes, {!invalidate} is called for it before the next query. *)
 
 type t
-
-val create : n:int -> better:(int -> int -> bool) -> t
-(** A tree over elements [0 .. n-1].  [better a b] must implement a strict
-    total order (resolve ties by index), so that the tree's winner is the
-    unique maximum.  The tree is built immediately from the current state.
-    @raise Invalid_argument if [n < 1]. *)
 
 val create_lex :
   n:int ->
@@ -38,11 +24,11 @@ val create_lex :
   refresh:(int -> unit) ->
   unit ->
   t
-(** Monomorphic lexicographic order: larger [k1.(j)] wins, then larger
-    [k2.(j)], then the index tie ([`Largest_index] by default).  [refresh j]
-    must (re)write element [j]'s keys from live state; it runs for every
-    element at creation and once per {!invalidate} — pass [ignore] when both
-    columns alias live aggregates.  The columns must have length >= [n].
+(** Lexicographic order: larger [k1.(j)] wins, then larger [k2.(j)], then
+    the index tie ([`Largest_index] by default).  [refresh j] must (re)write
+    element [j]'s keys from live state; it runs for every element at
+    creation and once per {!invalidate} — pass [ignore] when both columns
+    alias live aggregates.  The columns must have length >= [n].
     @raise Invalid_argument if [n < 1] or a column is shorter than [n]. *)
 
 val create_ratio :
@@ -64,12 +50,11 @@ val n : t -> int
 
 val invalidate : t -> int -> unit
 (** Re-run the matches on element [j]'s root path after its state changed
-    (for keyed trees, element [j]'s keys are refreshed first).  O(log n),
-    O(1) amortized. *)
+    (element [j]'s keys are refreshed first).  O(log n), O(1) amortized. *)
 
 val refresh : t -> unit
 (** Re-run every match (after a bulk change such as a flushout), refreshing
-    every key on keyed trees.  O(n). *)
+    every key.  O(n). *)
 
 val top : t -> int
 (** The current overall winner (the unique maximum). *)
@@ -79,7 +64,13 @@ val top_excluding : t -> int -> int
     O(log n), read-only. *)
 
 val check : t -> unit
-(** Verify every stored match outcome against a fresh comparison — and, on
-    keyed trees, that no key column entry is stale — detecting missed
-    invalidations.  Test hook.
+(** Verify every stored match outcome against a fresh comparison, and that
+    no key column entry is stale — detecting missed invalidations.  Test
+    hook.
     @raise Invalid_argument on an inconsistency. *)
+
+val per_switch : ('sw -> t) -> 'sw -> t
+(** [per_switch index] memoizes [index] (typically a switch's
+    [find_index] registration) on the last switch it saw, compared
+    physically: a policy resolves its index once per switch instead of
+    looking it up on every admission. *)

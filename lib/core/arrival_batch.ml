@@ -51,9 +51,6 @@ let work t i =
   check_index t i "work";
   t.work.(i)
 
-let unsafe_dest t i = Array.unsafe_get t.dest i
-let unsafe_value t i = Array.unsafe_get t.value i
-
 let set_work t i w =
   check_index t i "set_work";
   t.work.(i) <- w

@@ -32,11 +32,6 @@ val value : t -> int -> int
 val work : t -> int -> int
 (** Indexed access.  @raise Invalid_argument out of bounds. *)
 
-val unsafe_dest : t -> int -> int
-val unsafe_value : t -> int -> int
-(** Unchecked indexed access for batch kernels whose loop bound is
-    [length t]. *)
-
 val set_work : t -> int -> int -> unit
 (** [set_work b i w] annotates arrival [i] with per-packet work [w]. *)
 

@@ -1,128 +1,48 @@
 (* argmax over eligible queues of (per-packet work, length, index); no
-   virtual add — BPD's victim does not depend on the arrival.  The scan's
-   replacement on [key >= best] keeps the largest index among full ties;
-   the indexed path reproduces the same choice from the switch's
-   incremental index.  All comparisons are explicit integer comparisons. *)
+   virtual add — BPD's victim does not depend on the arrival.  Full ties
+   keep the largest index (a left-to-right scan with replacement on
+   [key >= best] — the test-side oracle).
 
-let select_victim_scan ~protect_last sw =
-  let min_len = if protect_last then 2 else 1 in
-  let best = ref (-1) and best_work = ref min_int and best_len = ref min_int in
-  for j = 0 to Proc_switch.n sw - 1 do
-    let len = Proc_switch.queue_length sw j in
-    if len >= min_len then begin
-      let work = Proc_switch.port_work sw j in
-      if work > !best_work || (work = !best_work && len >= !best_len) then begin
-        best := j;
-        best_work := work;
-        best_len := len
-      end
-    end
-  done;
-  if !best < 0 then None else Some !best
+   Keyed lexicographic tree with ineligibility encoded in the keys — an
+   ineligible queue carries (min_int, 0), ranking below every eligible one
+   (port work >= 1 > min_int) and among its peers by the index tie.  Both
+   keys are derived, so a per-invalidation refresh recomputes them from the
+   live aggregates. *)
 
-(* Flat backend: keyed lexicographic tree with ineligibility encoded in the
-   keys — an ineligible queue carries (min_int, 0), ranking below every
-   eligible one (port work >= 1 > min_int) and among its peers by the index
-   tie, exactly the closure comparator's order.  Both keys are derived, so a
-   per-invalidation refresh recomputes them from the live aggregates. *)
 let index ~protect_last sw =
   let min_len = if protect_last then 2 else 1 in
+  let v = Proc_switch.view sw in
   let key = if protect_last then "bpd:protect" else "bpd" in
-  match Proc_switch.flat_view sw with
-  | Some v ->
-    Proc_switch.find_index_with sw ~key (fun ~n ->
-        let k1 = Array.make n 0 and k2 = Array.make n 0 in
-        Agg_index.create_lex ~n ~k1 ~k2
-          ~refresh:(fun j ->
-            if v.Proc_switch.view_qlen.(j) >= min_len then begin
-              k1.(j) <- v.Proc_switch.view_works.(j);
-              k2.(j) <- v.Proc_switch.view_qlen.(j)
-            end
-            else begin
-              k1.(j) <- min_int;
-              k2.(j) <- 0
-            end)
-          ())
-  | None ->
-    Proc_switch.find_index sw ~key ~better:(fun a b ->
-        let ea = Proc_switch.queue_length sw a >= min_len
-        and eb = Proc_switch.queue_length sw b >= min_len in
-        if ea <> eb then ea
-        else if not ea then a > b
-        else begin
-          let wa = Proc_switch.port_work sw a
-          and wb = Proc_switch.port_work sw b in
-          wa > wb
-          || wa = wb
-             &&
-             let la = Proc_switch.queue_length sw a
-             and lb = Proc_switch.queue_length sw b in
-             la > lb || (la = lb && a > b)
-        end)
+  Proc_switch.find_index sw ~key (fun ~n ->
+      let k1 = Array.make n 0 and k2 = Array.make n 0 in
+      Agg_index.create_lex ~n ~k1 ~k2
+        ~refresh:(fun j ->
+          if v.Proc_switch.view_qlen.(j) >= min_len then begin
+            k1.(j) <- v.Proc_switch.view_works.(j);
+            k2.(j) <- v.Proc_switch.view_qlen.(j)
+          end
+          else begin
+            k1.(j) <- min_int;
+            k2.(j) <- 0
+          end)
+        ())
 
-let select_victim_indexed ~protect_last idx sw =
+let select ~protect_last idx sw =
   let min_len = if protect_last then 2 else 1 in
   let c = Agg_index.top idx in
   if c < 0 || Proc_switch.queue_length sw c < min_len then None else Some c
 
 let select_victim ~protect_last sw =
-  select_victim_indexed ~protect_last (index ~protect_last sw) sw
+  select ~protect_last (index ~protect_last sw) sw
 
-let make ?(protect_last = false) ?(impl = `Indexed) _config =
+let make ?(protect_last = false) _config =
   let name = if protect_last then "BPD1" else "BPD" in
-  let backend =
-    match impl with `Flat -> `Flat | `Indexed | `Scan -> `Linked
-  in
-  let cached_index =
-    let cache = ref None in
-    fun sw ->
-      match !cache with
-      | Some (sw', idx) when sw' == sw -> idx
-      | Some _ | None ->
-        let idx = index ~protect_last sw in
-        cache := Some (sw, idx);
-        idx
-  in
-  let select =
-    match impl with
-    | `Scan -> select_victim_scan ~protect_last
-    | `Indexed | `Flat ->
-      fun sw -> select_victim_indexed ~protect_last (cached_index sw) sw
-  in
-  let admit_batch =
-    match impl with
-    | `Scan | `Indexed -> None
-    | `Flat ->
-      Some
-        (fun sw batch (c : Admission.counters) ->
-          let idx = cached_index sw in
-          for i = 0 to Arrival_batch.length batch - 1 do
-            let dest = Arrival_batch.unsafe_dest batch i in
-            if not (Proc_switch.is_full sw) then begin
-              Proc_switch.accept_unit sw ~dest;
-              c.Admission.accepted <- c.Admission.accepted + 1
-            end
-            else begin
-              match select_victim_indexed ~protect_last idx sw with
-              | None -> c.Admission.dropped <- c.Admission.dropped + 1
-              | Some victim ->
-                let aw = Proc_switch.port_work sw dest
-                and vw = Proc_switch.port_work sw victim in
-                if aw < vw || (aw = vw && dest <= victim) then begin
-                  Proc_switch.push_out_unit sw ~victim;
-                  Proc_switch.accept_unit sw ~dest;
-                  c.Admission.pushed_out <- c.Admission.pushed_out + 1;
-                  c.Admission.accepted <- c.Admission.accepted + 1
-                end
-                else c.Admission.dropped <- c.Admission.dropped + 1
-            end
-          done)
-  in
-  Proc_policy.make ~backend ?admit_batch ~name ~push_out:true (fun sw ~dest ->
+  let index = Agg_index.per_switch (index ~protect_last) in
+  Proc_policy.make ~name ~push_out:true (fun sw ~dest ->
       match Proc_policy.greedy_accept sw with
       | Some d -> d
       | None -> (
-        match select sw with
+        match select ~protect_last (index sw) sw with
         | None -> Decision.Drop
         | Some victim ->
           (* "i <= j" in the work-sorted port order, i.e. the arriving

@@ -13,18 +13,11 @@
     pushes out the last packet of a queue (victims must hold at least two
     packets), avoiding the artificial deactivation of output ports. *)
 
-val make :
-  ?protect_last:bool -> ?impl:[ `Indexed | `Scan | `Flat ] -> Proc_config.t ->
-  Proc_policy.t
-(** [~impl] picks the victim selection: [`Indexed] (default) reads the
-    argmax off the switch's incremental index in O(log n); [`Scan] keeps
-    the original O(n) rescans.  Both make bit-identical decisions; [`Flat] is [`Indexed] selection plus a request for the switch's flat struct-of-arrays backend (see {!Proc_switch}). *)
+val make : ?protect_last:bool -> Proc_config.t -> Proc_policy.t
+(** Victim selection reads the argmax off the switch's incremental index in
+    O(log n). *)
 
 val select_victim : protect_last:bool -> Proc_switch.t -> int option
 (** The queue BPD would evict from: the non-empty (length >= 2 when
     protecting last packets) queue with maximal work, ties towards the
     longer queue, then the larger index.  Exposed for tests. *)
-
-val select_victim_scan : protect_last:bool -> Proc_switch.t -> int option
-(** Reference O(n) scan implementation of {!select_victim}; the
-    differential oracle compares the two. *)

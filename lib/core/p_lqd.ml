@@ -1,50 +1,21 @@
 (* argmax over queues of (virtual length, work, index); the virtual length
-   counts the arriving packet as already added to [dest].
+   counts the arriving packet as already added to [dest], and full ties keep
+   the largest index (the decision contract a left-to-right scan with
+   replacement on [key >= best] realises — the test-side oracle).
 
-   The left-to-right scan with replacement on [key >= best] — which keeps
-   the largest index among full ties — is the decision contract.  The
-   indexed path answers the same argmax in O(log n) from the switch's
-   incremental index; [select_victim_scan] keeps the original O(n) scan as
-   the reference oracle the differential tests compare against.  All key
-   comparisons are explicit integer comparisons (no tuple allocation on the
-   hot path). *)
+   The index is a keyed lexicographic tree over the switch's own
+   (queue length, port work) aggregate columns — no refresh, both keys
+   alias live state — so the argmax over every queue but [dest] costs
+   O(log n); the destination then competes with its virtual length.  All
+   key comparisons are explicit integer comparisons. *)
 
-let select_victim_scan sw ~dest =
-  let best = ref 0 and best_len = ref min_int and best_work = ref min_int in
-  for j = 0 to Proc_switch.n sw - 1 do
-    let len = Proc_switch.queue_length sw j + if j = dest then 1 else 0 in
-    let work = Proc_switch.port_work sw j in
-    (* >= on equal keys keeps the largest index among full ties. *)
-    if len > !best_len || (len = !best_len && work >= !best_work) then begin
-      best := j;
-      best_len := len;
-      best_work := work
-    end
-  done;
-  !best
-
-(* On the flat backend the comparator collapses to a keyed lexicographic
-   tree over the switch's own (queue length, port work) aggregate columns —
-   no closure, no refresh (both keys alias live state).  The linked backend
-   keeps the closure comparator; both express the same order. *)
 let index sw =
-  match Proc_switch.flat_view sw with
-  | Some v ->
-    Proc_switch.find_index_with sw ~key:"lqd" (fun ~n ->
-        Agg_index.create_lex ~n ~k1:v.Proc_switch.view_qlen
-          ~k2:v.Proc_switch.view_works ~refresh:ignore ())
-  | None ->
-    Proc_switch.find_index sw ~key:"lqd" ~better:(fun a b ->
-        let la = Proc_switch.queue_length sw a
-        and lb = Proc_switch.queue_length sw b in
-        la > lb
-        || la = lb
-           &&
-           let wa = Proc_switch.port_work sw a
-           and wb = Proc_switch.port_work sw b in
-           wa > wb || (wa = wb && a > b))
+  let v = Proc_switch.view sw in
+  Proc_switch.find_index sw ~key:"lqd" (fun ~n ->
+      Agg_index.create_lex ~n ~k1:v.Proc_switch.view_qlen
+        ~k2:v.Proc_switch.view_works ~refresh:ignore ())
 
-let select_victim_indexed idx sw ~dest =
+let select idx sw ~dest =
   let c = Agg_index.top_excluding idx dest in
   if c < 0 then dest
   else begin
@@ -59,61 +30,13 @@ let select_victim_indexed idx sw ~dest =
     end
   end
 
-let select_victim sw ~dest = select_victim_indexed (index sw) sw ~dest
+let select_victim sw ~dest = select (index sw) sw ~dest
 
-let make ?(impl = `Indexed) _config =
-  let backend =
-    match impl with `Flat -> `Flat | `Indexed | `Scan -> `Linked
-  in
-  let cached_index =
-    let cache = ref None in
-    fun sw ->
-      match !cache with
-      | Some (sw', idx) when sw' == sw -> idx
-      | Some _ | None ->
-        let idx = index sw in
-        cache := Some (sw, idx);
-        idx
-  in
-  let select =
-    match impl with
-    | `Scan -> fun sw ~dest -> select_victim_scan sw ~dest
-    | `Indexed | `Flat ->
-      fun sw ~dest -> select_victim_indexed (cached_index sw) sw ~dest
-  in
-  (* Fused batch kernel (`Flat impl): admit a whole slot's arrivals in one
-     pass, resolving the victim index once per batch instead of once per
-     packet.  Decision-identical to the per-packet [admit] + engine
-     application below — the lockstep fuzz proves it. *)
-  let admit_batch =
-    match impl with
-    | `Scan | `Indexed -> None
-    | `Flat ->
-      Some
-        (fun sw batch (c : Admission.counters) ->
-          let idx = cached_index sw in
-          for i = 0 to Arrival_batch.length batch - 1 do
-            let dest = Arrival_batch.unsafe_dest batch i in
-            if not (Proc_switch.is_full sw) then begin
-              Proc_switch.accept_unit sw ~dest;
-              c.Admission.accepted <- c.Admission.accepted + 1
-            end
-            else begin
-              let victim = select_victim_indexed idx sw ~dest in
-              if victim <> dest then begin
-                Proc_switch.push_out_unit sw ~victim;
-                Proc_switch.accept_unit sw ~dest;
-                c.Admission.pushed_out <- c.Admission.pushed_out + 1;
-                c.Admission.accepted <- c.Admission.accepted + 1
-              end
-              else c.Admission.dropped <- c.Admission.dropped + 1
-            end
-          done)
-  in
-  Proc_policy.make ~backend ?admit_batch ~name:"LQD" ~push_out:true
-    (fun sw ~dest ->
+let make _config =
+  let index = Agg_index.per_switch index in
+  Proc_policy.make ~name:"LQD" ~push_out:true (fun sw ~dest ->
       match Proc_policy.greedy_accept sw with
       | Some d -> d
       | None ->
-        let victim = select sw ~dest in
+        let victim = select (index sw) sw ~dest in
         if victim <> dest then Decision.Push_out { victim } else Decision.Drop)

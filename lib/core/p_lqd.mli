@@ -10,17 +10,10 @@
     2-competitive under homogeneous processing; Theorem 4 shows it is at
     least [sqrt k]-competitive under heterogeneous processing. *)
 
-val make : ?impl:[ `Indexed | `Scan | `Flat ] -> Proc_config.t -> Proc_policy.t
-(** [`Indexed] (the default) answers each victim selection in O(log n) from
-    the switch's incremental index; [`Scan] keeps the reference O(n) scan.
-    Both are decision-identical — [`Scan] exists for differential tests and
-    the hot-path benchmark.  [`Flat] is [`Indexed] selection plus a request
-    for the switch's flat struct-of-arrays backend (see {!Proc_switch}). *)
+val make : Proc_config.t -> Proc_policy.t
+(** Victim selection reads the argmax off the switch's incremental index in
+    O(log n). *)
 
 val select_victim : Proc_switch.t -> dest:int -> int
 (** The queue index LQD would evict from (may equal [dest], meaning drop);
     exposed for tests. *)
-
-val select_victim_scan : Proc_switch.t -> dest:int -> int
-(** The original O(n) scan; the oracle the indexed selection is tested
-    against. *)

@@ -23,25 +23,12 @@ type tie =
   | Smallest_work
   | Longest_queue
 
-val make :
-  ?protect_last:bool ->
-  ?tie:tie ->
-  ?impl:[ `Indexed | `Scan | `Flat ] ->
-  Proc_config.t ->
-  Proc_policy.t
+val make : ?protect_last:bool -> ?tie:tie -> Proc_config.t -> Proc_policy.t
 (** The policy is named ["LWD"], ["LWD1"] when protecting last packets, and
-    ["LWD/tie=..."] for non-default tie-breaking.  [~impl] picks the victim
-    selection: [`Indexed] (default) answers the argmax in O(log n) from the
-    switch's incremental index; [`Scan] keeps the original O(n) rescans.
-    Both make bit-identical decisions; [`Flat] is [`Indexed] selection plus a request for the switch's flat struct-of-arrays backend (see {!Proc_switch}). *)
+    ["LWD/tie=..."] for non-default tie-breaking.  Victim selection reads
+    the argmax off the switch's incremental index in O(log n). *)
 
 val select_victim :
-  ?protect_last:bool -> ?tie:tie -> Proc_switch.t -> dest:int -> int option
-(** The queue LWD would evict from; [Some dest] means drop, [None] (possible
-    only when protecting last packets) means no eligible victim.  Exposed
-    for tests. *)
-
-val select_victim_scan :
-  ?protect_last:bool -> ?tie:tie -> Proc_switch.t -> dest:int -> int option
-(** Reference O(n) scan implementation of {!select_victim}; the
-    differential oracle compares the two. *)
+  ?protect_last:bool -> ?tie:tie -> Proc_switch.t -> dest:int -> int
+(** The queue LWD would evict from; [dest] means drop (the destination is
+    always eligible, so some queue always wins).  Exposed for tests. *)

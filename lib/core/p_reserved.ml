@@ -1,100 +1,34 @@
 (* Two victim selections, one per admission branch, both answered from
-   incremental indexes in O(log n) (with the original O(n) scans kept as
-   the reference oracle under [~impl:`Scan]):
+   incremental indexes in O(log n):
 
    - pool branch (arrival's queue at/above its reservation): argmax over
      all queues of (pool overflow with the arrival virtually added to
-     [dest], port work, index) — replacement on [key >= best], so full
-     ties keep the largest index;
+     [dest], port work, index) — full ties keep the largest index;
 
    - reclaim branch (arrival still inside its reservation): argmax over
      queues other than [dest] of (pool overflow, port work), eligible only
-     with positive overflow — replacement on strict [key > best] seeded at
-     [(0, max_int)], so full ties keep the *smallest* index.
+     with positive overflow — full ties keep the *smallest* index.
 
-   All comparisons are explicit integer comparisons. *)
+   Both indexes are keyed lexicographic trees over (derived pool overflow,
+   port work), differing only in the index tie.  The work column aliases
+   the live aggregate; the overflow key is refreshed per invalidation.  All
+   comparisons are explicit integer comparisons. *)
 
 (* Pool slots used by queue j: packets above its reservation. *)
 let overflow ~reserve sw j ~dest =
   let len = Proc_switch.queue_length sw j + if j = dest then 1 else 0 in
   max 0 (len - reserve)
 
-let select_pool_victim_scan ~reserve sw ~dest =
-  let best = ref 0 and best_ov = ref min_int and best_work = ref min_int in
-  for j = 0 to Proc_switch.n sw - 1 do
-    let ov = overflow ~reserve sw j ~dest
-    and work = Proc_switch.port_work sw j in
-    if ov > !best_ov || (ov = !best_ov && work >= !best_work) then begin
-      best := j;
-      best_ov := ov;
-      best_work := work
-    end
-  done;
-  !best
+let overflow_index ~key ~reserve ~tie sw =
+  let v = Proc_switch.view sw in
+  Proc_switch.find_index sw ~key (fun ~n ->
+      let k1 = Array.make n 0 in
+      Agg_index.create_lex ~n ~tie ~k1 ~k2:v.Proc_switch.view_works
+        ~refresh:(fun j ->
+          k1.(j) <- max 0 (v.Proc_switch.view_qlen.(j) - reserve))
+        ())
 
-let select_reclaim_victim_scan ~reserve sw ~dest =
-  let best = ref (-1) and best_ov = ref 0 and best_work = ref max_int in
-  for j = 0 to Proc_switch.n sw - 1 do
-    if j <> dest then begin
-      let ov = overflow ~reserve sw j ~dest
-      and work = Proc_switch.port_work sw j in
-      if ov > !best_ov || (ov = !best_ov && work > !best_work) then begin
-        best := j;
-        best_ov := ov;
-        best_work := work
-      end
-    end
-  done;
-  !best
-
-(* Flat backend: both indexes are keyed lexicographic trees over (derived
-   pool overflow, port work), differing only in the index tie — largest for
-   the pool branch, smallest for the reclaim branch (matching the strict-[>]
-   scan).  The work column aliases the live aggregate; the overflow key is
-   refreshed per invalidation. *)
-let keyed_overflow_index sw ~key ~reserve ~tie =
-  Proc_switch.find_index_with sw ~key (fun ~n ->
-      match Proc_switch.flat_view sw with
-      | None -> assert false
-      | Some v ->
-        let k1 = Array.make n 0 in
-        Agg_index.create_lex ~n ~tie ~k1 ~k2:v.Proc_switch.view_works
-          ~refresh:(fun j ->
-            k1.(j) <- max 0 (v.Proc_switch.view_qlen.(j) - reserve))
-          ())
-
-let pool_index ~reserve sw =
-  let key = Printf.sprintf "rsv:%d" reserve in
-  match Proc_switch.flat_view sw with
-  | Some _ -> keyed_overflow_index sw ~key ~reserve ~tie:`Largest_index
-  | None ->
-    Proc_switch.find_index sw ~key ~better:(fun a b ->
-        let ova = max 0 (Proc_switch.queue_length sw a - reserve)
-        and ovb = max 0 (Proc_switch.queue_length sw b - reserve) in
-        ova > ovb
-        || ova = ovb
-           &&
-           let wa = Proc_switch.port_work sw a
-           and wb = Proc_switch.port_work sw b in
-           wa > wb || (wa = wb && a > b))
-
-let reclaim_index ~reserve sw =
-  let key = Printf.sprintf "rsv-reclaim:%d" reserve in
-  match Proc_switch.flat_view sw with
-  | Some _ -> keyed_overflow_index sw ~key ~reserve ~tie:`Smallest_index
-  | None ->
-    Proc_switch.find_index sw ~key ~better:(fun a b ->
-        let ova = max 0 (Proc_switch.queue_length sw a - reserve)
-        and ovb = max 0 (Proc_switch.queue_length sw b - reserve) in
-        ova > ovb
-        || ova = ovb
-           &&
-           let wa = Proc_switch.port_work sw a
-           and wb = Proc_switch.port_work sw b in
-           (* Strict-[>] scan: full ties keep the smallest index. *)
-           wa > wb || (wa = wb && a < b))
-
-let select_pool_victim_indexed ~reserve idx sw ~dest =
+let select_pool ~reserve idx sw ~dest =
   let c = Agg_index.top_excluding idx dest in
   if c < 0 then dest
   else begin
@@ -109,80 +43,27 @@ let select_pool_victim_indexed ~reserve idx sw ~dest =
     end
   end
 
-let select_reclaim_victim_indexed ~reserve idx sw ~dest =
+let select_reclaim ~reserve idx sw ~dest =
   let c = Agg_index.top_excluding idx dest in
   if c < 0 || max 0 (Proc_switch.queue_length sw c - reserve) = 0 then -1
   else c
 
-let make ~reserve ?(impl = `Indexed) config =
+let make ~reserve config =
   if reserve < 0 then invalid_arg "P_reserved.make: negative reserve";
   if Proc_config.n config * reserve > config.Proc_config.buffer then
     invalid_arg "P_reserved.make: reservations exceed the buffer";
   let name = Printf.sprintf "RSV(%d)" reserve in
-  let backend =
-    match impl with `Flat -> `Flat | `Indexed | `Scan -> `Linked
+  let pool =
+    Agg_index.per_switch
+      (overflow_index ~key:(Printf.sprintf "rsv:%d" reserve) ~reserve
+         ~tie:`Largest_index)
+  and reclaim =
+    Agg_index.per_switch
+      (overflow_index
+         ~key:(Printf.sprintf "rsv-reclaim:%d" reserve)
+         ~reserve ~tie:`Smallest_index)
   in
-  let cache = ref None in
-  let indexes sw =
-    match !cache with
-    | Some (sw', pool, reclaim) when sw' == sw -> (pool, reclaim)
-    | Some _ | None ->
-      let pool = pool_index ~reserve sw
-      and reclaim = reclaim_index ~reserve sw in
-      cache := Some (sw, pool, reclaim);
-      (pool, reclaim)
-  in
-  let select_pool, select_reclaim =
-    match impl with
-    | `Scan ->
-      (select_pool_victim_scan ~reserve, select_reclaim_victim_scan ~reserve)
-    | `Indexed | `Flat ->
-      ( (fun sw ~dest ->
-          let pool, _ = indexes sw in
-          select_pool_victim_indexed ~reserve pool sw ~dest),
-        fun sw ~dest ->
-          let _, reclaim = indexes sw in
-          select_reclaim_victim_indexed ~reserve reclaim sw ~dest )
-  in
-  let admit_batch =
-    match impl with
-    | `Scan | `Indexed -> None
-    | `Flat ->
-      Some
-        (fun sw batch (c : Admission.counters) ->
-          let pool, reclaim = indexes sw in
-          for i = 0 to Arrival_batch.length batch - 1 do
-            let dest = Arrival_batch.unsafe_dest batch i in
-            if not (Proc_switch.is_full sw) then begin
-              Proc_switch.accept_unit sw ~dest;
-              c.Admission.accepted <- c.Admission.accepted + 1
-            end
-            else if Proc_switch.queue_length sw dest >= reserve then begin
-              let victim = select_pool_victim_indexed ~reserve pool sw ~dest in
-              if victim <> dest && overflow ~reserve sw victim ~dest > 0
-              then begin
-                Proc_switch.push_out_unit sw ~victim;
-                Proc_switch.accept_unit sw ~dest;
-                c.Admission.pushed_out <- c.Admission.pushed_out + 1;
-                c.Admission.accepted <- c.Admission.accepted + 1
-              end
-              else c.Admission.dropped <- c.Admission.dropped + 1
-            end
-            else begin
-              let victim =
-                select_reclaim_victim_indexed ~reserve reclaim sw ~dest
-              in
-              if victim >= 0 then begin
-                Proc_switch.push_out_unit sw ~victim;
-                Proc_switch.accept_unit sw ~dest;
-                c.Admission.pushed_out <- c.Admission.pushed_out + 1;
-                c.Admission.accepted <- c.Admission.accepted + 1
-              end
-              else c.Admission.dropped <- c.Admission.dropped + 1
-            end
-          done)
-  in
-  Proc_policy.make ~backend ?admit_batch ~name ~push_out:true (fun sw ~dest ->
+  Proc_policy.make ~name ~push_out:true (fun sw ~dest ->
       match Proc_policy.greedy_accept sw with
       | Some d -> d
       | None ->
@@ -191,7 +72,7 @@ let make ~reserve ?(impl = `Indexed) config =
         if Proc_switch.queue_length sw dest >= reserve then begin
           (* The arrival itself would take a pool slot: evict from the queue
              using the most pool slots (LQD over the pool, virtual add). *)
-          let victim = select_pool sw ~dest in
+          let victim = select_pool ~reserve (pool sw) sw ~dest in
           if victim <> dest && overflow ~reserve sw victim ~dest > 0 then
             Decision.Push_out { victim }
           else Decision.Drop
@@ -200,7 +81,7 @@ let make ~reserve ?(impl = `Indexed) config =
           (* Reserved slot owed to this arrival: reclaim it from the largest
              pool user (some queue must be above its reservation, since the
              buffer is full and this queue is below). *)
-          let victim = select_reclaim sw ~dest in
+          let victim = select_reclaim ~reserve (reclaim sw) sw ~dest in
           if victim >= 0 then Decision.Push_out { victim }
           else Decision.Drop
         end)

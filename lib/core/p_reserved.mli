@@ -15,11 +15,7 @@
     partition shares (plus reclamation of any transiently stolen
     reservation). *)
 
-val make :
-  reserve:int -> ?impl:[ `Indexed | `Scan | `Flat ] -> Proc_config.t -> Proc_policy.t
-(** [~impl] picks the victim selection: [`Indexed] (default) answers both
-    branches' argmaxes in O(log n) from the switch's incremental indexes;
-    [`Scan] keeps the original O(n) rescans.  Both make bit-identical
-    decisions; [`Flat] is [`Indexed] selection plus a request for the
-    switch's flat struct-of-arrays backend (see {!Proc_switch}).
+val make : reserve:int -> Proc_config.t -> Proc_policy.t
+(** Both branches' argmaxes are read off the switch's incremental indexes
+    in O(log n).
     @raise Invalid_argument if [reserve < 0] or [n * reserve > B]. *)

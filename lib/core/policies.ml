@@ -1,89 +1,57 @@
-(* The registry is where the backend seam reaches every consumer with zero
-   call-site changes: Experiment, the sweeps, the serve daemon and the CLIs
-   all build their policies here, so defaulting [?impl] from SMBM_BACKEND
-   switches the whole stack (victim selection *and* switch representation)
-   from the environment. *)
-let default_impl () =
-  match Sys.getenv_opt "SMBM_BACKEND" with
-  | Some "flat" -> `Flat
-  | Some "scan" -> `Scan
-  | Some "linked" | Some "indexed" -> `Indexed
-  | Some other ->
-    invalid_arg
-      (Printf.sprintf
-         "SMBM_BACKEND=%s: expected flat, scan, linked or indexed" other)
-  | None -> `Indexed
-
-(* Threshold policies have no victim selection, hence no [?impl]; they
-   follow the backend choice through [with_backend]. *)
-let proc_backend = function
-  | `Flat -> `Flat
-  | `Indexed | `Scan -> `Linked
-
-let proc ?impl config =
-  let impl = match impl with Some i -> i | None -> default_impl () in
-  let bk = Proc_policy.with_backend (proc_backend impl) in
+let proc config =
   [
-    bk (P_nhst.make config);
-    bk (P_nest.make config);
-    bk (P_nhdt.make config);
-    P_lqd.make ~impl config;
-    P_bpd.make ~impl config;
-    P_bpd.make ~protect_last:true ~impl config;
-    P_lwd.make ~impl config;
+    P_nhst.make config;
+    P_nest.make config;
+    P_nhdt.make config;
+    P_lqd.make config;
+    P_bpd.make config;
+    P_bpd.make ~protect_last:true config;
+    P_lwd.make config;
   ]
 
-let proc_extended ?impl config =
-  let impl = match impl with Some i -> i | None -> default_impl () in
-  let bk = Proc_policy.with_backend (proc_backend impl) in
+let proc_extended config =
   let half_partition =
     config.Proc_config.buffer / (2 * Proc_config.n config)
   in
-  proc ~impl config
+  proc config
   @ [
-      P_lwd.make ~protect_last:true ~impl config;
-      P_lwd.make ~tie:P_lwd.Smallest_work ~impl config;
-      P_lwd.make ~tie:P_lwd.Longest_queue ~impl config;
-      P_reserved.make ~reserve:half_partition ~impl config;
-      bk (P_rand.make config);
+      P_lwd.make ~protect_last:true config;
+      P_lwd.make ~tie:P_lwd.Smallest_work config;
+      P_lwd.make ~tie:P_lwd.Longest_queue config;
+      P_reserved.make ~reserve:half_partition config;
+      P_rand.make config;
     ]
 
-let proc_find ?impl config name =
+let proc_find config name =
   let name = String.lowercase_ascii name in
   List.find_opt
     (fun (p : Proc_policy.t) -> String.lowercase_ascii p.name = name)
-    (proc_extended ?impl config)
+    (proc_extended config)
 
-let value_uniform ?impl config =
-  let impl = match impl with Some i -> i | None -> default_impl () in
-  let bk = Value_policy.with_backend (proc_backend impl) in
+let value_uniform config =
   [
-    bk (V_greedy.make config);
-    bk (V_nest.make config);
-    V_lqd.make ~impl config;
-    V_mvd.make ~impl config;
-    V_mvd.make ~protect_last:true ~impl config;
-    V_mrd.make ~impl config;
+    V_greedy.make config;
+    V_nest.make config;
+    V_lqd.make config;
+    V_mvd.make config;
+    V_mvd.make ~protect_last:true config;
+    V_mrd.make config;
   ]
 
-let value_port ?impl ~port_value config =
-  let impl = match impl with Some i -> i | None -> default_impl () in
-  let bk = Value_policy.with_backend (proc_backend impl) in
-  value_uniform ~impl config @ [ bk (V_nhst.make ~port_value config) ]
+let value_port ~port_value config =
+  value_uniform config @ [ V_nhst.make ~port_value config ]
 
-let value_extended ?impl config =
-  let impl = match impl with Some i -> i | None -> default_impl () in
-  let bk = Value_policy.with_backend (proc_backend impl) in
-  value_uniform ~impl config
-  @ [ V_mrd.make ~protect_last:true ~impl config; bk (P_rand.make_value config) ]
+let value_extended config =
+  value_uniform config
+  @ [ V_mrd.make ~protect_last:true config; P_rand.make_value config ]
 
-let value_find ?impl ?port_value config name =
+let value_find ?port_value config name =
   let name = String.lowercase_ascii name in
   let pool =
     (match port_value with
-    | Some port_value -> value_port ?impl ~port_value config
-    | None -> value_uniform ?impl config)
-    @ value_extended ?impl config
+    | Some port_value -> value_port ~port_value config
+    | None -> value_uniform config)
+    @ value_extended config
   in
   List.find_opt
     (fun (p : Value_policy.t) -> String.lowercase_ascii p.name = name)

@@ -1,52 +1,28 @@
-(** Registry of the paper's policies, for CLIs, benches and sweeps.
+(** Registry of the paper's policies, for CLIs, benches and sweeps. *)
 
-    Every builder takes [?impl], the victim-selection/backend choice passed
-    down to each policy's [make] ([`Flat] additionally requests the flat
-    struct-of-arrays switch backend; threshold policies without victim
-    selection follow through [with_backend]).  When omitted, the choice
-    comes from the [SMBM_BACKEND] environment variable ("flat", "scan", or
-    "linked"/"indexed"; default indexed-on-linked) — the seam that lets the
-    daemon, sweeps and CLIs switch representation with zero call-site
-    changes. *)
-
-val proc : ?impl:[ `Indexed | `Scan | `Flat ] -> Proc_config.t -> Proc_policy.t list
+val proc : Proc_config.t -> Proc_policy.t list
 (** All processing-model policies of Section III and V-B, in the paper's
     order: NHST, NEST, NHDT, LQD, BPD, BPD1, LWD. *)
 
-val proc_extended :
-  ?impl:[ `Indexed | `Scan | `Flat ] -> Proc_config.t -> Proc_policy.t list
+val proc_extended : Proc_config.t -> Proc_policy.t list
 (** The paper's set plus ablation variants: LWD1 (never empties a queue),
     LWD with alternative tie-breaking, sharing-with-reservation at half the
     partition share, and a random-eviction baseline. *)
 
-val proc_find :
-  ?impl:[ `Indexed | `Scan | `Flat ] ->
-  Proc_config.t ->
-  string ->
-  Proc_policy.t option
+val proc_find : Proc_config.t -> string -> Proc_policy.t option
 (** Case-insensitive lookup by name (searches the extended set). *)
 
-val value_uniform :
-  ?impl:[ `Indexed | `Scan | `Flat ] -> Value_config.t -> Value_policy.t list
+val value_uniform : Value_config.t -> Value_policy.t list
 (** Value-model policies applicable when values are arbitrary per packet
     (Section V-C, middle row of Fig. 5): Greedy, NEST, LQD, MVD, MVD1,
     MRD. *)
 
-val value_port :
-  ?impl:[ `Indexed | `Scan | `Flat ] ->
-  port_value:int array ->
-  Value_config.t ->
-  Value_policy.t list
+val value_port : port_value:int array -> Value_config.t -> Value_policy.t list
 (** Value-model policies for the value-per-port special case (bottom row of
     Fig. 5): the uniform set plus the reversed-threshold NHST. *)
 
-val value_extended :
-  ?impl:[ `Indexed | `Scan | `Flat ] -> Value_config.t -> Value_policy.t list
+val value_extended : Value_config.t -> Value_policy.t list
 (** The uniform set plus ablations: MRD1 and a random-eviction baseline. *)
 
 val value_find :
-  ?impl:[ `Indexed | `Scan | `Flat ] ->
-  ?port_value:int array ->
-  Value_config.t ->
-  string ->
-  Value_policy.t option
+  ?port_value:int array -> Value_config.t -> string -> Value_policy.t option

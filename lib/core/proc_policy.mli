@@ -10,41 +10,13 @@ type t = {
   name : string;
   push_out : bool;
       (** whether the policy ever evicts admitted packets; informational *)
-  backend : Proc_switch.backend;
-      (** which switch representation engines should create for this policy
-          (policies built with [~impl:`Flat] request the flat backend;
-          default [`Linked]).  Purely a creation-time hint — policies read
-          the switch through representation-independent accessors and work
-          on either backend. *)
   admit : Proc_switch.t -> dest:int -> Decision.t;
-  admit_batch :
-    (Proc_switch.t -> Arrival_batch.t -> Admission.counters -> unit) option;
-      (** Fused batch-admission kernel: admit {e and apply} every arrival of
-          a batch in one pass, adding into the counters, with per-batch
-          (not per-packet) victim-index resolution.  Must make exactly the
-          decisions the per-packet [admit] + engine application would —
-          test/test_victim_oracle.ml fuzzes the two in lockstep.  Only the
-          flat-impl policy variants provide one; engines fall back to the
-          per-packet path when [None] (and whenever per-decision observers —
-          recorder, flight recorder — are attached). *)
 }
 
 val make :
-  ?backend:Proc_switch.backend ->
-  ?admit_batch:
-    (Proc_switch.t -> Arrival_batch.t -> Admission.counters -> unit) ->
-  name:string ->
-  push_out:bool ->
-  (Proc_switch.t -> dest:int -> Decision.t) ->
-  t
-
-val with_backend : Proc_switch.backend -> t -> t
-(** Same policy, different creation-time backend hint. *)
+  name:string -> push_out:bool -> (Proc_switch.t -> dest:int -> Decision.t) -> t
 
 val admit : t -> Proc_switch.t -> dest:int -> Decision.t
-
-val admit_batch :
-  t -> (Proc_switch.t -> Arrival_batch.t -> Admission.counters -> unit) option
 
 val greedy_accept : Proc_switch.t -> Decision.t option
 (** [Some Accept] when the buffer has free space — the shared first clause of

@@ -1,23 +1,18 @@
 open Smbm_prelude
 
-type backend = [ `Linked | `Flat ]
-
-(* Flat backend: one struct-of-arrays slab of [cap] packet slots (columns:
-   residual work, arrival slot, packet id) with a free-list stack, and one
-   contiguous ring of slot ids per port replacing the boxed
-   Packet.Proc.t-in-Deque representation.  A warmed switch performs accept,
-   push-out and transmission without allocating: the engine-facing
-   [accept_unit]/[push_out_unit]/[transmit_phase_fields] entry points never
-   materialize packet records.  The packet-returning API remains available
-   on this backend for tests and analyses; it returns fresh snapshot
-   records read off the columns.
+(* One struct-of-arrays slab of [cap] packet slots (columns: residual work,
+   arrival slot, packet id) with a free-list stack, and one contiguous ring
+   of slot ids per port.  Accept, push-out and transmission never allocate
+   on a warmed switch.
 
    The slab columns (indexed by slot id) are off-heap {!Int_col}s: the GC
    never scans them, and they can be shared read-only across domains.  The
    per-port aggregates ([qlen]/[qwork]/[works]) stay ordinary [int array]s —
    they are the key columns the keyed victim indexes (Agg_index.create_lex)
    read directly, and they are n-sized, so scanning cost is nil. *)
-type flat = {
+type t = {
+  config : Proc_config.t;
+  n : int;
   works : int array; (* per-port required work (configuration copy) *)
   mutable cap : int; (* slab capacity; grows with set_buffer, never shrinks *)
   mutable residual : Int_col.t; (* columns, indexed by slot id *)
@@ -28,20 +23,6 @@ type flat = {
   rings : Int_ring.t array; (* per-port FIFO of occupied slot ids *)
   qlen : int array; (* per-port packet count (= ring length, maintained) *)
   qwork : int array; (* per-port total residual work (W_i) *)
-}
-
-type flat_view = {
-  view_works : int array;
-  view_qlen : int array;
-  view_qwork : int array;
-}
-
-type repr = Linked of Work_queue.t array | Flat of flat
-
-type t = {
-  config : Proc_config.t;
-  n : int;
-  repr : repr;
   mutable buffer : int;
   mutable occupancy : int;
   mutable occupied_work : int;
@@ -50,35 +31,29 @@ type t = {
   mutable indexes : (string * Agg_index.t) list;
 }
 
-let create ?(backend = `Linked) (config : Proc_config.t) =
+type view = {
+  view_works : int array;
+  view_qlen : int array;
+  view_qwork : int array;
+}
+
+let create (config : Proc_config.t) =
   let n = Proc_config.n config in
-  let repr =
-    match backend with
-    | `Linked ->
-      Linked
-        (Array.init n (fun i ->
-             Work_queue.create ~work:(Proc_config.work config i)))
-    | `Flat ->
-      let cap = config.Proc_config.buffer in
-      Flat
-        {
-          works = Array.init n (Proc_config.work config);
-          cap;
-          residual = Int_col.create cap;
-          arrival = Int_col.create cap;
-          pid = Int_col.create cap;
-          free = Int_col.init cap (fun s -> s);
-          free_top = cap;
-          rings = Array.init n (fun _ -> Int_ring.create ());
-          qlen = Array.make n 0;
-          qwork = Array.make n 0;
-        }
-  in
+  let cap = config.Proc_config.buffer in
   {
     config;
     n;
-    repr;
-    buffer = config.Proc_config.buffer;
+    works = Array.init n (Proc_config.work config);
+    cap;
+    residual = Int_col.create cap;
+    arrival = Int_col.create cap;
+    pid = Int_col.create cap;
+    free = Int_col.init cap (fun s -> s);
+    free_top = cap;
+    rings = Array.init n (fun _ -> Int_ring.create ());
+    qlen = Array.make n 0;
+    qwork = Array.make n 0;
+    buffer = cap;
     occupancy = 0;
     occupied_work = 0;
     next_id = 0;
@@ -88,31 +63,28 @@ let create ?(backend = `Linked) (config : Proc_config.t) =
 
 let config t = t.config
 let n t = t.n
-let backend t = match t.repr with Linked _ -> `Linked | Flat _ -> `Flat
 let buffer t = t.buffer
 
-let grow_flat f cap' =
+let grow t cap' =
   let grow c = Int_col.grow c ~len:cap' ~fill:0 in
-  f.residual <- grow f.residual;
-  f.arrival <- grow f.arrival;
-  f.pid <- grow f.pid;
+  t.residual <- grow t.residual;
+  t.arrival <- grow t.arrival;
+  t.pid <- grow t.pid;
   let free' = Int_col.create cap' in
-  Int_col.blit ~src:f.free ~src_pos:0 ~dst:free' ~dst_pos:0 ~len:f.free_top;
-  f.free <- free';
-  for s = f.cap to cap' - 1 do
-    Int_col.set f.free f.free_top s;
-    f.free_top <- f.free_top + 1
+  Int_col.blit ~src:t.free ~src_pos:0 ~dst:free' ~dst_pos:0 ~len:t.free_top;
+  t.free <- free';
+  for s = t.cap to cap' - 1 do
+    Int_col.set t.free t.free_top s;
+    t.free_top <- t.free_top + 1
   done;
-  f.cap <- cap'
+  t.cap <- cap'
 
 let set_buffer t b =
   if b < 1 then invalid_arg "Proc_switch.set_buffer: buffer must be >= 1";
   if b < t.occupancy then
     invalid_arg
       "Proc_switch.set_buffer: new buffer smaller than current occupancy";
-  (match t.repr with
-  | Linked _ -> ()
-  | Flat f -> if b > f.cap then grow_flat f b);
+  if b > t.cap then grow t b;
   t.buffer <- b
 
 let speedup t = t.config.Proc_config.speedup
@@ -125,23 +97,13 @@ let is_full t = t.occupancy >= buffer t
 let check_port t i name =
   if i < 0 || i >= t.n then invalid_arg ("Proc_switch." ^ name ^ ": bad port")
 
-let queue t i =
-  check_port t i "queue";
-  match t.repr with
-  | Linked qs -> qs.(i)
-  | Flat _ -> invalid_arg "Proc_switch.queue: not available on the flat backend"
-
 let queue_length t i =
   check_port t i "queue_length";
-  match t.repr with
-  | Linked qs -> Work_queue.length qs.(i)
-  | Flat f -> f.qlen.(i)
+  t.qlen.(i)
 
 let queue_work t i =
   check_port t i "queue_work";
-  match t.repr with
-  | Linked qs -> Work_queue.total_work qs.(i)
-  | Flat f -> f.qwork.(i)
+  t.qwork.(i)
 
 let port_work t i = Proc_config.work t.config i
 let total_occupied_work t = t.occupied_work
@@ -164,7 +126,7 @@ let touch t i = touch_list t.indexes i
 let touch_all t =
   List.iter (fun (_, idx) -> Agg_index.refresh idx) t.indexes
 
-let find_index_with t ~key make =
+let find_index t ~key make =
   match List.assoc_opt key t.indexes with
   | Some idx -> idx
   | None ->
@@ -172,218 +134,71 @@ let find_index_with t ~key make =
     t.indexes <- (key, idx) :: t.indexes;
     idx
 
-let find_index t ~key ~better =
-  find_index_with t ~key (fun ~n -> Agg_index.create ~n ~better)
-
-let flat_view t =
-  match t.repr with
-  | Linked _ -> None
-  | Flat f ->
-    Some { view_works = f.works; view_qlen = f.qlen; view_qwork = f.qwork }
+let view t = { view_works = t.works; view_qlen = t.qlen; view_qwork = t.qwork }
 
 (* ----- mutations (every one keeps the aggregates in sync) ----- *)
 
-(* Insert into the flat state and return the slot id.  The caller has
-   already validated capacity and the destination port. *)
 (* Slot ids and the free stack stay inside [0, cap) / [0, cap] by the slab
-   invariants ([check_invariants_flat] proves them), and [dest]/[victim]
-   are validated by the public entry points — so the column accesses here
-   skip the bounds check.  This is the per-packet hot path. *)
-let flat_insert t f ~dest =
-  let s = Int_col.unsafe_get f.free (f.free_top - 1) in
-  f.free_top <- f.free_top - 1;
-  let work = Array.unsafe_get f.works dest in
-  Int_col.unsafe_set f.residual s work;
-  Int_col.unsafe_set f.arrival s t.now;
-  Int_col.unsafe_set f.pid s t.next_id;
-  t.next_id <- t.next_id + 1;
-  Int_ring.push_back (Array.unsafe_get f.rings dest) s;
-  Array.unsafe_set f.qlen dest (Array.unsafe_get f.qlen dest + 1);
-  Array.unsafe_set f.qwork dest (Array.unsafe_get f.qwork dest + work);
-  t.occupancy <- t.occupancy + 1;
-  t.occupied_work <- t.occupied_work + work;
-  touch t dest;
-  s
-
-let accept_linked t qs ~dest =
-  let q = qs.(dest) in
-  let p =
-    Packet.Proc.make ~id:t.next_id ~dest ~work:(Work_queue.work q)
-      ~arrival:t.now
-  in
-  t.next_id <- t.next_id + 1;
-  Work_queue.push q p;
-  t.occupancy <- t.occupancy + 1;
-  t.occupied_work <- t.occupied_work + p.Packet.Proc.residual;
-  touch t dest;
-  p
-
+   invariants ([check_invariants] proves them), and [dest]/[victim] are
+   validated by the public entry points — so the column accesses here skip
+   the bounds check.  This is the per-packet hot path. *)
 let accept t ~dest =
   if is_full t then invalid_arg "Proc_switch.accept: buffer full";
   check_port t dest "accept";
-  match t.repr with
-  | Linked qs -> accept_linked t qs ~dest
-  | Flat f ->
-    let s = flat_insert t f ~dest in
-    {
-      Packet.Proc.id = Int_col.get f.pid s;
-      dest;
-      work = f.works.(dest);
-      residual = Int_col.get f.residual s;
-      arrival = Int_col.get f.arrival s;
-    }
-
-let accept_unit t ~dest =
-  if is_full t then invalid_arg "Proc_switch.accept_unit: buffer full";
-  check_port t dest "accept_unit";
-  match t.repr with
-  | Linked qs -> ignore (accept_linked t qs ~dest : Packet.Proc.t)
-  | Flat f -> ignore (flat_insert t f ~dest : int)
-
-(* Evict the tail slot of [victim]'s ring and return its id; columns stay
-   readable until the slot is next handed out by an accept. *)
-let flat_evict t f ~victim =
-  let ring = Array.unsafe_get f.rings victim in
-  if Int_ring.is_empty ring then
-    invalid_arg "Proc_switch.push_out: victim queue empty";
-  let s = Int_ring.pop_back ring in
-  let r = Int_col.unsafe_get f.residual s in
-  Array.unsafe_set f.qlen victim (Array.unsafe_get f.qlen victim - 1);
-  Array.unsafe_set f.qwork victim (Array.unsafe_get f.qwork victim - r);
-  t.occupancy <- t.occupancy - 1;
-  t.occupied_work <- t.occupied_work - r;
-  Int_col.unsafe_set f.free f.free_top s;
-  f.free_top <- f.free_top + 1;
-  touch t victim;
-  s
+  let s = Int_col.unsafe_get t.free (t.free_top - 1) in
+  t.free_top <- t.free_top - 1;
+  let work = Array.unsafe_get t.works dest in
+  Int_col.unsafe_set t.residual s work;
+  Int_col.unsafe_set t.arrival s t.now;
+  Int_col.unsafe_set t.pid s t.next_id;
+  t.next_id <- t.next_id + 1;
+  Int_ring.push_back (Array.unsafe_get t.rings dest) s;
+  Array.unsafe_set t.qlen dest (Array.unsafe_get t.qlen dest + 1);
+  Array.unsafe_set t.qwork dest (Array.unsafe_get t.qwork dest + work);
+  t.occupancy <- t.occupancy + 1;
+  t.occupied_work <- t.occupied_work + work;
+  touch t dest
 
 let push_out t ~victim =
   check_port t victim "push_out";
-  match t.repr with
-  | Linked qs ->
-    let q = qs.(victim) in
-    if Work_queue.is_empty q then
-      invalid_arg "Proc_switch.push_out: victim queue empty";
-    let p = Work_queue.pop_back q in
-    t.occupancy <- t.occupancy - 1;
-    t.occupied_work <- t.occupied_work - p.Packet.Proc.residual;
-    touch t victim;
-    p
-  | Flat f ->
-    let s = flat_evict t f ~victim in
-    {
-      Packet.Proc.id = Int_col.get f.pid s;
-      dest = victim;
-      work = f.works.(victim);
-      residual = Int_col.get f.residual s;
-      arrival = Int_col.get f.arrival s;
-    }
+  let ring = Array.unsafe_get t.rings victim in
+  if Int_ring.is_empty ring then
+    invalid_arg "Proc_switch.push_out: victim queue empty";
+  let s = Int_ring.pop_back ring in
+  let r = Int_col.unsafe_get t.residual s in
+  Array.unsafe_set t.qlen victim (Array.unsafe_get t.qlen victim - 1);
+  Array.unsafe_set t.qwork victim (Array.unsafe_get t.qwork victim - r);
+  t.occupancy <- t.occupancy - 1;
+  t.occupied_work <- t.occupied_work - r;
+  Int_col.unsafe_set t.free t.free_top s;
+  t.free_top <- t.free_top + 1;
+  touch t victim
 
-let push_out_unit t ~victim =
-  check_port t victim "push_out_unit";
-  match t.repr with
-  | Linked _ -> ignore (push_out t ~victim : Packet.Proc.t)
-  | Flat f -> ignore (flat_evict t f ~victim : int)
-
-let serve_port_linked t qs i ~on_transmit =
-  let q = qs.(i) in
-  if Work_queue.is_empty q then 0
-  else begin
-    (* Account each transmission (and re-validate the indexes) *before* the
-       user hook runs: a raising hook — a recorder sink error, say — then
-       propagates out of a switch whose occupancy, work aggregate and
-       indexes all agree with the queues.  The residual-work drain of a
-       partially processed head-of-line packet is settled both after normal
-       completion and on the exception path.  One closure per served port is
-       the price of the callback API; the former [Fun.protect]/[settle]
-       closures are folded in (this loop runs for every occupied port of
-       every instance every slot). *)
-    let before = Work_queue.total_work q in
-    let applied = ref 0 in
-    let wrapped p =
-      t.occupancy <- t.occupancy - 1;
-      let drained = before - Work_queue.total_work q in
-      t.occupied_work <- t.occupied_work - (drained - !applied);
-      applied := drained;
-      touch t i;
-      on_transmit p
-    in
-    match Work_queue.process q ~cycles:(speedup t) ~on_transmit:wrapped with
-    | sent ->
-      let drained = before - Work_queue.total_work q in
-      t.occupied_work <- t.occupied_work - (drained - !applied);
-      touch t i;
-      sent
-    | exception e ->
-      let drained = before - Work_queue.total_work q in
-      t.occupied_work <- t.occupied_work - (drained - !applied);
-      touch t i;
-      raise e
-  end
-
-(* Flat transmission: head-of-line, run-to-completion, all aggregates and
-   indexes settled before each hook runs (same exception contract as the
-   linked path — a raising hook can only fire immediately after a [touch]).
-   Two loops, one per hook shape, so the engines' fields-based hot path
-   never builds a packet record or a wrapper closure. *)
-
-let serve_port_flat_fields t f i ~on_transmit =
-  let ring = Array.unsafe_get f.rings i in
+(* Head-of-line, run-to-completion service of one port; all aggregates and
+   indexes are settled before each hook runs, so a raising hook can only
+   fire immediately after a [touch]. *)
+let serve t i ~on_transmit =
+  let ring = Array.unsafe_get t.rings i in
   if Int_ring.is_empty ring then 0
   else begin
     let budget = ref (speedup t) and sent = ref 0 in
     while !budget > 0 && not (Int_ring.is_empty ring) do
       let s = Int_ring.peek_front ring in
-      let r = Int_col.unsafe_get f.residual s in
+      let r = Int_col.unsafe_get t.residual s in
       let served = if !budget < r then !budget else r in
-      Int_col.unsafe_set f.residual s (r - served);
-      Array.unsafe_set f.qwork i (Array.unsafe_get f.qwork i - served);
+      Int_col.unsafe_set t.residual s (r - served);
+      Array.unsafe_set t.qwork i (Array.unsafe_get t.qwork i - served);
       t.occupied_work <- t.occupied_work - served;
       budget := !budget - served;
       if served = r then begin
         ignore (Int_ring.pop_front ring : int);
-        Array.unsafe_set f.qlen i (Array.unsafe_get f.qlen i - 1);
-        Int_col.unsafe_set f.free f.free_top s;
-        f.free_top <- f.free_top + 1;
+        Array.unsafe_set t.qlen i (Array.unsafe_get t.qlen i - 1);
+        Int_col.unsafe_set t.free t.free_top s;
+        t.free_top <- t.free_top + 1;
         t.occupancy <- t.occupancy - 1;
         incr sent;
         touch t i;
-        on_transmit ~dest:i ~arrival:(Int_col.unsafe_get f.arrival s)
-      end
-    done;
-    touch t i;
-    !sent
-  end
-
-let serve_port_flat t f i ~on_transmit =
-  let ring = f.rings.(i) in
-  if Int_ring.is_empty ring then 0
-  else begin
-    let budget = ref (speedup t) and sent = ref 0 in
-    while !budget > 0 && not (Int_ring.is_empty ring) do
-      let s = Int_ring.peek_front ring in
-      let r = Int_col.get f.residual s in
-      let served = if !budget < r then !budget else r in
-      Int_col.set f.residual s (r - served);
-      f.qwork.(i) <- f.qwork.(i) - served;
-      t.occupied_work <- t.occupied_work - served;
-      budget := !budget - served;
-      if served = r then begin
-        ignore (Int_ring.pop_front ring : int);
-        f.qlen.(i) <- f.qlen.(i) - 1;
-        Int_col.set f.free f.free_top s;
-        f.free_top <- f.free_top + 1;
-        t.occupancy <- t.occupancy - 1;
-        incr sent;
-        touch t i;
-        on_transmit
-          {
-            Packet.Proc.id = Int_col.get f.pid s;
-            dest = i;
-            work = f.works.(i);
-            residual = 0;
-            arrival = Int_col.get f.arrival s;
-          }
+        on_transmit ~dest:i ~arrival:(Int_col.unsafe_get t.arrival s)
       end
     done;
     touch t i;
@@ -392,149 +207,84 @@ let serve_port_flat t f i ~on_transmit =
 
 let serve_port t i ~on_transmit =
   check_port t i "serve_port";
-  match t.repr with
-  | Linked qs -> serve_port_linked t qs i ~on_transmit
-  | Flat f -> serve_port_flat t f i ~on_transmit
+  serve t i ~on_transmit
 
 let transmit_phase t ~on_transmit =
   let transmitted = ref 0 in
-  (match t.repr with
-  | Linked qs ->
-    for i = 0 to t.n - 1 do
-      transmitted := !transmitted + serve_port_linked t qs i ~on_transmit
-    done
-  | Flat f ->
-    for i = 0 to t.n - 1 do
-      transmitted := !transmitted + serve_port_flat t f i ~on_transmit
-    done);
+  for i = 0 to t.n - 1 do
+    transmitted := !transmitted + serve t i ~on_transmit
+  done;
   !transmitted
 
-let transmit_phase_fields t ~on_transmit =
-  let transmitted = ref 0 in
-  (match t.repr with
-  | Linked qs ->
-    (* Compatibility wrapper: the fields hook fed from the boxed packets.
-       Engines running a linked backend use [transmit_phase] directly. *)
-    let wrapped (p : Packet.Proc.t) =
-      on_transmit ~dest:p.dest ~arrival:p.arrival
-    in
-    for i = 0 to t.n - 1 do
-      transmitted := !transmitted + serve_port_linked t qs i ~on_transmit:wrapped
-    done
-  | Flat f ->
-    for i = 0 to t.n - 1 do
-      transmitted := !transmitted + serve_port_flat_fields t f i ~on_transmit
-    done);
-  !transmitted
+let iter_port t i f =
+  check_port t i "iter_port";
+  Int_ring.iter
+    (fun s ->
+      f ~id:(Int_col.get t.pid s) ~residual:(Int_col.get t.residual s)
+        ~arrival:(Int_col.get t.arrival s))
+    t.rings.(i)
 
 let flush t =
-  let dropped =
-    match t.repr with
-    | Linked qs -> Array.fold_left (fun acc q -> acc + Work_queue.clear q) 0 qs
-    | Flat f ->
-      let dropped = ref 0 in
-      for i = 0 to t.n - 1 do
-        let ring = f.rings.(i) in
-        dropped := !dropped + Int_ring.length ring;
-        Int_ring.iter
-          (fun s ->
-            Int_col.set f.free f.free_top s;
-            f.free_top <- f.free_top + 1)
-          ring;
-        Int_ring.clear ring;
-        f.qlen.(i) <- 0;
-        f.qwork.(i) <- 0
-      done;
-      !dropped
-  in
-  t.occupancy <- t.occupancy - dropped;
+  let dropped = ref 0 in
+  for i = 0 to t.n - 1 do
+    let ring = t.rings.(i) in
+    dropped := !dropped + Int_ring.length ring;
+    Int_ring.iter
+      (fun s ->
+        Int_col.set t.free t.free_top s;
+        t.free_top <- t.free_top + 1)
+      ring;
+    Int_ring.clear ring;
+    t.qlen.(i) <- 0;
+    t.qwork.(i) <- 0
+  done;
+  t.occupancy <- t.occupancy - !dropped;
   t.occupied_work <- 0;
   (* A real check, not [assert]: release builds compiled with [-noassert]
      must refuse to continue from a corrupted occupancy count too. *)
   if t.occupancy <> 0 then
     invalid_arg "Proc_switch.flush: occupancy out of sync with queue contents";
   touch_all t;
-  dropped
+  !dropped
 
-let iter_queues f t =
-  match t.repr with
-  | Linked qs -> Array.iteri f qs
-  | Flat _ ->
-    invalid_arg "Proc_switch.iter_queues: not available on the flat backend"
-
-let check_invariants_linked t qs =
-  let len_sum = Array.fold_left (fun acc q -> acc + Work_queue.length q) 0 qs in
-  if len_sum <> t.occupancy then
-    invalid_arg "Proc_switch: occupancy out of sync with queue lengths";
-  if t.occupancy > buffer t then invalid_arg "Proc_switch: occupancy exceeds B";
-  let work_sum =
-    Array.fold_left (fun acc q -> acc + Work_queue.total_work q) 0 qs
-  in
-  if work_sum <> t.occupied_work then
-    invalid_arg "Proc_switch: cached occupied work out of sync";
-  Array.iter
-    (fun q ->
-      let recomputed =
-        List.fold_left
-          (fun acc (p : Packet.Proc.t) -> acc + p.residual)
-          0 (Work_queue.to_list q)
-      in
-      if recomputed <> Work_queue.total_work q then
-        invalid_arg "Proc_switch: cached total work out of sync";
-      (* Only the head-of-line packet may be partially processed. *)
-      List.iteri
-        (fun i (p : Packet.Proc.t) ->
-          if i > 0 && p.residual <> p.work then
-            invalid_arg "Proc_switch: non-HOL packet partially processed")
-        (Work_queue.to_list q))
-    qs
-
-let check_invariants_flat t f =
-  let seen = Array.make f.cap false in
+let check_invariants t =
+  let seen = Array.make t.cap false in
   let len_sum = ref 0 and work_sum = ref 0 in
   for i = 0 to t.n - 1 do
-    let ring = f.rings.(i) in
-    if f.qlen.(i) <> Int_ring.length ring then
-      invalid_arg "Proc_switch(flat): cached queue length out of sync";
+    let ring = t.rings.(i) in
+    if t.qlen.(i) <> Int_ring.length ring then
+      invalid_arg "Proc_switch: cached queue length out of sync";
     len_sum := !len_sum + Int_ring.length ring;
     let qwork = ref 0 in
     for j = 0 to Int_ring.length ring - 1 do
       let s = Int_ring.get ring j in
-      if s < 0 || s >= f.cap then
-        invalid_arg "Proc_switch(flat): slot id out of range";
-      if seen.(s) then invalid_arg "Proc_switch(flat): slot id used twice";
+      if s < 0 || s >= t.cap then invalid_arg "Proc_switch: slot id out of range";
+      if seen.(s) then invalid_arg "Proc_switch: slot id used twice";
       seen.(s) <- true;
-      let r = Int_col.get f.residual s in
-      if r < 1 || r > f.works.(i) then
-        invalid_arg "Proc_switch(flat): residual out of range";
+      let r = Int_col.get t.residual s in
+      if r < 1 || r > t.works.(i) then
+        invalid_arg "Proc_switch: residual out of range";
       (* Only the head-of-line packet may be partially processed. *)
-      if j > 0 && r <> f.works.(i) then
-        invalid_arg "Proc_switch(flat): non-HOL packet partially processed";
+      if j > 0 && r <> t.works.(i) then
+        invalid_arg "Proc_switch: non-HOL packet partially processed";
       qwork := !qwork + r
     done;
-    if !qwork <> f.qwork.(i) then
-      invalid_arg "Proc_switch(flat): cached per-port work out of sync";
+    if !qwork <> t.qwork.(i) then
+      invalid_arg "Proc_switch: cached per-port work out of sync";
     work_sum := !work_sum + !qwork
   done;
   if !len_sum <> t.occupancy then
-    invalid_arg "Proc_switch(flat): occupancy out of sync with ring lengths";
-  if t.occupancy > buffer t then
-    invalid_arg "Proc_switch(flat): occupancy exceeds B";
+    invalid_arg "Proc_switch: occupancy out of sync with ring lengths";
+  if t.occupancy > buffer t then invalid_arg "Proc_switch: occupancy exceeds B";
   if !work_sum <> t.occupied_work then
-    invalid_arg "Proc_switch(flat): cached occupied work out of sync";
-  if f.free_top + t.occupancy <> f.cap then
-    invalid_arg "Proc_switch(flat): free list out of sync with occupancy";
-  for j = 0 to f.free_top - 1 do
-    let s = Int_col.get f.free j in
-    if s < 0 || s >= f.cap then
-      invalid_arg "Proc_switch(flat): free slot id out of range";
-    if seen.(s) then
-      invalid_arg "Proc_switch(flat): free slot also queued";
+    invalid_arg "Proc_switch: cached occupied work out of sync";
+  if t.free_top + t.occupancy <> t.cap then
+    invalid_arg "Proc_switch: free list out of sync with occupancy";
+  for j = 0 to t.free_top - 1 do
+    let s = Int_col.get t.free j in
+    if s < 0 || s >= t.cap then
+      invalid_arg "Proc_switch: free slot id out of range";
+    if seen.(s) then invalid_arg "Proc_switch: free slot also queued";
     seen.(s) <- true
-  done
-
-let check_invariants t =
-  (match t.repr with
-  | Linked qs -> check_invariants_linked t qs
-  | Flat f -> check_invariants_flat t f);
+  done;
   List.iter (fun (_, idx) -> Agg_index.check idx) t.indexes

@@ -6,38 +6,25 @@
     operations validate their preconditions and raise [Invalid_argument] on
     misuse, so an engine bug cannot silently corrupt an experiment.
 
-    Two interchangeable state representations sit behind one [t]:
-    - [`Linked] (default): one {!Work_queue} of boxed {!Packet.Proc}
-      records per port — the reference implementation, with [queue]/
-      [iter_queues] access for tests and analyses.
-    - [`Flat]: struct-of-arrays slab of unboxed int columns (residual work,
-      arrival, id) with a free-list and one int ring of slot ids per port.
-      Together with the [_unit]/[_fields] entry points below, a warmed flat
-      switch runs the whole accept/push-out/transmit cycle without
-      allocating.  Decision-relevant state (queue lengths, work aggregates,
-      ids, FIFO order, tie conventions) is maintained bit-identically to
-      the linked representation — test/test_victim_oracle.ml fuzzes the two
-      in lockstep. *)
+    The state is a struct-of-arrays slab of unboxed int columns (residual
+    work, arrival slot, packet id) with a free-list and one int ring of slot
+    ids per port.  A warmed switch runs the whole accept/push-out/transmit
+    cycle without allocating; tests and analyses read queue contents through
+    {!iter_port}. *)
 
 type t
 
-type backend = [ `Linked | `Flat ]
-
-type flat_view = {
+type view = {
   view_works : int array;  (** per-port required work (configuration copy) *)
   view_qlen : int array;  (** live per-port packet counts *)
   view_qwork : int array;  (** live per-port total residual work *)
 }
-(** Read-only aliases of the flat backend's per-port aggregate columns.
-    Policies hand these to {!Agg_index.create_lex} as key columns, so their
-    victim indexes compare unboxed ints instead of calling a closure that
-    re-reads switch accessors.  The arrays are the switch's own live state:
-    never write through them. *)
+(** Read-only aliases of the switch's per-port aggregate columns.  Policies
+    hand these to {!Agg_index.create_lex} as key columns, so their victim
+    indexes compare unboxed ints.  The arrays are the switch's own live
+    state: never write through them. *)
 
-val create : ?backend:backend -> Proc_config.t -> t
-(** [backend] defaults to [`Linked]. *)
-
-val backend : t -> backend
+val create : Proc_config.t -> t
 
 val config : t -> Proc_config.t
 (** The creation-time configuration.  Its [buffer] field is the {e initial}
@@ -53,8 +40,8 @@ val set_buffer : t -> int -> unit
     [free_space], [accept]) immediately honours the new bound; buffered
     packets are never dropped, which is why shrinking below the current
     occupancy is refused — the buffer drains down to the new bound through
-    normal transmissions.  On the flat backend a grow extends the slot slab
-    (existing slot ids stay valid); the slab never shrinks.
+    normal transmissions.  A grow extends the slot slab (existing slot ids
+    stay valid); the slab never shrinks.
     @raise Invalid_argument if the new bound is [< 1] or smaller than the
     current occupancy. *)
 
@@ -67,13 +54,6 @@ val occupancy : t -> int
 val free_space : t -> int
 val is_full : t -> bool
 
-val queue : t -> int -> Work_queue.t
-(** Direct (read-mostly) access to queue [i]; tests and analyses use it to
-    inspect queue contents.
-    @raise Invalid_argument on the flat backend, which has no per-queue
-    structure to expose — use {!queue_length}/{!queue_work}, which dispatch
-    on the representation. *)
-
 val queue_length : t -> int -> int
 val queue_work : t -> int -> int
 (** Total residual work [W_i] of queue [i]. *)
@@ -84,63 +64,45 @@ val port_work : t -> int -> int
 val total_occupied_work : t -> int
 (** Sum of [W_i] over all queues.  Maintained incrementally: O(1). *)
 
-val find_index : t -> key:string -> better:(int -> int -> bool) -> Agg_index.t
-(** The victim-selection index registered under [key], creating (and
-    building) it on first use.  [better] must be a strict total order over
-    port indices reading this switch's live state (see {!Agg_index}); it is
-    only consulted at creation time when [key] is already registered.  The
-    switch re-validates every registered index on each mutation, so
-    registrations should be few (one per policy variant driving this
-    switch). *)
+val find_index : t -> key:string -> (n:int -> Agg_index.t) -> Agg_index.t
+(** The victim-selection index registered under [key]; [make ~n] builds it
+    (typically {!Agg_index.create_lex} over {!view} columns) only when [key]
+    is not yet registered.  The switch re-validates every registered index
+    on each mutation, so registrations should be few (one per policy
+    variant driving this switch). *)
 
-val find_index_with :
-  t -> key:string -> (n:int -> Agg_index.t) -> Agg_index.t
-(** {!find_index} generalized over the index constructor: [make ~n] runs
-    only when [key] is not yet registered.  Policies use it to register
-    monomorphic keyed indexes ({!Agg_index.create_lex}) over a
-    {!flat_view}'s columns. *)
+val view : t -> view
+(** The live per-port aggregate columns. *)
 
-val flat_view : t -> flat_view option
-(** [Some] of the live aggregate columns on the flat backend, [None] on
-    the linked one. *)
-
-val accept : t -> dest:int -> Packet.Proc.t
+val accept : t -> dest:int -> unit
 (** Admit a fresh packet to [dest]'s queue; assigns the next packet id.
-    On the flat backend the returned record is a snapshot of the admitted
-    slot (allocated per call — engines use {!accept_unit}).
     @raise Invalid_argument if the buffer is full. *)
 
-val accept_unit : t -> dest:int -> unit
-(** {!accept} without materializing the packet — allocation-free on the
-    flat backend. *)
-
-val push_out : t -> victim:int -> Packet.Proc.t
+val push_out : t -> victim:int -> unit
 (** Evict the tail packet of queue [victim] (freeing one slot).
     @raise Invalid_argument if that queue is empty. *)
 
-val push_out_unit : t -> victim:int -> unit
-(** {!push_out} without materializing the evicted packet. *)
-
-val transmit_phase : t -> on_transmit:(Packet.Proc.t -> unit) -> int
+val transmit_phase : t -> on_transmit:(dest:int -> arrival:int -> unit) -> int
 (** One transmission phase: every non-empty queue receives [speedup]
-    processing cycles (head-of-line, run-to-completion).  Returns the number
-    of packets transmitted. *)
-
-val transmit_phase_fields :
-  t -> on_transmit:(dest:int -> arrival:int -> unit) -> int
-(** {!transmit_phase} delivering each transmission as plain fields instead
-    of a packet record — allocation-free on the flat backend.  Same
-    ordering, accounting and exception contract as {!transmit_phase}. *)
-
-val serve_port : t -> int -> on_transmit:(Packet.Proc.t -> unit) -> int
-(** Give a single port its [speedup] cycles (a transmission phase restricted
-    to one queue).  Used by analyses that need the paper's port-by-port
-    event ordering.  Returns the number of packets transmitted.
+    processing cycles (head-of-line, run-to-completion), ports in index
+    order.  Each transmitted packet is reported by its port and admission
+    slot.  Returns the number of packets transmitted.
 
     Exception-safe: each transmitted packet is fully accounted (occupancy,
     work aggregate, indexes) {e before} [on_transmit] sees it, so a raising
     hook propagates out of a switch that still satisfies
     {!check_invariants}. *)
+
+val serve_port :
+  t -> int -> on_transmit:(dest:int -> arrival:int -> unit) -> int
+(** Give a single port its [speedup] cycles (a transmission phase restricted
+    to one queue).  Used by analyses that need the paper's port-by-port
+    event ordering.  Same contract as {!transmit_phase}. *)
+
+val iter_port : t -> int -> (id:int -> residual:int -> arrival:int -> unit) -> unit
+(** Read-only walk of queue [i] in FIFO order (head of line first): each
+    packet's id, remaining work and admission slot.  The callback must not
+    mutate the switch. *)
 
 val flush : t -> int
 (** Discard all buffered packets (the simulator's periodic flushout);
@@ -149,11 +111,7 @@ val flush : t -> int
     contents — state corruption that must not be ignored (a real check, not
     an [assert] stripped under [-noassert]). *)
 
-val iter_queues : (int -> Work_queue.t -> unit) -> t -> unit
-(** @raise Invalid_argument on the flat backend (see {!queue}). *)
-
 val check_invariants : t -> unit
-(** Assert internal consistency (occupancy = sum of queue lengths <= B;
-    cached work totals match queue contents; on the flat backend, also
-    slab/free-list disjointness and per-slot residual bounds).  Test
-    hook. *)
+(** Assert internal consistency: occupancy = sum of queue lengths <= B,
+    cached work totals match queue contents, slab/free-list disjointness,
+    per-slot residual bounds, and every registered index.  Test hook. *)

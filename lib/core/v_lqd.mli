@@ -9,14 +9,9 @@
 
     Theorem 9: at least (cube root of k)-competitive. *)
 
-val make : ?impl:[ `Indexed | `Scan | `Flat ] -> Value_config.t -> Value_policy.t
-(** [~impl] picks the victim selection: [`Indexed] (default) answers the
-    argmax in O(log n) from the switch's incremental index; [`Scan] keeps
-    the original O(n) rescans.  Both make bit-identical decisions; [`Flat] is [`Indexed] selection plus a request for the switch's flat struct-of-arrays backend (see {!Value_switch}). *)
+val make : Value_config.t -> Value_policy.t
+(** Victim selection reads the argmax off the switch's incremental index in
+    O(log n). *)
 
 val select_victim : Value_switch.t -> dest:int -> int
 (** Exposed for tests. *)
-
-val select_victim_scan : Value_switch.t -> dest:int -> int
-(** Reference O(n) scan implementation of {!select_victim}; the
-    differential oracle compares the two. *)

@@ -1,160 +1,61 @@
-(* Compare |Qa|/avg_a > |Qb|/avg_b as |Qa|^2 * sum_b > |Qb|^2 * sum_a, in
-   exact integer arithmetic (values and sizes are bounded by B * k, far from
-   overflow on 63-bit ints). *)
-let ratio_greater ~len_a ~sum_a ~len_b ~sum_b =
-  len_a * len_a * sum_b > len_b * len_b * sum_a
+(* argmax over eligible queues of |Q_j| / avg_j, compared as
+   |Qa|^2 * sum_b > |Qb|^2 * sum_a in exact integer arithmetic (values and
+   sizes are bounded by B * k, far from overflow on 63-bit ints); equal
+   ratios prefer the queue with the smaller minimum value, then the larger
+   index.  The exact cross-multiplied comparison is a total order on
+   eligible queues, so a left-to-right scan (the test-side oracle) and the
+   indexed read pick the same victim.
 
-(* argmax over eligible queues of the ratio; equal ratios prefer the queue
-   with the smaller minimum value, then the larger index.  The exact
-   cross-multiplied comparison is a total order on eligible queues, so the
-   original left-to-right scan and the indexed read pick the same victim;
-   [select_victim_scan] keeps the scan as the reference oracle.  All state
-   reads go through the switch's representation-independent accessors so
-   either backend serves. *)
+   The ratio order is not lexicographic, so it gets
+   {!Agg_index.create_ratio}: a tree comparing the exact cross-multiplication
+   over int key columns.  The length key doubles as the eligibility flag
+   (-1 = ineligible, ranking below all eligible queues); the sum column
+   aliases the live per-port value totals (never read for ineligible
+   queues, live for eligible ones); the negated minimum is a derived tie
+   key. *)
 
-let min_of sw i = Value_switch.queue_min_value_or sw i ~default:max_int
-
-let select_victim_scan ?(protect_last = false) sw =
-  let min_len = if protect_last then 2 else 1 in
-  let best = ref None in
-  for j = 0 to Value_switch.n sw - 1 do
-    if Value_switch.queue_length sw j >= min_len then begin
-      let len = Value_switch.queue_length sw j
-      and sum = Value_switch.queue_total_value sw j in
-      match !best with
-      | None -> best := Some (j, len, sum)
-      | Some (bj, blen, bsum) ->
-        if ratio_greater ~len_a:len ~sum_a:sum ~len_b:blen ~sum_b:bsum then
-          best := Some (j, len, sum)
-        else if not (ratio_greater ~len_a:blen ~sum_a:bsum ~len_b:len ~sum_b:sum)
-        then begin
-          (* Equal ratios: prefer the queue with the smaller minimum value,
-             then the larger index. *)
-          if min_of sw j <= min_of sw bj then best := Some (j, len, sum)
-        end
-    end
-  done;
-  match !best with Some (j, _, _) -> Some j | None -> None
-
-(* Flat backend: the ratio order is not lexicographic, so it gets
-   {!Agg_index.create_ratio} — a monomorphic tree comparing the exact
-   cross-multiplication over int key columns.  The length key doubles as
-   the eligibility flag (-1 = ineligible, ranking below all eligible
-   queues); the sum column aliases the live per-port value totals (never
-   read for ineligible queues, live for eligible ones); the negated minimum
-   is a derived tie key. *)
 let index ~protect_last sw =
   let min_len = if protect_last then 2 else 1 in
+  let v = Value_switch.view sw in
   let key = if protect_last then "mrd:protect" else "mrd" in
-  match Value_switch.flat_view sw with
-  | Some v ->
-    Value_switch.find_index_with sw ~key (fun ~n ->
-        let len = Array.make n (-1) and negmin = Array.make n 0 in
-        Agg_index.create_ratio ~n ~len ~sum:v.Value_switch.view_qsum ~negmin
-          ~refresh:(fun j ->
-            let l = v.Value_switch.view_qlen.(j) in
-            if l >= min_len then begin
-              len.(j) <- l;
-              negmin.(j) <-
-                -(Value_switch.view_min_value_or v j ~default:max_int)
-            end
-            else begin
-              len.(j) <- -1;
-              negmin.(j) <- 0
-            end)
-          ())
-  | None ->
-    Value_switch.find_index sw ~key ~better:(fun a b ->
-        let la = Value_switch.queue_length sw a
-        and lb = Value_switch.queue_length sw b in
-        let ea = la >= min_len and eb = lb >= min_len in
-        if ea <> eb then ea
-        else if not ea then a > b
-        else begin
-          let sa = Value_switch.queue_total_value sw a
-          and sb = Value_switch.queue_total_value sw b in
-          if ratio_greater ~len_a:la ~sum_a:sa ~len_b:lb ~sum_b:sb then true
-          else if ratio_greater ~len_a:lb ~sum_a:sb ~len_b:la ~sum_b:sa then
-            false
-          else begin
-            let ma = min_of sw a and mb = min_of sw b in
-            ma < mb || (ma = mb && a > b)
+  Value_switch.find_index sw ~key (fun ~n ->
+      let len = Array.make n (-1) and negmin = Array.make n 0 in
+      Agg_index.create_ratio ~n ~len ~sum:v.Value_switch.view_qsum ~negmin
+        ~refresh:(fun j ->
+          let l = v.Value_switch.view_qlen.(j) in
+          if l >= min_len then begin
+            len.(j) <- l;
+            negmin.(j) <- -Value_switch.view_min_value_or v j ~default:max_int
           end
-        end)
+          else begin
+            len.(j) <- -1;
+            negmin.(j) <- 0
+          end)
+        ())
 
-let select_victim_indexed ~protect_last idx sw =
+let select ~protect_last idx sw =
   let min_len = if protect_last then 2 else 1 in
   let c = Agg_index.top idx in
   if c < 0 || Value_switch.queue_length sw c < min_len then None else Some c
 
 let select_victim ?(protect_last = false) sw =
-  select_victim_indexed ~protect_last (index ~protect_last sw) sw
+  select ~protect_last (index ~protect_last sw) sw
 
-let make ?(protect_last = false) ?(impl = `Indexed) _config =
+let make ?(protect_last = false) _config =
   let name = if protect_last then "MRD1" else "MRD" in
-  let backend =
-    match impl with `Flat -> `Flat | `Indexed | `Scan -> `Linked
-  in
-  let cached_index =
-    let cache = ref None in
-    fun sw ->
-      match !cache with
-      | Some (sw', idx) when sw' == sw -> idx
-      | Some _ | None ->
-        let idx = index ~protect_last sw in
-        cache := Some (sw, idx);
-        idx
-  in
-  let select =
-    match impl with
-    | `Scan -> fun sw -> select_victim_scan ~protect_last sw
-    | `Indexed | `Flat ->
-      fun sw -> select_victim_indexed ~protect_last (cached_index sw) sw
-  in
-  let admit_batch =
-    match impl with
-    | `Scan | `Indexed -> None
-    | `Flat ->
-      Some
-        (fun sw batch (c : Admission.counters) ->
-          let idx = cached_index sw in
-          for i = 0 to Arrival_batch.length batch - 1 do
-            let dest = Arrival_batch.unsafe_dest batch i
-            and value = Arrival_batch.unsafe_value batch i in
-            if not (Value_switch.is_full sw) then begin
-              Value_switch.accept_unit sw ~dest ~value;
-              c.Admission.accepted <- c.Admission.accepted + 1
-            end
-            else if
-              (* Same drop gate as the per-packet path below, through the
-                 allocation-free tracker read (a full buffer is non-empty,
-                 so the [max_int] default is never taken). *)
-              Value_switch.min_value_or sw ~default:max_int <= value
-            then begin
-              match select_victim_indexed ~protect_last idx sw with
-              | Some victim ->
-                ignore (Value_switch.push_out_lost sw ~victim : int);
-                Value_switch.accept_unit sw ~dest ~value;
-                c.Admission.pushed_out <- c.Admission.pushed_out + 1;
-                c.Admission.accepted <- c.Admission.accepted + 1
-              | None -> c.Admission.dropped <- c.Admission.dropped + 1
-            end
-            else c.Admission.dropped <- c.Admission.dropped + 1
-          done)
-  in
-  Value_policy.make ~backend ?admit_batch ~name ~push_out:true
-    (fun sw ~dest:_ ~value ->
+  let index = Agg_index.per_switch (index ~protect_last) in
+  Value_policy.make ~name ~push_out:true (fun sw ~dest:_ ~value ->
       match Value_policy.greedy_accept sw with
       | Some d -> d
-      | None -> (
+      | None ->
         (* The paper drops only when the buffer minimum is strictly bigger
            than the arriving value; on equality MRD pushes out, which is
-           what makes it emulate LQD under unit values.  [min_value] is the
-           switch's O(1) incremental tracker, so this drop gate no longer
-           rescans every queue. *)
-        match Value_switch.min_value sw with
-        | Some m when m <= value -> (
-          match select sw with
+           what makes it emulate LQD under unit values.  The minimum comes
+           off the switch's O(1) incremental tracker (a full buffer is
+           non-empty, so the default is never taken). *)
+        if Value_switch.min_value_or sw ~default:max_int <= value then begin
+          match select ~protect_last (index sw) sw with
           | Some victim -> Decision.Push_out { victim }
-          | None -> Decision.Drop)
-        | Some _ | None -> Decision.Drop))
+          | None -> Decision.Drop
+        end
+        else Decision.Drop)

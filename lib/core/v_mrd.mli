@@ -15,18 +15,11 @@
     value equals its output port label (Theorem 11).  Whether it achieves a
     constant ratio in general is the paper's open conjecture. *)
 
-val make :
-  ?protect_last:bool -> ?impl:[ `Indexed | `Scan | `Flat ] -> Value_config.t ->
-  Value_policy.t
+val make : ?protect_last:bool -> Value_config.t -> Value_policy.t
 (** [~protect_last:true] is the MRD_1 ablation that never pushes out a
-    queue's only packet (analogous to the paper's BPD_1 and MVD_1).
-    [~impl] picks the victim selection: [`Indexed] (default) reads the
-    ratio argmax off the switch's incremental index in O(log n); [`Scan]
-    keeps the original O(n) rescans.  Both make bit-identical decisions; [`Flat] is [`Indexed] selection plus a request for the switch's flat struct-of-arrays backend (see {!Value_switch}). *)
+    queue's only packet (analogous to the paper's BPD_1 and MVD_1).  Victim
+    selection reads the ratio argmax off the switch's incremental index in
+    O(log n). *)
 
 val select_victim : ?protect_last:bool -> Value_switch.t -> int option
 (** The ratio-maximal eligible queue; exposed for tests. *)
-
-val select_victim_scan : ?protect_last:bool -> Value_switch.t -> int option
-(** Reference O(n) scan implementation of {!select_victim}; the
-    differential oracle compares the two. *)

@@ -1,132 +1,49 @@
 (* argmin over eligible queues of (minimum value, -length, -index): the
    cheapest admitted packet, ties towards the longer queue, then the larger
-   port index.  The scan's replacement on [key <= best] keeps the largest
-   index among full ties; the indexed path reads the same argmin in
-   O(log n) from the switch's incremental index.  All comparisons are
-   explicit integer comparisons, reading through the switch's
-   representation-independent accessors so either backend serves. *)
+   port index (a left-to-right scan with replacement on [key <= best] — the
+   test-side oracle).
 
-let select_victim_scan ~protect_last sw =
-  let min_len = if protect_last then 2 else 1 in
-  let best = ref None in
-  let best_min = ref max_int and best_len = ref min_int in
-  for j = 0 to Value_switch.n sw - 1 do
-    let len = Value_switch.queue_length sw j in
-    if len >= min_len then begin
-      match Value_switch.queue_min_value sw j with
-      | None -> ()
-      | Some v ->
-        if v < !best_min || (v = !best_min && len >= !best_len) then begin
-          best := Some (j, v);
-          best_min := v;
-          best_len := len
-        end
-    end
-  done;
-  !best
+   Keyed lexicographic tree with ineligibility encoded as (min_int, 0); an
+   eligible queue carries (negated minimum, length), and a non-empty
+   queue's minimum is in [1, k] so its negation stays above min_int.  Among
+   ineligible queues the index tie orders them.  Both keys are derived,
+   refreshed per invalidation off the live aggregates and occupancy
+   bitsets. *)
 
-(* Flat backend: keyed lexicographic tree with ineligibility encoded as
-   (min_int, 0); an eligible queue carries (negated minimum, length), and a
-   non-empty queue's minimum is in [1, k] so its negation stays above
-   min_int.  Among ineligible queues the index tie gives the same order as
-   the closure's [a > b] clause.  Both keys are derived, refreshed per
-   invalidation off the live aggregates and occupancy bitsets. *)
 let index ~protect_last sw =
   let min_len = if protect_last then 2 else 1 in
+  let v = Value_switch.view sw in
   let key = if protect_last then "mvd:protect" else "mvd" in
-  match Value_switch.flat_view sw with
-  | Some v ->
-    Value_switch.find_index_with sw ~key (fun ~n ->
-        let k1 = Array.make n 0 and k2 = Array.make n 0 in
-        Agg_index.create_lex ~n ~k1 ~k2
-          ~refresh:(fun j ->
-            if v.Value_switch.view_qlen.(j) >= min_len then begin
-              k1.(j) <- -(Value_switch.view_min_value_or v j ~default:max_int);
-              k2.(j) <- v.Value_switch.view_qlen.(j)
-            end
-            else begin
-              k1.(j) <- min_int;
-              k2.(j) <- 0
-            end)
-          ())
-  | None ->
-    Value_switch.find_index sw ~key ~better:(fun a b ->
-        let la = Value_switch.queue_length sw a
-        and lb = Value_switch.queue_length sw b in
-        let ea = la >= min_len and eb = lb >= min_len in
-        if ea <> eb then ea
-        else if not ea then a > b
-        else begin
-          let ma = Value_switch.queue_min_value_or sw a ~default:max_int
-          and mb = Value_switch.queue_min_value_or sw b ~default:max_int in
-          ma < mb || (ma = mb && (la > lb || (la = lb && a > b)))
-        end)
+  Value_switch.find_index sw ~key (fun ~n ->
+      let k1 = Array.make n 0 and k2 = Array.make n 0 in
+      Agg_index.create_lex ~n ~k1 ~k2
+        ~refresh:(fun j ->
+          if v.Value_switch.view_qlen.(j) >= min_len then begin
+            k1.(j) <- -Value_switch.view_min_value_or v j ~default:max_int;
+            k2.(j) <- v.Value_switch.view_qlen.(j)
+          end
+          else begin
+            k1.(j) <- min_int;
+            k2.(j) <- 0
+          end)
+        ())
 
-let select_victim_indexed ~protect_last idx sw =
+let select ~protect_last idx sw =
   let min_len = if protect_last then 2 else 1 in
   let c = Agg_index.top idx in
-  if c < 0 then None
-  else if Value_switch.queue_length sw c < min_len then None
-  else
-    match Value_switch.queue_min_value sw c with
-    | Some v -> Some (c, v)
-    | None -> None
+  if c < 0 || Value_switch.queue_length sw c < min_len then None
+  else Some (c, Value_switch.queue_min_value_or sw c ~default:0)
 
 let select_victim ~protect_last sw =
-  select_victim_indexed ~protect_last (index ~protect_last sw) sw
+  select ~protect_last (index ~protect_last sw) sw
 
-let make ?(protect_last = false) ?(impl = `Indexed) _config =
+let make ?(protect_last = false) _config =
   let name = if protect_last then "MVD1" else "MVD" in
-  let backend =
-    match impl with `Flat -> `Flat | `Indexed | `Scan -> `Linked
-  in
-  let cached_index =
-    let cache = ref None in
-    fun sw ->
-      match !cache with
-      | Some (sw', idx) when sw' == sw -> idx
-      | Some _ | None ->
-        let idx = index ~protect_last sw in
-        cache := Some (sw, idx);
-        idx
-  in
-  let select =
-    match impl with
-    | `Scan -> select_victim_scan ~protect_last
-    | `Indexed | `Flat ->
-      fun sw -> select_victim_indexed ~protect_last (cached_index sw) sw
-  in
-  let admit_batch =
-    match impl with
-    | `Scan | `Indexed -> None
-    | `Flat ->
-      Some
-        (fun sw batch (c : Admission.counters) ->
-          let idx = cached_index sw in
-          for i = 0 to Arrival_batch.length batch - 1 do
-            let dest = Arrival_batch.unsafe_dest batch i
-            and value = Arrival_batch.unsafe_value batch i in
-            if not (Value_switch.is_full sw) then begin
-              Value_switch.accept_unit sw ~dest ~value;
-              c.Admission.accepted <- c.Admission.accepted + 1
-            end
-            else begin
-              match select_victim_indexed ~protect_last idx sw with
-              | Some (victim, min_v) when min_v < value ->
-                ignore (Value_switch.push_out_lost sw ~victim : int);
-                Value_switch.accept_unit sw ~dest ~value;
-                c.Admission.pushed_out <- c.Admission.pushed_out + 1;
-                c.Admission.accepted <- c.Admission.accepted + 1
-              | Some _ | None ->
-                c.Admission.dropped <- c.Admission.dropped + 1
-            end
-          done)
-  in
-  Value_policy.make ~backend ?admit_batch ~name ~push_out:true
-    (fun sw ~dest:_ ~value ->
+  let index = Agg_index.per_switch (index ~protect_last) in
+  Value_policy.make ~name ~push_out:true (fun sw ~dest:_ ~value ->
       match Value_policy.greedy_accept sw with
       | Some d -> d
       | None -> (
-        match select sw with
+        match select ~protect_last (index sw) sw with
         | Some (victim, min_v) when min_v < value -> Decision.Push_out { victim }
         | Some _ | None -> Decision.Drop))

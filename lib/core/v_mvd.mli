@@ -11,18 +11,10 @@
     [~protect_last:true] is the MVD_1 variant of Section V-C that never
     pushes out the last packet of a queue. *)
 
-val make :
-  ?protect_last:bool -> ?impl:[ `Indexed | `Scan | `Flat ] -> Value_config.t ->
-  Value_policy.t
-(** [~impl] picks the victim selection: [`Indexed] (default) reads the
-    argmin off the switch's incremental index in O(log n); [`Scan] keeps
-    the original O(n) rescans.  Both make bit-identical decisions; [`Flat] is [`Indexed] selection plus a request for the switch's flat struct-of-arrays backend (see {!Value_switch}). *)
+val make : ?protect_last:bool -> Value_config.t -> Value_policy.t
+(** Victim selection reads the argmin off the switch's incremental index in
+    O(log n). *)
 
 val select_victim : protect_last:bool -> Value_switch.t -> (int * int) option
 (** [(port, min value there)] of the eviction candidate; exposed for
     tests. *)
-
-val select_victim_scan :
-  protect_last:bool -> Value_switch.t -> (int * int) option
-(** Reference O(n) scan implementation of {!select_victim}; the
-    differential oracle compares the two. *)

@@ -1,18 +1,11 @@
 type t = {
   name : string;
   push_out : bool;
-  backend : Value_switch.backend;
   admit : Value_switch.t -> dest:int -> value:int -> Decision.t;
-  admit_batch :
-    (Value_switch.t -> Arrival_batch.t -> Admission.counters -> unit) option;
 }
 
-let make ?(backend = `Linked) ?admit_batch ~name ~push_out admit =
-  { name; push_out; backend; admit; admit_batch }
-
-let with_backend backend t = { t with backend }
+let make ~name ~push_out admit = { name; push_out; admit }
 let admit t sw ~dest ~value = t.admit sw ~dest ~value
-let admit_batch t = t.admit_batch
 
 let greedy_accept sw =
   if Value_switch.is_full sw then None else Some Decision.Accept

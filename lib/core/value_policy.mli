@@ -6,36 +6,16 @@
 type t = {
   name : string;
   push_out : bool;
-  backend : Value_switch.backend;
-      (** which switch representation engines should create for this policy
-          (policies built with [~impl:`Flat] request the flat backend;
-          default [`Linked]).  Purely a creation-time hint — policies read
-          the switch through representation-independent accessors and work
-          on either backend. *)
   admit : Value_switch.t -> dest:int -> value:int -> Decision.t;
-  admit_batch :
-    (Value_switch.t -> Arrival_batch.t -> Admission.counters -> unit) option;
-      (** Fused batch-admission kernel; see {!Proc_policy.admit_batch} for
-          the contract.  Only the flat-impl policy variants provide one. *)
 }
 
 val make :
-  ?backend:Value_switch.backend ->
-  ?admit_batch:
-    (Value_switch.t -> Arrival_batch.t -> Admission.counters -> unit) ->
   name:string ->
   push_out:bool ->
   (Value_switch.t -> dest:int -> value:int -> Decision.t) ->
   t
 
-val with_backend : Value_switch.backend -> t -> t
-(** Same policy, different creation-time backend hint. *)
-
 val admit : t -> Value_switch.t -> dest:int -> value:int -> Decision.t
-
-val admit_batch :
-  t ->
-  (Value_switch.t -> Arrival_batch.t -> Admission.counters -> unit) option
 
 val greedy_accept : Value_switch.t -> Decision.t option
 (** [Some Accept] when the buffer has free space, [None] otherwise. *)

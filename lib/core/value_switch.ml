@@ -1,22 +1,59 @@
 open Smbm_prelude
 
-type backend = [ `Linked | `Flat ]
+(* Occupancy bitsets pack value level v into bit [v mod 63] of word
+   [v / 63] — 63 levels per word, never 64, so the top bit of every word
+   stays clear and [lsl]/[land -b] never touch the sign bit.
+   [bit_index]/[high_bit_index] assume the operand fits 63 bits and take
+   32-bit-wide first steps, so the whole scheme requires OCaml's native int
+   to be at least 63 bits wide; the init-time check below turns a silently
+   corrupting 32-bit build into an immediate error. *)
 
-(* Flat backend: one struct-of-arrays slab of [cap] packet slots (columns:
-   value, arrival, id, plus intrusive next/prev links) with a free-list
-   stack.  Each (port, value-level) bucket is a doubly-linked list threaded
-   through the link columns (head = oldest, tail = youngest), and each port
-   carries the same 63-levels-per-word occupancy bitset as {!Value_queue}
-   (whose exported bit searches are reused), so min/max reads stay O(k/63).
-   Together with the [_unit]/[_lost]/[_fields] entry points, a warmed flat
-   switch runs accept / push-out / transmit without allocating.
+let () =
+  if Sys.int_size < 63 then
+    failwith
+      (Printf.sprintf
+         "Value_switch: native int is %d bits, but the occupancy bitset packs \
+          63 value levels per word and its bit searches step by 32 bits — \
+          32-bit platforms are unsupported"
+         Sys.int_size)
+
+(* Bit index of the single set bit of [b]. *)
+let bit_index b =
+  let i = ref 0 and b = ref b in
+  if !b land 0xFFFFFFFF = 0 then begin i := 32; b := !b lsr 32 end;
+  if !b land 0xFFFF = 0 then begin i := !i + 16; b := !b lsr 16 end;
+  if !b land 0xFF = 0 then begin i := !i + 8; b := !b lsr 8 end;
+  if !b land 0xF = 0 then begin i := !i + 4; b := !b lsr 4 end;
+  if !b land 0x3 = 0 then begin i := !i + 2; b := !b lsr 2 end;
+  if !b land 0x1 = 0 then incr i;
+  !i
+
+(* Bit index of the highest set bit of [b > 0]. *)
+let high_bit_index b =
+  let i = ref 0 and b = ref b in
+  if !b lsr 32 <> 0 then begin i := 32; b := !b lsr 32 end;
+  if !b lsr 16 <> 0 then begin i := !i + 16; b := !b lsr 16 end;
+  if !b lsr 8 <> 0 then begin i := !i + 8; b := !b lsr 8 end;
+  if !b lsr 4 <> 0 then begin i := !i + 4; b := !b lsr 4 end;
+  if !b lsr 2 <> 0 then begin i := !i + 2; b := !b lsr 2 end;
+  if !b lsr 1 <> 0 then incr i;
+  !i
+
+(* One struct-of-arrays slab of [cap] packet slots (columns: value,
+   arrival, id, plus intrusive next/prev links) with a free-list stack.
+   Each (port, value-level) bucket is a doubly-linked list threaded through
+   the link columns (head = oldest, tail = youngest), and each port carries
+   an occupancy bitset, so min/max reads stay O(k/63).  Accept, push-out and
+   transmission never allocate on a warmed switch.
 
    The slab columns (indexed by slot id) are off-heap {!Int_col}s — never
    scanned by the GC, shareable read-only across domains.  The n-sized
    per-port aggregates ([qlen]/[qsum]) and the bucket/bitset tables stay
    ordinary [int array]s: the aggregates are key columns the keyed victim
    indexes read directly, and the tables are port-indexed bookkeeping. *)
-type flat = {
+type t = {
+  config : Value_config.t;
+  n : int;
   k : int;
   wpp : int; (* bitset words per port: k/63 + 1 *)
   mutable cap : int; (* slab capacity; grows with set_buffer, never shrinks *)
@@ -32,22 +69,6 @@ type flat = {
   occ : int array; (* bitsets, index [i * wpp + v / 63], bit [v mod 63] *)
   qlen : int array; (* per-port packet count *)
   qsum : int array; (* per-port total value *)
-}
-
-type flat_view = {
-  view_k : int;
-  view_wpp : int;
-  view_qlen : int array;
-  view_qsum : int array;
-  view_occ : int array;
-}
-
-type repr = Linked of Value_queue.t array | Flat of flat
-
-type t = {
-  config : Value_config.t;
-  n : int;
-  repr : repr;
   mutable buffer : int;
   mutable occupancy : int;
   mutable next_id : int;
@@ -56,10 +77,17 @@ type t = {
   min_index : Agg_index.t; (* buffer-wide minimum tracker *)
 }
 
-(* Per-port min/max reads off the flat bitsets — same word scan + bit
-   search as Value_queue.{min,max}_value_or, over this port's slice.
-   Parameterized over the raw columns so the same scan serves both the
-   switch internals and a policy-held {!flat_view}. *)
+type view = {
+  view_k : int;
+  view_wpp : int;
+  view_qlen : int array;
+  view_qsum : int array;
+  view_occ : int array;
+}
+
+(* Per-port min/max reads off the bitsets: a word scan plus a bit search
+   over this port's slice.  Parameterized over the raw columns so the same
+   scan serves both the switch internals and a policy-held {!view}. *)
 let min_scan ~occ ~wpp ~qlen i ~default =
   if Array.unsafe_get qlen i = 0 then default
   else begin
@@ -72,89 +100,66 @@ let min_scan ~occ ~wpp ~qlen i ~default =
       incr w
     done;
     let bits = Array.unsafe_get occ (base + !w) in
-    (!w * 63) + Value_queue.bit_index (bits land -bits)
+    (!w * 63) + bit_index (bits land -bits)
   end
 
-let flat_min_value_or f i ~default =
-  min_scan ~occ:f.occ ~wpp:f.wpp ~qlen:f.qlen i ~default
+let port_min_value_or t i ~default =
+  min_scan ~occ:t.occ ~wpp:t.wpp ~qlen:t.qlen i ~default
 
 let view_min_value_or v i ~default =
   min_scan ~occ:v.view_occ ~wpp:v.view_wpp ~qlen:v.view_qlen i ~default
 
-let flat_max_value_or f i ~default =
-  if Array.unsafe_get f.qlen i = 0 then default
+let port_max_value_or t i ~default =
+  if Array.unsafe_get t.qlen i = 0 then default
   else begin
-    let base = i * f.wpp in
-    let w = ref (f.wpp - 1) in
-    while Array.unsafe_get f.occ (base + !w) = 0 do
+    let base = i * t.wpp in
+    let w = ref (t.wpp - 1) in
+    while Array.unsafe_get t.occ (base + !w) = 0 do
       decr w
     done;
-    (!w * 63) + Value_queue.high_bit_index (Array.unsafe_get f.occ (base + !w))
+    (!w * 63) + high_bit_index (Array.unsafe_get t.occ (base + !w))
   end
 
 (* The built-in tracker behind [min_value]/[min_value_port]: argmin over
-   queues of (cached minimum value, then the longer queue, then the smaller
-   port index) — the documented MVD tie-break, pinned here so the indexed
-   reads cannot drift from the one-pass scan they replaced.  Empty queues
-   rank last (an occupied queue's minimum is at most k < max_int).  The
-   linked backend pays a closure per match; the flat backend runs the same
-   order as a keyed lexicographic tree over (negated minimum, queue length)
-   with the smaller-index tie — the negated minimum is a derived key
-   recomputed once per invalidation, the length column aliases the live
-   aggregate. *)
-let min_better_linked queues a b =
-  let qa = queues.(a) and qb = queues.(b) in
-  let ma = Value_queue.min_value_or qa ~default:max_int
-  and mb = Value_queue.min_value_or qb ~default:max_int in
-  ma < mb
-  || (ma = mb
-     &&
-     let la = Value_queue.length qa and lb = Value_queue.length qb in
-     la > lb || (la = lb && a < b))
-
-let create ?(backend = `Linked) (config : Value_config.t) =
+   queues of (minimum value, then the longer queue, then the smaller port
+   index) — the documented MVD tie-break, pinned here so the indexed reads
+   cannot drift from a one-pass scan.  It runs as a keyed lexicographic
+   tree over (negated minimum, queue length) with the smaller-index tie;
+   empty queues carry the negated minimum of [max_int] and rank last.  The
+   negated minimum is a derived key recomputed once per invalidation, the
+   length column aliases the live aggregate. *)
+let create (config : Value_config.t) =
   let n = Value_config.n config in
   let k = Value_config.k config in
-  let repr =
-    match backend with
-    | `Linked -> Linked (Array.init n (fun _ -> Value_queue.create ~k))
-    | `Flat ->
-      let cap = config.Value_config.buffer in
-      let wpp = (k / 63) + 1 in
-      Flat
-        {
-          k;
-          wpp;
-          cap;
-          value = Int_col.create cap;
-          arrival = Int_col.create cap;
-          pid = Int_col.create cap;
-          nxt = Int_col.create ~fill:(-1) cap;
-          prv = Int_col.create ~fill:(-1) cap;
-          free = Int_col.init cap (fun s -> s);
-          free_top = cap;
-          bhead = Array.make (n * k) (-1);
-          btail = Array.make (n * k) (-1);
-          occ = Array.make (n * wpp) 0;
-          qlen = Array.make n 0;
-          qsum = Array.make n 0;
-        }
-  in
+  let cap = config.Value_config.buffer in
+  let wpp = (k / 63) + 1 in
+  let qlen = Array.make n 0 and occ = Array.make (n * wpp) 0 in
+  let negmin = Array.make n (-max_int) in
   let min_index =
-    match repr with
-    | Linked queues -> Agg_index.create ~n ~better:(min_better_linked queues)
-    | Flat f ->
-      let negmin = Array.make n (-max_int) in
-      Agg_index.create_lex ~n ~tie:`Smallest_index ~k1:negmin ~k2:f.qlen
-        ~refresh:(fun j ->
-          negmin.(j) <- -(flat_min_value_or f j ~default:max_int))
-        ()
+    Agg_index.create_lex ~n ~tie:`Smallest_index ~k1:negmin ~k2:qlen
+      ~refresh:(fun j ->
+        negmin.(j) <- -min_scan ~occ ~wpp ~qlen j ~default:max_int)
+      ()
   in
   {
     config;
     n;
-    repr;
-    buffer = config.Value_config.buffer;
+    k;
+    wpp;
+    cap;
+    value = Int_col.create cap;
+    arrival = Int_col.create cap;
+    pid = Int_col.create cap;
+    nxt = Int_col.create ~fill:(-1) cap;
+    prv = Int_col.create ~fill:(-1) cap;
+    free = Int_col.init cap (fun s -> s);
+    free_top = cap;
+    bhead = Array.make (n * k) (-1);
+    btail = Array.make (n * k) (-1);
+    occ;
+    qlen;
+    qsum = Array.make n 0;
+    buffer = cap;
     occupancy = 0;
     next_id = 0;
     now = 0;
@@ -164,33 +169,30 @@ let create ?(backend = `Linked) (config : Value_config.t) =
 
 let config t = t.config
 let n t = t.n
-let k t = Value_config.k t.config
-let backend t = match t.repr with Linked _ -> `Linked | Flat _ -> `Flat
+let k t = t.k
 let buffer t = t.buffer
 
-let grow_flat f cap' =
-  f.value <- Int_col.grow f.value ~len:cap' ~fill:0;
-  f.arrival <- Int_col.grow f.arrival ~len:cap' ~fill:0;
-  f.pid <- Int_col.grow f.pid ~len:cap' ~fill:0;
-  f.nxt <- Int_col.grow f.nxt ~len:cap' ~fill:(-1);
-  f.prv <- Int_col.grow f.prv ~len:cap' ~fill:(-1);
+let grow t cap' =
+  t.value <- Int_col.grow t.value ~len:cap' ~fill:0;
+  t.arrival <- Int_col.grow t.arrival ~len:cap' ~fill:0;
+  t.pid <- Int_col.grow t.pid ~len:cap' ~fill:0;
+  t.nxt <- Int_col.grow t.nxt ~len:cap' ~fill:(-1);
+  t.prv <- Int_col.grow t.prv ~len:cap' ~fill:(-1);
   let free' = Int_col.create cap' in
-  Int_col.blit ~src:f.free ~src_pos:0 ~dst:free' ~dst_pos:0 ~len:f.free_top;
-  f.free <- free';
-  for s = f.cap to cap' - 1 do
-    Int_col.set f.free f.free_top s;
-    f.free_top <- f.free_top + 1
+  Int_col.blit ~src:t.free ~src_pos:0 ~dst:free' ~dst_pos:0 ~len:t.free_top;
+  t.free <- free';
+  for s = t.cap to cap' - 1 do
+    Int_col.set t.free t.free_top s;
+    t.free_top <- t.free_top + 1
   done;
-  f.cap <- cap'
+  t.cap <- cap'
 
 let set_buffer t b =
   if b < 1 then invalid_arg "Value_switch.set_buffer: buffer must be >= 1";
   if b < t.occupancy then
     invalid_arg
       "Value_switch.set_buffer: new buffer smaller than current occupancy";
-  (match t.repr with
-  | Linked _ -> ()
-  | Flat f -> if b > f.cap then grow_flat f b);
+  if b > t.cap then grow t b;
   t.buffer <- b
 
 let speedup t = t.config.Value_config.speedup
@@ -203,37 +205,21 @@ let is_full t = t.occupancy >= buffer t
 let check_port t i name =
   if i < 0 || i >= t.n then invalid_arg ("Value_switch." ^ name ^ ": bad port")
 
-let queue t i =
-  check_port t i "queue";
-  match t.repr with
-  | Linked queues -> queues.(i)
-  | Flat _ ->
-    invalid_arg "Value_switch.queue: not available on the flat backend"
-
 let queue_length t i =
   check_port t i "queue_length";
-  match t.repr with
-  | Linked queues -> Value_queue.length queues.(i)
-  | Flat f -> f.qlen.(i)
+  t.qlen.(i)
 
 let queue_total_value t i =
   check_port t i "queue_total_value";
-  match t.repr with
-  | Linked queues -> Value_queue.total_value queues.(i)
-  | Flat f -> f.qsum.(i)
+  t.qsum.(i)
 
 let queue_min_value_or t i ~default =
   check_port t i "queue_min_value_or";
-  match t.repr with
-  | Linked queues -> Value_queue.min_value_or queues.(i) ~default
-  | Flat f -> flat_min_value_or f i ~default
+  port_min_value_or t i ~default
 
 let queue_min_value t i =
   check_port t i "queue_min_value";
-  match t.repr with
-  | Linked queues -> Value_queue.min_value queues.(i)
-  | Flat f ->
-    if f.qlen.(i) = 0 then None else Some (flat_min_value_or f i ~default:0)
+  if t.qlen.(i) = 0 then None else Some (port_min_value_or t i ~default:0)
 
 (* ----- victim-selection indexes ----- *)
 
@@ -256,7 +242,7 @@ let touch_all t =
   Agg_index.refresh t.min_index;
   List.iter (fun (_, idx) -> Agg_index.refresh idx) t.indexes
 
-let find_index_with t ~key make =
+let find_index t ~key make =
   match List.assoc_opt key t.indexes with
   | Some idx -> idx
   | None ->
@@ -264,402 +250,226 @@ let find_index_with t ~key make =
     t.indexes <- (key, idx) :: t.indexes;
     idx
 
-let find_index t ~key ~better =
-  find_index_with t ~key (fun ~n -> Agg_index.create ~n ~better)
-
-let flat_view t =
-  match t.repr with
-  | Linked _ -> None
-  | Flat f ->
-    Some
-      {
-        view_k = f.k;
-        view_wpp = f.wpp;
-        view_qlen = f.qlen;
-        view_qsum = f.qsum;
-        view_occ = f.occ;
-      }
+let view t =
+  {
+    view_k = t.k;
+    view_wpp = t.wpp;
+    view_qlen = t.qlen;
+    view_qsum = t.qsum;
+    view_occ = t.occ;
+  }
 
 let min_value_or t ~default =
   if t.occupancy = 0 then default
-  else
-    let i = Agg_index.top t.min_index in
-    match t.repr with
-    | Linked queues -> Value_queue.min_value_or queues.(i) ~default
-    | Flat f -> flat_min_value_or f i ~default
+  else port_min_value_or t (Agg_index.top t.min_index) ~default
 
 let min_value t =
   if t.occupancy = 0 then None
-  else
-    let i = Agg_index.top t.min_index in
-    match t.repr with
-    | Linked queues -> Value_queue.min_value queues.(i)
-    | Flat f -> Some (flat_min_value_or f i ~default:0)
+  else Some (port_min_value_or t (Agg_index.top t.min_index) ~default:0)
 
 let min_value_port t =
   if t.occupancy = 0 then None else Some (Agg_index.top t.min_index)
 
-(* ----- flat bucket mechanics ----- *)
+(* ----- bucket mechanics ----- *)
 
 (* The bucket/bitset indices below are in bounds by construction (ports
    and values validated at the public entry points, slot ids confined to
    [0, cap) by the slab invariants), so these per-packet ops skip the
    bounds check. *)
 
-let flat_mark f i v =
-  let w = (i * f.wpp) + (v / 63) in
-  Array.unsafe_set f.occ w (Array.unsafe_get f.occ w lor (1 lsl (v mod 63)))
+let mark t i v =
+  let w = (i * t.wpp) + (v / 63) in
+  Array.unsafe_set t.occ w (Array.unsafe_get t.occ w lor (1 lsl (v mod 63)))
 
-let flat_unmark f i v =
-  let w = (i * f.wpp) + (v / 63) in
-  Array.unsafe_set f.occ w
-    (Array.unsafe_get f.occ w land lnot (1 lsl (v mod 63)))
+let unmark t i v =
+  let w = (i * t.wpp) + (v / 63) in
+  Array.unsafe_set t.occ w
+    (Array.unsafe_get t.occ w land lnot (1 lsl (v mod 63)))
 
 (* Append slot [s] (already carrying its columns) at the tail (youngest end)
    of bucket (i, v). *)
-let flat_bucket_push f i v s =
-  let b = (i * f.k) + (v - 1) in
-  let tl = Array.unsafe_get f.btail b in
-  Int_col.unsafe_set f.prv s tl;
-  Int_col.unsafe_set f.nxt s (-1);
+let bucket_push t i v s =
+  let b = (i * t.k) + (v - 1) in
+  let tl = Array.unsafe_get t.btail b in
+  Int_col.unsafe_set t.prv s tl;
+  Int_col.unsafe_set t.nxt s (-1);
   if tl = -1 then begin
-    Array.unsafe_set f.bhead b s;
-    flat_mark f i v
+    Array.unsafe_set t.bhead b s;
+    mark t i v
   end
-  else Int_col.unsafe_set f.nxt tl s;
-  Array.unsafe_set f.btail b s
+  else Int_col.unsafe_set t.nxt tl s;
+  Array.unsafe_set t.btail b s
 
-(* Remove and return the youngest slot of bucket (i, v) — the push-out end,
-   matching Value_queue.pop_min's intra-bucket order. *)
-let flat_bucket_pop_tail f i v =
-  let b = (i * f.k) + (v - 1) in
-  let s = Array.unsafe_get f.btail b in
-  let p = Int_col.unsafe_get f.prv s in
-  Array.unsafe_set f.btail b p;
+(* Remove and return the youngest slot of bucket (i, v) — the push-out
+   end. *)
+let bucket_pop_tail t i v =
+  let b = (i * t.k) + (v - 1) in
+  let s = Array.unsafe_get t.btail b in
+  let p = Int_col.unsafe_get t.prv s in
+  Array.unsafe_set t.btail b p;
   if p = -1 then begin
-    Array.unsafe_set f.bhead b (-1);
-    flat_unmark f i v
+    Array.unsafe_set t.bhead b (-1);
+    unmark t i v
   end
-  else Int_col.unsafe_set f.nxt p (-1);
+  else Int_col.unsafe_set t.nxt p (-1);
   s
 
 (* Remove and return the oldest slot of bucket (i, v) — the transmission
-   end, matching Value_queue.pop_max's intra-bucket order. *)
-let flat_bucket_pop_head f i v =
-  let b = (i * f.k) + (v - 1) in
-  let s = Array.unsafe_get f.bhead b in
-  let nx = Int_col.unsafe_get f.nxt s in
-  Array.unsafe_set f.bhead b nx;
+   end. *)
+let bucket_pop_head t i v =
+  let b = (i * t.k) + (v - 1) in
+  let s = Array.unsafe_get t.bhead b in
+  let nx = Int_col.unsafe_get t.nxt s in
+  Array.unsafe_set t.bhead b nx;
   if nx = -1 then begin
-    Array.unsafe_set f.btail b (-1);
-    flat_unmark f i v
+    Array.unsafe_set t.btail b (-1);
+    unmark t i v
   end
-  else Int_col.unsafe_set f.prv nx (-1);
+  else Int_col.unsafe_set t.prv nx (-1);
   s
 
 (* ----- mutations (every one keeps the aggregates in sync) ----- *)
 
-(* Insert into the flat state and return the slot id.  The caller has
-   already validated capacity, the destination port and the value range. *)
-let flat_insert t f ~dest ~value =
-  let s = Int_col.unsafe_get f.free (f.free_top - 1) in
-  f.free_top <- f.free_top - 1;
-  Int_col.unsafe_set f.value s value;
-  Int_col.unsafe_set f.arrival s t.now;
-  Int_col.unsafe_set f.pid s t.next_id;
-  t.next_id <- t.next_id + 1;
-  flat_bucket_push f dest value s;
-  Array.unsafe_set f.qlen dest (Array.unsafe_get f.qlen dest + 1);
-  Array.unsafe_set f.qsum dest (Array.unsafe_get f.qsum dest + value);
-  t.occupancy <- t.occupancy + 1;
-  touch t dest;
-  s
-
-let accept_linked t queues ~dest ~value =
-  let p = Packet.Value.make ~id:t.next_id ~dest ~value ~arrival:t.now in
-  t.next_id <- t.next_id + 1;
-  Value_queue.push queues.(dest) p;
-  t.occupancy <- t.occupancy + 1;
-  touch t dest;
-  p
-
 let accept t ~dest ~value =
   if is_full t then invalid_arg "Value_switch.accept: buffer full";
   check_port t dest "accept";
-  match t.repr with
-  | Linked queues -> accept_linked t queues ~dest ~value
-  | Flat f ->
-    if value < 1 || value > f.k then
-      invalid_arg "Value_switch.accept: value out of range";
-    let s = flat_insert t f ~dest ~value in
-    {
-      Packet.Value.id = Int_col.get f.pid s;
-      dest;
-      value;
-      arrival = Int_col.get f.arrival s;
-    }
-
-let accept_unit t ~dest ~value =
-  if is_full t then invalid_arg "Value_switch.accept_unit: buffer full";
-  check_port t dest "accept_unit";
-  match t.repr with
-  | Linked queues ->
-    ignore (accept_linked t queues ~dest ~value : Packet.Value.t)
-  | Flat f ->
-    if value < 1 || value > f.k then
-      invalid_arg "Value_switch.accept_unit: value out of range";
-    ignore (flat_insert t f ~dest ~value : int)
-
-(* Evict the least valuable (youngest among ties) slot of [victim]'s queue
-   and return its id; columns stay readable until the slot is next handed
-   out by an accept. *)
-let flat_evict t f ~victim =
-  if Array.unsafe_get f.qlen victim = 0 then
-    invalid_arg "Value_switch.push_out: victim queue empty";
-  let v = flat_min_value_or f victim ~default:0 in
-  let s = flat_bucket_pop_tail f victim v in
-  Array.unsafe_set f.qlen victim (Array.unsafe_get f.qlen victim - 1);
-  Array.unsafe_set f.qsum victim (Array.unsafe_get f.qsum victim - v);
-  t.occupancy <- t.occupancy - 1;
-  Int_col.unsafe_set f.free f.free_top s;
-  f.free_top <- f.free_top + 1;
-  touch t victim;
-  s
+  if value < 1 || value > t.k then
+    invalid_arg "Value_switch.accept: value out of range";
+  let s = Int_col.unsafe_get t.free (t.free_top - 1) in
+  t.free_top <- t.free_top - 1;
+  Int_col.unsafe_set t.value s value;
+  Int_col.unsafe_set t.arrival s t.now;
+  Int_col.unsafe_set t.pid s t.next_id;
+  t.next_id <- t.next_id + 1;
+  bucket_push t dest value s;
+  Array.unsafe_set t.qlen dest (Array.unsafe_get t.qlen dest + 1);
+  Array.unsafe_set t.qsum dest (Array.unsafe_get t.qsum dest + value);
+  t.occupancy <- t.occupancy + 1;
+  touch t dest
 
 let push_out t ~victim =
   check_port t victim "push_out";
-  match t.repr with
-  | Linked queues ->
-    let q = queues.(victim) in
-    if Value_queue.is_empty q then
-      invalid_arg "Value_switch.push_out: victim queue empty";
-    let p = Value_queue.pop_min q in
-    t.occupancy <- t.occupancy - 1;
-    touch t victim;
-    p
-  | Flat f ->
-    let s = flat_evict t f ~victim in
-    {
-      Packet.Value.id = Int_col.get f.pid s;
-      dest = victim;
-      value = Int_col.get f.value s;
-      arrival = Int_col.get f.arrival s;
-    }
-
-let push_out_lost t ~victim =
-  check_port t victim "push_out_lost";
-  match t.repr with
-  | Linked _ -> (push_out t ~victim).Packet.Value.value
-  | Flat f ->
-    let s = flat_evict t f ~victim in
-    Int_col.get f.value s
+  if Array.unsafe_get t.qlen victim = 0 then
+    invalid_arg "Value_switch.push_out: victim queue empty";
+  let v = port_min_value_or t victim ~default:0 in
+  let s = bucket_pop_tail t victim v in
+  Array.unsafe_set t.qlen victim (Array.unsafe_get t.qlen victim - 1);
+  Array.unsafe_set t.qsum victim (Array.unsafe_get t.qsum victim - v);
+  t.occupancy <- t.occupancy - 1;
+  Int_col.unsafe_set t.free t.free_top s;
+  t.free_top <- t.free_top + 1;
+  touch t victim;
+  v
 
 let transmit_phase t ~on_transmit =
   let budget = speedup t in
   let transmitted = ref 0 in
-  (match t.repr with
-  | Linked queues ->
-    for i = 0 to t.n - 1 do
-      let q = queues.(i) in
-      let sent = ref 0 in
-      while !sent < budget && not (Value_queue.is_empty q) do
-        (* Account the transmission before the user hook runs, so a raising
-           hook propagates out of a consistent switch. *)
-        let p = Value_queue.pop_max q in
-        t.occupancy <- t.occupancy - 1;
-        touch t i;
-        incr sent;
-        incr transmitted;
-        on_transmit p
-      done
+  for i = 0 to t.n - 1 do
+    let sent = ref 0 in
+    while !sent < budget && Array.unsafe_get t.qlen i > 0 do
+      let v = port_max_value_or t i ~default:0 in
+      let s = bucket_pop_head t i v in
+      Array.unsafe_set t.qlen i (Array.unsafe_get t.qlen i - 1);
+      Array.unsafe_set t.qsum i (Array.unsafe_get t.qsum i - v);
+      t.occupancy <- t.occupancy - 1;
+      Int_col.unsafe_set t.free t.free_top s;
+      t.free_top <- t.free_top + 1;
+      (* Account the transmission before the user hook runs, so a raising
+         hook propagates out of a consistent switch. *)
+      touch t i;
+      incr sent;
+      incr transmitted;
+      on_transmit ~dest:i ~value:v ~arrival:(Int_col.unsafe_get t.arrival s)
     done
-  | Flat f ->
-    for i = 0 to t.n - 1 do
-      let sent = ref 0 in
-      while !sent < budget && f.qlen.(i) > 0 do
-        let v = flat_max_value_or f i ~default:0 in
-        let s = flat_bucket_pop_head f i v in
-        f.qlen.(i) <- f.qlen.(i) - 1;
-        f.qsum.(i) <- f.qsum.(i) - v;
-        t.occupancy <- t.occupancy - 1;
-        Int_col.set f.free f.free_top s;
-        f.free_top <- f.free_top + 1;
-        touch t i;
-        incr sent;
-        incr transmitted;
-        on_transmit
-          {
-            Packet.Value.id = Int_col.get f.pid s;
-            dest = i;
-            value = v;
-            arrival = Int_col.get f.arrival s;
-          }
-      done
-    done);
+  done;
   !transmitted
 
-let transmit_phase_fields t ~on_transmit =
-  let budget = speedup t in
-  let transmitted = ref 0 in
-  (match t.repr with
-  | Linked queues ->
-    (* Compatibility wrapper: the fields hook fed from the boxed packets.
-       Engines running a linked backend use [transmit_phase] directly. *)
-    for i = 0 to t.n - 1 do
-      let q = queues.(i) in
-      let sent = ref 0 in
-      while !sent < budget && not (Value_queue.is_empty q) do
-        let p = Value_queue.pop_max q in
-        t.occupancy <- t.occupancy - 1;
-        touch t i;
-        incr sent;
-        incr transmitted;
-        on_transmit ~dest:i ~value:p.Packet.Value.value
-          ~arrival:p.Packet.Value.arrival
-      done
+let iter_port t i f =
+  check_port t i "iter_port";
+  for v = t.k downto 1 do
+    let s = ref t.bhead.((i * t.k) + (v - 1)) in
+    while !s <> -1 do
+      f ~id:(Int_col.get t.pid !s) ~value:v ~arrival:(Int_col.get t.arrival !s);
+      s := Int_col.get t.nxt !s
     done
-  | Flat f ->
-    for i = 0 to t.n - 1 do
-      let sent = ref 0 in
-      while !sent < budget && Array.unsafe_get f.qlen i > 0 do
-        let v = flat_max_value_or f i ~default:0 in
-        let s = flat_bucket_pop_head f i v in
-        Array.unsafe_set f.qlen i (Array.unsafe_get f.qlen i - 1);
-        Array.unsafe_set f.qsum i (Array.unsafe_get f.qsum i - v);
-        t.occupancy <- t.occupancy - 1;
-        Int_col.unsafe_set f.free f.free_top s;
-        f.free_top <- f.free_top + 1;
-        touch t i;
-        incr sent;
-        incr transmitted;
-        on_transmit ~dest:i ~value:v ~arrival:(Int_col.unsafe_get f.arrival s)
-      done
-    done);
-  !transmitted
+  done
 
 let flush t =
-  let dropped =
-    match t.repr with
-    | Linked queues ->
-      Array.fold_left (fun acc q -> acc + Value_queue.clear q) 0 queues
-    | Flat f ->
-      let dropped = ref 0 in
-      for i = 0 to t.n - 1 do
-        for v = 1 to f.k do
-          let b = (i * f.k) + (v - 1) in
-          let s = ref f.bhead.(b) in
-          while !s <> -1 do
-            incr dropped;
-            Int_col.set f.free f.free_top !s;
-            f.free_top <- f.free_top + 1;
-            s := Int_col.get f.nxt !s
-          done;
-          f.bhead.(b) <- -1;
-          f.btail.(b) <- -1
-        done;
-        f.qlen.(i) <- 0;
-        f.qsum.(i) <- 0
+  let dropped = ref 0 in
+  for i = 0 to t.n - 1 do
+    for v = 1 to t.k do
+      let b = (i * t.k) + (v - 1) in
+      let s = ref t.bhead.(b) in
+      while !s <> -1 do
+        incr dropped;
+        Int_col.set t.free t.free_top !s;
+        t.free_top <- t.free_top + 1;
+        s := Int_col.get t.nxt !s
       done;
-      Array.fill f.occ 0 (Array.length f.occ) 0;
-      !dropped
-  in
-  t.occupancy <- t.occupancy - dropped;
+      t.bhead.(b) <- -1;
+      t.btail.(b) <- -1
+    done;
+    t.qlen.(i) <- 0;
+    t.qsum.(i) <- 0
+  done;
+  Array.fill t.occ 0 (Array.length t.occ) 0;
+  t.occupancy <- t.occupancy - !dropped;
   (* A real check, not [assert]: release builds compiled with [-noassert]
      must refuse to continue from a corrupted occupancy count too. *)
   if t.occupancy <> 0 then
     invalid_arg "Value_switch.flush: occupancy out of sync with queue contents";
   touch_all t;
-  dropped
+  !dropped
 
-let iter_queues f t =
-  match t.repr with
-  | Linked queues -> Array.iteri f queues
-  | Flat _ ->
-    invalid_arg "Value_switch.iter_queues: not available on the flat backend"
-
-let check_invariants_linked t queues =
-  let len_sum =
-    Array.fold_left (fun acc q -> acc + Value_queue.length q) 0 queues
-  in
-  if len_sum <> t.occupancy then
-    invalid_arg "Value_switch: occupancy out of sync with queue lengths";
-  if t.occupancy > buffer t then
-    invalid_arg "Value_switch: occupancy exceeds B";
-  Array.iter
-    (fun q ->
-      let sum =
-        List.fold_left
-          (fun acc (p : Packet.Value.t) -> acc + p.value)
-          0 (Value_queue.to_list q)
-      in
-      if sum <> Value_queue.total_value q then
-        invalid_arg "Value_switch: cached total value out of sync";
-      (* to_list is in non-increasing value order by construction. *)
-      let rec sorted = function
-        | (a : Packet.Value.t) :: (b : Packet.Value.t) :: rest ->
-          a.value >= b.value && sorted (b :: rest)
-        | [ _ ] | [] -> true
-      in
-      if not (sorted (Value_queue.to_list q)) then
-        invalid_arg "Value_switch: queue not value-sorted")
-    queues
-
-let check_invariants_flat t f =
-  let seen = Array.make f.cap false in
+let check_invariants t =
+  let seen = Array.make t.cap false in
   let len_sum = ref 0 in
   for i = 0 to t.n - 1 do
     let qlen = ref 0 and qsum = ref 0 in
-    for v = 1 to f.k do
-      let b = (i * f.k) + (v - 1) in
+    for v = 1 to t.k do
+      let b = (i * t.k) + (v - 1) in
       let occupied =
-        f.occ.(i * f.wpp + (v / 63)) land (1 lsl (v mod 63)) <> 0
+        t.occ.((i * t.wpp) + (v / 63)) land (1 lsl (v mod 63)) <> 0
       in
-      if occupied <> (f.bhead.(b) <> -1) then
-        invalid_arg "Value_switch(flat): bitset out of sync with buckets";
-      if (f.bhead.(b) = -1) <> (f.btail.(b) = -1) then
-        invalid_arg "Value_switch(flat): bucket head/tail out of sync";
-      let s = ref f.bhead.(b) and prev = ref (-1) in
+      if occupied <> (t.bhead.(b) <> -1) then
+        invalid_arg "Value_switch: bitset out of sync with buckets";
+      if (t.bhead.(b) = -1) <> (t.btail.(b) = -1) then
+        invalid_arg "Value_switch: bucket head/tail out of sync";
+      let s = ref t.bhead.(b) and prev = ref (-1) in
       while !s <> -1 do
-        if !s < 0 || !s >= f.cap then
-          invalid_arg "Value_switch(flat): slot id out of range";
-        if seen.(!s) then
-          invalid_arg "Value_switch(flat): slot id used twice";
+        if !s < 0 || !s >= t.cap then
+          invalid_arg "Value_switch: slot id out of range";
+        if seen.(!s) then invalid_arg "Value_switch: slot id used twice";
         seen.(!s) <- true;
-        if Int_col.get f.value !s <> v then
-          invalid_arg "Value_switch(flat): slot in wrong value bucket";
-        if Int_col.get f.prv !s <> !prev then
-          invalid_arg "Value_switch(flat): broken prev link";
+        if Int_col.get t.value !s <> v then
+          invalid_arg "Value_switch: slot in wrong value bucket";
+        if Int_col.get t.prv !s <> !prev then
+          invalid_arg "Value_switch: broken prev link";
         incr qlen;
         qsum := !qsum + v;
         prev := !s;
-        s := Int_col.get f.nxt !s
+        s := Int_col.get t.nxt !s
       done;
-      if f.bhead.(b) <> -1 && f.btail.(b) <> !prev then
-        invalid_arg "Value_switch(flat): bucket tail out of sync"
+      if t.bhead.(b) <> -1 && t.btail.(b) <> !prev then
+        invalid_arg "Value_switch: bucket tail out of sync"
     done;
-    if !qlen <> f.qlen.(i) then
-      invalid_arg "Value_switch(flat): cached queue length out of sync";
-    if !qsum <> f.qsum.(i) then
-      invalid_arg "Value_switch(flat): cached total value out of sync";
+    if !qlen <> t.qlen.(i) then
+      invalid_arg "Value_switch: cached queue length out of sync";
+    if !qsum <> t.qsum.(i) then
+      invalid_arg "Value_switch: cached total value out of sync";
     len_sum := !len_sum + !qlen
   done;
   if !len_sum <> t.occupancy then
-    invalid_arg "Value_switch(flat): occupancy out of sync with buckets";
-  if t.occupancy > buffer t then
-    invalid_arg "Value_switch(flat): occupancy exceeds B";
-  if f.free_top + t.occupancy <> f.cap then
-    invalid_arg "Value_switch(flat): free list out of sync with occupancy";
-  for j = 0 to f.free_top - 1 do
-    let s = Int_col.get f.free j in
-    if s < 0 || s >= f.cap then
-      invalid_arg "Value_switch(flat): free slot id out of range";
-    if seen.(s) then invalid_arg "Value_switch(flat): free slot also queued";
+    invalid_arg "Value_switch: occupancy out of sync with buckets";
+  if t.occupancy > buffer t then invalid_arg "Value_switch: occupancy exceeds B";
+  if t.free_top + t.occupancy <> t.cap then
+    invalid_arg "Value_switch: free list out of sync with occupancy";
+  for j = 0 to t.free_top - 1 do
+    let s = Int_col.get t.free j in
+    if s < 0 || s >= t.cap then
+      invalid_arg "Value_switch: free slot id out of range";
+    if seen.(s) then invalid_arg "Value_switch: free slot also queued";
     seen.(s) <- true
-  done
-
-let check_invariants t =
-  (match t.repr with
-  | Linked queues -> check_invariants_linked t queues
-  | Flat f -> check_invariants_flat t f);
+  done;
   Agg_index.check t.min_index;
   List.iter (fun (_, idx) -> Agg_index.check idx) t.indexes

@@ -5,48 +5,35 @@
     non-empty queue per slot.  Mechanics only; admission decisions come from
     a {!Value_policy}.
 
-    Two interchangeable state representations sit behind one [t]:
-    - [`Linked] (default): one {!Value_queue} of boxed {!Packet.Value}
-      records per port — the reference implementation, with [queue]/
-      [iter_queues] access for tests and analyses.
-    - [`Flat]: struct-of-arrays slab of unboxed int columns with intrusive
-      per-(port, value) bucket lists and per-port occupancy bitsets (the
-      same 63-levels-per-word layout as {!Value_queue}).  Together with the
-      [_unit]/[_lost]/[_fields] entry points below, a warmed flat switch
-      runs the whole accept/push-out/transmit cycle without allocating.
-      Decision-relevant state — queue lengths, value sums, per-port
-      minima/maxima, intra-bucket FIFO order, the buffer-wide minimum
-      tracker's tie convention — is maintained bit-identically to the
-      linked representation; test/test_victim_oracle.ml fuzzes the two in
-      lockstep. *)
+    The state is a struct-of-arrays slab of unboxed int columns with
+    intrusive per-(port, value) bucket lists and per-port occupancy bitsets
+    (63 value levels per word), so per-port minima/maxima cost O(k/63).
+    Within a value bucket, push-out takes the youngest packet and
+    transmission the oldest.  A warmed switch runs the whole
+    accept/push-out/transmit cycle without allocating; tests and analyses
+    read queue contents through {!iter_port}. *)
 
 type t
 
-type backend = [ `Linked | `Flat ]
-
-type flat_view = {
+type view = {
   view_k : int;  (** number of value levels *)
   view_wpp : int;  (** bitset words per port *)
   view_qlen : int array;  (** live per-port packet counts *)
   view_qsum : int array;  (** live per-port value sums *)
   view_occ : int array;  (** live per-port occupancy bitsets *)
 }
-(** Read-only aliases of the flat backend's per-port aggregate state.
-    Policies hand the arrays to {!Agg_index.create_lex} as key columns and
-    read per-port minima through {!view_min_value_or}, so their victim
-    indexes compare unboxed ints instead of calling a closure that re-reads
-    switch accessors.  The arrays are the switch's own live state: never
+(** Read-only aliases of the switch's per-port aggregate state.  Policies
+    hand the arrays to {!Agg_index.create_lex} as key columns and read
+    per-port minima through {!view_min_value_or}, so their victim indexes
+    compare unboxed ints.  The arrays are the switch's own live state: never
     write through them. *)
 
-val view_min_value_or : flat_view -> int -> default:int -> int
+val view_min_value_or : view -> int -> default:int -> int
 (** Smallest value queued at the port, [default] when empty — the same
     bitset scan the switch itself runs, exposed for derived-key refresh
     functions. *)
 
-val create : ?backend:backend -> Value_config.t -> t
-(** [backend] defaults to [`Linked]. *)
-
-val backend : t -> backend
+val create : Value_config.t -> t
 
 val config : t -> Value_config.t
 (** The creation-time configuration.  Its [buffer] field is the {e initial}
@@ -59,8 +46,8 @@ val speedup : t -> int
 
 val set_buffer : t -> int -> unit
 (** Live-resize the shared buffer bound B; see {!Proc_switch.set_buffer}
-    for the contract (no buffered packet is ever dropped).  On the flat
-    backend a grow extends the slot slab; the slab never shrinks.
+    for the contract (no buffered packet is ever dropped).  A grow extends
+    the slot slab; the slab never shrinks.
     @raise Invalid_argument if the new bound is [< 1] or smaller than the
     current occupancy. *)
 
@@ -71,16 +58,10 @@ val occupancy : t -> int
 val free_space : t -> int
 val is_full : t -> bool
 
-val queue : t -> int -> Value_queue.t
-(** Direct access to queue [i] for tests and analyses.
-    @raise Invalid_argument on the flat backend, which has no per-queue
-    structure to expose — use the [queue_*] accessors below, which dispatch
-    on the representation. *)
-
 val queue_length : t -> int -> int
 
 val queue_total_value : t -> int -> int
-(** Sum of queued packet values at port [i].  O(1) on both backends. *)
+(** Sum of queued packet values at port [i].  O(1). *)
 
 val queue_min_value : t -> int -> int option
 (** Smallest value queued at port [i]. *)
@@ -95,7 +76,7 @@ val min_value : t -> int option
 
 val min_value_or : t -> default:int -> int
 (** Allocation-free {!min_value}: [default] when the buffer is empty.  The
-    fused admission kernels' drop gate. *)
+    MRD drop gate. *)
 
 val min_value_port : t -> int option
 (** The port whose queue holds the buffer-wide minimum value; among several,
@@ -105,60 +86,40 @@ val min_value_port : t -> int option
     [min_value t] — the tie choice is pinned and cannot drift from
     {!min_value}.  O(1). *)
 
-val find_index : t -> key:string -> better:(int -> int -> bool) -> Agg_index.t
-(** The victim-selection index registered under [key], creating (and
-    building) it on first use; see {!Proc_switch.find_index} for the
-    contract. *)
+val find_index : t -> key:string -> (n:int -> Agg_index.t) -> Agg_index.t
+(** The victim-selection index registered under [key]; see
+    {!Proc_switch.find_index} for the contract. *)
 
-val find_index_with :
-  t -> key:string -> (n:int -> Agg_index.t) -> Agg_index.t
-(** {!find_index} generalized over the index constructor: [make ~n] runs
-    only when [key] is not yet registered.  Policies use it to register
-    monomorphic keyed indexes ({!Agg_index.create_lex} /
-    {!Agg_index.create_ratio}) over a {!flat_view}'s columns. *)
+val view : t -> view
+(** The live per-port aggregate state. *)
 
-val flat_view : t -> flat_view option
-(** [Some] of the live aggregate state on the flat backend, [None] on the
-    linked one. *)
-
-val accept : t -> dest:int -> value:int -> Packet.Value.t
-(** On the flat backend the returned record is a snapshot of the admitted
-    slot (allocated per call — engines use {!accept_unit}).
-    @raise Invalid_argument if the buffer is full or the value is outside
+val accept : t -> dest:int -> value:int -> unit
+(** @raise Invalid_argument if the buffer is full or the value is outside
     [1 .. k]. *)
 
-val accept_unit : t -> dest:int -> value:int -> unit
-(** {!accept} without materializing the packet — allocation-free on the
-    flat backend. *)
-
-val push_out : t -> victim:int -> Packet.Value.t
-(** Evict the least valuable packet of queue [victim].
+val push_out : t -> victim:int -> int
+(** Evict the least valuable packet of queue [victim] (the youngest among
+    equal values) and return its value — what the engines' loss accounting
+    needs.
     @raise Invalid_argument if that queue is empty. *)
 
-val push_out_lost : t -> victim:int -> int
-(** {!push_out} returning only the evicted packet's value (what the
-    engines' loss accounting needs) — allocation-free on the flat
-    backend. *)
-
-val transmit_phase : t -> on_transmit:(Packet.Value.t -> unit) -> int
-(** Every non-empty queue transmits up to [speedup] packets, most valuable
-    first.  Returns the number of packets transmitted.  Exception-safe:
-    each packet is fully accounted before [on_transmit] sees it, so a
-    raising hook propagates out of a consistent switch. *)
-
-val transmit_phase_fields :
+val transmit_phase :
   t -> on_transmit:(dest:int -> value:int -> arrival:int -> unit) -> int
-(** {!transmit_phase} delivering each transmission as plain fields instead
-    of a packet record — allocation-free on the flat backend.  Same
-    ordering, accounting and exception contract as {!transmit_phase}. *)
+(** Every non-empty queue transmits up to [speedup] packets, most valuable
+    first (the oldest among equal values), ports in index order.  Returns
+    the number of packets transmitted.  Exception-safe: each packet is fully
+    accounted before [on_transmit] sees it, so a raising hook propagates out
+    of a consistent switch. *)
+
+val iter_port : t -> int -> (id:int -> value:int -> arrival:int -> unit) -> unit
+(** Read-only walk of queue [i] in transmission order: values descending,
+    oldest first among equal values.  The callback must not mutate the
+    switch. *)
 
 val flush : t -> int
 (** Discard all buffered packets; returns how many were discarded.
     @raise Invalid_argument if the occupancy count disagrees with the queue
     contents — state corruption that must not be ignored (a real check, not
     an [assert] stripped under [-noassert]). *)
-
-val iter_queues : (int -> Value_queue.t -> unit) -> t -> unit
-(** @raise Invalid_argument on the flat backend (see {!queue}). *)
 
 val check_invariants : t -> unit

@@ -1,29 +1,28 @@
 let euler_gamma = 0.57721566490153286
 
-(* Memo table: table.(i) = H_i.  Grows by doubling. *)
-let table = ref [| 0.0 |]
-let filled = ref 1 (* number of valid entries in [table] *)
+(* Memo: an immutable, fully filled array with [t.(i) = H_i], published
+   through an [Atomic] so pool domains can read and grow it concurrently.  A
+   grow builds a whole new, longer array and publishes it; every entry is
+   the same left-to-right recurrence, so a domain that loses the race only
+   recomputed identical values. *)
+let table = Atomic.make [| 0.0 |]
 
-let ensure n =
-  let cap = Array.length !table in
-  if n + 1 > cap then begin
-    let cap' = max (n + 1) (2 * cap) in
-    let t = Array.make cap' 0.0 in
-    Array.blit !table 0 t 0 !filled;
-    table := t
-  end;
-  if n + 1 > !filled then begin
-    let t = !table in
-    for i = !filled to n do
-      t.(i) <- t.(i - 1) +. (1.0 /. float_of_int i)
+let rec ensure n =
+  let t = Atomic.get table in
+  if n < Array.length t then t
+  else begin
+    let len = Array.length t in
+    let t' = Array.make (max (n + 1) (2 * len)) 0.0 in
+    Array.blit t 0 t' 0 len;
+    for i = len to Array.length t' - 1 do
+      t'.(i) <- t'.(i - 1) +. (1.0 /. float_of_int i)
     done;
-    filled := n + 1
+    if Atomic.compare_and_set table t t' then t' else ensure n
   end
 
 let h n =
   if n < 0 then invalid_arg "Harmonic.h: negative";
-  ensure n;
-  !table.(n)
+  (ensure n).(n)
 
 let h_range lo hi =
   if lo < 1 then invalid_arg "Harmonic.h_range: lo must be >= 1";

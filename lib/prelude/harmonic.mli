@@ -7,7 +7,8 @@ val euler_gamma : float
 (** The Euler–Mascheroni constant (0.5772...). *)
 
 val h : int -> float
-(** [h n] is [H_n]; [h 0 = 0].  Values are memoized in a growable table.
+(** [h n] is [H_n]; [h 0 = 0].  Values are memoized in a growable table
+    that is safe to read and grow from several domains at once.
     @raise Invalid_argument for negative [n]. *)
 
 val h_range : int -> int -> float

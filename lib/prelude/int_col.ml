@@ -1,6 +1,6 @@
 (* Off-heap int column: a Bigarray.Array1 of native ints, C layout.
 
-   The flat switch backends and Trace.Compact keep their slab columns in
+   The switches and Trace.Compact keep their slab columns in
    these instead of [int array] for two reasons.  First, the payload lives
    outside the OCaml heap, so the GC never scans it — a multi-million-slot
    trace costs the collector nothing.  Second, Bigarray proxies are
@@ -10,7 +10,7 @@
    columns across domains is safe — immutable-after-build data needs no
    synchronization, and there are no GC headers to race on.
 
-   The [unsafe_*] accessors sit on the per-packet hot paths of the flat
+   The [unsafe_*] accessors sit on the per-packet hot paths of the
    switches; indices there are in bounds by the slab invariants the
    switches' [check_invariants] prove. *)
 

@@ -1,11 +1,11 @@
 (** Off-heap int column: a [Bigarray.Array1] of native ints, C layout.
 
-    Backs the flat switch slabs and {e compact trace} payloads: the data
+    Backs the switch slot slabs and {e compact trace} payloads: the data
     lives outside the OCaml heap (never scanned by the GC) and [sub] hands
     out zero-copy windows over one shared allocation, so read-only columns
     can be shared across domains without copying.  The [unsafe_*] accessors
     skip the bounds check — callers keep indices in range by their own
-    invariants (the flat switches prove theirs in [check_invariants]). *)
+    invariants (the switches prove theirs in [check_invariants]). *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -3,7 +3,7 @@
    Capacity is always a power of two so position arithmetic is a mask, not a
    division; the buffer doubles when full and never shrinks, so a warmed ring
    performs every operation allocation-free.  Front/back access makes it a
-   deque: the flat switch backends use [push_back]/[pop_front] for FIFO
+   deque: the processing switch uses [push_back]/[pop_front] for FIFO
    service and [pop_back] for tail eviction. *)
 
 type t = { mutable buf : int array; mutable head : int; mutable len : int }
@@ -31,7 +31,7 @@ let grow t =
 
 (* Masked positions are in bounds by construction (capacity is a power of
    two and the mask is capacity - 1), so the accesses below skip the bounds
-   check — these are the per-packet ops of the flat switch backends. *)
+   check — these are the per-packet ops of the processing switch. *)
 
 let push_back t x =
   if t.len = Array.length t.buf then grow t;

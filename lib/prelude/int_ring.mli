@@ -4,7 +4,7 @@
     tail eviction via [pop_back], O(1) random access from the front.
     Capacity is a power of two (position arithmetic is a mask) that doubles
     on demand and never shrinks, so a warmed ring runs allocation-free —
-    the property the flat switch backends rely on for their per-port
+    the property the processing switch relies on for its per-port
     queues. *)
 
 type t

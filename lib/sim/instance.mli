@@ -14,11 +14,9 @@ type t = {
           behaviourally identical. *)
   arrive_batch : (Arrival_batch.t -> unit) option;
       (** whole-slot arrival phase: behaviourally identical to folding
-          [arrive_dv] over the batch in order, but free to take a fused
-          per-batch path (the policy's [admit_batch] kernel) when one
-          exists.  Engines set it only when no per-decision observer
-          (recorder, flight recorder) is attached; [None] means "no faster
-          path than the per-packet fold". *)
+          [arrive_dv] over the batch in order.  The engines leave it [None]
+          (their one arrival path is [arrive_dv]); a wrapper may install
+          one, e.g. to time a slot's arrivals as a unit. *)
   transmit : unit -> unit;  (** run one transmission phase *)
   end_slot : unit -> unit;  (** per-slot bookkeeping (occupancy sample, clock) *)
   flush : unit -> unit;  (** discard all buffered packets *)

@@ -46,12 +46,6 @@ let record_transmissions t ~count ~value =
   Registry.add t.transmitted count;
   Registry.add t.transmitted_value value
 
-let record_admissions t ~arrivals ~accepted ~pushed_out ~dropped =
-  Registry.add t.arrivals arrivals;
-  Registry.add t.accepted accepted;
-  Registry.add t.pushed_out pushed_out;
-  Registry.add t.dropped dropped
-
 let record_flush t n = Registry.add t.flushed n
 let record_occupancy t occ = Registry.observe t.occupancy (float_of_int occ)
 

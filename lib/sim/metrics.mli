@@ -48,12 +48,6 @@ val record_transmissions : t -> count:int -> value:int -> unit
 (** Batch form without latency samples — for references (OPT) that
     transmit from a bag with no per-packet identity. *)
 
-val record_admissions :
-  t -> arrivals:int -> accepted:int -> pushed_out:int -> dropped:int -> unit
-(** Batch form of the four admission counters — the fused [admit_batch]
-    kernels fold a whole slot's decisions in at once.  Equivalent to the
-    matching sequence of per-packet [record_*] calls. *)
-
 val record_flush : t -> int -> unit
 (** [n] packets discarded by a periodic flushout. *)
 

@@ -1,13 +1,9 @@
 open Smbm_core
 
-let create_controlled ?name ?observe ?recorder ?flight config
+let create_controlled ?name ?recorder ?flight config
     (policy_ref : Proc_policy.t ref) =
   let name = Option.value name ~default:!policy_ref.name in
-  (* The policy carries the backend choice (set by [make ~impl], defaulted
-     from SMBM_BACKEND by the Policies registry), so every caller of the
-     engines picks up the flat representation with zero call-site
-     changes. *)
-  let sw = Proc_switch.create ~backend:!policy_ref.backend config in
+  let sw = Proc_switch.create config in
   let metrics = Metrics.create () in
   let ports = Port_stats.create ~n:(Proc_config.n config) in
   let record =
@@ -34,7 +30,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
       Smbm_obs.Flight.arrival f ~slot:(Proc_switch.now sw) ~src:fsrc ~dest);
     match Proc_policy.admit !policy_ref sw ~dest with
     | Decision.Accept ->
-      Proc_switch.accept_unit sw ~dest;
+      Proc_switch.accept sw ~dest;
       Metrics.record_accept metrics;
       if recording then record (Smbm_obs.Event.Accept { dest });
       (match flight with
@@ -45,7 +41,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
       if not (Proc_switch.is_full sw) then
         invalid_arg
           (name ^ ": push-out decision while the buffer has free space");
-      Proc_switch.push_out_unit sw ~victim;
+      Proc_switch.push_out sw ~victim;
       Metrics.record_push_out metrics;
       if recording then record (Smbm_obs.Event.Push_out { victim; dest; lost = 1 });
       (match flight with
@@ -53,7 +49,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
       | Some f ->
         Smbm_obs.Flight.push_out f ~slot:(Proc_switch.now sw) ~src:fsrc
           ~victim ~dest ~lost:1);
-      Proc_switch.accept_unit sw ~dest;
+      Proc_switch.accept sw ~dest;
       Metrics.record_accept metrics;
       if recording then record (Smbm_obs.Event.Accept { dest });
       (match flight with
@@ -70,66 +66,21 @@ let create_controlled ?name ?observe ?recorder ?flight config
           ~value:1)
   in
   let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in
-  (* Fused arrival phase: when no per-decision observer is attached, a
-     whole batch goes through the policy's [admit_batch] kernel (if any)
-     and the four admission counters are folded in once per batch.  The
-     policy ref is re-read per batch so live policy swaps keep working;
-     policies without a kernel fall back to the per-packet fold. *)
-  let arrive_batch =
-    if recording || Option.is_some flight then None
-    else begin
-      let counters = Admission.counters () in
-      Some
-        (fun batch ->
-          match Proc_policy.admit_batch !policy_ref with
-          | None -> Arrival_batch.iter batch ~f:arrive_dv
-          | Some kernel ->
-            Admission.reset counters;
-            kernel sw batch counters;
-            Metrics.record_admissions metrics
-              ~arrivals:(Arrival_batch.length batch)
-              ~accepted:counters.Admission.accepted
-              ~pushed_out:counters.Admission.pushed_out
-              ~dropped:counters.Admission.dropped)
-    end
-  in
   let transmit =
-    match observe with
-    | None ->
-      (* Fields-based transmission: no packet record per transmit, which is
-         what keeps the flat backend's hot path allocation-free. *)
-      let on_transmit ~dest ~arrival =
-        let latency = Proc_switch.now sw - arrival in
-        Metrics.record_transmit metrics ~value:1
-          ~latency:(float_of_int latency);
-        Port_stats.record ports ~port:dest ~value:1;
-        if recording then
-          record (Smbm_obs.Event.Transmit { dest; value = 1; latency });
-        match flight with
-        | None -> ()
-        | Some f ->
-          Smbm_obs.Flight.transmit f ~slot:(Proc_switch.now sw) ~src:fsrc
-            ~dest ~value:1 ~latency
-      in
-      fun () -> ignore (Proc_switch.transmit_phase_fields sw ~on_transmit)
-    | Some observe ->
-      (* An observer wants the packets; take the materializing path (on the
-         flat backend each is a per-transmit snapshot record). *)
-      let on_transmit (p : Packet.Proc.t) =
-        let latency = Proc_switch.now sw - p.arrival in
-        Metrics.record_transmit metrics ~value:1
-          ~latency:(float_of_int latency);
-        Port_stats.record ports ~port:p.dest ~value:1;
-        if recording then
-          record (Smbm_obs.Event.Transmit { dest = p.dest; value = 1; latency });
-        (match flight with
-        | None -> ()
-        | Some f ->
-          Smbm_obs.Flight.transmit f ~slot:(Proc_switch.now sw) ~src:fsrc
-            ~dest:p.dest ~value:1 ~latency);
-        observe p
-      in
-      fun () -> ignore (Proc_switch.transmit_phase sw ~on_transmit)
+    let on_transmit ~dest ~arrival =
+      let latency = Proc_switch.now sw - arrival in
+      Metrics.record_transmit metrics ~value:1
+        ~latency:(float_of_int latency);
+      Port_stats.record ports ~port:dest ~value:1;
+      if recording then
+        record (Smbm_obs.Event.Transmit { dest; value = 1; latency });
+      match flight with
+      | None -> ()
+      | Some f ->
+        Smbm_obs.Flight.transmit f ~slot:(Proc_switch.now sw) ~src:fsrc
+          ~dest ~value:1 ~latency
+    in
+    fun () -> ignore (Proc_switch.transmit_phase sw ~on_transmit)
   in
   let end_slot () =
     let occupancy = Proc_switch.occupancy sw in
@@ -163,7 +114,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
       name;
       arrive;
       arrive_dv;
-      arrive_batch;
+      arrive_batch = None;
       transmit;
       end_slot;
       flush;
@@ -175,8 +126,8 @@ let create_controlled ?name ?observe ?recorder ?flight config
   in
   (inst, sw)
 
-let create ?name ?observe ?recorder ?flight config (policy : Proc_policy.t) =
-  create_controlled ?name ?observe ?recorder ?flight config (ref policy)
+let create ?name ?recorder ?flight config (policy : Proc_policy.t) =
+  create_controlled ?name ?recorder ?flight config (ref policy)
 
-let instance ?name ?observe ?recorder ?flight config policy =
-  fst (create ?name ?observe ?recorder ?flight config policy)
+let instance ?name ?recorder ?flight config policy =
+  fst (create ?name ?recorder ?flight config policy)

@@ -14,24 +14,23 @@ open Smbm_core
 
 val create :
   ?name:string ->
-  ?observe:(Packet.Proc.t -> unit) ->
   ?recorder:Smbm_obs.Recorder.t ->
   ?flight:Smbm_obs.Flight.t ->
   Proc_config.t ->
   Proc_policy.t ->
   Instance.t * Proc_switch.t
 (** Fresh instance plus its underlying switch (exposed for inspection in
-    tests and examples).  [name] defaults to the policy's name; [observe] is
-    called on every transmitted packet (per-port tallies, latency
-    histograms, ...).  [recorder] receives every per-slot event (arrival,
-    accept, push-out, drop, transmit, slot-end) with this instance's name
-    as [who]; [flight] receives the same events into its allocation-free
-    ring (the instance name is interned once at creation).  Neither form of
-    recording changes any decision or counter. *)
+    tests and examples).  [name] defaults to the policy's name.  Per-port
+    transmission tallies are in the instance's [ports].  [recorder]
+    receives every per-slot event (arrival, accept, push-out, drop,
+    transmit, slot-end) with this instance's name as [who]; [flight]
+    receives the same events into its allocation-free ring (the instance
+    name is interned once at creation).  Neither form of recording changes
+    any decision or counter.  Every arrival goes through [arrive_dv]; the
+    instance's [arrive_batch] is [None]. *)
 
 val instance :
   ?name:string ->
-  ?observe:(Packet.Proc.t -> unit) ->
   ?recorder:Smbm_obs.Recorder.t ->
   ?flight:Smbm_obs.Flight.t ->
   Proc_config.t ->
@@ -41,7 +40,6 @@ val instance :
 
 val create_controlled :
   ?name:string ->
-  ?observe:(Packet.Proc.t -> unit) ->
   ?recorder:Smbm_obs.Recorder.t ->
   ?flight:Smbm_obs.Flight.t ->
   Proc_config.t ->

@@ -1,13 +1,9 @@
 open Smbm_core
 
-let create_controlled ?name ?observe ?recorder ?flight config
+let create_controlled ?name ?recorder ?flight config
     (policy_ref : Value_policy.t ref) =
   let name = Option.value name ~default:!policy_ref.name in
-  (* The policy carries the backend choice (set by [make ~impl], defaulted
-     from SMBM_BACKEND by the Policies registry), so every caller of the
-     engines picks up the flat representation with zero call-site
-     changes. *)
-  let sw = Value_switch.create ~backend:!policy_ref.backend config in
+  let sw = Value_switch.create config in
   let metrics = Metrics.create () in
   let ports = Port_stats.create ~n:(Value_config.n config) in
   let record =
@@ -34,7 +30,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
       Smbm_obs.Flight.arrival f ~slot:(Value_switch.now sw) ~src:fsrc ~dest);
     match Value_policy.admit !policy_ref sw ~dest ~value with
     | Decision.Accept ->
-      Value_switch.accept_unit sw ~dest ~value;
+      Value_switch.accept sw ~dest ~value;
       Metrics.record_accept metrics;
       if recording then record (Smbm_obs.Event.Accept { dest });
       (match flight with
@@ -45,7 +41,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
       if not (Value_switch.is_full sw) then
         invalid_arg
           (name ^ ": push-out decision while the buffer has free space");
-      let lost = Value_switch.push_out_lost sw ~victim in
+      let lost = Value_switch.push_out sw ~victim in
       Metrics.record_push_out metrics;
       if recording then
         record (Smbm_obs.Event.Push_out { victim; dest; lost });
@@ -54,7 +50,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
       | Some f ->
         Smbm_obs.Flight.push_out f ~slot:(Value_switch.now sw) ~src:fsrc
           ~victim ~dest ~lost);
-      Value_switch.accept_unit sw ~dest ~value;
+      Value_switch.accept sw ~dest ~value;
       Metrics.record_accept metrics;
       if recording then record (Smbm_obs.Event.Accept { dest });
       (match flight with
@@ -71,63 +67,21 @@ let create_controlled ?name ?observe ?recorder ?flight config
           ~value)
   in
   let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in
-  (* Fused arrival phase; see Proc_engine for the gating rationale. *)
-  let arrive_batch =
-    if recording || Option.is_some flight then None
-    else begin
-      let counters = Admission.counters () in
-      Some
-        (fun batch ->
-          match Value_policy.admit_batch !policy_ref with
-          | None -> Arrival_batch.iter batch ~f:arrive_dv
-          | Some kernel ->
-            Admission.reset counters;
-            kernel sw batch counters;
-            Metrics.record_admissions metrics
-              ~arrivals:(Arrival_batch.length batch)
-              ~accepted:counters.Admission.accepted
-              ~pushed_out:counters.Admission.pushed_out
-              ~dropped:counters.Admission.dropped)
-    end
-  in
   let transmit =
-    match observe with
-    | None ->
-      (* Fields-based transmission: no packet record per transmit, which is
-         what keeps the flat backend's hot path allocation-free. *)
-      let on_transmit ~dest ~value ~arrival =
-        let latency = Value_switch.now sw - arrival in
-        Metrics.record_transmit metrics ~value
-          ~latency:(float_of_int latency);
-        Port_stats.record ports ~port:dest ~value;
-        if recording then
-          record (Smbm_obs.Event.Transmit { dest; value; latency });
-        match flight with
-        | None -> ()
-        | Some f ->
-          Smbm_obs.Flight.transmit f ~slot:(Value_switch.now sw) ~src:fsrc
-            ~dest ~value ~latency
-      in
-      fun () -> ignore (Value_switch.transmit_phase_fields sw ~on_transmit)
-    | Some observe ->
-      (* An observer wants the packets; take the materializing path (on the
-         flat backend each is a per-transmit snapshot record). *)
-      let on_transmit (p : Packet.Value.t) =
-        let latency = Value_switch.now sw - p.arrival in
-        Metrics.record_transmit metrics ~value:p.value
-          ~latency:(float_of_int latency);
-        Port_stats.record ports ~port:p.dest ~value:p.value;
-        if recording then
-          record
-            (Smbm_obs.Event.Transmit { dest = p.dest; value = p.value; latency });
-        (match flight with
-        | None -> ()
-        | Some f ->
-          Smbm_obs.Flight.transmit f ~slot:(Value_switch.now sw) ~src:fsrc
-            ~dest:p.dest ~value:p.value ~latency);
-        observe p
-      in
-      fun () -> ignore (Value_switch.transmit_phase sw ~on_transmit)
+    let on_transmit ~dest ~value ~arrival =
+      let latency = Value_switch.now sw - arrival in
+      Metrics.record_transmit metrics ~value
+        ~latency:(float_of_int latency);
+      Port_stats.record ports ~port:dest ~value;
+      if recording then
+        record (Smbm_obs.Event.Transmit { dest; value; latency });
+      match flight with
+      | None -> ()
+      | Some f ->
+        Smbm_obs.Flight.transmit f ~slot:(Value_switch.now sw) ~src:fsrc
+          ~dest ~value ~latency
+    in
+    fun () -> ignore (Value_switch.transmit_phase sw ~on_transmit)
   in
   let end_slot () =
     let occupancy = Value_switch.occupancy sw in
@@ -161,7 +115,7 @@ let create_controlled ?name ?observe ?recorder ?flight config
       name;
       arrive;
       arrive_dv;
-      arrive_batch;
+      arrive_batch = None;
       transmit;
       end_slot;
       flush;
@@ -173,8 +127,8 @@ let create_controlled ?name ?observe ?recorder ?flight config
   in
   (inst, sw)
 
-let create ?name ?observe ?recorder ?flight config (policy : Value_policy.t) =
-  create_controlled ?name ?observe ?recorder ?flight config (ref policy)
+let create ?name ?recorder ?flight config (policy : Value_policy.t) =
+  create_controlled ?name ?recorder ?flight config (ref policy)
 
-let instance ?name ?observe ?recorder ?flight config policy =
-  fst (create ?name ?observe ?recorder ?flight config policy)
+let instance ?name ?recorder ?flight config policy =
+  fst (create ?name ?recorder ?flight config policy)

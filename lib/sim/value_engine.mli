@@ -6,18 +6,16 @@ open Smbm_core
 
 val create :
   ?name:string ->
-  ?observe:(Packet.Value.t -> unit) ->
   ?recorder:Smbm_obs.Recorder.t ->
   ?flight:Smbm_obs.Flight.t ->
   Value_config.t ->
   Value_policy.t ->
   Instance.t * Value_switch.t
-(** [observe] is called on every transmitted packet; [recorder] and
-    [flight] receive every per-slot event (see {!Proc_engine.create}). *)
+(** [recorder] and [flight] receive every per-slot event (see
+    {!Proc_engine.create}). *)
 
 val instance :
   ?name:string ->
-  ?observe:(Packet.Value.t -> unit) ->
   ?recorder:Smbm_obs.Recorder.t ->
   ?flight:Smbm_obs.Flight.t ->
   Value_config.t ->
@@ -26,7 +24,6 @@ val instance :
 
 val create_controlled :
   ?name:string ->
-  ?observe:(Packet.Value.t -> unit) ->
   ?recorder:Smbm_obs.Recorder.t ->
   ?flight:Smbm_obs.Flight.t ->
   Value_config.t ->

@@ -1,11 +1,10 @@
-(* Direct coverage of the flat struct-of-arrays switch backend and its
+(* Direct coverage of the switches' struct-of-arrays state and its
    building blocks: Int_ring unit tests, slab growth under [set_buffer],
-   fields-vs-packet transmit-path equivalence, engine-level metric identity
-   between the linked and flat backends, the flat-only API restrictions —
-   and the resize safety property (satellite of the flat-backend PR):
-   interleaving [set_buffer] grow/shrink with accepts, push-outs and
-   transmissions never drops a buffered packet and keeps every cached
-   aggregate in sync, on both switches and both backends. *)
+   engine-level metric identity between the production policies and their
+   scan references — and the resize safety property: interleaving
+   [set_buffer] grow/shrink with accepts, push-outs and transmissions never
+   drops a buffered packet and keeps every cached aggregate in sync, on
+   both switches. *)
 
 open Smbm_prelude
 open Smbm_core
@@ -96,9 +95,9 @@ let prop_int_ring_oracle =
 
 let test_proc_flat_slab_growth () =
   let config = Proc_config.make ~works:[| 2; 3 |] ~buffer:2 () in
-  let sw = Proc_switch.create ~backend:`Flat config in
-  Proc_switch.accept_unit sw ~dest:0;
-  Proc_switch.accept_unit sw ~dest:1;
+  let sw = Proc_switch.create config in
+  Proc_switch.accept sw ~dest:0;
+  Proc_switch.accept sw ~dest:1;
   Alcotest.(check bool) "full at 2" true (Proc_switch.is_full sw);
   (* Growing the buffer extends the slab; existing slots stay put. *)
   Proc_switch.set_buffer sw 64;
@@ -106,8 +105,8 @@ let test_proc_flat_slab_growth () =
   Alcotest.(check int) "occupancy kept" 2 (Proc_switch.occupancy sw);
   Alcotest.(check int) "work kept" 5 (Proc_switch.total_occupied_work sw);
   for _ = 1 to 31 do
-    Proc_switch.accept_unit sw ~dest:0;
-    Proc_switch.accept_unit sw ~dest:1
+    Proc_switch.accept sw ~dest:0;
+    Proc_switch.accept sw ~dest:1
   done;
   Proc_switch.check_invariants sw;
   Alcotest.(check int) "filled to 64" 64 (Proc_switch.occupancy sw);
@@ -124,14 +123,14 @@ let test_proc_flat_slab_growth () =
 
 let test_value_flat_slab_growth () =
   let config = Value_config.make ~ports:2 ~max_value:130 ~buffer:2 () in
-  let sw = Value_switch.create ~backend:`Flat config in
-  Value_switch.accept_unit sw ~dest:0 ~value:130;
-  Value_switch.accept_unit sw ~dest:1 ~value:1;
+  let sw = Value_switch.create config in
+  Value_switch.accept sw ~dest:0 ~value:130;
+  Value_switch.accept sw ~dest:1 ~value:1;
   Value_switch.set_buffer sw 40;
   Value_switch.check_invariants sw;
   Alcotest.(check (option int)) "min kept" (Some 1) (Value_switch.min_value sw);
   for i = 1 to 38 do
-    Value_switch.accept_unit sw ~dest:(i mod 2) ~value:((i * 7 mod 130) + 1)
+    Value_switch.accept sw ~dest:(i mod 2) ~value:((i * 7 mod 130) + 1)
   done;
   Value_switch.check_invariants sw;
   Alcotest.(check int) "filled to 40" 40 (Value_switch.occupancy sw);
@@ -141,103 +140,7 @@ let test_value_flat_slab_growth () =
     (fun () -> Value_switch.set_buffer sw 39);
   Alcotest.(check int) "flush" 40 (Value_switch.flush sw)
 
-(* --- flat-only API restrictions --- *)
-
-let test_flat_api_restrictions () =
-  let psw =
-    Proc_switch.create ~backend:`Flat (Proc_config.make ~works:[| 1 |] ~buffer:2 ())
-  in
-  Alcotest.(check bool) "proc backend" true (Proc_switch.backend psw = `Flat);
-  (try
-     ignore (Proc_switch.queue psw 0);
-     Alcotest.fail "Proc_switch.queue accepted a flat switch"
-   with Invalid_argument _ -> ());
-  let vsw =
-    Value_switch.create ~backend:`Flat
-      (Value_config.make ~ports:1 ~max_value:4 ~buffer:2 ())
-  in
-  Alcotest.(check bool) "value backend" true (Value_switch.backend vsw = `Flat);
-  (try
-     ignore (Value_switch.queue vsw 0);
-     Alcotest.fail "Value_switch.queue accepted a flat switch"
-   with Invalid_argument _ -> ());
-  (* Value range is validated up front on the flat backend. *)
-  (try
-     Value_switch.accept_unit vsw ~dest:0 ~value:5;
-     Alcotest.fail "out-of-range value accepted"
-   with Invalid_argument _ -> ());
-  Value_switch.check_invariants vsw
-
-(* --- fields-vs-packet transmit equivalence --- *)
-
-let test_proc_fields_transmit_equivalence () =
-  List.iter
-    (fun backend ->
-      let config =
-        Proc_config.make ~works:[| 2; 3; 1 |] ~buffer:6 ~speedup:2 ()
-      in
-      let a = Proc_switch.create ~backend config in
-      let b = Proc_switch.create ~backend config in
-      let drive sw i =
-        Proc_switch.accept_unit sw ~dest:(i mod 3);
-        if i mod 2 = 1 then Proc_switch.accept_unit sw ~dest:((i + 1) mod 3)
-      in
-      for round = 0 to 19 do
-        drive a round;
-        drive b round;
-        let pkts = ref [] and flds = ref [] in
-        let sent_a =
-          Proc_switch.transmit_phase a
-            ~on_transmit:(fun (p : Packet.Proc.t) ->
-              pkts := (p.dest, p.arrival) :: !pkts)
-        in
-        let sent_b =
-          Proc_switch.transmit_phase_fields b
-            ~on_transmit:(fun ~dest ~arrival ->
-              flds := (dest, arrival) :: !flds)
-        in
-        Alcotest.(check int) "sent count" sent_a sent_b;
-        Alcotest.(check (list (pair int int)))
-          "fields = packet path" (List.rev !pkts) (List.rev !flds);
-        Proc_switch.advance_slot a;
-        Proc_switch.advance_slot b
-      done)
-    [ `Linked; `Flat ]
-
-let test_value_fields_transmit_equivalence () =
-  List.iter
-    (fun backend ->
-      let config =
-        Value_config.make ~ports:3 ~max_value:9 ~buffer:6 ~speedup:2 ()
-      in
-      let a = Value_switch.create ~backend config in
-      let b = Value_switch.create ~backend config in
-      let drive sw i =
-        Value_switch.accept_unit sw ~dest:(i mod 3) ~value:((i * 5 mod 9) + 1)
-      in
-      for round = 0 to 29 do
-        drive a round;
-        drive b round;
-        let pkts = ref [] and flds = ref [] in
-        let sent_a =
-          Value_switch.transmit_phase a
-            ~on_transmit:(fun (p : Packet.Value.t) ->
-              pkts := (p.dest, p.value, p.arrival) :: !pkts)
-        in
-        let sent_b =
-          Value_switch.transmit_phase_fields b
-            ~on_transmit:(fun ~dest ~value ~arrival ->
-              flds := (dest, value, arrival) :: !flds)
-        in
-        Alcotest.(check int) "sent count" sent_a sent_b;
-        Alcotest.(check (list (triple int int int)))
-          "fields = packet path" (List.rev !pkts) (List.rev !flds);
-        Value_switch.advance_slot a;
-        Value_switch.advance_slot b
-      done)
-    [ `Linked; `Flat ]
-
-(* --- engine-level metric identity, linked vs flat --- *)
+(* --- engine-level metric identity, production index vs scan reference --- *)
 
 let check_metrics_equal name a b =
   let open Smbm_sim in
@@ -273,27 +176,25 @@ let drive_instance (inst : Smbm_sim.Instance.t) ~slots ~per_slot ~dv =
 
 let test_proc_engine_metric_identity () =
   let config = Proc_config.make ~works:[| 2; 3; 1; 4 |] ~buffer:8 () in
-  let run impl =
-    let inst =
-      Smbm_sim.Proc_engine.instance config (P_lwd.make ~impl config)
-    in
+  let run policy =
+    let inst = Smbm_sim.Proc_engine.instance config policy in
     drive_instance inst ~slots:200 ~per_slot:3 ~dv:(fun slot j ->
         ((((slot * 7) mod 11) + j) mod 4, 1));
     inst.metrics
   in
-  check_metrics_equal "P_lwd" (run `Indexed) (run `Flat)
+  check_metrics_equal "P_lwd" (run (P_lwd.make config))
+    (run (Scan_oracle.lwd_policy ()))
 
 let test_value_engine_metric_identity () =
   let config = Value_config.make ~ports:4 ~max_value:16 ~buffer:8 () in
-  let run impl =
-    let inst =
-      Smbm_sim.Value_engine.instance config (V_mrd.make ~impl config)
-    in
+  let run policy =
+    let inst = Smbm_sim.Value_engine.instance config policy in
     drive_instance inst ~slots:200 ~per_slot:3 ~dv:(fun slot j ->
         (((slot * 7) + j) mod 4, (((slot * 13) + (j * 5)) mod 16) + 1));
     inst.metrics
   in
-  check_metrics_equal "V_mrd" (run `Indexed) (run `Flat)
+  check_metrics_equal "V_mrd" (run (V_mrd.make config))
+    (run (Scan_oracle.mrd_policy ~protect_last:false ()))
 
 (* --- resize never drops a packet, aggregates stay in sync --- *)
 
@@ -351,113 +252,109 @@ let resize_ops_gen =
 
 let prop_proc_resize_never_drops =
   QCheck2.Test.make
-    ~name:"proc set_buffer never drops a packet (linked and flat)" ~count:200
+    ~name:"proc set_buffer never drops a packet" ~count:200
     resize_ops_gen
     (fun ops ->
-      List.for_all
-        (fun backend ->
-          let config = Proc_config.make ~works:[| 2; 1; 3 |] ~buffer:4 () in
-          let sw = Proc_switch.create ~backend config in
-          let sum_ports f =
-            let acc = ref 0 in
-            for j = 0 to Proc_switch.n sw - 1 do
-              acc := !acc + f sw j
-            done;
-            !acc
+      let config = Proc_config.make ~works:[| 2; 1; 3 |] ~buffer:4 () in
+      let sw = Proc_switch.create config in
+      let sum_ports f =
+        let acc = ref 0 in
+        for j = 0 to Proc_switch.n sw - 1 do
+          acc := !acc + f sw j
+        done;
+        !acc
+      in
+      run_resize_ops ops
+        ~occupancy:(fun () -> Proc_switch.occupancy sw)
+        ~buffer:(fun () -> Proc_switch.buffer sw)
+        ~set_buffer:(Proc_switch.set_buffer sw)
+        ~accept:(fun d -> Proc_switch.accept sw ~dest:d)
+        ~push_out:(fun () ->
+          (* Evict from the longest queue, like a policy would. *)
+          let victim = ref 0 in
+          for j = 1 to Proc_switch.n sw - 1 do
+            if
+              Proc_switch.queue_length sw j
+              > Proc_switch.queue_length sw !victim
+            then victim := j
+          done;
+          Proc_switch.push_out sw ~victim:!victim)
+        ~transmit:(fun () ->
+          let sent =
+            Proc_switch.transmit_phase sw
+              ~on_transmit:(fun ~dest:_ ~arrival:_ -> ())
           in
-          run_resize_ops ops
-            ~occupancy:(fun () -> Proc_switch.occupancy sw)
-            ~buffer:(fun () -> Proc_switch.buffer sw)
-            ~set_buffer:(Proc_switch.set_buffer sw)
-            ~accept:(fun d -> Proc_switch.accept_unit sw ~dest:d)
-            ~push_out:(fun () ->
-              (* Evict from the longest queue, like a policy would. *)
-              let victim = ref 0 in
-              for j = 1 to Proc_switch.n sw - 1 do
-                if
-                  Proc_switch.queue_length sw j
-                  > Proc_switch.queue_length sw !victim
-                then victim := j
-              done;
-              Proc_switch.push_out_unit sw ~victim:!victim)
-            ~transmit:(fun () ->
-              let sent =
-                Proc_switch.transmit_phase sw ~on_transmit:ignore
-              in
-              Proc_switch.advance_slot sw;
-              sent)
-            ~flush:(fun () -> Proc_switch.flush sw)
-            ~shrink_refused:(fun b ->
-              match Proc_switch.set_buffer sw b with
-              | () -> false
-              | exception Invalid_argument _ -> true)
-            ~check:(fun () ->
-              Proc_switch.check_invariants sw;
-              (* Aggregates stay in sync with the queues across resizes. *)
-              if sum_ports Proc_switch.queue_length <> Proc_switch.occupancy sw
-              then raise Exit;
-              if
-                sum_ports Proc_switch.queue_work
-                <> Proc_switch.total_occupied_work sw
-              then raise Exit))
-        [ `Linked; `Flat ])
+          Proc_switch.advance_slot sw;
+          sent)
+        ~flush:(fun () -> Proc_switch.flush sw)
+        ~shrink_refused:(fun b ->
+          match Proc_switch.set_buffer sw b with
+          | () -> false
+          | exception Invalid_argument _ -> true)
+        ~check:(fun () ->
+          Proc_switch.check_invariants sw;
+          (* Aggregates stay in sync with the queues across resizes. *)
+          if sum_ports Proc_switch.queue_length <> Proc_switch.occupancy sw
+          then raise Exit;
+          if
+            sum_ports Proc_switch.queue_work
+            <> Proc_switch.total_occupied_work sw
+          then raise Exit))
 
 let prop_value_resize_never_drops =
   QCheck2.Test.make
-    ~name:"value set_buffer never drops a packet (linked and flat)" ~count:200
+    ~name:"value set_buffer never drops a packet" ~count:200
     resize_ops_gen
     (fun ops ->
-      List.for_all
-        (fun backend ->
-          let config = Value_config.make ~ports:3 ~max_value:7 ~buffer:4 () in
-          let sw = Value_switch.create ~backend config in
-          let sum_ports f =
-            let acc = ref 0 in
-            for j = 0 to Value_switch.n sw - 1 do
-              acc := !acc + f sw j
-            done;
-            !acc
+      let config = Value_config.make ~ports:3 ~max_value:7 ~buffer:4 () in
+      let sw = Value_switch.create config in
+      let sum_ports f =
+        let acc = ref 0 in
+        for j = 0 to Value_switch.n sw - 1 do
+          acc := !acc + f sw j
+        done;
+        !acc
+      in
+      let step = ref 0 in
+      run_resize_ops ops
+        ~occupancy:(fun () -> Value_switch.occupancy sw)
+        ~buffer:(fun () -> Value_switch.buffer sw)
+        ~set_buffer:(Value_switch.set_buffer sw)
+        ~accept:(fun d ->
+          incr step;
+          Value_switch.accept sw ~dest:d
+            ~value:((!step * 5 mod 7) + 1))
+        ~push_out:(fun () ->
+          match Value_switch.min_value_port sw with
+          | None -> ()
+          | Some victim ->
+            ignore (Value_switch.push_out sw ~victim : int))
+        ~transmit:(fun () ->
+          let sent =
+            Value_switch.transmit_phase sw
+              ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ())
           in
-          let step = ref 0 in
-          run_resize_ops ops
-            ~occupancy:(fun () -> Value_switch.occupancy sw)
-            ~buffer:(fun () -> Value_switch.buffer sw)
-            ~set_buffer:(Value_switch.set_buffer sw)
-            ~accept:(fun d ->
-              incr step;
-              Value_switch.accept_unit sw ~dest:d
-                ~value:((!step * 5 mod 7) + 1))
-            ~push_out:(fun () ->
-              match Value_switch.min_value_port sw with
-              | None -> ()
-              | Some victim ->
-                ignore (Value_switch.push_out_lost sw ~victim : int))
-            ~transmit:(fun () ->
-              let sent =
-                Value_switch.transmit_phase sw ~on_transmit:ignore
-              in
-              Value_switch.advance_slot sw;
-              sent)
-            ~flush:(fun () -> Value_switch.flush sw)
-            ~shrink_refused:(fun b ->
-              match Value_switch.set_buffer sw b with
-              | () -> false
-              | exception Invalid_argument _ -> true)
-            ~check:(fun () ->
-              Value_switch.check_invariants sw;
-              if
-                sum_ports Value_switch.queue_length
-                <> Value_switch.occupancy sw
-              then raise Exit;
-              match Value_switch.min_value sw with
-              | None -> if Value_switch.occupancy sw <> 0 then raise Exit
-              | Some m -> (
-                match Value_switch.min_value_port sw with
-                | None -> raise Exit
-                | Some j ->
-                  if Value_switch.queue_min_value sw j <> Some m then
-                    raise Exit)))
-        [ `Linked; `Flat ])
+          Value_switch.advance_slot sw;
+          sent)
+        ~flush:(fun () -> Value_switch.flush sw)
+        ~shrink_refused:(fun b ->
+          match Value_switch.set_buffer sw b with
+          | () -> false
+          | exception Invalid_argument _ -> true)
+        ~check:(fun () ->
+          Value_switch.check_invariants sw;
+          if
+            sum_ports Value_switch.queue_length
+            <> Value_switch.occupancy sw
+          then raise Exit;
+          match Value_switch.min_value sw with
+          | None -> if Value_switch.occupancy sw <> 0 then raise Exit
+          | Some m -> (
+            match Value_switch.min_value_port sw with
+            | None -> raise Exit
+            | Some j ->
+              if Value_switch.queue_min_value sw j <> Some m then
+                raise Exit)))
 
 let suite =
   [
@@ -469,15 +366,9 @@ let suite =
       test_proc_flat_slab_growth;
     Alcotest.test_case "value flat slab growth" `Quick
       test_value_flat_slab_growth;
-    Alcotest.test_case "flat API restrictions" `Quick
-      test_flat_api_restrictions;
-    Alcotest.test_case "proc fields transmit = packet transmit" `Quick
-      test_proc_fields_transmit_equivalence;
-    Alcotest.test_case "value fields transmit = packet transmit" `Quick
-      test_value_fields_transmit_equivalence;
-    Alcotest.test_case "proc engine metrics: linked = flat" `Quick
+    Alcotest.test_case "proc engine metrics: scan = index" `Quick
       test_proc_engine_metric_identity;
-    Alcotest.test_case "value engine metrics: linked = flat" `Quick
+    Alcotest.test_case "value engine metrics: scan = index" `Quick
       test_value_engine_metric_identity;
     Qc.to_alcotest prop_proc_resize_never_drops;
     Qc.to_alcotest prop_value_resize_never_drops;

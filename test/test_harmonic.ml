@@ -40,6 +40,29 @@ let prop_recurrence =
       abs_float (Harmonic.h n -. Harmonic.h (n - 1) -. (1.0 /. float_of_int n))
       < 1e-12)
 
+(* Several domains grow the shared memo table at once: each calls [h] with
+   increasing [n] and checks every value against its own sequential sum
+   (the same recurrence, so equality is exact). *)
+let test_concurrent_growth () =
+  let top = 300_000 in
+  let expected = Array.make (top + 1) 0.0 in
+  for i = 1 to top do
+    expected.(i) <- expected.(i - 1) +. (1.0 /. float_of_int i)
+  done;
+  let worker d () =
+    let bad = ref 0 in
+    let n = ref (1 + d) in
+    while !n <= top do
+      if Harmonic.h !n <> expected.(!n) then incr bad;
+      if Harmonic.h (!n / 2) <> expected.(!n / 2) then incr bad;
+      n := !n + 1 + (!n / 64)
+    done;
+    !bad
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
+  let bad = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+  Alcotest.(check int) "values off the sequential sum" 0 bad
+
 let suite =
   [
     Alcotest.test_case "base cases" `Quick test_base_cases;
@@ -48,4 +71,6 @@ let suite =
     Alcotest.test_case "h_range" `Quick test_h_range;
     Alcotest.test_case "asymptotic approximation" `Quick test_approx_close;
     Qc.to_alcotest prop_recurrence;
+    Alcotest.test_case "concurrent growth across domains" `Quick
+      test_concurrent_growth;
   ]

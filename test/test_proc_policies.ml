@@ -206,8 +206,8 @@ let test_lwd_accounts_residual_work () =
     (Decision.Push_out { victim = 3 })
     (Proc_policy.admit p sw ~dest:1);
   (* Two transmission phases: Q0 transmits 2 (W=3), Q3 works down to W=4. *)
-  ignore (Proc_switch.transmit_phase sw ~on_transmit:(fun _ -> ()));
-  ignore (Proc_switch.transmit_phase sw ~on_transmit:(fun _ -> ()));
+  ignore (Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest:_ ~arrival:_ -> ()));
+  ignore (Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest:_ ~arrival:_ -> ()));
   Alcotest.(check int) "W0" 3 (Proc_switch.queue_work sw 0);
   Alcotest.(check int) "W3" 4 (Proc_switch.queue_work sw 3);
   Alcotest.(check bool) "buffer not full now" false (Proc_switch.is_full sw)

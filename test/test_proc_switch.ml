@@ -3,44 +3,50 @@ open Smbm_core
 let config ?(buffer = 4) ?(speedup = 1) works =
   Proc_config.make ~works ~buffer ~speedup ()
 
+let no_hook ~dest:_ ~arrival:_ = ()
+
 let test_accept_and_occupancy () =
   let sw = Proc_switch.create (config ~buffer:2 [| 1; 2 |]) in
   Alcotest.(check int) "free" 2 (Proc_switch.free_space sw);
-  let p = Proc_switch.accept sw ~dest:1 in
-  Alcotest.(check int) "work from port" 2 p.Packet.Proc.work;
+  Proc_switch.accept sw ~dest:1;
+  Alcotest.(check (list int)) "work from port" [ 2 ]
+    (Ports.seconds (Ports.proc sw 1));
   Alcotest.(check int) "occupancy" 1 (Proc_switch.occupancy sw);
-  ignore (Proc_switch.accept sw ~dest:0);
+  Proc_switch.accept sw ~dest:0;
   Alcotest.(check bool) "full" true (Proc_switch.is_full sw);
   match Proc_switch.accept sw ~dest:0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accept on full buffer"
+  | () -> Alcotest.fail "accept on full buffer"
 
 let test_ids_are_unique_and_ordered () =
   let sw = Proc_switch.create (config ~buffer:3 [| 1 |]) in
-  let a = Proc_switch.accept sw ~dest:0 in
-  let b = Proc_switch.accept sw ~dest:0 in
-  Alcotest.(check bool) "increasing ids" true (b.Packet.Proc.id > a.Packet.Proc.id)
+  Proc_switch.accept sw ~dest:0;
+  Proc_switch.accept sw ~dest:0;
+  match Ports.ids (Ports.proc sw 0) with
+  | [ a; b ] -> Alcotest.(check bool) "increasing ids" true (b > a)
+  | _ -> Alcotest.fail "expected two packets"
 
 let test_push_out () =
   let sw = Proc_switch.create (config ~buffer:2 [| 1; 2 |]) in
-  ignore (Proc_switch.accept sw ~dest:1);
-  ignore (Proc_switch.accept sw ~dest:1);
-  let victim = Proc_switch.push_out sw ~victim:1 in
-  Alcotest.(check int) "tail (most recent) popped" 1 victim.Packet.Proc.id;
+  Proc_switch.accept sw ~dest:1;
+  Proc_switch.accept sw ~dest:1;
+  Proc_switch.push_out sw ~victim:1;
+  Alcotest.(check (list int)) "tail (most recent) popped" [ 0 ]
+    (Ports.ids (Ports.proc sw 1));
   Alcotest.(check int) "occupancy back to 1" 1 (Proc_switch.occupancy sw);
   match Proc_switch.push_out sw ~victim:0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "push_out of empty queue"
+  | () -> Alcotest.fail "push_out of empty queue"
 
 let test_transmit_phase_each_queue () =
   (* Ports with works 1 and 2: the work-1 port transmits every slot, the
      work-2 port every other slot. *)
   let sw = Proc_switch.create (config ~buffer:4 [| 1; 2 |]) in
-  ignore (Proc_switch.accept sw ~dest:0);
-  ignore (Proc_switch.accept sw ~dest:1);
-  let sent = Proc_switch.transmit_phase sw ~on_transmit:(fun _ -> ()) in
+  Proc_switch.accept sw ~dest:0;
+  Proc_switch.accept sw ~dest:1;
+  let sent = Proc_switch.transmit_phase sw ~on_transmit:no_hook in
   Alcotest.(check int) "first slot: work-1 done" 1 sent;
-  let sent = Proc_switch.transmit_phase sw ~on_transmit:(fun _ -> ()) in
+  let sent = Proc_switch.transmit_phase sw ~on_transmit:no_hook in
   Alcotest.(check int) "second slot: work-2 done" 1 sent;
   Alcotest.(check int) "empty" 0 (Proc_switch.occupancy sw)
 
@@ -48,26 +54,26 @@ let test_transmit_speedup () =
   (* Speedup 3 on a work-2 port: one packet completes and the next is half
      processed within a single slot. *)
   let sw = Proc_switch.create (config ~buffer:4 ~speedup:3 [| 2 |]) in
-  ignore (Proc_switch.accept sw ~dest:0);
-  ignore (Proc_switch.accept sw ~dest:0);
-  let sent = Proc_switch.transmit_phase sw ~on_transmit:(fun _ -> ()) in
+  Proc_switch.accept sw ~dest:0;
+  Proc_switch.accept sw ~dest:0;
+  let sent = Proc_switch.transmit_phase sw ~on_transmit:no_hook in
   Alcotest.(check int) "one completed" 1 sent;
-  Alcotest.(check int) "next half done" 1
-    (Work_queue.hol_residual (Proc_switch.queue sw 0))
+  Alcotest.(check (list int)) "next half done" [ 1 ]
+    (Ports.seconds (Ports.proc sw 0))
 
 let test_total_work_view () =
   let sw = Proc_switch.create (config ~buffer:4 [| 1; 3 |]) in
-  ignore (Proc_switch.accept sw ~dest:1);
-  ignore (Proc_switch.accept sw ~dest:1);
+  Proc_switch.accept sw ~dest:1;
+  Proc_switch.accept sw ~dest:1;
   Alcotest.(check int) "W_1" 6 (Proc_switch.queue_work sw 1);
   Alcotest.(check int) "total" 6 (Proc_switch.total_occupied_work sw);
-  ignore (Proc_switch.transmit_phase sw ~on_transmit:(fun _ -> ()));
+  ignore (Proc_switch.transmit_phase sw ~on_transmit:no_hook);
   Alcotest.(check int) "after one cycle" 5 (Proc_switch.queue_work sw 1)
 
 let test_flush () =
   let sw = Proc_switch.create (config ~buffer:4 [| 1; 2 |]) in
-  ignore (Proc_switch.accept sw ~dest:0);
-  ignore (Proc_switch.accept sw ~dest:1);
+  Proc_switch.accept sw ~dest:0;
+  Proc_switch.accept sw ~dest:1;
   Alcotest.(check int) "flushed count" 2 (Proc_switch.flush sw);
   Alcotest.(check int) "occupancy" 0 (Proc_switch.occupancy sw);
   Proc_switch.check_invariants sw
@@ -78,17 +84,22 @@ let test_clock () =
   Proc_switch.advance_slot sw;
   Proc_switch.advance_slot sw;
   Alcotest.(check int) "advanced" 2 (Proc_switch.now sw);
-  let p = Proc_switch.accept sw ~dest:0 in
-  Alcotest.(check int) "arrival stamped" 2 p.Packet.Proc.arrival
+  Proc_switch.accept sw ~dest:0;
+  match Ports.proc sw 0 with
+  | [ (_, _, arrival) ] -> Alcotest.(check int) "arrival stamped" 2 arrival
+  | _ -> Alcotest.fail "expected one packet"
 
 let test_invariants_pass () =
   let sw = Proc_switch.create (config ~buffer:8 [| 1; 2; 3 |]) in
   for _ = 1 to 5 do
-    ignore (Proc_switch.accept sw ~dest:1)
+    Proc_switch.accept sw ~dest:1
   done;
-  ignore (Proc_switch.transmit_phase sw ~on_transmit:(fun _ -> ()));
+  ignore (Proc_switch.transmit_phase sw ~on_transmit:no_hook);
   Proc_switch.check_invariants sw
 
+(* Every phase transmits a prefix of each queue: what remains is the
+   pre-phase contents minus as many head packets as the hook reported for
+   that port. *)
 let prop_fifo_order =
   QCheck2.Test.make
     ~name:"packets transmit in FIFO order per queue under random driving"
@@ -96,21 +107,27 @@ let prop_fifo_order =
     QCheck2.Gen.(list (int_range 0 2))
     (fun dests ->
       let sw = Proc_switch.create (config ~buffer:6 [| 1; 2; 3 |]) in
-      let last_sent = Array.make 3 (-1) in
       let ok = ref true in
-      let on_transmit (p : Packet.Proc.t) =
-        if p.id <= last_sent.(p.dest) then ok := false;
-        last_sent.(p.dest) <- p.id
+      let phase () =
+        let before = Array.init 3 (fun i -> Ports.ids (Ports.proc sw i)) in
+        let sent = Array.make 3 0 in
+        ignore
+          (Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest ~arrival:_ ->
+               sent.(dest) <- sent.(dest) + 1));
+        Array.iteri
+          (fun i ids ->
+            let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
+            if drop sent.(i) ids <> Ports.ids (Ports.proc sw i) then ok := false)
+          before
       in
       List.iter
         (fun dest ->
-          if not (Proc_switch.is_full sw) then
-            ignore (Proc_switch.accept sw ~dest);
-          ignore (Proc_switch.transmit_phase sw ~on_transmit);
+          if not (Proc_switch.is_full sw) then Proc_switch.accept sw ~dest;
+          phase ();
           Proc_switch.advance_slot sw)
         dests;
       for _ = 1 to 20 do
-        ignore (Proc_switch.transmit_phase sw ~on_transmit)
+        phase ()
       done;
       !ok && Proc_switch.occupancy sw = 0)
 

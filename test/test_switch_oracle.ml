@@ -1,58 +1,75 @@
-(* Differential testing: the optimized switch implementations (ring-buffer
-   deques with cached aggregates; value buckets with cached sums) against
-   deliberately naive list-based oracles, under long random operation
-   sequences. *)
+(* Differential testing: the switches' struct-of-arrays state (slot rings
+   and value buckets with cached aggregates) against deliberately naive
+   list-based oracles, under long random operation sequences.  After every
+   operation the whole per-port contents must agree, read through
+   [iter_port]: packet ids, residual work or values, arrival slots, and the
+   order within each queue — FIFO for the processing model; for the value
+   model, value descending with the oldest first among equal values, so
+   push-out takes the youngest packet of the minimum value and
+   transmission the oldest packet of the maximum value. *)
 
 open Smbm_core
 
-(* --- processing-model oracle: queues as lists of residuals --- *)
+(* --- processing-model oracle: queues as lists of (id, residual, arrival) --- *)
 
 module Proc_oracle = struct
   type t = {
     works : int array;
-    buffer : int;
     speedup : int;
-    mutable queues : int list array;  (* residuals, head first *)
+    queues : (int * int * int) list array;  (* head first *)
+    mutable next_id : int;
+    mutable now : int;
   }
 
-  let create ~works ~buffer ~speedup =
-    { works; buffer; speedup; queues = Array.make (Array.length works) [] }
+  let create ~works ~speedup =
+    {
+      works;
+      speedup;
+      queues = Array.make (Array.length works) [];
+      next_id = 0;
+      now = 0;
+    }
 
   let occupancy t =
     Array.fold_left (fun acc q -> acc + List.length q) 0 t.queues
 
-  let accept t ~dest = t.queues.(dest) <- t.queues.(dest) @ [ t.works.(dest) ]
+  let accept t ~dest =
+    t.queues.(dest) <- t.queues.(dest) @ [ (t.next_id, t.works.(dest), t.now) ];
+    t.next_id <- t.next_id + 1
 
   let push_out t ~victim =
     match List.rev t.queues.(victim) with
     | [] -> invalid_arg "oracle: empty victim"
     | _ :: rest_rev -> t.queues.(victim) <- List.rev rest_rev
 
+  (* Returns the transmitted (dest, arrival) pairs in order. *)
   let transmit t =
-    let sent = ref 0 in
+    let sent = ref [] in
     Array.iteri
       (fun i q ->
         let budget = ref t.speedup in
         let rec serve = function
           | [] -> []
-          | hol :: rest ->
-            if !budget = 0 then hol :: rest
+          | (id, hol, arrival) :: rest ->
+            if !budget = 0 then (id, hol, arrival) :: rest
             else begin
               let used = min !budget hol in
               budget := !budget - used;
               if hol - used = 0 then begin
-                incr sent;
+                sent := (i, arrival) :: !sent;
                 serve rest
               end
-              else (hol - used) :: rest
+              else (id, hol - used, arrival) :: rest
             end
         in
         t.queues.(i) <- serve q)
       t.queues;
-    !sent
+    List.rev !sent
 
-  let lengths t = Array.map List.length t.queues
-  let works_totals t = Array.map (List.fold_left ( + ) 0) t.queues
+  let flush t =
+    let n = occupancy t in
+    Array.fill t.queues 0 (Array.length t.queues) [];
+    n
 end
 
 let prop_proc_switch_matches_oracle =
@@ -77,77 +94,100 @@ let prop_proc_switch_matches_oracle =
     (fun (works, buffer, speedup, ops) ->
       let config = Proc_config.make ~works ~buffer ~speedup () in
       let sw = Proc_switch.create config in
-      let oracle = Proc_oracle.create ~works ~buffer ~speedup in
+      let oracle = Proc_oracle.create ~works ~speedup in
       let ok = ref true in
       List.iter
         (fun op ->
           (match op with
           | `Accept dest ->
             if not (Proc_switch.is_full sw) then begin
-              ignore (Proc_switch.accept sw ~dest);
+              Proc_switch.accept sw ~dest;
               Proc_oracle.accept oracle ~dest
             end
           | `Push_out victim ->
             if Proc_switch.queue_length sw victim > 0 then begin
-              ignore (Proc_switch.push_out sw ~victim);
+              Proc_switch.push_out sw ~victim;
               Proc_oracle.push_out oracle ~victim
             end
           | `Transmit ->
-            let a = Proc_switch.transmit_phase sw ~on_transmit:(fun _ -> ()) in
+            let sent = ref [] in
+            let a =
+              Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest ~arrival ->
+                  sent := (dest, arrival) :: !sent)
+            in
             let b = Proc_oracle.transmit oracle in
-            if a <> b then ok := false
+            if a <> List.length b || List.rev !sent <> b then ok := false;
+            Proc_switch.advance_slot sw;
+            oracle.now <- oracle.now + 1
           | `Flush ->
-            let flushed = Proc_switch.flush sw in
-            if flushed <> Proc_oracle.occupancy oracle then ok := false;
-            Array.iteri (fun i _ -> oracle.Proc_oracle.queues.(i) <- []) oracle.Proc_oracle.queues);
+            if Proc_switch.flush sw <> Proc_oracle.flush oracle then ok := false);
           Proc_switch.check_invariants sw;
           if Proc_switch.occupancy sw <> Proc_oracle.occupancy oracle then
             ok := false;
-          let lengths = Proc_oracle.lengths oracle in
-          let totals = Proc_oracle.works_totals oracle in
           Array.iteri
-            (fun i l ->
-              if Proc_switch.queue_length sw i <> l then ok := false;
-              if Proc_switch.queue_work sw i <> totals.(i) then ok := false)
-            lengths)
+            (fun i q ->
+              if Ports.proc sw i <> q then ok := false;
+              if Proc_switch.queue_length sw i <> List.length q then ok := false;
+              let work = List.fold_left (fun acc (_, r, _) -> acc + r) 0 q in
+              if Proc_switch.queue_work sw i <> work then ok := false)
+            oracle.queues)
         ops;
       !ok)
 
-(* --- value-model oracle: queues as descending-sorted value lists --- *)
+(* --- value-model oracle: queues as lists in transmission order --- *)
 
 module Value_oracle = struct
-  type t = { speedup : int; mutable queues : int list array }
+  type t = {
+    speedup : int;
+    queues : (int * int * int) list array;  (* (id, value, arrival) *)
+    mutable next_id : int;
+    mutable now : int;
+  }
 
-  let create ~n ~speedup = { speedup; queues = Array.make n [] }
+  let create ~n ~speedup =
+    { speedup; queues = Array.make n []; next_id = 0; now = 0 }
 
   let occupancy t =
     Array.fold_left (fun acc q -> acc + List.length q) 0 t.queues
 
+  (* The newcomer is the youngest packet: it goes after every packet of
+     equal or larger value. *)
   let accept t ~dest ~value =
-    t.queues.(dest) <-
-      List.sort (fun a b -> compare b a) (value :: t.queues.(dest))
+    let p = (t.next_id, value, t.now) in
+    t.next_id <- t.next_id + 1;
+    let rec insert = function
+      | ((_, v, _) as q) :: rest when v >= value -> q :: insert rest
+      | rest -> p :: rest
+    in
+    t.queues.(dest) <- insert t.queues.(dest)
 
+  (* The last element is the youngest packet of the minimum value. *)
   let push_out t ~victim =
     match List.rev t.queues.(victim) with
     | [] -> invalid_arg "oracle: empty victim"
-    | v :: rest_rev ->
+    | (_, v, _) :: rest_rev ->
       t.queues.(victim) <- List.rev rest_rev;
       v
 
+  (* Returns the transmitted (dest, value, arrival) triples in order. *)
   let transmit t =
-    let value = ref 0 and count = ref 0 in
+    let sent = ref [] in
     Array.iteri
       (fun i q ->
         let rec take budget = function
-          | v :: rest when budget > 0 ->
-            value := !value + v;
-            incr count;
+          | (_, v, arrival) :: rest when budget > 0 ->
+            sent := (i, v, arrival) :: !sent;
             take (budget - 1) rest
           | rest -> rest
         in
         t.queues.(i) <- take t.speedup q)
       t.queues;
-    (!count, !value)
+    List.rev !sent
+
+  let flush t =
+    let n = occupancy t in
+    Array.fill t.queues 0 (Array.length t.queues) [];
+    n
 end
 
 let prop_value_switch_matches_oracle =
@@ -160,11 +200,17 @@ let prop_value_switch_matches_oracle =
       let* speedup = int_range 1 3 in
       let* ops =
         list_size (int_range 1 60)
-          (oneof
+          (frequency
              [
-               map2 (fun d v -> `Accept (d, v)) (int_range 0 (n - 1)) (int_range 1 k);
-               map (fun v -> `Push_out v) (int_range 0 (n - 1));
-               pure `Transmit;
+               ( 3,
+                 map2
+                   (fun d v -> `Accept (d, v))
+                   (int_range 0 (n - 1))
+                   (int_range 1 k) );
+               (1, map (fun v -> `Push_out v) (int_range 0 (n - 1)));
+               (1, pure `Transmit);
+               (1, pure `Advance);
+               (1, pure `Flush);
              ])
       in
       pure (n, k, buffer, speedup, ops))
@@ -178,34 +224,43 @@ let prop_value_switch_matches_oracle =
           (match op with
           | `Accept (dest, value) ->
             if not (Value_switch.is_full sw) then begin
-              ignore (Value_switch.accept sw ~dest ~value);
+              Value_switch.accept sw ~dest ~value;
               Value_oracle.accept oracle ~dest ~value
             end
           | `Push_out victim ->
             if Value_switch.queue_length sw victim > 0 then begin
-              let p = Value_switch.push_out sw ~victim in
-              let v = Value_oracle.push_out oracle ~victim in
-              if p.Packet.Value.value <> v then ok := false
+              let lost = Value_switch.push_out sw ~victim in
+              if lost <> Value_oracle.push_out oracle ~victim then ok := false
             end
           | `Transmit ->
-            let value = ref 0 and count = ref 0 in
-            ignore
-              (Value_switch.transmit_phase sw ~on_transmit:(fun p ->
-                   value := !value + p.Packet.Value.value;
-                   incr count));
-            let c, v = Value_oracle.transmit oracle in
-            if !count <> c || !value <> v then ok := false);
+            let sent = ref [] in
+            let c =
+              Value_switch.transmit_phase sw
+                ~on_transmit:(fun ~dest ~value ~arrival ->
+                  sent := (dest, value, arrival) :: !sent)
+            in
+            let expected = Value_oracle.transmit oracle in
+            if c <> List.length expected || List.rev !sent <> expected then
+              ok := false
+          | `Advance ->
+            Value_switch.advance_slot sw;
+            oracle.now <- oracle.now + 1
+          | `Flush ->
+            if Value_switch.flush sw <> Value_oracle.flush oracle then
+              ok := false);
           Value_switch.check_invariants sw;
           if Value_switch.occupancy sw <> Value_oracle.occupancy oracle then
             ok := false;
           Array.iteri
             (fun i q ->
+              if Ports.value sw i <> q then ok := false;
               if Value_switch.queue_length sw i <> List.length q then
                 ok := false;
-              let min_v = match List.rev q with [] -> None | v :: _ -> Some v in
-              if Value_queue.min_value (Value_switch.queue sw i) <> min_v then
-                ok := false)
-            oracle.Value_oracle.queues)
+              let min_v = match List.rev q with [] -> None | (_, v, _) :: _ -> Some v in
+              if Value_switch.queue_min_value sw i <> min_v then ok := false;
+              let sum = List.fold_left (fun acc (_, v, _) -> acc + v) 0 q in
+              if Value_switch.queue_total_value sw i <> sum then ok := false)
+            oracle.queues)
         ops;
       !ok)
 

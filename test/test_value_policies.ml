@@ -298,7 +298,7 @@ let prop_mvd_never_evicts_better =
       let config, sw, dest, value = build input in
       match Value_policy.admit (V_mvd.make config) sw ~dest ~value with
       | Decision.Push_out { victim } -> (
-        match Value_queue.min_value (Value_switch.queue sw victim) with
+        match Value_switch.queue_min_value sw victim with
         | Some m ->
           m < value && Value_switch.min_value sw = Some m
         | None -> false)

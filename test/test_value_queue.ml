@@ -1,70 +1,89 @@
+(* The per-port priority queue of Value_switch, exercised through a
+   single-port switch: value aggregates, the value range, and the pinned
+   intra-bucket order — transmission takes the oldest packet of the
+   maximum value, push-out the youngest packet of the minimum value. *)
+
 open Smbm_core
 
-let packet ?(id = 0) ~value () = Packet.Value.make ~id ~dest:0 ~value ~arrival:0
+let single ?(buffer = 1000) k =
+  Value_switch.create (Value_config.make ~ports:1 ~max_value:k ~buffer ())
+
+let values sw = Ports.seconds (Ports.value sw 0)
+
+let max_value sw = match values sw with [] -> None | v :: _ -> Some v
+
+let average sw =
+  let n = Value_switch.queue_length sw 0 in
+  if n = 0 then 0.0
+  else float_of_int (Value_switch.queue_total_value sw 0) /. float_of_int n
+
+let push sw v = Value_switch.accept sw ~dest:0 ~value:v
+
+(* One packet off the maximum end: speedup 1, single port. *)
+let pop_max sw =
+  let got = ref None in
+  ignore
+    (Value_switch.transmit_phase sw ~on_transmit:(fun ~dest:_ ~value ~arrival:_ ->
+         got := Some value));
+  !got
 
 let test_empty () =
-  let q = Value_queue.create ~k:4 in
-  Alcotest.(check int) "length" 0 (Value_queue.length q);
-  Alcotest.(check (option int)) "min" None (Value_queue.min_value q);
-  Alcotest.(check (option int)) "max" None (Value_queue.max_value q);
-  Alcotest.(check (float 1e-9)) "avg" 0.0 (Value_queue.average_value q)
+  let sw = single 4 in
+  Alcotest.(check int) "length" 0 (Value_switch.queue_length sw 0);
+  Alcotest.(check (option int)) "min" None (Value_switch.queue_min_value sw 0);
+  Alcotest.(check (option int)) "max" None (max_value sw);
+  Alcotest.(check (float 1e-9)) "avg" 0.0 (average sw)
 
 let test_push_and_aggregates () =
-  let q = Value_queue.create ~k:10 in
-  List.iter (fun v -> Value_queue.push q (packet ~value:v ())) [ 4; 9; 1; 4 ];
-  Alcotest.(check int) "length" 4 (Value_queue.length q);
-  Alcotest.(check int) "total" 18 (Value_queue.total_value q);
-  Alcotest.(check (float 1e-9)) "avg" 4.5 (Value_queue.average_value q);
-  Alcotest.(check (option int)) "min" (Some 1) (Value_queue.min_value q);
-  Alcotest.(check (option int)) "max" (Some 9) (Value_queue.max_value q)
+  let sw = single 10 in
+  List.iter (push sw) [ 4; 9; 1; 4 ];
+  Alcotest.(check int) "length" 4 (Value_switch.queue_length sw 0);
+  Alcotest.(check int) "total" 18 (Value_switch.queue_total_value sw 0);
+  Alcotest.(check (float 1e-9)) "avg" 4.5 (average sw);
+  Alcotest.(check (option int)) "min" (Some 1) (Value_switch.queue_min_value sw 0);
+  Alcotest.(check (option int)) "max" (Some 9) (max_value sw)
 
 let test_value_range () =
-  let q = Value_queue.create ~k:3 in
-  match Value_queue.push q (packet ~value:4 ()) with
+  let sw = single 3 in
+  (match push sw 4 with
   | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "out-of-range value accepted"
+  | () -> Alcotest.fail "value above k accepted");
+  match push sw 0 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "value below 1 accepted"
 
 let test_pop_max_is_fifo_within_value () =
-  let q = Value_queue.create ~k:5 in
-  Value_queue.push q (packet ~id:1 ~value:5 ());
-  Value_queue.push q (packet ~id:2 ~value:5 ());
-  Value_queue.push q (packet ~id:3 ~value:2 ());
-  let p = Value_queue.pop_max q in
-  Alcotest.(check int) "value" 5 p.Packet.Value.value;
-  Alcotest.(check int) "earliest of the ties" 1 p.Packet.Value.id
+  let sw = single 5 in
+  List.iter (push sw) [ 5; 5; 2 ];
+  Alcotest.(check (option int)) "value" (Some 5) (pop_max sw);
+  Alcotest.(check (list int)) "earliest of the ties left first" [ 1; 2 ]
+    (Ports.ids (Ports.value sw 0))
 
 let test_pop_min_is_lifo_within_value () =
-  let q = Value_queue.create ~k:5 in
-  Value_queue.push q (packet ~id:1 ~value:2 ());
-  Value_queue.push q (packet ~id:2 ~value:2 ());
-  Value_queue.push q (packet ~id:3 ~value:5 ());
-  let p = Value_queue.pop_min q in
-  Alcotest.(check int) "value" 2 p.Packet.Value.value;
-  Alcotest.(check int) "most recent of the ties" 2 p.Packet.Value.id
+  let sw = single 5 in
+  List.iter (push sw) [ 2; 2; 5 ];
+  Alcotest.(check int) "value" 2 (Value_switch.push_out sw ~victim:0);
+  Alcotest.(check (list int)) "most recent of the ties evicted" [ 2; 0 ]
+    (Ports.ids (Ports.value sw 0))
 
 let test_pop_empty () =
-  let q = Value_queue.create ~k:2 in
-  (match Value_queue.pop_min q with
+  let sw = single 2 in
+  (match Value_switch.push_out sw ~victim:0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "pop_min on empty");
-  match Value_queue.pop_max q with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "pop_max on empty"
+  | _ -> Alcotest.fail "push_out on empty");
+  Alcotest.(check (option int)) "transmit on empty" None (pop_max sw)
 
 let test_to_list_sorted_descending () =
-  let q = Value_queue.create ~k:9 in
-  List.iter (fun v -> Value_queue.push q (packet ~value:v ())) [ 3; 8; 1; 8; 5 ];
-  let values =
-    List.map (fun (p : Packet.Value.t) -> p.value) (Value_queue.to_list q)
-  in
-  Alcotest.(check (list int)) "non-increasing" [ 8; 8; 5; 3; 1 ] values
+  let sw = single 9 in
+  List.iter (push sw) [ 3; 8; 1; 8; 5 ];
+  Alcotest.(check (list int)) "non-increasing" [ 8; 8; 5; 3; 1 ] (values sw)
 
 let test_clear () =
-  let q = Value_queue.create ~k:4 in
-  Value_queue.push q (packet ~value:2 ());
-  Alcotest.(check int) "dropped" 1 (Value_queue.clear q);
-  Alcotest.(check int) "total" 0 (Value_queue.total_value q);
-  Alcotest.(check int) "length" 0 (Value_queue.length q)
+  let sw = single 4 in
+  push sw 2;
+  Alcotest.(check int) "dropped" 1 (Value_switch.flush sw);
+  Alcotest.(check int) "total" 0 (Value_switch.queue_total_value sw 0);
+  Alcotest.(check int) "length" 0 (Value_switch.queue_length sw 0)
 
 let prop_model =
   QCheck2.Test.make ~name:"value queue agrees with sorted-list model"
@@ -73,7 +92,7 @@ let prop_model =
       pair (int_range 1 8)
         (list (oneof [ map (fun v -> `Push v) (int_range 1 8); pure `Pop_min; pure `Pop_max ])))
     (fun (k, ops) ->
-      let q = Value_queue.create ~k in
+      let sw = single k in
       (* Model: descending-sorted list of values. *)
       let model = ref [] in
       let ok = ref true in
@@ -82,27 +101,25 @@ let prop_model =
           match op with
           | `Push v ->
             if v <= k then begin
-              Value_queue.push q (packet ~value:v ());
+              push sw v;
               model := List.sort (fun a b -> compare b a) (v :: !model)
             end
           | `Pop_min -> (
             match List.rev !model with
             | [] -> ()
             | v :: rest_rev ->
-              if (Value_queue.pop_min q).Packet.Value.value <> v then
-                ok := false;
+              if Value_switch.push_out sw ~victim:0 <> v then ok := false;
               model := List.rev rest_rev)
           | `Pop_max -> (
             match !model with
             | [] -> ()
             | v :: rest ->
-              if (Value_queue.pop_max q).Packet.Value.value <> v then
-                ok := false;
+              if pop_max sw <> Some v then ok := false;
               model := rest))
         ops;
       !ok
-      && Value_queue.length q = List.length !model
-      && Value_queue.total_value q = List.fold_left ( + ) 0 !model)
+      && values sw = !model
+      && Value_switch.queue_total_value sw 0 = List.fold_left ( + ) 0 !model)
 
 let suite =
   [

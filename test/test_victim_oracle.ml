@@ -1,216 +1,118 @@
-(* Differential oracle for the incremental victim-selection indexes AND the
-   flat struct-of-arrays switch backend: every push-out policy built three
-   ways — [~impl:`Scan] (the original O(n) rescans on the linked switch),
-   [~impl:`Indexed] (the O(log n) switch indexes on the linked switch) and
-   [~impl:`Flat] (indexed selection on the flat SoA backend) — driven in
-   lockstep on triplet switches under fuzzed traffic (including mid-run
-   [set_buffer] resizes), asserting bit-identical decisions at every arrival
-   and bit-identical transmitted packets (ids included) at every
-   transmission phase.  Plus pinned tie-break regressions, raising-hook
-   invariant checks on both backends, and the intra-bucket order contract
-   of Value_queue. *)
+(* Two-way differential oracle for victim selection: every push-out policy
+   variant, as built by the production registry (keyed incremental indexes
+   over the switch's aggregate columns), is driven in lockstep with its
+   test-side reference (the original O(n) scans, Scan_oracle) under fuzzed
+   traffic including mid-run [set_buffer] resizes and flushouts.  Both
+   policies see the same switch at every arrival and must return the same
+   decision; the switch (with every registered index) is re-validated after
+   each operation.  Plus pinned tie-break regressions, raising-hook
+   invariant checks and the value switch's intra-bucket order. *)
 
 open Smbm_core
 
 (* --- lockstep drivers --- *)
 
-let impls = [ `Indexed; `Scan; `Flat ]
-
-let run_proc_lockstep ~works ~buffer ~speedup ~ops ~mk =
+let run_proc_lockstep ~works ~buffer ~speedup ~ops ~prod ~reference =
   let config = Proc_config.make ~works ~buffer ~speedup () in
-  let arm impl =
-    let policy = mk impl config in
-    (* The policy's backend field is the seam under test: `Flat builds the
-       SoA switch, the others the linked reference. *)
-    (policy, Proc_switch.create ~backend:policy.Proc_policy.backend config)
-  in
-  let arms = List.map arm impls in
+  let prod : Proc_policy.t = prod config and reference : Proc_policy.t = reference () in
+  let sw = Proc_switch.create config in
   let ok = ref true in
-  let all_equal = function
-    | [] -> true
-    | x0 :: rest -> List.for_all (( = ) x0) rest
-  in
-  let apply sw d ~dest =
-    match d with
-    | Decision.Accept -> Proc_switch.accept_unit sw ~dest
-    | Decision.Push_out { victim } ->
-      Proc_switch.push_out_unit sw ~victim;
-      Proc_switch.accept_unit sw ~dest
-    | Decision.Drop -> ()
-  in
   List.iter
     (fun op ->
       (match op with
-      | `Arrival dest ->
-        let ds =
-          List.map (fun (p, sw) -> Proc_policy.admit p sw ~dest) arms
-        in
-        (match ds with
-        | d0 :: rest ->
-          if not (List.for_all (Decision.equal d0) rest) then ok := false
-        | [] -> ());
-        List.iter2 (fun (_, sw) d -> apply sw d ~dest) arms ds
+      | `Arrival dest -> (
+        let d = Proc_policy.admit prod sw ~dest in
+        if not (Decision.equal d (Proc_policy.admit reference sw ~dest)) then
+          ok := false;
+        match d with
+        | Decision.Accept -> Proc_switch.accept sw ~dest
+        | Decision.Push_out { victim } ->
+          Proc_switch.push_out sw ~victim;
+          Proc_switch.accept sw ~dest
+        | Decision.Drop -> ())
       | `Transmit ->
-        (* Transmitted packets must agree field-for-field — ids included —
-           across all three arms. *)
-        let sent =
-          List.map
-            (fun (_, sw) ->
-              let acc = ref [] in
-              ignore
-                (Proc_switch.transmit_phase sw
-                   ~on_transmit:(fun (p : Packet.Proc.t) ->
-                     acc := (p.id, p.dest, p.work, p.arrival) :: !acc));
-              List.rev !acc)
-            arms
-        in
-        if not (all_equal sent) then ok := false
+        ignore (Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest:_ ~arrival:_ -> ()));
+        Proc_switch.advance_slot sw
       | `Set_buffer b ->
-        (* Same clamp on every arm: occupancies are lockstep-identical, so
-           the effective bound is too (shrinking below occupancy is
-           refused by contract). *)
-        let occ = Proc_switch.occupancy (snd (List.hd arms)) in
-        let b = max 1 (max occ b) in
-        List.iter (fun (_, sw) -> Proc_switch.set_buffer sw b) arms
-      | `Flush ->
-        if
-          not
-            (all_equal (List.map (fun (_, sw) -> Proc_switch.flush sw) arms))
-        then ok := false);
-      List.iter (fun (_, sw) -> Proc_switch.check_invariants sw) arms;
-      match arms with
-      | [] -> ()
-      | (_, sw0) :: rest ->
-        List.iter
-          (fun (_, sw) ->
-            if Proc_switch.occupancy sw <> Proc_switch.occupancy sw0 then
-              ok := false;
-            if Proc_switch.buffer sw <> Proc_switch.buffer sw0 then
-              ok := false;
-            if
-              Proc_switch.total_occupied_work sw
-              <> Proc_switch.total_occupied_work sw0
-            then ok := false;
-            for j = 0 to Proc_switch.n sw0 - 1 do
-              if
-                Proc_switch.queue_length sw j
-                <> Proc_switch.queue_length sw0 j
-                || Proc_switch.queue_work sw j <> Proc_switch.queue_work sw0 j
-              then ok := false
-            done)
-          rest)
+        (* Shrinking below occupancy is refused by contract: clamp. *)
+        Proc_switch.set_buffer sw (max 1 (max (Proc_switch.occupancy sw) b))
+      | `Flush -> ignore (Proc_switch.flush sw));
+      Proc_switch.check_invariants sw)
     ops;
   !ok
 
-let run_value_lockstep ~ports ~max_value ~buffer ~speedup ~ops ~mk =
+let run_value_lockstep ~ports ~max_value ~buffer ~speedup ~ops ~prod ~reference =
   let config = Value_config.make ~ports ~max_value ~buffer ~speedup () in
-  let arm impl =
-    let policy = mk impl config in
-    (policy, Value_switch.create ~backend:policy.Value_policy.backend config)
-  in
-  let arms = List.map arm impls in
+  let prod : Value_policy.t = prod config
+  and reference : Value_policy.t = reference () in
+  let sw = Value_switch.create config in
   let ok = ref true in
-  let all_equal = function
-    | [] -> true
-    | x0 :: rest -> List.for_all (( = ) x0) rest
-  in
-  let apply sw d ~dest ~value =
-    match d with
-    | Decision.Accept -> Value_switch.accept_unit sw ~dest ~value
-    | Decision.Push_out { victim } ->
-      ignore (Value_switch.push_out_lost sw ~victim : int);
-      Value_switch.accept_unit sw ~dest ~value
-    | Decision.Drop -> ()
-  in
   List.iter
     (fun op ->
       (match op with
-      | `Arrival (dest, value) ->
-        let ds =
-          List.map (fun (p, sw) -> Value_policy.admit p sw ~dest ~value) arms
-        in
-        (match ds with
-        | d0 :: rest ->
-          if not (List.for_all (Decision.equal d0) rest) then ok := false
-        | [] -> ());
-        List.iter2 (fun (_, sw) d -> apply sw d ~dest ~value) arms ds
+      | `Arrival (dest, value) -> (
+        let d = Value_policy.admit prod sw ~dest ~value in
+        if not (Decision.equal d (Value_policy.admit reference sw ~dest ~value))
+        then ok := false;
+        match d with
+        | Decision.Accept -> Value_switch.accept sw ~dest ~value
+        | Decision.Push_out { victim } ->
+          ignore (Value_switch.push_out sw ~victim : int);
+          Value_switch.accept sw ~dest ~value
+        | Decision.Drop -> ())
       | `Transmit ->
-        let sent =
-          List.map
-            (fun (_, sw) ->
-              let acc = ref [] in
-              ignore
-                (Value_switch.transmit_phase sw
-                   ~on_transmit:(fun (p : Packet.Value.t) ->
-                     acc := (p.id, p.dest, p.value, p.arrival) :: !acc));
-              List.rev !acc)
-            arms
-        in
-        if not (all_equal sent) then ok := false
+        ignore
+          (Value_switch.transmit_phase sw
+             ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ()));
+        Value_switch.advance_slot sw
       | `Set_buffer b ->
-        let occ = Value_switch.occupancy (snd (List.hd arms)) in
-        let b = max 1 (max occ b) in
-        List.iter (fun (_, sw) -> Value_switch.set_buffer sw b) arms
-      | `Flush ->
-        if
-          not
-            (all_equal (List.map (fun (_, sw) -> Value_switch.flush sw) arms))
-        then ok := false);
-      List.iter (fun (_, sw) -> Value_switch.check_invariants sw) arms;
-      match arms with
-      | [] -> ()
-      | (_, sw0) :: rest ->
-        List.iter
-          (fun (_, sw) ->
-            if Value_switch.occupancy sw <> Value_switch.occupancy sw0 then
-              ok := false;
-            if Value_switch.buffer sw <> Value_switch.buffer sw0 then
-              ok := false;
-            if Value_switch.min_value sw <> Value_switch.min_value sw0 then
-              ok := false;
-            if
-              Value_switch.min_value_port sw
-              <> Value_switch.min_value_port sw0
-            then ok := false;
-            for j = 0 to Value_switch.n sw0 - 1 do
-              if
-                Value_switch.queue_length sw j
-                <> Value_switch.queue_length sw0 j
-                || Value_switch.queue_total_value sw j
-                   <> Value_switch.queue_total_value sw0 j
-                || Value_switch.queue_min_value sw j
-                   <> Value_switch.queue_min_value sw0 j
-              then ok := false
-            done)
-          rest)
+        Value_switch.set_buffer sw (max 1 (max (Value_switch.occupancy sw) b))
+      | `Flush -> ignore (Value_switch.flush sw));
+      Value_switch.check_invariants sw)
     ops;
   !ok
 
-(* --- every push-out policy, all three implementations, fuzzed traffic --- *)
+(* --- every push-out policy variant, production vs reference --- *)
 
 let proc_policies ~buffer ~n =
+  let module S = Scan_oracle in
+  let rsv r =
+    ( Printf.sprintf "RSV(%d)" r,
+      (fun c -> P_reserved.make ~reserve:r c),
+      S.rsv_policy ~reserve:r )
+  in
   [
-    ("LQD", fun impl c -> P_lqd.make ~impl c);
-    ("LWD", fun impl c -> P_lwd.make ~impl c);
-    ("LWD1", fun impl c -> P_lwd.make ~protect_last:true ~impl c);
+    ("LQD", P_lqd.make, S.lqd_policy);
+    ("LWD", (fun c -> P_lwd.make c), fun () -> S.lwd_policy ());
+    ( "LWD1",
+      (fun c -> P_lwd.make ~protect_last:true c),
+      fun () -> S.lwd_policy ~protect_last:true () );
     ( "LWD/tie=small-work",
-      fun impl c -> P_lwd.make ~tie:P_lwd.Smallest_work ~impl c );
+      (fun c -> P_lwd.make ~tie:P_lwd.Smallest_work c),
+      fun () -> S.lwd_policy ~tie:P_lwd.Smallest_work () );
     ( "LWD/tie=long-queue",
-      fun impl c -> P_lwd.make ~tie:P_lwd.Longest_queue ~impl c );
-    ("BPD", fun impl c -> P_bpd.make ~impl c);
-    ("BPD1", fun impl c -> P_bpd.make ~protect_last:true ~impl c);
-    ("RSV(0)", fun impl c -> P_reserved.make ~reserve:0 ~impl c);
-    ( Printf.sprintf "RSV(%d)" (buffer / n),
-      fun impl c -> P_reserved.make ~reserve:(buffer / n) ~impl c );
+      (fun c -> P_lwd.make ~tie:P_lwd.Longest_queue c),
+      fun () -> S.lwd_policy ~tie:P_lwd.Longest_queue () );
+    ("BPD", (fun c -> P_bpd.make c), S.bpd_policy ~protect_last:false);
+    ( "BPD1",
+      (fun c -> P_bpd.make ~protect_last:true c),
+      S.bpd_policy ~protect_last:true );
+    rsv 0;
+    rsv (buffer / n);
   ]
 
 let value_policies =
+  let module S = Scan_oracle in
   [
-    ("LQD", fun impl c -> V_lqd.make ~impl c);
-    ("MVD", fun impl c -> V_mvd.make ~impl c);
-    ("MVD1", fun impl c -> V_mvd.make ~protect_last:true ~impl c);
-    ("MRD", fun impl c -> V_mrd.make ~impl c);
-    ("MRD1", fun impl c -> V_mrd.make ~protect_last:true ~impl c);
+    ("V-LQD", V_lqd.make, S.vlqd_policy);
+    ("MVD", (fun c -> V_mvd.make c), S.mvd_policy ~protect_last:false);
+    ( "MVD1",
+      (fun c -> V_mvd.make ~protect_last:true c),
+      S.mvd_policy ~protect_last:true );
+    ("MRD", (fun c -> V_mrd.make c), S.mrd_policy ~protect_last:false);
+    ( "MRD1",
+      (fun c -> V_mrd.make ~protect_last:true c),
+      S.mrd_policy ~protect_last:true );
   ]
 
 let proc_ops_gen n =
@@ -226,7 +128,7 @@ let proc_ops_gen n =
 
 let prop_proc_policies_lockstep =
   QCheck2.Test.make
-    ~name:"proc push-out policies: scan = indexed = flat lockstep" ~count:150
+    ~name:"proc push-out policies: scan = index lockstep" ~count:150
     QCheck2.Gen.(
       let* n = int_range 1 6 in
       let* works = array_size (pure n) (int_range 1 4) in
@@ -237,12 +139,13 @@ let prop_proc_policies_lockstep =
     (fun (works, buffer, speedup, ops) ->
       let n = Array.length works in
       List.for_all
-        (fun (_name, mk) -> run_proc_lockstep ~works ~buffer ~speedup ~ops ~mk)
+        (fun (_name, prod, reference) ->
+          run_proc_lockstep ~works ~buffer ~speedup ~ops ~prod ~reference)
         (proc_policies ~buffer ~n))
 
 let prop_value_policies_lockstep =
   QCheck2.Test.make
-    ~name:"value push-out policies: scan = indexed = flat lockstep" ~count:150
+    ~name:"value push-out policies: scan = index lockstep" ~count:150
     QCheck2.Gen.(
       let* ports = int_range 1 6 in
       let* max_value = int_range 1 8 in
@@ -265,15 +168,14 @@ let prop_value_policies_lockstep =
       pure (ports, max_value, buffer, speedup, ops))
     (fun (ports, max_value, buffer, speedup, ops) ->
       List.for_all
-        (fun (_name, mk) ->
-          run_value_lockstep ~ports ~max_value ~buffer ~speedup ~ops ~mk)
+        (fun (_name, prod, reference) ->
+          run_value_lockstep ~ports ~max_value ~buffer ~speedup ~ops ~prod
+            ~reference)
         value_policies)
 
 (* Deterministic soak with k = 130: min/max values cross the 63-bit word
-   boundary of the occupancy bitsets (both Value_queue's and the flat
-   backend's port-major copies), which the small fuzzed configurations
-   above never reach.  Periodic resizes exercise flat slab growth at
-   width. *)
+   boundary of the occupancy bitsets, which the small fuzzed configurations
+   above never reach.  Periodic resizes exercise slab growth at width. *)
 let test_value_soak_wide_k () =
   let ports = 4 and max_value = 130 and buffer = 32 in
   let ops =
@@ -283,226 +185,13 @@ let test_value_soak_wide_k () =
         else `Arrival (i mod ports, (i * 37 mod max_value) + 1))
   in
   List.iter
-    (fun (name, mk) ->
+    (fun (name, prod, reference) ->
       Alcotest.(check bool)
         (name ^ " lockstep, k = 130")
         true
-        (run_value_lockstep ~ports ~max_value ~buffer ~speedup:1 ~ops ~mk))
+        (run_value_lockstep ~ports ~max_value ~buffer ~speedup:1 ~ops ~prod
+           ~reference))
     value_policies
-
-(* --- fused batch kernels = per-packet fold --- *)
-
-(* The fused [admit_batch] kernels must be decision-identical to folding
-   [admit] packet-by-packet: same victims, same admission counters, same
-   switch state and transmitted packets — including across mid-run
-   [set_buffer] resizes.  Two same-backend switches run in lockstep, one
-   through the kernel, one through the per-packet reference fold. *)
-
-let run_proc_batch_lockstep ~works ~buffer ~speedup ~ops ~mk =
-  let config = Proc_config.make ~works ~buffer ~speedup () in
-  let policy : Proc_policy.t = mk `Flat config in
-  match Proc_policy.admit_batch policy with
-  | None -> false (* every flat-impl push-out policy must provide a kernel *)
-  | Some kernel ->
-    let sw_k = Proc_switch.create ~backend:policy.Proc_policy.backend config in
-    let sw_r = Proc_switch.create ~backend:policy.Proc_policy.backend config in
-    let counters = Admission.counters () in
-    let batch = Arrival_batch.create () in
-    let ok = ref true in
-    List.iter
-      (fun op ->
-        (match op with
-        | `Batch dests ->
-          Arrival_batch.clear batch;
-          List.iter
-            (fun d -> Arrival_batch.push batch ~dest:d ~value:1)
-            dests;
-          Admission.reset counters;
-          kernel sw_k batch counters;
-          let accepted = ref 0 and pushed = ref 0 and dropped = ref 0 in
-          List.iter
-            (fun dest ->
-              match Proc_policy.admit policy sw_r ~dest with
-              | Decision.Accept ->
-                Proc_switch.accept_unit sw_r ~dest;
-                incr accepted
-              | Decision.Push_out { victim } ->
-                Proc_switch.push_out_unit sw_r ~victim;
-                Proc_switch.accept_unit sw_r ~dest;
-                incr pushed;
-                incr accepted
-              | Decision.Drop -> incr dropped)
-            dests;
-          if
-            counters.Admission.accepted <> !accepted
-            || counters.Admission.pushed_out <> !pushed
-            || counters.Admission.dropped <> !dropped
-          then ok := false
-        | `Transmit ->
-          let sent sw =
-            let acc = ref [] in
-            ignore
-              (Proc_switch.transmit_phase sw
-                 ~on_transmit:(fun (p : Packet.Proc.t) ->
-                   acc := (p.id, p.dest, p.work, p.arrival) :: !acc));
-            List.rev !acc
-          in
-          if sent sw_k <> sent sw_r then ok := false
-        | `Set_buffer b ->
-          let b = max 1 (max (Proc_switch.occupancy sw_r) b) in
-          Proc_switch.set_buffer sw_k b;
-          Proc_switch.set_buffer sw_r b
-        | `Flush ->
-          if Proc_switch.flush sw_k <> Proc_switch.flush sw_r then ok := false);
-        Proc_switch.check_invariants sw_k;
-        Proc_switch.check_invariants sw_r;
-        if
-          Proc_switch.occupancy sw_k <> Proc_switch.occupancy sw_r
-          || Proc_switch.buffer sw_k <> Proc_switch.buffer sw_r
-        then ok := false;
-        for j = 0 to Proc_switch.n sw_r - 1 do
-          if
-            Proc_switch.queue_length sw_k j <> Proc_switch.queue_length sw_r j
-            || Proc_switch.queue_work sw_k j <> Proc_switch.queue_work sw_r j
-          then ok := false
-        done)
-      ops;
-    !ok
-
-let run_value_batch_lockstep ~ports ~max_value ~buffer ~speedup ~ops ~mk =
-  let config = Value_config.make ~ports ~max_value ~buffer ~speedup () in
-  let policy : Value_policy.t = mk `Flat config in
-  match Value_policy.admit_batch policy with
-  | None -> false
-  | Some kernel ->
-    let sw_k = Value_switch.create ~backend:policy.Value_policy.backend config in
-    let sw_r = Value_switch.create ~backend:policy.Value_policy.backend config in
-    let counters = Admission.counters () in
-    let batch = Arrival_batch.create () in
-    let ok = ref true in
-    List.iter
-      (fun op ->
-        (match op with
-        | `Batch arrivals ->
-          Arrival_batch.clear batch;
-          List.iter
-            (fun (d, v) -> Arrival_batch.push batch ~dest:d ~value:v)
-            arrivals;
-          Admission.reset counters;
-          kernel sw_k batch counters;
-          let accepted = ref 0 and pushed = ref 0 and dropped = ref 0 in
-          List.iter
-            (fun (dest, value) ->
-              match Value_policy.admit policy sw_r ~dest ~value with
-              | Decision.Accept ->
-                Value_switch.accept_unit sw_r ~dest ~value;
-                incr accepted
-              | Decision.Push_out { victim } ->
-                ignore (Value_switch.push_out_lost sw_r ~victim : int);
-                Value_switch.accept_unit sw_r ~dest ~value;
-                incr pushed;
-                incr accepted
-              | Decision.Drop -> incr dropped)
-            arrivals;
-          if
-            counters.Admission.accepted <> !accepted
-            || counters.Admission.pushed_out <> !pushed
-            || counters.Admission.dropped <> !dropped
-          then ok := false
-        | `Transmit ->
-          let sent sw =
-            let acc = ref [] in
-            ignore
-              (Value_switch.transmit_phase sw
-                 ~on_transmit:(fun (p : Packet.Value.t) ->
-                   acc := (p.id, p.dest, p.value, p.arrival) :: !acc));
-            List.rev !acc
-          in
-          if sent sw_k <> sent sw_r then ok := false
-        | `Set_buffer b ->
-          let b = max 1 (max (Value_switch.occupancy sw_r) b) in
-          Value_switch.set_buffer sw_k b;
-          Value_switch.set_buffer sw_r b
-        | `Flush ->
-          if Value_switch.flush sw_k <> Value_switch.flush sw_r then
-            ok := false);
-        Value_switch.check_invariants sw_k;
-        Value_switch.check_invariants sw_r;
-        if
-          Value_switch.occupancy sw_k <> Value_switch.occupancy sw_r
-          || Value_switch.buffer sw_k <> Value_switch.buffer sw_r
-          || Value_switch.min_value sw_k <> Value_switch.min_value sw_r
-        then ok := false;
-        for j = 0 to Value_switch.n sw_r - 1 do
-          if
-            Value_switch.queue_length sw_k j <> Value_switch.queue_length sw_r j
-            || Value_switch.queue_total_value sw_k j
-               <> Value_switch.queue_total_value sw_r j
-            || Value_switch.queue_min_value sw_k j
-               <> Value_switch.queue_min_value sw_r j
-          then ok := false
-        done)
-      ops;
-    !ok
-
-let prop_proc_batch_lockstep =
-  QCheck2.Test.make
-    ~name:"proc admit_batch kernels = per-packet fold lockstep" ~count:120
-    QCheck2.Gen.(
-      let* n = int_range 1 6 in
-      let* works = array_size (pure n) (int_range 1 4) in
-      let* buffer = int_range 1 8 in
-      let* speedup = int_range 1 2 in
-      let* ops =
-        list_size (int_range 10 40)
-          (frequency
-             [
-               ( 6,
-                 map
-                   (fun ds -> `Batch ds)
-                   (list_size (int_range 0 12) (int_range 0 (n - 1))) );
-               (2, pure `Transmit);
-               (1, map (fun b -> `Set_buffer b) (int_range 1 12));
-               (1, pure `Flush);
-             ])
-      in
-      pure (works, buffer, speedup, ops))
-    (fun (works, buffer, speedup, ops) ->
-      let n = Array.length works in
-      List.for_all
-        (fun (_name, mk) ->
-          run_proc_batch_lockstep ~works ~buffer ~speedup ~ops ~mk)
-        (proc_policies ~buffer ~n))
-
-let prop_value_batch_lockstep =
-  QCheck2.Test.make
-    ~name:"value admit_batch kernels = per-packet fold lockstep" ~count:120
-    QCheck2.Gen.(
-      let* ports = int_range 1 6 in
-      let* max_value = int_range 1 8 in
-      let* buffer = int_range 1 8 in
-      let* speedup = int_range 1 2 in
-      let* ops =
-        list_size (int_range 10 40)
-          (frequency
-             [
-               ( 6,
-                 map
-                   (fun a -> `Batch a)
-                   (list_size (int_range 0 12)
-                      (pair (int_range 0 (ports - 1)) (int_range 1 max_value)))
-               );
-               (2, pure `Transmit);
-               (1, map (fun b -> `Set_buffer b) (int_range 1 12));
-               (1, pure `Flush);
-             ])
-      in
-      pure (ports, max_value, buffer, speedup, ops))
-    (fun (ports, max_value, buffer, speedup, ops) ->
-      List.for_all
-        (fun (_name, mk) ->
-          run_value_batch_lockstep ~ports ~max_value ~buffer ~speedup ~ops ~mk)
-        value_policies)
 
 (* --- packed trace slabs = owning columns --- *)
 
@@ -541,13 +230,13 @@ let prop_compact_pack_signature =
 
 (* --- pinned tie-break regressions --- *)
 
-let proc_switch ?(backend = `Linked) ?speedup ~works ~buffer ~lengths () =
+let proc_switch ?speedup ~works ~buffer ~lengths () =
   let config = Proc_config.make ~works ~buffer ?speedup () in
-  let sw = Proc_switch.create ~backend config in
+  let sw = Proc_switch.create config in
   Array.iteri
     (fun j l ->
       for _ = 1 to l do
-        Proc_switch.accept_unit sw ~dest:j
+        Proc_switch.accept sw ~dest:j
       done)
     lengths;
   sw
@@ -556,10 +245,10 @@ let test_lqd_tie_largest_index () =
   (* Equal virtual lengths and equal port works: the >=-scan keeps the
      largest index; the indexed path must agree. *)
   let sw = proc_switch ~works:[| 1; 1 |] ~buffer:3 ~lengths:[| 2; 1 |] () in
-  Alcotest.(check int) "scan" 1 (P_lqd.select_victim_scan sw ~dest:1);
+  Alcotest.(check int) "scan" 1 (Scan_oracle.lqd sw ~dest:1);
   Alcotest.(check int) "indexed" 1 (P_lqd.select_victim sw ~dest:1);
   (* Virtual add dominates: dest 0 at virtual length 3 wins outright. *)
-  Alcotest.(check int) "scan dest 0" 0 (P_lqd.select_victim_scan sw ~dest:0);
+  Alcotest.(check int) "scan dest 0" 0 (Scan_oracle.lqd sw ~dest:0);
   Alcotest.(check int) "indexed dest 0" 0 (P_lqd.select_victim sw ~dest:0)
 
 let test_lwd_tie_largest_index () =
@@ -567,19 +256,16 @@ let test_lwd_tie_largest_index () =
      per-packet works tie at 1, so the largest index (queue 1) is evicted —
      not the destination. *)
   let sw = proc_switch ~works:[| 1; 1 |] ~buffer:3 ~lengths:[| 1; 2 |] () in
-  Alcotest.(check (option int))
-    "scan" (Some 1)
-    (P_lwd.select_victim_scan sw ~dest:0);
-  Alcotest.(check (option int))
-    "indexed" (Some 1)
-    (P_lwd.select_victim sw ~dest:0)
+  Alcotest.(check int) "scan" 1
+    (Scan_oracle.lwd ~protect_last:false ~tie:P_lwd.Largest_work sw ~dest:0);
+  Alcotest.(check int) "indexed" 1 (P_lwd.select_victim sw ~dest:0)
 
-let value_switch ?(backend = `Linked) ~ports ~max_value ~buffer ~queues () =
+let value_switch ~ports ~max_value ~buffer ~queues () =
   let config = Value_config.make ~ports ~max_value ~buffer () in
-  let sw = Value_switch.create ~backend config in
+  let sw = Value_switch.create config in
   Array.iteri
     (fun j values ->
-      List.iter (fun v -> Value_switch.accept_unit sw ~dest:j ~value:v) values)
+      List.iter (fun v -> Value_switch.accept sw ~dest:j ~value:v) values)
     queues;
   sw
 
@@ -590,84 +276,57 @@ let test_mrd_tie_smaller_min_then_largest_index () =
     value_switch ~ports:2 ~max_value:4 ~buffer:4
       ~queues:[| [ 3; 1 ]; [ 2; 2 ] |] ()
   in
-  Alcotest.(check (option int)) "scan" (Some 0) (V_mrd.select_victim_scan sw);
+  Alcotest.(check (option int)) "scan" (Some 0)
+    (Scan_oracle.mrd ~protect_last:false sw);
   Alcotest.(check (option int)) "indexed" (Some 0) (V_mrd.select_victim sw);
   (* Equal ratios and equal minima: the largest index wins. *)
   let sw =
     value_switch ~ports:2 ~max_value:4 ~buffer:4
       ~queues:[| [ 2; 2 ]; [ 2; 2 ] |] ()
   in
-  Alcotest.(check (option int)) "scan tie" (Some 1) (V_mrd.select_victim_scan sw);
+  Alcotest.(check (option int)) "scan tie" (Some 1)
+    (Scan_oracle.mrd ~protect_last:false sw);
   Alcotest.(check (option int)) "indexed tie" (Some 1) (V_mrd.select_victim sw)
 
 let test_min_value_port_pinned_tie () =
   (* Several queues hold the buffer minimum: the longest one wins, then the
      smallest port index — and the reported port always holds the reported
-     minimum.  The tie is pinned on both backends. *)
-  List.iter
-    (fun backend ->
-      let sw =
-        value_switch ~backend ~ports:3 ~max_value:9 ~buffer:6
-          ~queues:[| [ 1 ]; [ 9; 1 ]; [ 1 ] |] ()
-      in
-      Alcotest.(check (option int))
-        "min value" (Some 1) (Value_switch.min_value sw);
-      Alcotest.(check (option int))
-        "longest min-holder wins" (Some 1)
-        (Value_switch.min_value_port sw);
-      Alcotest.(check (option int))
-        "port holds the minimum" (Some 1)
-        (Value_switch.queue_min_value sw 1);
-      (* Equal lengths: the smallest index wins. *)
-      let sw =
-        value_switch ~backend ~ports:3 ~max_value:9 ~buffer:6
-          ~queues:[| [ 1 ]; [ 1 ]; [ 1 ] |] ()
-      in
-      Alcotest.(check (option int))
-        "smallest index among equals" (Some 0)
-        (Value_switch.min_value_port sw);
-      (* Empty switch: no port. *)
-      let sw =
-        value_switch ~backend ~ports:2 ~max_value:4 ~buffer:4
-          ~queues:[| []; [] |] ()
-      in
-      Alcotest.(check (option int)) "empty" None (Value_switch.min_value_port sw))
-    [ `Linked; `Flat ]
+     minimum. *)
+  let sw =
+    value_switch ~ports:3 ~max_value:9 ~buffer:6
+      ~queues:[| [ 1 ]; [ 9; 1 ]; [ 1 ] |] ()
+  in
+  Alcotest.(check (option int)) "min value" (Some 1) (Value_switch.min_value sw);
+  Alcotest.(check (option int))
+    "longest min-holder wins" (Some 1)
+    (Value_switch.min_value_port sw);
+  Alcotest.(check (option int))
+    "port holds the minimum" (Some 1)
+    (Value_switch.queue_min_value sw 1);
+  (* Equal lengths: the smallest index wins. *)
+  let sw =
+    value_switch ~ports:3 ~max_value:9 ~buffer:6
+      ~queues:[| [ 1 ]; [ 1 ]; [ 1 ] |] ()
+  in
+  Alcotest.(check (option int))
+    "smallest index among equals" (Some 0)
+    (Value_switch.min_value_port sw);
+  (* Empty switch: no port. *)
+  let sw =
+    value_switch ~ports:2 ~max_value:4 ~buffer:4 ~queues:[| []; [] |] ()
+  in
+  Alcotest.(check (option int)) "empty" None (Value_switch.min_value_port sw)
 
 (* --- raising hooks leave invariants intact --- *)
 
-let test_work_queue_raising_hook () =
-  let q = Work_queue.create ~work:2 in
-  let mk id = Packet.Proc.make ~id ~dest:0 ~work:2 ~arrival:0 in
-  Work_queue.push q (mk 0);
-  Work_queue.push q (mk 1);
-  (try
-     ignore
-       (Work_queue.process q ~cycles:4 ~on_transmit:(fun _ -> raise Exit));
-     Alcotest.fail "hook exception swallowed"
-   with Exit -> ());
-  (* The transmitted packet is fully accounted: one packet left, its
-     residual backing the cached total. *)
-  Alcotest.(check int) "length" 1 (Work_queue.length q);
-  let recomputed =
-    List.fold_left
-      (fun acc (p : Packet.Proc.t) -> acc + p.residual)
-      0 (Work_queue.to_list q)
-  in
-  Alcotest.(check int) "total work" recomputed (Work_queue.total_work q);
-  (* Processing resumes normally afterwards. *)
-  let sent = Work_queue.process q ~cycles:4 ~on_transmit:ignore in
-  Alcotest.(check int) "resumed" 1 sent;
-  Alcotest.(check int) "drained" 0 (Work_queue.total_work q)
-
-let test_proc_switch_raising_hook backend () =
+let test_proc_switch_raising_hook () =
   let sw =
-    proc_switch ~backend ~speedup:2 ~works:[| 2; 3 |] ~buffer:4
-      ~lengths:[| 2; 2 |] ()
+    proc_switch ~speedup:2 ~works:[| 2; 3 |] ~buffer:4 ~lengths:[| 2; 2 |] ()
   in
   (try
      ignore
-       (Proc_switch.transmit_phase sw ~on_transmit:(fun _ -> raise Exit));
+       (Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest:_ ~arrival:_ ->
+            raise Exit));
      Alcotest.fail "hook exception swallowed"
    with Exit -> ());
   Proc_switch.check_invariants sw;
@@ -677,7 +336,8 @@ let test_proc_switch_raising_hook backend () =
   (* And draining the rest keeps everything consistent. *)
   let rec drain () =
     if Proc_switch.occupancy sw > 0 then begin
-      ignore (Proc_switch.transmit_phase sw ~on_transmit:ignore);
+      ignore
+        (Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest:_ ~arrival:_ -> ()));
       Proc_switch.check_invariants sw;
       drain ()
     end
@@ -685,14 +345,15 @@ let test_proc_switch_raising_hook backend () =
   drain ();
   Alcotest.(check int) "all work drained" 0 (Proc_switch.total_occupied_work sw)
 
-let test_value_switch_raising_hook backend () =
+let test_value_switch_raising_hook () =
   let sw =
-    value_switch ~backend ~ports:2 ~max_value:4 ~buffer:6
+    value_switch ~ports:2 ~max_value:4 ~buffer:6
       ~queues:[| [ 4; 2 ]; [ 3; 1 ] |] ()
   in
   (try
      ignore
-       (Value_switch.transmit_phase sw ~on_transmit:(fun _ -> raise Exit));
+       (Value_switch.transmit_phase sw
+          ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> raise Exit));
      Alcotest.fail "hook exception swallowed"
    with Exit -> ());
   Value_switch.check_invariants sw;
@@ -701,34 +362,40 @@ let test_value_switch_raising_hook backend () =
   Alcotest.(check (option int)) "min value" (Some 1) (Value_switch.min_value sw);
   Alcotest.(check (option int)) "min port" (Some 1) (Value_switch.min_value_port sw)
 
-(* --- Value_queue intra-bucket order contract --- *)
+(* --- intra-bucket order contract --- *)
 
-let test_value_queue_intra_bucket_order () =
-  let q = Value_queue.create ~k:5 in
-  let mk id value = Packet.Value.make ~id ~dest:0 ~value ~arrival:0 in
-  (* Three packets of equal value, pushed in id order 0, 1, 2. *)
-  List.iter (Value_queue.push q) [ mk 0 3; mk 1 3; mk 2 3 ];
-  (* pop_min evicts the *youngest* of the minimum bucket (Deque.pop_back):
-     push-out prefers discarding the most recent arrival. *)
-  Alcotest.(check int) "pop_min youngest" 2 (Value_queue.pop_min q).Packet.Value.id;
-  (* pop_max transmits the *oldest* of the maximum bucket (Deque.pop_front):
-     FIFO order among equal values on the wire. *)
-  Alcotest.(check int) "pop_max oldest" 0 (Value_queue.pop_max q).Packet.Value.id;
-  Alcotest.(check int) "one left" 1 (Value_queue.length q);
-  Alcotest.(check int) "middle remains" 1 (Value_queue.pop_max q).Packet.Value.id;
-  (* Mixed values: min/max pick the right buckets and keep per-bucket FIFO. *)
-  List.iter (Value_queue.push q) [ mk 10 2; mk 11 5; mk 12 2; mk 13 5 ];
-  Alcotest.(check int) "min bucket youngest" 12
-    (Value_queue.pop_min q).Packet.Value.id;
-  Alcotest.(check int) "max bucket oldest" 11
-    (Value_queue.pop_max q).Packet.Value.id
+let test_value_switch_intra_bucket_order () =
+  let sw = value_switch ~ports:1 ~max_value:5 ~buffer:8 ~queues:[| [] |] () in
+  let ids () = Ports.ids (Ports.value sw 0) in
+  let transmit_one () =
+    ignore
+      (Value_switch.transmit_phase sw
+         ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ()))
+  in
+  (* Three packets of equal value, ids 0, 1, 2. *)
+  List.iter (fun v -> Value_switch.accept sw ~dest:0 ~value:v) [ 3; 3; 3 ];
+  (* push-out evicts the *youngest* of the minimum bucket: push-out prefers
+     discarding the most recent arrival. *)
+  Alcotest.(check int) "push-out value" 3 (Value_switch.push_out sw ~victim:0);
+  Alcotest.(check (list int)) "youngest evicted" [ 0; 1 ] (ids ());
+  (* transmission takes the *oldest* of the maximum bucket: FIFO order among
+     equal values on the wire. *)
+  transmit_one ();
+  Alcotest.(check (list int)) "oldest transmitted" [ 1 ] (ids ());
+  transmit_one ();
+  (* Mixed values, ids 3..6: min/max pick the right buckets and keep
+     per-bucket order. *)
+  List.iter (fun v -> Value_switch.accept sw ~dest:0 ~value:v) [ 2; 5; 2; 5 ];
+  Alcotest.(check (list int)) "transmission order" [ 4; 6; 3; 5 ] (ids ());
+  ignore (Value_switch.push_out sw ~victim:0 : int);
+  Alcotest.(check (list int)) "min bucket youngest" [ 4; 6; 3 ] (ids ());
+  transmit_one ();
+  Alcotest.(check (list int)) "max bucket oldest" [ 6; 3 ] (ids ())
 
 let suite =
   [
     Qc.to_alcotest prop_proc_policies_lockstep;
     Qc.to_alcotest prop_value_policies_lockstep;
-    Qc.to_alcotest prop_proc_batch_lockstep;
-    Qc.to_alcotest prop_value_batch_lockstep;
     Qc.to_alcotest prop_compact_pack_signature;
     Alcotest.test_case "value soak, k crosses bitset word" `Slow
       test_value_soak_wide_k;
@@ -740,16 +407,10 @@ let suite =
       test_mrd_tie_smaller_min_then_largest_index;
     Alcotest.test_case "min_value_port pinned tie" `Quick
       test_min_value_port_pinned_tie;
-    Alcotest.test_case "Work_queue raising hook" `Quick
-      test_work_queue_raising_hook;
-    Alcotest.test_case "Proc_switch raising hook (linked)" `Quick
-      (test_proc_switch_raising_hook `Linked);
     Alcotest.test_case "Proc_switch raising hook (flat)" `Quick
-      (test_proc_switch_raising_hook `Flat);
-    Alcotest.test_case "Value_switch raising hook (linked)" `Quick
-      (test_value_switch_raising_hook `Linked);
+      test_proc_switch_raising_hook;
     Alcotest.test_case "Value_switch raising hook (flat)" `Quick
-      (test_value_switch_raising_hook `Flat);
-    Alcotest.test_case "Value_queue intra-bucket order" `Quick
-      test_value_queue_intra_bucket_order;
+      test_value_switch_raising_hook;
+    Alcotest.test_case "Value_switch intra-bucket order" `Quick
+      test_value_switch_intra_bucket_order;
   ]
