@@ -25,7 +25,15 @@
      what run_panel does now: materialize one compact trace and replay it
      through the reusable struct-of-arrays batch at every point.  This is
      the arrival pipeline itself — generation, representation, delivery —
-     the part this bench gates (speedup >= 2x, allocation >= 5x lower).
+     the part this bench gates (speedup and allocation floors in CI; the
+     list arm's seven regenerations make both ratios shrink as generation
+     gets cheaper, see EXPERIMENTS.md).
+
+   - e2e/traffic/<model>/{us_per_slot,minor_words_per_slot}
+     Live generation alone: the base point's 500-source workload stepped
+     into one reusable batch.  The source bank allocates nothing per slot,
+     so the allocation budget against the committed baseline holds the
+     words per slot near one.
 
    - e2e/flat/<model>/<size>/flat/{slots_per_sec,minor_words_per_slot}
      sizes n4, n64, n256, n1024
@@ -199,6 +207,22 @@ let pipeline_cell ~model ~pipeline =
           b_axis_xs;
         total_slots)
 
+(* ----- traffic cells: live generation alone ----- *)
+
+(* The base point's workload (500 sources, k = 16, load 2.0) stepped into
+   one reusable batch: the source bank's per-slot cost and allocation with
+   nothing downstream.  One workload serves every run; its stream simply
+   continues. *)
+let traffic_cell ~model =
+  let base = { Sweep.default_base with slots = !slots } in
+  let workload, _ = Sweep.setup model base in
+  let batch = Smbm_core.Arrival_batch.create () in
+  measure (fun () ->
+      for _ = 1 to base.Sweep.slots do
+        Smbm_traffic.Workload.next_into workload batch
+      done;
+      base.Sweep.slots)
+
 (* ----- flat cells: the raw switch slot loop across a size panel ----- *)
 
 (* Deterministic private arrival stream, so every repeat times the same
@@ -356,6 +380,15 @@ let () =
   in
   family "point" point_cell;
   family "pipeline" pipeline_cell;
+  List.iter
+    (fun (name, model) ->
+      let rate, words = traffic_cell ~model in
+      let prefix = "e2e/traffic/" ^ name in
+      gauge (prefix ^ "/us_per_slot") (1e6 /. rate);
+      gauge (prefix ^ "/minor_words_per_slot") words;
+      Printf.printf "%-28s %8.2f us/slot %8.2f w/slot\n%!" ("traffic/" ^ name)
+        (1e6 /. rate) words)
+    models;
   List.iter
     (fun (name, cell) ->
       List.iter

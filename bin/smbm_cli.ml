@@ -64,8 +64,19 @@ let common_term =
   let speedup =
     Arg.(value & opt int 1 & info [ "c"; "speedup" ] ~docv:"C" ~doc:"Processing cycles (resp. transmissions) per queue per slot.")
   in
+  (* The traffic constructors reject a negative or non-finite load; refusing
+     it here makes it a usage error rather than an internal one. *)
+  let load_conv =
+    let parse s =
+      match float_of_string_opt s with
+      | Some x when Float.is_finite x && x >= 0.0 -> Ok x
+      | Some _ -> Error (`Msg (Printf.sprintf "%s: expected a finite load >= 0" s))
+      | None -> Error (`Msg (Printf.sprintf "%s: not a number" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
   let load =
-    Arg.(value & opt float 2.0 & info [ "load" ] ~docv:"RHO" ~doc:"Normalized offered load (1.0 saturates the switch on average).")
+    Arg.(value & opt load_conv 2.0 & info [ "load" ] ~docv:"RHO" ~doc:"Normalized offered load (1.0 saturates the switch on average); finite and non-negative.")
   in
   let sources =
     Arg.(value & opt int 500 & info [ "sources" ] ~docv:"N" ~doc:"Number of interleaved MMPP sources.")

@@ -24,7 +24,6 @@ let buffer = 48
 let slots = 60_000
 
 let make_workload () =
-  let rng = Smbm_prelude.Rng.create ~seed:11 in
   let mmpp = { Scenario.default_mmpp with sources = 200 } in
   let label = Label.weighted_port ~weights () in
   (* Offered work ~ 1.8x the three-core capacity. *)
@@ -37,7 +36,7 @@ let make_workload () =
   let rate =
     aggregate /. (float_of_int mmpp.sources *. Scenario.duty_cycle mmpp)
   in
-  Workload.of_sources (Scenario.sources ~mmpp ~label ~rate_per_source:rate ~rng)
+  Scenario.workload ~mmpp ~label ~emission:(Poisson rate) ~seed:11
 
 let () =
   let config = Proc_config.make ~works ~buffer () in

@@ -22,7 +22,6 @@ let buffer = 32
 let slots = 60_000
 
 let make_workload ~weights ~seed =
-  let rng = Smbm_prelude.Rng.create ~seed in
   let mmpp = { Scenario.default_mmpp with sources = 200 } in
   let label =
     Label.weighted_port ~weights ~value_of_port:(fun i -> class_values.(i)) ()
@@ -32,7 +31,7 @@ let make_workload ~weights ~seed =
   let rate =
     aggregate /. (float_of_int mmpp.sources *. Scenario.duty_cycle mmpp)
   in
-  Workload.of_sources (Scenario.sources ~mmpp ~label ~rate_per_source:rate ~rng)
+  Scenario.workload ~mmpp ~label ~emission:(Poisson rate) ~seed
 
 let run_regime ~title ~weights =
   let config =

@@ -70,26 +70,29 @@ let iteri t ~f =
     f i ~dest:(Array.unsafe_get t.dest i) ~value:(Array.unsafe_get t.value i)
   done
 
-(* Reverse the tail [from ..] in place.  Generators that accumulate a slot by
-   appending (the struct-of-arrays analogue of prepending onto a list and
-   returning it unreversed) use this to restore the historical arrival order
-   without allocating. *)
-let reverse_from t ~from =
-  if from < 0 || from > t.len then
-    invalid_arg "Arrival_batch.reverse_from: out of bounds";
-  let swap (a : int array) i j =
-    let x = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- x
-  in
-  let i = ref from and j = ref (t.len - 1) in
-  while !i < !j do
-    swap t.dest !i !j;
-    swap t.value !i !j;
-    swap t.work !i !j;
-    incr i;
-    decr j
+let reserve t extra =
+  while t.len + extra > Array.length t.dest do
+    grow t
   done
+
+let push_rev t ~dest ~value ~len =
+  if len < 0 || len > Array.length dest || len > Array.length value then
+    invalid_arg "Arrival_batch.push_rev: length out of bounds";
+  reserve t len;
+  let base = t.len + len - 1 in
+  for i = 0 to len - 1 do
+    t.dest.(base - i) <- dest.(i);
+    t.value.(base - i) <- value.(i);
+    t.work.(base - i) <- 0
+  done;
+  t.len <- t.len + len
+
+let append t src =
+  reserve t src.len;
+  Array.blit src.dest 0 t.dest t.len src.len;
+  Array.blit src.value 0 t.value t.len src.len;
+  Array.blit src.work 0 t.work t.len src.len;
+  t.len <- t.len + src.len
 
 let to_list t =
   let rec build i acc =

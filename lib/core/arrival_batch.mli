@@ -43,11 +43,15 @@ val iter : t -> f:(dest:int -> value:int -> unit) -> unit
 
 val iteri : t -> f:(int -> dest:int -> value:int -> unit) -> unit
 
-val reverse_from : t -> from:int -> unit
-(** Reverse the segment [\[from, length)] in place: generators that append
-    draws and owe the caller prepend-accumulation order (the historical
-    [Source.step] list convention) fix the segment up with one O(n) pass.
-    @raise Invalid_argument if [from] is outside [\[0, length\]]. *)
+val push_rev : t -> dest:int array -> value:int array -> len:int -> unit
+(** Append the first [len] pairs of [dest]/[value] in reverse: pair
+    [len - 1] first, pair 0 last.  Generators that draw a slot in one order
+    and owe the caller the historical prepend-accumulation order (the
+    reverse) copy their draws out with this.
+    @raise Invalid_argument if [len] is negative or exceeds either array. *)
+
+val append : t -> t -> unit
+(** [append t src] appends [src]'s arrivals to [t], in order. *)
 
 val to_list : t -> Arrival.t list
 (** Fresh list in iteration order (the compatibility shim's conversion). *)

@@ -1,80 +1,110 @@
-type t = { mutable state : int64 }
+(* SplitMix64 (Steele, Lea & Flood 2014).  A generator's whole state is one
+   64-bit word, kept unboxed in bytes: a [t] is an 8-byte string and a
+   {!Bank} is a column of such words.  Every sampler below works on a
+   (bytes, offset) pair and is inlined, so a draw allocates nothing; the
+   public functions are the offset-0 instances.  [-opaque] builds never
+   inline across compilation units, which is why the bank's per-slot loop
+   lives here, next to the one SplitMix64 step it calls. *)
+
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let word seed =
+  let s = Bytes.create 8 in
+  set64 s 0 seed;
+  s
 
-(* SplitMix64 output function (Steele, Lea & Flood 2014). *)
-let mix z =
+let create ~seed = word (Int64.of_int seed)
+let copy = Bytes.copy
+
+(* SplitMix64 output function. *)
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+(* The SplitMix64 step: advance the word at byte offset [o] of [s] and
+   return its output. *)
+let[@inline] next s o =
+  let state = Int64.add (get64 s o) golden_gamma in
+  set64 s o state;
+  mix state
 
-let split t =
-  let seed = bits64 t in
-  { state = seed }
+(* 53 high bits scaled to [0, 1). *)
+let[@inline] float_at s o =
+  Int64.to_float (Int64.shift_right_logical (next s o) 11)
+  *. (1.0 /. 9007199254740992.0)
 
-let float t =
-  (* 53 high bits scaled to [0, 1). *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+(* Uniform on [0, bound), rejection sampling to avoid modulo bias. *)
+let[@inline] int_at s o bound =
+  let bound64 = Int64.of_int bound in
+  let limit = Int64.sub Int64.max_int (Int64.sub bound64 1L) in
+  let r = ref (Int64.shift_right_logical (next s o) 1) in
+  let v = ref (Int64.rem !r bound64) in
+  while Int64.sub !r !v > limit do
+    r := Int64.shift_right_logical (next s o) 1;
+    v := Int64.rem !r bound64
+  done;
+  Int64.to_int !v
+
+let[@inline] bernoulli_at s o p =
+  if p <= 0.0 then false else if p >= 1.0 then true else float_at s o < p
+
+(* Poisson with mean [lambda] >= 0; [limit] is [exp (-. lambda)].  No draw
+   for a zero mean, Knuth's product method for small means, a normal
+   approximation with continuity correction (adequate for traffic
+   generation) for large ones.  The Box-Muller normal draws [u1] before
+   [u2]. *)
+let[@inline] poisson_at s o ~lambda ~limit =
+  if lambda = 0.0 then 0
+  else if lambda < 30.0 then begin
+    let k = ref 0 and prod = ref (float_at s o) in
+    while !prod > limit do
+      incr k;
+      prod := !prod *. float_at s o
+    done;
+    !k
+  end
+  else begin
+    let u1 = 1.0 -. float_at s o in
+    let u2 = float_at s o in
+    let normal = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
+    let x = (normal *. sqrt lambda) +. lambda +. 0.5 in
+    if x < 0.0 then 0 else int_of_float x
+  end
+
+(* [floor (U^(-1/alpha))] clamped to [cap]; [exponent] is [-1 /. alpha]. *)
+let[@inline] pareto_at s o ~exponent ~cap =
+  let x = Float.pow (1.0 -. float_at s o) exponent in
+  if x >= float_of_int cap then cap else int_of_float x
+
+let bits64 t = next t 0
+let split t = word (next t 0)
+let float t = float_at t 0
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let bound64 = Int64.of_int bound in
-  let rec draw () =
-    let r = Int64.shift_right_logical (bits64 t) 1 in
-    let v = Int64.rem r bound64 in
-    if Int64.sub r v > Int64.sub Int64.max_int (Int64.sub bound64 1L) then draw ()
-    else Int64.to_int v
-  in
-  draw ()
+  int_at t 0 bound
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: lo > hi";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
-let bernoulli t ~p =
-  if p <= 0.0 then false
-  else if p >= 1.0 then true
-  else float t < p
+let bool t = Int64.logand (next t 0) 1L = 1L
+let bernoulli t ~p = bernoulli_at t 0 p
 
 let exponential t ~rate =
   if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
   let u = 1.0 -. float t in
   -.log u /. rate
 
-(* Standard normal via Box-Muller; one value per call is plenty here. *)
-let normal t =
-  let u1 = 1.0 -. float t and u2 = float t in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-
 let poisson t ~lambda =
   if lambda < 0.0 then invalid_arg "Rng.poisson: lambda must be non-negative";
-  if lambda = 0.0 then 0
-  else if lambda < 30.0 then begin
-    (* Knuth's product method. *)
-    let limit = exp (-.lambda) in
-    let rec loop k prod =
-      let prod = prod *. float t in
-      if prod <= limit then k else loop (k + 1) prod
-    in
-    loop 0 1.0
-  end
-  else begin
-    (* Normal approximation with continuity correction; adequate for traffic
-       generation at large means. *)
-    let x = (normal t *. sqrt lambda) +. lambda +. 0.5 in
-    if x < 0.0 then 0 else int_of_float x
-  end
+  poisson_at t 0 ~lambda ~limit:(exp (-.lambda))
 
 let geometric t ~p =
   if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p must be in (0, 1]";
@@ -86,9 +116,7 @@ let geometric t ~p =
 let pareto_int t ~alpha ~max:cap =
   if alpha <= 0.0 then invalid_arg "Rng.pareto_int: alpha must be positive";
   if cap < 1 then invalid_arg "Rng.pareto_int: max must be >= 1";
-  let u = 1.0 -. float t in
-  let x = Float.pow u (-1.0 /. alpha) in
-  if x >= float_of_int cap then cap else int_of_float x
+  pareto_at t 0 ~exponent:(-1.0 /. alpha) ~cap
 
 let pareto_int_mean ~alpha ~max:cap =
   if alpha <= 0.0 then invalid_arg "Rng.pareto_int_mean: alpha must be positive";
@@ -103,3 +131,167 @@ let pareto_int_mean ~alpha ~max:cap =
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))
+
+type rng = t
+
+module Bank = struct
+  type label =
+    | Uniform_port of int
+    | Uniform_port_and_value of { n : int; k : int }
+    | Value_equals_port of int
+    | Fixed of { dest : int; value : int }
+    | Weighted of { cumulative : float array; value_of_port : int array }
+
+  type t = {
+    sources : int;
+    words : rng;
+        (* two SplitMix64 words per source: process at [16 i], label at
+           [16 i + 8] *)
+    on : Bytes.t;  (* one byte per source *)
+    p_on_to_off : float;
+    p_off_to_on : float;
+    lambda : float;  (* Poisson mean *)
+    limit : float;  (* exp (-. lambda) *)
+    batch_p : float;  (* probability of the Pareto batch *)
+    exponent : float;  (* -1 /. alpha *)
+    cap : int;  (* Pareto cap *)
+    label : label;
+    mutable dest : int array;
+    mutable value : int array;
+    mutable len : int;
+  }
+
+  let stationary_on ~p_on_to_off ~p_off_to_on =
+    if p_on_to_off +. p_off_to_on = 0.0 then 0.5
+    else p_off_to_on /. (p_on_to_off +. p_off_to_on)
+
+  (* The shapes the loop indexes or divides by; the full argument checks
+     live in the constructors of [Smbm_traffic]. *)
+  let check_label = function
+    | Uniform_port n | Value_equals_port n ->
+      if n < 1 then invalid_arg "Rng.Bank.create: n must be >= 1"
+    | Uniform_port_and_value { n; k } ->
+      if n < 1 || k < 1 then invalid_arg "Rng.Bank.create: n, k must be >= 1"
+    | Fixed _ -> ()
+    | Weighted { cumulative; value_of_port } ->
+      if Array.length cumulative = 0
+         || Array.length value_of_port <> Array.length cumulative
+      then invalid_arg "Rng.Bank.create: weighted arrays must be non-empty and equal"
+
+  let create ~rng ~sources ~p_on_to_off ~p_off_to_on ~lambda ~batch_p ~alpha
+      ~max_batch ~label =
+    if sources < 0 then invalid_arg "Rng.Bank.create: sources must be >= 0";
+    if max_batch < 1 then invalid_arg "Rng.Bank.create: max_batch must be >= 1";
+    check_label label;
+    let words = Bytes.create (16 * sources) in
+    let on = Bytes.make sources '\000' in
+    let start = stationary_on ~p_on_to_off ~p_off_to_on in
+    for i = 0 to sources - 1 do
+      set64 words (16 * i) (next rng 0);
+      set64 words ((16 * i) + 8) (next rng 0);
+      if bernoulli_at words (16 * i) start then Bytes.set on i '\001'
+    done;
+    {
+      sources;
+      words;
+      on;
+      p_on_to_off;
+      p_off_to_on;
+      lambda;
+      limit = exp (-.lambda);
+      batch_p;
+      exponent = -1.0 /. alpha;
+      cap = max_batch;
+      label;
+      dest = Array.make 64 0;
+      value = Array.make 64 0;
+      len = 0;
+    }
+
+  let sources t = t.sources
+  let is_on t i = Bytes.get t.on i <> '\000'
+  let dest t = t.dest
+  let value t = t.value
+
+  let reserve t extra =
+    let need = t.len + extra in
+    if need > Array.length t.dest then begin
+      let capacity = max need (2 * Array.length t.dest) in
+      let extend a = Array.append a (Array.make (capacity - Array.length a) 0) in
+      t.dest <- extend t.dest;
+      t.value <- extend t.value
+    end
+
+  (* The on-state emission of the source whose process word is at [o].  The
+     Poisson count is drawn first: it is the right operand of the sum the
+     heavy-tail sampler has always computed, and OCaml evaluates operands
+     right to left.  A zero mean and a batch probability of 0 or 1 draw
+     nothing, so the plain Poisson, thinned and topped-up laws each keep
+     their own stream. *)
+  let[@inline] emit t o =
+    let w = t.words in
+    let extra = poisson_at w o ~lambda:t.lambda ~limit:t.limit in
+    if bernoulli_at w o t.batch_p then
+      pareto_at w o ~exponent:t.exponent ~cap:t.cap + extra
+    else extra
+
+  (* Append [count] labels drawn from the label word at [o]. *)
+  let labels t o count =
+    reserve t count;
+    let w = t.words and dest = t.dest and value = t.value in
+    let first = t.len and last = t.len + count - 1 in
+    (match t.label with
+    | Uniform_port n ->
+      for j = first to last do
+        dest.(j) <- int_at w o n;
+        value.(j) <- 1
+      done
+    | Uniform_port_and_value { n; k } ->
+      (* Port, then value: the stream-order contract. *)
+      for j = first to last do
+        let d = int_at w o n in
+        value.(j) <- 1 + int_at w o k;
+        dest.(j) <- d
+      done
+    | Value_equals_port n ->
+      for j = first to last do
+        let d = int_at w o n in
+        dest.(j) <- d;
+        value.(j) <- d + 1
+      done
+    | Fixed { dest = d; value = v } ->
+      for j = first to last do
+        dest.(j) <- d;
+        value.(j) <- v
+      done
+    | Weighted { cumulative; value_of_port } ->
+      let top = Array.length cumulative - 1 in
+      let total = cumulative.(top) in
+      for j = first to last do
+        let x = float_at w o *. total in
+        let d = ref 0 in
+        while !d < top && not (x < cumulative.(!d)) do
+          incr d
+        done;
+        dest.(j) <- !d;
+        value.(j) <- value_of_port.(!d)
+      done);
+    t.len <- last + 1
+
+  let fill t =
+    t.len <- 0;
+    let on = t.on in
+    for i = 0 to t.sources - 1 do
+      let o = 16 * i in
+      let was_on = Bytes.unsafe_get on i <> '\000' in
+      let flip = if was_on then t.p_on_to_off else t.p_off_to_on in
+      let now_on = if bernoulli_at t.words o flip then not was_on else was_on in
+      if now_on <> was_on then
+        Bytes.unsafe_set on i (if now_on then '\001' else '\000');
+      if now_on then begin
+        let count = emit t o in
+        if count > 0 then labels t (o + 8) count
+      end
+    done;
+    t.len
+end

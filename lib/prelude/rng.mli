@@ -2,7 +2,8 @@
 
     Every stochastic component of the simulator draws from an explicit [Rng.t]
     so that experiments are reproducible from a single seed and independent
-    streams can be split off for independent traffic sources. *)
+    streams can be split off for independent traffic sources.  The state is
+    one unboxed 64-bit word: no draw allocates. *)
 
 type t
 
@@ -54,3 +55,69 @@ val pareto_int_mean : alpha:float -> max:int -> float
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
+
+type rng = t
+
+(** The fused per-slot loop of a bank of Markov-modulated on-off sources.
+
+    A bank is a column of SplitMix64 words, two per source (its process
+    stream and its label stream), an on/off column, and one shared
+    description of the transitions, the on-state emission and the
+    labelling.  {!fill} steps every source for one slot with no allocation
+    and no call per draw.  This is the kernel behind
+    [Smbm_traffic.Source_bank], which validates every argument; use that
+    module instead. *)
+module Bank : sig
+  type label =
+    | Uniform_port of int  (** port uniform on [\[0, n)], value 1 *)
+    | Uniform_port_and_value of { n : int; k : int }
+        (** port uniform on [\[0, n)], value uniform on [\[1, k\]] *)
+    | Value_equals_port of int  (** port uniform on [\[0, n)], value port + 1 *)
+    | Fixed of { dest : int; value : int }
+    | Weighted of { cumulative : float array; value_of_port : int array }
+        (** port [i] for a uniform draw in
+            [\[cumulative.(i-1), cumulative.(i))] of [\[0, total)] *)
+
+  type t
+
+  val create :
+    rng:rng ->
+    sources:int ->
+    p_on_to_off:float ->
+    p_off_to_on:float ->
+    lambda:float ->
+    batch_p:float ->
+    alpha:float ->
+    max_batch:int ->
+    label:label ->
+    t
+  (** Splits each source's process stream then its label stream from
+      [rng], in source order, and draws each source's initial state from
+      the stationary distribution on its process stream.  An on source
+      emits a Poisson([lambda]) count, drawn first, plus with probability
+      [batch_p] one {!pareto_int} batch ([alpha], [max_batch]); a zero
+      [lambda] and a [batch_p] of 0 or 1 draw nothing.
+      @raise Invalid_argument if [sources < 0], [max_batch < 1], or the
+      label has a port or value count below 1 or empty or unequal weighted
+      arrays.  The probabilities and means are not checked. *)
+
+  val fill : t -> int
+  (** Step every source one slot, in source order: per source, the
+      transition draw, then (when on) the emission draws on the process
+      stream, then one label per packet on the label stream.  The packets
+      land in {!dest}/{!value} in draw order; returns their count. *)
+
+  val dest : t -> int array
+  val value : t -> int array
+  (** The last {!fill}'s packets occupy the indices below its result.  The
+      arrays are replaced when they grow: read them after each {!fill}. *)
+
+  val sources : t -> int
+
+  val is_on : t -> int -> bool
+  (** Whether source [i] ended the last slot in the on state. *)
+
+  val stationary_on : p_on_to_off:float -> p_off_to_on:float -> float
+  (** The on-state's stationary probability (0.5 when neither state is
+      ever left). *)
+end

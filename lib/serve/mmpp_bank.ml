@@ -10,6 +10,8 @@ let shard_seed seed i = seed + (1000003 * (i + 1))
 
 let create ?(mmpp = Scenario.default_mmpp) ?pool ?(shards = 1) model ~load
     ~seed () =
+  if not (Float.is_finite load && load >= 0.0) then
+    invalid_arg "Mmpp_bank.create: load must be finite and >= 0";
   if shards < 1 then invalid_arg "Mmpp_bank.create: shards must be >= 1";
   if shards > mmpp.Scenario.sources then
     invalid_arg "Mmpp_bank.create: more shards than sources";
@@ -44,20 +46,20 @@ let shards t = Array.length t.shards
 let step_shard s = Workload.next_into s.workload s.batch
 
 let fill t batch =
-  Arrival_batch.clear batch;
-  (match t.pool with
-  | Some pool when Array.length t.shards > 1 ->
-    ignore
-      (Smbm_par.Pool.map pool step_shard (Array.to_list t.shards)
-        : unit list)
-  | _ -> Array.iter step_shard t.shards);
-  (* Append in shard order: the interleaving is a pure function of
-     (seed, shards), never of the pool's schedule. *)
-  Array.iter
-    (fun s ->
-      Arrival_batch.iter s.batch ~f:(fun ~dest ~value ->
-          Arrival_batch.push batch ~dest ~value))
-    t.shards
+  match t.shards with
+  | [| s |] -> Workload.next_into s.workload batch
+  | shards ->
+    (match t.pool with
+    | Some pool ->
+      ignore
+        (Smbm_par.Pool.map pool step_shard (Array.to_list shards) : unit list)
+    | None -> Array.iter step_shard shards);
+    (* Append in shard order: the interleaving is a pure function of
+       (seed, shards), never of the pool's schedule. *)
+    Arrival_batch.clear batch;
+    for i = 0 to Array.length shards - 1 do
+      Arrival_batch.append batch shards.(i).batch
+    done
 
 let mean_rate t =
   Array.fold_left

@@ -10,7 +10,8 @@
     Sharding preserves the traffic model: each shard's normalized load is
     scaled by its source share, so the per-source on-state emission rate is
     identical to the unsharded bank's, and the superposition has the same
-    aggregate rate and burstiness structure.  Each shard owns a private
+    aggregate rate and burstiness structure.  A single shard (the default)
+    fills the caller's batch directly.  Otherwise each shard owns a private
     {!Smbm_core.Arrival_batch.t}; {!fill} steps every shard (in parallel if
     a pool is given) and appends the shard batches in shard order — the
     output is a deterministic function of [(seed, shards)], independent of
@@ -32,7 +33,9 @@ val create :
 (** [shards] defaults to 1 (plain single-workload bank).  Sources are
     split as evenly as possible (the first [sources mod shards] shards get
     one extra).  A [pool] only helps when [shards > 1].
-    @raise Invalid_argument if [shards < 1] or [shards > sources]. *)
+    @raise Invalid_argument if [load] is negative or not finite,
+    [shards < 1], [shards > sources], or the MMPP parameters are out of
+    range. *)
 
 val fill : t -> Arrival_batch.t -> unit
 (** Clear [batch], then fill it with the next slot's arrivals (shard 0's

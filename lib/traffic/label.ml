@@ -1,33 +1,44 @@
 open Smbm_prelude
-open Smbm_core
 
-type t = Rng.t -> Arrival.t
+type t = Rng.Bank.label
 
-let uniform_port ~n rng = Arrival.make ~dest:(Rng.int rng n) ()
+let check_ports what n =
+  if n < 1 then invalid_arg ("Label." ^ what ^ ": n must be >= 1")
 
-let uniform_port_and_value ~n ~k rng =
-  Arrival.make ~dest:(Rng.int rng n) ~value:(Rng.int_in rng 1 k) ()
+let uniform_port ~n =
+  check_ports "uniform_port" n;
+  Rng.Bank.Uniform_port n
 
-let value_equals_port ~n rng =
-  let dest = Rng.int rng n in
-  Arrival.make ~dest ~value:(dest + 1) ()
+let uniform_port_and_value ~n ~k =
+  check_ports "uniform_port_and_value" n;
+  if k < 1 then invalid_arg "Label.uniform_port_and_value: k must be >= 1";
+  Rng.Bank.Uniform_port_and_value { n; k }
 
-let fixed_port ~dest ?(value = 1) () _rng = Arrival.make ~dest ~value ()
+let value_equals_port ~n =
+  check_ports "value_equals_port" n;
+  Rng.Bank.Value_equals_port n
+
+let fixed_port ~dest ?(value = 1) () =
+  if dest < 0 then invalid_arg "Label.fixed_port: negative dest";
+  if value < 1 then invalid_arg "Label.fixed_port: value must be >= 1";
+  Rng.Bank.Fixed { dest; value }
 
 let weighted_port ~weights ?(value_of_port = fun _ -> 1) () =
-  let total = Array.fold_left ( +. ) 0.0 weights in
   if Array.length weights = 0 then invalid_arg "Label.weighted_port: empty";
   Array.iter
-    (fun w -> if w < 0.0 then invalid_arg "Label.weighted_port: negative weight")
+    (fun w ->
+      if not (Float.is_finite w && w >= 0.0) then
+        invalid_arg "Label.weighted_port: weights must be finite and >= 0")
     weights;
-  if total <= 0.0 then invalid_arg "Label.weighted_port: all weights zero";
-  fun rng ->
-    let x = Rng.float rng *. total in
-    let rec pick i acc =
-      if i = Array.length weights - 1 then i
-      else
-        let acc = acc +. weights.(i) in
-        if x < acc then i else pick (i + 1) acc
-    in
-    let dest = pick 0 0.0 in
-    Arrival.make ~dest ~value:(value_of_port dest) ()
+  (* Running sums in index order: the same additions, so the same floats,
+     as summing the weights one by one. *)
+  let cumulative = Array.copy weights in
+  for i = 1 to Array.length cumulative - 1 do
+    cumulative.(i) <- cumulative.(i - 1) +. cumulative.(i)
+  done;
+  if cumulative.(Array.length cumulative - 1) <= 0.0 then
+    invalid_arg "Label.weighted_port: all weights zero";
+  let value_of_port = Array.init (Array.length weights) value_of_port in
+  if Array.exists (fun v -> v < 1) value_of_port then
+    invalid_arg "Label.weighted_port: values must be >= 1";
+  Rng.Bank.Weighted { cumulative; value_of_port }

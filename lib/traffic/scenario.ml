@@ -11,49 +11,52 @@ let default_mmpp =
   { sources = 500; p_on_to_off = 0.1; p_off_to_on = 1.0 /. 30.0 }
 
 let duty_cycle p =
-  if p.p_on_to_off +. p.p_off_to_on = 0.0 then 0.5
-  else p.p_off_to_on /. (p.p_on_to_off +. p.p_off_to_on)
+  Rng.Bank.stationary_on ~p_on_to_off:p.p_on_to_off ~p_off_to_on:p.p_off_to_on
 
-let sources_with ~mmpp ~label ~make_process ~rng =
-  List.init mmpp.sources (fun _ ->
-      let mmpp_rng = Rng.split rng and label_rng = Rng.split rng in
-      Source.create ~mmpp:(make_process mmpp_rng) ~label ~rng:label_rng)
+let workload ~mmpp ~label ~emission ~seed =
+  Workload.of_bank
+    (Source_bank.create ~rng:(Rng.create ~seed) ~sources:mmpp.sources
+       ~p_on_to_off:mmpp.p_on_to_off ~p_off_to_on:mmpp.p_off_to_on ~emission
+       ~label)
 
-let sources ~mmpp ~label ~rate_per_source ~rng =
-  let make_process mmpp_rng =
-    Mmpp.create ~rng:mmpp_rng ~p_on_to_off:mmpp.p_on_to_off
-      ~p_off_to_on:mmpp.p_off_to_on ~rate_on:rate_per_source ()
-  in
-  sources_with ~mmpp ~label ~make_process ~rng
+let check_load load =
+  if not (Float.is_finite load && load >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Scenario: load must be finite and >= 0, got %h" load)
 
 (* Per-source on-state rate yielding an aggregate packet rate of
-   [aggregate] packets per slot. *)
+   [aggregate] packets per slot.  With no source ever on, no rate delivers
+   it and none is ever drawn: 0. *)
 let rate_for ~mmpp ~aggregate =
-  aggregate /. (float_of_int mmpp.sources *. duty_cycle mmpp)
+  let on_sources = float_of_int mmpp.sources *. duty_cycle mmpp in
+  if on_sources = 0.0 then 0.0 else aggregate /. on_sources
 
-let proc_workload ?(mmpp = default_mmpp) ?reference ~config ~load ~seed () =
-  let reference = Option.value reference ~default:config in
+(* Offered packets per slot of a processing-model [load] against
+   [reference]'s capacity, counting each packet at its port's mean work. *)
+let proc_aggregate ~reference ~load =
+  check_load load;
   let n = Proc_config.n reference in
   let mean_work =
     float_of_int (Array.fold_left ( + ) 0 reference.Proc_config.works)
     /. float_of_int n
   in
   let capacity = float_of_int (n * reference.Proc_config.speedup) in
-  let aggregate = load *. capacity /. mean_work in
-  let rng = Rng.create ~seed in
-  let label = Label.uniform_port ~n:(Proc_config.n config) in
-  Workload.of_sources
-    (sources ~mmpp ~label ~rate_per_source:(rate_for ~mmpp ~aggregate) ~rng)
+  load *. capacity /. mean_work
+
+let proc_workload ?(mmpp = default_mmpp) ?reference ~config ~load ~seed () =
+  let reference = Option.value reference ~default:config in
+  let aggregate = proc_aggregate ~reference ~load in
+  workload ~mmpp ~label:(Label.uniform_port ~n:(Proc_config.n config))
+    ~emission:(Poisson (rate_for ~mmpp ~aggregate)) ~seed
 
 let value_workload ~mmpp ~reference ~config ~load ~seed ~label =
+  check_load load;
   let reference = Option.value reference ~default:config in
   let capacity =
     float_of_int (Value_config.n reference * reference.Value_config.speedup)
   in
   let aggregate = load *. capacity in
-  let rng = Rng.create ~seed in
-  Workload.of_sources
-    (sources ~mmpp ~label ~rate_per_source:(rate_for ~mmpp ~aggregate) ~rng)
+  workload ~mmpp ~label ~emission:(Poisson (rate_for ~mmpp ~aggregate)) ~seed
 
 let value_uniform_workload ?(mmpp = default_mmpp) ?reference ~config ~load
     ~seed () =
@@ -83,40 +86,12 @@ let value_port_flood_workload ?(mmpp = default_mmpp) ?(skew = 2.0) ~config
   in
   value_workload ~mmpp ~reference:None ~config ~load ~seed ~label
 
-(* Per-on-slot batch sampler with heavy (Pareto) tail and the given mean:
-   thinned when the raw Pareto mean exceeds the target, topped up with an
-   independent Poisson stream otherwise. *)
-let heavy_batch ~alpha ~max_batch ~mean =
-  let raw_mean = Rng.pareto_int_mean ~alpha ~max:max_batch in
-  if mean <= raw_mean then begin
-    let p = mean /. raw_mean in
-    fun rng ->
-      if Rng.bernoulli rng ~p then Rng.pareto_int rng ~alpha ~max:max_batch
-      else 0
-  end
-  else
-    fun rng ->
-      Rng.pareto_int rng ~alpha ~max:max_batch
-      + Rng.poisson rng ~lambda:(mean -. raw_mean)
-
 let proc_heavy_tail_workload ?(mmpp = default_mmpp) ?(alpha = 1.2)
     ?(max_batch = 1000) ?reference ~config ~load ~seed () =
   let reference = Option.value reference ~default:config in
-  let n = Proc_config.n reference in
-  let mean_work =
-    float_of_int (Array.fold_left ( + ) 0 reference.Proc_config.works)
-    /. float_of_int n
-  in
-  let capacity = float_of_int (n * reference.Proc_config.speedup) in
-  let aggregate = load *. capacity /. mean_work in
-  let per_source_on = rate_for ~mmpp ~aggregate in
-  let sample = heavy_batch ~alpha ~max_batch ~mean:per_source_on in
-  let rng = Rng.create ~seed in
-  let label = Label.uniform_port ~n:(Proc_config.n config) in
-  let make_process mmpp_rng =
-    Mmpp.create_batch ~rng:mmpp_rng ~p_on_to_off:mmpp.p_on_to_off
-      ~p_off_to_on:mmpp.p_off_to_on ~sample ~mean:per_source_on ()
-  in
-  Workload.of_sources (sources_with ~mmpp ~label ~make_process ~rng)
+  let aggregate = proc_aggregate ~reference ~load in
+  workload ~mmpp ~label:(Label.uniform_port ~n:(Proc_config.n config))
+    ~emission:(Heavy_tail { alpha; max_batch; mean = rate_for ~mmpp ~aggregate })
+    ~seed
 
 let port_values config = Array.init (Value_config.n config) (fun i -> i + 1)

@@ -10,9 +10,9 @@
     - value model: [load] = offered packets per slot / (n * C).
 
     [load > 1] congests the switch in expectation; bursty on-periods congest
-    it locally even at lower loads. *)
-
-open Smbm_prelude
+    it locally even at lower loads.  Every preset raises [Invalid_argument]
+    if [load] is negative or not finite, or the MMPP parameters are out of
+    range (see {!Source_bank.create}). *)
 
 type mmpp_params = {
   sources : int;  (** number of interleaved sources (paper: 500) *)
@@ -26,11 +26,16 @@ val default_mmpp : mmpp_params
 
 val duty_cycle : mmpp_params -> float
 
-val sources :
-  mmpp:mmpp_params -> label:Label.t -> rate_per_source:float -> rng:Rng.t ->
-  Source.t list
-(** Build the source set; [rate_per_source] is each source's on-state
-    emission rate. *)
+val workload :
+  mmpp:mmpp_params ->
+  label:Label.t ->
+  emission:Source_bank.emission ->
+  seed:int ->
+  Workload.t
+(** A {!Source_bank} of [mmpp.sources] sources with the given on-state
+    [emission] (per source) and [label], seeded from [seed].  Every preset
+    below is one of these.
+    @raise Invalid_argument as {!Source_bank.create}. *)
 
 val proc_workload :
   ?mmpp:mmpp_params ->

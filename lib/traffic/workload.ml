@@ -26,18 +26,8 @@ let fill_child t b =
 
 let push_list b arrivals = List.iter (Arrival_batch.push_arrival b) arrivals
 
-let of_sources sources =
-  let mean = List.fold_left (fun acc s -> acc +. Source.mean_rate s) 0.0 sources in
-  let fill b _ =
-    (* Historical order contract: sources prepend-accumulated onto one list,
-       so the slot reads as the reverse of the draw sequence.  Append in
-       draw order (preserving every RNG stream), then reverse the appended
-       segment in place. *)
-    let from = Arrival_batch.length b in
-    List.iter (fun s -> Source.step_into s ~into:b) sources;
-    Arrival_batch.reverse_from b ~from
-  in
-  make ~mean_rate:mean fill
+let of_bank bank =
+  make ~mean_rate:(Source_bank.mean_rate bank) (fun b _ -> Source_bank.fill bank b)
 
 let of_fun f = make (fun b i -> push_list b (f i))
 

@@ -29,8 +29,9 @@ open Smbm_core
 
 type t
 
-val of_sources : Source.t list -> t
-(** Interleaving of independent sources (the paper's 500-source setup). *)
+val of_bank : Source_bank.t -> t
+(** The bank's slots, one {!Source_bank.fill} each (the paper's 500
+    interleaved sources). *)
 
 val of_fun : (int -> Arrival.t list) -> t
 (** Arbitrary slot -> arrivals function (slot numbers start at 0); used by
@@ -70,5 +71,5 @@ val slot : t -> int
 (** Number of slots already consumed. *)
 
 val mean_rate : t -> float option
-(** Long-run packets per slot, when the workload knows it (source-based
-    workloads only). *)
+(** Long-run packets per slot, when the workload knows it (bank workloads
+    only). *)

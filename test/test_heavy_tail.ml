@@ -49,18 +49,24 @@ let test_pareto_int_mean_matches_samples () =
     (abs_float (empirical -. predicted) /. predicted < 0.05)
 
 let test_batch_mmpp_rate () =
-  let rng = Rng.create ~seed:4 in
-  let sample r = Rng.pareto_int r ~alpha:1.5 ~max:100 in
+  (* An always-on source whose batch mean is the raw Pareto mean: every
+     on-slot is one untouched Pareto batch. *)
   let mean = Rng.pareto_int_mean ~alpha:1.5 ~max:100 in
-  let m =
-    Mmpp.create_batch ~rng ~p_on_to_off:0.0 ~p_off_to_on:1.0 ~sample ~mean
-      ~start_on:true ()
+  let bank =
+    Source_bank.create ~rng:(Rng.create ~seed:4) ~sources:1 ~p_on_to_off:0.0
+      ~p_off_to_on:1.0
+      ~emission:(Heavy_tail { alpha = 1.5; max_batch = 100; mean })
+      ~label:(Label.uniform_port ~n:1)
   in
-  Alcotest.(check (float 1e-9)) "declared mean rate" mean (Mmpp.mean_rate m);
+  Alcotest.(check (float 1e-9)) "declared mean rate" mean
+    (Source_bank.mean_rate bank);
+  let batch = Arrival_batch.create () in
   let slots = 100_000 in
   let total = ref 0 in
   for _ = 1 to slots do
-    total := !total + Mmpp.step m
+    Arrival_batch.clear batch;
+    Source_bank.fill bank batch;
+    total := !total + Arrival_batch.length batch
   done;
   let empirical = float_of_int !total /. float_of_int slots in
   Alcotest.(check bool) "empirical rate" true

@@ -164,8 +164,88 @@ let prop_split_no_overlap =
       done;
       !ok)
 
+(* Golden streams: the first outputs of every sampler at fixed seeds, as
+   the boxed-state generator produced them.  Any change to the state
+   representation, to a sampler's arithmetic or to its draw count or order
+   (the two uniforms of the normal approximation included) breaks one of
+   these lists. *)
+module Golden = struct
+  let bits64 = [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L; 0x581ce1ff0e4ae394L; 0x09bc585a244823f2L; 0xde4431fa3c80db06L; 0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L ]
+  let split = [ 0xb8b4c2977eabce45L; 0x9c84dc3aae97b406L; 0xba42f571ab5a9e30L; 0xfca14a663f16d7e1L; 0x1024aced80457773L; 0x2a7522bf6a17c4bcL; 0x09b2dc44af257a06L; 0xd0ddddabb2c23a73L ]
+  let float = [ 0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1; 0x1.c7061a43b90b2p-2; 0x1.c6ed53634406cp-2; 0x1.869a17ff202ap-1; 0x1.c133d8d9ae6c7p-1; 0x1.0bcf761e244fp-1 ]
+  let int_small = [ 2; 0; 3; 4; 1; 4; 0; 2 ]
+  let int_rejecting = [ 1046394712501569526; 3000303097043014852; 2194929032479927936; 672077022357742823; 1996298423616916683; 2409350602284836739; 1246500532934115036; 1070487202542450493 ]
+  let int_in = [ 6; -1; 0; -2; -3; -1; 4; 0 ]
+  let bool = [ false; false; true; true; true; false; true; true ]
+  let bernoulli = [ false; false; true; true; false; false; true; true ]
+  let poisson_small = [ 4; 3; 4; 2; 0; 3; 3; 0 ]
+  let poisson_large = [ 80; 82; 85; 93; 82; 83; 82; 91 ]
+  let exponential = [ 0x1.15885f672794cp-6; 0x1.535d27f1378p-1; 0x1.1f7ffadadff1bp-4; 0x1.d7ff2d686da18p-1; 0x1.f0a4bd855d515p-1; 0x1.7cce0d8218a9cp+0; 0x1.8c58de32b1765p-1; 0x1.890f5031801fep-1 ]
+  let geometric = [ 1; 1; 3; 2; 0; 2; 0; 5 ]
+  let pareto_int = [ 2; 10; 1; 7; 4; 1; 1; 3 ]
+  let after_mixed = [ 0xb9d34b092e6ad297L; 0xf76f69338032a9d5L; 0x4731f9068e746affL; 0x4f06b213b6db0d65L; 0x2ba651632941f280L; 0xed2fbd9fb6ac4219L; 0xb78a9b07e3fccacfL; 0x2e3e12084e4f0e0bL ]
+end
+
+let test_golden_streams () =
+  let draws f = List.init 8 (fun _ -> f ()) in
+  let seeded seed = Rng.create ~seed in
+  let exact = Alcotest.float 0.0 in
+  let r = seeded 42 in
+  Alcotest.(check (list int64)) "bits64" Golden.bits64 (draws (fun () -> Rng.bits64 r));
+  let p = seeded 7 in
+  Alcotest.(check (list int64)) "split" Golden.split
+    (draws (fun () ->
+         let c = Rng.split p in
+         ignore (Rng.bits64 p);
+         Rng.bits64 c));
+  let r = seeded 1 in
+  Alcotest.(check (list exact)) "float" Golden.float (draws (fun () -> Rng.float r));
+  let r = seeded 2 in
+  Alcotest.(check (list int)) "int" Golden.int_small (draws (fun () -> Rng.int r 7));
+  let r = seeded 3 in
+  Alcotest.(check (list int)) "int, rejecting a quarter" Golden.int_rejecting
+    (draws (fun () -> Rng.int r (3 lsl 60)));
+  let r = seeded 4 in
+  Alcotest.(check (list int)) "int_in" Golden.int_in
+    (draws (fun () -> Rng.int_in r (-3) 6));
+  let r = seeded 5 in
+  Alcotest.(check (list bool)) "bool" Golden.bool (draws (fun () -> Rng.bool r));
+  let r = seeded 6 in
+  Alcotest.(check (list bool)) "bernoulli" Golden.bernoulli
+    (draws (fun () -> Rng.bernoulli r ~p:0.3));
+  let r = seeded 8 in
+  Alcotest.(check (list int)) "poisson, product method" Golden.poisson_small
+    (draws (fun () -> Rng.poisson r ~lambda:2.5));
+  let r = seeded 9 in
+  Alcotest.(check (list int)) "poisson, normal approximation"
+    Golden.poisson_large
+    (draws (fun () -> Rng.poisson r ~lambda:80.0));
+  let r = seeded 10 in
+  Alcotest.(check (list exact)) "exponential" Golden.exponential
+    (draws (fun () -> Rng.exponential r ~rate:2.0));
+  let r = seeded 11 in
+  Alcotest.(check (list int)) "geometric" Golden.geometric
+    (draws (fun () -> Rng.geometric r ~p:0.25));
+  let r = seeded 12 in
+  Alcotest.(check (list int)) "pareto_int" Golden.pareto_int
+    (draws (fun () -> Rng.pareto_int r ~alpha:1.2 ~max:1000));
+  (* Draw counts: the stream left after a mix of calls, including the
+     draw-free edge cases. *)
+  let r = seeded 13 in
+  Alcotest.(check (list int64)) "draw counts" Golden.after_mixed
+    (draws (fun () ->
+         ignore (Rng.poisson r ~lambda:45.0);
+         ignore (Rng.poisson r ~lambda:0.7);
+         ignore (Rng.int r 1000);
+         ignore (Rng.pareto_int r ~alpha:1.5 ~max:50);
+         ignore (Rng.bernoulli r ~p:1.0);
+         ignore (Rng.bernoulli r ~p:0.0);
+         ignore (Rng.geometric r ~p:1.0);
+         Rng.bits64 r))
+
 let suite =
   [
+    Alcotest.test_case "golden streams" `Quick test_golden_streams;
     Alcotest.test_case "determinism by seed" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "copy preserves stream" `Quick test_copy_independent;

@@ -2,100 +2,105 @@ open Smbm_prelude
 open Smbm_core
 open Smbm_traffic
 
-(* --- MMPP --- *)
+(* --- MMPP sources --- *)
+
+(* A bank of [sources] on-off sources with uniform-port labels. *)
+let bank ?(sources = 1) ?(label = Label.uniform_port ~n:4) ~seed ~p_on_to_off
+    ~p_off_to_on ~rate () =
+  Source_bank.create ~rng:(Rng.create ~seed) ~sources ~p_on_to_off ~p_off_to_on
+    ~emission:(Poisson rate) ~label
+
+(* Packets of one slot. *)
+let step b =
+  let batch = Arrival_batch.create () in
+  Source_bank.fill b batch;
+  Arrival_batch.to_list batch
 
 let test_mmpp_off_emits_nothing () =
-  let rng = Rng.create ~seed:1 in
-  let m =
-    Mmpp.create ~rng ~p_on_to_off:0.0 ~p_off_to_on:0.0 ~rate_on:5.0
-      ~start_on:false ()
-  in
+  (* Stationary on-probability 0 and no way back on: never on. *)
+  let b = bank ~seed:1 ~p_on_to_off:1.0 ~p_off_to_on:0.0 ~rate:5.0 () in
   for _ = 1 to 50 do
-    Alcotest.(check int) "silent when off" 0 (Mmpp.step m)
+    Alcotest.(check int) "silent when off" 0 (List.length (step b))
   done
 
 let test_mmpp_always_on_rate () =
-  let rng = Rng.create ~seed:2 in
-  let m =
-    Mmpp.create ~rng ~p_on_to_off:0.0 ~p_off_to_on:1.0 ~rate_on:3.0
-      ~start_on:true ()
-  in
+  let b = bank ~seed:2 ~p_on_to_off:0.0 ~p_off_to_on:1.0 ~rate:3.0 () in
   let total = ref 0 in
   let slots = 20_000 in
   for _ = 1 to slots do
-    total := !total + Mmpp.step m
+    total := !total + List.length (step b)
   done;
   let mean = float_of_int !total /. float_of_int slots in
   Alcotest.(check bool) "mean close to rate" true (abs_float (mean -. 3.0) < 0.1)
 
 let test_mmpp_duty_cycle () =
-  let rng = Rng.create ~seed:3 in
-  let m = Mmpp.create ~rng ~p_on_to_off:0.1 ~p_off_to_on:0.3 ~rate_on:1.0 () in
+  let b = bank ~seed:3 ~p_on_to_off:0.1 ~p_off_to_on:0.3 ~rate:1.0 () in
   Alcotest.(check (float 1e-9)) "stationary on-probability" 0.75
-    (Mmpp.duty_cycle m);
-  Alcotest.(check (float 1e-9)) "mean rate" 0.75 (Mmpp.mean_rate m);
+    (Source_bank.duty_cycle b);
+  Alcotest.(check (float 1e-9)) "mean rate" 0.75 (Source_bank.mean_rate b);
   (* Empirical duty cycle over a long run. *)
   let on = ref 0 in
   let slots = 50_000 in
   for _ = 1 to slots do
-    ignore (Mmpp.step m);
-    if Mmpp.is_on m then incr on
+    ignore (step b);
+    if Source_bank.is_on b 0 then incr on
   done;
   let freq = float_of_int !on /. float_of_int slots in
   Alcotest.(check bool) "empirical duty cycle" true (abs_float (freq -. 0.75) < 0.02)
 
 let test_mmpp_validation () =
-  let rng = Rng.create ~seed:4 in
-  (match Mmpp.create ~rng ~p_on_to_off:1.5 ~p_off_to_on:0.1 ~rate_on:1.0 () with
+  (match bank ~seed:4 ~p_on_to_off:1.5 ~p_off_to_on:0.1 ~rate:1.0 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bad probability accepted");
-  match Mmpp.create ~rng ~p_on_to_off:0.1 ~p_off_to_on:0.1 ~rate_on:(-1.0) () with
+  (match bank ~seed:4 ~p_on_to_off:Float.nan ~p_off_to_on:0.1 ~rate:1.0 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "NaN probability accepted");
+  match bank ~seed:4 ~p_on_to_off:0.1 ~p_off_to_on:0.1 ~rate:(-1.0) () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative rate accepted"
 
 (* --- Labels --- *)
 
+(* The first [n] packets of an always-on source labelled by [label]. *)
+let draws ~seed label n =
+  let b = bank ~seed ~label ~p_on_to_off:0.0 ~p_off_to_on:1.0 ~rate:4.0 () in
+  let rec go acc =
+    if List.length acc >= n then List.filteri (fun i _ -> i < n) acc
+    else go (step b @ acc)
+  in
+  go []
+
 let test_uniform_port_label () =
-  let rng = Rng.create ~seed:5 in
-  let label = Label.uniform_port ~n:4 in
   let seen = Array.make 4 false in
-  for _ = 1 to 500 do
-    let a = label rng in
-    Alcotest.(check int) "unit value" 1 a.Arrival.value;
-    seen.(a.Arrival.dest) <- true
-  done;
+  List.iter
+    (fun (a : Arrival.t) ->
+      Alcotest.(check int) "unit value" 1 a.value;
+      seen.(a.dest) <- true)
+    (draws ~seed:5 (Label.uniform_port ~n:4) 500);
   Alcotest.(check bool) "all ports seen" true (Array.for_all Fun.id seen)
 
 let test_value_equals_port_label () =
-  let rng = Rng.create ~seed:6 in
-  let label = Label.value_equals_port ~n:5 in
-  for _ = 1 to 200 do
-    let a = label rng in
-    Alcotest.(check int) "value is port + 1" (a.Arrival.dest + 1)
-      a.Arrival.value
-  done
+  List.iter
+    (fun (a : Arrival.t) ->
+      Alcotest.(check int) "value is port + 1" (a.dest + 1) a.value)
+    (draws ~seed:6 (Label.value_equals_port ~n:5) 200)
 
 let test_uniform_port_and_value_label () =
-  let rng = Rng.create ~seed:7 in
-  let label = Label.uniform_port_and_value ~n:3 ~k:6 in
-  for _ = 1 to 200 do
-    let a = label rng in
-    if a.Arrival.dest < 0 || a.Arrival.dest >= 3 then Alcotest.fail "bad dest";
-    if a.Arrival.value < 1 || a.Arrival.value > 6 then Alcotest.fail "bad value"
-  done
+  List.iter
+    (fun (a : Arrival.t) ->
+      if a.dest < 0 || a.dest >= 3 then Alcotest.fail "bad dest";
+      if a.value < 1 || a.value > 6 then Alcotest.fail "bad value")
+    (draws ~seed:7 (Label.uniform_port_and_value ~n:3 ~k:6) 200)
 
 let test_weighted_port_label () =
-  let rng = Rng.create ~seed:8 in
-  let label = Label.weighted_port ~weights:[| 0.0; 1.0; 3.0 |] () in
   let counts = Array.make 3 0 in
-  for _ = 1 to 8_000 do
-    let a = label rng in
-    counts.(a.Arrival.dest) <- counts.(a.Arrival.dest) + 1
-  done;
+  List.iter
+    (fun (a : Arrival.t) -> counts.(a.dest) <- counts.(a.dest) + 1)
+    (draws ~seed:8 (Label.weighted_port ~weights:[| 0.0; 1.0; 3.0 |] ()) 8_000);
   Alcotest.(check int) "zero-weight port unused" 0 counts.(0);
   let frac = float_of_int counts.(2) /. 8000.0 in
   Alcotest.(check bool) "weights respected" true (abs_float (frac -. 0.75) < 0.03);
-  match Label.weighted_port ~weights:[| 0.0 |] () rng with
+  match Label.weighted_port ~weights:[| 0.0 |] () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "all-zero weights accepted"
 
@@ -120,11 +125,9 @@ let test_workload_of_fun () =
 
 let test_workload_of_sources_deterministic () =
   let build seed =
-    let rng = Rng.create ~seed in
-    Scenario.sources
+    Scenario.workload
       ~mmpp:{ Scenario.sources = 10; p_on_to_off = 0.2; p_off_to_on = 0.2 }
-      ~label:(Label.uniform_port ~n:3) ~rate_per_source:0.5 ~rng
-    |> Workload.of_sources
+      ~label:(Label.uniform_port ~n:3) ~emission:(Poisson 0.5) ~seed
   in
   let w1 = build 99 and w2 = build 99 in
   for _ = 1 to 200 do
@@ -148,11 +151,9 @@ let test_workload_merge () =
 
 let test_workload_merge_rates () =
   let mk rate =
-    let rng = Rng.create ~seed:1 in
-    Scenario.sources
+    Scenario.workload
       ~mmpp:{ Scenario.sources = 4; p_on_to_off = 0.0; p_off_to_on = 1.0 }
-      ~label:(Label.uniform_port ~n:2) ~rate_per_source:rate ~rng
-    |> Workload.of_sources
+      ~label:(Label.uniform_port ~n:2) ~emission:(Poisson rate) ~seed:1
   in
   match Workload.mean_rate (Workload.merge [ mk 0.5; mk 0.25 ]) with
   | Some r -> Alcotest.(check (float 1e-9)) "rates add" 3.0 r
