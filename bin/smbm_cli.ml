@@ -118,17 +118,19 @@ let base_of c =
 
 (* ----- observability options ----- *)
 
-let trace_term =
+let trace_arg ~doc =
   Arg.(
     value
     & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~env:(Cmd.Env.info "SMBM_TRACE")
-        ~doc:
-          "Write per-slot switch events (arrival, accept, push-out, drop, \
-           transmit, slot-end) as JSONL to $(docv).  Deterministic: \
-           byte-identical for every $(b,--jobs) value, and recording does \
-           not change any result.  Validate with $(b,trace-validate).")
+    & info [ "trace" ] ~docv:"FILE" ~env:(Cmd.Env.info "SMBM_TRACE") ~doc)
+
+let trace_term =
+  trace_arg
+    ~doc:
+      "Write per-slot switch events (arrival, accept, push-out, drop, \
+       transmit, slot-end) as JSONL to $(docv).  Deterministic: \
+       byte-identical for every $(b,--jobs) value, and recording does not \
+       change any result.  Validate with $(b,trace-validate)."
 
 let trace_cap_term =
   Arg.(
@@ -363,10 +365,10 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
       check_every = None;
     }
   in
-  let recorder =
+  let events =
     match trace with
     | None -> None
-    | Some _ -> Some (Smbm_obs.Recorder.create ~cap:trace_cap ())
+    | Some _ -> Some (Smbm_obs.Flight.create ~cap:trace_cap ())
   in
   let inst, workload =
     match model with
@@ -388,7 +390,7 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
           Smbm_traffic.Scenario.proc_workload ~mmpp ~config ~load:common.load
             ~seed:common.seed ()
       in
-      (Proc_engine.instance ?recorder config policy, workload)
+      (Proc_engine.instance ?events config policy, workload)
     | Sweep.Value_uniform | Sweep.Value_port ->
       let config =
         Value_config.make ~ports:common.k ~max_value:common.k
@@ -408,7 +410,7 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
           Smbm_traffic.Scenario.value_uniform_workload ~mmpp ~config
             ~load:common.load ~seed:common.seed ()
       in
-      (Value_engine.instance ?recorder config policy, workload)
+      (Value_engine.instance ?events config policy, workload)
   in
   let inst, series =
     match timeseries with
@@ -434,14 +436,14 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
     end
   in
   Experiment.run ~params ~workload [ inst ];
-  (match (trace, recorder) with
-  | Some path, Some r ->
-    write_events path (Smbm_obs.Recorder.dump r);
-    if Smbm_obs.Recorder.dropped r > 0 then
+  (match (trace, events) with
+  | Some path, Some f ->
+    write_events path (Smbm_obs.Flight.dump f);
+    if Smbm_obs.Flight.dropped f > 0 then
       Printf.eprintf "trace: %d events evicted (raise --trace-cap)\n"
-        (Smbm_obs.Recorder.dropped r);
+        (Smbm_obs.Flight.dropped f);
     Printf.printf "wrote trace to %s (%d events)\n" path
-      (Smbm_obs.Recorder.length r)
+      (Smbm_obs.Flight.length f)
   | _ -> ());
   (match metrics_out with
   | None -> ()
@@ -676,7 +678,25 @@ let run_trace_validate allow_truncation path =
   (match Smbm_forensics.Trace_file.iter_events path ~f:on_event with
   | Ok _ -> ()
   | Error msg -> fail "%s" msg);
-  let truncations = List.rev !truncations in
+  (* One budget per scope: a ring drained while it runs (serve --trace)
+     can declare several losses, each with its own marker. *)
+  let truncations =
+    let markers = List.rev !truncations in
+    let scopes =
+      List.fold_left
+        (fun acc (scope, _, _) ->
+          if List.mem scope acc then acc else scope :: acc)
+        [] markers
+    in
+    List.rev_map
+      (fun scope ->
+        List.fold_left
+          (fun (_, e, o) (s, evicted, oldest) ->
+            if s = scope then (scope, e + evicted, max o oldest)
+            else (scope, e, o))
+          (scope, 0, 0) markers)
+      scopes
+  in
   let sources =
     Hashtbl.fold (fun src v acc -> (src, v) :: acc) per_src []
     |> List.sort compare
@@ -1659,8 +1679,8 @@ let load_arrival_trace path =
       with Failure m -> die "%s: %s" path m)
 
 let run_serve common model policy_name ingest_trace ring backpressure duration
-    rate shards ats metrics_out metrics_every trace trace_cap max_p99
-    stats_sock stats_every stats_window flight_cap postmortem =
+    rate shards ats metrics_out metrics_every (trace, flight_cap) max_p99
+    stats_sock stats_every stats_window postmortem =
   let mmpp =
     { Smbm_traffic.Scenario.default_mmpp with sources = common.sources }
   in
@@ -1681,17 +1701,12 @@ let run_serve common model policy_name ingest_trace ring backpressure duration
         (Smbm_serve.Mmpp_bank.create ~mmpp ?pool ~shards
            (serve_model common model) ~load:common.load ~seed:common.seed ())
   in
-  let recorder, event_sink =
-    match trace with
-    | None -> (None, None)
-    | Some path ->
-      (Some (Smbm_obs.Recorder.create ~cap:trace_cap ()), Some (open_sink path))
-  in
+  let event_sink = Option.map open_sink trace in
   let metrics_sink = Option.map open_sink metrics_out in
   let report =
     Smbm_serve.Daemon.run ~ring_capacity:ring ~backpressure
       ?flush_every:(if common.flush > 0 then Some common.flush else None)
-      ~metrics_every ?metrics_sink ?recorder ?event_sink ~controls
+      ~metrics_every ?metrics_sink ?event_sink ~controls
       ?slots:(if common.slots > 0 then Some common.slots else None)
       ?duration:(if duration > 0. then Some duration else None)
       ?rate:(if rate > 0. then Some rate else None)
@@ -1709,6 +1724,9 @@ let run_serve common model policy_name ingest_trace ring backpressure duration
   Option.iter
     (fun sink ->
       close_sink sink;
+      if report.Smbm_serve.Daemon.events_evicted > 0 then
+        Printf.eprintf "trace: %d events evicted (raise --flight-cap)\n"
+          report.Smbm_serve.Daemon.events_evicted;
       Printf.printf "wrote trace to %s\n" (Option.get trace))
     event_sink;
   if not report.Smbm_serve.Daemon.conservation_ok then
@@ -1797,9 +1815,8 @@ let serve_cmd =
       value & opt int 0
       & info [ "metrics-every" ] ~docv:"SLOTS"
           ~doc:
-            "Emit a labeled metrics snapshot to $(b,--metrics-out) (and \
-             drain the event recorder to $(b,--trace)) every $(docv) slots \
-             (0 = final snapshot only).")
+            "Emit a labeled metrics snapshot to $(b,--metrics-out) every \
+             $(docv) slots (0 = final snapshot only).")
   in
   let max_p99 =
     Arg.(
@@ -1839,9 +1856,28 @@ let serve_cmd =
       value & opt int 65536
       & info [ "flight-cap" ] ~docv:"N"
           ~doc:
-            "Size of the always-on flight recorder ring (last $(docv) \
-             events, allocation-free; rounded up to a power of two; 0 \
-             disables the black box).")
+            "Size of the always-on event ring (last $(docv) events, \
+             allocation-free; 0 disables it, and with it the black box and \
+             $(b,--trace)).")
+  in
+  let serve_trace_term =
+    trace_arg
+      ~doc:
+        "Write every event the daemon records (switch events, \
+         reconfigurations, health transitions) as JSONL to $(docv), drained \
+         from the event ring at the end of each slot.  A slot recording \
+         more than $(b,--flight-cap) events leaves a truncated marker and \
+         an eviction warning.  Validate with $(b,trace-validate)."
+  in
+  (* [--trace] drains the event ring, so it needs one. *)
+  let trace_and_ring =
+    let check trace flight_cap =
+      match trace with
+      | Some _ when flight_cap <= 0 ->
+        `Error (true, "--trace drains the event ring: --flight-cap must be > 0")
+      | _ -> `Ok (trace, flight_cap)
+    in
+    Term.(ret (const check $ serve_trace_term $ flight_cap))
   in
   let postmortem =
     Arg.(
@@ -1866,8 +1902,8 @@ let serve_cmd =
       $ ring_term $ backpressure_term
       $ duration_term ~default:0.
       $ rate $ shards_term $ ats $ metrics_out_term $ metrics_every
-      $ trace_term $ trace_cap_term $ max_p99 $ stats_sock $ stats_every
-      $ stats_window $ flight_cap $ postmortem)
+      $ trace_and_ring $ max_p99 $ stats_sock $ stats_every $ stats_window
+      $ postmortem)
 
 let run_loadgen common model policy_name ring duration shards =
   let mmpp =

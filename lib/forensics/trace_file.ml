@@ -35,19 +35,6 @@ let scope_covers ~scope src =
 
 let magic = "SMBMTRC\x01"
 
-let tag_of_kind = function
-  | Event.Arrival _ -> 0
-  | Event.Accept _ -> 1
-  | Event.Push_out _ -> 2
-  | Event.Drop _ -> 3
-  | Event.Transmit _ -> 4
-  | Event.Transmit_bulk _ -> 5
-  | Event.Flush _ -> 6
-  | Event.Slot_end _ -> 7
-  | Event.Reconfig _ -> 8
-  | Event.Health _ -> 9
-  | Event.Truncated _ -> 10
-
 let add_uvarint buf n =
   if n < 0 then invalid_arg "Trace_file: negative unsigned varint";
   let rec go n =
@@ -81,17 +68,17 @@ let to_binary events =
       incr n_names;
       id
   in
+  let names_only =
+    {
+      Event.put_int = ignore;
+      put_name = (fun s -> ignore (intern s));
+      put_flag = ignore;
+    }
+  in
   List.iter
     (fun (e : Event.t) ->
       ignore (intern e.src);
-      match e.kind with
-      | Event.Reconfig { what; target } ->
-        ignore (intern what);
-        ignore (intern target)
-      | Event.Health { rule; reason; _ } ->
-        ignore (intern rule);
-        ignore (intern reason)
-      | _ -> ())
+      Event.write_payload names_only e.kind)
     events;
   add_uvarint buf !n_names;
   List.iter
@@ -100,38 +87,19 @@ let to_binary events =
       Buffer.add_string buf s)
     (List.rev !names);
   add_uvarint buf (List.length events);
+  let payload =
+    {
+      Event.put_int = add_varint buf;
+      put_name = (fun s -> add_uvarint buf (intern s));
+      put_flag = (fun b -> Buffer.add_char buf (if b then '\x01' else '\x00'));
+    }
+  in
   List.iter
     (fun (e : Event.t) ->
-      Buffer.add_char buf (Char.chr (tag_of_kind e.kind));
+      Buffer.add_char buf (Char.chr (Event.tag e.kind));
       add_uvarint buf e.slot;
       add_uvarint buf (intern e.src);
-      match e.kind with
-      | Event.Arrival { dest } | Event.Accept { dest } -> add_varint buf dest
-      | Event.Push_out { victim; dest; lost } ->
-        add_varint buf victim;
-        add_varint buf dest;
-        add_varint buf lost
-      | Event.Drop { dest; value } ->
-        add_varint buf dest;
-        add_varint buf value
-      | Event.Transmit { dest; value; latency } ->
-        add_varint buf dest;
-        add_varint buf value;
-        add_varint buf latency
-      | Event.Transmit_bulk { dest; count; value } ->
-        add_varint buf dest;
-        add_varint buf count;
-        add_varint buf value
-      | Event.Flush { count } -> add_varint buf count
-      | Event.Slot_end { occupancy } -> add_varint buf occupancy
-      | Event.Reconfig { what; target } ->
-        add_uvarint buf (intern what);
-        add_uvarint buf (intern target)
-      | Event.Health { rule; tripped; reason } ->
-        add_uvarint buf (intern rule);
-        Buffer.add_char buf (if tripped then '\x01' else '\x00');
-        add_uvarint buf (intern reason)
-      | Event.Truncated { evicted } -> add_varint buf evicted)
+      Event.write_payload payload e.kind)
     events;
   Buffer.contents buf
 
@@ -193,53 +161,25 @@ let of_binary ~path data =
   (* Every event is at least three bytes (tag, slot, src), so a count
      beyond the remaining bytes is corruption, not a huge allocation. *)
   if n_events > n - !pos then corrupt "event count %d beyond file" n_events;
+  let payload =
+    {
+      Event.int = varint;
+      name = (fun () -> name (uvarint ()));
+      flag =
+        (fun () ->
+          match byte () with
+          | 0 -> false
+          | 1 -> true
+          | b -> corrupt "bad health state byte %d" b);
+    }
+  in
   let decode_event () =
     let tag = byte () in
-        let slot = uvarint () in
-        let src = name (uvarint ()) in
-        let kind =
-          match tag with
-          | 0 -> Event.Arrival { dest = varint () }
-          | 1 -> Event.Accept { dest = varint () }
-          | 2 ->
-            let victim = varint () in
-            let dest = varint () in
-            let lost = varint () in
-            Event.Push_out { victim; dest; lost }
-          | 3 ->
-            let dest = varint () in
-            let value = varint () in
-            Event.Drop { dest; value }
-          | 4 ->
-            let dest = varint () in
-            let value = varint () in
-            let latency = varint () in
-            Event.Transmit { dest; value; latency }
-          | 5 ->
-            let dest = varint () in
-            let count = varint () in
-            let value = varint () in
-            Event.Transmit_bulk { dest; count; value }
-          | 6 -> Event.Flush { count = varint () }
-          | 7 -> Event.Slot_end { occupancy = varint () }
-          | 8 ->
-            let what = name (uvarint ()) in
-            let target = name (uvarint ()) in
-            Event.Reconfig { what; target }
-          | 9 ->
-            let rule = name (uvarint ()) in
-            let tripped =
-              match byte () with
-              | 0 -> false
-              | 1 -> true
-              | b -> corrupt "bad health state byte %d" b
-            in
-            let reason = name (uvarint ()) in
-            Event.Health { rule; tripped; reason }
-          | 10 -> Event.Truncated { evicted = varint () }
-      | t -> corrupt "unknown event tag %d" t
-    in
-    Event.make ~src ~slot kind
+    let slot = uvarint () in
+    let src = name (uvarint ()) in
+    match Event.of_tag tag payload with
+    | Some kind -> Event.make ~src ~slot kind
+    | None -> corrupt "unknown event tag %d" tag
   in
   let events = ref [] in
   for _ = 1 to n_events do

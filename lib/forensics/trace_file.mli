@@ -5,8 +5,9 @@
     scope-qualified, e.g. ["x=8/LWD"]).  Loading splits the file back into
     one stream per source, keeps original line numbers for error reporting,
     and resolves [Truncated] metadata markers: each marker's [src] is a
-    recorder scope, and it covers every source inside that scope, declaring
-    how many of their oldest events the recording ring evicted. *)
+    ring scope, and it covers every source inside that scope, declaring
+    how many of their events the recording ring evicted (a scope may carry
+    several markers; their counts add up). *)
 
 type line = { lineno : int; event : Smbm_obs.Event.t }
 

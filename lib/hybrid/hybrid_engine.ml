@@ -1,51 +1,57 @@
 open Smbm_core
 open Smbm_sim
+module Flight = Smbm_obs.Flight
 
-let create ?name ?recorder config (policy : Hybrid_policy.t) =
+let create ?name ?events config (policy : Hybrid_policy.t) =
   let name = Option.value name ~default:policy.name in
   let sw = Hybrid_switch.create config in
   let metrics = Metrics.create () in
   let ports = Port_stats.create ~n:(Hybrid_config.n config) in
-  let record =
-    match recorder with
-    | None -> fun (_ : Smbm_obs.Event.kind) -> ()
-    | Some r ->
-      fun kind ->
-        Smbm_obs.Recorder.record r ~slot:(Hybrid_switch.now sw) ~who:name kind
-  in
-  (* Events are records: guard construction, not just delivery — an
-     untraced run must not allocate an event per arrival. *)
-  let recording = Option.is_some recorder in
+  let src = match events with Some f -> Flight.intern f name | None -> 0 in
   let on_transmit (p : Hybrid_switch.packet) =
     let latency = Hybrid_switch.now sw - p.arrival in
     Metrics.record_transmit metrics ~value:p.value
       ~latency:(float_of_int latency);
     Port_stats.record ports ~port:p.dest ~value:p.value;
-    if recording then record (Smbm_obs.Event.Transmit { dest = p.dest; value = p.value; latency })
+    match events with
+    | None -> ()
+    | Some f ->
+      Flight.transmit f ~slot:(Hybrid_switch.now sw) ~src ~dest:p.dest
+        ~value:p.value ~latency
   in
   let arrive_dv ~dest ~value =
     Metrics.record_arrival metrics;
-    if recording then record (Smbm_obs.Event.Arrival { dest });
+    (match events with
+    | None -> ()
+    | Some f -> Flight.arrival f ~slot:(Hybrid_switch.now sw) ~src ~dest);
     match policy.admit sw ~dest ~value with
     | Decision.Accept ->
       ignore (Hybrid_switch.accept sw ~dest ~value);
       Metrics.record_accept metrics;
-      if recording then record (Smbm_obs.Event.Accept { dest })
+      (match events with
+      | None -> ()
+      | Some f -> Flight.accept f ~slot:(Hybrid_switch.now sw) ~src ~dest)
     | Decision.Push_out { victim } ->
       if not (Hybrid_switch.is_full sw) then
         invalid_arg (name ^ ": push-out with free space");
       let evicted = Hybrid_switch.push_out sw ~victim in
       Metrics.record_push_out metrics;
-      if recording then
-        record
-          (Smbm_obs.Event.Push_out
-           { victim; dest; lost = evicted.Hybrid_switch.value });
+      (match events with
+      | None -> ()
+      | Some f ->
+        Flight.push_out f ~slot:(Hybrid_switch.now sw) ~src ~victim ~dest
+          ~lost:evicted.Hybrid_switch.value);
       ignore (Hybrid_switch.accept sw ~dest ~value);
       Metrics.record_accept metrics;
-      if recording then record (Smbm_obs.Event.Accept { dest })
+      (match events with
+      | None -> ()
+      | Some f -> Flight.accept f ~slot:(Hybrid_switch.now sw) ~src ~dest)
     | Decision.Drop ->
       Metrics.record_drop metrics;
-      if recording then record (Smbm_obs.Event.Drop { dest; value })
+      (match events with
+      | None -> ()
+      | Some f ->
+        Flight.drop f ~slot:(Hybrid_switch.now sw) ~src ~dest ~value)
   in
   let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in
   let inst : Instance.t =
@@ -60,13 +66,18 @@ let create ?name ?recorder config (policy : Hybrid_policy.t) =
         (fun () ->
           let occupancy = Hybrid_switch.occupancy sw in
           Metrics.record_occupancy metrics occupancy;
-          if recording then record (Smbm_obs.Event.Slot_end { occupancy });
+          (match events with
+          | None -> ()
+          | Some f ->
+            Flight.slot_end f ~slot:(Hybrid_switch.now sw) ~src ~occupancy);
           Hybrid_switch.advance_slot sw);
       flush =
         (fun () ->
           let count = Hybrid_switch.flush sw in
           Metrics.record_flush metrics count;
-          if recording then record (Smbm_obs.Event.Flush { count });
+          (match events with
+          | None -> ()
+          | Some f -> Flight.flush f ~slot:(Hybrid_switch.now sw) ~src ~count);
           Metrics.check_conservation metrics);
       occupancy = (fun () -> Hybrid_switch.occupancy sw);
       metrics;
@@ -81,8 +92,8 @@ let create ?name ?recorder config (policy : Hybrid_policy.t) =
   in
   (inst, sw)
 
-let instance ?name ?recorder config policy =
-  fst (create ?name ?recorder config policy)
+let instance ?name ?events config policy =
+  fst (create ?name ?events config policy)
 
 (* Brute-force optimum: queues are FIFO lists of (residual, value); only
    accept/drop branches (offline OPT needs no push-out). *)

@@ -4,16 +4,16 @@
 
 val create :
   ?name:string ->
-  ?recorder:Smbm_obs.Recorder.t ->
+  ?events:Smbm_obs.Flight.t ->
   Hybrid_config.t ->
   Hybrid_policy.t ->
   Smbm_sim.Instance.t * Hybrid_switch.t
-(** [recorder] receives every per-slot event (see
+(** [events] receives every per-slot event (see
     {!Smbm_sim.Proc_engine.create}). *)
 
 val instance :
   ?name:string ->
-  ?recorder:Smbm_obs.Recorder.t ->
+  ?events:Smbm_obs.Flight.t ->
   Hybrid_config.t ->
   Hybrid_policy.t ->
   Smbm_sim.Instance.t

@@ -28,6 +28,114 @@ let kind_name = function
   | Health _ -> "health"
   | Truncated _ -> "truncated"
 
+(* ----- binary layout (doc/trace-format.md) -----
+
+   The one kind <-> tag table, plus each kind's payload fields in JSONL
+   order.  The flight ring's columns and the binary trace codec both go
+   through it, so the format is fixed in this one place. *)
+
+let tag_arrival = 0
+let tag_accept = 1
+let tag_push_out = 2
+let tag_drop = 3
+let tag_transmit = 4
+let tag_transmit_bulk = 5
+let tag_flush = 6
+let tag_slot_end = 7
+let tag_reconfig = 8
+let tag_health = 9
+let tag_truncated = 10
+
+let tag = function
+  | Arrival _ -> tag_arrival
+  | Accept _ -> tag_accept
+  | Push_out _ -> tag_push_out
+  | Drop _ -> tag_drop
+  | Transmit _ -> tag_transmit
+  | Transmit_bulk _ -> tag_transmit_bulk
+  | Flush _ -> tag_flush
+  | Slot_end _ -> tag_slot_end
+  | Reconfig _ -> tag_reconfig
+  | Health _ -> tag_health
+  | Truncated _ -> tag_truncated
+
+type reader = {
+  int : unit -> int;
+  name : unit -> string;
+  flag : unit -> bool;
+}
+
+(* [let]-sequenced: the fields must be read in payload order. *)
+let of_tag t r =
+  if t = tag_arrival then Some (Arrival { dest = r.int () })
+  else if t = tag_accept then Some (Accept { dest = r.int () })
+  else if t = tag_push_out then
+    let victim = r.int () in
+    let dest = r.int () in
+    let lost = r.int () in
+    Some (Push_out { victim; dest; lost })
+  else if t = tag_drop then
+    let dest = r.int () in
+    let value = r.int () in
+    Some (Drop { dest; value })
+  else if t = tag_transmit then
+    let dest = r.int () in
+    let value = r.int () in
+    let latency = r.int () in
+    Some (Transmit { dest; value; latency })
+  else if t = tag_transmit_bulk then
+    let dest = r.int () in
+    let count = r.int () in
+    let value = r.int () in
+    Some (Transmit_bulk { dest; count; value })
+  else if t = tag_flush then Some (Flush { count = r.int () })
+  else if t = tag_slot_end then Some (Slot_end { occupancy = r.int () })
+  else if t = tag_reconfig then
+    let what = r.name () in
+    let target = r.name () in
+    Some (Reconfig { what; target })
+  else if t = tag_health then
+    let rule = r.name () in
+    let tripped = r.flag () in
+    let reason = r.name () in
+    Some (Health { rule; tripped; reason })
+  else if t = tag_truncated then Some (Truncated { evicted = r.int () })
+  else None
+
+type writer = {
+  put_int : int -> unit;
+  put_name : string -> unit;
+  put_flag : bool -> unit;
+}
+
+let write_payload w = function
+  | Arrival { dest } | Accept { dest } -> w.put_int dest
+  | Push_out { victim; dest; lost } ->
+    w.put_int victim;
+    w.put_int dest;
+    w.put_int lost
+  | Drop { dest; value } ->
+    w.put_int dest;
+    w.put_int value
+  | Transmit { dest; value; latency } ->
+    w.put_int dest;
+    w.put_int value;
+    w.put_int latency
+  | Transmit_bulk { dest; count; value } ->
+    w.put_int dest;
+    w.put_int count;
+    w.put_int value
+  | Flush { count } -> w.put_int count
+  | Slot_end { occupancy } -> w.put_int occupancy
+  | Reconfig { what; target } ->
+    w.put_name what;
+    w.put_name target
+  | Health { rule; tripped; reason } ->
+    w.put_name rule;
+    w.put_flag tripped;
+    w.put_name reason
+  | Truncated { evicted } -> w.put_int evicted
+
 let payload = function
   | Arrival { dest } | Accept { dest } -> [ ("dest", Json.Int dest) ]
   | Push_out { victim; dest; lost } ->

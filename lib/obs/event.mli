@@ -55,15 +55,62 @@ type kind =
   | Truncated of { evicted : int }
       (** trace metadata, not a switch event: the recording ring evicted
           [evicted] older events before this line.  Emitted as the first
-          line of a scope's dump; [slot] is the oldest surviving slot, so
-          slots before it are unverifiable; [src] is the recorder's scope. *)
+          line of a scope's dump (or, in a trace drained while the ring
+          runs, where the loss happened); [slot] is the oldest surviving
+          slot, so slots before it are unverifiable; [src] is the ring's
+          scope. *)
 
 type t = { src : string; slot : int; kind : kind }
 (** [src] identifies the emitting instance, optionally qualified by the
-    recorder's scope (e.g. ["x=8/LWD"]). *)
+    event ring's scope (e.g. ["x=8/LWD"]). *)
 
 val make : src:string -> slot:int -> kind -> t
 val kind_name : kind -> string
+
+(** {2 Binary layout}
+
+    The kind tags and payload field order fixed by the binary trace format
+    (doc/trace-format.md), defined once here and shared by the
+    {!Flight} ring's columns and {!Smbm_forensics.Trace_file}'s codec.
+    A kind's payload is its fields in JSONL order, each an integer, a
+    string ([name]) or a boolean ([flag]). *)
+
+val tag_arrival : int
+val tag_accept : int
+val tag_push_out : int
+val tag_drop : int
+val tag_transmit : int
+val tag_transmit_bulk : int
+val tag_flush : int
+val tag_slot_end : int
+val tag_reconfig : int
+val tag_health : int
+
+val tag_truncated : int
+(** Never recorded by an engine: synthesized by {!Flight.dump}, reserved
+    here and in the binary format. *)
+
+val tag : kind -> int
+
+type reader = {
+  int : unit -> int;
+  name : unit -> string;
+  flag : unit -> bool;
+}
+(** Sources of the next payload field, called in payload order. *)
+
+val of_tag : int -> reader -> kind option
+(** The kind with tag [t], its payload read through the reader; [None]
+    (nothing read) for a tag outside the table. *)
+
+type writer = {
+  put_int : int -> unit;
+  put_name : string -> unit;
+  put_flag : bool -> unit;
+}
+
+val write_payload : writer -> kind -> unit
+(** Hand the kind's payload fields to the writer, in payload order. *)
 
 val to_json : t -> string
 (** One line of JSONL, no trailing newline. *)

@@ -1,22 +1,21 @@
-(* A fixed-capacity struct-of-arrays event ring: the always-on flight
+(* A fixed-capacity struct-of-arrays event ring: the engines' one event
    recorder.  Six unboxed int columns (kind tag, slot, source id, three
    payload words) plus an interning table mapping the few strings an event
    can carry (sources, reconfig knobs, health rules) to dense ids.  The
    record fast path writes six ints and bumps three counters — no event
    record, no option, no closure — so engines can leave it on at full
-   speed; events are boxed back into {!Event.t} only at dump time. *)
+   speed; events are boxed back into {!Event.t} only when read out. *)
 
 type t = {
   scope : string;
-  cap : int; (* power of two *)
-  mask : int;
+  cap : int;
   kind : int array;
   slot : int array;
   src : int array;
   a : int array;
   b : int array;
   c : int array;
-  mutable next : int;
+  mutable next : int; (* = total mod cap *)
   mutable len : int;
   mutable total : int;
   (* interning: id -> string and string -> id.  Ids are stable for the
@@ -26,32 +25,11 @@ type t = {
   ids : (string, int) Hashtbl.t;
 }
 
-(* Kind tags, fixed by the binary trace format (doc/trace-format.md). *)
-let tag_arrival = 0
-let tag_accept = 1
-let tag_push_out = 2
-let tag_drop = 3
-let tag_transmit = 4
-let tag_transmit_bulk = 5
-let tag_flush = 6
-let tag_slot_end = 7
-let tag_reconfig = 8
-let tag_health = 9
-
-(* tag 10 is [Truncated] — never recorded (it is synthesized by [dump]),
-   but reserved here and in the binary trace format. *)
-
-let next_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
 let create ?(scope = "") ~cap () =
   if cap <= 0 then invalid_arg "Flight.create: cap must be positive";
-  let cap = next_pow2 cap in
   {
     scope;
     cap;
-    mask = cap - 1;
     kind = Array.make cap 0;
     slot = Array.make cap 0;
     src = Array.make cap 0;
@@ -105,81 +83,85 @@ let[@inline] record t ~slot ~src ~kind ~a ~b ~c =
   Array.unsafe_set t.a i a;
   Array.unsafe_set t.b i b;
   Array.unsafe_set t.c i c;
-  t.next <- (i + 1) land t.mask;
+  let n = i + 1 in
+  t.next <- (if n = t.cap then 0 else n);
   if t.len < t.cap then t.len <- t.len + 1;
   t.total <- t.total + 1
 
 let[@inline] arrival t ~slot ~src ~dest =
-  record t ~slot ~src ~kind:tag_arrival ~a:dest ~b:0 ~c:0
+  record t ~slot ~src ~kind:Event.tag_arrival ~a:dest ~b:0 ~c:0
 
 let[@inline] accept t ~slot ~src ~dest =
-  record t ~slot ~src ~kind:tag_accept ~a:dest ~b:0 ~c:0
+  record t ~slot ~src ~kind:Event.tag_accept ~a:dest ~b:0 ~c:0
 
 let[@inline] push_out t ~slot ~src ~victim ~dest ~lost =
-  record t ~slot ~src ~kind:tag_push_out ~a:victim ~b:dest ~c:lost
+  record t ~slot ~src ~kind:Event.tag_push_out ~a:victim ~b:dest ~c:lost
 
 let[@inline] drop t ~slot ~src ~dest ~value =
-  record t ~slot ~src ~kind:tag_drop ~a:dest ~b:value ~c:0
+  record t ~slot ~src ~kind:Event.tag_drop ~a:dest ~b:value ~c:0
 
 let[@inline] transmit t ~slot ~src ~dest ~value ~latency =
-  record t ~slot ~src ~kind:tag_transmit ~a:dest ~b:value ~c:latency
+  record t ~slot ~src ~kind:Event.tag_transmit ~a:dest ~b:value ~c:latency
 
 let[@inline] transmit_bulk t ~slot ~src ~dest ~count ~value =
-  record t ~slot ~src ~kind:tag_transmit_bulk ~a:dest ~b:count ~c:value
+  record t ~slot ~src ~kind:Event.tag_transmit_bulk ~a:dest ~b:count ~c:value
 
 let[@inline] flush t ~slot ~src ~count =
-  record t ~slot ~src ~kind:tag_flush ~a:count ~b:0 ~c:0
+  record t ~slot ~src ~kind:Event.tag_flush ~a:count ~b:0 ~c:0
 
 let[@inline] slot_end t ~slot ~src ~occupancy =
-  record t ~slot ~src ~kind:tag_slot_end ~a:occupancy ~b:0 ~c:0
+  record t ~slot ~src ~kind:Event.tag_slot_end ~a:occupancy ~b:0 ~c:0
 
 let reconfig t ~slot ~src ~what ~target =
-  record t ~slot ~src ~kind:tag_reconfig ~a:(intern_raw t what)
+  record t ~slot ~src ~kind:Event.tag_reconfig ~a:(intern_raw t what)
     ~b:(intern_raw t target) ~c:0
 
 let health t ~slot ~src ~rule ~tripped ~reason =
-  record t ~slot ~src ~kind:tag_health ~a:(intern_raw t rule)
+  record t ~slot ~src ~kind:Event.tag_health ~a:(intern_raw t rule)
     ~b:(if tripped then 1 else 0)
     ~c:(intern_raw t reason)
 
-let kind_at t i =
-  let a = t.a.(i) and b = t.b.(i) and c = t.c.(i) in
-  match t.kind.(i) with
-  | 0 -> Event.Arrival { dest = a }
-  | 1 -> Event.Accept { dest = a }
-  | 2 -> Event.Push_out { victim = a; dest = b; lost = c }
-  | 3 -> Event.Drop { dest = a; value = b }
-  | 4 -> Event.Transmit { dest = a; value = b; latency = c }
-  | 5 -> Event.Transmit_bulk { dest = a; count = b; value = c }
-  | 6 -> Event.Flush { count = a }
-  | 7 -> Event.Slot_end { occupancy = a }
-  | 8 -> Event.Reconfig { what = name_of t a; target = name_of t b }
-  | 9 ->
-    Event.Health { rule = name_of t a; tripped = b = 1; reason = name_of t c }
-  | 10 -> Event.Truncated { evicted = a }
-  | k -> invalid_arg (Printf.sprintf "Flight: corrupt kind tag %d" k)
-
-let oldest t = (t.next - t.len) land t.mask
-
-let iter f t =
-  let start = oldest t in
-  for i = 0 to t.len - 1 do
-    let j = (start + i) land t.mask in
-    f (Event.make ~src:(name_of t t.src.(j)) ~slot:t.slot.(j) (kind_at t j))
+(* Event number [n] (counted from the last [clear]) sits at [n mod cap]:
+   [next] starts at 0 with [total] and wraps with it. *)
+let iter_from ~from f t =
+  if from < 0 then invalid_arg "Flight.iter_from: negative cursor";
+  let first = t.total - t.len in
+  let evicted = first - from in
+  if evicted > 0 then begin
+    let slot = if t.len > 0 then t.slot.(first mod t.cap) else 0 in
+    f (Event.make ~src:t.scope ~slot (Event.Truncated { evicted }))
+  end;
+  let i = ref 0 and col = ref 0 in
+  let word () =
+    let k = !col in
+    col := k + 1;
+    (if k = 0 then t.a else if k = 1 then t.b else t.c).(!i)
+  in
+  let r =
+    {
+      Event.int = word;
+      name = (fun () -> name_of t (word ()));
+      flag = (fun () -> word () = 1);
+    }
+  in
+  for n = max from first to t.total - 1 do
+    i := n mod t.cap;
+    col := 0;
+    match Event.of_tag t.kind.(!i) r with
+    | Some kind ->
+      f (Event.make ~src:(name_of t t.src.(!i)) ~slot:t.slot.(!i) kind)
+    | None ->
+      invalid_arg (Printf.sprintf "Flight: corrupt kind tag %d" t.kind.(!i))
   done
 
-let events t =
+let to_list iter t =
   let acc = ref [] in
   iter (fun e -> acc := e :: !acc) t;
   List.rev !acc
 
-let dump t =
-  let held = events t in
-  let evicted = dropped t in
-  if evicted = 0 then held
-  else
-    let slot = match held with e :: _ -> e.Event.slot | [] -> 0 in
-    Event.make ~src:t.scope ~slot (Event.Truncated { evicted }) :: held
+let iter f t = iter_from ~from:(t.total - t.len) f t
+let events t = to_list iter t
+let dump t = to_list (iter_from ~from:0) t
 
 let clear t =
   t.next <- 0;

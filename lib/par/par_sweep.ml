@@ -96,7 +96,7 @@ type traced = {
 
 let default_trace_cap = 65_536
 
-(* Trace determinism: each task owns a private recorder created inside the
+(* Trace determinism: each task owns a private ring created inside the
    task, so recording never crosses domains; [Pool.map] returns task results
    in submission order, so concatenating the per-point event lists yields the
    same stream for every [jobs] value and any worker schedule. *)
@@ -112,19 +112,19 @@ let run_panel_traced ?jobs ?on_tick ?on_timing ?spans
     with_pool ?jobs ?on_tick ?on_timing (fun pool ->
         Pool.map pool
           (fun x ->
-            let recorder =
-              Smbm_obs.Recorder.create
+            let events =
+              Smbm_obs.Flight.create
                 ~scope:(Printf.sprintf "x=%d" x)
                 ~cap:trace_cap ()
             in
             let ratios =
-              Sweep.run_point ~recorder ?spans
+              Sweep.run_point ~events ?spans
                 ?trace:(find_trace traces ~base ~model ~axis ~x)
                 ~base ~model ~axis ~x ()
             in
             ( { Sweep.x; ratios },
-              Smbm_obs.Recorder.dump recorder,
-              Smbm_obs.Recorder.dropped recorder ))
+              Smbm_obs.Flight.dump events,
+              Smbm_obs.Flight.dropped events ))
           panel.Sweep.xs)
   in
   {

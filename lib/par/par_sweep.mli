@@ -65,15 +65,15 @@ val run_panel :
 type traced = {
   outcome : Sweep.outcome;
   events : Smbm_obs.Event.t list;
-      (** every policy instance's per-slot events, points in sweep order;
+      (** every instance's per-slot events, points in sweep order;
           each point whose ring buffer evicted anything is preceded by its
-          [Truncated] marker ({!Smbm_obs.Recorder.dump}) *)
+          [Truncated] marker ({!Smbm_obs.Flight.dump}) *)
   dropped_events : int;
       (** events evicted by per-point ring buffers at [trace_cap] *)
 }
 
 val default_trace_cap : int
-(** Per-point recorder capacity used when [trace_cap] is omitted
+(** Per-point ring capacity (in events) used when [trace_cap] is omitted
     ([65_536] events). *)
 
 val run_panel_traced :
@@ -88,11 +88,12 @@ val run_panel_traced :
   int ->
   traced
 (** {!run_panel} with event tracing: every task creates a private
-    {!Smbm_obs.Recorder} (scope [x=<x>], capacity [trace_cap]) handed to
-    each policy instance, and the per-point event lists are concatenated in
-    submission order — so the event stream is byte-identical for every
-    [jobs] value.  The outcome equals the untraced {!run_panel} exactly
-    (recording touches no decision and no counter). *)
+    {!Smbm_obs.Flight} ring (scope [x=<x>], capacity [trace_cap]) handed to
+    every instance of the point (OPT included), and the per-point event
+    lists are concatenated in submission order — so the event stream is
+    byte-identical for every [jobs] value.  The outcome equals the
+    untraced {!run_panel} exactly (recording touches no decision and no
+    counter). *)
 
 val run_panels :
   ?jobs:int ->

@@ -2,9 +2,7 @@ open Smbm_core
 open Smbm_sim
 open Smbm_traffic
 module Registry = Smbm_obs.Registry
-module Recorder = Smbm_obs.Recorder
 module Sink = Smbm_obs.Sink
-module Event = Smbm_obs.Event
 module Rolling = Smbm_obs.Rolling
 module Health = Smbm_obs.Health
 module Flight = Smbm_obs.Flight
@@ -58,6 +56,7 @@ type report = {
   degraded : bool;
   health : (string * bool) list;
   postmortem : string option;
+  events_evicted : int;
 }
 
 let pp_report ppf r =
@@ -106,7 +105,7 @@ type engine = {
   queue_length : int -> int;  (* live per-port occupancy *)
 }
 
-let make_engine ?recorder ?flight model policy_name =
+let make_engine ?events model policy_name =
   match model with
   | Model.Proc config ->
     let find cfg name = Policies.proc_find cfg name in
@@ -119,8 +118,7 @@ let make_engine ?recorder ?flight model policy_name =
     in
     let policy_ref = ref policy in
     let inst, sw =
-      Proc_engine.create_controlled ~name:"serve" ?recorder ?flight config
-        policy_ref
+      Proc_engine.create_controlled ~name:"serve" ?events config policy_ref
     in
     let current = ref policy_name in
     (* Threshold policies capture B at construction: always rebuild against
@@ -172,8 +170,7 @@ let make_engine ?recorder ?flight model policy_name =
     in
     let policy_ref = ref policy in
     let inst, sw =
-      Value_engine.create_controlled ~name:"serve" ?recorder ?flight config
-        policy_ref
+      Value_engine.create_controlled ~name:"serve" ?events config policy_ref
     in
     let current = ref policy_name in
     let live_config () =
@@ -225,19 +222,23 @@ type stage_instruments = {
 }
 
 let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
-    ?(metrics_every = 0) ?metrics_sink ?recorder ?event_sink ?(controls = [])
+    ?(metrics_every = 0) ?metrics_sink ?event_sink ?(controls = [])
     ?controller ?slots:max_slots ?duration ?rate ?stats_sock
     ?(stats_every = 500) ?(stats_window = 10.0) ?(telemetry = false)
-    ?(p99_budget_us = 0.0) ?flight ?(flight_cap = 65536) ?postmortem ~model
+    ?(p99_budget_us = 0.0) ?events ?(flight_cap = 65536) ?postmortem ~model
     ~policy ~ingest () =
-  let ring = Spsc_ring.create ~capacity:ring_capacity () in
-  (* The black box is on unless explicitly disabled: a caller-supplied ring
+  (* One event ring, on unless explicitly disabled: a caller-supplied ring
      wins, otherwise [flight_cap] sizes a fresh one (0 turns it off). *)
-  let flight =
-    match flight with
-    | Some _ -> flight
-    | None -> if flight_cap > 0 then Some (Flight.create ~cap:flight_cap ()) else None
+  let events =
+    match events with
+    | Some _ -> events
+    | None ->
+      if flight_cap > 0 then Some (Flight.create ~cap:flight_cap ()) else None
   in
+  if Option.is_some event_sink && Option.is_none events then
+    invalid_arg
+      "Daemon.run: an event_sink needs the event ring (flight_cap > 0)";
+  let ring = Spsc_ring.create ~capacity:ring_capacity () in
   let bp = match backpressure with Block -> `Block | Shed -> `Shed in
   let telemetry_on = telemetry || stats_sock <> None in
   let stats_every = max 1 stats_every in
@@ -323,10 +324,10 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
   in
   let ingest_domain = Domain.spawn producer in
   (* ----- engine domain (the caller) ----- *)
-  let engine = make_engine ?recorder ?flight model policy in
+  let engine = make_engine ?events model policy in
   let inst = engine.inst in
-  let fsrc =
-    match flight with
+  let src =
+    match events with
     | Some f -> Flight.intern f inst.Instance.name
     | None -> 0
   in
@@ -342,14 +343,9 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
   let record_reconfig what target =
     incr reconfigs;
     Registry.incr reconfig_ctr;
-    (match flight with
-    | Some f -> Flight.reconfig f ~slot:!slot ~src:fsrc ~what ~target
-    | None -> ());
-    match recorder with
-    | Some r ->
-      Recorder.record r ~slot:!slot ~who:inst.Instance.name
-        (Event.Reconfig { what; target })
+    match events with
     | None -> ()
+    | Some f -> Flight.reconfig f ~slot:!slot ~src ~what ~target
   in
   let reject () =
     incr rejected;
@@ -363,7 +359,7 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
   let health_states_now = ref (fun () -> []) in
   let postmortem_written = ref None in
   let dump_postmortem ~reason ~detail =
-    match (postmortem, flight) with
+    match (postmortem, events) with
     | Some base, Some f when !postmortem_written = None ->
       let m = inst.Instance.metrics in
       let events = Flight.dump f in
@@ -452,11 +448,21 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
       in
       List.iter (Sink.line sink)
         (Metrics.to_jsonl ~labels inst.Instance.metrics);
-      List.iter (Sink.line sink) (Registry.to_jsonl ~labels server));
-    match (recorder, event_sink) with
-    | Some r, Some sink ->
-      Recorder.iter (Sink.event sink) r;
-      Recorder.clear r
+      List.iter (Sink.line sink) (Registry.to_jsonl ~labels server))
+  in
+  (* Events reach [event_sink] from a cursor into the ring, at the end of
+     every slot.  The ring is never cleared, so the postmortem window
+     survives; a slot that overflows the ring past the cursor shows up in
+     the sink as a [Truncated] marker and in the report. *)
+  let drained = ref 0 in
+  let events_evicted = ref 0 in
+  let drain_events () =
+    match (events, event_sink) with
+    | Some f, Some sink ->
+      events_evicted :=
+        !events_evicted + max 0 (Flight.dropped f - !drained);
+      Flight.iter_from ~from:!drained (Sink.event sink) f;
+      drained := Flight.total f
     | _ -> ()
   in
   let t_start = Unix.gettimeofday () in
@@ -476,21 +482,11 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
   let eval_now = ref 0.0 in
   let health =
     let on_transition (e : Health.event) =
-      (match flight with
+      (match events with
+      | None -> ()
       | Some f ->
-        Flight.health f ~slot:!slot ~src:fsrc ~rule:e.Health.rule
-          ~tripped:e.Health.tripped ~reason:e.Health.reason
-      | None -> ());
-      (match recorder with
-      | Some r ->
-        Recorder.record r ~slot:!slot ~who:inst.Instance.name
-          (Event.Health
-             {
-               rule = e.Health.rule;
-               tripped = e.Health.tripped;
-               reason = e.Health.reason;
-             })
-      | None -> ());
+        Flight.health f ~slot:!slot ~src ~rule:e.Health.rule
+          ~tripped:e.Health.tripped ~reason:e.Health.reason);
       if e.Health.tripped then
         dump_postmortem ~reason:"health"
           ~detail:(e.Health.rule ^ ": " ^ e.Health.reason)
@@ -634,6 +630,7 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
       feed_rolling st t_end ((t_end -. t0) *. 1e6);
       if !slot mod stats_every = 0 then publish t_end
     | None -> ());
+    drain_events ();
     if metrics_every > 0 && !slot mod metrics_every = 0 then begin
       flush_metrics ();
       check_sinks ()
@@ -660,6 +657,7 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
   (* Final publication (one last health evaluation included), then take the
      socket down before reporting. *)
   if telemetry_on then publish (Unix.gettimeofday ());
+  drain_events ();
   (match stats_server with Some s -> Telemetry.stop s | None -> ());
   let conservation_ok, conservation_error =
     try
@@ -703,4 +701,5 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
     degraded;
     health = health_states;
     postmortem = !postmortem_written;
+    events_evicted = !events_evicted;
   }

@@ -81,6 +81,10 @@ type report = {
   postmortem : string option;
       (** base path of the black-box dump written this run, if any
           triggered (see {!run}'s [postmortem]) *)
+  events_evicted : int;
+      (** events the ring overwrote before they could be drained to
+          [event_sink] (0 without one); each loss is also marked in the
+          sink by a [Truncated] event *)
 }
 
 val pp_report : Format.formatter -> report -> unit
@@ -91,7 +95,6 @@ val run :
   ?flush_every:int ->
   ?metrics_every:int ->
   ?metrics_sink:Smbm_obs.Sink.t ->
-  ?recorder:Smbm_obs.Recorder.t ->
   ?event_sink:Smbm_obs.Sink.t ->
   ?controls:(int * control) list ->
   ?controller:controller ->
@@ -103,7 +106,7 @@ val run :
   ?stats_window:float ->
   ?telemetry:bool ->
   ?p99_budget_us:float ->
-  ?flight:Smbm_obs.Flight.t ->
+  ?events:Smbm_obs.Flight.t ->
   ?flight_cap:int ->
   ?postmortem:string ->
   model:Model.t ->
@@ -118,9 +121,10 @@ val run :
     [Block]) picks the full-ring behaviour.  [flush_every] is the
     simulator's periodic flushout period (no flushouts when absent);
     [metrics_every] (default 0 = final only) emits a labeled JSONL metrics
-    snapshot to [metrics_sink] every that many slots and drains [recorder]
-    to [event_sink].  [controls] are scripted reconfigurations, applied
-    once their slot boundary is reached (sorted internally).  [slots],
+    snapshot to [metrics_sink] every that many slots.  [event_sink]
+    receives every event the ring records (see {e Events} below).
+    [controls] are scripted reconfigurations, applied once their slot
+    boundary is reached (sorted internally).  [slots],
     [duration] (wall seconds) and [rate] (slots per second pacing) bound
     the ingest; with none of them, a [Trace] ingest ends with the trace and
     a [Bank]/[Workload] ingest runs until a [Stop] control.
@@ -136,20 +140,28 @@ val run :
     shed rate; and, when [p99_budget_us > 0], windowed p99 slot time over
     budget) and publishes a fresh view every [stats_every] slots (default
     500).  Health transitions are recorded as {!Smbm_obs.Event.kind.Health}
-    events when a [recorder] is present.  With telemetry off, none of this
+    events into the ring.  With telemetry off, none of this
     runs — no extra clock reads, no extra instruments — so output is
     byte-identical to earlier versions.  Telemetry never alters engine
     behaviour either way: deterministic engine metrics are bit-identical
     with and without a stats socket.
 
-    {2 Black box}
+    {2 Events}
 
-    The daemon always records into an {!Smbm_obs.Flight} ring — the
-    allocation-free struct-of-arrays event recorder — holding the last
-    [flight_cap] events (default 65536; 0 disables, and a caller-supplied
-    [flight] ring overrides the cap).  Unlike [recorder], which is opt-in
-    tracing, the flight ring is cheap enough to leave on: recording writes
-    six int columns per event and allocates nothing.
+    The daemon records every engine event, reconfiguration and health
+    transition into one {!Smbm_obs.Flight} ring — the allocation-free
+    struct-of-arrays event recorder — holding the last [flight_cap]
+    events (default 65536; 0 disables it).  A caller-supplied [events]
+    ring overrides the cap.  Recording writes six int columns per event
+    and allocates nothing, so the ring is on by default.
+
+    With [event_sink], the events recorded since a drain cursor are
+    written to the sink at the end of every slot (and once more after the
+    final health evaluation).  The ring itself is never cleared, so the
+    postmortem window below survives the drain.  If one slot records more
+    than the ring holds, the overwritten events are announced in the sink
+    by a [Truncated] marker and counted in the report's
+    [events_evicted], so the written trace stays certifiable.
 
     When [postmortem] is set, the first of (a) a health watchdog tripping,
     (b) a sink latching an I/O error, or (c) the engine raising, dumps the
@@ -161,4 +173,6 @@ val run :
     dump failure never kills the run.
 
     @raise Invalid_argument if the initial [policy] is unknown for
-    [model], [ring_capacity < 1], or the stats socket cannot be bound. *)
+    [model], [ring_capacity < 1], [event_sink] is given with no ring
+    ([flight_cap <= 0] and no [events]), or the stats socket cannot be
+    bound. *)

@@ -16,7 +16,7 @@ end
 
 module Proc_tbl = Hashtbl.Make (Proc_state)
 
-let proc ?recorder ?(name = "EXACT") config trace ~drain =
+let proc ?events ?(name = "EXACT") config trace ~drain =
   if drain < 0 then invalid_arg "Exact_opt.proc: negative drain";
   let n = Proc_config.n config in
   let buffer = config.Proc_config.buffer in
@@ -93,18 +93,18 @@ let proc ?recorder ?(name = "EXACT") config trace ~drain =
      same accept/drop choices [best] scored, with deterministic per-port
      transmissions.  Ties between skipping and accepting resolve to skip,
      exactly as [max skip accept] does above. *)
-  (match recorder with
+  (match events with
   | None -> ()
-  | Some r ->
-    let record slot kind = Smbm_obs.Recorder.record r ~slot ~who:name kind in
+  | Some f ->
+    let src = Smbm_obs.Flight.intern f name in
     let st = ref initial in
     while !st.Proc_state.slot < total_slots do
       let s = !st in
-      let arrivals = arrivals_at s.Proc_state.slot in
+      let slot = s.Proc_state.slot in
+      let arrivals = arrivals_at slot in
       if s.Proc_state.idx < Array.length arrivals then begin
         let a = arrivals.(s.Proc_state.idx) in
-        record s.Proc_state.slot
-          (Smbm_obs.Event.Arrival { dest = a.Arrival.dest });
+        Smbm_obs.Flight.arrival f ~slot ~src ~dest:a.Arrival.dest;
         let skip_state = { s with Proc_state.idx = s.Proc_state.idx + 1 } in
         let accept_state =
           if occupancy s.Proc_state.queues < buffer then begin
@@ -118,12 +118,10 @@ let proc ?recorder ?(name = "EXACT") config trace ~drain =
         in
         match accept_state with
         | Some acc_st when best acc_st > best skip_state ->
-          record s.Proc_state.slot
-            (Smbm_obs.Event.Accept { dest = a.Arrival.dest });
+          Smbm_obs.Flight.accept f ~slot ~src ~dest:a.Arrival.dest;
           st := acc_st
         | Some _ | None ->
-          record s.Proc_state.slot
-            (Smbm_obs.Event.Drop { dest = a.Arrival.dest; value = 1 });
+          Smbm_obs.Flight.drop f ~slot ~src ~dest:a.Arrival.dest ~value:1;
           st := skip_state
       end
       else begin
@@ -133,13 +131,11 @@ let proc ?recorder ?(name = "EXACT") config trace ~drain =
             let q', sent_i = serve_queue i q in
             queues.(i) <- q';
             if sent_i > 0 then
-              record s.Proc_state.slot
-                (Smbm_obs.Event.Transmit_bulk
-                   { dest = i; count = sent_i; value = sent_i }))
+              Smbm_obs.Flight.transmit_bulk f ~slot ~src ~dest:i ~count:sent_i
+                ~value:sent_i)
           queues;
-        record s.Proc_state.slot
-          (Smbm_obs.Event.Slot_end { occupancy = occupancy queues });
-        st := { Proc_state.slot = s.Proc_state.slot + 1; idx = 0; queues }
+        Smbm_obs.Flight.slot_end f ~slot ~src ~occupancy:(occupancy queues);
+        st := { Proc_state.slot = slot + 1; idx = 0; queues }
       end
     done);
   result
@@ -158,7 +154,7 @@ end
 
 module Value_tbl = Hashtbl.Make (Value_state)
 
-let value ?recorder ?(name = "EXACT") config trace ~drain =
+let value ?events ?(name = "EXACT") config trace ~drain =
   if drain < 0 then invalid_arg "Exact_opt.value: negative drain";
   let n = Value_config.n config in
   let buffer = config.Value_config.buffer in
@@ -224,18 +220,18 @@ let value ?recorder ?(name = "EXACT") config trace ~drain =
   in
   let initial = { Value_state.slot = 0; idx = 0; queues = Array.make n [] } in
   let result = best initial in
-  (match recorder with
+  (match events with
   | None -> ()
-  | Some r ->
-    let record slot kind = Smbm_obs.Recorder.record r ~slot ~who:name kind in
+  | Some f ->
+    let src = Smbm_obs.Flight.intern f name in
     let st = ref initial in
     while !st.Value_state.slot < total_slots do
       let s = !st in
-      let arrivals = arrivals_at s.Value_state.slot in
+      let slot = s.Value_state.slot in
+      let arrivals = arrivals_at slot in
       if s.Value_state.idx < Array.length arrivals then begin
         let a = arrivals.(s.Value_state.idx) in
-        record s.Value_state.slot
-          (Smbm_obs.Event.Arrival { dest = a.Arrival.dest });
+        Smbm_obs.Flight.arrival f ~slot ~src ~dest:a.Arrival.dest;
         let skip_state = { s with Value_state.idx = s.Value_state.idx + 1 } in
         let accept_state =
           if occupancy s.Value_state.queues < buffer then begin
@@ -248,13 +244,11 @@ let value ?recorder ?(name = "EXACT") config trace ~drain =
         in
         match accept_state with
         | Some acc_st when best acc_st > best skip_state ->
-          record s.Value_state.slot
-            (Smbm_obs.Event.Accept { dest = a.Arrival.dest });
+          Smbm_obs.Flight.accept f ~slot ~src ~dest:a.Arrival.dest;
           st := acc_st
         | Some _ | None ->
-          record s.Value_state.slot
-            (Smbm_obs.Event.Drop
-               { dest = a.Arrival.dest; value = a.Arrival.value });
+          Smbm_obs.Flight.drop f ~slot ~src ~dest:a.Arrival.dest
+            ~value:a.Arrival.value;
           st := skip_state
       end
       else begin
@@ -264,12 +258,10 @@ let value ?recorder ?(name = "EXACT") config trace ~drain =
             let rest, count, value = serve_queue q in
             queues.(i) <- rest;
             if count > 0 then
-              record s.Value_state.slot
-                (Smbm_obs.Event.Transmit_bulk { dest = i; count; value }))
+              Smbm_obs.Flight.transmit_bulk f ~slot ~src ~dest:i ~count ~value)
           queues;
-        record s.Value_state.slot
-          (Smbm_obs.Event.Slot_end { occupancy = occupancy queues });
-        st := { Value_state.slot = s.Value_state.slot + 1; idx = 0; queues }
+        Smbm_obs.Flight.slot_end f ~slot ~src ~occupancy:(occupancy queues);
+        st := { Value_state.slot = slot + 1; idx = 0; queues }
       end
     done);
   result
@@ -287,8 +279,8 @@ let arrivals_of_compact trace =
           acc := { Arrival.dest; value } :: !acc);
       List.rev !acc)
 
-let proc_compact ?recorder ?name config trace ~drain =
-  proc ?recorder ?name config (arrivals_of_compact trace) ~drain
+let proc_compact ?events ?name config trace ~drain =
+  proc ?events ?name config (arrivals_of_compact trace) ~drain
 
-let value_compact ?recorder ?name config trace ~drain =
-  value ?recorder ?name config (arrivals_of_compact trace) ~drain
+let value_compact ?events ?name config trace ~drain =
+  value ?events ?name config (arrivals_of_compact trace) ~drain

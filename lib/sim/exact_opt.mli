@@ -14,7 +14,7 @@
 open Smbm_core
 
 val proc :
-  ?recorder:Smbm_obs.Recorder.t ->
+  ?events:Smbm_obs.Flight.t ->
   ?name:string ->
   Proc_config.t ->
   Arrival.t list array ->
@@ -25,7 +25,7 @@ val proc :
     Intended for tiny instances; cost is exponential in the number of
     arrivals before memoization.
 
-    When [recorder] is given, the argmax path is replayed through the memo
+    When [events] is given, the argmax path is replayed through the memo
     table and emitted as an event trace under source [name] (default
     ["EXACT"]): [Arrival]/[Accept]/[Drop] per arrival, per-port
     [Transmit_bulk] and [Slot_end] per slot.  The optimum never pushes out,
@@ -34,17 +34,17 @@ val proc :
     absent. *)
 
 val value :
-  ?recorder:Smbm_obs.Recorder.t ->
+  ?events:Smbm_obs.Flight.t ->
   ?name:string ->
   Value_config.t ->
   Arrival.t list array ->
   drain:int ->
   int
 (** Maximum total transmitted value, same conventions (including the
-    [recorder] trace semantics of {!proc}). *)
+    [events] trace semantics of {!proc}). *)
 
 val proc_compact :
-  ?recorder:Smbm_obs.Recorder.t ->
+  ?events:Smbm_obs.Flight.t ->
   ?name:string ->
   Proc_config.t ->
   Smbm_traffic.Trace.Compact.t ->
@@ -55,7 +55,7 @@ val proc_compact :
     search. *)
 
 val value_compact :
-  ?recorder:Smbm_obs.Recorder.t ->
+  ?events:Smbm_obs.Flight.t ->
   ?name:string ->
   Value_config.t ->
   Smbm_traffic.Trace.Compact.t ->

@@ -1,21 +1,16 @@
 open Smbm_prelude
 open Smbm_core
 
-(* The reference has no per-port structure, so its recorder hook speaks the
-   bag's language: push-out victims are bag keys (residual work / value) and
+module Flight = Smbm_obs.Flight
+
+(* The reference has no per-port structure, so its events speak the bag's
+   language: push-out victims are bag keys (residual work / value) and
    transmissions are per-slot [Transmit_bulk] events with dest = -1.  That is
    enough for Smbm_forensics to reconstruct and certify every aggregate
    counter, and for trace diffs against a policy trace of the same arrival
    instance. *)
-let make_recorder ~name recorder =
-  match recorder with
-  | None -> ((fun (_ : Smbm_obs.Event.kind) -> ()), fun () -> ())
-  | Some r ->
-    let slot = ref 0 in
-    ( (fun kind -> Smbm_obs.Recorder.record r ~slot:!slot ~who:name kind),
-      fun () -> incr slot )
 
-let proc_instance ?(name = "OPT") ?cores ?recorder config =
+let proc_instance ?(name = "OPT") ?cores ?events config =
   let cores =
     match cores with
     | Some c -> c
@@ -25,17 +20,20 @@ let proc_instance ?(name = "OPT") ?cores ?recorder config =
   let buffer = config.Proc_config.buffer in
   let bag = Count_multiset.create ~k:(Proc_config.k config) in
   let metrics = Metrics.create () in
-  let record, advance_slot = make_recorder ~name recorder in
-  (* guard event construction: untraced runs must not allocate per arrival *)
-  let recording = Option.is_some recorder in
+  let slot = ref 0 in
+  let src = match events with Some f -> Flight.intern f name | None -> 0 in
   let arrive_dv ~dest ~value:_ =
     Metrics.record_arrival metrics;
-    if recording then record (Smbm_obs.Event.Arrival { dest });
+    (match events with
+    | None -> ()
+    | Some f -> Flight.arrival f ~slot:!slot ~src ~dest);
     let work = Proc_config.work config dest in
     if Count_multiset.size bag < buffer then begin
       Count_multiset.add bag work;
       Metrics.record_accept metrics;
-      if recording then record (Smbm_obs.Event.Accept { dest })
+      (match events with
+      | None -> ()
+      | Some f -> Flight.accept f ~slot:!slot ~src ~dest)
     end
     else begin
       match Count_multiset.max_key bag with
@@ -43,13 +41,19 @@ let proc_instance ?(name = "OPT") ?cores ?recorder config =
         Count_multiset.remove bag worst;
         Count_multiset.add bag work;
         Metrics.record_push_out metrics;
-        record
-          (Smbm_obs.Event.Push_out { victim = worst; dest; lost = 1 });
+        (match events with
+        | None -> ()
+        | Some f ->
+          Flight.push_out f ~slot:!slot ~src ~victim:worst ~dest ~lost:1);
         Metrics.record_accept metrics;
-        if recording then record (Smbm_obs.Event.Accept { dest })
+        (match events with
+        | None -> ()
+        | Some f -> Flight.accept f ~slot:!slot ~src ~dest)
       | Some _ | None ->
         Metrics.record_drop metrics;
-        if recording then record (Smbm_obs.Event.Drop { dest; value = 1 })
+        (match events with
+        | None -> ()
+        | Some f -> Flight.drop f ~slot:!slot ~src ~dest ~value:1)
     end
   in
   let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in
@@ -60,20 +64,26 @@ let proc_instance ?(name = "OPT") ?cores ?recorder config =
     let sent = Count_multiset.serve_srpt bag ~budget:cores in
     Metrics.record_transmissions metrics ~count:sent ~value:sent;
     if sent > 0 then
-      if recording then
-        record
-          (Smbm_obs.Event.Transmit_bulk { dest = -1; count = sent; value = sent })
+      match events with
+      | None -> ()
+      | Some f ->
+        Flight.transmit_bulk f ~slot:!slot ~src ~dest:(-1) ~count:sent
+          ~value:sent
   in
   let end_slot () =
     let occupancy = Count_multiset.size bag in
     Metrics.record_occupancy metrics occupancy;
-    if recording then record (Smbm_obs.Event.Slot_end { occupancy });
-    advance_slot ()
+    (match events with
+    | None -> ()
+    | Some f -> Flight.slot_end f ~slot:!slot ~src ~occupancy);
+    incr slot
   in
   let flush () =
     let count = Count_multiset.size bag in
     Metrics.record_flush metrics count;
-    if recording then record (Smbm_obs.Event.Flush { count });
+    (match events with
+    | None -> ()
+    | Some f -> Flight.flush f ~slot:!slot ~src ~count);
     Count_multiset.clear bag;
     Metrics.check_conservation metrics
   in
@@ -98,7 +108,7 @@ let proc_instance ?(name = "OPT") ?cores ?recorder config =
     check;
   }
 
-let value_instance ?(name = "OPT") ?cores ?recorder config =
+let value_instance ?(name = "OPT") ?cores ?events config =
   let cores =
     match cores with
     | Some c -> c
@@ -108,16 +118,19 @@ let value_instance ?(name = "OPT") ?cores ?recorder config =
   let buffer = config.Value_config.buffer in
   let bag = Count_multiset.create ~k:(Value_config.k config) in
   let metrics = Metrics.create () in
-  let record, advance_slot = make_recorder ~name recorder in
-  (* guard event construction: untraced runs must not allocate per arrival *)
-  let recording = Option.is_some recorder in
+  let slot = ref 0 in
+  let src = match events with Some f -> Flight.intern f name | None -> 0 in
   let arrive_dv ~dest ~value =
     Metrics.record_arrival metrics;
-    if recording then record (Smbm_obs.Event.Arrival { dest });
+    (match events with
+    | None -> ()
+    | Some f -> Flight.arrival f ~slot:!slot ~src ~dest);
     if Count_multiset.size bag < buffer then begin
       Count_multiset.add bag value;
       Metrics.record_accept metrics;
-      if recording then record (Smbm_obs.Event.Accept { dest })
+      (match events with
+      | None -> ()
+      | Some f -> Flight.accept f ~slot:!slot ~src ~dest)
     end
     else begin
       match Count_multiset.min_key bag with
@@ -125,13 +138,19 @@ let value_instance ?(name = "OPT") ?cores ?recorder config =
         Count_multiset.remove bag worst;
         Count_multiset.add bag value;
         Metrics.record_push_out metrics;
-        record
-          (Smbm_obs.Event.Push_out { victim = worst; dest; lost = worst });
+        (match events with
+        | None -> ()
+        | Some f ->
+          Flight.push_out f ~slot:!slot ~src ~victim:worst ~dest ~lost:worst);
         Metrics.record_accept metrics;
-        if recording then record (Smbm_obs.Event.Accept { dest })
+        (match events with
+        | None -> ()
+        | Some f -> Flight.accept f ~slot:!slot ~src ~dest)
       | Some _ | None ->
         Metrics.record_drop metrics;
-        if recording then record (Smbm_obs.Event.Drop { dest; value })
+        (match events with
+        | None -> ()
+        | Some f -> Flight.drop f ~slot:!slot ~src ~dest ~value)
     end
   in
   let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in
@@ -140,18 +159,25 @@ let value_instance ?(name = "OPT") ?cores ?recorder config =
     let value = Count_multiset.remove_largest bag ~budget:cores in
     Metrics.record_transmissions metrics ~count ~value;
     if count > 0 then
-      if recording then record (Smbm_obs.Event.Transmit_bulk { dest = -1; count; value })
+      match events with
+      | None -> ()
+      | Some f ->
+        Flight.transmit_bulk f ~slot:!slot ~src ~dest:(-1) ~count ~value
   in
   let end_slot () =
     let occupancy = Count_multiset.size bag in
     Metrics.record_occupancy metrics occupancy;
-    if recording then record (Smbm_obs.Event.Slot_end { occupancy });
-    advance_slot ()
+    (match events with
+    | None -> ()
+    | Some f -> Flight.slot_end f ~slot:!slot ~src ~occupancy);
+    incr slot
   in
   let flush () =
     let count = Count_multiset.size bag in
     Metrics.record_flush metrics count;
-    if recording then record (Smbm_obs.Event.Flush { count });
+    (match events with
+    | None -> ()
+    | Some f -> Flight.flush f ~slot:!slot ~src ~count);
     Count_multiset.clear bag;
     Metrics.check_conservation metrics
   in

@@ -21,24 +21,24 @@ open Smbm_core
 val proc_instance :
   ?name:string ->
   ?cores:int ->
-  ?recorder:Smbm_obs.Recorder.t ->
+  ?events:Smbm_obs.Flight.t ->
   Proc_config.t ->
   Instance.t
 (** Processing model: smallest-residual-first.  [cores] defaults to
     [n * speedup] ("kC cores" in the paper's contiguous configuration).
 
-    [recorder], when given, traces the reference's admission decisions and
+    [events], when given, records the reference's admission decisions and
     per-slot aggregates so {!Smbm_forensics.Diff} can align a policy trace
     against the reference on the same arrival instance.  The reference has
     no ports, so push-out victims are recorded as bag keys and transmissions
-    as per-slot [Transmit_bulk] events (dest = -1); recording costs nothing
-    when absent and never changes a decision. *)
+    as per-slot [Transmit_bulk] events (dest = -1); recording allocates
+    nothing and never changes a decision. *)
 
 val value_instance :
   ?name:string ->
   ?cores:int ->
-  ?recorder:Smbm_obs.Recorder.t ->
+  ?events:Smbm_obs.Flight.t ->
   Value_config.t ->
   Instance.t
 (** Value model: largest-value-first, unit work.  [cores] defaults to
-    [n * speedup].  [recorder] as in {!proc_instance}. *)
+    [n * speedup].  [events] as in {!proc_instance}. *)

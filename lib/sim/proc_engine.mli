@@ -14,25 +14,22 @@ open Smbm_core
 
 val create :
   ?name:string ->
-  ?recorder:Smbm_obs.Recorder.t ->
-  ?flight:Smbm_obs.Flight.t ->
+  ?events:Smbm_obs.Flight.t ->
   Proc_config.t ->
   Proc_policy.t ->
   Instance.t * Proc_switch.t
 (** Fresh instance plus its underlying switch (exposed for inspection in
     tests and examples).  [name] defaults to the policy's name.  Per-port
-    transmission tallies are in the instance's [ports].  [recorder]
+    transmission tallies are in the instance's [ports].  [events]
     receives every per-slot event (arrival, accept, push-out, drop,
-    transmit, slot-end) with this instance's name as [who]; [flight]
-    receives the same events into its allocation-free ring (the instance
-    name is interned once at creation).  Neither form of recording changes
-    any decision or counter.  Every arrival goes through [arrive_dv]; the
-    instance's [arrive_batch] is [None]. *)
+    transmit, slot-end, flush) into its allocation-free ring, with this
+    instance's name as source (interned once at creation).  Recording
+    changes no decision and no counter.  Every arrival goes through
+    [arrive_dv]; the instance's [arrive_batch] is [None]. *)
 
 val instance :
   ?name:string ->
-  ?recorder:Smbm_obs.Recorder.t ->
-  ?flight:Smbm_obs.Flight.t ->
+  ?events:Smbm_obs.Flight.t ->
   Proc_config.t ->
   Proc_policy.t ->
   Instance.t
@@ -40,8 +37,7 @@ val instance :
 
 val create_controlled :
   ?name:string ->
-  ?recorder:Smbm_obs.Recorder.t ->
-  ?flight:Smbm_obs.Flight.t ->
+  ?events:Smbm_obs.Flight.t ->
   Proc_config.t ->
   Proc_policy.t ref ->
   Instance.t * Proc_switch.t

@@ -59,7 +59,7 @@ let apply_axis base axis x =
   | B -> { base with buffer = x }
   | C -> { base with speedup = x }
 
-let proc_setup ?recorder ~reference base =
+let proc_setup ?events ~reference base =
   let config =
     Proc_config.contiguous ~k:base.k ~buffer:base.buffer ~speedup:base.speedup
       ()
@@ -72,12 +72,12 @@ let proc_setup ?recorder ~reference base =
       ~config ~load:base.load ~seed:base.seed ()
   in
   let instances =
-    Opt_ref.proc_instance ?recorder config
-    :: List.map (Proc_engine.instance ?recorder config) (Policies.proc config)
+    Opt_ref.proc_instance ?events config
+    :: List.map (Proc_engine.instance ?events config) (Policies.proc config)
   in
   (workload, instances)
 
-let value_setup ?recorder ~reference ~port_tied base =
+let value_setup ?events ~reference ~port_tied base =
   let config =
     Value_config.make ~ports:base.k ~max_value:base.k ~buffer:base.buffer
       ~speedup:base.speedup ()
@@ -100,8 +100,8 @@ let value_setup ?recorder ~reference ~port_tied base =
     else Policies.value_uniform config
   in
   let instances =
-    Opt_ref.value_instance ?recorder config
-    :: List.map (Value_engine.instance ?recorder config) policies
+    Opt_ref.value_instance ?events config
+    :: List.map (Value_engine.instance ?events config) policies
   in
   (workload, instances)
 
@@ -109,12 +109,12 @@ let value_setup ?recorder ~reference ~port_tied base =
    derived from it, not from the swept configuration, so the absolute traffic
    stays constant along the sweep (the paper's setup: growing k or C means
    growing capacity under the same offered traffic). *)
-let setup ?reference ?recorder model base =
+let setup ?reference ?events model base =
   let reference = Option.value reference ~default:base in
   match model with
-  | Proc -> proc_setup ?recorder ~reference base
-  | Value_uniform -> value_setup ?recorder ~reference ~port_tied:false base
-  | Value_port -> value_setup ?recorder ~reference ~port_tied:true base
+  | Proc -> proc_setup ?events ~reference base
+  | Value_uniform -> value_setup ?events ~reference ~port_tied:false base
+  | Value_port -> value_setup ?events ~reference ~port_tied:true base
 
 (* ----- trace cache -----
 
@@ -174,10 +174,10 @@ let policy_names model base =
   | _opt :: algs -> List.map (fun (i : Instance.t) -> i.Instance.name) algs
   | [] -> []
 
-let run_point ?recorder ?spans ?trace ~base ~model ~axis ~x () =
+let run_point ?events ?spans ?trace ~base ~model ~axis ~x () =
   let reference = base in
   let base = apply_axis base axis x in
-  let live_workload, instances = setup ?recorder ~reference model base in
+  let live_workload, instances = setup ?events ~reference model base in
   let workload =
     match trace with
     | None -> live_workload
@@ -296,7 +296,7 @@ let run_point_replicated ~base ~model ~axis ~x ~seeds =
    every later point with the same key (all of a B or C axis).  Keys used
    once — every K-axis point — are never materialized: generating into a
    trace first would only add a copy. *)
-let run_panel ?(base = default_base) ?recorder ?spans ?xs
+let run_panel ?(base = default_base) ?events ?spans ?xs
     ?(max_cached_arrivals = default_max_cached_arrivals) number =
   let panel = panel number in
   let panel = match xs with Some xs -> { panel with xs } | None -> panel in
@@ -331,7 +331,7 @@ let run_panel ?(base = default_base) ?recorder ?spans ?xs
         {
           x;
           ratios =
-            run_point ?recorder ?spans ?trace:(trace_for x) ~base ~model ~axis
+            run_point ?events ?spans ?trace:(trace_for x) ~base ~model ~axis
               ~x ();
         })
       panel.xs

@@ -46,7 +46,7 @@ val policy_names : model -> base -> string list
 
 val setup :
   ?reference:base ->
-  ?recorder:Smbm_obs.Recorder.t ->
+  ?events:Smbm_obs.Flight.t ->
   model ->
   base ->
   Smbm_traffic.Workload.t * Instance.t list
@@ -92,7 +92,7 @@ val trace_worth_caching :
     caching outright. *)
 
 val run_point :
-  ?recorder:Smbm_obs.Recorder.t ->
+  ?events:Smbm_obs.Flight.t ->
   ?spans:Smbm_obs.Span.t ->
   ?trace:Smbm_traffic.Trace.Compact.t ->
   base:base ->
@@ -111,9 +111,9 @@ val run_point :
     responsible for the trace matching the point's {!trace_key}.
     @raise Invalid_argument if the trace covers fewer slots than the run.
 
-    [recorder] is handed to every policy instance (OPT is a bag reference
-    with no per-packet identity and stays untraced); [spans] gets one
-    [point/x=<x>] span covering the run. *)
+    [events] is handed to every instance, the OPT reference included (its
+    events speak the bag's language, see {!Opt_ref.proc_instance}); [spans]
+    gets one [point/x=<x>] span covering the run. *)
 
 type detail = {
   ratio : float;
@@ -161,14 +161,14 @@ val run_point_replicated :
 
 val run_panel :
   ?base:base ->
-  ?recorder:Smbm_obs.Recorder.t ->
+  ?events:Smbm_obs.Flight.t ->
   ?spans:Smbm_obs.Span.t ->
   ?xs:int list ->
   ?max_cached_arrivals:int ->
   int ->
   outcome
 (** Run panel [number] (1-9), overriding the sweep values with [xs] when
-    given.  [recorder]/[spans] as in {!run_point}, plus one [panel/<n>]
+    given.  [events]/[spans] as in {!run_point}, plus one [panel/<n>]
     span over the whole panel.
 
     Points sharing a {!trace_key} (every B- or C-axis panel) materialize

@@ -1,70 +1,50 @@
 open Smbm_core
+module Flight = Smbm_obs.Flight
 
-let create_controlled ?name ?recorder ?flight config
-    (policy_ref : Value_policy.t ref) =
+let create_controlled ?name ?events config (policy_ref : Value_policy.t ref) =
   let name = Option.value name ~default:!policy_ref.name in
   let sw = Value_switch.create config in
   let metrics = Metrics.create () in
   let ports = Port_stats.create ~n:(Value_config.n config) in
-  let record =
-    match recorder with
-    | None -> fun (_ : Smbm_obs.Event.kind) -> ()
-    | Some r ->
-      fun kind ->
-        Smbm_obs.Recorder.record r ~slot:(Value_switch.now sw) ~who:name kind
-  in
-  (* Events are records: guard construction, not just delivery — an
-     untraced run must not allocate an event per arrival. *)
-  let recording = Option.is_some recorder in
-  (* The flight ring takes only immediate ints (source interned once
-     here), so leaving it on costs column writes, not allocation. *)
-  let fsrc =
-    match flight with Some f -> Smbm_obs.Flight.intern f name | None -> 0
-  in
+  (* Recording takes only immediate ints (the source is interned once
+     here), so an attached ring costs column writes, not allocation. *)
+  let src = match events with Some f -> Flight.intern f name | None -> 0 in
   let arrive_dv ~dest ~value =
     Metrics.record_arrival metrics;
-    if recording then record (Smbm_obs.Event.Arrival { dest });
-    (match flight with
+    (match events with
     | None -> ()
     | Some f ->
-      Smbm_obs.Flight.arrival f ~slot:(Value_switch.now sw) ~src:fsrc ~dest);
+      Flight.arrival f ~slot:(Value_switch.now sw) ~src ~dest);
     match Value_policy.admit !policy_ref sw ~dest ~value with
     | Decision.Accept ->
       Value_switch.accept sw ~dest ~value;
       Metrics.record_accept metrics;
-      if recording then record (Smbm_obs.Event.Accept { dest });
-      (match flight with
+      (match events with
       | None -> ()
       | Some f ->
-        Smbm_obs.Flight.accept f ~slot:(Value_switch.now sw) ~src:fsrc ~dest)
+        Flight.accept f ~slot:(Value_switch.now sw) ~src ~dest)
     | Decision.Push_out { victim } ->
       if not (Value_switch.is_full sw) then
         invalid_arg
           (name ^ ": push-out decision while the buffer has free space");
       let lost = Value_switch.push_out sw ~victim in
       Metrics.record_push_out metrics;
-      if recording then
-        record (Smbm_obs.Event.Push_out { victim; dest; lost });
-      (match flight with
+      (match events with
       | None -> ()
       | Some f ->
-        Smbm_obs.Flight.push_out f ~slot:(Value_switch.now sw) ~src:fsrc
-          ~victim ~dest ~lost);
+        Flight.push_out f ~slot:(Value_switch.now sw) ~src ~victim ~dest ~lost);
       Value_switch.accept sw ~dest ~value;
       Metrics.record_accept metrics;
-      if recording then record (Smbm_obs.Event.Accept { dest });
-      (match flight with
+      (match events with
       | None -> ()
       | Some f ->
-        Smbm_obs.Flight.accept f ~slot:(Value_switch.now sw) ~src:fsrc ~dest)
+        Flight.accept f ~slot:(Value_switch.now sw) ~src ~dest)
     | Decision.Drop ->
       Metrics.record_drop metrics;
-      if recording then record (Smbm_obs.Event.Drop { dest; value });
-      (match flight with
+      (match events with
       | None -> ()
       | Some f ->
-        Smbm_obs.Flight.drop f ~slot:(Value_switch.now sw) ~src:fsrc ~dest
-          ~value)
+        Flight.drop f ~slot:(Value_switch.now sw) ~src ~dest ~value)
   in
   let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in
   let transmit =
@@ -73,35 +53,29 @@ let create_controlled ?name ?recorder ?flight config
       Metrics.record_transmit metrics ~value
         ~latency:(float_of_int latency);
       Port_stats.record ports ~port:dest ~value;
-      if recording then
-        record (Smbm_obs.Event.Transmit { dest; value; latency });
-      match flight with
+      match events with
       | None -> ()
       | Some f ->
-        Smbm_obs.Flight.transmit f ~slot:(Value_switch.now sw) ~src:fsrc
-          ~dest ~value ~latency
+        Flight.transmit f ~slot:(Value_switch.now sw) ~src ~dest ~value ~latency
     in
     fun () -> ignore (Value_switch.transmit_phase sw ~on_transmit)
   in
   let end_slot () =
     let occupancy = Value_switch.occupancy sw in
     Metrics.record_occupancy metrics occupancy;
-    if recording then record (Smbm_obs.Event.Slot_end { occupancy });
-    (match flight with
+    (match events with
     | None -> ()
     | Some f ->
-      Smbm_obs.Flight.slot_end f ~slot:(Value_switch.now sw) ~src:fsrc
-        ~occupancy);
+      Flight.slot_end f ~slot:(Value_switch.now sw) ~src ~occupancy);
     Value_switch.advance_slot sw
   in
   let flush () =
     let count = Value_switch.flush sw in
     Metrics.record_flush metrics count;
-    if recording then record (Smbm_obs.Event.Flush { count });
-    (match flight with
+    (match events with
     | None -> ()
     | Some f ->
-      Smbm_obs.Flight.flush f ~slot:(Value_switch.now sw) ~src:fsrc ~count);
+      Flight.flush f ~slot:(Value_switch.now sw) ~src ~count);
     Metrics.check_conservation metrics
   in
   let check () =
@@ -127,8 +101,8 @@ let create_controlled ?name ?recorder ?flight config
   in
   (inst, sw)
 
-let create ?name ?recorder ?flight config (policy : Value_policy.t) =
-  create_controlled ?name ?recorder ?flight config (ref policy)
+let create ?name ?events config (policy : Value_policy.t) =
+  create_controlled ?name ?events config (ref policy)
 
-let instance ?name ?recorder ?flight config policy =
-  fst (create ?name ?recorder ?flight config policy)
+let instance ?name ?events config policy =
+  fst (create ?name ?events config policy)

@@ -6,26 +6,23 @@ open Smbm_core
 
 val create :
   ?name:string ->
-  ?recorder:Smbm_obs.Recorder.t ->
-  ?flight:Smbm_obs.Flight.t ->
+  ?events:Smbm_obs.Flight.t ->
   Value_config.t ->
   Value_policy.t ->
   Instance.t * Value_switch.t
-(** [recorder] and [flight] receive every per-slot event (see
+(** [events] receives every per-slot event (see
     {!Proc_engine.create}). *)
 
 val instance :
   ?name:string ->
-  ?recorder:Smbm_obs.Recorder.t ->
-  ?flight:Smbm_obs.Flight.t ->
+  ?events:Smbm_obs.Flight.t ->
   Value_config.t ->
   Value_policy.t ->
   Instance.t
 
 val create_controlled :
   ?name:string ->
-  ?recorder:Smbm_obs.Recorder.t ->
-  ?flight:Smbm_obs.Flight.t ->
+  ?events:Smbm_obs.Flight.t ->
   Value_config.t ->
   Value_policy.t ref ->
   Instance.t * Value_switch.t

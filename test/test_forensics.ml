@@ -9,7 +9,7 @@ open Smbm_forensics
 
 let mmpp = { Smbm_traffic.Scenario.default_mmpp with sources = 10 }
 
-(* Run [insts] (each wired to its own recorder) over [workload], write the
+(* Run [insts] (each wired to its own event ring) over [workload], write the
    dumps into one interleaved trace file, and load it back. *)
 let trace_of_run ~slots ~flush_every ~workload insts_recs =
   Experiment.run
@@ -19,7 +19,7 @@ let trace_of_run ~slots ~flush_every ~workload insts_recs =
   let path = Filename.temp_file "smbm_forensics" ".jsonl" in
   let sink = Sink.file path in
   List.iter
-    (fun (_, r) -> List.iter (Sink.event sink) (Recorder.dump r))
+    (fun (_, r) -> List.iter (Sink.event sink) (Flight.dump r))
     insts_recs;
   Sink.close sink;
   let trace = Trace_file.load path in
@@ -55,28 +55,30 @@ let check_round_trip label (inst : Instance.t) trace =
 
 let test_round_trip_proc () =
   let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
-  let recorder = Recorder.create ~cap:1_000_000 () in
-  let inst = Proc_engine.instance ~recorder cfg (Smbm_core.P_lwd.make cfg) in
+  let ring = Flight.create ~cap:65_536 () in
+  let inst = Proc_engine.instance ~events:ring cfg (Smbm_core.P_lwd.make cfg) in
   let workload =
     Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg ~load:2.0 ~seed:11 ()
   in
   let trace =
     trace_of_run ~slots:400 ~flush_every:(Some 100) ~workload
-      [ (inst, recorder) ]
+      [ (inst, ring) ]
   in
   check_round_trip "proc/LWD" inst trace
 
 let test_round_trip_value () =
   let cfg = Smbm_core.Value_config.make ~ports:4 ~max_value:8 ~buffer:8 () in
-  let recorder = Recorder.create ~cap:1_000_000 () in
-  let inst = Value_engine.instance ~recorder cfg (Smbm_core.V_mrd.make cfg) in
+  let ring = Flight.create ~cap:65_536 () in
+  let inst =
+    Value_engine.instance ~events:ring cfg (Smbm_core.V_mrd.make cfg)
+  in
   let workload =
     Smbm_traffic.Scenario.value_port_workload ~mmpp ~config:cfg ~load:2.5
       ~seed:7 ()
   in
   let trace =
     trace_of_run ~slots:400 ~flush_every:(Some 100) ~workload
-      [ (inst, recorder) ]
+      [ (inst, ring) ]
   in
   check_round_trip "value/MRD" inst trace
 
@@ -84,9 +86,9 @@ let test_round_trip_hybrid () =
   let cfg =
     Smbm_hybrid.Hybrid_config.contiguous ~k:4 ~max_value:8 ~buffer:16 ()
   in
-  let recorder = Recorder.create ~cap:1_000_000 () in
+  let ring = Flight.create ~cap:65_536 () in
   let inst =
-    Smbm_hybrid.Hybrid_engine.instance ~recorder cfg
+    Smbm_hybrid.Hybrid_engine.instance ~events:ring cfg
       Smbm_hybrid.Hybrid_policy.lwd
   in
   let rng = Smbm_prelude.Rng.create ~seed:5 in
@@ -102,7 +104,7 @@ let test_round_trip_hybrid () =
   in
   let workload = Smbm_traffic.Workload.of_slots arrivals in
   let trace =
-    trace_of_run ~slots ~flush_every:(Some 100) ~workload [ (inst, recorder) ]
+    trace_of_run ~slots ~flush_every:(Some 100) ~workload [ (inst, ring) ]
   in
   check_round_trip "hybrid/LWD" inst trace
 
@@ -113,9 +115,9 @@ let prop_round_trip_proc_random =
       triple (int_range 1 10_000) (int_range 5 40) (int_range 5 20))
     (fun (seed, load10, buffer) ->
       let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer () in
-      let recorder = Recorder.create ~cap:1_000_000 () in
+      let ring = Flight.create ~cap:65_536 () in
       let inst =
-        Proc_engine.instance ~recorder cfg (Smbm_core.P_lqd.make cfg)
+        Proc_engine.instance ~events:ring cfg (Smbm_core.P_lqd.make cfg)
       in
       let workload =
         Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg
@@ -124,7 +126,7 @@ let prop_round_trip_proc_random =
       in
       let trace =
         trace_of_run ~slots:200 ~flush_every:(Some 50) ~workload
-          [ (inst, recorder) ]
+          [ (inst, ring) ]
       in
       let r = Replay.replay (source trace inst.Instance.name) in
       Metrics.to_jsonl inst.Instance.metrics = Metrics.to_jsonl r.Replay.metrics)
@@ -136,10 +138,10 @@ let prop_round_trip_proc_random =
    victim selection part ways. *)
 let diff_pair () =
   let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
-  let ra = Recorder.create ~cap:1_000_000 () in
-  let rb = Recorder.create ~cap:1_000_000 () in
-  let a = Proc_engine.instance ~recorder:ra cfg (Smbm_core.P_lwd.make cfg) in
-  let b = Proc_engine.instance ~recorder:rb cfg (Smbm_core.P_lqd.make cfg) in
+  let ra = Flight.create ~cap:65_536 () in
+  let rb = Flight.create ~cap:65_536 () in
+  let a = Proc_engine.instance ~events:ra cfg (Smbm_core.P_lwd.make cfg) in
+  let b = Proc_engine.instance ~events:rb cfg (Smbm_core.P_lqd.make cfg) in
   let workload =
     Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg ~load:2.0 ~seed:42 ()
   in
@@ -175,8 +177,8 @@ let test_diff_golden () =
 let test_diff_rejects_misaligned () =
   let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
   let run seed =
-    let r = Recorder.create ~cap:1_000_000 () in
-    let inst = Proc_engine.instance ~recorder:r cfg (Smbm_core.P_lwd.make cfg) in
+    let r = Flight.create ~cap:65_536 () in
+    let inst = Proc_engine.instance ~events:r cfg (Smbm_core.P_lwd.make cfg) in
     let workload =
       Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg ~load:2.0 ~seed ()
     in
@@ -232,13 +234,13 @@ let prop_attribution_conserves_gap =
     QCheck2.Gen.(pair (int_range 1 10_000) (int_range 10 40))
     (fun (seed, load10) ->
       let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
-      let ra = Recorder.create ~cap:1_000_000 () in
-      let rb = Recorder.create ~cap:1_000_000 () in
+      let ra = Flight.create ~cap:65_536 () in
+      let rb = Flight.create ~cap:65_536 () in
       let a =
-        Proc_engine.instance ~recorder:ra cfg (Smbm_core.P_lwd.make cfg)
+        Proc_engine.instance ~events:ra cfg (Smbm_core.P_lwd.make cfg)
       in
       let b =
-        Proc_engine.instance ~recorder:rb cfg (Smbm_core.P_lqd.make cfg)
+        Proc_engine.instance ~events:rb cfg (Smbm_core.P_lqd.make cfg)
       in
       let workload =
         Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg
@@ -373,7 +375,9 @@ let test_convert_lossless () =
 let test_postmortem_write_load_certify () =
   let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
   let flight = Flight.create ~cap:65536 () in
-  let inst, sw = Proc_engine.create ~flight cfg (Smbm_core.P_lwd.make cfg) in
+  let inst, sw =
+    Proc_engine.create ~events:flight cfg (Smbm_core.P_lwd.make cfg)
+  in
   let workload =
     Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg ~load:2.0 ~seed:3 ()
   in
@@ -455,7 +459,9 @@ let test_postmortem_write_load_certify () =
 let test_postmortem_window_verdict () =
   let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
   let flight = Flight.create ~cap:64 () in
-  let inst = Proc_engine.instance ~flight cfg (Smbm_core.P_lwd.make cfg) in
+  let inst =
+    Proc_engine.instance ~events:flight cfg (Smbm_core.P_lwd.make cfg)
+  in
   let workload =
     Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg ~load:2.0 ~seed:3 ()
   in

@@ -103,35 +103,37 @@ let test_event_rejects_malformed () =
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %s" s))
     bad
 
-(* --- Recorder --- *)
+(* --- Event ring (Flight) --- *)
+
+let arrivals_at f ~src slots =
+  List.iter (fun slot -> Flight.arrival f ~slot ~src ~dest:0) slots
 
 let test_recorder_eviction_at_capacity () =
-  let r = Recorder.create ~cap:3 () in
-  for slot = 0 to 9 do
-    Recorder.record r ~slot ~who:"w" (Event.Arrival { dest = 0 })
-  done;
-  Alcotest.(check int) "length" 3 (Recorder.length r);
-  Alcotest.(check int) "total" 10 (Recorder.total r);
-  Alcotest.(check int) "dropped" 7 (Recorder.dropped r);
+  let r = Flight.create ~cap:3 () in
+  Alcotest.(check int) "capacity is exact" 3 (Flight.capacity r);
+  arrivals_at r ~src:(Flight.intern r "w") (List.init 10 Fun.id);
+  Alcotest.(check int) "length" 3 (Flight.length r);
+  Alcotest.(check int) "total" 10 (Flight.total r);
+  Alcotest.(check int) "dropped" 7 (Flight.dropped r);
   (* Oldest first, and the survivors are the newest three. *)
   Alcotest.(check (list int)) "surviving slots" [ 7; 8; 9 ]
-    (List.map (fun (e : Event.t) -> e.Event.slot) (Recorder.events r));
+    (List.map (fun (e : Event.t) -> e.Event.slot) (Flight.events r));
   (* dump prepends a truncation marker carrying the eviction count and the
      oldest surviving slot. *)
-  (match Recorder.dump r with
+  (match Flight.dump r with
   | meta :: rest ->
     Alcotest.(check bool) "truncated meta" true
       (meta.Event.kind = Event.Truncated { evicted = 7 });
     Alcotest.(check int) "meta slot = oldest survivor" 7 meta.Event.slot;
-    Alcotest.(check bool) "dump tail = events" true (rest = Recorder.events r)
+    Alcotest.(check bool) "dump tail = events" true (rest = Flight.events r)
   | [] -> Alcotest.fail "empty dump");
-  Recorder.clear r;
-  Alcotest.(check int) "cleared" 0 (Recorder.length r)
+  Flight.clear r;
+  Alcotest.(check int) "cleared" 0 (Flight.length r)
 
 let test_recorder_scope_prefixes_src () =
-  let r = Recorder.create ~scope:"x=8" ~cap:4 () in
-  Recorder.record r ~slot:0 ~who:"LWD" (Event.Drop { dest = 1; value = 1 });
-  match Recorder.events r with
+  let r = Flight.create ~scope:"x=8" ~cap:4 () in
+  Flight.drop r ~slot:0 ~src:(Flight.intern r "LWD") ~dest:1 ~value:1;
+  match Flight.events r with
   | [ e ] -> Alcotest.(check string) "src" "x=8/LWD" e.Event.src
   | _ -> Alcotest.fail "expected one event"
 
@@ -140,23 +142,18 @@ let test_recorder_scope_prefixes_src () =
    slot pointing at the new oldest survivor, no stale marker while the
    refilled ring still holds everything. *)
 let test_recorder_truncation_after_clear () =
-  let r = Recorder.create ~cap:4 () in
-  for slot = 0 to 9 do
-    Recorder.record r ~slot ~who:"w" (Event.Arrival { dest = 0 })
-  done;
-  Alcotest.(check int) "pre-clear dropped" 6 (Recorder.dropped r);
-  Recorder.clear r;
-  Alcotest.(check int) "cleared total" 0 (Recorder.total r);
-  for slot = 100 to 102 do
-    Recorder.record r ~slot ~who:"w" (Event.Arrival { dest = 0 })
-  done;
+  let r = Flight.create ~cap:4 () in
+  let src = Flight.intern r "w" in
+  arrivals_at r ~src (List.init 10 Fun.id);
+  Alcotest.(check int) "pre-clear dropped" 6 (Flight.dropped r);
+  Flight.clear r;
+  Alcotest.(check int) "cleared total" 0 (Flight.total r);
+  arrivals_at r ~src [ 100; 101; 102 ];
   (* Under capacity again: a dump carries no marker at all. *)
   Alcotest.(check (list int)) "no marker under capacity" [ 100; 101; 102 ]
-    (List.map (fun (e : Event.t) -> e.Event.slot) (Recorder.dump r));
-  for slot = 103 to 105 do
-    Recorder.record r ~slot ~who:"w" (Event.Arrival { dest = 0 })
-  done;
-  match Recorder.dump r with
+    (List.map (fun (e : Event.t) -> e.Event.slot) (Flight.dump r));
+  arrivals_at r ~src [ 103; 104; 105 ];
+  match Flight.dump r with
   | meta :: rest ->
     Alcotest.(check bool) "post-clear eviction count" true
       (meta.Event.kind = Event.Truncated { evicted = 2 });
@@ -478,9 +475,9 @@ let count kind_name events =
 
 let test_engine_events_match_metrics () =
   let config = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
-  let recorder = Recorder.create ~cap:1_000_000 () in
+  let ring = Flight.create ~cap:65_536 () in
   let inst =
-    Proc_engine.instance ~recorder config (Smbm_core.P_lwd.make config)
+    Proc_engine.instance ~events:ring config (Smbm_core.P_lwd.make config)
   in
   let workload =
     Smbm_traffic.Scenario.proc_workload
@@ -490,7 +487,8 @@ let test_engine_events_match_metrics () =
     ~params:{ Experiment.slots = 400; flush_every = Some 100; check_every = None }
     ~workload [ inst ];
   let m = inst.Instance.metrics in
-  let events = Recorder.events recorder in
+  Alcotest.(check int) "ring unevicted" 0 (Flight.dropped ring);
+  let events = Flight.events ring in
   Alcotest.(check int) "arrivals" (Metrics.arrivals m) (count "arrival" events);
   Alcotest.(check int) "accepts" (Metrics.accepted m) (count "accept" events);
   Alcotest.(check int) "drops" (Metrics.dropped m) (count "drop" events);

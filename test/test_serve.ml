@@ -4,7 +4,7 @@ module Scenario = Smbm_traffic.Scenario
 module Workload = Smbm_traffic.Workload
 module Trace = Smbm_traffic.Trace
 module Event = Smbm_obs.Event
-module Recorder = Smbm_obs.Recorder
+module Flight = Smbm_obs.Flight
 module Qc = QCheck_alcotest
 
 let proc_config = Proc_config.contiguous ~k:8 ~buffer:32 ()
@@ -163,10 +163,10 @@ let test_bank_sharding_deterministic () =
 (* --- the daemon --- *)
 
 let test_daemon_reconfig_proc () =
-  let recorder = Recorder.create ~cap:200_000 () in
+  let ring = Flight.create ~cap:200_000 () in
   let bank = Mmpp_bank.create ~mmpp:(mmpp 20) (Model.Proc proc_config) ~load:2.0 ~seed:11 () in
   let report =
-    Daemon.run ~ring_capacity:8 ~recorder ~flush_every:250
+    Daemon.run ~ring_capacity:8 ~events:ring ~flush_every:250
       ~controls:
         [
           (200, Daemon.Set_policy "LQD");
@@ -201,7 +201,7 @@ let test_daemon_reconfig_proc () =
         match e.Event.kind with
         | Event.Reconfig { what; target } -> Some (e.Event.slot, what, target)
         | _ -> None)
-      (Recorder.events recorder)
+      (Flight.events ring)
   in
   Alcotest.(check int) "three reconfig events" 3 (List.length reconfigs);
   (match reconfigs with
@@ -218,7 +218,7 @@ let test_daemon_reconfig_proc () =
   let lines =
     List.mapi
       (fun i event -> { Smbm_forensics.Trace_file.lineno = i + 1; event })
-      (Recorder.events recorder)
+      (Flight.events ring)
   in
   let source =
     { Smbm_forensics.Trace_file.src = "serve"; lines; evicted = 0; oldest_slot = 0 }
@@ -382,6 +382,106 @@ let test_daemon_unknown_policy_rejected () =
         (Daemon.run ~slots:1 ~model:(Model.Proc proc_config) ~policy:"bogus"
            ~ingest:(Daemon.Bank bank) ()))
 
+(* --- draining the ring to an event sink --- *)
+
+let serve_traced ~cap ~path =
+  let events = Flight.create ~cap () in
+  let sink = Smbm_obs.Sink.file path in
+  let bank =
+    Mmpp_bank.create ~mmpp:(mmpp 20) (Model.Proc proc_config) ~load:2.0
+      ~seed:17 ()
+  in
+  let report =
+    Daemon.run ~ring_capacity:8 ~events ~event_sink:sink ~flush_every:1000
+      ~slots:3000 ~model:(Model.Proc proc_config) ~policy:"LWD"
+      ~ingest:(Daemon.Bank bank) ()
+  in
+  Smbm_obs.Sink.close sink;
+  (report, events)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The sink is fed from a cursor at the end of every slot, so a ring far
+   smaller than the run wraps many times yet loses nothing: its trace is
+   the one a never-wrapping ring writes, and it certifies under replay. *)
+let test_daemon_drain_survives_wrap () =
+  let small = Filename.temp_file "smbm_serve_small" ".jsonl" in
+  let big = Filename.temp_file "smbm_serve_big" ".jsonl" in
+  let r_small, ring_small = serve_traced ~cap:1000 ~path:small in
+  let r_big, ring_big = serve_traced ~cap:(1 lsl 18) ~path:big in
+  Alcotest.(check bool) "small ring wrapped" true
+    (Flight.dropped ring_small > 0);
+  Alcotest.(check int) "big ring never wrapped" 0 (Flight.dropped ring_big);
+  Alcotest.(check int) "nothing lost to the sink" 0
+    r_small.Daemon.events_evicted;
+  Alcotest.(check int) "same run" r_big.Daemon.arrivals r_small.Daemon.arrivals;
+  Alcotest.(check bool) "trace = never-wrapping ring's trace" true
+    (read_file small = read_file big);
+  (match Smbm_forensics.Trace_file.load small with
+  | Error e -> Alcotest.failf "trace load failed: %s" e
+  | Ok trace -> (
+    match Smbm_forensics.Trace_file.find trace "serve" with
+    | Error e -> Alcotest.fail e
+    | Ok source ->
+      let replayed = Smbm_forensics.Replay.replay source in
+      (match replayed.Smbm_forensics.Replay.status with
+      | Smbm_forensics.Replay.Verified _ -> ()
+      | Smbm_forensics.Replay.Unverifiable _ ->
+        Alcotest.fail "drained trace should certify");
+      Alcotest.(check int) "replay reconstructs the arrival count"
+        r_small.Daemon.arrivals
+        (Smbm_sim.Metrics.arrivals replayed.Smbm_forensics.Replay.metrics)));
+  Sys.remove small;
+  Sys.remove big
+
+(* A slot recording more than the ring holds cannot be drained whole: the
+   loss is declared in the sink by [Truncated] markers and in the report,
+   and what was written plus what was declared is everything recorded. *)
+let test_daemon_drain_declares_overflow () =
+  let path = Filename.temp_file "smbm_serve_tiny" ".jsonl" in
+  let report, ring = serve_traced ~cap:8 ~path in
+  let events =
+    match Smbm_forensics.Trace_file.read_events path with
+    | Ok l -> List.map snd l
+    | Error e -> Alcotest.failf "trace read failed: %s" e
+  in
+  Sys.remove path;
+  let declared =
+    List.fold_left
+      (fun acc (e : Event.t) ->
+        match e.Event.kind with
+        | Event.Truncated { evicted } -> acc + evicted
+        | _ -> acc)
+      0 events
+  in
+  Alcotest.(check bool) "overflow happened" true
+    (report.Daemon.events_evicted > 0);
+  Alcotest.(check int) "markers declare the report's loss"
+    report.Daemon.events_evicted declared;
+  let written =
+    List.length
+      (List.filter
+         (fun (e : Event.t) ->
+           match e.Event.kind with Event.Truncated _ -> false | _ -> true)
+         events)
+  in
+  Alcotest.(check int) "written + declared = recorded" (Flight.total ring)
+    (written + declared)
+
+let test_daemon_sink_needs_ring () =
+  let bank =
+    Mmpp_bank.create ~mmpp:(mmpp 10) (Model.Proc proc_config) ~load:1.0
+      ~seed:1 ()
+  in
+  Alcotest.check_raises "event sink without a ring"
+    (Invalid_argument
+       "Daemon.run: an event_sink needs the event ring (flight_cap > 0)")
+    (fun () ->
+      ignore
+        (Daemon.run ~flight_cap:0 ~event_sink:Smbm_obs.Sink.null ~slots:1
+           ~model:(Model.Proc proc_config) ~policy:"LWD"
+           ~ingest:(Daemon.Bank bank) ()))
+
 let suite =
   [
     Alcotest.test_case "ring shed accounting" `Quick test_ring_shed_accounting;
@@ -405,4 +505,10 @@ let suite =
       test_daemon_trip_writes_certifiable_postmortem;
     Alcotest.test_case "daemon postmortem: first trigger only" `Quick
       test_daemon_postmortem_first_trigger_only;
+    Alcotest.test_case "daemon trace drain survives ring wrap" `Quick
+      test_daemon_drain_survives_wrap;
+    Alcotest.test_case "daemon trace drain declares overflow" `Quick
+      test_daemon_drain_declares_overflow;
+    Alcotest.test_case "daemon event sink needs a ring" `Quick
+      test_daemon_sink_needs_ring;
   ]
