@@ -1,33 +1,22 @@
 (* End-to-end throughput of the sweep machinery: slots/sec and GC minor
-   words per slot, batched slot loop + compact trace cache versus the
-   historical per-slot list loop with per-point live generation.
+   words per slot of the batched slot loop and the compact trace cache.
 
      dune exec bench/e2e.exe -- [--slots N] [--sources S] [--repeats R]
                                 [--out FILE]
 
-   Two cell families, emitted as JSONL gauges (Smbm_obs.Registry):
+   Cell families, emitted as JSONL gauges (Smbm_obs.Registry):
 
-   - e2e/point/<model>/{list,batched}/{slots_per_sec,minor_words_per_slot}
-     e2e/point/<model>/speedup
+   - e2e/point/<model>/{slots_per_sec,minor_words_per_slot}
      One full sweep point (OPT reference plus every policy of the model,
-     i.e. exactly what one Fig. 5 simulation runs) under `Batched versus
-     `List.  Both arms run the same engines over the same live workload, so
-     this isolates the slot-loop representation cost on top of the full
-     simulation — an honest end-to-end number, dominated by engine work.
+     i.e. exactly what one Fig. 5 simulation runs) over a live workload:
+     the slot loop on top of the full simulation, dominated by engine work.
 
-   - e2e/pipeline/<model>/{list,batched}/{slots_per_sec,minor_words_per_slot}
-     e2e/pipeline/<model>/speedup
-     e2e/pipeline/<model>/alloc_improvement
+   - e2e/pipeline/<model>/{slots_per_sec,minor_words_per_slot}
      A full 7-point B-axis panel's worth of arrival traffic delivered to
-     sink instances (arrival counting only, no switch).  The list arm does
-     what run_panel did before the trace cache: regenerate the traffic live
-     at every point and deliver it as per-slot lists.  The batched arm does
-     what run_panel does now: materialize one compact trace and replay it
-     through the reusable struct-of-arrays batch at every point.  This is
-     the arrival pipeline itself — generation, representation, delivery —
-     the part this bench gates (speedup and allocation floors in CI; the
-     list arm's seven regenerations make both ratios shrink as generation
-     gets cheaper, see EXPERIMENTS.md).
+     sink instances (arrival counting only, no switch), the way run_panel
+     does it: materialize one compact trace, then replay it through the
+     reusable struct-of-arrays batch at every point.  This is the arrival
+     pipeline itself — generation, representation, delivery.
 
    - e2e/traffic/<model>/{us_per_slot,minor_words_per_slot}
      Live generation alone: the base point's 500-source workload stepped
@@ -59,14 +48,9 @@
 
    The committed repo-root BENCH_e2e.json is this file at the default
    scale; CI regenerates it at the same scale and gates with
-   `smbm_cli bench-diff` on the speedup ratios, the alloc_improvement
-   floor, the flight overhead floor, and minor_words_per_slot
-   regressions (allocation counts are deterministic and
-   machine-transferable, unlike raw rates).
-
-   Both pipelines consume the workload's RNG streams identically and make
-   bit-identical decisions (the equivalence suite proves that), so every
-   ratio here is a cost comparison of equal work. *)
+   `smbm_cli bench-diff` on the minor_words_per_slot budgets (allocation
+   counts are deterministic and machine-transferable, unlike raw rates)
+   and the flight overhead floor. *)
 
 open Smbm_sim
 
@@ -131,20 +115,20 @@ let measure run =
 
 (* ----- point cells: one full sweep point, real engines ----- *)
 
-let point_cell ~model ~pipeline =
+let params (base : Sweep.base) =
+  {
+    Experiment.slots = base.slots;
+    flush_every = base.flush_every;
+    check_every = None;
+  }
+
+let point_cell ~model =
   let base = base () in
-  let params =
-    {
-      Experiment.slots = base.Sweep.slots;
-      flush_every = base.Sweep.flush_every;
-      check_every = None;
-    }
-  in
   measure (fun () ->
       (* Fresh workload + instances every run: the RNG streams are consumed
          by the run. *)
       let workload, instances = Sweep.setup model base in
-      Experiment.run ~params ~pipeline ~workload instances;
+      Experiment.run ~params:(params base) ~workload instances;
       base.Sweep.slots)
 
 (* ----- pipeline cells: a full B panel of traffic into sinks ----- *)
@@ -155,7 +139,6 @@ let sink name =
   let count = ref 0 in
   {
     Instance.name;
-    arrive = (fun (_ : Smbm_core.Arrival.t) -> incr count);
     arrive_dv = (fun ~dest:_ ~value:_ -> incr count);
     arrive_batch = None;
     transmit = ignore;
@@ -169,43 +152,21 @@ let sink name =
 
 let b_axis_xs = [ 16; 32; 64; 128; 256; 512; 1024 ]
 
-let pipeline_cell ~model ~pipeline =
+let pipeline_cell ~model =
   let base = base () in
-  let params =
-    {
-      Experiment.slots = base.Sweep.slots;
-      flush_every = base.Sweep.flush_every;
-      check_every = None;
-    }
-  in
   let n_instances = List.length (Sweep.policy_names model base) + 1 in
   let sinks () = List.init n_instances (fun i -> sink (string_of_int i)) in
-  let total_slots = List.length b_axis_xs * base.Sweep.slots in
-  match pipeline with
-  | `List ->
-    (* Pre-cache behaviour: every point of the panel regenerates the same
-       traffic and delivers it as freshly consed per-slot lists. *)
-    measure (fun () ->
-        List.iter
-          (fun _x ->
-            let workload, _ = Sweep.setup model base in
-            Experiment.run ~params ~pipeline:`List ~workload (sinks ()))
-          b_axis_xs;
-        total_slots)
-  | `Batched ->
-    (* Cached behaviour: generate once into a compact trace, replay it
-       through the reusable batch at every point. *)
-    measure (fun () ->
-        let trace =
-          Sweep.materialize_trace ~base ~model ~axis:Sweep.B
-            ~x:(List.hd b_axis_xs)
-        in
-        List.iter
-          (fun _x ->
-            let workload = Smbm_traffic.Trace.Compact.replay trace in
-            Experiment.run ~params ~pipeline:`Batched ~workload (sinks ()))
-          b_axis_xs;
-        total_slots)
+  measure (fun () ->
+      let trace =
+        Sweep.materialize_trace ~base ~model ~axis:Sweep.B
+          ~x:(List.hd b_axis_xs)
+      in
+      List.iter
+        (fun _x ->
+          let workload = Smbm_traffic.Trace.Compact.replay trace in
+          Experiment.run ~params:(params base) ~workload (sinks ()))
+        b_axis_xs;
+      List.length b_axis_xs * base.Sweep.slots)
 
 (* ----- traffic cells: live generation alone ----- *)
 
@@ -359,23 +320,12 @@ let () =
   let family label cell =
     List.iter
       (fun (name, model) ->
-        let list_rate, list_words = cell ~model ~pipeline:`List in
-        let batched_rate, batched_words = cell ~model ~pipeline:`Batched in
+        let rate, words = cell ~model in
         let prefix = "e2e/" ^ label ^ "/" ^ name in
-        gauge (prefix ^ "/list/slots_per_sec") list_rate;
-        gauge (prefix ^ "/batched/slots_per_sec") batched_rate;
-        gauge (prefix ^ "/list/minor_words_per_slot") list_words;
-        gauge (prefix ^ "/batched/minor_words_per_slot") batched_words;
-        gauge (prefix ^ "/speedup") (batched_rate /. list_rate);
-        let alloc = list_words /. Float.max batched_words 1e-9 in
-        if label = "pipeline" then gauge (prefix ^ "/alloc_improvement") alloc;
-        Printf.printf
-          "%-28s list %8.0f slots/s %8.1f w/slot   batched %8.0f slots/s \
-           %8.1f w/slot   speedup %.2fx  alloc %.1fx lower\n\
-           %!"
-          (label ^ "/" ^ name) list_rate list_words batched_rate batched_words
-          (batched_rate /. list_rate)
-          alloc)
+        gauge (prefix ^ "/slots_per_sec") rate;
+        gauge (prefix ^ "/minor_words_per_slot") words;
+        Printf.printf "%-28s %8.0f slots/s %8.1f w/slot\n%!"
+          (label ^ "/" ^ name) rate words)
       models
   in
   family "point" point_cell;

@@ -468,8 +468,7 @@ let certificate () =
       ~config ~load:2.5 ~seed:base.Sweep.seed ()
   in
   let r =
-    Smbm_analysis.Mapping_certifier.run ~config ~opponent:greedy
-      ~trace:(fun _ -> Smbm_traffic.Workload.next workload)
+    Smbm_analysis.Mapping_certifier.run ~config ~opponent:greedy ~workload
       ~slots:(min slots 5_000) ()
   in
   Format.printf "  %a@." Smbm_analysis.Mapping_certifier.pp_report r;
@@ -558,7 +557,7 @@ let micro () =
              done));
       Test.make ~name:"opt-ref/arrive+transmit"
         (Staged.stage (fun () ->
-             opt.Instance.arrive (Arrival.make ~dest:7 ());
+             opt.Instance.arrive_dv ~dest:7 ~value:1;
              opt.Instance.transmit ()));
     ]
   in

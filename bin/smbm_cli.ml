@@ -285,6 +285,20 @@ let compare_cmd =
 
 (* ----- trace ----- *)
 
+let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
+
+(* An arrival trace file, or exit 1 with [path:line: reason]. *)
+let load_arrival_trace path =
+  let ic = try open_in path with Sys_error m -> die "%s" m in
+  let loaded =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> Smbm_traffic.Trace.Compact.load ic)
+  in
+  match loaded with
+  | Ok trace -> trace
+  | Error (line, reason) -> die "%s:%d: %s" path line reason
+
 let run_trace common model action path =
   let mmpp = { Smbm_traffic.Scenario.default_mmpp with sources = common.sources } in
   match action with
@@ -310,18 +324,18 @@ let run_trace common model action path =
           Smbm_traffic.Scenario.value_uniform_workload ~mmpp ~config
             ~load:common.load ~seed:common.seed ()
     in
-    let trace = Smbm_traffic.Trace.record workload ~slots:common.slots in
+    let trace =
+      Smbm_traffic.Trace.Compact.of_workload workload ~slots:common.slots
+    in
     let oc = open_out path in
-    Smbm_traffic.Trace.save trace oc;
+    Smbm_traffic.Trace.Compact.save trace oc;
     close_out oc;
     Printf.printf "recorded %d slots (%d arrivals) to %s\n"
-      (Smbm_traffic.Trace.slots trace)
-      (Smbm_traffic.Trace.arrivals trace)
+      (Smbm_traffic.Trace.Compact.slots trace)
+      (Smbm_traffic.Trace.Compact.arrivals trace)
       path
   | "stats" ->
-    let ic = open_in path in
-    let trace = Smbm_traffic.Trace.load ic in
-    close_in ic;
+    let trace = load_arrival_trace path in
     let stats = Smbm_traffic.Trace_stats.analyze trace in
     Format.printf "%a@." Smbm_traffic.Trace_stats.pp stats;
     let config =
@@ -864,8 +878,6 @@ let trace_convert_cmd =
 
 (* ----- trace-replay / trace-diff / trace-explain ----- *)
 
-let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
-
 let load_trace path =
   match Smbm_forensics.Trace_file.load path with
   | Ok t -> t
@@ -1401,8 +1413,7 @@ let run_certify common opponent_name =
   in
   let report =
     Smbm_analysis.Mapping_certifier.run ~config ~opponent
-      ~trace:(fun _ -> Smbm_traffic.Workload.next workload)
-      ~slots:common.slots ()
+      ~workload ~slots:common.slots ()
   in
   Format.printf
     "Theorem 7 mapping certificate (LWD vs %s, %d slots):@.  %a@."
@@ -1485,7 +1496,6 @@ let run_bench_diff baseline current tolerance cap slack alloc_tolerance floors
     has_suffix ~suffix:"/speedup" n || has_suffix ~suffix:"/total" n
   in
   let speedups = List.filter (fun (n, _) -> is_ratio n) base in
-  if speedups = [] then fail "%s: no */speedup metrics" baseline;
   Printf.printf "%-32s %9s %9s %8s\n" "metric" "baseline" "current" "delta";
   List.iter
     (fun (name, b) ->
@@ -1510,6 +1520,9 @@ let run_bench_diff baseline current tolerance cap slack alloc_tolerance floors
       (fun (n, _) -> has_suffix ~suffix:"/minor_words_per_slot" n)
       base
   in
+  if speedups = [] && allocs = [] then
+    fail "%s: no */speedup, */total or */minor_words_per_slot metrics"
+      baseline;
   List.iter
     (fun (name, b) ->
       match List.assoc_opt name cur with
@@ -1601,7 +1614,7 @@ let bench_diff_cmd =
       & info [ "floor" ] ~docv:"METRIC=X"
           ~doc:
             "Absolute floor on a current-run metric (repeatable), e.g. \
-             $(b,--floor e2e/pipeline/proc/speedup=2).")
+             $(b,--floor e2e/flight/proc/overhead=0.8).")
   in
   Cmd.v
     (Cmd.info "bench-diff"
@@ -1670,14 +1683,6 @@ let close_sink sink =
   | Ok () -> ()
   | Error e -> die "%s" (Smbm_obs.Sink.error_to_string e)
 
-let load_arrival_trace path =
-  let ic = try open_in path with Sys_error m -> die "%s" m in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      try Smbm_traffic.Trace.load ic
-      with Failure m -> die "%s: %s" path m)
-
 let run_serve common model policy_name ingest_trace ring backpressure duration
     rate shards ats metrics_out metrics_every (trace, flight_cap) max_p99
     stats_sock stats_every stats_window postmortem =
@@ -1694,8 +1699,7 @@ let run_serve common model policy_name ingest_trace ring backpressure duration
   let ingest =
     match ingest_trace with
     | Some path ->
-      Smbm_serve.Daemon.Trace
-        (Smbm_traffic.Trace.Compact.of_trace (load_arrival_trace path))
+      Smbm_serve.Daemon.Trace (load_arrival_trace path)
     | None ->
       Smbm_serve.Daemon.Bank
         (Smbm_serve.Mmpp_bank.create ~mmpp ?pool ~shards
@@ -1704,15 +1708,23 @@ let run_serve common model policy_name ingest_trace ring backpressure duration
   let event_sink = Option.map open_sink trace in
   let metrics_sink = Option.map open_sink metrics_out in
   let report =
-    Smbm_serve.Daemon.run ~ring_capacity:ring ~backpressure
-      ?flush_every:(if common.flush > 0 then Some common.flush else None)
-      ~metrics_every ?metrics_sink ?event_sink ~controls
-      ?slots:(if common.slots > 0 then Some common.slots else None)
-      ?duration:(if duration > 0. then Some duration else None)
-      ?rate:(if rate > 0. then Some rate else None)
-      ?stats_sock ~stats_every ~stats_window ~p99_budget_us:max_p99
-      ~flight_cap ?postmortem ~model:(serve_model common model)
-      ~policy:policy_name ~ingest ()
+    match
+      Smbm_serve.Daemon.run ~ring_capacity:ring ~backpressure
+        ?flush_every:(if common.flush > 0 then Some common.flush else None)
+        ~metrics_every ?metrics_sink ?event_sink ~controls
+        ?slots:(if common.slots > 0 then Some common.slots else None)
+        ?duration:(if duration > 0. then Some duration else None)
+        ?rate:(if rate > 0. then Some rate else None)
+        ?stats_sock ~stats_every ~stats_window ~p99_budget_us:max_p99
+        ~flight_cap ?postmortem ~model:(serve_model common model)
+        ~policy:policy_name ~ingest ()
+    with
+    | report -> report
+    | exception Invalid_argument m
+      when String.starts_with ~prefix:"Daemon.run: " m ->
+      (* Rejected input (a bad trace, an unbindable stats socket). *)
+      Option.iter Smbm_par.Pool.shutdown pool;
+      die "%s" m
   in
   Option.iter Smbm_par.Pool.shutdown pool;
   Format.printf "%a@." Smbm_serve.Daemon.pp_report report;

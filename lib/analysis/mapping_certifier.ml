@@ -183,7 +183,7 @@ let serve sw i =
   then Some hol
   else None
 
-let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
+let run ~config ~opponent ~workload ~slots ?(check_every_event = true) () =
   if config.Proc_config.speedup <> 1 then
     invalid_arg "Mapping_certifier.run: Theorem 7's setting has speedup 1";
   let st =
@@ -259,19 +259,19 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
             (p_id :: Option.value ~default:[] (Hashtbl.find_opt st.pending q_id))
     end
   in
-  let handle_arrival (a : Arrival.t) =
+  let handle_arrival ~dest ~value:_ =
     (* LWD first ("q can be p" in the paper's step A0). *)
-    (match Proc_policy.admit st.lwd st.lwd_sw ~dest:a.dest with
+    (match Proc_policy.admit st.lwd st.lwd_sw ~dest with
     | Decision.Accept ->
-      Proc_switch.accept st.lwd_sw ~dest:a.dest;
-      let q_id = tail_id st.lwd_sw a.dest in
+      Proc_switch.accept st.lwd_sw ~dest;
+      let q_id = tail_id st.lwd_sw dest in
       (* Repaired step A3 / proof case (4): the newly covered OPT packet
          trades its A1 assignment for the positional pairing — but only
          when the latency constraint actually holds (the uncovered gap:
          after a push-out the opponent can be a cycle ahead, and the fresh
          positional pair is invalid; such packets keep their A1). *)
-      let l = Proc_switch.queue_length st.lwd_sw a.dest in
-      (match List.nth_opt (opt_eligible_packets st a.dest) (l - 1) with
+      let l = Proc_switch.queue_length st.lwd_sw dest in
+      (match List.nth_opt (opt_eligible_packets st dest) (l - 1) with
       | Some (p_id, lat_p) when not (Hashtbl.mem st.a0 p_id) ->
         let lat_q =
           Option.value ~default:max_int (lwd_latency_of st q_id)
@@ -299,7 +299,7 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
         Hashtbl.remove st.a1 opt_id;
         orphans := opt_id :: !orphans
       | None -> ());
-      Proc_switch.accept st.lwd_sw ~dest:a.dest;
+      Proc_switch.accept st.lwd_sw ~dest;
       List.iter
         (fun opt_id ->
           for i = 0 to Proc_switch.n st.opt_sw - 1 do
@@ -311,11 +311,11 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
         !orphans
     | Decision.Drop -> ());
     (* Opponent side (non-push-out). *)
-    (match Proc_policy.admit st.opponent st.opt_sw ~dest:a.dest with
+    (match Proc_policy.admit st.opponent st.opt_sw ~dest with
     | Decision.Accept ->
-      Proc_switch.accept st.opt_sw ~dest:a.dest;
-      let p_id = tail_id st.opt_sw a.dest in
-      let eligible = opt_eligible_packets st a.dest in
+      Proc_switch.accept st.opt_sw ~dest;
+      let p_id = tail_id st.opt_sw dest in
+      let eligible = opt_eligible_packets st dest in
       let l = List.length eligible in
       let lat_p = match List.nth_opt eligible (l - 1) with
         | Some (_, lat) -> lat
@@ -323,7 +323,7 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
       in
       (* Step A0 at acceptance: positional partner, if the constraint and
          availability allow; A1 otherwise. *)
-      let partner = List.nth_opt (lwd_queue_packets st a.dest) (l - 1) in
+      let partner = List.nth_opt (lwd_queue_packets st dest) (l - 1) in
       (match partner with
       | Some (q_id, lat_q)
         when lat_p >= lat_q && not (Hashtbl.mem st.a0_inv q_id) ->
@@ -374,8 +374,10 @@ let run ~config ~opponent ~trace ~slots ?(check_every_event = true) () =
     Hashtbl.reset st.pending;
     event "end of transmission phase"
   in
-  for slot = 0 to slots - 1 do
-    List.iter handle_arrival (trace slot);
+  let batch = Arrival_batch.create () in
+  for _ = 1 to slots do
+    Smbm_traffic.Workload.next_into workload batch;
+    Arrival_batch.iter batch ~f:handle_arrival;
     transmission_phase ();
     Proc_switch.advance_slot st.lwd_sw;
     Proc_switch.advance_slot st.opt_sw

@@ -48,12 +48,13 @@ type report = {
 val run :
   config:Smbm_core.Proc_config.t ->
   opponent:Smbm_core.Proc_policy.t ->
-  trace:(int -> Smbm_core.Arrival.t list) ->
+  workload:Smbm_traffic.Workload.t ->
   slots:int ->
   ?check_every_event:bool ->
   unit ->
   report
-(** Run the certifier for [slots] slots.  [check_every_event] (default
+(** Run the certifier for [slots] slots of [workload] (hand-written traffic
+    via {!Smbm_traffic.Workload.of_fun}).  [check_every_event] (default
     true) verifies the mapping invariants after every arrival; latency
     constraints are checked at transmission-phase boundaries, where both
     buffers have absorbed the same number of service cycles.

@@ -1,7 +1,6 @@
 type t = {
   mutable dest : int array;
   mutable value : int array;
-  mutable work : int array;
   mutable len : int;
 }
 
@@ -9,29 +8,21 @@ let default_capacity = 64
 
 let create ?(capacity = default_capacity) () =
   let capacity = max capacity 1 in
-  {
-    dest = Array.make capacity 0;
-    value = Array.make capacity 0;
-    work = Array.make capacity 0;
-    len = 0;
-  }
+  { dest = Array.make capacity 0; value = Array.make capacity 0; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 let clear t = t.len <- 0
 
 let grow t =
   let capacity = 2 * Array.length t.dest in
   let extend a = Array.append a (Array.make (capacity - Array.length a) 0) in
   t.dest <- extend t.dest;
-  t.value <- extend t.value;
-  t.work <- extend t.work
+  t.value <- extend t.value
 
-let push ?(work = 0) t ~dest ~value =
+let push t ~dest ~value =
   if t.len = Array.length t.dest then grow t;
   t.dest.(t.len) <- dest;
   t.value.(t.len) <- value;
-  t.work.(t.len) <- work;
   t.len <- t.len + 1
 
 let push_arrival t (a : Arrival.t) = push t ~dest:a.dest ~value:a.value
@@ -46,19 +37,6 @@ let dest t i =
 let value t i =
   check_index t i "value";
   t.value.(i)
-
-let work t i =
-  check_index t i "work";
-  t.work.(i)
-
-let set_work t i w =
-  check_index t i "set_work";
-  t.work.(i) <- w
-
-let set t i ~dest ~value =
-  check_index t i "set";
-  t.dest.(i) <- dest;
-  t.value.(i) <- value
 
 let iter t ~f =
   for i = 0 to t.len - 1 do
@@ -82,8 +60,7 @@ let push_rev t ~dest ~value ~len =
   let base = t.len + len - 1 in
   for i = 0 to len - 1 do
     t.dest.(base - i) <- dest.(i);
-    t.value.(base - i) <- value.(i);
-    t.work.(base - i) <- 0
+    t.value.(base - i) <- value.(i)
   done;
   t.len <- t.len + len
 
@@ -91,18 +68,4 @@ let append t src =
   reserve t src.len;
   Array.blit src.dest 0 t.dest t.len src.len;
   Array.blit src.value 0 t.value t.len src.len;
-  Array.blit src.work 0 t.work t.len src.len;
   t.len <- t.len + src.len
-
-let to_list t =
-  let rec build i acc =
-    if i < 0 then acc
-    else
-      build (i - 1) ({ Arrival.dest = t.dest.(i); value = t.value.(i) } :: acc)
-  in
-  build (t.len - 1) []
-
-let of_list arrivals =
-  let t = create ~capacity:(max default_capacity (List.length arrivals)) () in
-  List.iter (push_arrival t) arrivals;
-  t

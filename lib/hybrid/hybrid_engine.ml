@@ -53,11 +53,9 @@ let create ?name ?events config (policy : Hybrid_policy.t) =
       | Some f ->
         Flight.drop f ~slot:(Hybrid_switch.now sw) ~src ~dest ~value)
   in
-  let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in
   let inst : Instance.t =
     {
       name;
-      arrive;
       arrive_dv;
       arrive_batch = None;
       transmit =

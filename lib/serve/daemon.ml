@@ -105,6 +105,33 @@ type engine = {
   queue_length : int -> int;  (* live per-port occupancy *)
 }
 
+(* A recorded trace is input: reject, before slot 0, any arrival the model
+   cannot accept, instead of letting the switch raise mid-run. *)
+let check_trace model trace =
+  let ports, max_value =
+    match model with
+    | Model.Proc config -> (Proc_config.n config, max_int)
+    | Model.Value_uniform config | Model.Value_port config ->
+      (Value_config.n config, config.Value_config.max_value)
+  in
+  let slot = ref 0 in
+  let reject fmt =
+    Printf.ksprintf
+      (fun m ->
+        invalid_arg (Printf.sprintf "Daemon.run: trace slot %d: %s" !slot m))
+      fmt
+  in
+  let check ~dest ~value =
+    if dest >= ports then
+      reject "dest %d has no port (the model has %d)" dest ports;
+    if value > max_value then
+      reject "value %d exceeds max_value %d" value max_value
+  in
+  for i = 0 to Trace.Compact.slots trace - 1 do
+    slot := i;
+    Trace.Compact.iter_slot trace i ~f:check
+  done
+
 let make_engine ?events model policy_name =
   match model with
   | Model.Proc config ->
@@ -238,6 +265,9 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
   if Option.is_some event_sink && Option.is_none events then
     invalid_arg
       "Daemon.run: an event_sink needs the event ring (flight_cap > 0)";
+  (match ingest with
+  | Trace c -> check_trace model c
+  | Bank _ | Workload _ -> ());
   let ring = Spsc_ring.create ~capacity:ring_capacity () in
   let bp = match backpressure with Block -> `Block | Shed -> `Shed in
   let telemetry_on = telemetry || stats_sock <> None in

@@ -174,5 +174,7 @@ val run :
 
     @raise Invalid_argument if the initial [policy] is unknown for
     [model], [ring_capacity < 1], [event_sink] is given with no ring
-    ([flight_cap <= 0] and no [events]), or the stats socket cannot be
-    bound. *)
+    ([flight_cap <= 0] and no [events]), the stats socket cannot be
+    bound, or a [Trace] ingest holds an arrival the model cannot accept (a
+    dest with no port, or a value above a value model's [max_value]); the
+    trace is checked before slot 0 and the message names the slot. *)

@@ -265,22 +265,3 @@ let value ?events ?(name = "EXACT") config trace ~drain =
       end
     done);
   result
-
-(* ----- compact-trace entry points -----
-
-   The searches key their memo tables on per-slot arrival lists, so a
-   compact trace is expanded once up front; the expansion cost is nothing
-   next to the exponential search it feeds. *)
-
-let arrivals_of_compact trace =
-  Array.init (Smbm_traffic.Trace.Compact.slots trace) (fun i ->
-      let acc = ref [] in
-      Smbm_traffic.Trace.Compact.iter_slot trace i ~f:(fun ~dest ~value ->
-          acc := { Arrival.dest; value } :: !acc);
-      List.rev !acc)
-
-let proc_compact ?events ?name config trace ~drain =
-  proc ?events ?name config (arrivals_of_compact trace) ~drain
-
-let value_compact ?events ?name config trace ~drain =
-  value ?events ?name config (arrivals_of_compact trace) ~drain

@@ -42,23 +42,3 @@ val value :
   int
 (** Maximum total transmitted value, same conventions (including the
     [events] trace semantics of {!proc}). *)
-
-val proc_compact :
-  ?events:Smbm_obs.Flight.t ->
-  ?name:string ->
-  Proc_config.t ->
-  Smbm_traffic.Trace.Compact.t ->
-  drain:int ->
-  int
-(** {!proc} on a {!Smbm_traffic.Trace.Compact} trace (e.g. one shared by
-    the sweep trace cache), expanded once to per-slot lists before the
-    search. *)
-
-val value_compact :
-  ?events:Smbm_obs.Flight.t ->
-  ?name:string ->
-  Value_config.t ->
-  Smbm_traffic.Trace.Compact.t ->
-  drain:int ->
-  int
-(** {!value} on a compact trace, same conventions. *)

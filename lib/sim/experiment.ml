@@ -6,43 +6,27 @@ type t = {
 
 let default = { slots = 200_000; flush_every = Some 10_000; check_every = None }
 
-let run ?(params = default) ?(pipeline = `Batched) ~workload instances =
+let run ?(params = default) ~workload instances =
   if params.slots < 0 then invalid_arg "Experiment.run: negative slot count";
   let due every slot =
     match every with
     | Some n when n > 0 -> (slot + 1) mod n = 0
     | Some _ | None -> false
   in
-  (match pipeline with
-  | `Batched ->
-    (* Hot path: one reusable struct-of-arrays batch per run, instances in
-       an array — the slot loop allocates nothing in steady state. *)
-    let insts = Array.of_list instances in
-    let batch = Smbm_core.Arrival_batch.create () in
-    for slot = 0 to params.slots - 1 do
-      Smbm_traffic.Workload.next_into workload batch;
-      for i = 0 to Array.length insts - 1 do
-        Instance.step_batch (Array.unsafe_get insts i) ~batch
-      done;
-      if due params.flush_every slot then
-        Array.iter (fun (i : Instance.t) -> i.flush ()) insts;
-      if due params.check_every slot then
-        Array.iter (fun (i : Instance.t) -> i.check ()) insts
-    done
-  | `List ->
-    (* Reference pipeline: the historical per-slot list loop, kept for
-       allocation/throughput comparison (bench/e2e.exe) and as a behavioural
-       oracle for the batched loop. *)
-    for slot = 0 to params.slots - 1 do
-      let arrivals = Smbm_traffic.Workload.next workload in
-      List.iter
-        (fun (i : Instance.t) -> Instance.step_slot i ~arrivals)
-        instances;
-      if due params.flush_every slot then
-        List.iter (fun (i : Instance.t) -> i.flush ()) instances;
-      if due params.check_every slot then
-        List.iter (fun (i : Instance.t) -> i.check ()) instances
-    done);
+  (* One reusable struct-of-arrays batch per run, instances in an array:
+     the slot loop allocates nothing in steady state. *)
+  let insts = Array.of_list instances in
+  let batch = Smbm_core.Arrival_batch.create () in
+  for slot = 0 to params.slots - 1 do
+    Smbm_traffic.Workload.next_into workload batch;
+    for i = 0 to Array.length insts - 1 do
+      Instance.step_batch (Array.unsafe_get insts i) ~batch
+    done;
+    if due params.flush_every slot then
+      Array.iter (fun (i : Instance.t) -> i.flush ()) insts;
+    if due params.check_every slot then
+      Array.iter (fun (i : Instance.t) -> i.check ()) insts
+  done;
   (* End-of-run conservation audit: every instance's counters must balance
      even when no flush or check interval was configured. *)
   List.iter

@@ -15,21 +15,14 @@ val default : t
 (** [slots = 200_000], flushouts every 10_000 slots, no checking. *)
 
 val run :
-  ?params:t ->
-  ?pipeline:[ `Batched | `List ] ->
-  workload:Smbm_traffic.Workload.t ->
-  Instance.t list ->
-  unit
+  ?params:t -> workload:Smbm_traffic.Workload.t -> Instance.t list -> unit
 (** Step all instances through [params.slots] slots of the workload.
     Arrivals of a slot are offered to every instance, then every instance
     runs its transmission phase; flushouts apply at the end of a slot.
 
-    [pipeline] selects the slot-loop implementation: [`Batched] (default)
-    fills one reusable {!Smbm_core.Arrival_batch.t} per slot and steps
-    instances through {!Instance.step_batch} — allocation-free in steady
-    state; [`List] is the historical per-slot list loop, kept as the
-    reference for bench/e2e.exe.  Both consume the workload's RNG streams
-    identically and produce bit-identical metrics, traces and ratios. *)
+    The slot loop fills one reusable {!Smbm_core.Arrival_batch.t} per slot
+    with {!Smbm_traffic.Workload.next_into} and steps each instance through
+    {!Instance.step_batch}: it allocates nothing in steady state. *)
 
 val ratio :
   objective:[ `Packets | `Value ] -> opt:Instance.t -> alg:Instance.t -> float

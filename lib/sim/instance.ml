@@ -2,7 +2,6 @@ open Smbm_core
 
 type t = {
   name : string;
-  arrive : Arrival.t -> unit;
   arrive_dv : dest:int -> value:int -> unit;
   arrive_batch : (Arrival_batch.t -> unit) option;
   transmit : unit -> unit;
@@ -13,11 +12,6 @@ type t = {
   ports : Port_stats.t option;
   check : unit -> unit;
 }
-
-let step_slot t ~arrivals =
-  List.iter t.arrive arrivals;
-  t.transmit ();
-  t.end_slot ()
 
 let step_batch t ~batch =
   (match t.arrive_batch with

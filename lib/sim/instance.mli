@@ -6,12 +6,9 @@ open Smbm_core
 
 type t = {
   name : string;
-  arrive : Arrival.t -> unit;  (** offer one arriving packet *)
   arrive_dv : dest:int -> value:int -> unit;
-      (** same as [arrive], unpacked: the batched slot loop's entry point
-          (no [Arrival.t] record needs to exist).  Engines implement this as
-          the primitive and derive [arrive] from it; the two are
-          behaviourally identical. *)
+      (** offer one arriving packet, unpacked (no [Arrival.t] record needs
+          to exist) *)
   arrive_batch : (Arrival_batch.t -> unit) option;
       (** whole-slot arrival phase: behaviourally identical to folding
           [arrive_dv] over the batch in order.  The engines leave it [None]
@@ -28,9 +25,7 @@ type t = {
   check : unit -> unit;  (** assert internal invariants (test hook) *)
 }
 
-val step_slot : t -> arrivals:Arrival.t list -> unit
-(** One full slot: arrival phase, transmission phase, bookkeeping. *)
-
 val step_batch : t -> batch:Arrival_batch.t -> unit
-(** {!step_slot} over a struct-of-arrays batch; offers arrivals in batch
-    order through [arrive_dv].  Allocation-free. *)
+(** One full slot: arrival phase (the batch in order, through
+    [arrive_batch] or else [arrive_dv]), transmission phase, bookkeeping.
+    Allocation-free. *)

@@ -56,7 +56,6 @@ let proc_instance ?(name = "OPT") ?cores ?events config =
         | Some f -> Flight.drop f ~slot:!slot ~src ~dest ~value:1)
     end
   in
-  let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in
   let transmit () =
     (* SRPT with the full per-slot cycle budget: cycles may stack on one
        packet within a slot, so the reference dominates real queues at any
@@ -96,7 +95,6 @@ let proc_instance ?(name = "OPT") ?cores ?events config =
   in
   {
     Instance.name;
-    arrive;
     arrive_dv;
     arrive_batch = None;
     transmit;
@@ -153,7 +151,6 @@ let value_instance ?(name = "OPT") ?cores ?events config =
         | Some f -> Flight.drop f ~slot:!slot ~src ~dest ~value)
     end
   in
-  let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in
   let transmit () =
     let count = min cores (Count_multiset.size bag) in
     let value = Count_multiset.remove_largest bag ~budget:cores in
@@ -190,7 +187,6 @@ let value_instance ?(name = "OPT") ?cores ?events config =
   in
   {
     Instance.name;
-    arrive;
     arrive_dv;
     arrive_batch = None;
     transmit;

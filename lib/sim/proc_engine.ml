@@ -47,7 +47,6 @@ let create_controlled ?name ?events config (policy_ref : Proc_policy.t ref) =
       | Some f ->
         Flight.drop f ~slot:(Proc_switch.now sw) ~src ~dest ~value:1)
   in
-  let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in
   let transmit =
     let on_transmit ~dest ~arrival =
       let latency = Proc_switch.now sw - arrival in
@@ -89,7 +88,6 @@ let create_controlled ?name ?events config (policy_ref : Proc_policy.t ref) =
   let inst : Instance.t =
     {
       name;
-      arrive;
       arrive_dv;
       arrive_batch = None;
       transmit;

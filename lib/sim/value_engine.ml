@@ -46,7 +46,6 @@ let create_controlled ?name ?events config (policy_ref : Value_policy.t ref) =
       | Some f ->
         Flight.drop f ~slot:(Value_switch.now sw) ~src ~dest ~value)
   in
-  let arrive (a : Arrival.t) = arrive_dv ~dest:a.dest ~value:a.value in
   let transmit =
     let on_transmit ~dest ~value ~arrival =
       let latency = Value_switch.now sw - arrival in
@@ -87,7 +86,6 @@ let create_controlled ?name ?events config (policy_ref : Value_policy.t ref) =
   let inst : Instance.t =
     {
       name;
-      arrive;
       arrive_dv;
       arrive_batch = None;
       transmit;

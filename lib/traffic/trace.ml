@@ -1,66 +1,7 @@
 open Smbm_prelude
 open Smbm_core
 
-type t = Arrival.t list array
-
-let record workload ~slots =
-  Array.init slots (fun _ -> Workload.next workload)
-
-let of_slots slots = Array.map (fun l -> l) slots
-let slots t = Array.length t
-let arrivals t = Array.fold_left (fun acc l -> acc + List.length l) 0 t
-
-let get t i =
-  if i < 0 || i >= Array.length t then invalid_arg "Trace.get: out of bounds";
-  t.(i)
-
-let to_workload t =
-  Workload.of_fun (fun i -> if i < Array.length t then t.(i) else [])
-
-let save t oc =
-  Array.iter
-    (fun arrivals ->
-      let cells =
-        List.map
-          (fun (a : Arrival.t) -> Printf.sprintf "%d:%d" a.dest a.value)
-          arrivals
-      in
-      output_string oc (String.concat " " cells);
-      output_char oc '\n')
-    t
-
-let parse_line line =
-  let line = String.trim line in
-  if line = "" then []
-  else
-    String.split_on_char ' ' line
-    |> List.filter (fun s -> s <> "")
-    |> List.map (fun cell ->
-           match String.split_on_char ':' cell with
-           | [ d; v ] -> (
-             match int_of_string_opt d, int_of_string_opt v with
-             | Some dest, Some value -> Arrival.make ~dest ~value ()
-             | None, _ | _, None ->
-               failwith ("Trace.load: malformed cell " ^ cell))
-           | _ -> failwith ("Trace.load: malformed cell " ^ cell))
-
-let load ic =
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  (* [!lines] is in reverse file order; rev_map restores it. *)
-  !lines |> List.rev_map parse_line |> Array.of_list
-
-let equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2 (fun la lb -> List.equal Arrival.equal la lb) a b
-
 module Compact = struct
-  type trace = t
-
   (* The columns are off-heap {!Int_col}s: a compact trace's payload lives
      outside the OCaml heap, so the GC never scans it and several domains
      can replay the same trace (or [pack]ed windows of one shared slab)
@@ -116,7 +57,7 @@ module Compact = struct
 
   (* Replay straight out of the flat columns: the filled batch segment is
      one column-to-array copy, no per-packet allocation.  Slots beyond the
-     end are empty, matching [to_workload]. *)
+     end are empty. *)
   let replay t =
     let n = slots t in
     Workload.of_fun_into (fun b i ->
@@ -127,36 +68,53 @@ module Compact = struct
               ~value:(Int_col.unsafe_get t.value j)
           done)
 
-  let of_trace (trace : trace) =
-    let slots = Array.length trace in
-    let offsets = Array.make (slots + 1) 0 in
-    Array.iteri
-      (fun i l -> offsets.(i + 1) <- offsets.(i) + List.length l)
-      trace;
-    let n = offsets.(slots) in
-    let dest = Array.make (max n 1) 0 and value = Array.make (max n 1) 0 in
-    Array.iteri
-      (fun i l ->
-        List.iteri
-          (fun j (a : Arrival.t) ->
-            dest.(offsets.(i) + j) <- a.dest;
-            value.(offsets.(i) + j) <- a.value)
-          l)
-      trace;
-    {
-      offsets = Int_col.of_array offsets;
-      dest = Int_col.init n (fun j -> dest.(j));
-      value = Int_col.init n (fun j -> value.(j));
-    }
+  let of_slots slots =
+    of_workload (Workload.of_slots slots) ~slots:(Array.length slots)
 
-  let to_trace t =
-    Array.init (slots t) (fun i ->
-        let base = Int_col.get t.offsets i in
-        List.init
-          (Int_col.get t.offsets (i + 1) - base)
-          (fun j ->
-            let j = base + j in
-            { Arrival.dest = Int_col.get t.dest j; value = Int_col.get t.value j }))
+  let save t oc =
+    for i = 0 to slots t - 1 do
+      let first = ref true in
+      iter_slot t i ~f:(fun ~dest ~value ->
+          if not !first then output_char oc ' ';
+          first := false;
+          Printf.fprintf oc "%d:%d" dest value);
+      output_char oc '\n'
+    done
+
+  let parse_cell cell =
+    match String.split_on_char ':' cell with
+    | [ d; v ] -> (
+      match (int_of_string_opt d, int_of_string_opt v) with
+      | Some dest, Some _ when dest < 0 -> Error ("negative dest in cell " ^ cell)
+      | Some _, Some value when value < 1 ->
+        Error ("value below 1 in cell " ^ cell)
+      | Some dest, Some value -> Ok { Arrival.dest; value }
+      | None, _ | _, None -> Error ("malformed cell " ^ cell))
+    | _ -> Error ("malformed cell " ^ cell)
+
+  let parse_line line =
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | "" :: cells -> go acc cells
+      | cell :: cells -> (
+        match parse_cell cell with
+        | Ok a -> go (a :: acc) cells
+        | Error reason -> Error reason)
+    in
+    go [] (String.split_on_char ' ' (String.trim line))
+
+  let load ic =
+    let rec go lineno acc =
+      match input_line ic with
+      | exception End_of_file ->
+        if lineno = 1 then Error (1, "empty trace file")
+        else Ok (of_slots (Array.of_list (List.rev acc)))
+      | line -> (
+        match parse_line line with
+        | Ok arrivals -> go (lineno + 1) (arrivals :: acc)
+        | Error reason -> Error (lineno, reason))
+    in
+    go 1 []
 
   let equal a b =
     Int_col.equal a.offsets b.offsets

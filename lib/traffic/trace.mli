@@ -4,28 +4,6 @@
 
 open Smbm_core
 
-type t
-
-val record : Workload.t -> slots:int -> t
-(** Consume [slots] slots of the workload into a trace. *)
-
-val of_slots : Arrival.t list array -> t
-val slots : t -> int
-val arrivals : t -> int
-(** Total packet count. *)
-
-val get : t -> int -> Arrival.t list
-(** Arrivals of slot [i].  @raise Invalid_argument out of bounds. *)
-
-val to_workload : t -> Workload.t
-(** Replay; slots beyond the end are empty. *)
-
-val save : t -> out_channel -> unit
-val load : in_channel -> t
-(** @raise Failure on malformed input. *)
-
-val equal : t -> t -> bool
-
 (** A whole run's arrivals materialized as flat struct-of-arrays storage:
     [dest]/[value] columns plus a per-slot offset index.  Built once,
     replayed many times — the sweep trace cache shares one compact trace
@@ -37,12 +15,14 @@ val equal : t -> t -> bool
     traces are immutable after construction and safe to read concurrently
     from several domains without copying. *)
 module Compact : sig
-  type trace := t
   type t
 
   val of_workload : Workload.t -> slots:int -> t
   (** Consume [slots] slots.  The arrival sequence recorded is exactly what
-      {!Workload.next}/{!Workload.next_into} would have yielded. *)
+      {!Workload.next_into} would have yielded. *)
+
+  val of_slots : Arrival.t list array -> t
+  (** Literal constructor: slot [i]'s arrivals are [slots.(i)], in order. *)
 
   val slots : t -> int
   val arrivals : t -> int
@@ -56,8 +36,16 @@ module Compact : sig
       Replaying consumes no RNG and allocates nothing per slot, and the
       replayed stream is bit-identical to the recorded one. *)
 
-  val of_trace : trace -> t
-  val to_trace : t -> trace
+  val save : t -> out_channel -> unit
+  (** Write the text format: one line per slot, cells ["dest:value"]
+      separated by single spaces, an empty line for an idle slot. *)
+
+  val load : in_channel -> (t, int * string) result
+  (** Read the text format back; [load] of what {!save} wrote for a trace
+      of at least one slot is {!equal} to it.  [Error (line, reason)] names
+      the first bad line (1-based): a cell that is not [dest:value] with
+      integer fields, a negative [dest], a [value] below 1, or a file with
+      no line at all. *)
 
   val equal : t -> t -> bool
 

@@ -14,7 +14,7 @@ type t = {
 }
 
 let analyze trace =
-  let slots = Trace.slots trace in
+  let slots = Trace.Compact.slots trace in
   let rate_stats = Running_stats.create () in
   let per_port = Hashtbl.create 16 in
   let arrivals = ref 0 in
@@ -22,18 +22,17 @@ let analyze trace =
   let busy = ref 0 in
   let total_value = ref 0 in
   for slot = 0 to slots - 1 do
-    let batch = Trace.get trace slot in
-    let count = List.length batch in
+    let count = ref 0 in
+    Trace.Compact.iter_slot trace slot ~f:(fun ~dest ~value ->
+        incr count;
+        total_value := !total_value + value;
+        Hashtbl.replace per_port dest
+          (1 + Option.value ~default:0 (Hashtbl.find_opt per_port dest)));
+    let count = !count in
     Running_stats.add rate_stats (float_of_int count);
     arrivals := !arrivals + count;
     if count > !peak then peak := count;
-    if count > 0 then incr busy;
-    List.iter
-      (fun (a : Arrival.t) ->
-        total_value := !total_value + a.value;
-        Hashtbl.replace per_port a.dest
-          (1 + Option.value ~default:0 (Hashtbl.find_opt per_port a.dest)))
-      batch
+    if count > 0 then incr busy
   done;
   let mean_rate = Running_stats.mean rate_stats in
   let rate_variance = Running_stats.variance rate_stats in
@@ -54,18 +53,16 @@ let analyze trace =
 let offered_work config trace =
   let n = Proc_config.n config in
   let work = ref 0 in
-  for slot = 0 to Trace.slots trace - 1 do
-    List.iter
-      (fun (a : Arrival.t) ->
-        if a.dest >= n then
+  for slot = 0 to Trace.Compact.slots trace - 1 do
+    Trace.Compact.iter_slot trace slot ~f:(fun ~dest ~value:_ ->
+        if dest >= n then
           invalid_arg "Trace_stats.offered_work: destination has no port";
-        work := !work + Proc_config.work config a.dest)
-      (Trace.get trace slot)
+        work := !work + Proc_config.work config dest)
   done;
   !work
 
 let offered_load config trace =
-  let slots = Trace.slots trace in
+  let slots = Trace.Compact.slots trace in
   if slots = 0 then 0.0
   else
     let capacity =

@@ -18,14 +18,14 @@ type t = {
   total_value : int;
 }
 
-val analyze : Trace.t -> t
+val analyze : Trace.Compact.t -> t
 
-val offered_work : Proc_config.t -> Trace.t -> int
+val offered_work : Proc_config.t -> Trace.Compact.t -> int
 (** Total processing cycles the trace demands under the given port-to-work
     assignment.
     @raise Invalid_argument if a destination has no port. *)
 
-val offered_load : Proc_config.t -> Trace.t -> float
+val offered_load : Proc_config.t -> Trace.Compact.t -> float
 (** [offered_work / (slots * n * C)] — fraction of the switch's total
     processing capacity the trace demands (can exceed 1). *)
 

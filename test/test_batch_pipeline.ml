@@ -1,18 +1,14 @@
 (* The zero-allocation arrival pipeline: batched slot loop and compact
    trace cache.
 
-   Three contracts pin the refactor:
-
-   - [Workload.next_into] is the primitive and [next] the shim — both must
-     yield the same arrival sequence from the same RNG streams, for any
-     workload (source stacks, combinators, fixed schedules), even when the
-     two are interleaved on one workload.
-   - [Experiment.run ~pipeline:`Batched] and [`List] drive instances to
-     bit-identical final states.
-   - The sweep trace cache ([Sweep.trace_key] / [materialize_trace] /
-     [run_point ?trace]) replays bit-identically, shares exactly the axes
-     whose traffic parameters coincide (B and C, not K), and the golden
-     panel numbers survive at every job count. *)
+   [Workload.next_into] clears the batch it is given, so one batch reused
+   across every slot reads the same stream as a fresh batch per slot, for
+   any workload.  Generators see slot indices 0, 1, 2, ... exactly once.
+   [Experiment.run] fans one batch out to every instance without letting
+   them perturb each other.  The sweep trace cache ([Sweep.trace_key] / [materialize_trace] /
+   [run_point ?trace]) replays bit-identically, shares exactly the axes
+   whose traffic parameters coincide (B and C, not K), and the golden
+   panel numbers survive at every job count. *)
 
 open Smbm_core
 open Smbm_traffic
@@ -20,21 +16,26 @@ open Smbm_sim
 
 let arrival = Alcotest.testable Arrival.pp Arrival.equal
 
-(* --- next_into / next equivalence --- *)
+let small_base =
+  {
+    Sweep.default_base with
+    slots = 1_500;
+    flush_every = Some 300;
+    mmpp = { Scenario.default_mmpp with sources = 20 };
+    seed = 11;
+  }
 
-(* Two structurally identical workloads (same seeds), one consumed through
-   the list shim and one through the batch primitive, must agree slot by
-   slot.  [spec] describes a random workload so we can build it twice. *)
+(* --- next_into over a reused batch --- *)
+
+(* A random workload, described so it can be built twice with the same
+   seeds. *)
 type spec =
   | Proc of { sources : int; load : float; seed : int; k : int }
   | Value_uniform of { sources : int; load : float; seed : int; k : int }
   | Value_port of { sources : int; load : float; seed : int; k : int }
   | Fixed of (int * int) list array  (* (dest, value) per slot *)
-  | Merge of spec list
-  | Take of int * spec
-  | Map_shift of spec  (* dest -> dest (identity on dest, bumps value) *)
 
-let rec build = function
+let build = function
   | Proc { sources; load; seed; k } ->
     let config = Proc_config.contiguous ~k ~buffer:(4 * k) () in
     Scenario.proc_workload
@@ -56,109 +57,93 @@ let rec build = function
          (fun l ->
            List.map (fun (dest, value) -> Arrival.make ~dest ~value ()) l)
          slots)
-  | Merge specs -> Workload.merge (List.map build specs)
-  | Take (n, s) -> Workload.take n (build s)
-  | Map_shift s ->
-    Workload.map
-      (fun (a : Arrival.t) -> Arrival.make ~dest:a.dest ~value:(a.value + 1) ())
-      (build s)
 
 let spec_gen =
   let open QCheck.Gen in
-  let leaf =
-    oneof
-      [
-        (let* sources = 1 -- 8
-         and* load = float_range 0.2 3.0
-         and* seed = 0 -- 1000
-         and* k = 2 -- 9 in
-         return (Proc { sources; load; seed; k }));
-        (let* sources = 1 -- 8
-         and* load = float_range 0.2 3.0
-         and* seed = 0 -- 1000
-         and* k = 2 -- 9 in
-         return (Value_uniform { sources; load; seed; k }));
-        (let* sources = 1 -- 8
-         and* load = float_range 0.2 3.0
-         and* seed = 0 -- 1000
-         and* k = 2 -- 9 in
-         return (Value_port { sources; load; seed; k }));
-        (let* slots =
-           array_size (1 -- 12)
-             (list_size (0 -- 4)
-                (let* dest = 0 -- 7 and* value = 1 -- 9 in
-                 return (dest, value)))
-         in
-         return (Fixed slots));
-      ]
+  let source_params =
+    let* sources = 1 -- 8
+    and* load = float_range 0.2 3.0
+    and* seed = 0 -- 1000
+    and* k = 2 -- 9 in
+    return (sources, load, seed, k)
   in
-  let node self = function
-    | 0 -> leaf
-    | n ->
-      oneof
-        [
-          leaf;
-          (let* l = list_size (1 -- 3) (self (n - 1)) in
-           return (Merge l));
-          (let* k = 1 -- 40 and* s = self (n - 1) in
-           return (Take (k, s)));
-          map (fun s -> Map_shift s) (self (n - 1));
-        ]
-  in
-  sized (fix node)
+  oneof
+    [
+      map
+        (fun (sources, load, seed, k) -> Proc { sources; load; seed; k })
+        source_params;
+      map
+        (fun (sources, load, seed, k) ->
+          Value_uniform { sources; load; seed; k })
+        source_params;
+      map
+        (fun (sources, load, seed, k) -> Value_port { sources; load; seed; k })
+        source_params;
+      (let* slots =
+         array_size (1 -- 12)
+           (list_size (0 -- 4)
+              (let* dest = 0 -- 7 and* value = 1 -- 9 in
+               return (dest, value)))
+       in
+       return (Fixed slots));
+    ]
 
-let read_batch b =
-  List.init (Arrival_batch.length b) (fun i ->
-      Arrival.make ~dest:(Arrival_batch.dest b i) ~value:(Arrival_batch.value b i)
-        ())
-
-let qc_next_into_equals_next =
-  QCheck.Test.make ~count:100 ~name:"next_into = next (any workload)"
+let qc_reused_batch_is_transparent =
+  QCheck.Test.make ~count:100 ~name:"reused batch = fresh batch (any workload)"
     (QCheck.make spec_gen)
     (fun spec ->
-      let via_list = build spec and via_batch = build spec in
-      let batch = Arrival_batch.create () in
+      let fresh = build spec and reused = build spec in
+      (* Stale contents must never leak into the next slot. *)
+      let batch = Arrival_batch.create ~capacity:1 () in
+      Arrival_batch.push batch ~dest:0 ~value:99;
       let ok = ref true in
       for _ = 1 to 50 do
-        let expect = Workload.next via_list in
-        Workload.next_into via_batch batch;
-        if not (List.equal Arrival.equal expect (read_batch batch)) then
-          ok := false
-      done;
-      !ok && Workload.slot via_list = Workload.slot via_batch)
-
-let qc_interleaving_is_transparent =
-  (* next and next_into on the SAME workload consume the same streams: a
-     consumer may mix the two freely without perturbing the sequence. *)
-  QCheck.Test.make ~count:60 ~name:"next / next_into interleave freely"
-    QCheck.(pair (make spec_gen) (QCheck.small_int))
-    (fun (spec, salt) ->
-      let reference = build spec and mixed = build spec in
-      let batch = Arrival_batch.create () in
-      let ok = ref true in
-      for i = 1 to 40 do
-        let expect = Workload.next reference in
-        let got =
-          if (i + salt) mod 2 = 0 then Workload.next mixed
-          else begin
-            Workload.next_into mixed batch;
-            read_batch batch
-          end
-        in
-        if not (List.equal Arrival.equal expect got) then ok := false
+        let expect = Slot_list.next fresh in
+        Workload.next_into reused batch;
+        if not (List.equal Arrival.equal expect (Slot_list.of_batch batch))
+        then ok := false
       done;
       !ok)
 
-(* --- Experiment `List / `Batched bit-identity --- *)
+let test_generator_slot_indices () =
+  let seen = ref [] in
+  let w =
+    Workload.of_fun_into (fun batch i ->
+        seen := i :: !seen;
+        Arrival_batch.push batch ~dest:(i mod 3) ~value:(i + 1))
+  in
+  let batch = Arrival_batch.create () in
+  for i = 0 to 9 do
+    Workload.next_into w batch;
+    Alcotest.(check (list arrival))
+      (Printf.sprintf "slot %d" i)
+      [ Arrival.make ~dest:(i mod 3) ~value:(i + 1) () ]
+      (Slot_list.of_batch batch)
+  done;
+  Alcotest.(check (list int)) "indices 0..9, once each, in order"
+    (List.init 10 Fun.id) (List.rev !seen);
+  (* A fixed schedule replays literally, then runs dry. *)
+  let schedule =
+    [|
+      [ Arrival.make ~dest:1 (); Arrival.make ~dest:0 ~value:3 () ];
+      [];
+      [ Arrival.make ~dest:2 ~value:2 () ];
+    |]
+  in
+  let w = Workload.of_slots schedule in
+  Array.iteri
+    (fun i expect ->
+      Alcotest.(check (list arrival))
+        (Printf.sprintf "schedule slot %d" i)
+        expect (Slot_list.next w))
+    schedule;
+  for i = 3 to 5 do
+    Alcotest.(check (list arrival))
+      (Printf.sprintf "slot %d past the end" i)
+      [] (Slot_list.next w)
+  done
 
-let small_base =
-  {
-    Sweep.default_base with
-    slots = 1_500;
-    flush_every = Some 300;
-    mmpp = { Scenario.default_mmpp with sources = 20 };
-    seed = 11;
-  }
+(* --- lockstep fan-out --- *)
 
 let fingerprint (i : Instance.t) =
   let m = i.Instance.metrics in
@@ -170,7 +155,10 @@ let fingerprint (i : Instance.t) =
     (Metrics.transmitted m, Metrics.transmitted_value m, Metrics.flushed m),
     Smbm_prelude.Running_stats.mean (Metrics.latency_stats m) )
 
-let test_pipelines_bit_identical () =
+(* Every instance reads the one shared batch per slot; none may disturb it
+   for the others.  Running all instances together must leave each exactly
+   where running it alone on the same traffic does. *)
+let test_lockstep_matches_solo_runs () =
   List.iter
     (fun model ->
       let params =
@@ -180,19 +168,20 @@ let test_pipelines_bit_identical () =
           check_every = Some 500;
         }
       in
-      let run pipeline =
-        let workload, instances = Sweep.setup model small_base in
-        Experiment.run ~params ~pipeline ~workload instances;
-        List.map fingerprint instances
-      in
-      let via_list = run `List and via_batched = run `Batched in
-      List.iter2
-        (fun (n1, a1, t1, l1) (n2, a2, t2, l2) ->
+      let workload, instances = Sweep.setup model small_base in
+      Experiment.run ~params ~workload instances;
+      List.iteri
+        (fun idx together ->
+          let workload, fresh = Sweep.setup model small_base in
+          let alone = List.nth fresh idx in
+          Experiment.run ~params ~workload [ alone ];
+          let n1, a1, t1, l1 = fingerprint together
+          and n2, a2, t2, l2 = fingerprint alone in
           Alcotest.(check string) "instance order" n1 n2;
           if a1 <> a2 || t1 <> t2 then
-            Alcotest.failf "%s: counters diverge between pipelines" n1;
+            Alcotest.failf "%s: counters diverge between lockstep and solo" n1;
           Alcotest.(check (float 0.0)) (n1 ^ " mean latency") l1 l2)
-        via_list via_batched)
+        instances)
     [ Sweep.Proc; Sweep.Value_uniform; Sweep.Value_port ]
 
 (* --- trace cache --- *)
@@ -265,21 +254,22 @@ let test_worth_caching_budget () =
   Alcotest.(check bool) "tiny budget rejects" false (worth ~max_arrivals:10 ())
 
 let test_compact_roundtrip () =
-  let w = build (Proc { sources = 5; load = 1.5; seed = 3; k = 4 }) in
-  let compact = Trace.Compact.of_workload w ~slots:120 in
+  let build () =
+    Scenario.proc_workload
+      ~mmpp:{ Scenario.default_mmpp with sources = 5 }
+      ~config:(Proc_config.contiguous ~k:4 ~buffer:16 ())
+      ~load:1.5 ~seed:3 ()
+  in
+  let compact = Trace.Compact.of_workload (build ()) ~slots:120 in
   (* Replay equals a second live generation, slot by slot. *)
-  let live = build (Proc { sources = 5; load = 1.5; seed = 3; k = 4 }) in
+  let live = build () in
   let replayed = Trace.Compact.replay compact in
   for _ = 1 to 120 do
-    Alcotest.(check (list arrival)) "replay slot" (Workload.next live)
-      (Workload.next replayed)
+    Alcotest.(check (list arrival)) "replay slot" (Slot_list.next live)
+      (Slot_list.next replayed)
   done;
   Alcotest.(check (list arrival)) "empty beyond the end" []
-    (Workload.next replayed);
-  (* Compact <-> legacy trace conversion preserves content. *)
-  Alcotest.(check bool) "of_trace/to_trace roundtrip" true
-    (Trace.Compact.equal compact
-       (Trace.Compact.of_trace (Trace.Compact.to_trace compact)))
+    (Slot_list.next replayed)
 
 (* --- golden panel, every job count --- *)
 
@@ -367,10 +357,11 @@ let test_golden_panels_all_job_counts () =
 
 let suite =
   [
-    Qc.to_alcotest qc_next_into_equals_next;
-    Qc.to_alcotest qc_interleaving_is_transparent;
-    Alcotest.test_case "pipelines bit-identical" `Quick
-      test_pipelines_bit_identical;
+    Qc.to_alcotest qc_reused_batch_is_transparent;
+    Alcotest.test_case "generators see slots in order" `Quick
+      test_generator_slot_indices;
+    Alcotest.test_case "lockstep = solo runs" `Quick
+      test_lockstep_matches_solo_runs;
     Alcotest.test_case "trace keys share B/C, split K" `Quick
       test_trace_key_sharing;
     Alcotest.test_case "trace signatures follow keys" `Quick

@@ -89,18 +89,6 @@ let test_value_validation () =
   expect_invalid "buffer" (fun () ->
       Value_config.make ~ports:1 ~max_value:1 ~buffer:0 ())
 
-let test_packet_make () =
-  let p = Packet.Proc.make ~id:1 ~dest:0 ~work:3 ~arrival:5 in
-  Alcotest.(check int) "residual starts at work" 3 p.Packet.Proc.residual;
-  (match Packet.Proc.make ~id:1 ~dest:0 ~work:0 ~arrival:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "work 0 accepted");
-  let v = Packet.Value.make ~id:2 ~dest:1 ~value:4 ~arrival:0 in
-  Alcotest.(check int) "value" 4 v.Packet.Value.value;
-  match Packet.Value.make ~id:2 ~dest:1 ~value:0 ~arrival:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "value 0 accepted"
-
 let test_arrival () =
   let a = Arrival.make ~dest:3 () in
   Alcotest.(check int) "default value" 1 a.Arrival.value;
@@ -125,6 +113,5 @@ let suite =
     Alcotest.test_case "inverse work sum" `Quick test_inverse_work_sum;
     Alcotest.test_case "value make" `Quick test_value_make;
     Alcotest.test_case "value validation" `Quick test_value_validation;
-    Alcotest.test_case "packet constructors" `Quick test_packet_make;
     Alcotest.test_case "arrival spec" `Quick test_arrival;
   ]

@@ -75,7 +75,7 @@ let test_batch_mmpp_rate () =
 let test_heavy_tail_workload_rate_and_dispersion () =
   let config = Proc_config.contiguous ~k:8 ~buffer:32 () in
   let mmpp = { Scenario.default_mmpp with sources = 50 } in
-  let analyze w = Trace_stats.analyze (Trace.record w ~slots:30_000) in
+  let analyze w = Trace_stats.analyze (Trace.Compact.of_workload w ~slots:30_000) in
   let heavy =
     analyze (Scenario.proc_heavy_tail_workload ~mmpp ~config ~load:1.5 ~seed:11 ())
   in

@@ -31,7 +31,8 @@ let expect_clean name (r : Mapping_certifier.report) =
 let test_speedup_rejected () =
   let config = Proc_config.contiguous ~k:2 ~buffer:4 ~speedup:2 () in
   match
-    Mapping_certifier.run ~config ~opponent:greedy ~trace:(fun _ -> []) ~slots:1 ()
+    Mapping_certifier.run ~config ~opponent:greedy
+      ~workload:(Workload.of_slots [||]) ~slots:1 ()
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "speedup 2 accepted"
@@ -43,7 +44,10 @@ let test_pushout_opponent_reported () =
     if slot = 0 then [ Arrival.make ~dest:1 (); Arrival.make ~dest:0 () ]
     else []
   in
-  let r = Mapping_certifier.run ~config ~opponent:rogue ~trace ~slots:3 () in
+  let r =
+    Mapping_certifier.run ~config ~opponent:rogue
+      ~workload:(Workload.of_fun trace) ~slots:3 ()
+  in
   Alcotest.(check bool) "push-out flagged" true (r.violation_count > 0)
 
 let test_greedy_on_mmpp () =
@@ -55,8 +59,7 @@ let test_greedy_on_mmpp () =
   in
   let r =
     Mapping_certifier.run ~config ~opponent:greedy
-      ~trace:(fun _ -> Workload.next workload)
-      ~slots:2_000 ()
+      ~workload ~slots:2_000 ()
   in
   expect_clean "greedy/MMPP" r;
   Alcotest.(check bool) "some pressure was exercised" true
@@ -74,8 +77,7 @@ let test_quota_on_mmpp () =
   let r =
     Mapping_certifier.run ~config
       ~opponent:(quota [| 20; 4; 0; 0; 0; 0 |])
-      ~trace:(fun _ -> Workload.next workload)
-      ~slots:2_000 ()
+      ~workload ~slots:2_000 ()
   in
   expect_clean "quota/MMPP" r
 
@@ -106,7 +108,8 @@ let test_thm6_construction () =
     quota [| buffer - 3; 1; 1; 1 |]
   in
   let r =
-    Mapping_certifier.run ~config ~opponent ~trace ~slots:(2 * buffer) ()
+    Mapping_certifier.run ~config ~opponent ~workload:(Workload.of_fun trace)
+      ~slots:(2 * buffer) ()
   in
   expect_clean "Theorem 6 construction" r;
   (* The construction pushes OPT visibly ahead - the mapping explains how
@@ -132,8 +135,10 @@ let test_lemma8_gap_reproduced () =
       [ Arrival.make ~dest:1 (); Arrival.make ~dest:0 (); Arrival.make ~dest:1 () ];
     |]
   in
-  let trace i = if i < Array.length trace_arr then trace_arr.(i) else [] in
-  let r = Mapping_certifier.run ~config ~opponent:greedy ~trace ~slots:12 () in
+  let r =
+    Mapping_certifier.run ~config ~opponent:greedy
+      ~workload:(Workload.of_slots trace_arr) ~slots:12 ()
+  in
   expect_clean "Lemma 8 gap trace" r;
   Alcotest.(check bool)
     "the literal positional invariant fails on this trace" true
@@ -158,9 +163,9 @@ let prop_random_traces_random_quotas =
         Array.of_list
           (List.map (List.map (fun d -> Arrival.make ~dest:d ())) dests)
       in
-      let trace i = if i < Array.length trace_arr then trace_arr.(i) else [] in
       let r =
-        Mapping_certifier.run ~config ~opponent:(quota quotas) ~trace
+        Mapping_certifier.run ~config ~opponent:(quota quotas)
+          ~workload:(Workload.of_slots trace_arr)
           ~slots:(Array.length trace_arr + (buffer * k) + k)
           ()
       in

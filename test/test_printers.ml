@@ -12,10 +12,6 @@ let nonempty name s =
     Alcotest.failf "%s printed nothing" name
 
 let test_core_printers () =
-  nonempty "Packet.Proc.pp"
-    (render Packet.Proc.pp (Packet.Proc.make ~id:1 ~dest:0 ~work:3 ~arrival:2));
-  nonempty "Packet.Value.pp"
-    (render Packet.Value.pp (Packet.Value.make ~id:1 ~dest:0 ~value:3 ~arrival:2));
   nonempty "Arrival.pp" (render Arrival.pp (Arrival.make ~dest:1 ~value:2 ()));
   nonempty "Proc_config.pp"
     (render Proc_config.pp (Proc_config.contiguous ~k:3 ~buffer:6 ()));
@@ -52,7 +48,7 @@ let test_sim_printers () =
 let test_traffic_printers () =
   let open Smbm_traffic in
   let trace =
-    Trace.of_slots [| [ Arrival.make ~dest:0 () ]; [] |]
+    Trace.Compact.of_slots [| [ Arrival.make ~dest:0 () ]; [] |]
   in
   nonempty "Trace_stats.pp" (render Trace_stats.pp (Trace_stats.analyze trace))
 
@@ -65,7 +61,8 @@ let test_analysis_printers () =
   in
   let r =
     Mapping_certifier.run ~config ~opponent:greedy
-      ~trace:(fun slot -> if slot = 0 then [ Arrival.make ~dest:0 () ] else [])
+      ~workload:
+        (Smbm_traffic.Workload.of_slots [| [ Arrival.make ~dest:0 () ] |])
       ~slots:3 ()
   in
   nonempty "Mapping_certifier.pp_report" (render Mapping_certifier.pp_report r)

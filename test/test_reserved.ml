@@ -109,7 +109,7 @@ let prop_reservation_invariant_under_load =
         (fun dest ->
           let below = Proc_switch.queue_length sw dest < reserve in
           let before = (Metrics.dropped inst.Instance.metrics) in
-          inst.Instance.arrive (Smbm_core.Arrival.make ~dest ());
+          inst.Instance.arrive_dv ~dest ~value:1;
           let dropped = (Metrics.dropped inst.Instance.metrics) > before in
           if below && dropped then ok := false;
           inst.Instance.transmit ();

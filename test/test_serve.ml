@@ -16,7 +16,7 @@ let proc_workload ?(sources = 20) ~seed () =
 
 let extract b =
   Array.init (Arrival_batch.length b) (fun i ->
-      (Arrival_batch.dest b i, Arrival_batch.value b i, Arrival_batch.work b i))
+      (Arrival_batch.dest b i, Arrival_batch.value b i))
 
 (* --- the ring itself --- *)
 
@@ -268,14 +268,15 @@ let test_daemon_value_swap () =
 let test_daemon_trace_ingest_bit_exact () =
   (* Arrivals offered by the daemon over a trace ingest are exactly the
      trace: same packet count, every slot served. *)
-  let trace = Trace.record (proc_workload ~seed:23 ()) ~slots:200 in
-  let compact = Trace.Compact.of_trace trace in
+  let compact =
+    Trace.Compact.of_workload (proc_workload ~seed:23 ()) ~slots:200
+  in
   let report =
     Daemon.run ~ring_capacity:4 ~model:(Model.Proc proc_config) ~policy:"NHST"
       ~ingest:(Daemon.Trace compact) ()
   in
   Alcotest.(check int) "slots from the trace" 200 report.Daemon.slots;
-  Alcotest.(check int) "arrivals are the trace's" (Trace.arrivals trace)
+  Alcotest.(check int) "arrivals are the trace's" (Trace.Compact.arrivals compact)
     report.Daemon.arrivals;
   Alcotest.(check bool)
     (Option.value ~default:"conservation holds" report.Daemon.conservation_error)
@@ -287,11 +288,11 @@ let test_daemon_trace_ingest_bit_exact () =
    produces the same counters with the ring on (default) and off. *)
 let test_daemon_flight_zero_observer_effect () =
   let run flight_cap =
-    let trace = Trace.record (proc_workload ~seed:23 ()) ~slots:200 in
+    let trace =
+      Trace.Compact.of_workload (proc_workload ~seed:23 ()) ~slots:200
+    in
     Daemon.run ~ring_capacity:4 ~flight_cap ~model:(Model.Proc proc_config)
-      ~policy:"LWD"
-      ~ingest:(Daemon.Trace (Trace.Compact.of_trace trace))
-      ()
+      ~policy:"LWD" ~ingest:(Daemon.Trace trace) ()
   in
   let off = run 0 and on = run 65536 in
   Alcotest.(check bool) "counters identical" true
@@ -381,6 +382,34 @@ let test_daemon_unknown_policy_rejected () =
       ignore
         (Daemon.run ~slots:1 ~model:(Model.Proc proc_config) ~policy:"bogus"
            ~ingest:(Daemon.Bank bank) ()))
+
+(* A trace the model cannot accept is input error: rejected before slot 0,
+   naming the slot, instead of the switch raising mid-run. *)
+let expect_trace_rejected model slots msg =
+  Alcotest.check_raises "trace checked against the model"
+    (Invalid_argument msg)
+    (fun () ->
+      ignore
+        (Daemon.run ~model ~policy:"NEST"
+           ~ingest:(Daemon.Trace (Trace.Compact.of_slots slots))
+           ()))
+
+let test_daemon_trace_checked_proc () =
+  expect_trace_rejected (Model.Proc proc_config)
+    [| [ Arrival.make ~dest:7 () ]; []; [ Arrival.make ~dest:8 () ] |]
+    "Daemon.run: trace slot 2: dest 8 has no port (the model has 8)"
+
+let test_daemon_trace_checked_value_uniform () =
+  let config = Value_config.make ~ports:4 ~max_value:4 ~buffer:8 () in
+  expect_trace_rejected (Model.Value_uniform config)
+    [| [ Arrival.make ~dest:1 ~value:4 (); Arrival.make ~dest:1 ~value:99 () ] |]
+    "Daemon.run: trace slot 0: value 99 exceeds max_value 4"
+
+let test_daemon_trace_checked_value_port () =
+  let config = Value_config.make ~ports:4 ~max_value:4 ~buffer:8 () in
+  expect_trace_rejected (Model.Value_port config)
+    [| []; [ Arrival.make ~dest:4 ~value:1 () ] |]
+    "Daemon.run: trace slot 1: dest 4 has no port (the model has 4)"
 
 (* --- draining the ring to an event sink --- *)
 
@@ -499,6 +528,12 @@ let suite =
       test_daemon_trace_ingest_bit_exact;
     Alcotest.test_case "daemon rejects unknown initial policy" `Quick
       test_daemon_unknown_policy_rejected;
+    Alcotest.test_case "daemon checks a proc trace" `Quick
+      test_daemon_trace_checked_proc;
+    Alcotest.test_case "daemon checks a value-uniform trace" `Quick
+      test_daemon_trace_checked_value_uniform;
+    Alcotest.test_case "daemon checks a value-port trace" `Quick
+      test_daemon_trace_checked_value_port;
     Alcotest.test_case "daemon flight: zero observer effect" `Quick
       test_daemon_flight_zero_observer_effect;
     Alcotest.test_case "daemon trip writes certifiable postmortem" `Quick

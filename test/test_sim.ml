@@ -92,7 +92,7 @@ let test_proc_engine_rejects_illegal_push_out () =
         Decision.Push_out { victim = 0 })
   in
   let inst = Proc_engine.instance config rogue in
-  match inst.arrive (Arrival.make ~dest:0 ()) with
+  match inst.arrive_dv ~dest:0 ~value:1 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "push-out with free space must be rejected"
 
@@ -160,8 +160,8 @@ let test_opt_proc_smallest_first () =
   (* cores = n * C = 2; buffer holds works {1, 2}; slot 1: both get a cycle,
      the 1 completes. *)
   let opt = Opt_ref.proc_instance config in
-  opt.arrive (Arrival.make ~dest:1 ());
-  opt.arrive (Arrival.make ~dest:0 ());
+  opt.arrive_dv ~dest:1 ~value:1;
+  opt.arrive_dv ~dest:0 ~value:1;
   opt.transmit ();
   Alcotest.(check int) "work-1 done first" 1 (Metrics.transmitted opt.metrics);
   opt.transmit ();
@@ -171,22 +171,22 @@ let test_opt_proc_smallest_first () =
 let test_opt_proc_admission_evicts_largest () =
   let config = contiguous 3 2 in
   let opt = Opt_ref.proc_instance config in
-  opt.arrive (Arrival.make ~dest:2 ());
-  opt.arrive (Arrival.make ~dest:2 ());
+  opt.arrive_dv ~dest:2 ~value:1;
+  opt.arrive_dv ~dest:2 ~value:1;
   (* Buffer full of work-3; a work-1 arrival evicts one. *)
-  opt.arrive (Arrival.make ~dest:0 ());
+  opt.arrive_dv ~dest:0 ~value:1;
   Alcotest.(check int) "pushed out" 1 (Metrics.pushed_out opt.metrics);
   Alcotest.(check int) "occupancy" 2 (opt.occupancy ());
   (* A work-3 arrival cannot displace anything better. *)
-  opt.arrive (Arrival.make ~dest:2 ());
+  opt.arrive_dv ~dest:2 ~value:1;
   Alcotest.(check int) "dropped" 1 (Metrics.dropped opt.metrics);
   opt.check ()
 
 let test_opt_value_largest_first () =
   let config = Value_config.make ~ports:2 ~max_value:9 ~buffer:4 ~speedup:1 () in
   let opt = Opt_ref.value_instance ~cores:1 config in
-  opt.arrive (Arrival.make ~dest:0 ~value:2 ());
-  opt.arrive (Arrival.make ~dest:0 ~value:7 ());
+  opt.arrive_dv ~dest:0 ~value:2;
+  opt.arrive_dv ~dest:0 ~value:7;
   opt.transmit ();
   Alcotest.(check int) "value 7 first" 7 (Metrics.transmitted_value opt.metrics);
   opt.check ()
@@ -194,11 +194,11 @@ let test_opt_value_largest_first () =
 let test_opt_value_admission_evicts_min () =
   let config = Value_config.make ~ports:1 ~max_value:9 ~buffer:2 () in
   let opt = Opt_ref.value_instance config in
-  opt.arrive (Arrival.make ~dest:0 ~value:1 ());
-  opt.arrive (Arrival.make ~dest:0 ~value:2 ());
-  opt.arrive (Arrival.make ~dest:0 ~value:9 ());
+  opt.arrive_dv ~dest:0 ~value:1;
+  opt.arrive_dv ~dest:0 ~value:2;
+  opt.arrive_dv ~dest:0 ~value:9;
   Alcotest.(check int) "pushed out the 1" 1 (Metrics.pushed_out opt.metrics);
-  opt.arrive (Arrival.make ~dest:0 ~value:2 ());
+  opt.arrive_dv ~dest:0 ~value:2;
   Alcotest.(check int) "no gain, dropped" 1 (Metrics.dropped opt.metrics);
   opt.check ()
 
@@ -256,7 +256,6 @@ let test_experiment_ratio () =
     Metrics.record_transmissions m ~count:transmitted ~value:(2 * transmitted);
     {
       Instance.name;
-      arrive = (fun _ -> ());
       arrive_dv = (fun ~dest:_ ~value:_ -> ());
       arrive_batch = None;
       transmit = (fun () -> ());

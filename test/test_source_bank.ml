@@ -125,7 +125,7 @@ let lockstep c =
     slot = c.slots
     ||
     (Workload.next_into workload batch;
-     List.equal Arrival.equal (Arrival_batch.to_list batch) (Source_oracle.slot oracle)
+     List.equal Arrival.equal (Slot_list.of_batch batch) (Source_oracle.slot oracle)
      && same_states ()
      && run (slot + 1))
   in
@@ -258,7 +258,7 @@ let test_single_shard_is_the_workload () =
   for _ = 1 to 200 do
     Smbm_serve.Mmpp_bank.fill bank a;
     Workload.next_into w b;
-    if Arrival_batch.to_list a <> Arrival_batch.to_list b then
+    if Slot_list.of_batch a <> Slot_list.of_batch b then
       Alcotest.fail "single-shard bank diverged from its workload"
   done
 

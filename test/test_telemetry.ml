@@ -244,8 +244,9 @@ let test_stage_aggregates () =
 let test_daemon_telemetry_no_engine_effect () =
   (* The acceptance bar for the whole plane: the same recorded trace with
      telemetry on and off produces bit-identical engine metrics. *)
-  let trace = Trace.record (proc_workload ~seed:23 ()) ~slots:400 in
-  let compact = Trace.Compact.of_trace trace in
+  let compact =
+    Trace.Compact.of_workload (proc_workload ~seed:23 ()) ~slots:400
+  in
   let run ~telemetry () =
     Daemon.run ~ring_capacity:8 ~flush_every:100 ~telemetry ~stats_every:50
       ~p99_budget_us:1e9 ~model:(Model.Proc proc_config) ~policy:"NHST"

@@ -1,7 +1,7 @@
 open Smbm_core
 open Smbm_traffic
 
-let trace_of slots = Trace.of_slots (Array.of_list slots)
+let trace_of slots = Trace.Compact.of_slots (Array.of_list slots)
 
 let test_empty () =
   let s = Trace_stats.analyze (trace_of []) in
@@ -67,7 +67,7 @@ let test_mmpp_workload_is_bursty () =
       ~mmpp:{ Scenario.default_mmpp with sources = 5 }
       ~config ~load:1.5 ~seed:9 ()
   in
-  let trace = Trace.record w ~slots:20_000 in
+  let trace = Trace.Compact.of_workload w ~slots:20_000 in
   let s = Trace_stats.analyze trace in
   Alcotest.(check bool) "over-dispersed" true (s.Trace_stats.burstiness > 1.5)
 

@@ -14,7 +14,7 @@ let bank ?(sources = 1) ?(label = Label.uniform_port ~n:4) ~seed ~p_on_to_off
 let step b =
   let batch = Arrival_batch.create () in
   Source_bank.fill b batch;
-  Arrival_batch.to_list batch
+  Slot_list.of_batch batch
 
 let test_mmpp_off_emits_nothing () =
   (* Stationary on-probability 0 and no way back on: never on. *)
@@ -109,19 +109,18 @@ let test_weighted_port_label () =
 let test_workload_of_slots () =
   let a0 = Arrival.make ~dest:0 () and a1 = Arrival.make ~dest:1 () in
   let w = Workload.of_slots [| [ a0 ]; []; [ a1; a0 ] |] in
-  Alcotest.(check int) "slot 0 size" 1 (List.length (Workload.next w));
-  Alcotest.(check int) "slot 1 empty" 0 (List.length (Workload.next w));
-  Alcotest.(check int) "slot 2 size" 2 (List.length (Workload.next w));
-  Alcotest.(check int) "beyond end" 0 (List.length (Workload.next w));
-  Alcotest.(check int) "slot counter" 4 (Workload.slot w)
+  Alcotest.(check int) "slot 0 size" 1 (List.length (Slot_list.next w));
+  Alcotest.(check int) "slot 1 empty" 0 (List.length (Slot_list.next w));
+  Alcotest.(check int) "slot 2 size" 2 (List.length (Slot_list.next w));
+  Alcotest.(check int) "beyond end" 0 (List.length (Slot_list.next w))
 
 let test_workload_of_fun () =
   let w =
     Workload.of_fun (fun slot -> List.init slot (fun _ -> Arrival.make ~dest:0 ()))
   in
-  Alcotest.(check int) "slot 0" 0 (List.length (Workload.next w));
-  Alcotest.(check int) "slot 1" 1 (List.length (Workload.next w));
-  Alcotest.(check int) "slot 2" 2 (List.length (Workload.next w))
+  Alcotest.(check int) "slot 0" 0 (List.length (Slot_list.next w));
+  Alcotest.(check int) "slot 1" 1 (List.length (Slot_list.next w));
+  Alcotest.(check int) "slot 2" 2 (List.length (Slot_list.next w))
 
 let test_workload_of_sources_deterministic () =
   let build seed =
@@ -131,51 +130,18 @@ let test_workload_of_sources_deterministic () =
   in
   let w1 = build 99 and w2 = build 99 in
   for _ = 1 to 200 do
-    let a1 = Workload.next w1 and a2 = Workload.next w2 in
+    let a1 = Slot_list.next w1 and a2 = Slot_list.next w2 in
     if not (List.equal Arrival.equal a1 a2) then
       Alcotest.fail "same seed produced different traffic"
   done
 
-let test_workload_merge () =
-  let a = Workload.of_slots [| [ Arrival.make ~dest:0 () ]; [] |] in
-  let b =
-    Workload.of_fun (fun _ -> [ Arrival.make ~dest:1 (); Arrival.make ~dest:2 () ])
-  in
-  let m = Workload.merge [ a; b ] in
-  let slot0 = Workload.next m in
-  Alcotest.(check (list int)) "superposition, order preserved" [ 0; 1; 2 ]
-    (List.map (fun (x : Arrival.t) -> x.dest) slot0);
-  Alcotest.(check int) "second slot" 2 (List.length (Workload.next m));
-  Alcotest.(check bool) "rate unknown when a component's is" true
-    (Workload.mean_rate m = None)
-
-let test_workload_merge_rates () =
-  let mk rate =
-    Scenario.workload
-      ~mmpp:{ Scenario.sources = 4; p_on_to_off = 0.0; p_off_to_on = 1.0 }
-      ~label:(Label.uniform_port ~n:2) ~emission:(Poisson rate) ~seed:1
-  in
-  match Workload.mean_rate (Workload.merge [ mk 0.5; mk 0.25 ]) with
-  | Some r -> Alcotest.(check (float 1e-9)) "rates add" 3.0 r
-  | None -> Alcotest.fail "merged rate lost"
-
-let test_workload_map_and_take () =
-  let w =
-    Workload.of_fun (fun _ -> [ Arrival.make ~dest:0 ~value:1 () ])
-    |> Workload.map (fun (a : Arrival.t) ->
-           Arrival.make ~dest:(a.dest + 1) ~value:(a.value * 5) ())
-    |> Workload.take 2
-  in
-  let slot0 = Workload.next w in
-  (match slot0 with
-  | [ a ] ->
-    Alcotest.(check int) "dest remapped" 1 a.Arrival.dest;
-    Alcotest.(check int) "value rescaled" 5 a.Arrival.value
-  | _ -> Alcotest.fail "unexpected arrivals");
-  ignore (Workload.next w);
-  Alcotest.(check int) "empty after take" 0 (List.length (Workload.next w))
-
 (* --- Trace --- *)
+
+let slot_of trace i =
+  let acc = ref [] in
+  Trace.Compact.iter_slot trace i ~f:(fun ~dest ~value ->
+      acc := { Arrival.dest; value } :: !acc);
+  List.rev !acc
 
 let test_trace_record_replay () =
   let w =
@@ -183,20 +149,34 @@ let test_trace_record_replay () =
         if slot mod 2 = 0 then [ Arrival.make ~dest:(slot mod 3) ~value:2 () ]
         else [])
   in
-  let trace = Trace.record w ~slots:10 in
-  Alcotest.(check int) "slots" 10 (Trace.slots trace);
-  Alcotest.(check int) "arrivals" 5 (Trace.arrivals trace);
-  let replay = Trace.to_workload trace in
+  let trace = Trace.Compact.of_workload w ~slots:10 in
+  Alcotest.(check int) "slots" 10 (Trace.Compact.slots trace);
+  Alcotest.(check int) "arrivals" 5 (Trace.Compact.arrivals trace);
+  let replay = Trace.Compact.replay trace in
   for slot = 0 to 9 do
-    let expected = Trace.get trace slot in
-    if not (List.equal Arrival.equal expected (Workload.next replay)) then
-      Alcotest.fail "replay diverged"
+    if not (List.equal Arrival.equal (slot_of trace slot) (Slot_list.next replay))
+    then Alcotest.fail "replay diverged"
   done;
-  Alcotest.(check int) "replay beyond end" 0 (List.length (Workload.next replay))
+  Alcotest.(check int) "replay beyond end" 0 (List.length (Slot_list.next replay))
+
+(* [f path] with [contents] written to a temporary file. *)
+let with_file contents f =
+  let path = Filename.temp_file "smbm_trace" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc contents;
+      close_out oc;
+      f path)
+
+let load path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Trace.Compact.load ic)
 
 let test_trace_save_load_roundtrip () =
   let trace =
-    Trace.of_slots
+    Trace.Compact.of_slots
       [|
         [ Arrival.make ~dest:0 ~value:3 (); Arrival.make ~dest:2 () ];
         [];
@@ -207,29 +187,29 @@ let test_trace_save_load_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out path in
-      Trace.save trace oc;
+      let oc = open_out_bin path in
+      Trace.Compact.save trace oc;
       close_out oc;
-      let ic = open_in path in
-      let loaded = Trace.load ic in
+      let ic = open_in_bin path in
+      let bytes = really_input_string ic (in_channel_length ic) in
       close_in ic;
-      Alcotest.(check bool) "roundtrip" true (Trace.equal trace loaded))
+      Alcotest.(check string) "saved bytes" "0:3 2:1\n\n1:7\n" bytes;
+      match load path with
+      | Ok loaded ->
+        Alcotest.(check bool) "roundtrip" true (Trace.Compact.equal trace loaded)
+      | Error (line, reason) -> Alcotest.failf "line %d: %s" line reason)
 
-let test_trace_load_rejects_garbage () =
-  let path = Filename.temp_file "smbm_trace" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "0:1 junk\n";
-      close_out oc;
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          match Trace.load ic with
-          | exception Failure _ -> ()
-          | _ -> Alcotest.fail "garbage accepted"))
+(* Each class of bad file is a typed [Error] naming its line. *)
+let expect_rejected ~line contents =
+  with_file contents (fun path ->
+      match load path with
+      | Error (l, _) -> Alcotest.(check int) "line" line l
+      | Ok _ -> Alcotest.failf "accepted %S" contents)
+
+let test_trace_load_rejects_garbage () = expect_rejected ~line:1 "0:1 junk\n"
+let test_trace_load_rejects_value () = expect_rejected ~line:2 "0:1\n0:0\n"
+let test_trace_load_rejects_dest () = expect_rejected ~line:3 "\n\n-3:1\n"
+let test_trace_load_rejects_empty () = expect_rejected ~line:1 ""
 
 (* --- Scenario --- *)
 
@@ -249,7 +229,7 @@ let test_scenario_rate_calibration () =
   let slots = 30_000 in
   let total = ref 0 in
   for _ = 1 to slots do
-    total := !total + List.length (Workload.next w)
+    total := !total + List.length (Slot_list.next w)
   done;
   let mean = float_of_int !total /. float_of_int slots in
   Alcotest.(check bool) "empirical rate near declared" true
@@ -262,7 +242,7 @@ let test_scenario_value_port_labels () =
     List.iter
       (fun (a : Arrival.t) ->
         if a.value <> a.dest + 1 then Alcotest.fail "value must equal port + 1")
-      (Workload.next w)
+      (Slot_list.next w)
   done
 
 let test_scenario_value_port_requires_n_le_k () =
@@ -292,15 +272,17 @@ let suite =
     Alcotest.test_case "workload of function" `Quick test_workload_of_fun;
     Alcotest.test_case "source workload determinism" `Quick
       test_workload_of_sources_deterministic;
-    Alcotest.test_case "workload merge" `Quick test_workload_merge;
-    Alcotest.test_case "merged rates add" `Quick test_workload_merge_rates;
-    Alcotest.test_case "workload map and take" `Quick
-      test_workload_map_and_take;
     Alcotest.test_case "trace record and replay" `Quick test_trace_record_replay;
     Alcotest.test_case "trace save/load roundtrip" `Quick
       test_trace_save_load_roundtrip;
     Alcotest.test_case "trace load rejects garbage" `Quick
       test_trace_load_rejects_garbage;
+    Alcotest.test_case "trace load rejects value < 1" `Quick
+      test_trace_load_rejects_value;
+    Alcotest.test_case "trace load rejects negative dest" `Quick
+      test_trace_load_rejects_dest;
+    Alcotest.test_case "trace load rejects empty file" `Quick
+      test_trace_load_rejects_empty;
     Alcotest.test_case "scenario rate calibration" `Quick
       test_scenario_rate_calibration;
     Alcotest.test_case "value-port scenario labels" `Quick

@@ -197,8 +197,8 @@ let test_value_soak_wide_k () =
 
 (* [Trace.Compact.pack] only changes memory topology (zero-copy windows of
    one shared off-heap slab per column); content, [equal] and [signature]
-   must be invariant, and a heap round-trip through [to_trace]/[of_trace]
-   (int arrays and lists) must reproduce the same signature. *)
+   must be invariant, and re-recording a window's replay must reproduce
+   the same signature. *)
 let prop_compact_pack_signature =
   QCheck2.Test.make
     ~name:"Trace.Compact: packed slab windows = owning columns" ~count:100
@@ -213,11 +213,7 @@ let prop_compact_pack_signature =
       list_size (int_range 0 5) trace)
     (fun traces ->
       let module C = Smbm_traffic.Trace.Compact in
-      let compacts =
-        List.map
-          (fun t -> C.of_trace (Smbm_traffic.Trace.of_slots t))
-          traces
-      in
+      let compacts = List.map C.of_slots traces in
       let packed = C.pack compacts in
       List.length packed = List.length compacts
       && List.for_all2
@@ -225,7 +221,8 @@ let prop_compact_pack_signature =
              C.equal own win
              && String.equal (C.signature own) (C.signature win)
              && String.equal (C.signature own)
-                  (C.signature (C.of_trace (C.to_trace win))))
+                  (C.signature
+                     (C.of_workload (C.replay win) ~slots:(C.slots win))))
            compacts packed)
 
 (* --- pinned tie-break regressions --- *)
