@@ -222,18 +222,18 @@ let flat_proc_cell ~n ~buffer ~slots =
   let next = lcg 0x5eed in
   let d = ref 0 in
   while not (Smbm_core.Proc_switch.is_full sw) do
-    Smbm_core.Proc_switch.accept sw ~dest:(!d mod n);
+    Smbm_core.Proc_switch.accept sw ~dest:(!d mod n) ~value:1;
     incr d
   done;
   measure (fun () ->
       for _ = 1 to slots do
         let freed =
           Smbm_core.Proc_switch.transmit_phase sw
-            ~on_transmit:(fun ~dest:_ ~arrival:_ -> ())
+            ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ())
         in
         Smbm_core.Proc_switch.advance_slot sw;
         for _ = 1 to freed do
-          Smbm_core.Proc_switch.accept sw ~dest:(next n)
+          Smbm_core.Proc_switch.accept sw ~dest:(next n) ~value:1
         done
       done;
       slots)
@@ -283,7 +283,7 @@ let flight_cell ~flight =
   let next = lcg 0x5eed in
   let d = ref 0 in
   while not (Smbm_core.Proc_switch.is_full sw) do
-    Smbm_core.Proc_switch.accept sw ~dest:(!d mod n);
+    Smbm_core.Proc_switch.accept sw ~dest:(!d mod n) ~value:1;
     incr d
   done;
   measure (fun () ->
@@ -291,11 +291,11 @@ let flight_cell ~flight =
         let now = Smbm_core.Proc_switch.now sw in
         let freed =
           Smbm_core.Proc_switch.transmit_phase sw
-            ~on_transmit:(fun ~dest ~arrival ->
+            ~on_transmit:(fun ~dest ~value ~arrival ->
               match flight with
               | None -> ()
               | Some f ->
-                Smbm_obs.Flight.transmit f ~slot:now ~src:fsrc ~dest ~value:1
+                Smbm_obs.Flight.transmit f ~slot:now ~src:fsrc ~dest ~value
                   ~latency:(now - arrival))
         in
         Smbm_core.Proc_switch.advance_slot sw;
@@ -304,7 +304,7 @@ let flight_cell ~flight =
           (match flight with
           | None -> ()
           | Some f -> Smbm_obs.Flight.arrival f ~slot:now ~src:fsrc ~dest);
-          Smbm_core.Proc_switch.accept sw ~dest
+          Smbm_core.Proc_switch.accept sw ~dest ~value:1
         done;
         match flight with
         | None -> ()

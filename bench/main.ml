@@ -16,6 +16,7 @@
      SMBM_BENCH_SOURCES  MMPP sources            (default 100)
      SMBM_BENCH_FULL=1   paper scale: 2_000_000 slots, 500 sources
      SMBM_JOBS           worker domains (also: -j N; default: all cores)
+   A malformed knob exits 2 with a message.
 
    Independent simulations (Fig. 5 sweep points, lower-bound constructions)
    are sharded across an Smbm_par.Pool of OCaml domains.  Output is
@@ -29,9 +30,21 @@ open Smbm_core
 open Smbm_sim
 open Smbm_report
 
+(* A malformed knob is a usage error, never a silent fallback to the
+   defaults. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
+
 let env_int name default =
   match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some v -> v | None -> default)
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some v when v >= 1 -> v
+    | Some _ | None -> usage_error "%s=%S: expected a positive integer" name s)
   | None -> default
 
 let full = Sys.getenv_opt "SMBM_BENCH_FULL" = Some "1"
@@ -42,15 +55,21 @@ let sources = if full then 500 else env_int "SMBM_BENCH_SOURCES" 100
 let section, jobs =
   let rec parse section jobs = function
     | [] -> (section, jobs)
-    | "-j" :: n :: rest -> parse section (int_of_string_opt n) rest
+    | "-j" :: n :: rest -> (
+      match int_of_string_opt n with
+      | Some j when j >= 0 -> parse section (Some j) rest
+      | Some _ | None -> usage_error "-j %S: expected a non-negative integer" n)
+    | [ "-j" ] -> usage_error "-j needs a value"
     | arg :: rest ->
       parse (if section = None then Some arg else section) jobs rest
   in
   let section, jobs = parse None None (List.tl (Array.to_list Sys.argv)) in
   ( Option.value section ~default:"all",
     match jobs with
-    | Some j when j >= 0 -> j
-    | Some _ | None -> Smbm_par.Pool.default_jobs () )
+    | Some j -> j
+    | None -> (
+      try Smbm_par.Pool.default_jobs ()
+      with Invalid_argument msg -> usage_error "%s" msg) )
 
 (* Wall and CPU time for each phase, via the shared span timer.  Wall time
    is what parallelism improves; CPU time (all domains summed) is what
@@ -399,11 +418,7 @@ let hybrid () =
     "=== Extension: the combined work + value model (the paper's stated\n\
      future direction) ===\n";
   let works = [| 1; 2; 4; 8 |] in
-  let cfg =
-    Smbm_hybrid.Hybrid_config.make
-      ~proc:(Proc_config.make ~works ~buffer:24 ())
-      ~max_value:8
-  in
+  let cfg = Proc_config.make ~works ~buffer:24 ~max_value:8 () in
   let module R = Smbm_prelude.Rng in
   let trace_at lambda =
     let rng = R.create ~seed:base.Sweep.seed in
@@ -415,8 +430,8 @@ let hybrid () =
             let value = 1 + R.int rng (9 - works.(dest)) in
             Arrival.make ~dest ~value ()))
   in
-  let run trace (p : Smbm_hybrid.Hybrid_policy.t) =
-    let inst = Smbm_hybrid.Hybrid_engine.instance cfg p in
+  let run trace (p : Proc_policy.t) =
+    let inst = Proc_engine.instance cfg p in
     Experiment.run
       ~params:
         {
@@ -430,8 +445,8 @@ let hybrid () =
       [ inst ];
     (Metrics.transmitted_value inst.Instance.metrics)
   in
-  let policies = Smbm_hybrid.Hybrid_policy.all cfg in
-  let names = List.map (fun (p : Smbm_hybrid.Hybrid_policy.t) -> p.name) policies in
+  let policies = Policies.hybrid cfg in
+  let names = List.map (fun (p : Proc_policy.t) -> p.name) policies in
   let rows =
     List.map
       (fun lambda ->
@@ -459,7 +474,7 @@ let certificate () =
      (LWD vs a greedy opponent on bursty traffic) ===\n";
   let config = Proc_config.contiguous ~k:8 ~buffer:32 () in
   let greedy =
-    Proc_policy.make ~name:"greedy" ~push_out:false (fun sw ~dest:_ ->
+    Proc_policy.make ~name:"greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
         if Proc_switch.is_full sw then Decision.Drop else Decision.Accept)
   in
   let workload =
@@ -487,7 +502,7 @@ let prepared_proc_switch ?(fill = 256) () =
   let sw = Proc_switch.create config in
   let rng = Smbm_prelude.Rng.create ~seed:5 in
   while Proc_switch.occupancy sw < fill do
-    ignore (Proc_switch.accept sw ~dest:(Smbm_prelude.Rng.int rng 16))
+    Proc_switch.accept sw ~dest:(Smbm_prelude.Rng.int rng 16) ~value:1
   done;
   (config, sw, rng)
 
@@ -516,7 +531,7 @@ let micro () =
           ~name:(Printf.sprintf "proc-admit-%s/%s" tag p.name)
           (Staged.stage (fun () ->
                let dest = Smbm_prelude.Rng.int rng 16 in
-               ignore (Proc_policy.admit p sw ~dest))))
+               ignore (Proc_policy.admit p sw ~dest ~value:1))))
       (Policies.proc config)
   in
   let value_tests_at tag fill =
@@ -542,10 +557,10 @@ let micro () =
         (Staged.stage (fun () ->
              ignore
                (Proc_switch.transmit_phase sw
-                  ~on_transmit:(fun ~dest:_ ~arrival:_ -> ()));
+                  ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ()));
              (* Top the switch back up so the workload stays stable. *)
              while not (Proc_switch.is_full sw) do
-               Proc_switch.accept sw ~dest:0
+               Proc_switch.accept sw ~dest:0 ~value:1
              done));
       Test.make ~name:"switch/value-transmit-phase"
         (Staged.stage (fun () ->

@@ -51,7 +51,13 @@ let jobs_term =
            inline; default: $(b,SMBM_JOBS) or the number of cores.  Results \
            are bit-identical for every value.")
 
-let jobs_of jobs = if jobs >= 0 then jobs else Smbm_par.Pool.default_jobs ()
+let jobs_of jobs =
+  if jobs >= 0 then jobs
+  else
+    try Smbm_par.Pool.default_jobs ()
+    with Invalid_argument msg ->
+      prerr_endline ("smbm_cli: " ^ msg);
+      exit 2
 
 let common_term =
   let open Term in
@@ -1398,7 +1404,8 @@ let run_certify common opponent_name =
   let opponent =
     match String.lowercase_ascii opponent_name with
     | "greedy" ->
-      Proc_policy.make ~name:"greedy" ~push_out:false (fun sw ~dest:_ ->
+      Proc_policy.make ~name:"greedy" ~push_out:false
+        (fun sw ~dest:_ ~value:_ ->
           if Proc_switch.is_full sw then Decision.Drop else Decision.Accept)
     | name -> (
       match Policies.proc_find config name with

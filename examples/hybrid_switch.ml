@@ -6,11 +6,14 @@
    cheap bulk traffic; think: expensive DPI applied to low-priority flows).
    Which eviction rule should the shared buffer run?
 
+   The combined model is a processing configuration whose packets carry
+   values up to [max_value] > 1; the engine and switch are the processing
+   model's own.
+
    Run with: dune exec examples/hybrid_switch.exe *)
 
 open Smbm_core
 open Smbm_traffic
-open Smbm_hybrid
 open Smbm_report
 
 let works = [| 1; 2; 4; 8 |]
@@ -26,12 +29,10 @@ let trace_at ~lambda ~slots =
           Arrival.make ~dest ~value ()))
 
 let () =
-  let cfg =
-    Hybrid_config.make ~proc:(Proc_config.make ~works ~buffer ()) ~max_value:8
-  in
-  let policies = Hybrid_policy.all cfg in
-  let run trace (p : Hybrid_policy.t) =
-    let inst = Hybrid_engine.instance cfg p in
+  let cfg = Proc_config.make ~works ~buffer ~max_value:8 () in
+  let policies = Policies.hybrid cfg in
+  let run trace (p : Proc_policy.t) =
+    let inst = Smbm_sim.Proc_engine.instance cfg p in
     Smbm_sim.Experiment.run
       ~params:
         {
@@ -55,7 +56,7 @@ let () =
       Printf.printf "arrival rate %.0f packets/slot:\n" lambda;
       let rows =
         List.map
-          (fun (p : Hybrid_policy.t) ->
+          (fun (p : Proc_policy.t) ->
             let value, packets = run trace p in
             [ p.name; string_of_int value; string_of_int packets ])
           policies

@@ -50,7 +50,7 @@ let violate st fmt =
    completes), head of line first. *)
 let with_latencies sw i =
   let acc = ref [] and lat = ref 0 in
-  Proc_switch.iter_port sw i (fun ~id ~residual ~arrival:_ ->
+  Proc_switch.iter_port sw i (fun ~id ~residual ~value:_ ~arrival:_ ->
       lat := !lat + residual;
       acc := (id, !lat) :: !acc);
   List.rev !acc
@@ -179,7 +179,10 @@ let check st ~context ~latencies =
    line — if any. *)
 let serve sw i =
   let hol = head_id sw i in
-  if Proc_switch.serve_port sw i ~on_transmit:(fun ~dest:_ ~arrival:_ -> ()) > 0
+  if
+    Proc_switch.serve_port sw i ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ ->
+        ())
+    > 0
   then Some hol
   else None
 
@@ -261,9 +264,9 @@ let run ~config ~opponent ~workload ~slots ?(check_every_event = true) () =
   in
   let handle_arrival ~dest ~value:_ =
     (* LWD first ("q can be p" in the paper's step A0). *)
-    (match Proc_policy.admit st.lwd st.lwd_sw ~dest with
+    (match Proc_policy.admit st.lwd st.lwd_sw ~dest ~value:1 with
     | Decision.Accept ->
-      Proc_switch.accept st.lwd_sw ~dest;
+      Proc_switch.accept st.lwd_sw ~dest ~value:1;
       let q_id = tail_id st.lwd_sw dest in
       (* Repaired step A3 / proof case (4): the newly covered OPT packet
          trades its A1 assignment for the positional pairing — but only
@@ -284,7 +287,7 @@ let run ~config ~opponent ~workload ~slots ?(check_every_event = true) () =
       | Some _ | None -> ())
     | Decision.Push_out { victim } ->
       let p' = tail_id st.lwd_sw victim in
-      Proc_switch.push_out st.lwd_sw ~victim;
+      ignore (Proc_switch.push_out st.lwd_sw ~victim : int);
       (* Step A2: collect and reassign the OPT packets mapped to p'. *)
       let orphans = ref [] in
       (match Hashtbl.find_opt st.a0_inv p' with
@@ -299,7 +302,7 @@ let run ~config ~opponent ~workload ~slots ?(check_every_event = true) () =
         Hashtbl.remove st.a1 opt_id;
         orphans := opt_id :: !orphans
       | None -> ());
-      Proc_switch.accept st.lwd_sw ~dest;
+      Proc_switch.accept st.lwd_sw ~dest ~value:1;
       List.iter
         (fun opt_id ->
           for i = 0 to Proc_switch.n st.opt_sw - 1 do
@@ -311,9 +314,9 @@ let run ~config ~opponent ~workload ~slots ?(check_every_event = true) () =
         !orphans
     | Decision.Drop -> ());
     (* Opponent side (non-push-out). *)
-    (match Proc_policy.admit st.opponent st.opt_sw ~dest with
+    (match Proc_policy.admit st.opponent st.opt_sw ~dest ~value:1 with
     | Decision.Accept ->
-      Proc_switch.accept st.opt_sw ~dest;
+      Proc_switch.accept st.opt_sw ~dest ~value:1;
       let p_id = tail_id st.opt_sw dest in
       let eligible = opt_eligible_packets st dest in
       let l = List.length eligible in

@@ -21,11 +21,12 @@
      Derived keys are recomputed by [refresh_key] once per invalidation —
      O(1) amortized per mutation — instead of once per comparison.
 
-   - [Ratio]: MRD's order, which is not lexicographic: eligible elements
-     compare by len^2 * sum cross-multiplication (exact integer arithmetic),
-     ties toward the larger [negmin] (the negated queue minimum), then the
-     larger index; ineligible elements (len < 0) rank below all eligible
-     ones and among themselves by index. *)
+   - [Ratio]: a num/den order, which is not lexicographic: eligible
+     elements (den > 0) compare by cross-multiplication (exact integer
+     arithmetic), ties toward the larger [k2], then the index tie;
+     ineligible elements (den <= 0) rank below all eligible ones and among
+     themselves by the index tie.  MRD (len^2 / sum), WVD (work / value)
+     and DPK (port work / tail value) are its instances. *)
 
 type kind =
   | Lex of {
@@ -35,9 +36,10 @@ type kind =
       refresh_key : int -> unit;
     }
   | Ratio of {
-      len : int array;  (* -1 = ineligible *)
-      sum : int array;
-      negmin : int array;
+      num : int array;
+      den : int array;  (* <= 0 = ineligible *)
+      k2 : int array;
+      largest_tie : bool;
       refresh_key : int -> unit;
     }
 
@@ -61,21 +63,20 @@ let better t a b =
        &&
        let sa = Array.unsafe_get k2 a and sb = Array.unsafe_get k2 b in
        sa > sb || (sa = sb && if largest_tie then a > b else a < b)
-  | Ratio { len; sum; negmin; _ } ->
-    let la = Array.unsafe_get len a and lb = Array.unsafe_get len b in
-    if la >= 0 && lb >= 0 then begin
-      let x = la * la * Array.unsafe_get sum b
-      and y = lb * lb * Array.unsafe_get sum a in
+  | Ratio { num; den; k2; largest_tie; _ } ->
+    let da = Array.unsafe_get den a and db = Array.unsafe_get den b in
+    if da > 0 && db > 0 then begin
+      let x = Array.unsafe_get num a * db and y = Array.unsafe_get num b * da in
       x > y
       || x = y
          &&
-         let ma = Array.unsafe_get negmin a
-         and mb = Array.unsafe_get negmin b in
-         ma > mb || (ma = mb && a > b)
+         let sa = Array.unsafe_get k2 a and sb = Array.unsafe_get k2 b in
+         sa > sb || (sa = sb && if largest_tie then a > b else a < b)
     end
-    else if la >= 0 then true
-    else if lb >= 0 then false
-    else a > b
+    else if da > 0 then true
+    else if db > 0 then false
+    else if largest_tie then a > b
+    else a < b
 
 let combine t a b =
   if a < 0 then b else if b < 0 then a else if better t a b then a else b
@@ -122,9 +123,10 @@ let create_lex ~n ?(tie = `Largest_index) ~k1 ~k2 ~refresh () =
   check_columns ~n "create_lex" [ k1; k2 ];
   make ~n (Lex { k1; k2; largest_tie = tie = `Largest_index; refresh_key = refresh })
 
-let create_ratio ~n ~len ~sum ~negmin ~refresh () =
-  check_columns ~n "create_ratio" [ len; sum; negmin ];
-  make ~n (Ratio { len; sum; negmin; refresh_key = refresh })
+let create_ratio ~n ?(tie = `Largest_index) ~num ~den ~k2 ~refresh () =
+  check_columns ~n "create_ratio" [ num; den; k2 ];
+  let largest_tie = tie = `Largest_index in
+  make ~n (Ratio { num; den; k2; largest_tie; refresh_key = refresh })
 
 let n t = t.n
 
@@ -175,11 +177,11 @@ let check t =
         invalid_arg
           (Printf.sprintf "Agg_index.check: stale lex key for element %d" j)
     done
-  | Ratio { len; sum; negmin; refresh_key } ->
+  | Ratio { num; den; k2; refresh_key; _ } ->
     for j = 0 to t.n - 1 do
-      let a = len.(j) and b = sum.(j) and c = negmin.(j) in
+      let a = num.(j) and b = den.(j) and c = k2.(j) in
       refresh_key j;
-      if len.(j) <> a || sum.(j) <> b || negmin.(j) <> c then
+      if num.(j) <> a || den.(j) <> b || k2.(j) <> c then
         invalid_arg
           (Printf.sprintf "Agg_index.check: stale ratio key for element %d" j)
     done);

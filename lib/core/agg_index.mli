@@ -33,18 +33,21 @@ val create_lex :
 
 val create_ratio :
   n:int ->
-  len:int array ->
-  sum:int array ->
-  negmin:int array ->
+  ?tie:[ `Largest_index | `Smallest_index ] ->
+  num:int array ->
+  den:int array ->
+  k2:int array ->
   refresh:(int -> unit) ->
   unit ->
   t
-(** The MRD order, which is not lexicographic: elements with [len.(j) < 0]
+(** Ratio order, which is not lexicographic: elements with [den.(j) <= 0]
     are ineligible and rank below all eligible ones (among themselves by
-    larger index); eligible elements compare by the exact cross-multiplied
-    ratio [len^2 / sum] (larger wins), ties toward the larger [negmin]
-    (negated queue minimum), then the larger index.  Same column-ownership
-    and [refresh] contract as {!create_lex}. *)
+    the index tie); eligible elements compare by the exact cross-multiplied
+    ratio [num / den] (larger wins), then larger [k2.(j)], then the index
+    tie ([`Largest_index] by default).  MRD's [len^2 / sum] and the
+    valued FIFO policies' [W_j / V_j] and [work / tail value] are its
+    instances.  Same column-ownership and [refresh] contract as
+    {!create_lex}. *)
 
 val n : t -> int
 

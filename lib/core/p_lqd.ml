@@ -34,7 +34,7 @@ let select_victim sw ~dest = select (index sw) sw ~dest
 
 let make _config =
   let index = Agg_index.per_switch index in
-  Proc_policy.make ~name:"LQD" ~push_out:true (fun sw ~dest ->
+  Proc_policy.make ~name:"LQD" ~push_out:true (fun sw ~dest ~value:_ ->
       match Proc_policy.greedy_accept sw with
       | Some d -> d
       | None ->

@@ -85,7 +85,7 @@ let name ~protect_last ~tie =
 let make ?(protect_last = false) ?(tie = Largest_work) _config =
   let index = Agg_index.per_switch (index ~protect_last ~tie) in
   Proc_policy.make ~name:(name ~protect_last ~tie) ~push_out:true
-    (fun sw ~dest ->
+    (fun sw ~dest ~value:_ ->
       match Proc_policy.greedy_accept sw with
       | Some d -> d
       | None ->

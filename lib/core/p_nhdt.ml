@@ -17,7 +17,7 @@ let make config =
   let n = Proc_config.n config in
   let buffer = config.Proc_config.buffer in
   let lengths = Array.make n 0 in
-  Proc_policy.make ~name:"NHDT" ~push_out:false (fun sw ~dest ->
+  Proc_policy.make ~name:"NHDT" ~push_out:false (fun sw ~dest ~value:_ ->
       if Proc_switch.is_full sw then Decision.Drop
       else begin
         for i = 0 to n - 1 do

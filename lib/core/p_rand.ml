@@ -23,7 +23,7 @@ let pick_nonempty rng ~n ~length ~dest =
 
 let make ?(seed = 0x5eed) _config =
   let rng = Rng.create ~seed in
-  Proc_policy.make ~name:"RAND" ~push_out:true (fun sw ~dest ->
+  Proc_policy.make ~name:"RAND" ~push_out:true (fun sw ~dest ~value:_ ->
       match Proc_policy.greedy_accept sw with
       | Some d -> d
       | None ->

@@ -63,7 +63,7 @@ let make ~reserve config =
          ~key:(Printf.sprintf "rsv-reclaim:%d" reserve)
          ~reserve ~tie:`Smallest_index)
   in
-  Proc_policy.make ~name ~push_out:true (fun sw ~dest ->
+  Proc_policy.make ~name ~push_out:true (fun sw ~dest ~value:_ ->
       match Proc_policy.greedy_accept sw with
       | Some d -> d
       | None ->

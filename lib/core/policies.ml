@@ -22,11 +22,32 @@ let proc_extended config =
       P_rand.make config;
     ]
 
-let proc_find config name =
+let find_proc name pool =
   let name = String.lowercase_ascii name in
   List.find_opt
     (fun (p : Proc_policy.t) -> String.lowercase_ascii p.name = name)
-    (proc_extended config)
+    pool
+
+let proc_find config name = find_proc name (proc_extended config)
+
+let hybrid_greedy =
+  Proc_policy.make ~name:"Greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
+      match Proc_policy.greedy_accept sw with
+      | Some d -> d
+      | None -> Decision.Drop)
+
+let hybrid config =
+  [
+    hybrid_greedy;
+    P_nest.make config;
+    P_lqd.make config;
+    P_lwd.make config;
+    P_mvd.make config;
+    P_wvd.make config;
+    P_dpk.make config;
+  ]
+
+let hybrid_find config name = find_proc name (hybrid config)
 
 let value_uniform config =
   [

@@ -12,6 +12,15 @@ val proc_extended : Proc_config.t -> Proc_policy.t list
 val proc_find : Proc_config.t -> string -> Proc_policy.t option
 (** Case-insensitive lookup by name (searches the extended set). *)
 
+val hybrid : Proc_config.t -> Proc_policy.t list
+(** Policies for the combined work + value model (a processing
+    configuration with [max_value > 1]): Greedy (accept while there is
+    space), and the value-blind NEST, LQD and LWD of Section III, then the
+    value-aware tail-MVD ({!P_mvd}), WVD ({!P_wvd}) and DPK ({!P_dpk}). *)
+
+val hybrid_find : Proc_config.t -> string -> Proc_policy.t option
+(** Case-insensitive lookup by name in {!hybrid}. *)
+
 val value_uniform : Value_config.t -> Value_policy.t list
 (** Value-model policies applicable when values are arbitrary per packet
     (Section V-C, middle row of Fig. 5): Greedy, NEST, LQD, MVD, MVD1,

@@ -1,17 +1,18 @@
-type t = { works : int array; buffer : int; speedup : int }
+type t = { works : int array; buffer : int; speedup : int; max_value : int }
 
-let make ~works ~buffer ?(speedup = 1) () =
+let make ~works ~buffer ?(speedup = 1) ?(max_value = 1) () =
   if Array.length works = 0 then invalid_arg "Proc_config.make: no ports";
   Array.iter
     (fun w -> if w < 1 then invalid_arg "Proc_config.make: work must be >= 1")
     works;
   if buffer < 1 then invalid_arg "Proc_config.make: buffer must be >= 1";
   if speedup < 1 then invalid_arg "Proc_config.make: speedup must be >= 1";
-  { works = Array.copy works; buffer; speedup }
+  if max_value < 1 then invalid_arg "Proc_config.make: max_value must be >= 1";
+  { works = Array.copy works; buffer; speedup; max_value }
 
-let contiguous ~k ~buffer ?speedup () =
+let contiguous ~k ~buffer ?speedup ?max_value () =
   if k < 1 then invalid_arg "Proc_config.contiguous: k must be >= 1";
-  make ~works:(Array.init k (fun i -> i + 1)) ~buffer ?speedup ()
+  make ~works:(Array.init k (fun i -> i + 1)) ~buffer ?speedup ?max_value ()
 
 let uniform ~n ~work ~buffer ?speedup () =
   if n < 1 then invalid_arg "Proc_config.uniform: n must be >= 1";
@@ -48,4 +49,5 @@ let inverse_work_sum t =
 
 let pp ppf t =
   Format.fprintf ppf "n=%d B=%d C=%d works=[%s]" (n t) t.buffer t.speedup
-    (String.concat ";" (Array.to_list (Array.map string_of_int t.works)))
+    (String.concat ";" (Array.to_list (Array.map string_of_int t.works)));
+  if t.max_value > 1 then Format.fprintf ppf " V=%d" t.max_value

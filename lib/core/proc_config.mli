@@ -5,20 +5,30 @@
     required work to output ports), the shared buffer size [B], and the
     per-queue speedup [C] (number of cores serving each queue, Section V-A).
     The number of input ports [l] plays no role in buffer management and is
-    not modelled. *)
+    not modelled.
+
+    [max_value] is the combined work + value model (the paper's future
+    work): with [max_value > 1] each unit-sized packet also carries a value
+    in [1 .. max_value], queues stay FIFO, and the objective is transmitted
+    value.  At the default [max_value = 1] every packet is worth 1, which is
+    exactly the processing model. *)
 
 type t = private {
   works : int array;  (** [works.(i)] is the required work of port [i] *)
   buffer : int;  (** shared buffer size [B], in packets *)
   speedup : int;  (** processing cycles per queue per slot [C] *)
+  max_value : int;  (** largest packet value; 1 = the processing model *)
 }
 
-val make : works:int array -> buffer:int -> ?speedup:int -> unit -> t
-(** @raise Invalid_argument unless all works are >= 1, [buffer >= 1] and
-    [speedup >= 1].  The paper additionally assumes [B >= n]; this is not
-    enforced so that corner cases remain testable. *)
+val make :
+  works:int array -> buffer:int -> ?speedup:int -> ?max_value:int -> unit -> t
+(** @raise Invalid_argument unless all works are >= 1, [buffer >= 1],
+    [speedup >= 1] and [max_value >= 1] (default 1).  The paper additionally
+    assumes [B >= n]; this is not enforced so that corner cases remain
+    testable. *)
 
-val contiguous : k:int -> buffer:int -> ?speedup:int -> unit -> t
+val contiguous :
+  k:int -> buffer:int -> ?speedup:int -> ?max_value:int -> unit -> t
 (** The paper's contiguous configuration: [k] ports with works [1, 2, .., k].
     All lower-bound constructions of Section III-B use this configuration. *)
 
@@ -51,3 +61,4 @@ val inverse_work_sum : t -> float
 (** [Z = sum_i 1 / w_i], the normalizer of the NHST thresholds. *)
 
 val pp : Format.formatter -> t -> unit
+(** Prints [max_value] only when it is above 1. *)

@@ -1,11 +1,11 @@
 type t = {
   name : string;
   push_out : bool;
-  admit : Proc_switch.t -> dest:int -> Decision.t;
+  admit : Proc_switch.t -> dest:int -> value:int -> Decision.t;
 }
 
 let make ~name ~push_out admit = { name; push_out; admit }
-let admit t sw ~dest = t.admit sw ~dest
+let admit t sw ~dest ~value = t.admit sw ~dest ~value
 
 let greedy_accept sw =
   if Proc_switch.is_full sw then None else Some Decision.Accept

@@ -1,21 +1,24 @@
 open Smbm_prelude
 
 (* One struct-of-arrays slab of [cap] packet slots (columns: residual work,
-   arrival slot, packet id) with a free-list stack, and one contiguous ring
-   of slot ids per port.  Accept, push-out and transmission never allocate
+   value, arrival slot, packet id) with a free-list stack, and one contiguous
+   ring of slot ids per port.  Accept, push-out and transmission never allocate
    on a warmed switch.
 
    The slab columns (indexed by slot id) are off-heap {!Int_col}s: the GC
    never scans them, and they can be shared read-only across domains.  The
-   per-port aggregates ([qlen]/[qwork]/[works]) stay ordinary [int array]s —
-   they are the key columns the keyed victim indexes (Agg_index.create_lex)
-   read directly, and they are n-sized, so scanning cost is nil. *)
+   per-port aggregates ([qlen]/[qwork]/[qvalue]/[works]) stay ordinary
+   [int array]s — they are the key columns the keyed victim indexes
+   (Agg_index) read directly, and they are n-sized, so scanning cost is
+   nil. *)
 type t = {
   config : Proc_config.t;
   n : int;
   works : int array; (* per-port required work (configuration copy) *)
+  max_value : int;
   mutable cap : int; (* slab capacity; grows with set_buffer, never shrinks *)
   mutable residual : Int_col.t; (* columns, indexed by slot id *)
+  mutable value : Int_col.t;
   mutable arrival : Int_col.t;
   mutable pid : Int_col.t;
   mutable free : Int_col.t; (* stack of free slot ids *)
@@ -23,6 +26,7 @@ type t = {
   rings : Int_ring.t array; (* per-port FIFO of occupied slot ids *)
   qlen : int array; (* per-port packet count (= ring length, maintained) *)
   qwork : int array; (* per-port total residual work (W_i) *)
+  qvalue : int array; (* per-port total value (V_i) *)
   mutable buffer : int;
   mutable occupancy : int;
   mutable occupied_work : int;
@@ -35,6 +39,7 @@ type view = {
   view_works : int array;
   view_qlen : int array;
   view_qwork : int array;
+  view_qvalue : int array;
 }
 
 let create (config : Proc_config.t) =
@@ -44,8 +49,10 @@ let create (config : Proc_config.t) =
     config;
     n;
     works = Array.init n (Proc_config.work config);
+    max_value = config.Proc_config.max_value;
     cap;
     residual = Int_col.create cap;
+    value = Int_col.create cap;
     arrival = Int_col.create cap;
     pid = Int_col.create cap;
     free = Int_col.init cap (fun s -> s);
@@ -53,6 +60,7 @@ let create (config : Proc_config.t) =
     rings = Array.init n (fun _ -> Int_ring.create ());
     qlen = Array.make n 0;
     qwork = Array.make n 0;
+    qvalue = Array.make n 0;
     buffer = cap;
     occupancy = 0;
     occupied_work = 0;
@@ -68,6 +76,7 @@ let buffer t = t.buffer
 let grow t cap' =
   let grow c = Int_col.grow c ~len:cap' ~fill:0 in
   t.residual <- grow t.residual;
+  t.value <- grow t.value;
   t.arrival <- grow t.arrival;
   t.pid <- grow t.pid;
   let free' = Int_col.create cap' in
@@ -105,6 +114,16 @@ let queue_work t i =
   check_port t i "queue_work";
   t.qwork.(i)
 
+let queue_value t i =
+  check_port t i "queue_value";
+  t.qvalue.(i)
+
+let tail_value t i =
+  check_port t i "tail_value";
+  let ring = t.rings.(i) in
+  let len = Int_ring.length ring in
+  if len = 0 then 0 else Int_col.get t.value (Int_ring.get ring (len - 1))
+
 let port_work t i = Proc_config.work t.config i
 let total_occupied_work t = t.occupied_work
 
@@ -134,7 +153,13 @@ let find_index t ~key make =
     t.indexes <- (key, idx) :: t.indexes;
     idx
 
-let view t = { view_works = t.works; view_qlen = t.qlen; view_qwork = t.qwork }
+let view t =
+  {
+    view_works = t.works;
+    view_qlen = t.qlen;
+    view_qwork = t.qwork;
+    view_qvalue = t.qvalue;
+  }
 
 (* ----- mutations (every one keeps the aggregates in sync) ----- *)
 
@@ -142,19 +167,23 @@ let view t = { view_works = t.works; view_qlen = t.qlen; view_qwork = t.qwork }
    invariants ([check_invariants] proves them), and [dest]/[victim] are
    validated by the public entry points — so the column accesses here skip
    the bounds check.  This is the per-packet hot path. *)
-let accept t ~dest =
+let accept t ~dest ~value =
   if is_full t then invalid_arg "Proc_switch.accept: buffer full";
   check_port t dest "accept";
+  if value < 1 || value > t.max_value then
+    invalid_arg "Proc_switch.accept: value out of range";
   let s = Int_col.unsafe_get t.free (t.free_top - 1) in
   t.free_top <- t.free_top - 1;
   let work = Array.unsafe_get t.works dest in
   Int_col.unsafe_set t.residual s work;
+  Int_col.unsafe_set t.value s value;
   Int_col.unsafe_set t.arrival s t.now;
   Int_col.unsafe_set t.pid s t.next_id;
   t.next_id <- t.next_id + 1;
   Int_ring.push_back (Array.unsafe_get t.rings dest) s;
   Array.unsafe_set t.qlen dest (Array.unsafe_get t.qlen dest + 1);
   Array.unsafe_set t.qwork dest (Array.unsafe_get t.qwork dest + work);
+  Array.unsafe_set t.qvalue dest (Array.unsafe_get t.qvalue dest + value);
   t.occupancy <- t.occupancy + 1;
   t.occupied_work <- t.occupied_work + work;
   touch t dest
@@ -166,13 +195,16 @@ let push_out t ~victim =
     invalid_arg "Proc_switch.push_out: victim queue empty";
   let s = Int_ring.pop_back ring in
   let r = Int_col.unsafe_get t.residual s in
+  let v = Int_col.unsafe_get t.value s in
   Array.unsafe_set t.qlen victim (Array.unsafe_get t.qlen victim - 1);
   Array.unsafe_set t.qwork victim (Array.unsafe_get t.qwork victim - r);
+  Array.unsafe_set t.qvalue victim (Array.unsafe_get t.qvalue victim - v);
   t.occupancy <- t.occupancy - 1;
   t.occupied_work <- t.occupied_work - r;
   Int_col.unsafe_set t.free t.free_top s;
   t.free_top <- t.free_top + 1;
-  touch t victim
+  touch t victim;
+  v
 
 (* Head-of-line, run-to-completion service of one port; all aggregates and
    indexes are settled before each hook runs, so a raising hook can only
@@ -192,13 +224,15 @@ let serve t i ~on_transmit =
       budget := !budget - served;
       if served = r then begin
         ignore (Int_ring.pop_front ring : int);
+        let v = Int_col.unsafe_get t.value s in
         Array.unsafe_set t.qlen i (Array.unsafe_get t.qlen i - 1);
+        Array.unsafe_set t.qvalue i (Array.unsafe_get t.qvalue i - v);
         Int_col.unsafe_set t.free t.free_top s;
         t.free_top <- t.free_top + 1;
         t.occupancy <- t.occupancy - 1;
         incr sent;
         touch t i;
-        on_transmit ~dest:i ~arrival:(Int_col.unsafe_get t.arrival s)
+        on_transmit ~dest:i ~value:v ~arrival:(Int_col.unsafe_get t.arrival s)
       end
     done;
     touch t i;
@@ -221,7 +255,7 @@ let iter_port t i f =
   Int_ring.iter
     (fun s ->
       f ~id:(Int_col.get t.pid s) ~residual:(Int_col.get t.residual s)
-        ~arrival:(Int_col.get t.arrival s))
+        ~value:(Int_col.get t.value s) ~arrival:(Int_col.get t.arrival s))
     t.rings.(i)
 
 let flush t =
@@ -236,7 +270,8 @@ let flush t =
       ring;
     Int_ring.clear ring;
     t.qlen.(i) <- 0;
-    t.qwork.(i) <- 0
+    t.qwork.(i) <- 0;
+    t.qvalue.(i) <- 0
   done;
   t.occupancy <- t.occupancy - !dropped;
   t.occupied_work <- 0;
@@ -255,7 +290,7 @@ let check_invariants t =
     if t.qlen.(i) <> Int_ring.length ring then
       invalid_arg "Proc_switch: cached queue length out of sync";
     len_sum := !len_sum + Int_ring.length ring;
-    let qwork = ref 0 in
+    let qwork = ref 0 and qvalue = ref 0 in
     for j = 0 to Int_ring.length ring - 1 do
       let s = Int_ring.get ring j in
       if s < 0 || s >= t.cap then invalid_arg "Proc_switch: slot id out of range";
@@ -267,10 +302,16 @@ let check_invariants t =
       (* Only the head-of-line packet may be partially processed. *)
       if j > 0 && r <> t.works.(i) then
         invalid_arg "Proc_switch: non-HOL packet partially processed";
-      qwork := !qwork + r
+      qwork := !qwork + r;
+      let v = Int_col.get t.value s in
+      if v < 1 || v > t.max_value then
+        invalid_arg "Proc_switch: value out of range";
+      qvalue := !qvalue + v
     done;
     if !qwork <> t.qwork.(i) then
       invalid_arg "Proc_switch: cached per-port work out of sync";
+    if !qvalue <> t.qvalue.(i) then
+      invalid_arg "Proc_switch: cached per-port value out of sync";
     work_sum := !work_sum + !qwork
   done;
   if !len_sum <> t.occupancy then

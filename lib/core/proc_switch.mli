@@ -6,11 +6,15 @@
     operations validate their preconditions and raise [Invalid_argument] on
     misuse, so an engine bug cannot silently corrupt an experiment.
 
+    Each packet also carries a value in [1 .. max_value] (see
+    {!Proc_config}): the combined work + value model runs on this switch,
+    and the processing model is the case [max_value = 1].
+
     The state is a struct-of-arrays slab of unboxed int columns (residual
-    work, arrival slot, packet id) with a free-list and one int ring of slot
-    ids per port.  A warmed switch runs the whole accept/push-out/transmit
-    cycle without allocating; tests and analyses read queue contents through
-    {!iter_port}. *)
+    work, value, arrival slot, packet id) with a free-list and one int ring
+    of slot ids per port.  A warmed switch runs the whole
+    accept/push-out/transmit cycle without allocating; tests and analyses
+    read queue contents through {!iter_port}. *)
 
 type t
 
@@ -18,6 +22,7 @@ type view = {
   view_works : int array;  (** per-port required work (configuration copy) *)
   view_qlen : int array;  (** live per-port packet counts *)
   view_qwork : int array;  (** live per-port total residual work *)
+  view_qvalue : int array;  (** live per-port total value *)
 }
 (** Read-only aliases of the switch's per-port aggregate columns.  Policies
     hand these to {!Agg_index.create_lex} as key columns, so their victim
@@ -58,6 +63,13 @@ val queue_length : t -> int -> int
 val queue_work : t -> int -> int
 (** Total residual work [W_i] of queue [i]. *)
 
+val queue_value : t -> int -> int
+(** Total value [V_i] of queue [i]. *)
+
+val tail_value : t -> int -> int
+(** Value of queue [i]'s tail packet, the one {!push_out} would evict; [0]
+    when the queue is empty (values are [>= 1]). *)
+
 val port_work : t -> int -> int
 (** Required work per packet of port [i] (from the configuration). *)
 
@@ -74,19 +86,23 @@ val find_index : t -> key:string -> (n:int -> Agg_index.t) -> Agg_index.t
 val view : t -> view
 (** The live per-port aggregate columns. *)
 
-val accept : t -> dest:int -> unit
-(** Admit a fresh packet to [dest]'s queue; assigns the next packet id.
-    @raise Invalid_argument if the buffer is full. *)
+val accept : t -> dest:int -> value:int -> unit
+(** Admit a fresh packet of the given value to [dest]'s queue; assigns the
+    next packet id.
+    @raise Invalid_argument if the buffer is full or the value is outside
+    [1 .. max_value]. *)
 
-val push_out : t -> victim:int -> unit
-(** Evict the tail packet of queue [victim] (freeing one slot).
+val push_out : t -> victim:int -> int
+(** Evict the tail packet of queue [victim] (freeing one slot) and return
+    its value.
     @raise Invalid_argument if that queue is empty. *)
 
-val transmit_phase : t -> on_transmit:(dest:int -> arrival:int -> unit) -> int
+val transmit_phase :
+  t -> on_transmit:(dest:int -> value:int -> arrival:int -> unit) -> int
 (** One transmission phase: every non-empty queue receives [speedup]
     processing cycles (head-of-line, run-to-completion), ports in index
-    order.  Each transmitted packet is reported by its port and admission
-    slot.  Returns the number of packets transmitted.
+    order.  Each transmitted packet is reported by its port, value and
+    admission slot.  Returns the number of packets transmitted.
 
     Exception-safe: each transmitted packet is fully accounted (occupancy,
     work aggregate, indexes) {e before} [on_transmit] sees it, so a raising
@@ -94,15 +110,17 @@ val transmit_phase : t -> on_transmit:(dest:int -> arrival:int -> unit) -> int
     {!check_invariants}. *)
 
 val serve_port :
-  t -> int -> on_transmit:(dest:int -> arrival:int -> unit) -> int
+  t -> int -> on_transmit:(dest:int -> value:int -> arrival:int -> unit) -> int
 (** Give a single port its [speedup] cycles (a transmission phase restricted
     to one queue).  Used by analyses that need the paper's port-by-port
     event ordering.  Same contract as {!transmit_phase}. *)
 
-val iter_port : t -> int -> (id:int -> residual:int -> arrival:int -> unit) -> unit
+val iter_port :
+  t -> int -> (id:int -> residual:int -> value:int -> arrival:int -> unit) ->
+  unit
 (** Read-only walk of queue [i] in FIFO order (head of line first): each
-    packet's id, remaining work and admission slot.  The callback must not
-    mutate the switch. *)
+    packet's id, remaining work, value and admission slot.  The callback
+    must not mutate the switch. *)
 
 val flush : t -> int
 (** Discard all buffered packets (the simulator's periodic flushout);
@@ -113,5 +131,6 @@ val flush : t -> int
 
 val check_invariants : t -> unit
 (** Assert internal consistency: occupancy = sum of queue lengths <= B,
-    cached work totals match queue contents, slab/free-list disjointness,
-    per-slot residual bounds, and every registered index.  Test hook. *)
+    cached work and value totals match queue contents, values in range,
+    slab/free-list disjointness, per-slot residual bounds, and every
+    registered index.  Test hook. *)

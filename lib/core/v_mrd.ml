@@ -8,27 +8,30 @@
 
    The ratio order is not lexicographic, so it gets
    {!Agg_index.create_ratio}: a tree comparing the exact cross-multiplication
-   over int key columns.  The length key doubles as the eligibility flag
-   (-1 = ineligible, ranking below all eligible queues); the sum column
-   aliases the live per-port value totals (never read for ineligible
-   queues, live for eligible ones); the negated minimum is a derived tie
-   key. *)
+   num / den = len^2 / sum over int key columns.  The sum key doubles as the
+   eligibility flag (0 = ineligible, ranking below all eligible queues; an
+   eligible queue's sum is >= 1); the negated minimum is the tie key.  All
+   three are derived, refreshed per invalidation off the live aggregates. *)
 
 let index ~protect_last sw =
   let min_len = if protect_last then 2 else 1 in
   let v = Value_switch.view sw in
   let key = if protect_last then "mrd:protect" else "mrd" in
   Value_switch.find_index sw ~key (fun ~n ->
-      let len = Array.make n (-1) and negmin = Array.make n 0 in
-      Agg_index.create_ratio ~n ~len ~sum:v.Value_switch.view_qsum ~negmin
+      let num = Array.make n 0
+      and den = Array.make n 0
+      and negmin = Array.make n 0 in
+      Agg_index.create_ratio ~n ~num ~den ~k2:negmin
         ~refresh:(fun j ->
           let l = v.Value_switch.view_qlen.(j) in
           if l >= min_len then begin
-            len.(j) <- l;
+            num.(j) <- l * l;
+            den.(j) <- v.Value_switch.view_qsum.(j);
             negmin.(j) <- -Value_switch.view_min_value_or v j ~default:max_int
           end
           else begin
-            len.(j) <- -1;
+            num.(j) <- 0;
+            den.(j) <- 0;
             negmin.(j) <- 0
           end)
         ())

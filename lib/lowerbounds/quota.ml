@@ -1,7 +1,7 @@
 open Smbm_core
 
 let proc ?(name = "OPT*") ~quota () =
-  Proc_policy.make ~name ~push_out:false (fun sw ~dest ->
+  Proc_policy.make ~name ~push_out:false (fun sw ~dest ~value:_ ->
       if Proc_switch.is_full sw then Decision.Drop
       else if Proc_switch.queue_length sw dest < quota dest then Decision.Accept
       else Decision.Drop)

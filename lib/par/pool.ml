@@ -207,5 +207,8 @@ let default_jobs () =
   | Some s -> (
     match int_of_string_opt (String.trim s) with
     | Some j when j > 0 -> j
-    | Some _ | None -> Domain.recommended_domain_count ())
+    | Some 0 -> Domain.recommended_domain_count ()
+    | Some _ | None ->
+      invalid_arg
+        (Printf.sprintf "SMBM_JOBS=%S: expected a non-negative integer" s))
   | None -> Domain.recommended_domain_count ()

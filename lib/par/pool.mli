@@ -87,4 +87,7 @@ val with_pool : ?on_tick:(int -> unit) -> jobs:int -> (t -> 'a) -> 'a
 
 val default_jobs : unit -> int
 (** The [SMBM_JOBS] environment variable if set to a positive integer,
-    otherwise [Domain.recommended_domain_count ()]. *)
+    otherwise (unset or 0) [Domain.recommended_domain_count ()].
+    @raise Invalid_argument if [SMBM_JOBS] is set to anything else — a
+    malformed or negative value is an input error, not a request for
+    every core. *)

@@ -110,7 +110,11 @@ type engine = {
 let check_trace model trace =
   let ports, max_value =
     match model with
-    | Model.Proc config -> (Proc_config.n config, max_int)
+    | Model.Proc config ->
+      (* At max_value = 1 the engine prices every packet at 1, so any
+         recorded value replays. *)
+      let max_value = config.Proc_config.max_value in
+      (Proc_config.n config, if max_value = 1 then max_int else max_value)
     | Model.Value_uniform config | Model.Value_port config ->
       (Value_config.n config, config.Value_config.max_value)
   in
@@ -153,7 +157,8 @@ let make_engine ?events model policy_name =
     let live_config () =
       Proc_config.make
         ~works:(Array.copy config.Proc_config.works)
-        ~buffer:(Proc_switch.buffer sw) ~speedup:config.Proc_config.speedup ()
+        ~buffer:(Proc_switch.buffer sw) ~speedup:config.Proc_config.speedup
+        ~max_value:config.Proc_config.max_value ()
     in
     let set_policy name =
       match find (live_config ()) name with

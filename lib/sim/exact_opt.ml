@@ -1,13 +1,14 @@
 open Smbm_core
 
-(* ----- processing model -----
+(* ----- processing model (FIFO queues, optionally valued) -----
 
-   Packets within a queue are identical (same required work), so a queue is
-   fully described by (length, head-of-line residual); the whole buffer by
-   the array of those pairs. *)
+   A queue is its head-of-line residual plus the values of its packets in
+   FIFO order: packets within a queue need the same work, so that is the
+   whole queue; the array of them is the whole buffer.  At [max_value = 1]
+   every value is 1 and the objective is the packet count. *)
 
 module Proc_state = struct
-  type t = { slot : int; idx : int; queues : (int * int) array }
+  type t = { slot : int; idx : int; queues : (int * int list) array }
 
   let equal a b = a.slot = b.slot && a.idx = b.idx && a.queues = b.queues
 
@@ -22,41 +23,49 @@ let proc ?events ?(name = "EXACT") config trace ~drain =
   let buffer = config.Proc_config.buffer in
   let cycles = config.Proc_config.speedup in
   let total_slots = Array.length trace + drain in
+  (* The engine's rule: the processing model prices every packet at 1. *)
+  let value_of (a : Arrival.t) =
+    if config.Proc_config.max_value = 1 then 1 else a.value
+  in
   let arrivals_at slot =
     if slot < Array.length trace then Array.of_list trace.(slot) else [||]
   in
   let memo = Proc_tbl.create 4096 in
   let occupancy queues =
-    Array.fold_left (fun acc (len, _) -> acc + len) 0 queues
+    Array.fold_left (fun acc (_, values) -> acc + List.length values) 0 queues
   in
-  (* Deterministic transmission phase on a queue-state copy; returns the
-     packets transmitted. *)
-  let serve_queue i (len, hol) =
+  let enqueue queues (a : Arrival.t) =
+    let queues = Array.copy queues in
+    let hol, values = queues.(a.dest) in
+    let hol = if values = [] then Proc_config.work config a.dest else hol in
+    queues.(a.dest) <- (hol, values @ [ value_of a ]);
+    queues
+  in
+  (* Deterministic transmission phase of one queue: returns the queue
+     after it, the packets transmitted and their value. *)
+  let serve_queue i (hol, values) =
     let work = Proc_config.work config i in
-    let len = ref len and hol = ref hol and budget = ref cycles in
-    let sent = ref 0 in
-    while !budget > 0 && !len > 0 do
-      let served = min !budget !hol in
-      hol := !hol - served;
-      budget := !budget - served;
-      if !hol = 0 then begin
-        incr sent;
-        decr len;
-        hol := work
-      end
-    done;
-    ((!len, if !len = 0 then 0 else !hol), !sent)
+    let rec go budget hol values sent value =
+      match values with
+      | [] -> ((0, []), sent, value)
+      | v :: rest ->
+        if budget = 0 then ((hol, values), sent, value)
+        else if budget >= hol then
+          go (budget - hol) work rest (sent + 1) (value + v)
+        else ((hol - budget, values), sent, value)
+    in
+    go cycles hol values 0 0
   in
   let transmit queues =
     let queues = Array.copy queues in
-    let sent = ref 0 in
+    let value = ref 0 in
     Array.iteri
       (fun i q ->
-        let q', sent_i = serve_queue i q in
+        let q', _, v = serve_queue i q in
         queues.(i) <- q';
-        sent := !sent + sent_i)
+        value := !value + v)
       queues;
-    (queues, !sent)
+    (queues, !value)
   in
   let rec best (st : Proc_state.t) =
     if st.slot >= total_slots then 0
@@ -67,27 +76,23 @@ let proc ?events ?(name = "EXACT") config trace ~drain =
         let arrivals = arrivals_at st.slot in
         let v =
           if st.idx < Array.length arrivals then begin
-            let a = arrivals.(st.idx) in
             let skip = best { st with idx = st.idx + 1 } in
-            if occupancy st.queues < buffer then begin
-              let queues = Array.copy st.queues in
-              let len, hol = queues.(a.Arrival.dest) in
-              let work = Proc_config.work config a.Arrival.dest in
-              queues.(a.Arrival.dest) <-
-                (len + 1, if len = 0 then work else hol);
+            if occupancy st.queues < buffer then
+              let queues = enqueue st.queues arrivals.(st.idx) in
               max skip (best { st with idx = st.idx + 1; queues })
-            end
             else skip
           end
           else begin
-            let queues, sent = transmit st.queues in
-            sent + best { slot = st.slot + 1; idx = 0; queues }
+            let queues, value = transmit st.queues in
+            value + best { slot = st.slot + 1; idx = 0; queues }
           end
         in
         Proc_tbl.add memo st v;
         v
   in
-  let initial = { Proc_state.slot = 0; idx = 0; queues = Array.make n (0, 0) } in
+  let initial =
+    { Proc_state.slot = 0; idx = 0; queues = Array.make n (0, []) }
+  in
   let result = best initial in
   (* Replay the argmax path through the memo table as an event trace: the
      same accept/drop choices [best] scored, with deterministic per-port
@@ -107,13 +112,12 @@ let proc ?events ?(name = "EXACT") config trace ~drain =
         Smbm_obs.Flight.arrival f ~slot ~src ~dest:a.Arrival.dest;
         let skip_state = { s with Proc_state.idx = s.Proc_state.idx + 1 } in
         let accept_state =
-          if occupancy s.Proc_state.queues < buffer then begin
-            let queues = Array.copy s.Proc_state.queues in
-            let len, hol = queues.(a.Arrival.dest) in
-            let work = Proc_config.work config a.Arrival.dest in
-            queues.(a.Arrival.dest) <- (len + 1, if len = 0 then work else hol);
-            Some { skip_state with Proc_state.queues }
-          end
+          if occupancy s.Proc_state.queues < buffer then
+            Some
+              {
+                skip_state with
+                Proc_state.queues = enqueue s.Proc_state.queues a;
+              }
           else None
         in
         match accept_state with
@@ -121,18 +125,18 @@ let proc ?events ?(name = "EXACT") config trace ~drain =
           Smbm_obs.Flight.accept f ~slot ~src ~dest:a.Arrival.dest;
           st := acc_st
         | Some _ | None ->
-          Smbm_obs.Flight.drop f ~slot ~src ~dest:a.Arrival.dest ~value:1;
+          Smbm_obs.Flight.drop f ~slot ~src ~dest:a.Arrival.dest
+            ~value:(value_of a);
           st := skip_state
       end
       else begin
         let queues = Array.copy s.Proc_state.queues in
         Array.iteri
           (fun i q ->
-            let q', sent_i = serve_queue i q in
+            let q', count, value = serve_queue i q in
             queues.(i) <- q';
-            if sent_i > 0 then
-              Smbm_obs.Flight.transmit_bulk f ~slot ~src ~dest:i ~count:sent_i
-                ~value:sent_i)
+            if count > 0 then
+              Smbm_obs.Flight.transmit_bulk f ~slot ~src ~dest:i ~count ~value)
           queues;
         Smbm_obs.Flight.slot_end f ~slot ~src ~occupancy:(occupancy queues);
         st := { Proc_state.slot = slot + 1; idx = 0; queues }

@@ -20,10 +20,14 @@ val proc :
   Arrival.t list array ->
   drain:int ->
   int
-(** Maximum number of packets any (offline, clairvoyant) algorithm can
-    transmit when the given arrivals are followed by [drain] empty slots.
-    Intended for tiny instances; cost is exponential in the number of
-    arrivals before memoization.
+(** Maximum total value any (offline, clairvoyant) algorithm can transmit
+    through the FIFO work queues when the given arrivals are followed by
+    [drain] empty slots.  At the configuration's [max_value = 1] (the
+    processing model) every packet is worth 1 whatever its arrival carries,
+    so this is the maximum number of packets; with [max_value > 1] (the
+    combined work + value model) it is the arrivals' own values.  Intended
+    for tiny instances; cost is exponential in the number of arrivals
+    before memoization.
 
     When [events] is given, the argmax path is replayed through the memo
     table and emitted as an event trace under source [name] (default

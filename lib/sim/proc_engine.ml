@@ -9,15 +9,20 @@ let create_controlled ?name ?events config (policy_ref : Proc_policy.t ref) =
   (* Recording takes only immediate ints (the source is interned once
      here), so an attached ring costs column writes, not allocation. *)
   let src = match events with Some f -> Flight.intern f name | None -> 0 in
-  let arrive_dv ~dest ~value:_ =
+  (* The processing model (max_value = 1) prices every packet at 1,
+     whatever value the arrival carries: value traffic replayed into it
+     yields the same decisions, counters and events as unit traffic. *)
+  let unit_value = config.Proc_config.max_value = 1 in
+  let arrive_dv ~dest ~value =
+    let value = if unit_value then 1 else value in
     Metrics.record_arrival metrics;
     (match events with
     | None -> ()
     | Some f ->
       Flight.arrival f ~slot:(Proc_switch.now sw) ~src ~dest);
-    match Proc_policy.admit !policy_ref sw ~dest with
+    match Proc_policy.admit !policy_ref sw ~dest ~value with
     | Decision.Accept ->
-      Proc_switch.accept sw ~dest;
+      Proc_switch.accept sw ~dest ~value;
       Metrics.record_accept metrics;
       (match events with
       | None -> ()
@@ -27,14 +32,13 @@ let create_controlled ?name ?events config (policy_ref : Proc_policy.t ref) =
       if not (Proc_switch.is_full sw) then
         invalid_arg
           (name ^ ": push-out decision while the buffer has free space");
-      Proc_switch.push_out sw ~victim;
+      let lost = Proc_switch.push_out sw ~victim in
       Metrics.record_push_out metrics;
       (match events with
       | None -> ()
       | Some f ->
-        Flight.push_out f ~slot:(Proc_switch.now sw) ~src
-          ~victim ~dest ~lost:1);
-      Proc_switch.accept sw ~dest;
+        Flight.push_out f ~slot:(Proc_switch.now sw) ~src ~victim ~dest ~lost);
+      Proc_switch.accept sw ~dest ~value;
       Metrics.record_accept metrics;
       (match events with
       | None -> ()
@@ -45,19 +49,17 @@ let create_controlled ?name ?events config (policy_ref : Proc_policy.t ref) =
       (match events with
       | None -> ()
       | Some f ->
-        Flight.drop f ~slot:(Proc_switch.now sw) ~src ~dest ~value:1)
+        Flight.drop f ~slot:(Proc_switch.now sw) ~src ~dest ~value)
   in
   let transmit =
-    let on_transmit ~dest ~arrival =
+    let on_transmit ~dest ~value ~arrival =
       let latency = Proc_switch.now sw - arrival in
-      Metrics.record_transmit metrics ~value:1
-        ~latency:(float_of_int latency);
-      Port_stats.record ports ~port:dest ~value:1;
+      Metrics.record_transmit metrics ~value ~latency:(float_of_int latency);
+      Port_stats.record ports ~port:dest ~value;
       match events with
       | None -> ()
       | Some f ->
-        Flight.transmit f ~slot:(Proc_switch.now sw) ~src
-          ~dest ~value:1 ~latency
+        Flight.transmit f ~slot:(Proc_switch.now sw) ~src ~dest ~value ~latency
     in
     fun () -> ignore (Proc_switch.transmit_phase sw ~on_transmit)
   in

@@ -8,7 +8,14 @@
     experiment.
 
     Metrics conservation is checked at every flushout, so a policy that
-    double-counts fails during the run, not at the final report. *)
+    double-counts fails during the run, not at the final report.
+
+    The objective is transmitted value ([metrics.transmitted_value]).  With
+    the configuration's [max_value = 1] (the processing model) every
+    packet is stored at value 1 whatever its arrival carries, so the value
+    equals the packet count; with [max_value > 1] (the combined work +
+    value model) the arrival's value is stored, and an out-of-range value
+    is rejected by the switch. *)
 
 open Smbm_core
 

@@ -5,11 +5,14 @@
 
 open Smbm_core
 
-let proc sw i =
+(* (id, residual, value, arrival) per packet. *)
+let proc_valued sw i =
   let acc = ref [] in
-  Proc_switch.iter_port sw i (fun ~id ~residual ~arrival ->
-      acc := (id, residual, arrival) :: !acc);
+  Proc_switch.iter_port sw i (fun ~id ~residual ~value ~arrival ->
+      acc := (id, residual, value, arrival) :: !acc);
   List.rev !acc
+
+let proc sw i = List.map (fun (id, r, _, a) -> (id, r, a)) (proc_valued sw i)
 
 let value sw i =
   let acc = ref [] in

@@ -113,7 +113,7 @@ let rsv_reclaim ~reserve sw ~dest =
   !best
 
 let proc_policy name select =
-  Proc_policy.make ~name ~push_out:true (fun sw ~dest ->
+  Proc_policy.make ~name ~push_out:true (fun sw ~dest ~value:_ ->
       match Proc_policy.greedy_accept sw with
       | Some d -> d
       | None -> select sw ~dest)

@@ -12,7 +12,7 @@ let switch ?(buffer = 8) ~works ~lengths () =
   Array.iteri
     (fun dest n ->
       for _ = 1 to n do
-        ignore (Proc_switch.accept sw ~dest)
+        ignore (Proc_switch.accept sw ~dest ~value:1)
       done)
     lengths;
   (config, sw)
@@ -26,16 +26,16 @@ let test_lwd1_protects_last_packet () =
   let config = Proc_switch.config sw in
   Alcotest.check decision "LWD evicts the singleton"
     (Decision.Push_out { victim = 1 })
-    (Proc_policy.admit (P_lwd.make config) sw ~dest:0);
+    (Proc_policy.admit (P_lwd.make config) sw ~dest:0 ~value:1);
   Alcotest.check decision "LWD1 drops instead" Decision.Drop
-    (Proc_policy.admit (P_lwd.make ~protect_last:true config) sw ~dest:0)
+    (Proc_policy.admit (P_lwd.make ~protect_last:true config) sw ~dest:0 ~value:1)
 
 let test_lwd1_still_pushes_long_queues () =
   let _, sw = switch ~buffer:4 ~works:[| 1; 6 |] ~lengths:[| 2; 2 |] () in
   let config = Proc_switch.config sw in
   Alcotest.check decision "eligible victim found"
     (Decision.Push_out { victim = 1 })
-    (Proc_policy.admit (P_lwd.make ~protect_last:true config) sw ~dest:0)
+    (Proc_policy.admit (P_lwd.make ~protect_last:true config) sw ~dest:0 ~value:1)
 
 let test_lwd_tie_variants_differ () =
   (* Q0: 6 x work 1 (W=6), Q3: 2 x work 3 (W=6): equal work, so the tie rule
@@ -45,13 +45,13 @@ let test_lwd_tie_variants_differ () =
   let config = Proc_switch.config sw in
   Alcotest.check decision "largest work (paper)"
     (Decision.Push_out { victim = 3 })
-    (Proc_policy.admit (P_lwd.make config) sw ~dest:1);
+    (Proc_policy.admit (P_lwd.make config) sw ~dest:1 ~value:1);
   Alcotest.check decision "smallest work"
     (Decision.Push_out { victim = 0 })
-    (Proc_policy.admit (P_lwd.make ~tie:P_lwd.Smallest_work config) sw ~dest:1);
+    (Proc_policy.admit (P_lwd.make ~tie:P_lwd.Smallest_work config) sw ~dest:1 ~value:1);
   Alcotest.check decision "longest queue"
     (Decision.Push_out { victim = 0 })
-    (Proc_policy.admit (P_lwd.make ~tie:P_lwd.Longest_queue config) sw ~dest:1)
+    (Proc_policy.admit (P_lwd.make ~tie:P_lwd.Longest_queue config) sw ~dest:1 ~value:1)
 
 let test_mrd1_protects_singletons () =
   let config = Value_config.make ~ports:3 ~max_value:9 ~buffer:3 () in
@@ -75,12 +75,12 @@ let test_rand_legal_decisions () =
   let sw = Proc_switch.create config in
   (* Not full: always accept. *)
   Alcotest.check decision "greedy accept" Decision.Accept
-    (Proc_policy.admit policy sw ~dest:0);
+    (Proc_policy.admit policy sw ~dest:0 ~value:1);
   for _ = 1 to 4 do
-    ignore (Proc_switch.accept sw ~dest:2)
+    ignore (Proc_switch.accept sw ~dest:2 ~value:1)
   done;
   for _ = 1 to 50 do
-    match Proc_policy.admit policy sw ~dest:1 with
+    match Proc_policy.admit policy sw ~dest:1 ~value:1 with
     | Decision.Accept -> Alcotest.fail "accept on full buffer"
     | Decision.Push_out { victim } ->
       if Proc_switch.queue_length sw victim = 0 then
@@ -94,9 +94,9 @@ let test_rand_is_seeded () =
     let policy = P_rand.make ~seed config in
     let sw = Proc_switch.create config in
     for _ = 1 to 3 do
-      ignore (Proc_switch.accept sw ~dest:2)
+      ignore (Proc_switch.accept sw ~dest:2 ~value:1)
     done;
-    List.init 20 (fun _ -> Proc_policy.admit policy sw ~dest:0)
+    List.init 20 (fun _ -> Proc_policy.admit policy sw ~dest:0 ~value:1)
   in
   Alcotest.(check bool) "same seed, same decisions" true
     (List.equal Decision.equal (run 1) (run 1));

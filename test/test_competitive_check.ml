@@ -59,7 +59,7 @@ let test_prefix_sharper_than_final () =
      packet then work-1 packets.  LWD takes the 4 first and is behind early
      but catches up. *)
   let opponent =
-    Proc_policy.make ~name:"ones-only" ~push_out:false (fun sw ~dest ->
+    Proc_policy.make ~name:"ones-only" ~push_out:false (fun sw ~dest ~value:_ ->
         if Proc_switch.is_full sw then Decision.Drop
         else if dest = 0 then Decision.Accept
         else Decision.Drop)
@@ -95,7 +95,7 @@ let prop_certificate_random_traces_random_opponents =
         Array.of_list (List.map (List.map (fun d -> Arrival.make ~dest:d ())) dests)
       in
       let opponent =
-        Proc_policy.make ~name:"quota" ~push_out:false (fun sw ~dest ->
+        Proc_policy.make ~name:"quota" ~push_out:false (fun sw ~dest ~value:_ ->
             if Proc_switch.is_full sw then Decision.Drop
             else if Proc_switch.queue_length sw dest < quotas.(dest) then
               Decision.Accept

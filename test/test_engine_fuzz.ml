@@ -11,7 +11,7 @@ open Smbm_sim
 
 let chaos_proc ~seed =
   let rng = Rng.create ~seed in
-  Proc_policy.make ~name:"chaos" ~push_out:true (fun sw ~dest ->
+  Proc_policy.make ~name:"chaos" ~push_out:true (fun sw ~dest ~value:_ ->
       if not (Proc_switch.is_full sw) then
         (* Sometimes drop even with space: legal for any policy. *)
         if Rng.bernoulli rng ~p:0.8 then Decision.Accept else Decision.Drop

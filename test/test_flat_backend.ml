@@ -96,8 +96,8 @@ let prop_int_ring_oracle =
 let test_proc_flat_slab_growth () =
   let config = Proc_config.make ~works:[| 2; 3 |] ~buffer:2 () in
   let sw = Proc_switch.create config in
-  Proc_switch.accept sw ~dest:0;
-  Proc_switch.accept sw ~dest:1;
+  Proc_switch.accept sw ~dest:0 ~value:1;
+  Proc_switch.accept sw ~dest:1 ~value:1;
   Alcotest.(check bool) "full at 2" true (Proc_switch.is_full sw);
   (* Growing the buffer extends the slab; existing slots stay put. *)
   Proc_switch.set_buffer sw 64;
@@ -105,8 +105,8 @@ let test_proc_flat_slab_growth () =
   Alcotest.(check int) "occupancy kept" 2 (Proc_switch.occupancy sw);
   Alcotest.(check int) "work kept" 5 (Proc_switch.total_occupied_work sw);
   for _ = 1 to 31 do
-    Proc_switch.accept sw ~dest:0;
-    Proc_switch.accept sw ~dest:1
+    Proc_switch.accept sw ~dest:0 ~value:1;
+    Proc_switch.accept sw ~dest:1 ~value:1
   done;
   Proc_switch.check_invariants sw;
   Alcotest.(check int) "filled to 64" 64 (Proc_switch.occupancy sw);
@@ -268,7 +268,7 @@ let prop_proc_resize_never_drops =
         ~occupancy:(fun () -> Proc_switch.occupancy sw)
         ~buffer:(fun () -> Proc_switch.buffer sw)
         ~set_buffer:(Proc_switch.set_buffer sw)
-        ~accept:(fun d -> Proc_switch.accept sw ~dest:d)
+        ~accept:(fun d -> Proc_switch.accept sw ~dest:d ~value:1)
         ~push_out:(fun () ->
           (* Evict from the longest queue, like a policy would. *)
           let victim = ref 0 in
@@ -278,11 +278,11 @@ let prop_proc_resize_never_drops =
               > Proc_switch.queue_length sw !victim
             then victim := j
           done;
-          Proc_switch.push_out sw ~victim:!victim)
+          ignore (Proc_switch.push_out sw ~victim:!victim : int))
         ~transmit:(fun () ->
           let sent =
             Proc_switch.transmit_phase sw
-              ~on_transmit:(fun ~dest:_ ~arrival:_ -> ())
+              ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ())
           in
           Proc_switch.advance_slot sw;
           sent)

@@ -190,9 +190,7 @@ let producers =
   let open Smbm_core in
   let proc = Proc_config.contiguous ~k:4 ~buffer:8 () in
   let value = Value_config.make ~ports:4 ~max_value:8 ~buffer:8 () in
-  let hybrid =
-    Smbm_hybrid.Hybrid_config.contiguous ~k:4 ~max_value:8 ~buffer:16 ()
-  in
+  let hybrid = Proc_config.contiguous ~k:4 ~max_value:8 ~buffer:16 () in
   let proc_traffic () =
     Smbm_traffic.Scenario.proc_workload ~mmpp ~config:proc ~load:2.0 ~seed:11 ()
   in
@@ -217,9 +215,7 @@ let producers =
         Value_engine.instance ?events value (V_mrd.make value)),
       value_traffic );
     ( "hybrid",
-      (fun ?events () ->
-        Smbm_hybrid.Hybrid_engine.instance ?events hybrid
-          Smbm_hybrid.Hybrid_policy.lwd),
+      (fun ?events () -> Proc_engine.instance ?events hybrid (P_lwd.make hybrid)),
       hybrid_traffic );
     ( "OPT proc",
       (fun ?events () -> Opt_ref.proc_instance ?events proc),

@@ -84,12 +84,11 @@ let test_round_trip_value () =
 
 let test_round_trip_hybrid () =
   let cfg =
-    Smbm_hybrid.Hybrid_config.contiguous ~k:4 ~max_value:8 ~buffer:16 ()
+    Smbm_core.Proc_config.contiguous ~k:4 ~max_value:8 ~buffer:16 ()
   in
   let ring = Flight.create ~cap:65_536 () in
   let inst =
-    Smbm_hybrid.Hybrid_engine.instance ~events:ring cfg
-      Smbm_hybrid.Hybrid_policy.lwd
+    Proc_engine.instance ~events:ring cfg (Smbm_core.P_lwd.make cfg)
   in
   let rng = Smbm_prelude.Rng.create ~seed:5 in
   let slots = 300 in

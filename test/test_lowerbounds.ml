@@ -16,12 +16,12 @@ let test_quota_policy_proc () =
   let sw = Proc_switch.create config in
   let p = Quota.proc ~quota:(fun dest -> if dest = 0 then 1 else 0) () in
   Alcotest.(check bool) "under quota accepts" true
-    (Proc_policy.admit p sw ~dest:0 = Decision.Accept);
-  ignore (Proc_switch.accept sw ~dest:0);
+    (Proc_policy.admit p sw ~dest:0 ~value:1 = Decision.Accept);
+  ignore (Proc_switch.accept sw ~dest:0 ~value:1);
   Alcotest.(check bool) "at quota drops" true
-    (Proc_policy.admit p sw ~dest:0 = Decision.Drop);
+    (Proc_policy.admit p sw ~dest:0 ~value:1 = Decision.Drop);
   Alcotest.(check bool) "zero quota drops" true
-    (Proc_policy.admit p sw ~dest:1 = Decision.Drop)
+    (Proc_policy.admit p sw ~dest:1 ~value:1 = Decision.Drop)
 
 let test_quota_policy_value () =
   let open Smbm_core in

@@ -9,7 +9,7 @@ let switch ?(buffer = 8) ~works ~lengths () =
   Array.iteri
     (fun dest n ->
       for _ = 1 to n do
-        ignore (Proc_switch.accept sw ~dest)
+        ignore (Proc_switch.accept sw ~dest ~value:1)
       done)
     lengths;
   (config, sw)
@@ -27,7 +27,7 @@ let test_greedy_accept () =
   let config, sw = switch ~works:[| 1; 2 |] ~lengths:[| 1; 0 |] () in
   let p = P_reserved.make ~reserve:2 config in
   Alcotest.check decision "space free" Decision.Accept
-    (Proc_policy.admit p sw ~dest:1)
+    (Proc_policy.admit p sw ~dest:1 ~value:1)
 
 let test_pool_user_evicted_for_reserved_arrival () =
   (* B = 4, reserve 1 each of 2 ports: Q1 holds all 4 slots (1 reserved + 3
@@ -37,7 +37,7 @@ let test_pool_user_evicted_for_reserved_arrival () =
   let p = P_reserved.make ~reserve:1 config in
   Alcotest.check decision "reclaims reservation"
     (Decision.Push_out { victim = 1 })
-    (Proc_policy.admit p sw ~dest:0)
+    (Proc_policy.admit p sw ~dest:0 ~value:1)
 
 let test_reserved_slots_never_stolen () =
   (* Both queues exactly at their reservations (2 + 2 = B): nobody is above
@@ -46,7 +46,7 @@ let test_reserved_slots_never_stolen () =
   let config, sw = switch ~buffer:4 ~works:[| 1; 2 |] ~lengths:[| 2; 2 |] () in
   let p = P_reserved.make ~reserve:2 config in
   Alcotest.check decision "no pool user to evict" Decision.Drop
-    (Proc_policy.admit p sw ~dest:0)
+    (Proc_policy.admit p sw ~dest:0 ~value:1)
 
 let test_pool_arrival_evicts_largest_pool_user () =
   (* reserve 1; Q0 = 1 (no pool), Q1 = 2 (1 pool), Q2 = 3 (2 pool); full
@@ -58,7 +58,7 @@ let test_pool_arrival_evicts_largest_pool_user () =
   let p = P_reserved.make ~reserve:1 config in
   Alcotest.check decision "largest pool user"
     (Decision.Push_out { victim = 2 })
-    (Proc_policy.admit p sw ~dest:1)
+    (Proc_policy.admit p sw ~dest:1 ~value:1)
 
 let test_own_queue_largest_pool_user_drops () =
   let config, sw =
@@ -67,7 +67,7 @@ let test_own_queue_largest_pool_user_drops () =
   let p = P_reserved.make ~reserve:1 config in
   (* Q2 with virtual add holds 4 pool slots, more than anyone: drop. *)
   Alcotest.check decision "own queue dominates pool" Decision.Drop
-    (Proc_policy.admit p sw ~dest:2)
+    (Proc_policy.admit p sw ~dest:2 ~value:1)
 
 let prop_reserve_zero_is_lqd =
   QCheck2.Test.make ~name:"RSV(0) coincides with LQD" ~count:300
@@ -83,11 +83,11 @@ let prop_reserve_zero_is_lqd =
       List.iter
         (fun d ->
           if not (Proc_switch.is_full sw) then
-            ignore (Proc_switch.accept sw ~dest:d))
+            ignore (Proc_switch.accept sw ~dest:d ~value:1))
         fill;
       Decision.equal
-        (Proc_policy.admit (P_reserved.make ~reserve:0 config) sw ~dest)
-        (Proc_policy.admit (P_lqd.make config) sw ~dest))
+        (Proc_policy.admit (P_reserved.make ~reserve:0 config) sw ~dest ~value:1)
+        (Proc_policy.admit (P_lqd.make config) sw ~dest ~value:1))
 
 let prop_reservation_invariant_under_load =
   (* Driving RSV(r) with arbitrary traffic: whenever a queue is below its

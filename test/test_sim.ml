@@ -88,7 +88,7 @@ let test_proc_engine_push_out_counted () =
 let test_proc_engine_rejects_illegal_push_out () =
   let config = contiguous 2 4 in
   let rogue =
-    Proc_policy.make ~name:"rogue" ~push_out:true (fun _sw ~dest:_ ->
+    Proc_policy.make ~name:"rogue" ~push_out:true (fun _sw ~dest:_ ~value:_ ->
         Decision.Push_out { victim = 0 })
   in
   let inst = Proc_engine.instance config rogue in

@@ -2,21 +2,22 @@
    and value buckets with cached aggregates) against deliberately naive
    list-based oracles, under long random operation sequences.  After every
    operation the whole per-port contents must agree, read through
-   [iter_port]: packet ids, residual work or values, arrival slots, and the
-   order within each queue — FIFO for the processing model; for the value
+   [iter_port]: packet ids, residual work and values, arrival slots, and
+   the order within each queue — FIFO for the processing model; for the value
    model, value descending with the oldest first among equal values, so
    push-out takes the youngest packet of the minimum value and
    transmission the oldest packet of the maximum value. *)
 
 open Smbm_core
 
-(* --- processing-model oracle: queues as lists of (id, residual, arrival) --- *)
+(* --- processing-model oracle: queues as lists of
+   (id, residual, value, arrival) --- *)
 
 module Proc_oracle = struct
   type t = {
     works : int array;
     speedup : int;
-    queues : (int * int * int) list array;  (* head first *)
+    queues : (int * int * int * int) list array;  (* head first *)
     mutable next_id : int;
     mutable now : int;
   }
@@ -33,16 +34,19 @@ module Proc_oracle = struct
   let occupancy t =
     Array.fold_left (fun acc q -> acc + List.length q) 0 t.queues
 
-  let accept t ~dest =
-    t.queues.(dest) <- t.queues.(dest) @ [ (t.next_id, t.works.(dest), t.now) ];
+  let accept t ~dest ~value =
+    t.queues.(dest) <-
+      t.queues.(dest) @ [ (t.next_id, t.works.(dest), value, t.now) ];
     t.next_id <- t.next_id + 1
 
   let push_out t ~victim =
     match List.rev t.queues.(victim) with
     | [] -> invalid_arg "oracle: empty victim"
-    | _ :: rest_rev -> t.queues.(victim) <- List.rev rest_rev
+    | (_, _, v, _) :: rest_rev ->
+      t.queues.(victim) <- List.rev rest_rev;
+      v
 
-  (* Returns the transmitted (dest, arrival) pairs in order. *)
+  (* Returns the transmitted (dest, value, arrival) triples in order. *)
   let transmit t =
     let sent = ref [] in
     Array.iteri
@@ -50,16 +54,16 @@ module Proc_oracle = struct
         let budget = ref t.speedup in
         let rec serve = function
           | [] -> []
-          | (id, hol, arrival) :: rest ->
-            if !budget = 0 then (id, hol, arrival) :: rest
+          | (id, hol, value, arrival) :: rest ->
+            if !budget = 0 then (id, hol, value, arrival) :: rest
             else begin
               let used = min !budget hol in
               budget := !budget - used;
               if hol - used = 0 then begin
-                sent := (i, arrival) :: !sent;
+                sent := (i, value, arrival) :: !sent;
                 serve rest
               end
-              else (id, hol - used, arrival) :: rest
+              else (id, hol - used, value, arrival) :: rest
             end
         in
         t.queues.(i) <- serve q)
@@ -80,40 +84,45 @@ let prop_proc_switch_matches_oracle =
       let* works = array_size (pure n) (int_range 1 5) in
       let* buffer = int_range 1 6 in
       let* speedup = int_range 1 3 in
+      let* max_value = int_range 1 6 in
       let* ops =
         list_size (int_range 1 60)
           (oneof
              [
-               map (fun d -> `Accept d) (int_range 0 (n - 1));
+               map2
+                 (fun d v -> `Accept (d, v))
+                 (int_range 0 (n - 1))
+                 (int_range 1 max_value);
                map (fun v -> `Push_out v) (int_range 0 (n - 1));
                pure `Transmit;
                pure `Flush;
              ])
       in
-      pure (works, buffer, speedup, ops))
-    (fun (works, buffer, speedup, ops) ->
-      let config = Proc_config.make ~works ~buffer ~speedup () in
+      pure (works, buffer, speedup, max_value, ops))
+    (fun (works, buffer, speedup, max_value, ops) ->
+      let config = Proc_config.make ~works ~buffer ~speedup ~max_value () in
       let sw = Proc_switch.create config in
       let oracle = Proc_oracle.create ~works ~speedup in
       let ok = ref true in
       List.iter
         (fun op ->
           (match op with
-          | `Accept dest ->
+          | `Accept (dest, value) ->
             if not (Proc_switch.is_full sw) then begin
-              Proc_switch.accept sw ~dest;
-              Proc_oracle.accept oracle ~dest
+              Proc_switch.accept sw ~dest ~value;
+              Proc_oracle.accept oracle ~dest ~value
             end
           | `Push_out victim ->
             if Proc_switch.queue_length sw victim > 0 then begin
-              Proc_switch.push_out sw ~victim;
-              Proc_oracle.push_out oracle ~victim
+              let lost = Proc_switch.push_out sw ~victim in
+              if lost <> Proc_oracle.push_out oracle ~victim then ok := false
             end
           | `Transmit ->
             let sent = ref [] in
             let a =
-              Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest ~arrival ->
-                  sent := (dest, arrival) :: !sent)
+              Proc_switch.transmit_phase sw
+                ~on_transmit:(fun ~dest ~value ~arrival ->
+                  sent := (dest, value, arrival) :: !sent)
             in
             let b = Proc_oracle.transmit oracle in
             if a <> List.length b || List.rev !sent <> b then ok := false;
@@ -126,10 +135,16 @@ let prop_proc_switch_matches_oracle =
             ok := false;
           Array.iteri
             (fun i q ->
-              if Ports.proc sw i <> q then ok := false;
+              if Ports.proc_valued sw i <> q then ok := false;
               if Proc_switch.queue_length sw i <> List.length q then ok := false;
-              let work = List.fold_left (fun acc (_, r, _) -> acc + r) 0 q in
-              if Proc_switch.queue_work sw i <> work then ok := false)
+              let work = List.fold_left (fun acc (_, r, _, _) -> acc + r) 0 q in
+              if Proc_switch.queue_work sw i <> work then ok := false;
+              let value = List.fold_left (fun acc (_, _, v, _) -> acc + v) 0 q in
+              if Proc_switch.queue_value sw i <> value then ok := false;
+              let tail =
+                match List.rev q with [] -> 0 | (_, _, v, _) :: _ -> v
+              in
+              if Proc_switch.tail_value sw i <> tail then ok := false)
             oracle.queues)
         ops;
       !ok)

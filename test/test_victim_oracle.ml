@@ -21,17 +21,19 @@ let run_proc_lockstep ~works ~buffer ~speedup ~ops ~prod ~reference =
     (fun op ->
       (match op with
       | `Arrival dest -> (
-        let d = Proc_policy.admit prod sw ~dest in
-        if not (Decision.equal d (Proc_policy.admit reference sw ~dest)) then
+        let d = Proc_policy.admit prod sw ~dest ~value:1 in
+        if not (Decision.equal d (Proc_policy.admit reference sw ~dest ~value:1)) then
           ok := false;
         match d with
-        | Decision.Accept -> Proc_switch.accept sw ~dest
+        | Decision.Accept -> Proc_switch.accept sw ~dest ~value:1
         | Decision.Push_out { victim } ->
-          Proc_switch.push_out sw ~victim;
-          Proc_switch.accept sw ~dest
+          ignore (Proc_switch.push_out sw ~victim : int);
+          Proc_switch.accept sw ~dest ~value:1
         | Decision.Drop -> ())
       | `Transmit ->
-        ignore (Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest:_ ~arrival:_ -> ()));
+        ignore
+          (Proc_switch.transmit_phase sw
+             ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ()));
         Proc_switch.advance_slot sw
       | `Set_buffer b ->
         (* Shrinking below occupancy is refused by contract: clamp. *)
@@ -233,7 +235,7 @@ let proc_switch ?speedup ~works ~buffer ~lengths () =
   Array.iteri
     (fun j l ->
       for _ = 1 to l do
-        Proc_switch.accept sw ~dest:j
+        Proc_switch.accept sw ~dest:j ~value:1
       done)
     lengths;
   sw
@@ -322,8 +324,8 @@ let test_proc_switch_raising_hook () =
   in
   (try
      ignore
-       (Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest:_ ~arrival:_ ->
-            raise Exit));
+       (Proc_switch.transmit_phase sw
+          ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> raise Exit));
      Alcotest.fail "hook exception swallowed"
    with Exit -> ());
   Proc_switch.check_invariants sw;
@@ -334,7 +336,8 @@ let test_proc_switch_raising_hook () =
   let rec drain () =
     if Proc_switch.occupancy sw > 0 then begin
       ignore
-        (Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest:_ ~arrival:_ -> ()));
+        (Proc_switch.transmit_phase sw
+           ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ()));
       Proc_switch.check_invariants sw;
       drain ()
     end

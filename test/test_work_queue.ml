@@ -16,7 +16,7 @@ let hol_residual sw =
 let transmit sw =
   let sent = ref [] in
   let n =
-    Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest:_ ~arrival ->
+    Proc_switch.transmit_phase sw ~on_transmit:(fun ~dest:_ ~value:_ ~arrival ->
         sent := arrival :: !sent)
   in
   (n, List.rev !sent)
@@ -29,8 +29,8 @@ let test_empty () =
 
 let test_push_tracks_work () =
   let sw = single 3 in
-  Proc_switch.accept sw ~dest:0;
-  Proc_switch.accept sw ~dest:0;
+  Proc_switch.accept sw ~dest:0 ~value:1;
+  Proc_switch.accept sw ~dest:0 ~value:1;
   Alcotest.(check int) "length" 2 (Proc_switch.queue_length sw 0);
   Alcotest.(check int) "total work" 6 (Proc_switch.queue_work sw 0);
   Alcotest.(check int) "hol residual" 3 (hol_residual sw)
@@ -39,26 +39,26 @@ let test_packets_carry_port_work () =
   let sw =
     Proc_switch.create (Proc_config.make ~works:[| 3; 5 |] ~buffer:4 ())
   in
-  Proc_switch.accept sw ~dest:0;
-  Proc_switch.accept sw ~dest:1;
-  Proc_switch.accept sw ~dest:1;
+  Proc_switch.accept sw ~dest:0 ~value:1;
+  Proc_switch.accept sw ~dest:1 ~value:1;
+  Proc_switch.accept sw ~dest:1 ~value:1;
   Alcotest.(check (list int)) "port 0" [ 3 ] (Ports.seconds (Ports.proc sw 0));
   Alcotest.(check (list int)) "port 1" [ 5; 5 ] (Ports.seconds (Ports.proc sw 1));
-  match Proc_switch.accept sw ~dest:2 with
+  match Proc_switch.accept sw ~dest:2 ~value:1 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "packet accepted for a port that does not exist"
 
 let test_pop_back_is_lifo_tail () =
   let sw = single 2 in
-  Proc_switch.accept sw ~dest:0;
-  Proc_switch.accept sw ~dest:0;
-  Proc_switch.push_out sw ~victim:0;
+  Proc_switch.accept sw ~dest:0 ~value:1;
+  Proc_switch.accept sw ~dest:0 ~value:1;
+  ignore (Proc_switch.push_out sw ~victim:0 : int);
   Alcotest.(check (list int)) "tail evicted" [ 0 ] (Ports.ids (contents sw));
   Alcotest.(check int) "total work after pop" 2 (Proc_switch.queue_work sw 0)
 
 let test_process_single_cycle () =
   let sw = single 2 in
-  Proc_switch.accept sw ~dest:0;
+  Proc_switch.accept sw ~dest:0 ~value:1;
   let n, _ = transmit sw in
   Alcotest.(check int) "nothing transmitted" 0 n;
   Alcotest.(check int) "hol residual decremented" 1 (hol_residual sw);
@@ -72,7 +72,7 @@ let test_process_run_to_completion () =
      oldest complete in order, the third is half done. *)
   let sw = single ~speedup:5 2 in
   for _ = 1 to 3 do
-    Proc_switch.accept sw ~dest:0;
+    Proc_switch.accept sw ~dest:0 ~value:1;
     Proc_switch.advance_slot sw
   done;
   let n, sent = transmit sw in
@@ -84,7 +84,7 @@ let test_process_run_to_completion () =
 
 let test_process_budget_left_over () =
   let sw = single ~speedup:10 1 in
-  Proc_switch.accept sw ~dest:0;
+  Proc_switch.accept sw ~dest:0 ~value:1;
   let n, _ = transmit sw in
   Alcotest.(check int) "one transmitted" 1 n;
   Alcotest.(check int) "empty" 0 (Proc_switch.queue_length sw 0)
@@ -93,18 +93,18 @@ let test_partially_processed_tail_pop () =
   (* Evicting the tail of a single partially processed packet must subtract
      its residual, not its full work. *)
   let sw = single ~speedup:2 3 in
-  Proc_switch.accept sw ~dest:0;
+  Proc_switch.accept sw ~dest:0 ~value:1;
   ignore (transmit sw);
   Alcotest.(check int) "residual" 1 (Proc_switch.queue_work sw 0);
-  Proc_switch.push_out sw ~victim:0;
+  ignore (Proc_switch.push_out sw ~victim:0 : int);
   Alcotest.(check int) "total work zero" 0 (Proc_switch.queue_work sw 0);
   Alcotest.(check int) "occupied work zero" 0
     (Proc_switch.total_occupied_work sw)
 
 let test_clear () =
   let sw = single 2 in
-  Proc_switch.accept sw ~dest:0;
-  Proc_switch.accept sw ~dest:0;
+  Proc_switch.accept sw ~dest:0 ~value:1;
+  Proc_switch.accept sw ~dest:0 ~value:1;
   Alcotest.(check int) "dropped" 2 (Proc_switch.flush sw);
   Alcotest.(check int) "total work" 0 (Proc_switch.queue_work sw 0)
 
@@ -120,10 +120,10 @@ let prop_total_work_consistent =
       List.iter
         (fun op ->
           match op with
-          | `Push -> if not (Proc_switch.is_full sw) then Proc_switch.accept sw ~dest:0
+          | `Push -> if not (Proc_switch.is_full sw) then Proc_switch.accept sw ~dest:0 ~value:1
           | `Pop ->
             if Proc_switch.queue_length sw 0 > 0 then
-              Proc_switch.push_out sw ~victim:0
+              ignore (Proc_switch.push_out sw ~victim:0 : int)
           | `Process c ->
             (* speedup 1: c phases serve c cycles *)
             for _ = 1 to c do
