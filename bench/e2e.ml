@@ -286,18 +286,21 @@ let flight_cell ~flight =
     Smbm_core.Proc_switch.accept sw ~dest:(!d mod n) ~value:1;
     incr d
   done;
+  (* Built once, as the engines build theirs: a hook closing over the
+     slot's [now] would be a fresh closure every slot, and the cell would
+     price that allocation instead of the ring. *)
+  let on_transmit ~dest ~value ~arrival =
+    match flight with
+    | None -> ()
+    | Some f ->
+      let now = Smbm_core.Proc_switch.now sw in
+      Smbm_obs.Flight.transmit f ~slot:now ~src:fsrc ~dest ~value
+        ~latency:(now - arrival)
+  in
   measure (fun () ->
       for _ = 1 to slots do
         let now = Smbm_core.Proc_switch.now sw in
-        let freed =
-          Smbm_core.Proc_switch.transmit_phase sw
-            ~on_transmit:(fun ~dest ~value ~arrival ->
-              match flight with
-              | None -> ()
-              | Some f ->
-                Smbm_obs.Flight.transmit f ~slot:now ~src:fsrc ~dest ~value
-                  ~latency:(now - arrival))
-        in
+        let freed = Smbm_core.Proc_switch.transmit_phase sw ~on_transmit in
         Smbm_core.Proc_switch.advance_slot sw;
         for _ = 1 to freed do
           let dest = next n in

@@ -475,7 +475,7 @@ let certificate () =
   let config = Proc_config.contiguous ~k:8 ~buffer:32 () in
   let greedy =
     Proc_policy.make ~name:"greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
-        if Proc_switch.is_full sw then Decision.Drop else Decision.Accept)
+        if Proc_switch.is_full sw then Decision.drop else Decision.accept)
   in
   let workload =
     Smbm_traffic.Scenario.proc_workload

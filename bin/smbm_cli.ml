@@ -1406,7 +1406,7 @@ let run_certify common opponent_name =
     | "greedy" ->
       Proc_policy.make ~name:"greedy" ~push_out:false
         (fun sw ~dest:_ ~value:_ ->
-          if Proc_switch.is_full sw then Decision.Drop else Decision.Accept)
+          if Proc_switch.is_full sw then Decision.drop else Decision.accept)
     | name -> (
       match Policies.proc_find config name with
       | Some (p : Proc_policy.t) when not p.push_out -> p
@@ -1611,9 +1611,9 @@ let bench_diff_cmd =
       value & opt float 0.2
       & info [ "alloc-tolerance" ] ~docv:"FRAC"
           ~doc:
-            "Allowed relative growth of each */minor_words_per_slot metric \
-             (default 0.2 = 20%; allocation counts are deterministic, so no \
-             slack term applies).")
+            "Allowed relative growth of each */minor_words_per_slot metric, \
+             plus one word per slot (default 0.2 = 20%; allocation counts \
+             are deterministic, so no noise slack applies).")
   in
   let floors =
     Arg.(

@@ -264,8 +264,8 @@ let run ~config ~opponent ~workload ~slots ?(check_every_event = true) () =
   in
   let handle_arrival ~dest ~value:_ =
     (* LWD first ("q can be p" in the paper's step A0). *)
-    (match Proc_policy.admit st.lwd st.lwd_sw ~dest ~value:1 with
-    | Decision.Accept ->
+    (let d = Proc_policy.admit st.lwd st.lwd_sw ~dest ~value:1 in
+     if Decision.is_accept d then begin
       Proc_switch.accept st.lwd_sw ~dest ~value:1;
       let q_id = tail_id st.lwd_sw dest in
       (* Repaired step A3 / proof case (4): the newly covered OPT packet
@@ -285,7 +285,9 @@ let run ~config ~opponent ~workload ~slots ?(check_every_event = true) () =
           Hashtbl.replace st.a0_inv q_id p_id
         end
       | Some _ | None -> ())
-    | Decision.Push_out { victim } ->
+    end
+    else if Decision.is_push_out d then begin
+      let victim = Decision.victim d in
       let p' = tail_id st.lwd_sw victim in
       ignore (Proc_switch.push_out st.lwd_sw ~victim : int);
       (* Step A2: collect and reassign the OPT packets mapped to p'. *)
@@ -312,10 +314,10 @@ let run ~config ~opponent ~workload ~slots ?(check_every_event = true) () =
               (opt_eligible_packets st i)
           done)
         !orphans
-    | Decision.Drop -> ());
+    end);
     (* Opponent side (non-push-out). *)
-    (match Proc_policy.admit st.opponent st.opt_sw ~dest ~value:1 with
-    | Decision.Accept ->
+    (let d = Proc_policy.admit st.opponent st.opt_sw ~dest ~value:1 in
+     if Decision.is_accept d then begin
       Proc_switch.accept st.opt_sw ~dest ~value:1;
       let p_id = tail_id st.opt_sw dest in
       let eligible = opt_eligible_packets st dest in
@@ -333,9 +335,9 @@ let run ~config ~opponent ~workload ~slots ?(check_every_event = true) () =
         Hashtbl.replace st.a0 p_id q_id;
         Hashtbl.replace st.a0_inv q_id p_id
       | Some _ | None -> assign_a1 st ~context:"A1(arrival)" p_id ~lat_p)
-    | Decision.Push_out _ ->
-      violate st "opponent pushed out: not a valid Theorem 7 opponent"
-    | Decision.Drop -> ());
+    end
+    else if Decision.is_push_out d then
+      violate st "opponent pushed out: not a valid Theorem 7 opponent");
     event "arrival"
   in
   let transmission_phase () =

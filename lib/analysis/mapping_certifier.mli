@@ -29,7 +29,7 @@
 
     Restrictions, as in the theorem's setting: speedup 1, and the opponent
     never pushes out (the clairvoyant optimum needs no push-out; an opponent
-    [Push_out] decision is reported as a misuse violation). *)
+    push-out decision is reported as a misuse violation). *)
 
 type report = {
   events : int;  (** mapping-relevant events processed *)

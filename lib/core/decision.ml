@@ -1,14 +1,23 @@
-type t = Accept | Push_out of { victim : int } | Drop
+type t = int
 
-let is_drop = function Drop -> true | Accept | Push_out _ -> false
+let accept = -1
+let drop = -2
 
-let pp ppf = function
-  | Accept -> Format.pp_print_string ppf "accept"
-  | Push_out { victim } -> Format.fprintf ppf "push-out(Q%d)" victim
-  | Drop -> Format.pp_print_string ppf "drop"
+let push_out victim =
+  if victim < 0 then invalid_arg "Decision.push_out: negative victim";
+  victim
 
-let equal a b =
-  match a, b with
-  | Accept, Accept | Drop, Drop -> true
-  | Push_out { victim = v1 }, Push_out { victim = v2 } -> v1 = v2
-  | (Accept | Push_out _ | Drop), _ -> false
+let is_accept d = d = accept
+let is_drop d = d = drop
+let is_push_out d = d >= 0
+
+let victim d =
+  if d < 0 then invalid_arg "Decision.victim: not a push-out";
+  d
+
+let pp ppf d =
+  if d = accept then Format.pp_print_string ppf "accept"
+  else if d = drop then Format.pp_print_string ppf "drop"
+  else Format.fprintf ppf "push-out(Q%d)" d
+
+let equal (a : t) b = a = b

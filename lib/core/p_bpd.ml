@@ -30,7 +30,7 @@ let index ~protect_last sw =
 let select ~protect_last idx sw =
   let min_len = if protect_last then 2 else 1 in
   let c = Agg_index.top idx in
-  if c < 0 || Proc_switch.queue_length sw c < min_len then None else Some c
+  if c < 0 || Proc_switch.queue_length sw c < min_len then -1 else c
 
 let select_victim ~protect_last sw =
   select ~protect_last (index ~protect_last sw) sw
@@ -39,16 +39,15 @@ let make ?(protect_last = false) _config =
   let name = if protect_last then "BPD1" else "BPD" in
   let index = Agg_index.per_switch (index ~protect_last) in
   Proc_policy.make ~name ~push_out:true (fun sw ~dest ~value:_ ->
-      match Proc_policy.greedy_accept sw with
-      | Some d -> d
-      | None -> (
-        match select ~protect_last (index sw) sw with
-        | None -> Decision.Drop
-        | Some victim ->
+      if not (Proc_switch.is_full sw) then Decision.accept
+      else
+        let victim = select ~protect_last (index sw) sw in
+        if victim < 0 then Decision.drop
+        else
           (* "i <= j" in the work-sorted port order, i.e. the arriving
              packet's (work, port) does not come after the victim's. *)
           let aw = Proc_switch.port_work sw dest
           and vw = Proc_switch.port_work sw victim in
           if aw < vw || (aw = vw && dest <= victim) then
-            Decision.Push_out { victim }
-          else Decision.Drop))
+            Decision.push_out victim
+          else Decision.drop)

@@ -17,7 +17,8 @@ val make : ?protect_last:bool -> Proc_config.t -> Proc_policy.t
 (** Victim selection reads the argmax off the switch's incremental index in
     O(log n). *)
 
-val select_victim : protect_last:bool -> Proc_switch.t -> int option
+val select_victim : protect_last:bool -> Proc_switch.t -> int
 (** The queue BPD would evict from: the non-empty (length >= 2 when
     protecting last packets) queue with maximal work, ties towards the
-    longer queue, then the larger index.  Exposed for tests. *)
+    longer queue, then the larger index; [-1] when no queue is eligible.
+    Exposed for tests. *)

@@ -20,9 +20,8 @@ let index sw =
 let make _config =
   let index = Agg_index.per_switch index in
   Proc_policy.make ~name:"DPK" ~push_out:true (fun sw ~dest ~value ->
-      match Proc_policy.greedy_accept sw with
-      | Some d -> d
-      | None ->
+      if not (Proc_switch.is_full sw) then Decision.accept
+      else
         (* Densities compared cross-multiplied: the arrival's
            value / work(dest) must beat the victim's strictly. *)
         let victim = Agg_index.top (index sw) in
@@ -31,5 +30,5 @@ let make _config =
           tail > 0
           && value * Proc_switch.port_work sw victim
              > tail * Proc_switch.port_work sw dest
-        then Decision.Push_out { victim }
-        else Decision.Drop)
+        then Decision.push_out victim
+        else Decision.drop)

@@ -35,8 +35,7 @@ let select_victim sw ~dest = select (index sw) sw ~dest
 let make _config =
   let index = Agg_index.per_switch index in
   Proc_policy.make ~name:"LQD" ~push_out:true (fun sw ~dest ~value:_ ->
-      match Proc_policy.greedy_accept sw with
-      | Some d -> d
-      | None ->
+      if not (Proc_switch.is_full sw) then Decision.accept
+      else
         let victim = select (index sw) sw ~dest in
-        if victim <> dest then Decision.Push_out { victim } else Decision.Drop)
+        if victim <> dest then Decision.push_out victim else Decision.drop)

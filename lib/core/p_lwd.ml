@@ -86,8 +86,7 @@ let make ?(protect_last = false) ?(tie = Largest_work) _config =
   let index = Agg_index.per_switch (index ~protect_last ~tie) in
   Proc_policy.make ~name:(name ~protect_last ~tie) ~push_out:true
     (fun sw ~dest ~value:_ ->
-      match Proc_policy.greedy_accept sw with
-      | Some d -> d
-      | None ->
+      if not (Proc_switch.is_full sw) then Decision.accept
+      else
         let victim = select ~protect_last ~tie (index sw) sw ~dest in
-        if victim <> dest then Decision.Push_out { victim } else Decision.Drop)
+        if victim <> dest then Decision.push_out victim else Decision.drop)

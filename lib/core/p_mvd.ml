@@ -19,10 +19,9 @@ let index sw =
 let make _config =
   let index = Agg_index.per_switch index in
   Proc_policy.make ~name:"MVD" ~push_out:true (fun sw ~dest:_ ~value ->
-      match Proc_policy.greedy_accept sw with
-      | Some d -> d
-      | None ->
+      if not (Proc_switch.is_full sw) then Decision.accept
+      else
         let victim = Agg_index.top (index sw) in
         let tail = Proc_switch.tail_value sw victim in
-        if tail > 0 && tail < value then Decision.Push_out { victim }
-        else Decision.Drop)
+        if tail > 0 && tail < value then Decision.push_out victim
+        else Decision.drop)

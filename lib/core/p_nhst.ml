@@ -8,7 +8,7 @@ let make config =
     Array.init (Proc_config.n config) (fun i -> threshold config i)
   in
   Proc_policy.make ~name:"NHST" ~push_out:false (fun sw ~dest ~value:_ ->
-      if Proc_switch.is_full sw then Decision.Drop
+      if Proc_switch.is_full sw then Decision.drop
       else if float_of_int (Proc_switch.queue_length sw dest) < thresholds.(dest)
-      then Decision.Accept
-      else Decision.Drop)
+      then Decision.accept
+      else Decision.drop)

@@ -1,6 +1,6 @@
 open Smbm_prelude
 
-let pick_nonempty rng ~n ~length ~dest =
+let pick_nonempty rng ~n ~length sw ~dest =
   (* Reservoir-sample a uniform index among queues that are non-empty or the
      (virtually occupied) destination.
 
@@ -14,7 +14,7 @@ let pick_nonempty rng ~n ~length ~dest =
      replay matters more than its scan cost. *)
   let chosen = ref (-1) and seen = ref 0 in
   for j = 0 to n - 1 do
-    if length j > 0 || j = dest then begin
+    if length sw j > 0 || j = dest then begin
       incr seen;
       if Rng.int rng !seen = 0 then chosen := j
     end
@@ -24,30 +24,24 @@ let pick_nonempty rng ~n ~length ~dest =
 let make ?(seed = 0x5eed) _config =
   let rng = Rng.create ~seed in
   Proc_policy.make ~name:"RAND" ~push_out:true (fun sw ~dest ~value:_ ->
-      match Proc_policy.greedy_accept sw with
-      | Some d -> d
-      | None ->
+      if not (Proc_switch.is_full sw) then Decision.accept
+      else
         let victim =
           pick_nonempty rng ~n:(Proc_switch.n sw)
-            ~length:(Proc_switch.queue_length sw)
-            ~dest
+            ~length:Proc_switch.queue_length sw ~dest
         in
-        if victim <> dest then Decision.Push_out { victim } else Decision.Drop)
+        if victim <> dest then Decision.push_out victim else Decision.drop)
 
 let make_value ?(seed = 0x5eed) _config =
   let rng = Rng.create ~seed in
   Value_policy.make ~name:"RAND" ~push_out:true (fun sw ~dest ~value ->
-      match Value_policy.greedy_accept sw with
-      | Some d -> d
-      | None -> (
-        match Value_switch.min_value sw with
-        | Some m when m <= value ->
-          let victim =
-            pick_nonempty rng ~n:(Value_switch.n sw)
-              ~length:(Value_switch.queue_length sw)
-              ~dest
-          in
-          if victim <> dest && Value_switch.queue_length sw victim > 0 then
-            Decision.Push_out { victim }
-          else Decision.Drop
-        | Some _ | None -> Decision.Drop))
+      if not (Value_switch.is_full sw) then Decision.accept
+      else if Value_switch.min_value_or sw ~default:max_int <= value then
+        let victim =
+          pick_nonempty rng ~n:(Value_switch.n sw)
+            ~length:Value_switch.queue_length sw ~dest
+        in
+        if victim <> dest && Value_switch.queue_length sw victim > 0 then
+          Decision.push_out victim
+        else Decision.drop
+      else Decision.drop)

@@ -64,9 +64,8 @@ let make ~reserve config =
          ~reserve ~tie:`Smallest_index)
   in
   Proc_policy.make ~name ~push_out:true (fun sw ~dest ~value:_ ->
-      match Proc_policy.greedy_accept sw with
-      | Some d -> d
-      | None ->
+      if not (Proc_switch.is_full sw) then Decision.accept
+      else
         (* Buffer full.  The arrival may displace pool usage only while its
            own queue is inside its reservation. *)
         if Proc_switch.queue_length sw dest >= reserve then begin
@@ -74,14 +73,14 @@ let make ~reserve config =
              using the most pool slots (LQD over the pool, virtual add). *)
           let victim = select_pool ~reserve (pool sw) sw ~dest in
           if victim <> dest && overflow ~reserve sw victim ~dest > 0 then
-            Decision.Push_out { victim }
-          else Decision.Drop
+            Decision.push_out victim
+          else Decision.drop
         end
         else begin
           (* Reserved slot owed to this arrival: reclaim it from the largest
              pool user (some queue must be above its reservation, since the
              buffer is full and this queue is below). *)
           let victim = select_reclaim ~reserve (reclaim sw) sw ~dest in
-          if victim >= 0 then Decision.Push_out { victim }
-          else Decision.Drop
+          if victim >= 0 then Decision.push_out victim
+          else Decision.drop
         end)

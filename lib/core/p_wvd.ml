@@ -31,8 +31,7 @@ let select idx sw ~dest ~value =
 let make _config =
   let index = Agg_index.per_switch index in
   Proc_policy.make ~name:"WVD" ~push_out:true (fun sw ~dest ~value ->
-      match Proc_policy.greedy_accept sw with
-      | Some d -> d
-      | None ->
+      if not (Proc_switch.is_full sw) then Decision.accept
+      else
         let victim = select (index sw) sw ~dest ~value in
-        if victim <> dest then Decision.Push_out { victim } else Decision.Drop)
+        if victim <> dest then Decision.push_out victim else Decision.drop)

@@ -32,9 +32,7 @@ let proc_find config name = find_proc name (proc_extended config)
 
 let hybrid_greedy =
   Proc_policy.make ~name:"Greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
-      match Proc_policy.greedy_accept sw with
-      | Some d -> d
-      | None -> Decision.Drop)
+      if Proc_switch.is_full sw then Decision.drop else Decision.accept)
 
 let hybrid config =
   [

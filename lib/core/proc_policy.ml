@@ -6,6 +6,3 @@ type t = {
 
 let make ~name ~push_out admit = { name; push_out; admit }
 let admit t sw ~dest ~value = t.admit sw ~dest ~value
-
-let greedy_accept sw =
-  if Proc_switch.is_full sw then None else Some Decision.Accept

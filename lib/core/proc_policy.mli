@@ -23,7 +23,3 @@ val make :
   t
 
 val admit : t -> Proc_switch.t -> dest:int -> value:int -> Decision.t
-
-val greedy_accept : Proc_switch.t -> Decision.t option
-(** [Some Accept] when the buffer has free space — the shared first clause of
-    every greedy policy in the paper — and [None] otherwise. *)

@@ -1,5 +1,3 @@
 let make _config =
   Value_policy.make ~name:"Greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
-      match Value_policy.greedy_accept sw with
-      | Some d -> d
-      | None -> Decision.Drop)
+      if Value_switch.is_full sw then Decision.drop else Decision.accept)

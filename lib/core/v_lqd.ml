@@ -40,10 +40,9 @@ let select_victim sw ~dest = select (index sw) sw ~dest
 let make _config =
   let index = Agg_index.per_switch index in
   Value_policy.make ~name:"LQD" ~push_out:true (fun sw ~dest ~value ->
-      match Value_policy.greedy_accept sw with
-      | Some d -> d
-      | None ->
+      if not (Value_switch.is_full sw) then Decision.accept
+      else
         let victim = select (index sw) sw ~dest in
-        if victim <> dest then Decision.Push_out { victim }
-        else if min_of sw dest < value then Decision.Push_out { victim = dest }
-        else Decision.Drop)
+        if victim <> dest then Decision.push_out victim
+        else if min_of sw dest < value then Decision.push_out dest
+        else Decision.drop)

@@ -39,7 +39,7 @@ let index ~protect_last sw =
 let select ~protect_last idx sw =
   let min_len = if protect_last then 2 else 1 in
   let c = Agg_index.top idx in
-  if c < 0 || Value_switch.queue_length sw c < min_len then None else Some c
+  if c < 0 || Value_switch.queue_length sw c < min_len then -1 else c
 
 let select_victim ?(protect_last = false) sw =
   select ~protect_last (index ~protect_last sw) sw
@@ -48,17 +48,15 @@ let make ?(protect_last = false) _config =
   let name = if protect_last then "MRD1" else "MRD" in
   let index = Agg_index.per_switch (index ~protect_last) in
   Value_policy.make ~name ~push_out:true (fun sw ~dest:_ ~value ->
-      match Value_policy.greedy_accept sw with
-      | Some d -> d
-      | None ->
+      if not (Value_switch.is_full sw) then Decision.accept
+      else
         (* The paper drops only when the buffer minimum is strictly bigger
            than the arriving value; on equality MRD pushes out, which is
            what makes it emulate LQD under unit values.  The minimum comes
            off the switch's O(1) incremental tracker (a full buffer is
            non-empty, so the default is never taken). *)
         if Value_switch.min_value_or sw ~default:max_int <= value then begin
-          match select ~protect_last (index sw) sw with
-          | Some victim -> Decision.Push_out { victim }
-          | None -> Decision.Drop
+          let victim = select ~protect_last (index sw) sw in
+          if victim >= 0 then Decision.push_out victim else Decision.drop
         end
-        else Decision.Drop)
+        else Decision.drop)

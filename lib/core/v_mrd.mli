@@ -21,5 +21,6 @@ val make : ?protect_last:bool -> Value_config.t -> Value_policy.t
     selection reads the ratio argmax off the switch's incremental index in
     O(log n). *)
 
-val select_victim : ?protect_last:bool -> Value_switch.t -> int option
-(** The ratio-maximal eligible queue; exposed for tests. *)
+val select_victim : ?protect_last:bool -> Value_switch.t -> int
+(** The ratio-maximal eligible queue, [-1] when none is eligible; exposed
+    for tests. *)

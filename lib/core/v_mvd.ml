@@ -31,8 +31,7 @@ let index ~protect_last sw =
 let select ~protect_last idx sw =
   let min_len = if protect_last then 2 else 1 in
   let c = Agg_index.top idx in
-  if c < 0 || Value_switch.queue_length sw c < min_len then None
-  else Some (c, Value_switch.queue_min_value_or sw c ~default:0)
+  if c < 0 || Value_switch.queue_length sw c < min_len then -1 else c
 
 let select_victim ~protect_last sw =
   select ~protect_last (index ~protect_last sw) sw
@@ -41,9 +40,11 @@ let make ?(protect_last = false) _config =
   let name = if protect_last then "MVD1" else "MVD" in
   let index = Agg_index.per_switch (index ~protect_last) in
   Value_policy.make ~name ~push_out:true (fun sw ~dest:_ ~value ->
-      match Value_policy.greedy_accept sw with
-      | Some d -> d
-      | None -> (
-        match select ~protect_last (index sw) sw with
-        | Some (victim, min_v) when min_v < value -> Decision.Push_out { victim }
-        | Some _ | None -> Decision.Drop))
+      if not (Value_switch.is_full sw) then Decision.accept
+      else
+        let victim = select ~protect_last (index sw) sw in
+        if
+          victim >= 0
+          && Value_switch.queue_min_value_or sw victim ~default:0 < value
+        then Decision.push_out victim
+        else Decision.drop)

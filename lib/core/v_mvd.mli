@@ -15,6 +15,6 @@ val make : ?protect_last:bool -> Value_config.t -> Value_policy.t
 (** Victim selection reads the argmin off the switch's incremental index in
     O(log n). *)
 
-val select_victim : protect_last:bool -> Value_switch.t -> (int * int) option
-(** [(port, min value there)] of the eviction candidate; exposed for
-    tests. *)
+val select_victim : protect_last:bool -> Value_switch.t -> int
+(** The eviction candidate's port ({!Value_switch.queue_min_value_or} reads
+    its minimum), [-1] when no queue is eligible; exposed for tests. *)

@@ -16,6 +16,3 @@ val make :
   t
 
 val admit : t -> Value_switch.t -> dest:int -> value:int -> Decision.t
-
-val greedy_accept : Value_switch.t -> Decision.t option
-(** [Some Accept] when the buffer has free space, [None] otherwise. *)

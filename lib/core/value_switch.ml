@@ -120,7 +120,7 @@ let port_max_value_or t i ~default =
     (!w * 63) + high_bit_index (Array.unsafe_get t.occ (base + !w))
   end
 
-(* The built-in tracker behind [min_value]/[min_value_port]: argmin over
+(* The built-in tracker behind [min_value_or]/[min_value_port]: argmin over
    queues of (minimum value, then the longer queue, then the smaller port
    index) — the documented MVD tie-break, pinned here so the indexed reads
    cannot drift from a one-pass scan.  It runs as a keyed lexicographic
@@ -217,10 +217,6 @@ let queue_min_value_or t i ~default =
   check_port t i "queue_min_value_or";
   port_min_value_or t i ~default
 
-let queue_min_value t i =
-  check_port t i "queue_min_value";
-  if t.qlen.(i) = 0 then None else Some (port_min_value_or t i ~default:0)
-
 (* ----- victim-selection indexes ----- *)
 
 (* Hand-rolled traversal: [List.iter] with a lambda capturing [i] would
@@ -263,12 +259,8 @@ let min_value_or t ~default =
   if t.occupancy = 0 then default
   else port_min_value_or t (Agg_index.top t.min_index) ~default
 
-let min_value t =
-  if t.occupancy = 0 then None
-  else Some (port_min_value_or t (Agg_index.top t.min_index) ~default:0)
-
 let min_value_port t =
-  if t.occupancy = 0 then None else Some (Agg_index.top t.min_index)
+  if t.occupancy = 0 then -1 else Agg_index.top t.min_index
 
 (* ----- bucket mechanics ----- *)
 

@@ -63,28 +63,22 @@ val queue_length : t -> int -> int
 val queue_total_value : t -> int -> int
 (** Sum of queued packet values at port [i].  O(1). *)
 
-val queue_min_value : t -> int -> int option
-(** Smallest value queued at port [i]. *)
-
 val queue_min_value_or : t -> int -> default:int -> int
-(** Allocation-free {!queue_min_value}: [default] when the queue is empty.
+(** Smallest value queued at port [i]; [default] when the queue is empty.
     Sits on the admission hot path of the value policies. *)
 
-val min_value : t -> int option
-(** Smallest value currently admitted anywhere in the buffer.  O(1): read
-    off the switch's incremental minimum tracker rather than rescanned. *)
-
 val min_value_or : t -> default:int -> int
-(** Allocation-free {!min_value}: [default] when the buffer is empty.  The
-    MRD drop gate. *)
+(** Smallest value currently admitted anywhere in the buffer; [default]
+    when the buffer is empty.  O(1): read off the switch's incremental
+    minimum tracker rather than rescanned.  The MRD drop gate. *)
 
-val min_value_port : t -> int option
-(** The port whose queue holds the buffer-wide minimum value; among several,
-    the longest such queue (the paper's MVD tie-break), then the smallest
-    port index.  Port and value come from one tracker, so
-    [min_value_port t] always names a queue whose minimum is
-    [min_value t] — the tie choice is pinned and cannot drift from
-    {!min_value}.  O(1). *)
+val min_value_port : t -> int
+(** The port whose queue holds the buffer-wide minimum value, [-1] when the
+    buffer is empty; among several, the longest such queue (the paper's MVD
+    tie-break), then the smallest port index.  Port and value come from one
+    tracker, so [min_value_port t] always names a queue whose minimum is
+    [min_value_or t] — the tie choice is pinned and cannot drift from
+    {!min_value_or}.  O(1). *)
 
 val find_index : t -> key:string -> (n:int -> Agg_index.t) -> Agg_index.t
 (** The victim-selection index registered under [key]; see

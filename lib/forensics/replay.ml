@@ -66,7 +66,7 @@ let replay (s : Trace_file.source) =
         port_add victim (-1)
       | Event.Drop _ -> Metrics.record_drop metrics
       | Event.Transmit { dest; value; latency } ->
-        Metrics.record_transmit metrics ~value ~latency:(float_of_int latency);
+        Metrics.record_transmit metrics ~value ~latency;
         decr fill;
         port_add dest (-1)
       | Event.Transmit_bulk { dest; count; value } ->

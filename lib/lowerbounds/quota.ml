@@ -2,13 +2,13 @@ open Smbm_core
 
 let proc ?(name = "OPT*") ~quota () =
   Proc_policy.make ~name ~push_out:false (fun sw ~dest ~value:_ ->
-      if Proc_switch.is_full sw then Decision.Drop
-      else if Proc_switch.queue_length sw dest < quota dest then Decision.Accept
-      else Decision.Drop)
+      if Proc_switch.is_full sw then Decision.drop
+      else if Proc_switch.queue_length sw dest < quota dest then Decision.accept
+      else Decision.drop)
 
 let value ?(name = "OPT*") ~quota () =
   Value_policy.make ~name ~push_out:false (fun sw ~dest ~value:_ ->
-      if Value_switch.is_full sw then Decision.Drop
+      if Value_switch.is_full sw then Decision.drop
       else if Value_switch.queue_length sw dest < quota dest then
-        Decision.Accept
-      else Decision.Drop)
+        Decision.accept
+      else Decision.drop)

@@ -60,6 +60,10 @@ let observe h x =
   H.add h.hist x;
   Rs.add h.stats x
 
+let observe_int h x =
+  H.add_int h.hist x;
+  Rs.add_int h.stats x
+
 let histogram_stats h = h.stats
 let histogram_values h = h.hist
 

@@ -35,6 +35,11 @@ val counter_value : counter -> int
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
+val observe_int : histogram -> int -> unit
+(** [observe_int h x] records exactly what [observe h (float_of_int x)]
+    records, without boxing a float: the form for samples counted in slots
+    on a per-packet or per-slot path. *)
+
 val histogram_stats : histogram -> Smbm_prelude.Running_stats.t
 val histogram_values : histogram -> Smbm_prelude.Histogram.t
 

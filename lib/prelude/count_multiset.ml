@@ -33,27 +33,21 @@ let remove t key =
   t.size <- t.size - 1;
   t.sum <- t.sum - key
 
+(* Plain loops returning a sentinel: both OPT references call these on
+   every full-buffer arrival, and [serve_srpt] once per completed key. *)
 let min_key t =
-  let rec scan i = if i > t.k then None else if t.counts.(i) > 0 then Some i else scan (i + 1) in
-  scan 1
+  let i = ref 1 in
+  while !i <= t.k && t.counts.(!i) = 0 do
+    incr i
+  done;
+  if !i > t.k then 0 else !i
 
 let max_key t =
-  let rec scan i = if i < 1 then None else if t.counts.(i) > 0 then Some i else scan (i - 1) in
-  scan t.k
-
-let remove_min t =
-  match min_key t with
-  | None -> None
-  | Some key ->
-    remove t key;
-    Some key
-
-let remove_max t =
-  match max_key t with
-  | None -> None
-  | Some key ->
-    remove t key;
-    Some key
+  let i = ref t.k in
+  while !i >= 1 && t.counts.(!i) = 0 do
+    decr i
+  done;
+  !i
 
 let sum t = t.sum
 
@@ -97,34 +91,33 @@ let serve_srpt t ~budget =
   let transmitted = ref 0 in
   let continue = ref true in
   while !continue && !budget > 0 && t.size > 0 do
-    match min_key t with
-    | None -> continue := false
-    | Some r ->
-      if !budget >= r then begin
-        (* Complete as many key-r elements as the budget allows. *)
-        let complete = min t.counts.(r) (!budget / r) in
-        t.counts.(r) <- t.counts.(r) - complete;
-        t.size <- t.size - complete;
-        t.sum <- t.sum - (complete * r);
-        transmitted := !transmitted + complete;
-        budget := !budget - (complete * r);
-        if t.counts.(r) > 0 then begin
-          (* Partial service of one more key-r element. *)
-          if !budget > 0 then begin
-            t.counts.(r) <- t.counts.(r) - 1;
-            t.counts.(r - !budget) <- t.counts.(r - !budget) + 1;
-            t.sum <- t.sum - !budget;
-            budget := 0
-          end
-          else continue := false
+    let r = min_key t in
+    if r = 0 then continue := false
+    else if !budget >= r then begin
+      (* Complete as many key-r elements as the budget allows. *)
+      let complete = min t.counts.(r) (!budget / r) in
+      t.counts.(r) <- t.counts.(r) - complete;
+      t.size <- t.size - complete;
+      t.sum <- t.sum - (complete * r);
+      transmitted := !transmitted + complete;
+      budget := !budget - (complete * r);
+      if t.counts.(r) > 0 then begin
+        (* Partial service of one more key-r element. *)
+        if !budget > 0 then begin
+          t.counts.(r) <- t.counts.(r) - 1;
+          t.counts.(r - !budget) <- t.counts.(r - !budget) + 1;
+          t.sum <- t.sum - !budget;
+          budget := 0
         end
+        else continue := false
       end
-      else begin
-        t.counts.(r) <- t.counts.(r) - 1;
-        t.counts.(r - !budget) <- t.counts.(r - !budget) + 1;
-        t.sum <- t.sum - !budget;
-        budget := 0
-      end
+    end
+    else begin
+      t.counts.(r) <- t.counts.(r) - 1;
+      t.counts.(r - !budget) <- t.counts.(r - !budget) + 1;
+      t.sum <- t.sum - !budget;
+      budget := 0
+    end
   done;
   !transmitted
 

@@ -26,14 +26,11 @@ val add : t -> int -> unit
 val remove : t -> int -> unit
 (** Remove one occurrence. @raise Invalid_argument if the key is absent. *)
 
-val min_key : t -> int option
-val max_key : t -> int option
+val min_key : t -> int
+(** Smallest key present; 0 (outside the universe) when empty. *)
 
-val remove_min : t -> int option
-(** Remove and return one occurrence of the smallest key. *)
-
-val remove_max : t -> int option
-(** Remove and return one occurrence of the largest key. *)
+val max_key : t -> int
+(** Largest key present; 0 when empty. *)
 
 val sum : t -> int
 (** Sum of all elements (keys weighted by multiplicity). *)

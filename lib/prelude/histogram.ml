@@ -1,10 +1,14 @@
+(* The float state lives in an all-float record, which OCaml stores flat:
+   assigning a field writes the raw double, where a float field of the
+   mixed record [t] would box a fresh one on every sample. *)
+type floats = { mutable sum : float; mutable max_seen : float }
+
 type t = {
   max_value : float;
   buckets_per_decade : int;
   counts : int array; (* counts.(0) is the [0, 1) bucket *)
   mutable total : int;
-  mutable sum : float;
-  mutable max_seen : float;
+  f : floats;
 }
 
 let bucket_count ~max_value ~buckets_per_decade =
@@ -20,15 +24,26 @@ let create ?(max_value = 1e9) ?(buckets_per_decade = 10) () =
     buckets_per_decade;
     counts = Array.make (bucket_count ~max_value ~buckets_per_decade + 1) 0;
     total = 0;
-    sum = 0.0;
-    max_seen = 0.0;
+    f = { sum = 0.0; max_seen = 0.0 };
   }
 
-let index t x =
+(* Both [add]s inline this and [observe], so [add_int]'s converted sample
+   never crosses a call boxed (the build has no flambda): an integer lands
+   in exactly the bucket its float would. *)
+let[@inline] index t x =
   if x < 1.0 then 0
   else
     let i = 1 + int_of_float (log10 x *. float_of_int t.buckets_per_decade) in
-    min i (Array.length t.counts - 1)
+    let last = Array.length t.counts - 1 in
+    if i < last then i else last
+
+let[@inline] observe t x =
+  let i = index t x in
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.total <- t.total + 1;
+  let f = t.f in
+  f.sum <- f.sum +. x;
+  if x > f.max_seen then f.max_seen <- x
 
 (* Lower edge of bucket i (inverse of [index]). *)
 let lower_edge t i =
@@ -41,15 +56,15 @@ let upper_edge t i =
 
 let add t x =
   if x < 0.0 then invalid_arg "Histogram.add: negative sample";
-  let i = index t x in
-  t.counts.(i) <- t.counts.(i) + 1;
-  t.total <- t.total + 1;
-  t.sum <- t.sum +. x;
-  if x > t.max_seen then t.max_seen <- x
+  observe t x
+
+let add_int t x =
+  if x < 0 then invalid_arg "Histogram.add_int: negative sample";
+  observe t (float_of_int x)
 
 let count t = t.total
-let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
-let max_seen t = t.max_seen
+let mean t = if t.total = 0 then 0.0 else t.f.sum /. float_of_int t.total
+let max_seen t = t.f.max_seen
 let buckets_per_decade t = t.buckets_per_decade
 
 let buckets t =
@@ -109,19 +124,19 @@ let quantile t q =
   else if t.total = 1 then
     (* The one sample is [max_seen] itself; interpolating inside its bucket
        would report a value strictly below it for any q < 1. *)
-    t.max_seen
+    t.f.max_seen
   else begin
     let rank = q *. float_of_int t.total in
     let rec scan i seen =
-      if i >= Array.length t.counts then t.max_seen
+      if i >= Array.length t.counts then t.f.max_seen
       else
         let seen' = seen + t.counts.(i) in
         if float_of_int seen' >= rank && t.counts.(i) > 0 then begin
           (* Interpolate within the bucket. *)
           let inside = rank -. float_of_int seen in
           let frac = inside /. float_of_int t.counts.(i) in
-          let lo = lower_edge t i and hi = Float.min (upper_edge t i) t.max_seen in
-          Float.min (lo +. (frac *. (hi -. lo))) t.max_seen
+          let lo = lower_edge t i and hi = Float.min (upper_edge t i) t.f.max_seen in
+          Float.min (lo +. (frac *. (hi -. lo))) t.f.max_seen
         end
         else scan (i + 1) seen'
     in
@@ -137,19 +152,22 @@ let merge a b =
     a with
     counts;
     total = a.total + b.total;
-    sum = a.sum +. b.sum;
-    max_seen = Float.max a.max_seen b.max_seen;
+    f =
+      {
+        sum = a.f.sum +. b.f.sum;
+        max_seen = Float.max a.f.max_seen b.f.max_seen;
+      };
   }
 
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.total <- 0;
-  t.sum <- 0.0;
-  t.max_seen <- 0.0
+  t.f.sum <- 0.0;
+  t.f.max_seen <- 0.0
 
 let pp ppf t =
   if t.total = 0 then Format.fprintf ppf "n=0"
   else
     Format.fprintf ppf "n=%d mean=%.3g p50=%.3g p90=%.3g p99=%.3g max=%.3g"
       t.total (mean t) (quantile t 0.5) (quantile t 0.9) (quantile t 0.99)
-      t.max_seen
+      t.f.max_seen

@@ -14,6 +14,12 @@ val add : t -> float -> unit
 (** Negative samples raise [Invalid_argument]; samples above the cap are
     clamped into the last bucket. *)
 
+val add_int : t -> int -> unit
+(** [add_int t x] records exactly what [add t (float_of_int x)] records —
+    same bucket, count, sum and maximum — without boxing a float: the
+    per-packet and per-slot form for samples counted in slots.
+    @raise Invalid_argument on a negative sample. *)
+
 val count : t -> int
 
 val quantile : t -> float -> float

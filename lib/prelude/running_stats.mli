@@ -11,6 +11,10 @@ val clear : t -> unit
 
 val add : t -> float -> unit
 
+val add_int : t -> int -> unit
+(** [add_int t x] is [add t (float_of_int x)], bit for bit, without boxing
+    the converted sample: the per-packet and per-slot form. *)
+
 val count : t -> int
 
 val mean : t -> float

@@ -40,14 +40,14 @@ let record_push_out t = Registry.incr t.pushed_out
 let record_transmit t ~value ~latency =
   Registry.incr t.transmitted;
   Registry.add t.transmitted_value value;
-  Registry.observe t.latency latency
+  Registry.observe_int t.latency latency
 
 let record_transmissions t ~count ~value =
   Registry.add t.transmitted count;
   Registry.add t.transmitted_value value
 
 let record_flush t n = Registry.add t.flushed n
-let record_occupancy t occ = Registry.observe t.occupancy (float_of_int occ)
+let record_occupancy t occ = Registry.observe_int t.occupancy occ
 
 let arrivals t = Registry.counter_value t.arrivals
 let accepted t = Registry.counter_value t.accepted

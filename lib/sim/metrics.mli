@@ -39,7 +39,7 @@ val record_drop : t -> unit
 val record_push_out : t -> unit
 (** An admitted packet was evicted in favour of an arrival. *)
 
-val record_transmit : t -> value:int -> latency:float -> unit
+val record_transmit : t -> value:int -> latency:int -> unit
 (** One packet fully processed and sent: counts it, adds [value] to the
     value objective and [latency] (slots since arrival) to the latency
     histogram. *)

@@ -36,8 +36,8 @@ let proc_instance ?(name = "OPT") ?cores ?events config =
       | Some f -> Flight.accept f ~slot:!slot ~src ~dest)
     end
     else begin
-      match Count_multiset.max_key bag with
-      | Some worst when worst > work ->
+      let worst = Count_multiset.max_key bag in
+      if worst > work then begin
         Count_multiset.remove bag worst;
         Count_multiset.add bag work;
         Metrics.record_push_out metrics;
@@ -46,14 +46,16 @@ let proc_instance ?(name = "OPT") ?cores ?events config =
         | Some f ->
           Flight.push_out f ~slot:!slot ~src ~victim:worst ~dest ~lost:1);
         Metrics.record_accept metrics;
-        (match events with
+        match events with
         | None -> ()
-        | Some f -> Flight.accept f ~slot:!slot ~src ~dest)
-      | Some _ | None ->
+        | Some f -> Flight.accept f ~slot:!slot ~src ~dest
+      end
+      else begin
         Metrics.record_drop metrics;
-        (match events with
+        match events with
         | None -> ()
-        | Some f -> Flight.drop f ~slot:!slot ~src ~dest ~value:1)
+        | Some f -> Flight.drop f ~slot:!slot ~src ~dest ~value:1
+      end
     end
   in
   let transmit () =
@@ -131,8 +133,9 @@ let value_instance ?(name = "OPT") ?cores ?events config =
       | Some f -> Flight.accept f ~slot:!slot ~src ~dest)
     end
     else begin
-      match Count_multiset.min_key bag with
-      | Some worst when worst < value ->
+      (* The bag is full, so non-empty: [min_key] is a real key. *)
+      let worst = Count_multiset.min_key bag in
+      if worst < value then begin
         Count_multiset.remove bag worst;
         Count_multiset.add bag value;
         Metrics.record_push_out metrics;
@@ -141,14 +144,16 @@ let value_instance ?(name = "OPT") ?cores ?events config =
         | Some f ->
           Flight.push_out f ~slot:!slot ~src ~victim:worst ~dest ~lost:worst);
         Metrics.record_accept metrics;
-        (match events with
+        match events with
         | None -> ()
-        | Some f -> Flight.accept f ~slot:!slot ~src ~dest)
-      | Some _ | None ->
+        | Some f -> Flight.accept f ~slot:!slot ~src ~dest
+      end
+      else begin
         Metrics.record_drop metrics;
-        (match events with
+        match events with
         | None -> ()
-        | Some f -> Flight.drop f ~slot:!slot ~src ~dest ~value)
+        | Some f -> Flight.drop f ~slot:!slot ~src ~dest ~value
+      end
     end
   in
   let transmit () =

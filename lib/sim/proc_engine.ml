@@ -20,41 +20,38 @@ let create_controlled ?name ?events config (policy_ref : Proc_policy.t ref) =
     | None -> ()
     | Some f ->
       Flight.arrival f ~slot:(Proc_switch.now sw) ~src ~dest);
-    match Proc_policy.admit !policy_ref sw ~dest ~value with
-    | Decision.Accept ->
-      Proc_switch.accept sw ~dest ~value;
-      Metrics.record_accept metrics;
-      (match events with
-      | None -> ()
-      | Some f ->
-        Flight.accept f ~slot:(Proc_switch.now sw) ~src ~dest)
-    | Decision.Push_out { victim } ->
+    let d = Proc_policy.admit !policy_ref sw ~dest ~value in
+    (* A push-out makes room, then the arrival is accepted as usual. *)
+    if Decision.is_push_out d then begin
       if not (Proc_switch.is_full sw) then
         invalid_arg
           (name ^ ": push-out decision while the buffer has free space");
+      let victim = Decision.victim d in
       let lost = Proc_switch.push_out sw ~victim in
       Metrics.record_push_out metrics;
-      (match events with
+      match events with
       | None -> ()
       | Some f ->
-        Flight.push_out f ~slot:(Proc_switch.now sw) ~src ~victim ~dest ~lost);
+        Flight.push_out f ~slot:(Proc_switch.now sw) ~src ~victim ~dest ~lost
+    end;
+    if Decision.is_drop d then begin
+      Metrics.record_drop metrics;
+      match events with
+      | None -> ()
+      | Some f -> Flight.drop f ~slot:(Proc_switch.now sw) ~src ~dest ~value
+    end
+    else begin
       Proc_switch.accept sw ~dest ~value;
       Metrics.record_accept metrics;
-      (match events with
+      match events with
       | None -> ()
-      | Some f ->
-        Flight.accept f ~slot:(Proc_switch.now sw) ~src ~dest)
-    | Decision.Drop ->
-      Metrics.record_drop metrics;
-      (match events with
-      | None -> ()
-      | Some f ->
-        Flight.drop f ~slot:(Proc_switch.now sw) ~src ~dest ~value)
+      | Some f -> Flight.accept f ~slot:(Proc_switch.now sw) ~src ~dest
+    end
   in
   let transmit =
     let on_transmit ~dest ~value ~arrival =
       let latency = Proc_switch.now sw - arrival in
-      Metrics.record_transmit metrics ~value ~latency:(float_of_int latency);
+      Metrics.record_transmit metrics ~value ~latency;
       Port_stats.record ports ~port:dest ~value;
       match events with
       | None -> ()

@@ -1,8 +1,8 @@
 (** Drives a {!Smbm_core.Proc_policy} over a {!Smbm_core.Proc_switch} as a
     steppable {!Instance}.
 
-    The engine enforces decision legality: [Accept] requires free space (the
-    switch checks), [Push_out] is only legal when the buffer is full (and the
+    The engine enforces decision legality: [accept] requires free space (the
+    switch checks), [push_out] is only legal when the buffer is full (and the
     switch checks the victim queue is non-empty).  An illegal decision raises
     [Invalid_argument] — a policy bug fails fast instead of skewing an
     experiment.

@@ -153,14 +153,14 @@ type policy = {
   admit : t -> dest:int -> value:int -> Decision.t;
 }
 
-let greedy_accept sw = if is_full sw then None else Some Decision.Accept
+let greedy_accept sw = if is_full sw then None else Some Decision.accept
 
 let greedy =
   {
     name = "Greedy";
     admit =
       (fun sw ~dest:_ ~value:_ ->
-        match greedy_accept sw with Some d -> d | None -> Decision.Drop);
+        match greedy_accept sw with Some d -> d | None -> Decision.drop);
   }
 
 let nest (config : Proc_config.t) =
@@ -169,9 +169,9 @@ let nest (config : Proc_config.t) =
     name = "NEST";
     admit =
       (fun sw ~dest ~value:_ ->
-        if is_full sw then Decision.Drop
-        else if queue_length sw dest * n < b then Decision.Accept
-        else Decision.Drop);
+        if is_full sw then Decision.drop
+        else if queue_length sw dest * n < b then Decision.accept
+        else Decision.drop);
   }
 
 (* argmax of (key j, port work, index) with the destination's key
@@ -189,7 +189,7 @@ let argmax_virtual sw ~key =
   !best
 
 let push_or_drop ~dest victim =
-  if victim <> dest then Decision.Push_out { victim } else Decision.Drop
+  if victim <> dest then Decision.push_out victim else Decision.drop
 
 let lqd =
   {
@@ -234,8 +234,8 @@ let mvd =
             | _ -> ()
           done;
           match !best with
-          | Some (victim, v) when v < value -> Decision.Push_out { victim }
-          | Some _ | None -> Decision.Drop));
+          | Some (victim, v) when v < value -> Decision.push_out victim
+          | Some _ | None -> Decision.drop));
   }
 
 (* Largest W_j / V_j, the destination counted virtually, compared as
@@ -260,7 +260,7 @@ let wvd =
           done;
           match !best with
           | Some (victim, _, _) -> push_or_drop ~dest victim
-          | None -> Decision.Drop));
+          | None -> Decision.drop));
   }
 
 (* The tail of smallest density v / w, compared as v_a * w_b < v_b * w_a;
@@ -286,8 +286,8 @@ let dpk =
           done;
           match !best with
           | Some (victim, bv, bw) when value * bw > bv * port_work sw dest ->
-            Decision.Push_out { victim }
-          | Some _ | None -> Decision.Drop));
+            Decision.push_out victim
+          | Some _ | None -> Decision.drop));
   }
 
 let all config = [ greedy; nest config; lqd; lwd; mvd; wvd; dpk ]
@@ -303,8 +303,7 @@ let engine ?events config policy =
   let record f = match events with None -> () | Some r -> f r in
   let on_transmit p =
     let latency = sw.now - p.arrival in
-    Metrics.record_transmit metrics ~value:p.value
-      ~latency:(float_of_int latency);
+    Metrics.record_transmit metrics ~value:p.value ~latency;
     Port_stats.record ports ~port:p.dest ~value:p.value;
     record (fun f ->
         Flight.transmit f ~slot:sw.now ~src ~dest:p.dest ~value:p.value
@@ -318,16 +317,16 @@ let engine ?events config policy =
       Metrics.record_accept metrics;
       record (fun f -> Flight.accept f ~slot:sw.now ~src ~dest)
     in
-    match policy.admit sw ~dest ~value with
-    | Decision.Accept -> admit ()
-    | Decision.Push_out { victim } ->
+    match Decision_view.of_decision (policy.admit sw ~dest ~value) with
+    | Decision_view.Accept -> admit ()
+    | Decision_view.Push_out victim ->
       if not (is_full sw) then invalid_arg (name ^ ": push-out with free space");
       let evicted = push_out sw ~victim in
       Metrics.record_push_out metrics;
       record (fun f ->
           Flight.push_out f ~slot:sw.now ~src ~victim ~dest ~lost:evicted.value);
       admit ()
-    | Decision.Drop ->
+    | Decision_view.Drop ->
       Metrics.record_drop metrics;
       record (fun f -> Flight.drop f ~slot:sw.now ~src ~dest ~value)
   in

@@ -114,12 +114,11 @@ let rsv_reclaim ~reserve sw ~dest =
 
 let proc_policy name select =
   Proc_policy.make ~name ~push_out:true (fun sw ~dest ~value:_ ->
-      match Proc_policy.greedy_accept sw with
-      | Some d -> d
-      | None -> select sw ~dest)
+      if not (Proc_switch.is_full sw) then Decision.accept
+      else select sw ~dest)
 
 let push_or_drop ~dest victim =
-  if victim <> dest then Decision.Push_out { victim } else Decision.Drop
+  if victim <> dest then Decision.push_out victim else Decision.drop
 
 let lqd_policy () = proc_policy "LQD" (fun sw ~dest -> push_or_drop ~dest (lqd sw ~dest))
 
@@ -130,25 +129,25 @@ let lwd_policy ?(protect_last = false) ?(tie = P_lwd.Largest_work) () =
 let bpd_policy ~protect_last () =
   proc_policy "BPD" (fun sw ~dest ->
       match bpd ~protect_last sw with
-      | None -> Decision.Drop
+      | None -> Decision.drop
       | Some victim ->
         let aw = Proc_switch.port_work sw dest
         and vw = Proc_switch.port_work sw victim in
         if aw < vw || (aw = vw && dest <= victim) then
-          Decision.Push_out { victim }
-        else Decision.Drop)
+          Decision.push_out victim
+        else Decision.drop)
 
 let rsv_policy ~reserve () =
   proc_policy "RSV" (fun sw ~dest ->
       if Proc_switch.queue_length sw dest >= reserve then begin
         let victim = rsv_pool ~reserve sw ~dest in
         if victim <> dest && overflow ~reserve sw victim ~dest > 0 then
-          Decision.Push_out { victim }
-        else Decision.Drop
+          Decision.push_out victim
+        else Decision.drop
       end
       else begin
         let victim = rsv_reclaim ~reserve sw ~dest in
-        if victim >= 0 then Decision.Push_out { victim } else Decision.Drop
+        if victim >= 0 then Decision.push_out victim else Decision.drop
       end)
 
 (* ----- value model ----- *)
@@ -215,30 +214,27 @@ let mrd ~protect_last sw =
 
 let value_policy name admit =
   Value_policy.make ~name ~push_out:true (fun sw ~dest ~value ->
-      match Value_policy.greedy_accept sw with
-      | Some d -> d
-      | None -> admit sw ~dest ~value)
+      if not (Value_switch.is_full sw) then Decision.accept
+      else admit sw ~dest ~value)
 
 let vlqd_policy () =
   value_policy "LQD" (fun sw ~dest ~value ->
       let victim = vlqd sw ~dest in
-      if victim <> dest then Decision.Push_out { victim }
-      else
-        match Value_switch.queue_min_value sw dest with
-        | Some m when m < value -> Decision.Push_out { victim = dest }
-        | Some _ | None -> Decision.Drop)
+      if victim <> dest then Decision.push_out victim
+      else if Value_switch.queue_min_value_or sw dest ~default:max_int < value
+      then Decision.push_out dest
+      else Decision.drop)
 
 let mvd_policy ~protect_last () =
   value_policy "MVD" (fun sw ~dest:_ ~value ->
       match mvd ~protect_last sw with
-      | Some (victim, m) when m < value -> Decision.Push_out { victim }
-      | Some _ | None -> Decision.Drop)
+      | Some (victim, m) when m < value -> Decision.push_out victim
+      | Some _ | None -> Decision.drop)
 
 let mrd_policy ~protect_last () =
   value_policy "MRD" (fun sw ~dest:_ ~value ->
-      match Value_switch.min_value sw with
-      | Some m when m <= value -> (
+      if Value_switch.min_value_or sw ~default:max_int <= value then
         match mrd ~protect_last sw with
-        | Some victim -> Decision.Push_out { victim }
-        | None -> Decision.Drop)
-      | Some _ | None -> Decision.Drop)
+        | Some victim -> Decision.push_out victim
+        | None -> Decision.drop
+      else Decision.drop)

@@ -25,16 +25,16 @@ let test_lwd1_protects_last_packet () =
   let _, sw = switch ~buffer:2 ~works:[| 1; 6 |] ~lengths:[| 1; 1 |] () in
   let config = Proc_switch.config sw in
   Alcotest.check decision "LWD evicts the singleton"
-    (Decision.Push_out { victim = 1 })
+    (Decision.push_out 1)
     (Proc_policy.admit (P_lwd.make config) sw ~dest:0 ~value:1);
-  Alcotest.check decision "LWD1 drops instead" Decision.Drop
+  Alcotest.check decision "LWD1 drops instead" Decision.drop
     (Proc_policy.admit (P_lwd.make ~protect_last:true config) sw ~dest:0 ~value:1)
 
 let test_lwd1_still_pushes_long_queues () =
   let _, sw = switch ~buffer:4 ~works:[| 1; 6 |] ~lengths:[| 2; 2 |] () in
   let config = Proc_switch.config sw in
   Alcotest.check decision "eligible victim found"
-    (Decision.Push_out { victim = 1 })
+    (Decision.push_out 1)
     (Proc_policy.admit (P_lwd.make ~protect_last:true config) sw ~dest:0 ~value:1)
 
 let test_lwd_tie_variants_differ () =
@@ -44,13 +44,13 @@ let test_lwd_tie_variants_differ () =
   let _, sw = switch ~works:[| 1; 2; 2; 3 |] ~lengths:[| 6; 0; 0; 2 |] () in
   let config = Proc_switch.config sw in
   Alcotest.check decision "largest work (paper)"
-    (Decision.Push_out { victim = 3 })
+    (Decision.push_out 3)
     (Proc_policy.admit (P_lwd.make config) sw ~dest:1 ~value:1);
   Alcotest.check decision "smallest work"
-    (Decision.Push_out { victim = 0 })
+    (Decision.push_out 0)
     (Proc_policy.admit (P_lwd.make ~tie:P_lwd.Smallest_work config) sw ~dest:1 ~value:1);
   Alcotest.check decision "longest queue"
-    (Decision.Push_out { victim = 0 })
+    (Decision.push_out 0)
     (Proc_policy.admit (P_lwd.make ~tie:P_lwd.Longest_queue config) sw ~dest:1 ~value:1)
 
 let test_mrd1_protects_singletons () =
@@ -62,10 +62,10 @@ let test_mrd1_protects_singletons () =
   ignore (Value_switch.accept sw ~dest:1 ~value:9);
   ignore (Value_switch.accept sw ~dest:1 ~value:9);
   Alcotest.check decision "MRD evicts the singleton"
-    (Decision.Push_out { victim = 0 })
+    (Decision.push_out 0)
     (Value_policy.admit (V_mrd.make config) sw ~dest:2 ~value:5);
   Alcotest.check decision "MRD1 falls back to an eligible queue"
-    (Decision.Push_out { victim = 1 })
+    (Decision.push_out 1)
     (Value_policy.admit (V_mrd.make ~protect_last:true config) sw ~dest:2
        ~value:5)
 
@@ -74,18 +74,18 @@ let test_rand_legal_decisions () =
   let policy = P_rand.make ~seed:7 config in
   let sw = Proc_switch.create config in
   (* Not full: always accept. *)
-  Alcotest.check decision "greedy accept" Decision.Accept
+  Alcotest.check decision "greedy accept" Decision.accept
     (Proc_policy.admit policy sw ~dest:0 ~value:1);
   for _ = 1 to 4 do
     ignore (Proc_switch.accept sw ~dest:2 ~value:1)
   done;
   for _ = 1 to 50 do
-    match Proc_policy.admit policy sw ~dest:1 ~value:1 with
-    | Decision.Accept -> Alcotest.fail "accept on full buffer"
-    | Decision.Push_out { victim } ->
+    match Decision_view.of_decision (Proc_policy.admit policy sw ~dest:1 ~value:1) with
+    | Decision_view.Accept -> Alcotest.fail "accept on full buffer"
+    | Decision_view.Push_out victim ->
       if Proc_switch.queue_length sw victim = 0 then
         Alcotest.fail "evicting from empty queue"
-    | Decision.Drop -> ()
+    | Decision_view.Drop -> ()
   done
 
 let test_rand_is_seeded () =

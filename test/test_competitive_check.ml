@@ -60,9 +60,9 @@ let test_prefix_sharper_than_final () =
      but catches up. *)
   let opponent =
     Proc_policy.make ~name:"ones-only" ~push_out:false (fun sw ~dest ~value:_ ->
-        if Proc_switch.is_full sw then Decision.Drop
-        else if dest = 0 then Decision.Accept
-        else Decision.Drop)
+        if Proc_switch.is_full sw then Decision.drop
+        else if dest = 0 then Decision.accept
+        else Decision.drop)
   in
   let trace =
     [|
@@ -96,10 +96,10 @@ let prop_certificate_random_traces_random_opponents =
       in
       let opponent =
         Proc_policy.make ~name:"quota" ~push_out:false (fun sw ~dest ~value:_ ->
-            if Proc_switch.is_full sw then Decision.Drop
+            if Proc_switch.is_full sw then Decision.drop
             else if Proc_switch.queue_length sw dest < quotas.(dest) then
-              Decision.Accept
-            else Decision.Drop)
+              Decision.accept
+            else Decision.drop)
       in
       let outcome =
         certify ~config ~trace

@@ -9,8 +9,8 @@ let test_basic () =
   Alcotest.(check int) "size" 3 (Count_multiset.size m);
   Alcotest.(check int) "count 3" 2 (Count_multiset.count m 3);
   Alcotest.(check int) "sum" 7 (Count_multiset.sum m);
-  Alcotest.(check (option int)) "min" (Some 1) (Count_multiset.min_key m);
-  Alcotest.(check (option int)) "max" (Some 3) (Count_multiset.max_key m)
+  Alcotest.(check int) "min" 1 (Count_multiset.min_key m);
+  Alcotest.(check int) "max" 3 (Count_multiset.max_key m)
 
 let test_key_range () =
   let m = Count_multiset.create ~k:4 in
@@ -26,16 +26,21 @@ let test_key_range () =
 let test_remove_min_max () =
   let m = Count_multiset.create ~k:9 in
   List.iter (Count_multiset.add m) [ 4; 7; 2; 7 ];
-  Alcotest.(check (option int)) "remove_min" (Some 2)
-    (Count_multiset.remove_min m);
-  Alcotest.(check (option int)) "remove_max" (Some 7)
-    (Count_multiset.remove_max m);
+  let remove_min () =
+    let key = Count_multiset.min_key m in
+    Count_multiset.remove m key;
+    key
+  in
+  Alcotest.(check int) "remove min" 2 (remove_min ());
+  let key = Count_multiset.max_key m in
+  Count_multiset.remove m key;
+  Alcotest.(check int) "remove max" 7 key;
   Alcotest.(check int) "size" 2 (Count_multiset.size m);
   Alcotest.(check int) "sum" 11 (Count_multiset.sum m);
-  ignore (Count_multiset.remove_min m);
-  ignore (Count_multiset.remove_min m);
-  Alcotest.(check (option int)) "empty remove" None
-    (Count_multiset.remove_min m)
+  ignore (remove_min () : int);
+  ignore (remove_min () : int);
+  Alcotest.(check int) "empty min" 0 (Count_multiset.min_key m);
+  Alcotest.(check int) "empty max" 0 (Count_multiset.max_key m)
 
 let test_decrement_smallest () =
   let m = Count_multiset.create ~k:5 in
@@ -73,7 +78,7 @@ let test_remove_largest () =
   let value = Count_multiset.remove_largest m ~budget:3 in
   Alcotest.(check int) "value of 3 largest" 23 value;
   Alcotest.(check int) "left" 1 (Count_multiset.size m);
-  Alcotest.(check (option int)) "left key" (Some 1) (Count_multiset.min_key m)
+  Alcotest.(check int) "left key" 1 (Count_multiset.min_key m)
 
 let test_fold_and_clear () =
   let m = Count_multiset.create ~k:5 in
@@ -116,15 +121,17 @@ let prop_model =
             end
           | `Remove_min -> (
             match !model with
-            | [] -> if Count_multiset.remove_min m <> None then ok := false
+            | [] -> if Count_multiset.min_key m <> 0 then ok := false
             | x :: rest ->
-              if Count_multiset.remove_min m <> Some x then ok := false;
+              if Count_multiset.min_key m <> x then ok := false
+              else Count_multiset.remove m x;
               model := rest)
           | `Remove_max -> (
             match List.rev !model with
-            | [] -> if Count_multiset.remove_max m <> None then ok := false
+            | [] -> if Count_multiset.max_key m <> 0 then ok := false
             | x :: rest_rev ->
-              if Count_multiset.remove_max m <> Some x then ok := false;
+              if Count_multiset.max_key m <> x then ok := false
+              else Count_multiset.remove m x;
               model := List.rev rest_rev)
           | `Serve budget ->
             let served = min budget (List.length !model) in
@@ -143,9 +150,9 @@ let prop_model =
       && Count_multiset.size m = List.length !model
       && Count_multiset.sum m = List.fold_left ( + ) 0 !model
       && Count_multiset.min_key m
-         = (match !model with [] -> None | x :: _ -> Some x)
+         = (match !model with [] -> 0 | x :: _ -> x)
       && Count_multiset.max_key m
-         = (match List.rev !model with [] -> None | x :: _ -> Some x))
+         = (match List.rev !model with [] -> 0 | x :: _ -> x))
 
 let suite =
   [

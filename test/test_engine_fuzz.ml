@@ -14,7 +14,7 @@ let chaos_proc ~seed =
   Proc_policy.make ~name:"chaos" ~push_out:true (fun sw ~dest ~value:_ ->
       if not (Proc_switch.is_full sw) then
         (* Sometimes drop even with space: legal for any policy. *)
-        if Rng.bernoulli rng ~p:0.8 then Decision.Accept else Decision.Drop
+        if Rng.bernoulli rng ~p:0.8 then Decision.accept else Decision.drop
       else begin
         let nonempty =
           List.filter
@@ -22,20 +22,20 @@ let chaos_proc ~seed =
             (List.init (Proc_switch.n sw) Fun.id)
         in
         match nonempty with
-        | [] -> Decision.Drop
+        | [] -> Decision.drop
         | _ ->
           if Rng.bernoulli rng ~p:0.5 then
             let victim = List.nth nonempty (Rng.int rng (List.length nonempty)) in
-            if victim = dest && Rng.bernoulli rng ~p:0.5 then Decision.Drop
-            else Decision.Push_out { victim }
-          else Decision.Drop
+            if victim = dest && Rng.bernoulli rng ~p:0.5 then Decision.drop
+            else Decision.push_out victim
+          else Decision.drop
       end)
 
 let chaos_value ~seed =
   let rng = Rng.create ~seed in
   Value_policy.make ~name:"chaos" ~push_out:true (fun sw ~dest:_ ~value:_ ->
       if not (Value_switch.is_full sw) then
-        if Rng.bernoulli rng ~p:0.8 then Decision.Accept else Decision.Drop
+        if Rng.bernoulli rng ~p:0.8 then Decision.accept else Decision.drop
       else begin
         let nonempty =
           List.filter
@@ -43,12 +43,12 @@ let chaos_value ~seed =
             (List.init (Value_switch.n sw) Fun.id)
         in
         match nonempty with
-        | [] -> Decision.Drop
+        | [] -> Decision.drop
         | _ ->
           if Rng.bernoulli rng ~p:0.5 then
-            Decision.Push_out
-              { victim = List.nth nonempty (Rng.int rng (List.length nonempty)) }
-          else Decision.Drop
+            Decision.push_out
+              (List.nth nonempty (Rng.int rng (List.length nonempty)))
+          else Decision.drop
       end)
 
 let prop_proc_engine_fuzz =

@@ -128,7 +128,7 @@ let test_value_flat_slab_growth () =
   Value_switch.accept sw ~dest:1 ~value:1;
   Value_switch.set_buffer sw 40;
   Value_switch.check_invariants sw;
-  Alcotest.(check (option int)) "min kept" (Some 1) (Value_switch.min_value sw);
+  Alcotest.(check int) "min kept" 1 (Value_switch.min_value_or sw ~default:0);
   for i = 1 to 38 do
     Value_switch.accept sw ~dest:(i mod 2) ~value:((i * 7 mod 130) + 1)
   done;
@@ -325,10 +325,8 @@ let prop_value_resize_never_drops =
           Value_switch.accept sw ~dest:d
             ~value:((!step * 5 mod 7) + 1))
         ~push_out:(fun () ->
-          match Value_switch.min_value_port sw with
-          | None -> ()
-          | Some victim ->
-            ignore (Value_switch.push_out sw ~victim : int))
+          let victim = Value_switch.min_value_port sw in
+          if victim >= 0 then ignore (Value_switch.push_out sw ~victim : int))
         ~transmit:(fun () ->
           let sent =
             Value_switch.transmit_phase sw
@@ -347,14 +345,12 @@ let prop_value_resize_never_drops =
             sum_ports Value_switch.queue_length
             <> Value_switch.occupancy sw
           then raise Exit;
-          match Value_switch.min_value sw with
-          | None -> if Value_switch.occupancy sw <> 0 then raise Exit
-          | Some m -> (
-            match Value_switch.min_value_port sw with
-            | None -> raise Exit
-            | Some j ->
-              if Value_switch.queue_min_value sw j <> Some m then
-                raise Exit)))
+          let m = Value_switch.min_value_or sw ~default:0 in
+          if m = 0 then (if Value_switch.occupancy sw <> 0 then raise Exit)
+          else
+            let j = Value_switch.min_value_port sw in
+            if j < 0 || Value_switch.queue_min_value_or sw j ~default:0 <> m
+            then raise Exit))
 
 let suite =
   [

@@ -210,6 +210,76 @@ let prop_bucket_quantile_equals_direct =
       && rebuilt -. direct <= hi -. lo +. eps
       && if hi <= max_seen then abs_float (rebuilt -. direct) <= eps else true)
 
+(* [add_int x] must record exactly what [add (float_of_int x)] records:
+   it recomputes the bucket inline rather than calling [add], so the two
+   formulas are compared here on everything a reader can see. *)
+let same_observations h1 h2 =
+  let bits = Int64.bits_of_float in
+  Histogram.buckets h1 = Histogram.buckets h2
+  && Histogram.count h1 = Histogram.count h2
+  && bits (Histogram.mean h1) = bits (Histogram.mean h2)
+  && bits (Histogram.max_seen h1) = bits (Histogram.max_seen h2)
+  && List.for_all
+       (fun q ->
+         bits (Histogram.quantile h1 q) = bits (Histogram.quantile h2 q))
+       [ 0.0; 0.01; 0.25; 0.5; 0.9; 0.95; 0.99; 1.0 ]
+
+(* Integers around every bucket edge up to 10^9: the edges' nearest
+   integers and one either side, where a formula drift would first
+   misfile a sample. *)
+let edge_samples ~buckets_per_decade =
+  List.concat_map
+    (fun i ->
+      let e =
+        Float.pow 10.0 (float_of_int i /. float_of_int buckets_per_decade)
+      in
+      let lo = int_of_float (Float.floor e) and hi = int_of_float (Float.ceil e) in
+      List.filter (fun x -> x >= 0) [ lo - 1; lo; hi; hi + 1 ])
+    (List.init ((9 * buckets_per_decade) + 1) Fun.id)
+
+let shapes = [ (1e7, 10); (1e9, 10); (1e4, 3) ]
+
+let test_add_int_edges () =
+  List.iter
+    (fun (max_value, buckets_per_decade) ->
+      List.iter
+        (fun x ->
+          let h1 = Histogram.create ~max_value ~buckets_per_decade ()
+          and h2 = Histogram.create ~max_value ~buckets_per_decade () in
+          Histogram.add_int h1 x;
+          Histogram.add h2 (float_of_int x);
+          if not (same_observations h1 h2) then
+            Alcotest.failf "max_value=%g bpd=%d: add_int %d <> add %d.0"
+              max_value buckets_per_decade x x)
+        (edge_samples ~buckets_per_decade))
+    shapes;
+  match Histogram.add_int (Histogram.create ()) (-1) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "negative int sample accepted"
+
+let prop_add_int_is_add =
+  QCheck2.Test.make ~name:"add_int x = add (float x)" ~count:300
+    QCheck2.Gen.(
+      pair (oneofl shapes)
+        (list_size (int_range 1 200)
+           (oneof
+              [
+                int_range 0 100_000_000;
+                int_range 0 1_000;
+                (* above every shape's cap: clamped into the last bucket *)
+                int_range 1_000_000_000 4_000_000_000;
+                map
+                  (fun (i, d) ->
+                    max 0 (int_of_float (Float.pow 10.0 (float_of_int i /. 10.0)) + d))
+                  (pair (int_range 0 80) (int_range (-1) 1));
+              ])))
+    (fun ((max_value, buckets_per_decade), xs) ->
+      let h1 = Histogram.create ~max_value ~buckets_per_decade ()
+      and h2 = Histogram.create ~max_value ~buckets_per_decade () in
+      List.iter (Histogram.add_int h1) xs;
+      List.iter (fun x -> Histogram.add h2 (float_of_int x)) xs;
+      same_observations h1 h2)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -227,4 +297,7 @@ let suite =
     Alcotest.test_case "bucket export round-trip" `Quick test_bucket_export;
     Qc.to_alcotest prop_median_within_bucket_error;
     Qc.to_alcotest prop_bucket_quantile_equals_direct;
+    Alcotest.test_case "add_int = add at every bucket edge" `Quick
+      test_add_int_edges;
+    Qc.to_alcotest prop_add_int_is_add;
   ]

@@ -82,11 +82,11 @@ let test_wvd_prefers_work_heavy_cheap_queue () =
      WVD evicts from Q2 - lots of work, little value. *)
   let cfg, sw = full_switch [ (1, 9); (1, 9); (2, 1); (2, 1) ] in
   Alcotest.check decision "evict cheap heavy queue"
-    (Decision.Push_out { victim = 2 })
+    (Decision.push_out 2)
     (Proc_policy.admit (P_wvd.make cfg) sw ~dest:0 ~value:5);
   (* LWD, value-blind, agrees here (Q2 also has the most work)... *)
   Alcotest.check decision "LWD agrees on work alone"
-    (Decision.Push_out { victim = 2 })
+    (Decision.push_out 2)
     (Proc_policy.admit (P_lwd.make cfg) sw ~dest:0 ~value:5)
 
 let test_wvd_differs_from_lwd () =
@@ -95,10 +95,10 @@ let test_wvd_differs_from_lwd () =
      LWD evicts Q1 (6 > 3); WVD evicts Q2. *)
   let cfg, sw = full_switch [ (1, 9); (1, 9); (1, 9); (2, 1) ] in
   Alcotest.check decision "LWD follows work"
-    (Decision.Push_out { victim = 1 })
+    (Decision.push_out 1)
     (Proc_policy.admit (P_lwd.make cfg) sw ~dest:0 ~value:5);
   Alcotest.check decision "WVD follows work-per-value"
-    (Decision.Push_out { victim = 2 })
+    (Decision.push_out 2)
     (Proc_policy.admit (P_wvd.make cfg) sw ~dest:0 ~value:5)
 
 let test_mvd_tail_only () =
@@ -106,9 +106,9 @@ let test_mvd_tail_only () =
      only evict tails; cheapest tail is Q1's 1. *)
   let cfg, sw = full_switch [ (1, 9); (1, 1); (2, 5); (2, 4) ] in
   Alcotest.check decision "cheapest tail"
-    (Decision.Push_out { victim = 1 })
+    (Decision.push_out 1)
     (Proc_policy.admit (P_mvd.make cfg) sw ~dest:0 ~value:8);
-  Alcotest.check decision "no gain, drop" Decision.Drop
+  Alcotest.check decision "no gain, drop" Decision.drop
     (Proc_policy.admit (P_mvd.make cfg) sw ~dest:0 ~value:1)
 
 let test_registry () =
@@ -298,7 +298,7 @@ let prop_lockstep_with_oracle =
       let config = Proc_config.make ~works ~buffer ~speedup ~max_value () in
       let prod = List.nth (Policies.hybrid config) policy
       and oracle = List.nth (Hybrid_oracle.all config) policy in
-      let last = ref Decision.Drop in
+      let last = ref Decision.drop in
       let pring = Smbm_obs.Flight.create ~cap:4096 ()
       and oring = Smbm_obs.Flight.create ~cap:4096 () in
       let inst, sw =

@@ -9,14 +9,14 @@ open Smbm_analysis
 
 let greedy =
   Proc_policy.make ~name:"greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
-      if Proc_switch.is_full sw then Decision.Drop else Decision.Accept)
+      if Proc_switch.is_full sw then Decision.drop else Decision.accept)
 
 let quota quotas =
   Proc_policy.make ~name:"quota" ~push_out:false (fun sw ~dest ~value:_ ->
-      if Proc_switch.is_full sw then Decision.Drop
+      if Proc_switch.is_full sw then Decision.drop
       else if Proc_switch.queue_length sw dest < quotas.(dest) then
-        Decision.Accept
-      else Decision.Drop)
+        Decision.accept
+      else Decision.drop)
 
 let expect_clean name (r : Mapping_certifier.report) =
   if r.violation_count > 0 then

@@ -17,9 +17,16 @@ let test_core_printers () =
     (render Proc_config.pp (Proc_config.contiguous ~k:3 ~buffer:6 ()));
   nonempty "Value_config.pp"
     (render Value_config.pp (Value_config.make ~ports:2 ~max_value:3 ~buffer:4 ()));
-  List.iter
-    (fun d -> nonempty "Decision.pp" (render Decision.pp d))
-    [ Decision.Accept; Decision.Push_out { victim = 2 }; Decision.Drop ]
+  (* Decisions are immediate ints now; they print exactly as the variant
+     did. *)
+  Alcotest.(check (list string))
+    "Decision.pp"
+    [ "accept"; "push-out(Q2)"; "drop" ]
+    (List.map (render Decision.pp)
+       [ Decision.accept; Decision.push_out 2; Decision.drop ]);
+  Alcotest.check_raises "negative victim"
+    (Invalid_argument "Decision.push_out: negative victim") (fun () ->
+      ignore (Decision.push_out (-1) : Decision.t))
 
 let test_prelude_printers () =
   let open Smbm_prelude in
@@ -57,7 +64,7 @@ let test_analysis_printers () =
   let config = Proc_config.contiguous ~k:2 ~buffer:2 () in
   let greedy =
     Proc_policy.make ~name:"greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
-        if Proc_switch.is_full sw then Decision.Drop else Decision.Accept)
+        if Proc_switch.is_full sw then Decision.drop else Decision.accept)
   in
   let r =
     Mapping_certifier.run ~config ~opponent:greedy

@@ -30,33 +30,33 @@ let test_nhst_admission () =
   let p = P_nhst.make (Proc_switch.config sw) in
   (* |Q_0| = 3 < 24/7: accept; |Q_3| = 1 >= 8/7 - no: 1 < 8/7 so accept;
      after another packet |Q_3| = 2 >= 8/7: drop. *)
-  Alcotest.check decision "port 0 under threshold" Decision.Accept
+  Alcotest.check decision "port 0 under threshold" Decision.accept
     (Proc_policy.admit p sw ~dest:0 ~value:1);
-  Alcotest.check decision "port 3 under threshold" Decision.Accept
+  Alcotest.check decision "port 3 under threshold" Decision.accept
     (Proc_policy.admit p sw ~dest:3 ~value:1);
   ignore (Proc_switch.accept sw ~dest:3 ~value:1);
-  Alcotest.check decision "port 3 over threshold" Decision.Drop
+  Alcotest.check decision "port 3 over threshold" Decision.drop
     (Proc_policy.admit p sw ~dest:3 ~value:1);
   (* Port 0 at threshold: 24/7 = 3.43, length 4 > threshold. *)
   ignore (Proc_switch.accept sw ~dest:0 ~value:1);
-  Alcotest.check decision "port 0 over threshold" Decision.Drop
+  Alcotest.check decision "port 0 over threshold" Decision.drop
     (Proc_policy.admit p sw ~dest:0 ~value:1)
 
 let test_nest_admission () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 1; 2; 0; 0 |] () in
   let p = P_nest.make (Proc_switch.config sw) in
   (* B/n = 2. *)
-  Alcotest.check decision "below share" Decision.Accept
+  Alcotest.check decision "below share" Decision.accept
     (Proc_policy.admit p sw ~dest:0 ~value:1);
-  Alcotest.check decision "at share" Decision.Drop
+  Alcotest.check decision "at share" Decision.drop
     (Proc_policy.admit p sw ~dest:1 ~value:1);
-  Alcotest.check decision "empty queue" Decision.Accept
+  Alcotest.check decision "empty queue" Decision.accept
     (Proc_policy.admit p sw ~dest:3 ~value:1)
 
 let test_nest_respects_full_buffer () =
   let _, sw = switch ~works:[| 1; 1 |] ~buffer:2 ~lengths:[| 1; 1 |] () in
   let p = P_nest.make (Proc_switch.config sw) in
-  Alcotest.check decision "full buffer" Decision.Drop
+  Alcotest.check decision "full buffer" Decision.drop
     (Proc_policy.admit p sw ~dest:0 ~value:1)
 
 let test_nhdt_pure_predicate () =
@@ -76,8 +76,8 @@ let test_nhdt_admission_matches_predicate () =
   let p = P_nhdt.make (Proc_switch.config sw) in
   let expected =
     if P_nhdt.admits ~buffer:8 ~lengths:[| 3; 1; 0; 0 |] ~dest:1 then
-      Decision.Accept
-    else Decision.Drop
+      Decision.accept
+    else Decision.drop
   in
   Alcotest.check decision "policy matches predicate" expected
     (Proc_policy.admit p sw ~dest:1 ~value:1)
@@ -85,7 +85,7 @@ let test_nhdt_admission_matches_predicate () =
 let test_lqd_accepts_when_space () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 4; 2; 1; 0 |] () in
   let p = P_lqd.make (Proc_switch.config sw) in
-  Alcotest.check decision "greedy accept" Decision.Accept
+  Alcotest.check decision "greedy accept" Decision.accept
     (Proc_policy.admit p sw ~dest:3 ~value:1)
 
 let test_lqd_pushes_longest () =
@@ -93,14 +93,14 @@ let test_lqd_pushes_longest () =
      port 3 pushes out from Q0. *)
   let _, sw = switch ~works:fig2_works ~lengths:[| 4; 2; 1; 1 |] () in
   let p = P_lqd.make (Proc_switch.config sw) in
-  Alcotest.check decision "push longest" (Decision.Push_out { victim = 0 })
+  Alcotest.check decision "push longest" (Decision.push_out 0)
     (Proc_policy.admit p sw ~dest:3 ~value:1)
 
 let test_lqd_drop_when_own_longest () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 4; 2; 1; 1 |] () in
   let p = P_lqd.make (Proc_switch.config sw) in
   (* Arrival for port 0: virtually 5, still the unique longest: drop. *)
-  Alcotest.check decision "drop into own longest" Decision.Drop
+  Alcotest.check decision "drop into own longest" Decision.drop
     (Proc_policy.admit p sw ~dest:0 ~value:1)
 
 let test_lqd_tie_break_largest_work () =
@@ -109,7 +109,7 @@ let test_lqd_tie_break_largest_work () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 0; 4; 0; 4 |] () in
   let p = P_lqd.make (Proc_switch.config sw) in
   Alcotest.check decision "tie towards larger work"
-    (Decision.Push_out { victim = 3 })
+    (Decision.push_out 3)
     (Proc_policy.admit p sw ~dest:0 ~value:1)
 
 let test_lqd_virtual_add_wins_tie () =
@@ -117,7 +117,7 @@ let test_lqd_virtual_add_wins_tie () =
      from Q1 means drop is wrong - j* = dest, so the packet is dropped. *)
   let _, sw = switch ~works:fig2_works ~lengths:[| 4; 4; 0; 0 |] () in
   let p = P_lqd.make (Proc_switch.config sw) in
-  Alcotest.check decision "virtual add makes own queue longest" Decision.Drop
+  Alcotest.check decision "virtual add makes own queue longest" Decision.drop
     (Proc_policy.admit p sw ~dest:1 ~value:1)
 
 let test_bpd_pushes_biggest_work () =
@@ -126,7 +126,7 @@ let test_bpd_pushes_biggest_work () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 0; 4; 0; 4 |] () in
   let p = P_bpd.make (Proc_switch.config sw) in
   Alcotest.check decision "evict biggest work"
-    (Decision.Push_out { victim = 3 })
+    (Decision.push_out 3)
     (Proc_policy.admit p sw ~dest:0 ~value:1)
 
 let test_bpd_drops_bigger_arrival () =
@@ -134,13 +134,13 @@ let test_bpd_drops_bigger_arrival () =
      in the work order: drop. *)
   let _, sw = switch ~works:fig2_works ~lengths:[| 8; 0; 0; 0 |] () in
   let p = P_bpd.make (Proc_switch.config sw) in
-  Alcotest.check decision "bigger than biggest" Decision.Drop
+  Alcotest.check decision "bigger than biggest" Decision.drop
     (Proc_policy.admit p sw ~dest:3 ~value:1);
   (* Equal works: port 1 arrival with only Q2 (same work 2) occupied; (2, 1)
      <= (2, 2) in the sorted order, so it may push out. *)
   let _, sw = switch ~works:fig2_works ~lengths:[| 0; 0; 8; 0 |] () in
   Alcotest.check decision "equal work earlier port pushes"
-    (Decision.Push_out { victim = 2 })
+    (Decision.push_out 2)
     (Proc_policy.admit p sw ~dest:1 ~value:1)
 
 let test_bpd1_protects_last_packet () =
@@ -151,16 +151,16 @@ let test_bpd1_protects_last_packet () =
   let bpd = P_bpd.make config in
   let bpd1 = P_bpd.make ~protect_last:true config in
   Alcotest.check decision "BPD evicts the single packet"
-    (Decision.Push_out { victim = 3 })
+    (Decision.push_out 3)
     (Proc_policy.admit bpd sw ~dest:0 ~value:1);
   Alcotest.check decision "BPD1 protects it"
-    (Decision.Push_out { victim = 1 })
+    (Decision.push_out 1)
     (Proc_policy.admit bpd1 sw ~dest:0 ~value:1)
 
 let test_bpd1_drops_when_all_queues_singletons () =
   let _, sw = switch ~works:[| 1; 2 |] ~buffer:2 ~lengths:[| 1; 1 |] () in
   let p = P_bpd.make ~protect_last:true (Proc_switch.config sw) in
-  Alcotest.check decision "no eligible victim" Decision.Drop
+  Alcotest.check decision "no eligible victim" Decision.drop
     (Proc_policy.admit p sw ~dest:0 ~value:1)
 
 let test_lwd_pushes_most_work () =
@@ -169,7 +169,7 @@ let test_lwd_pushes_most_work () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 6; 0; 0; 2 |] () in
   let p = P_lwd.make (Proc_switch.config sw) in
   Alcotest.check decision "tie towards larger work"
-    (Decision.Push_out { victim = 3 })
+    (Decision.push_out 3)
     (Proc_policy.admit p sw ~dest:1 ~value:1)
 
 let test_lwd_differs_from_lqd () =
@@ -177,10 +177,10 @@ let test_lwd_differs_from_lqd () =
      evicts from the longest queue Q0, LWD from the heaviest queue Q3. *)
   let _, sw = switch ~works:fig2_works ~lengths:[| 5; 0; 0; 3 |] () in
   let config = Proc_switch.config sw in
-  Alcotest.check decision "LQD evicts longest" (Decision.Push_out { victim = 0 })
+  Alcotest.check decision "LQD evicts longest" (Decision.push_out 0)
     (Proc_policy.admit (P_lqd.make config) sw ~dest:1 ~value:1);
   Alcotest.check decision "LWD evicts most work"
-    (Decision.Push_out { victim = 3 })
+    (Decision.push_out 3)
     (Proc_policy.admit (P_lwd.make config) sw ~dest:1 ~value:1)
 
 let test_lwd_virtual_add () =
@@ -189,11 +189,11 @@ let test_lwd_virtual_add () =
   let _, sw = switch ~works:fig2_works ~buffer:8 ~lengths:[| 7; 0; 0; 1 |] () in
   let p = P_lwd.make (Proc_switch.config sw) in
   Alcotest.check decision "other queue heavier"
-    (Decision.Push_out { victim = 0 })
+    (Decision.push_out 0)
     (Proc_policy.admit p sw ~dest:3 ~value:1);
   (* Make Q3 virtually heaviest: Q0 = 5, Q3 = 1x3 + virtual 3 = 6 > 5. *)
   let _, sw = switch ~works:fig2_works ~buffer:6 ~lengths:[| 5; 0; 0; 1 |] () in
-  Alcotest.check decision "own queue virtually heaviest drops" Decision.Drop
+  Alcotest.check decision "own queue virtually heaviest drops" Decision.drop
     (Proc_policy.admit p sw ~dest:3 ~value:1)
 
 let test_lwd_accounts_residual_work () =
@@ -203,7 +203,7 @@ let test_lwd_accounts_residual_work () =
   let _, sw = switch ~works:fig2_works ~buffer:7 ~lengths:[| 5; 0; 0; 2 |] () in
   let p = P_lwd.make (Proc_switch.config sw) in
   Alcotest.check decision "before processing"
-    (Decision.Push_out { victim = 3 })
+    (Decision.push_out 3)
     (Proc_policy.admit p sw ~dest:1 ~value:1);
   (* Two transmission phases: Q0 transmits 2 (W=3), Q3 works down to W=4. *)
   let on_transmit ~dest:_ ~value:_ ~arrival:_ = () in
@@ -240,13 +240,13 @@ let prop_all_policies_legal =
       let config, sw, dest = build input in
       List.for_all
         (fun (p : Proc_policy.t) ->
-          match Proc_policy.admit p sw ~dest ~value:1 with
-          | Decision.Accept -> not (Proc_switch.is_full sw)
-          | Decision.Push_out { victim } ->
+          match Decision_view.of_decision (Proc_policy.admit p sw ~dest ~value:1) with
+          | Decision_view.Accept -> not (Proc_switch.is_full sw)
+          | Decision_view.Push_out victim ->
             Proc_switch.is_full sw
             && p.push_out
             && Proc_switch.queue_length sw victim > 0
-          | Decision.Drop -> true)
+          | Decision_view.Drop -> true)
         (Policies.proc config))
 
 let prop_push_out_policies_greedy =
@@ -258,7 +258,7 @@ let prop_push_out_policies_greedy =
       || List.for_all
            (fun (p : Proc_policy.t) ->
              (not p.push_out)
-             || Proc_policy.admit p sw ~dest ~value:1 = Decision.Accept)
+             || Proc_policy.admit p sw ~dest ~value:1 = Decision.accept)
            (Policies.proc config))
 
 (* Note: the equivalence is exact only while no packet is partially served

@@ -26,7 +26,7 @@ let test_validation () =
 let test_greedy_accept () =
   let config, sw = switch ~works:[| 1; 2 |] ~lengths:[| 1; 0 |] () in
   let p = P_reserved.make ~reserve:2 config in
-  Alcotest.check decision "space free" Decision.Accept
+  Alcotest.check decision "space free" Decision.accept
     (Proc_policy.admit p sw ~dest:1 ~value:1)
 
 let test_pool_user_evicted_for_reserved_arrival () =
@@ -36,7 +36,7 @@ let test_pool_user_evicted_for_reserved_arrival () =
   let config, sw = switch ~buffer:4 ~works:[| 1; 2 |] ~lengths:[| 0; 4 |] () in
   let p = P_reserved.make ~reserve:1 config in
   Alcotest.check decision "reclaims reservation"
-    (Decision.Push_out { victim = 1 })
+    (Decision.push_out 1)
     (Proc_policy.admit p sw ~dest:0 ~value:1)
 
 let test_reserved_slots_never_stolen () =
@@ -45,7 +45,7 @@ let test_reserved_slots_never_stolen () =
      slots. *)
   let config, sw = switch ~buffer:4 ~works:[| 1; 2 |] ~lengths:[| 2; 2 |] () in
   let p = P_reserved.make ~reserve:2 config in
-  Alcotest.check decision "no pool user to evict" Decision.Drop
+  Alcotest.check decision "no pool user to evict" Decision.drop
     (Proc_policy.admit p sw ~dest:0 ~value:1)
 
 let test_pool_arrival_evicts_largest_pool_user () =
@@ -57,7 +57,7 @@ let test_pool_arrival_evicts_largest_pool_user () =
   in
   let p = P_reserved.make ~reserve:1 config in
   Alcotest.check decision "largest pool user"
-    (Decision.Push_out { victim = 2 })
+    (Decision.push_out 2)
     (Proc_policy.admit p sw ~dest:1 ~value:1)
 
 let test_own_queue_largest_pool_user_drops () =
@@ -66,7 +66,7 @@ let test_own_queue_largest_pool_user_drops () =
   in
   let p = P_reserved.make ~reserve:1 config in
   (* Q2 with virtual add holds 4 pool slots, more than anyone: drop. *)
-  Alcotest.check decision "own queue dominates pool" Decision.Drop
+  Alcotest.check decision "own queue dominates pool" Decision.drop
     (Proc_policy.admit p sw ~dest:2 ~value:1)
 
 let prop_reserve_zero_is_lqd =

@@ -76,6 +76,86 @@ let prop_welford_matches_naive =
       abs_float (Running_stats.mean s -. mean) < 1e-6
       && abs_float (Running_stats.variance s -. var) < 1e-5)
 
+(* The Welford code as it stood with its floats in a mixed record: the
+   flat float storage, and [add_int], must reproduce it bit for bit. *)
+module Reference = struct
+  type t = {
+    mutable n : int;
+    mutable mean : float;
+    mutable m2 : float;
+    mutable min : float;
+    mutable max : float;
+  }
+
+  let create () =
+    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
+
+  let add t x =
+    t.n <- t.n + 1;
+    let delta = x -. t.mean in
+    t.mean <- t.mean +. (delta /. float_of_int t.n);
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+    if x < t.min then t.min <- x;
+    if x > t.max then t.max <- x
+
+  let mean t = if t.n = 0 then 0.0 else t.mean
+  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
+
+  let merge a b =
+    if a.n = 0 then { b with n = b.n }
+    else if b.n = 0 then { a with n = a.n }
+    else begin
+      let n = a.n + b.n in
+      let delta = b.mean -. a.mean in
+      let nf = float_of_int n in
+      let mean = a.mean +. (delta *. float_of_int b.n /. nf) in
+      let m2 =
+        a.m2 +. b.m2
+        +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. nf)
+      in
+      { n; mean; m2; min = Float.min a.min b.min; max = Float.max a.max b.max }
+    end
+end
+
+let same s (r : Reference.t) =
+  let bits = Int64.bits_of_float in
+  Running_stats.count s = r.n
+  && bits (Running_stats.mean s) = bits (Reference.mean r)
+  && bits (Running_stats.variance s) = bits (Reference.variance r)
+  && (r.n = 0
+     || bits (Running_stats.min s) = bits r.min
+        && bits (Running_stats.max s) = bits r.max)
+
+let prop_storage_matches_reference =
+  QCheck2.Test.make
+    ~name:"flat Welford = mixed-record Welford, bit for bit (add, add_int, merge)"
+    ~count:300
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 60)
+           (oneof
+              [
+                map (fun x -> `Int x) (int_range 0 10_000_000);
+                map (fun x -> `Float x) (float_range (-1e6) 1e6);
+              ]))
+        (list_size (int_range 0 60) (int_range 0 100_000)))
+    (fun (xs, ys) ->
+      let feed s r = function
+        | `Int x ->
+          Running_stats.add_int s x;
+          Reference.add r (float_of_int x)
+        | `Float x ->
+          Running_stats.add s x;
+          Reference.add r x
+      in
+      let a = Running_stats.create () and ra = Reference.create () in
+      List.iter (feed a ra) xs;
+      let b = Running_stats.create () and rb = Reference.create () in
+      List.iter (fun y -> feed b rb (`Int y)) ys;
+      same a ra && same b rb
+      && same (Running_stats.merge a b) (Reference.merge ra rb)
+      && same (Running_stats.merge b a) (Reference.merge rb ra))
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -86,4 +166,5 @@ let suite =
       test_merge_matches_combined;
     Alcotest.test_case "merge with empty" `Quick test_merge_with_empty;
     Qc.to_alcotest prop_welford_matches_naive;
+    Qc.to_alcotest prop_storage_matches_reference;
   ]

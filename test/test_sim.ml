@@ -89,7 +89,7 @@ let test_proc_engine_rejects_illegal_push_out () =
   let config = contiguous 2 4 in
   let rogue =
     Proc_policy.make ~name:"rogue" ~push_out:true (fun _sw ~dest:_ ~value:_ ->
-        Decision.Push_out { victim = 0 })
+        Decision.push_out 0)
   in
   let inst = Proc_engine.instance config rogue in
   match inst.arrive_dv ~dest:0 ~value:1 with

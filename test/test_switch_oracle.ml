@@ -271,8 +271,9 @@ let prop_value_switch_matches_oracle =
               if Ports.value sw i <> q then ok := false;
               if Value_switch.queue_length sw i <> List.length q then
                 ok := false;
-              let min_v = match List.rev q with [] -> None | (_, v, _) :: _ -> Some v in
-              if Value_switch.queue_min_value sw i <> min_v then ok := false;
+              let min_v = match List.rev q with [] -> 0 | (_, v, _) :: _ -> v in
+              if Value_switch.queue_min_value_or sw i ~default:0 <> min_v then
+                ok := false;
               let sum = List.fold_left (fun acc (_, v, _) -> acc + v) 0 q in
               if Value_switch.queue_total_value sw i <> sum then ok := false)
             oracle.queues)

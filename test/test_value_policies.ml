@@ -15,22 +15,22 @@ let decision = Alcotest.testable Decision.pp Decision.equal
 let test_greedy () =
   let config, sw = switch ~fill:[ (0, 1) ] () in
   let p = V_greedy.make config in
-  Alcotest.check decision "accept with space" Decision.Accept
+  Alcotest.check decision "accept with space" Decision.accept
     (Value_policy.admit p sw ~dest:1 ~value:1);
   let config, sw =
     switch ~fill:(List.init 8 (fun i -> (i mod 4, 1))) ()
   in
   let p = V_greedy.make config in
-  Alcotest.check decision "drop when full" Decision.Drop
+  Alcotest.check decision "drop when full" Decision.drop
     (Value_policy.admit p sw ~dest:0 ~value:4)
 
 let test_nest () =
   let config, sw = switch ~fill:[ (0, 1); (0, 2); (1, 3) ] () in
   let p = V_nest.make config in
   (* B/n = 2 *)
-  Alcotest.check decision "at share" Decision.Drop
+  Alcotest.check decision "at share" Decision.drop
     (Value_policy.admit p sw ~dest:0 ~value:4);
-  Alcotest.check decision "below share" Decision.Accept
+  Alcotest.check decision "below share" Decision.accept
     (Value_policy.admit p sw ~dest:1 ~value:1)
 
 let test_nhst_reversed_thresholds () =
@@ -50,13 +50,13 @@ let test_nhst_policy () =
   let config, sw = switch ~fill:[ (3, 4); (3, 4); (3, 4); (0, 1) ] () in
   let p = V_nhst.make ~port_value:[| 1; 2; 3; 4 |] config in
   (* Port 3 threshold 3.84: at length 3 accept, at 4 drop. *)
-  Alcotest.check decision "below" Decision.Accept
+  Alcotest.check decision "below" Decision.accept
     (Value_policy.admit p sw ~dest:3 ~value:4);
   ignore (Value_switch.accept sw ~dest:3 ~value:4);
-  Alcotest.check decision "above" Decision.Drop
+  Alcotest.check decision "above" Decision.drop
     (Value_policy.admit p sw ~dest:3 ~value:4);
   (* Port 0 threshold 0.96: one packet is already over. *)
-  Alcotest.check decision "low-value port starved" Decision.Drop
+  Alcotest.check decision "low-value port starved" Decision.drop
     (Value_policy.admit p sw ~dest:0 ~value:1)
 
 let test_lqd_pushes_longest_min () =
@@ -68,7 +68,7 @@ let test_lqd_pushes_longest_min () =
       ()
   in
   let p = V_lqd.make config in
-  Alcotest.check decision "push from longest" (Decision.Push_out { victim = 0 })
+  Alcotest.check decision "push from longest" (Decision.push_out 0)
     (Value_policy.admit p sw ~dest:2 ~value:1)
 
 let test_lqd_own_queue_replace () =
@@ -79,9 +79,9 @@ let test_lqd_own_queue_replace () =
   in
   let p = V_lqd.make config in
   Alcotest.check decision "better packet replaces own min"
-    (Decision.Push_out { victim = 0 })
+    (Decision.push_out 0)
     (Value_policy.admit p sw ~dest:0 ~value:4);
-  Alcotest.check decision "equal-or-worse packet dropped" Decision.Drop
+  Alcotest.check decision "equal-or-worse packet dropped" Decision.drop
     (Value_policy.admit p sw ~dest:0 ~value:1)
 
 let test_lqd_tie_break_cheaper_min () =
@@ -92,7 +92,7 @@ let test_lqd_tie_break_cheaper_min () =
   in
   let p = V_lqd.make config in
   Alcotest.check decision "tie towards cheaper eviction"
-    (Decision.Push_out { victim = 2 })
+    (Decision.push_out 2)
     (Value_policy.admit p sw ~dest:0 ~value:3)
 
 let test_mvd_basic () =
@@ -102,9 +102,9 @@ let test_mvd_basic () =
   in
   let p = V_mvd.make config in
   Alcotest.check decision "more valuable arrival evicts min"
-    (Decision.Push_out { victim = 1 })
+    (Decision.push_out 1)
     (Value_policy.admit p sw ~dest:0 ~value:3);
-  Alcotest.check decision "equal value dropped" Decision.Drop
+  Alcotest.check decision "equal value dropped" Decision.drop
     (Value_policy.admit p sw ~dest:0 ~value:1)
 
 let test_mvd_tie_break_longest () =
@@ -114,7 +114,7 @@ let test_mvd_tie_break_longest () =
   in
   let p = V_mvd.make config in
   Alcotest.check decision "longest min queue"
-    (Decision.Push_out { victim = 2 })
+    (Decision.push_out 2)
     (Value_policy.admit p sw ~dest:1 ~value:4)
 
 let test_mvd1_protects_singletons () =
@@ -126,17 +126,17 @@ let test_mvd1_protects_singletons () =
   let mvd = V_mvd.make config in
   let mvd1 = V_mvd.make ~protect_last:true config in
   Alcotest.check decision "MVD takes the singleton"
-    (Decision.Push_out { victim = 0 })
+    (Decision.push_out 0)
     (Value_policy.admit mvd sw ~dest:1 ~value:4);
   Alcotest.check decision "MVD1 spares it"
-    (Decision.Push_out { victim = 2 })
+    (Decision.push_out 2)
     (Value_policy.admit mvd1 sw ~dest:1 ~value:4);
   (* All queues singletons: MVD1 drops. *)
   let config, sw =
     switch ~buffer:4 ~fill:[ (0, 1); (1, 1); (2, 1); (3, 1) ] ()
   in
   let mvd1 = V_mvd.make ~protect_last:true config in
-  Alcotest.check decision "no eligible victim" Decision.Drop
+  Alcotest.check decision "no eligible victim" Decision.drop
     (Value_policy.admit mvd1 sw ~dest:0 ~value:4)
 
 let test_mrd_ratio_selection () =
@@ -148,19 +148,19 @@ let test_mrd_ratio_selection () =
   in
   let p = V_mrd.make config in
   Alcotest.check decision "max ratio queue evicted"
-    (Decision.Push_out { victim = 0 })
+    (Decision.push_out 0)
     (Value_policy.admit p sw ~dest:1 ~value:2);
   (* An arrival equal to the buffer minimum still pushes out (the behaviour
      that makes MRD emulate LQD under unit values). *)
   Alcotest.check decision "equal value pushes out"
-    (Decision.Push_out { victim = 0 })
+    (Decision.push_out 0)
     (Value_policy.admit p sw ~dest:1 ~value:1)
 
 let test_mrd_drops_below_min () =
   (* Buffer minimum is 2; a value-1 arrival is strictly worse: drop. *)
   let config, sw = switch ~buffer:2 ~fill:[ (0, 2); (1, 3) ] () in
   let p = V_mrd.make config in
-  Alcotest.check decision "worse than min" Decision.Drop
+  Alcotest.check decision "worse than min" Decision.drop
     (Value_policy.admit p sw ~dest:2 ~value:1)
 
 let test_mrd_drop_condition_is_global_min () =
@@ -173,14 +173,14 @@ let test_mrd_drop_condition_is_global_min () =
   in
   let p = V_mrd.make config in
   Alcotest.check decision "condition global, victim ratio-maximal"
-    (Decision.Push_out { victim = 0 })
+    (Decision.push_out 0)
     (Value_policy.admit p sw ~dest:2 ~value:3)
 
 let test_mrd_selects_higher_ratio () =
   (* Q0 = [1;1] ratio 2/1 = 2; Q1 = [4;4] ratio 2/4 = 0.5. *)
   let config, sw = switch ~buffer:4 ~fill:[ (0, 1); (0, 1); (1, 4); (1, 4) ] () in
   let p = V_mrd.make config in
-  Alcotest.check decision "higher ratio wins" (Decision.Push_out { victim = 0 })
+  Alcotest.check decision "higher ratio wins" (Decision.push_out 0)
     (Value_policy.admit p sw ~dest:2 ~value:3)
 
 (* Generic laws. *)
@@ -220,13 +220,13 @@ let prop_all_policies_legal =
       let config, sw, dest, value = build input in
       List.for_all
         (fun (p : Value_policy.t) ->
-          match Value_policy.admit p sw ~dest ~value with
-          | Decision.Accept -> not (Value_switch.is_full sw)
-          | Decision.Push_out { victim } ->
+          match Decision_view.of_decision (Value_policy.admit p sw ~dest ~value) with
+          | Decision_view.Accept -> not (Value_switch.is_full sw)
+          | Decision_view.Push_out victim ->
             Value_switch.is_full sw
             && p.push_out
             && Value_switch.queue_length sw victim > 0
-          | Decision.Drop -> true)
+          | Decision_view.Drop -> true)
         (all_policies config))
 
 let prop_push_out_policies_greedy =
@@ -238,7 +238,7 @@ let prop_push_out_policies_greedy =
       || List.for_all
            (fun (p : Value_policy.t) ->
              (not p.push_out)
-             || Value_policy.admit p sw ~dest ~value = Decision.Accept)
+             || Value_policy.admit p sw ~dest ~value = Decision.accept)
            (all_policies config))
 
 (* The queue-length vector that results from applying a decision to the
@@ -247,12 +247,12 @@ let resulting_lengths sw ~dest decision =
   let lengths =
     Array.init (Value_switch.n sw) (Value_switch.queue_length sw)
   in
-  (match decision with
-  | Decision.Accept -> lengths.(dest) <- lengths.(dest) + 1
-  | Decision.Push_out { victim } ->
+  (match Decision_view.of_decision decision with
+  | Decision_view.Accept -> lengths.(dest) <- lengths.(dest) + 1
+  | Decision_view.Push_out victim ->
     lengths.(victim) <- lengths.(victim) - 1;
     lengths.(dest) <- lengths.(dest) + 1
-  | Decision.Drop -> ());
+  | Decision_view.Drop -> ());
   lengths
 
 let prop_mrd_emulates_lqd_unit_values =
@@ -296,13 +296,11 @@ let prop_mvd_never_evicts_better =
     ~name:"MVD only pushes out strictly less valuable packets" ~count:500
     random_state_gen (fun input ->
       let config, sw, dest, value = build input in
-      match Value_policy.admit (V_mvd.make config) sw ~dest ~value with
-      | Decision.Push_out { victim } -> (
-        match Value_switch.queue_min_value sw victim with
-        | Some m ->
-          m < value && Value_switch.min_value sw = Some m
-        | None -> false)
-      | Decision.Accept | Decision.Drop -> true)
+      match Decision_view.of_decision (Value_policy.admit (V_mvd.make config) sw ~dest ~value) with
+      | Decision_view.Push_out victim ->
+        let m = Value_switch.queue_min_value_or sw victim ~default:0 in
+        m > 0 && m < value && Value_switch.min_value_or sw ~default:0 = m
+      | Decision_view.Accept | Decision_view.Drop -> true)
 
 let test_registry () =
   let config = Value_config.make ~ports:4 ~max_value:4 ~buffer:8 () in

@@ -30,7 +30,7 @@ let pop_max sw =
 let test_empty () =
   let sw = single 4 in
   Alcotest.(check int) "length" 0 (Value_switch.queue_length sw 0);
-  Alcotest.(check (option int)) "min" None (Value_switch.queue_min_value sw 0);
+  Alcotest.(check int) "min" 0 (Value_switch.queue_min_value_or sw 0 ~default:0);
   Alcotest.(check (option int)) "max" None (max_value sw);
   Alcotest.(check (float 1e-9)) "avg" 0.0 (average sw)
 
@@ -40,7 +40,7 @@ let test_push_and_aggregates () =
   Alcotest.(check int) "length" 4 (Value_switch.queue_length sw 0);
   Alcotest.(check int) "total" 18 (Value_switch.queue_total_value sw 0);
   Alcotest.(check (float 1e-9)) "avg" 4.5 (average sw);
-  Alcotest.(check (option int)) "min" (Some 1) (Value_switch.queue_min_value sw 0);
+  Alcotest.(check int) "min" 1 (Value_switch.queue_min_value_or sw 0 ~default:0);
   Alcotest.(check (option int)) "max" (Some 9) (max_value sw)
 
 let test_value_range () =

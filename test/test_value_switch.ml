@@ -17,13 +17,12 @@ let test_accept_and_occupancy () =
 
 let test_min_value_views () =
   let sw = Value_switch.create (config ~buffer:6 ()) in
-  Alcotest.(check (option int)) "empty min" None (Value_switch.min_value sw);
+  Alcotest.(check int) "empty min" 0 (Value_switch.min_value_or sw ~default:0);
   ignore (Value_switch.accept sw ~dest:0 ~value:5);
   ignore (Value_switch.accept sw ~dest:1 ~value:2);
   ignore (Value_switch.accept sw ~dest:2 ~value:7);
-  Alcotest.(check (option int)) "min" (Some 2) (Value_switch.min_value sw);
-  Alcotest.(check (option int)) "min port" (Some 1)
-    (Value_switch.min_value_port sw)
+  Alcotest.(check int) "min" 2 (Value_switch.min_value_or sw ~default:0);
+  Alcotest.(check int) "min port" 1 (Value_switch.min_value_port sw)
 
 let test_min_value_port_tie_breaks_longest () =
   let sw = Value_switch.create (config ~buffer:6 ()) in
@@ -31,8 +30,7 @@ let test_min_value_port_tie_breaks_longest () =
   ignore (Value_switch.accept sw ~dest:0 ~value:1);
   ignore (Value_switch.accept sw ~dest:2 ~value:1);
   ignore (Value_switch.accept sw ~dest:2 ~value:4);
-  Alcotest.(check (option int)) "longest min queue" (Some 2)
-    (Value_switch.min_value_port sw)
+  Alcotest.(check int) "longest min queue" 2 (Value_switch.min_value_port sw)
 
 let test_push_out_takes_min () =
   let sw = Value_switch.create (config ~buffer:4 ()) in
@@ -83,7 +81,7 @@ let prop_occupancy_bounded =
       List.iter
         (fun (dest, value) ->
           if Value_switch.is_full sw then
-            ignore (Value_switch.push_out sw ~victim:(Option.get (Value_switch.min_value_port sw)) : int);
+            ignore (Value_switch.push_out sw ~victim:(Value_switch.min_value_port sw) : int);
           ignore (Value_switch.accept sw ~dest ~value);
           Value_switch.check_invariants sw)
         arrivals;

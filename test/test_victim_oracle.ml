@@ -24,12 +24,12 @@ let run_proc_lockstep ~works ~buffer ~speedup ~ops ~prod ~reference =
         let d = Proc_policy.admit prod sw ~dest ~value:1 in
         if not (Decision.equal d (Proc_policy.admit reference sw ~dest ~value:1)) then
           ok := false;
-        match d with
-        | Decision.Accept -> Proc_switch.accept sw ~dest ~value:1
-        | Decision.Push_out { victim } ->
+        match Decision_view.of_decision d with
+        | Decision_view.Accept -> Proc_switch.accept sw ~dest ~value:1
+        | Decision_view.Push_out victim ->
           ignore (Proc_switch.push_out sw ~victim : int);
           Proc_switch.accept sw ~dest ~value:1
-        | Decision.Drop -> ())
+        | Decision_view.Drop -> ())
       | `Transmit ->
         ignore
           (Proc_switch.transmit_phase sw
@@ -56,12 +56,12 @@ let run_value_lockstep ~ports ~max_value ~buffer ~speedup ~ops ~prod ~reference 
         let d = Value_policy.admit prod sw ~dest ~value in
         if not (Decision.equal d (Value_policy.admit reference sw ~dest ~value))
         then ok := false;
-        match d with
-        | Decision.Accept -> Value_switch.accept sw ~dest ~value
-        | Decision.Push_out { victim } ->
+        match Decision_view.of_decision d with
+        | Decision_view.Accept -> Value_switch.accept sw ~dest ~value
+        | Decision_view.Push_out victim ->
           ignore (Value_switch.push_out sw ~victim : int);
           Value_switch.accept sw ~dest ~value
-        | Decision.Drop -> ())
+        | Decision_view.Drop -> ())
       | `Transmit ->
         ignore
           (Value_switch.transmit_phase sw
@@ -277,7 +277,7 @@ let test_mrd_tie_smaller_min_then_largest_index () =
   in
   Alcotest.(check (option int)) "scan" (Some 0)
     (Scan_oracle.mrd ~protect_last:false sw);
-  Alcotest.(check (option int)) "indexed" (Some 0) (V_mrd.select_victim sw);
+  Alcotest.(check int) "indexed" 0 (V_mrd.select_victim sw);
   (* Equal ratios and equal minima: the largest index wins. *)
   let sw =
     value_switch ~ports:2 ~max_value:4 ~buffer:4
@@ -285,7 +285,7 @@ let test_mrd_tie_smaller_min_then_largest_index () =
   in
   Alcotest.(check (option int)) "scan tie" (Some 1)
     (Scan_oracle.mrd ~protect_last:false sw);
-  Alcotest.(check (option int)) "indexed tie" (Some 1) (V_mrd.select_victim sw)
+  Alcotest.(check int) "indexed tie" 1 (V_mrd.select_victim sw)
 
 let test_min_value_port_pinned_tie () =
   (* Several queues hold the buffer minimum: the longest one wins, then the
@@ -295,26 +295,23 @@ let test_min_value_port_pinned_tie () =
     value_switch ~ports:3 ~max_value:9 ~buffer:6
       ~queues:[| [ 1 ]; [ 9; 1 ]; [ 1 ] |] ()
   in
-  Alcotest.(check (option int)) "min value" (Some 1) (Value_switch.min_value sw);
-  Alcotest.(check (option int))
-    "longest min-holder wins" (Some 1)
+  Alcotest.(check int) "min value" 1 (Value_switch.min_value_or sw ~default:0);
+  Alcotest.(check int) "longest min-holder wins" 1
     (Value_switch.min_value_port sw);
-  Alcotest.(check (option int))
-    "port holds the minimum" (Some 1)
-    (Value_switch.queue_min_value sw 1);
+  Alcotest.(check int) "port holds the minimum" 1
+    (Value_switch.queue_min_value_or sw 1 ~default:0);
   (* Equal lengths: the smallest index wins. *)
   let sw =
     value_switch ~ports:3 ~max_value:9 ~buffer:6
       ~queues:[| [ 1 ]; [ 1 ]; [ 1 ] |] ()
   in
-  Alcotest.(check (option int))
-    "smallest index among equals" (Some 0)
+  Alcotest.(check int) "smallest index among equals" 0
     (Value_switch.min_value_port sw);
   (* Empty switch: no port. *)
   let sw =
     value_switch ~ports:2 ~max_value:4 ~buffer:4 ~queues:[| []; [] |] ()
   in
-  Alcotest.(check (option int)) "empty" None (Value_switch.min_value_port sw)
+  Alcotest.(check int) "empty" (-1) (Value_switch.min_value_port sw)
 
 (* --- raising hooks leave invariants intact --- *)
 
@@ -359,8 +356,8 @@ let test_value_switch_raising_hook () =
   Value_switch.check_invariants sw;
   Alcotest.(check int) "occupancy" 3 (Value_switch.occupancy sw);
   (* The minimum tracker survived the interrupted phase. *)
-  Alcotest.(check (option int)) "min value" (Some 1) (Value_switch.min_value sw);
-  Alcotest.(check (option int)) "min port" (Some 1) (Value_switch.min_value_port sw)
+  Alcotest.(check int) "min value" 1 (Value_switch.min_value_or sw ~default:0);
+  Alcotest.(check int) "min port" 1 (Value_switch.min_value_port sw)
 
 (* --- intra-bucket order contract --- *)
 
