@@ -4,9 +4,16 @@
    match reads the two candidates' entries in int key columns (often
    aliases of the switch's own per-port aggregates), so the only
    maintenance obligation is to refresh an element's derived keys and
-   re-run the matches on its root path after its state changes
-   ([invalidate]).  Matches elsewhere in the tree compare unchanged elements
-   and therefore keep their outcome.
+   re-run the matches on its root path after its state changes.  Matches
+   elsewhere in the tree compare unchanged elements and therefore keep
+   their outcome.
+
+   That maintenance is deferred: [invalidate] only marks the element
+   pending (O(1)), and every read ([top], [top_excluding], [check]) first
+   settles the pending set.  A switch mutates several queues per slot —
+   every accept, push-out and transmission — but the victim indexes are
+   read only at full-buffer arrivals, so repeated marks of one port
+   collapse into one refresh and the climbs run only when someone looks.
 
    The order must be a strict total order (callers end every comparison
    chain with an index comparison), which makes the winner of a match
@@ -18,8 +25,9 @@
 
    - [Lex]: a two-key lexicographic order.  A match is three unboxed array
      loads and integer compares: k1 desc, then k2 desc, then the index tie.
-     Derived keys are recomputed by [refresh_key] once per invalidation —
-     O(1) amortized per mutation — instead of once per comparison.
+     Derived keys are recomputed by [refresh_key] once per pending element
+     when the tree settles — at most once per mutation — instead of once
+     per comparison.
 
    - [Ratio]: a num/den order, which is not lexicographic: eligible
      elements (den > 0) compare by cross-multiplication (exact integer
@@ -46,8 +54,12 @@ type kind =
 type t = {
   n : int;
   leaves : int;  (* power of two >= n (>= 1); leaf j lives at [leaves + j] *)
+  depth : int;  (* log2 leaves: the number of matches on a root path *)
   tree : int array;  (* 2 * leaves slots; root at 1; -1 = no element *)
   kind : kind;
+  pending : int array;  (* stack of marked elements, [npending] deep *)
+  flags : Bytes.t;  (* per element: '\001' iff on the stack *)
+  mutable npending : int;
 }
 
 (* The match comparison.  [a]/[b] are in [0, n) whenever this runs (the
@@ -91,24 +103,43 @@ let rebuild t =
     t.tree.(i) <- combine t t.tree.(2 * i) t.tree.((2 * i) + 1)
   done
 
+let clear_pending t =
+  for s = 0 to t.npending - 1 do
+    Bytes.unsafe_set t.flags (Array.unsafe_get t.pending s) '\000'
+  done;
+  t.npending <- 0
+
 let refresh t =
   for j = 0 to t.n - 1 do
     refresh_key t j
   done;
-  rebuild t
+  rebuild t;
+  clear_pending t
 
 let make ~n kind =
   if n < 1 then invalid_arg "Agg_index: n must be >= 1";
-  let leaves = ref 1 in
+  let leaves = ref 1 and depth = ref 0 in
   while !leaves < n do
-    leaves := !leaves * 2
+    leaves := !leaves * 2;
+    incr depth
   done;
   let leaves = !leaves in
   let tree =
     Array.init (2 * leaves) (fun i ->
         if i >= leaves && i - leaves < n then i - leaves else -1)
   in
-  let t = { n; leaves; tree; kind } in
+  let t =
+    {
+      n;
+      leaves;
+      depth = !depth;
+      tree;
+      kind;
+      pending = Array.make n 0;
+      flags = Bytes.make n '\000';
+      npending = 0;
+    }
+  in
   refresh t;
   t
 
@@ -130,31 +161,69 @@ let create_ratio ~n ?(tie = `Largest_index) ~num ~den ~k2 ~refresh () =
 
 let n t = t.n
 
+let is_pending t j = Bytes.unsafe_get t.flags j <> '\000'
+
 let invalidate t j =
   if j < 0 || j >= t.n then invalid_arg "Agg_index.invalidate: bad index";
-  refresh_key t j;
+  if not (is_pending t j) then begin
+    Bytes.unsafe_set t.flags j '\001';
+    Array.unsafe_set t.pending t.npending j;
+    t.npending <- t.npending + 1
+  end
+
+(* Re-run the matches on [j]'s root path, stopping at a node that keeps
+   its stored winner [w] when [w] is not pending.  [settle] has refreshed
+   every pending key first, so each match compares current keys, and the
+   stop is sound:
+   - a node whose winner changes always passes the climb on to its parent,
+     so no match above keeps a child's old winner;
+   - an unchanged winner that is not pending has the keys it had when the
+     matches above last ran, so those outcomes stand, except on other
+     pending paths, which their own climbs re-run;
+   - a pending winner may have moved, so it never stops a climb.  It won
+     every match below the node on its own root path, so its own climb
+     reaches the node too, unless another climb rewrote a node on that
+     path first — and that climb then carried on through this node.
+   With one pending element this is the eager rule "unchanged and [<> j]". *)
+let climb t j =
   let i = ref ((t.leaves + j) / 2) in
   let continue_ = ref true in
   while !continue_ && !i >= 1 do
     let w = combine t t.tree.(2 * !i) t.tree.((2 * !i) + 1) in
-    (* Early exit: if the match outcome is unchanged and the winner is not
-       the invalidated element, every node above compares the same
-       candidates in the same states — their outcomes stand.  (If a node
-       above stored [j], then [j] won every match below it, including this
-       one, so [w = tree.(i) <> j] rules that out.)  Most mutations leave
-       the local winner alone, so this turns the O(log n) climb into O(1)
-       amortized — it is the admission hot path's index-maintenance cost. *)
-    if w = t.tree.(!i) && w <> j then continue_ := false
+    if w = t.tree.(!i) && not (is_pending t w) then continue_ := false
     else begin
       t.tree.(!i) <- w;
       i := !i / 2
     end
   done
 
-let top t = t.tree.(1)
+(* Bring the tree up to date with every pending element.  All derived keys
+   are refreshed before any match runs, so no match compares an element's
+   fresh aliased key (a queue length is always current) with its stale
+   derived one.  Then re-run every match once [np] climbs of up to [depth]
+   matches could cost as much as the [leaves - 1] of a rebuild; otherwise
+   climb each pending path. *)
+let settle t =
+  let np = t.npending in
+  if np > 0 then begin
+    for s = 0 to np - 1 do
+      refresh_key t (Array.unsafe_get t.pending s)
+    done;
+    if np * t.depth >= t.leaves then rebuild t
+    else
+      for s = 0 to np - 1 do
+        climb t (Array.unsafe_get t.pending s)
+      done;
+    clear_pending t
+  end
+
+let top t =
+  settle t;
+  t.tree.(1)
 
 let top_excluding t j =
   if j < 0 || j >= t.n then invalid_arg "Agg_index.top_excluding: bad index";
+  settle t;
   (* Winner over every leaf except [j]: climb j's root path, folding in the
      sibling subtree's stored winner at each level. *)
   let i = ref (t.leaves + j) in
@@ -166,7 +235,8 @@ let top_excluding t j =
   !best
 
 let check t =
-  (* First prove no key is stale: recomputing any element's keys must be a
+  settle t;
+  (* Then prove no key is stale: recomputing any element's keys must be a
      no-op, or some mutation skipped its [invalidate]. *)
   (match t.kind with
   | Lex { k1; k2; refresh_key; _ } ->

@@ -3,16 +3,19 @@
 
     The switches maintain one of these per registered victim-selection key
     (see {!Proc_switch.find_index} / {!Value_switch.find_index}): a queue
-    mutation refreshes that queue's keys and re-runs the O(log n) matches on
-    its root path, and a policy reads the argmax — or the argmax excluding
-    the destination queue — in O(log n) instead of rescanning all n queues.
+    mutation marks that queue pending in O(1), and a policy reads the
+    argmax — or the argmax excluding the destination queue — in O(log n)
+    amortized instead of rescanning all n queues.  Each read first settles
+    the pending queues: it refreshes their keys and re-runs the matches on
+    their root paths (or every match, when that is cheaper).
 
     Internal nodes store winner {e indices}, not keys.  Key columns are
     caller-owned [int array]s and may alias the switch's live per-port
     aggregate arrays (then [refresh] is [ignore]); any {e derived} keys are
-    recomputed once per invalidation by a caller-supplied [refresh] instead
-    of once per comparison.  The contract is only that after any queue's
-    state changes, {!invalidate} is called for it before the next query. *)
+    recomputed by a caller-supplied [refresh] once per pending element per
+    settle instead of once per comparison.  The contract is only that after
+    any queue's state changes, {!invalidate} is called for it before the
+    next query. *)
 
 type t
 
@@ -27,8 +30,9 @@ val create_lex :
 (** Lexicographic order: larger [k1.(j)] wins, then larger [k2.(j)], then
     the index tie ([`Largest_index] by default).  [refresh j] must (re)write
     element [j]'s keys from live state; it runs for every element at
-    creation and once per {!invalidate} — pass [ignore] when both columns
-    alias live aggregates.  The columns must have length >= [n].
+    creation and by {!refresh}, and once per pending element when a read
+    settles — pass [ignore] when both columns alias live aggregates.  The
+    columns must have length >= [n].
     @raise Invalid_argument if [n < 1] or a column is shorter than [n]. *)
 
 val create_ratio :
@@ -52,24 +56,28 @@ val create_ratio :
 val n : t -> int
 
 val invalidate : t -> int -> unit
-(** Re-run the matches on element [j]'s root path after its state changed
-    (element [j]'s keys are refreshed first).  O(log n), O(1) amortized. *)
+(** Mark element [j] pending after its state changed.  O(1): no key is
+    refreshed and no match runs until the next {!top}, {!top_excluding} or
+    {!check}; marking an element already pending is a no-op.
+    @raise Invalid_argument if [j] is out of range. *)
 
 val refresh : t -> unit
-(** Re-run every match (after a bulk change such as a flushout), refreshing
-    every key.  O(n). *)
+(** Refresh every key and re-run every match (after a bulk change such as
+    a flushout), leaving nothing pending.  O(n). *)
 
 val top : t -> int
-(** The current overall winner (the unique maximum). *)
+(** The current overall winner (the unique maximum).  Settles the pending
+    elements first: O(p log n) for [p] pending, at most O(n). *)
 
 val top_excluding : t -> int -> int
 (** The winner among all elements except the given one; [-1] when [n = 1].
-    O(log n), read-only. *)
+    Settles like {!top} (so it writes the tree), then O(log n).
+    @raise Invalid_argument if the index is out of range. *)
 
 val check : t -> unit
-(** Verify every stored match outcome against a fresh comparison, and that
-    no key column entry is stale — detecting missed invalidations.  Test
-    hook.
+(** Settle, then verify every stored match outcome against a fresh
+    comparison and that no key column entry is stale — detecting a state
+    change whose {!invalidate} was skipped.  Test hook.
     @raise Invalid_argument on an inconsistency. *)
 
 val per_switch : ('sw -> t) -> 'sw -> t

@@ -6,8 +6,8 @@
    Keyed lexicographic tree with ineligibility encoded in the keys — an
    ineligible queue carries (min_int, 0), ranking below every eligible one
    (port work >= 1 > min_int) and among its peers by the index tie.  Both
-   keys are derived, so a per-invalidation refresh recomputes them from the
-   live aggregates. *)
+   keys are derived, so a refresh each time the index settles recomputes
+   them from the live aggregates. *)
 
 let index ~protect_last sw =
   let min_len = if protect_last then 2 else 1 in

@@ -4,8 +4,8 @@
    oracle) — that is, argmax of port work / tail value.
 
    Ratio tree over (port work, tail value): the work column aliases the
-   configuration copy, the tail value is derived and refreshed per
-   invalidation, and an empty queue's tail value 0 is the tree's
+   configuration copy, the tail value is derived and refreshed when
+   the index settles, and an empty queue's tail value 0 is the tree's
    ineligible mark. *)
 
 let index sw =

@@ -28,8 +28,8 @@ let key_name ~protect_last ~tie =
 (* Keyed lexicographic tree, ineligibility encoded as (min_int, 0) — an
    eligible queue's total work is >= 1 > min_int, so ineligible queues rank
    below every eligible one and among themselves by the index tie.  Both
-   keys are derived (the tie key depends on [tie]), refreshed per
-   invalidation from the live aggregate columns. *)
+   keys are derived (the tie key depends on [tie]), refreshed when
+   the index settles from the live aggregate columns. *)
 let index ~protect_last ~tie sw =
   let min_len = if protect_last then 2 else 1 in
   let v = Proc_switch.view sw in

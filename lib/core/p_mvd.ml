@@ -5,7 +5,7 @@
    Keyed lexicographic tree on (negated tail value, 0) with the
    smallest-index tie.  An empty queue carries min_int and ranks below
    every non-empty one (a tail value is in [1, max_value]).  The key is
-   derived, refreshed per invalidation from the slab's value column. *)
+   derived, refreshed when the index settles from the slab's value column. *)
 
 let index sw =
   Proc_switch.find_index sw ~key:"mvd" (fun ~n ->

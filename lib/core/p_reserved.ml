@@ -11,8 +11,8 @@
 
    Both indexes are keyed lexicographic trees over (derived pool overflow,
    port work), differing only in the index tie.  The work column aliases
-   the live aggregate; the overflow key is refreshed per invalidation.  All
-   comparisons are explicit integer comparisons. *)
+   the live aggregate; the overflow key is refreshed when the index
+   settles.  All comparisons are explicit integer comparisons. *)
 
 (* Pool slots used by queue j: packets above its reservation. *)
 let overflow ~reserve sw j ~dest =

@@ -129,10 +129,11 @@ let total_occupied_work t = t.occupied_work
 
 (* ----- victim-selection indexes ----- *)
 
-(* Hand-rolled traversal: [List.iter] with a lambda capturing [i] would
-   allocate a closure on every mutation — [touch] runs for each accept,
-   push-out and transmission, so that was the hot path's whole minor-heap
-   footprint. *)
+(* [touch] runs for each accept, push-out and transmission, and only marks
+   the port pending in every registered index (O(1) each); the indexes
+   refresh its keys and re-run its matches when a policy next reads them.
+   Hand-rolled traversal: [List.iter] with a lambda capturing [i] would
+   allocate a closure on every mutation. *)
 let rec touch_list indexes i =
   match indexes with
   | [] -> ()

@@ -6,7 +6,7 @@
 
    Keyed lexicographic tree over (queue length, negated per-port minimum):
    the length column aliases the live aggregate, the negated minimum is a
-   derived key refreshed per invalidation off the occupancy bitsets
+   derived key refreshed when the index settles off the occupancy bitsets
    ("smaller minimum wins the tie" becomes "larger negated minimum wins").
    All comparisons are explicit integer comparisons. *)
 

@@ -11,7 +11,8 @@
    num / den = len^2 / sum over int key columns.  The sum key doubles as the
    eligibility flag (0 = ineligible, ranking below all eligible queues; an
    eligible queue's sum is >= 1); the negated minimum is the tie key.  All
-   three are derived, refreshed per invalidation off the live aggregates. *)
+   three are derived, refreshed when the index settles off the live
+   aggregates. *)
 
 let index ~protect_last sw =
   let min_len = if protect_last then 2 else 1 in

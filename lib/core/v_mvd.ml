@@ -7,7 +7,7 @@
    eligible queue carries (negated minimum, length), and a non-empty
    queue's minimum is in [1, k] so its negation stays above min_int.  Among
    ineligible queues the index tie orders them.  Both keys are derived,
-   refreshed per invalidation off the live aggregates and occupancy
+   refreshed when the index settles off the live aggregates and occupancy
    bitsets. *)
 
 let index ~protect_last sw =

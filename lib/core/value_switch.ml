@@ -126,7 +126,7 @@ let port_max_value_or t i ~default =
    cannot drift from a one-pass scan.  It runs as a keyed lexicographic
    tree over (negated minimum, queue length) with the smaller-index tie;
    empty queues carry the negated minimum of [max_int] and rank last.  The
-   negated minimum is a derived key recomputed once per invalidation, the
+   negated minimum is a derived key recomputed when the index settles, the
    length column aliases the live aggregate. *)
 let create (config : Value_config.t) =
   let n = Value_config.n config in
@@ -219,10 +219,11 @@ let queue_min_value_or t i ~default =
 
 (* ----- victim-selection indexes ----- *)
 
-(* Hand-rolled traversal: [List.iter] with a lambda capturing [i] would
-   allocate a closure on every mutation — [touch] runs for each accept,
-   push-out and transmission, so that was the hot path's whole minor-heap
-   footprint. *)
+(* [touch] runs for each accept, push-out and transmission, and only marks
+   the port pending in every registered index (O(1) each); the indexes
+   refresh its keys and re-run its matches when a policy next reads them.
+   Hand-rolled traversal: [List.iter] with a lambda capturing [i] would
+   allocate a closure on every mutation. *)
 let rec touch_list indexes i =
   match indexes with
   | [] -> ()

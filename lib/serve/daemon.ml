@@ -357,7 +357,6 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
     loop 0;
     Spsc_ring.close ring
   in
-  let ingest_domain = Domain.spawn producer in
   (* ----- engine domain (the caller) ----- *)
   let engine = make_engine ?events model policy in
   let inst = engine.inst in
@@ -677,6 +676,10 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
       | Spsc_ring.Consumed -> consume ()
       | Spsc_ring.Drained | Spsc_ring.Stopped -> ()
   in
+  (* The producer starts only now: resolving the policy and binding the
+     stats socket above may raise, and a producer spawned before them would
+     be left filling a ring nobody drains. *)
+  let ingest_domain = Domain.spawn producer in
   (try consume ()
    with exn ->
      (* The engine died mid-run: that is exactly what the black box is

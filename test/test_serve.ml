@@ -383,6 +383,35 @@ let test_daemon_unknown_policy_rejected () =
         (Daemon.run ~slots:1 ~model:(Model.Proc proc_config) ~policy:"bogus"
            ~ingest:(Daemon.Bank bank) ()))
 
+(* A run rejected at start never starts its ingest: no [~slots] bound, so
+   a producer spawned before the rejection would keep filling the ring. *)
+let test_daemon_rejection_spawns_no_producer () =
+  let fills = Atomic.make 0 in
+  let ingest =
+    Daemon.Workload
+      (Workload.of_fun_into (fun _ _ -> Atomic.incr fills))
+  in
+  let rejected f =
+    match f () with
+    | (_ : Daemon.report) -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "unknown policy rejected" true
+    (rejected (fun () ->
+         Daemon.run ~model:(Model.Proc proc_config) ~policy:"bogus"
+           ~ingest ()));
+  (* A regular file as a directory component: the bind must fail.  The
+     slot bound only keeps a run that did bind finite. *)
+  let file = Filename.temp_file "smbm-serve" ".tmp" in
+  let sock = Filename.concat file "stats.sock" in
+  Alcotest.(check bool) "unbindable stats socket rejected" true
+    (rejected (fun () ->
+         Daemon.run ~slots:1 ~model:(Model.Proc proc_config) ~policy:"LWD"
+           ~stats_sock:sock ~ingest ()));
+  Sys.remove file;
+  Unix.sleepf 0.1;
+  Alcotest.(check int) "ingest never filled a slot" 0 (Atomic.get fills)
+
 (* A trace the model cannot accept is input error: rejected before slot 0,
    naming the slot, instead of the switch raising mid-run. *)
 let expect_trace_rejected model slots msg =
@@ -546,4 +575,6 @@ let suite =
       test_daemon_drain_declares_overflow;
     Alcotest.test_case "daemon event sink needs a ring" `Quick
       test_daemon_sink_needs_ring;
+    Alcotest.test_case "daemon rejection spawns no ingest" `Quick
+      test_daemon_rejection_spawns_no_producer;
   ]
