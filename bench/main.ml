@@ -270,7 +270,7 @@ let ablations () =
   in
   let instances =
     Opt_ref.proc_instance config
-    :: List.map (Proc_engine.instance config) (Policies.proc_extended config)
+    :: List.map (Engine.Proc.instance config) (Policies.proc_extended config)
   in
   let ratios = ablation_point ~instances ~workload ~objective:`Packets in
   print_endline "processing model, k = 32 (paper set + variants):";
@@ -288,7 +288,7 @@ let ablations () =
   let vinstances =
     Opt_ref.value_instance vconfig
     :: List.map
-         (Value_engine.instance vconfig)
+         (Engine.Value.instance vconfig)
          (Policies.value_extended vconfig)
   in
   let vratios =
@@ -314,7 +314,7 @@ let ablations () =
   in
   let ht_instances =
     Opt_ref.proc_instance config
-    :: List.map (Proc_engine.instance config) (Policies.proc config)
+    :: List.map (Engine.Proc.instance config) (Policies.proc config)
   in
   let ht_ratios =
     ablation_point ~instances:ht_instances ~workload:ht_workload
@@ -342,7 +342,7 @@ let ablations () =
     ]
   in
   let names =
-    List.map (fun (p : Smbm_core.Proc_policy.t) -> p.name)
+    List.map (fun (p : Smbm_core.Proc_switch.t Smbm_core.Policy.t) -> p.name)
       (Policies.proc (snd (List.hd families)))
   in
   let rows =
@@ -354,7 +354,7 @@ let ablations () =
         in
         let instances =
           Opt_ref.proc_instance config
-          :: List.map (Proc_engine.instance config) (Policies.proc config)
+          :: List.map (Engine.Proc.instance config) (Policies.proc config)
         in
         let ratios = ablation_point ~instances ~workload ~objective:`Packets in
         label :: List.map (fun (_, r) -> Table.float_cell r) ratios)
@@ -385,7 +385,7 @@ let flood () =
             Smbm_traffic.Scenario.value_port_flood_workload
               ~mmpp:base.Sweep.mmpp ~config ~load ~seed:base.Sweep.seed ()
           in
-          let alg = Value_engine.instance config policy in
+          let alg = Engine.Value.instance config policy in
           let opt = Opt_ref.value_instance config in
           Experiment.run
             ~params:
@@ -430,8 +430,8 @@ let hybrid () =
             let value = 1 + R.int rng (9 - works.(dest)) in
             Arrival.make ~dest ~value ()))
   in
-  let run trace (p : Proc_policy.t) =
-    let inst = Proc_engine.instance cfg p in
+  let run trace (p : Proc_switch.t Policy.t) =
+    let inst = Engine.Proc.instance cfg p in
     Experiment.run
       ~params:
         {
@@ -446,7 +446,7 @@ let hybrid () =
     (Metrics.transmitted_value inst.Instance.metrics)
   in
   let policies = Policies.hybrid cfg in
-  let names = List.map (fun (p : Proc_policy.t) -> p.name) policies in
+  let names = List.map (fun (p : Proc_switch.t Policy.t) -> p.name) policies in
   let rows =
     List.map
       (fun lambda ->
@@ -474,7 +474,7 @@ let certificate () =
      (LWD vs a greedy opponent on bursty traffic) ===\n";
   let config = Proc_config.contiguous ~k:8 ~buffer:32 () in
   let greedy =
-    Proc_policy.make ~name:"greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
+    Policy.make ~name:"greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
         if Proc_switch.is_full sw then Decision.drop else Decision.accept)
   in
   let workload =
@@ -526,24 +526,24 @@ let micro () =
   let proc_tests_at tag fill =
     let config, sw, rng = prepared_proc_switch ~fill () in
     List.map
-      (fun (p : Proc_policy.t) ->
+      (fun (p : Proc_switch.t Policy.t) ->
         Test.make
           ~name:(Printf.sprintf "proc-admit-%s/%s" tag p.name)
           (Staged.stage (fun () ->
                let dest = Smbm_prelude.Rng.int rng 16 in
-               ignore (Proc_policy.admit p sw ~dest ~value:1))))
+               ignore (Policy.admit p sw ~dest ~value:1))))
       (Policies.proc config)
   in
   let value_tests_at tag fill =
     let config, sw, rng = prepared_value_switch ~fill () in
     List.map
-      (fun (p : Value_policy.t) ->
+      (fun (p : Value_switch.t Policy.t) ->
         Test.make
           ~name:(Printf.sprintf "value-admit-%s/%s" tag p.name)
           (Staged.stage (fun () ->
                let dest = Smbm_prelude.Rng.int rng 16 in
                let value = 1 + Smbm_prelude.Rng.int rng 16 in
-               ignore (Value_policy.admit p sw ~dest ~value))))
+               ignore (Policy.admit p sw ~dest ~value))))
       (Policies.value_port ~port_value:(Array.init 16 (fun i -> i + 1)) config)
   in
   let proc_tests = proc_tests_at "full" 256 @ proc_tests_at "open" 180 in

@@ -182,18 +182,14 @@ let policies_cmd =
   let run () =
     let proc = Proc_config.contiguous ~k:4 ~buffer:16 () in
     let value = Value_config.make ~ports:4 ~max_value:4 ~buffer:16 () in
+    let print (p : _ Policy.t) =
+      Printf.printf "  %-6s %s\n" p.name
+        (if p.push_out then "push-out" else "non-push-out")
+    in
     print_endline "Processing model (Section III):";
-    List.iter
-      (fun (p : Proc_policy.t) ->
-        Printf.printf "  %-6s %s\n" p.name
-          (if p.push_out then "push-out" else "non-push-out"))
-      (Policies.proc proc);
+    List.iter print (Policies.proc proc);
     print_endline "Value model (Section IV):";
-    List.iter
-      (fun (p : Value_policy.t) ->
-        Printf.printf "  %-6s %s\n" p.name
-          (if p.push_out then "push-out" else "non-push-out"))
-      (Policies.value_port ~port_value:[| 1; 2; 3; 4 |] value)
+    List.iter print (Policies.value_port ~port_value:[| 1; 2; 3; 4 |] value)
   in
   Cmd.v
     (Cmd.info "policies" ~doc:"List the buffer-management policies of both models.")
@@ -400,7 +396,7 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
       let policy =
         match Policies.proc_find config policy_name with
         | Some p -> p
-        | None -> failwith ("unknown processing policy: " ^ policy_name)
+        | None -> die "unknown processing policy: %s" policy_name
       in
       let workload =
         if heavy_tail then
@@ -410,7 +406,7 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
           Smbm_traffic.Scenario.proc_workload ~mmpp ~config ~load:common.load
             ~seed:common.seed ()
       in
-      (Proc_engine.instance ?events config policy, workload)
+      (Engine.Proc.instance ?events config policy, workload)
     | Sweep.Value_uniform | Sweep.Value_port ->
       let config =
         Value_config.make ~ports:common.k ~max_value:common.k
@@ -420,7 +416,7 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
       let policy =
         match Policies.value_find ~port_value config policy_name with
         | Some p -> p
-        | None -> failwith ("unknown value policy: " ^ policy_name)
+        | None -> die "unknown value policy: %s" policy_name
       in
       let workload =
         if model = Sweep.Value_port then
@@ -430,7 +426,7 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
           Smbm_traffic.Scenario.value_uniform_workload ~mmpp ~config
             ~load:common.load ~seed:common.seed ()
       in
-      (Value_engine.instance ?events config policy, workload)
+      (Engine.Value.instance ?events config policy, workload)
   in
   let inst, series =
     match timeseries with
@@ -1301,9 +1297,7 @@ let run_lowerbound which jobs =
       match Constructions.find ~theorem:which with
       | Some c -> [ c ]
       | None ->
-        failwith
-          (Printf.sprintf
-             "unknown construction %S (try \"Thm 4\" or \"all\")" which)
+        die "unknown construction %S (try \"Thm 4\" or \"all\")" which
   in
   let measures =
     Runner.measure_many ~jobs:(jobs_of jobs)
@@ -1345,11 +1339,11 @@ let run_sweep common model axis_name xs csv =
     | "k" -> Sweep.K
     | "b" -> Sweep.B
     | "c" -> Sweep.C
-    | other -> failwith (Printf.sprintf "unknown axis %S (expected k|b|c)" other)
+    | other -> die "unknown axis %S (expected k|b|c)" other
   in
   let xs =
     match xs with
-    | [] -> failwith "provide swept values with --xs, e.g. --xs 2,4,8,16"
+    | [] -> die "provide swept values with --xs, e.g. --xs 2,4,8,16"
     | xs -> xs
   in
   let points =
@@ -1404,14 +1398,14 @@ let run_certify common opponent_name =
   let opponent =
     match String.lowercase_ascii opponent_name with
     | "greedy" ->
-      Proc_policy.make ~name:"greedy" ~push_out:false
+      Policy.make ~name:"greedy" ~push_out:false
         (fun sw ~dest:_ ~value:_ ->
           if Proc_switch.is_full sw then Decision.drop else Decision.accept)
     | name -> (
       match Policies.proc_find config name with
-      | Some (p : Proc_policy.t) when not p.push_out -> p
-      | Some _ -> failwith (name ^ " pushes out; Theorem 7 opponents may not")
-      | None -> failwith ("unknown opponent policy: " ^ name))
+      | Some (p : Proc_switch.t Policy.t) when not p.push_out -> p
+      | Some _ -> die "%s pushes out; Theorem 7 opponents may not" name
+      | None -> die "unknown opponent policy: %s" name)
   in
   let mmpp = { Smbm_traffic.Scenario.default_mmpp with sources = common.sources } in
   let workload =
@@ -1450,7 +1444,7 @@ let certify_cmd =
 (* ----- bench-diff ----- *)
 
 let load_bench_metrics path =
-  let ic = open_in path in
+  let ic = try open_in path with Sys_error m -> die "%s" m in
   let metrics = ref [] in
   let line_no = ref 0 in
   (try
@@ -1461,7 +1455,7 @@ let load_bench_metrics path =
          match Smbm_obs.Json.parse_flat line with
          | Error msg ->
            close_in ic;
-           failwith (Printf.sprintf "%s:%d: %s" path !line_no msg)
+           die "%s:%d: %s" path !line_no msg
          | Ok fields -> (
            match
              (List.assoc_opt "metric" fields, List.assoc_opt "value" fields)
@@ -1478,13 +1472,13 @@ let load_bench_metrics path =
 
 let parse_floor spec =
   match String.rindex_opt spec '=' with
-  | None -> failwith (Printf.sprintf "--floor %s: expected METRIC=X" spec)
+  | None -> die "--floor %s: expected METRIC=X" spec
   | Some i -> (
     let name = String.sub spec 0 i in
     let v = String.sub spec (i + 1) (String.length spec - i - 1) in
     match float_of_string_opt v with
     | Some x when name <> "" -> (name, x)
-    | _ -> failwith (Printf.sprintf "--floor %s: expected METRIC=X" spec))
+    | _ -> die "--floor %s: expected METRIC=X" spec)
 
 let run_bench_diff baseline current tolerance cap slack alloc_tolerance floors
     =

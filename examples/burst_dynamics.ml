@@ -24,7 +24,7 @@ let () =
   let slots = 120 in
   let run policy =
     let inst, ts =
-      Timeseries.attach ~every:4 (Proc_engine.instance config policy)
+      Timeseries.attach ~every:4 (Engine.Proc.instance config policy)
     in
     Experiment.run
       ~params:{ Experiment.slots = slots; flush_every = None; check_every = None }

@@ -46,7 +46,7 @@ let () =
      its per-service transmission tallies in [ports]. *)
   let instances =
     Opt_ref.proc_instance config
-    :: List.map (Proc_engine.instance config) policies
+    :: List.map (Engine.Proc.instance config) policies
   in
   Experiment.run
     ~params:{ Experiment.slots = slots; flush_every = Some 6_000; check_every = None }

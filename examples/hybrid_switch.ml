@@ -31,8 +31,8 @@ let trace_at ~lambda ~slots =
 let () =
   let cfg = Proc_config.make ~works ~buffer ~max_value:8 () in
   let policies = Policies.hybrid cfg in
-  let run trace (p : Proc_policy.t) =
-    let inst = Smbm_sim.Proc_engine.instance cfg p in
+  let run trace (p : Proc_switch.t Policy.t) =
+    let inst = Smbm_sim.Engine.Proc.instance cfg p in
     Smbm_sim.Experiment.run
       ~params:
         {
@@ -56,7 +56,7 @@ let () =
       Printf.printf "arrival rate %.0f packets/slot:\n" lambda;
       let rows =
         List.map
-          (fun (p : Proc_policy.t) ->
+          (fun (p : Proc_switch.t Policy.t) ->
             let value, packets = run trace p in
             [ p.name; string_of_int value; string_of_int packets ])
           policies

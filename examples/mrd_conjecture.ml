@@ -22,7 +22,7 @@ let ratio_on config trace =
   let slots_count = Array.length trace in
   let drain = config.Value_config.buffer + 2 in
   let exact = Exact_opt.value config trace ~drain in
-  let mrd = Value_engine.instance config (V_mrd.make config) in
+  let mrd = Engine.Value.instance config (V_mrd.make config) in
   Experiment.run
     ~params:
       {

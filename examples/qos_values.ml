@@ -42,7 +42,7 @@ let run_regime ~title ~weights =
   let policies = Policies.value_port ~port_value:class_values config in
   let instances =
     Opt_ref.value_instance config
-    :: List.map (Value_engine.instance config) policies
+    :: List.map (Engine.Value.instance config) policies
   in
   Experiment.run
     ~params:{ Experiment.slots = slots; flush_every = Some 6_000; check_every = None }

@@ -21,8 +21,8 @@ let () =
   in
 
   (* Three instances stepped in lockstep over the same arrivals. *)
-  let lwd = Proc_engine.instance config (P_lwd.make config) in
-  let lqd = Proc_engine.instance config (P_lqd.make config) in
+  let lwd = Engine.Proc.instance config (P_lwd.make config) in
+  let lqd = Engine.Proc.instance config (P_lqd.make config) in
   let opt = Opt_ref.proc_instance config in
   Experiment.run
     ~params:{ Experiment.slots = 50_000; flush_every = Some 5_000; check_every = None }

@@ -26,7 +26,7 @@ let () =
     \   envelope checked every slot):\n";
   let rows =
     List.map
-      (fun (opponent : Proc_policy.t) ->
+      (fun (opponent : Proc_switch.t Policy.t) ->
         let workload =
           Scenario.proc_workload
             ~mmpp:{ Scenario.default_mmpp with sources = 100 }

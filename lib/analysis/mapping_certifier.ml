@@ -13,8 +13,8 @@ type report = {
 type state = {
   lwd_sw : Proc_switch.t;
   opt_sw : Proc_switch.t;
-  lwd : Proc_policy.t;
-  opponent : Proc_policy.t;
+  lwd : Proc_switch.t Policy.t;
+  opponent : Proc_switch.t Policy.t;
   (* OPT packet id -> transmitted LWD packet id it is charged to. *)
   ineligible : (int, int) Hashtbl.t;
   (* Explicit mappings, OPT id <-> buffered LWD id; each LWD packet carries
@@ -264,7 +264,7 @@ let run ~config ~opponent ~workload ~slots ?(check_every_event = true) () =
   in
   let handle_arrival ~dest ~value:_ =
     (* LWD first ("q can be p" in the paper's step A0). *)
-    (let d = Proc_policy.admit st.lwd st.lwd_sw ~dest ~value:1 in
+    (let d = Policy.admit st.lwd st.lwd_sw ~dest ~value:1 in
      if Decision.is_accept d then begin
       Proc_switch.accept st.lwd_sw ~dest ~value:1;
       let q_id = tail_id st.lwd_sw dest in
@@ -316,7 +316,7 @@ let run ~config ~opponent ~workload ~slots ?(check_every_event = true) () =
         !orphans
     end);
     (* Opponent side (non-push-out). *)
-    (let d = Proc_policy.admit st.opponent st.opt_sw ~dest ~value:1 in
+    (let d = Policy.admit st.opponent st.opt_sw ~dest ~value:1 in
      if Decision.is_accept d then begin
       Proc_switch.accept st.opt_sw ~dest ~value:1;
       let p_id = tail_id st.opt_sw dest in

@@ -47,7 +47,7 @@ type report = {
 
 val run :
   config:Smbm_core.Proc_config.t ->
-  opponent:Smbm_core.Proc_policy.t ->
+  opponent:Smbm_core.Proc_switch.t Smbm_core.Policy.t ->
   workload:Smbm_traffic.Workload.t ->
   slots:int ->
   ?check_every_event:bool ->

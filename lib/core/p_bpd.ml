@@ -38,7 +38,7 @@ let select_victim ~protect_last sw =
 let make ?(protect_last = false) _config =
   let name = if protect_last then "BPD1" else "BPD" in
   let index = Agg_index.per_switch (index ~protect_last) in
-  Proc_policy.make ~name ~push_out:true (fun sw ~dest ~value:_ ->
+  Policy.make ~name ~push_out:true (fun sw ~dest ~value:_ ->
       if not (Proc_switch.is_full sw) then Decision.accept
       else
         let victim = select ~protect_last (index sw) sw in

@@ -13,7 +13,7 @@
     pushes out the last packet of a queue (victims must hold at least two
     packets), avoiding the artificial deactivation of output ports. *)
 
-val make : ?protect_last:bool -> Proc_config.t -> Proc_policy.t
+val make : ?protect_last:bool -> Proc_config.t -> Proc_switch.t Policy.t
 (** Victim selection reads the argmax off the switch's incremental index in
     O(log n). *)
 

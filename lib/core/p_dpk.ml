@@ -19,7 +19,7 @@ let index sw =
 
 let make _config =
   let index = Agg_index.per_switch index in
-  Proc_policy.make ~name:"DPK" ~push_out:true (fun sw ~dest ~value ->
+  Policy.make ~name:"DPK" ~push_out:true (fun sw ~dest ~value ->
       if not (Proc_switch.is_full sw) then Decision.accept
       else
         (* Densities compared cross-multiplied: the arrival's

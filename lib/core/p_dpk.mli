@@ -4,4 +4,4 @@
     like MVD skewed by work; competitive at extreme congestion, a little
     behind LWD at moderate congestion. *)
 
-val make : Proc_config.t -> Proc_policy.t
+val make : Proc_config.t -> Proc_switch.t Policy.t

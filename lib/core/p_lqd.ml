@@ -34,7 +34,7 @@ let select_victim sw ~dest = select (index sw) sw ~dest
 
 let make _config =
   let index = Agg_index.per_switch index in
-  Proc_policy.make ~name:"LQD" ~push_out:true (fun sw ~dest ~value:_ ->
+  Policy.make ~name:"LQD" ~push_out:true (fun sw ~dest ~value:_ ->
       if not (Proc_switch.is_full sw) then Decision.accept
       else
         let victim = select (index sw) sw ~dest in

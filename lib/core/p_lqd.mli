@@ -10,7 +10,7 @@
     2-competitive under homogeneous processing; Theorem 4 shows it is at
     least [sqrt k]-competitive under heterogeneous processing. *)
 
-val make : Proc_config.t -> Proc_policy.t
+val make : Proc_config.t -> Proc_switch.t Policy.t
 (** Victim selection reads the argmax off the switch's incremental index in
     O(log n). *)
 

@@ -84,7 +84,7 @@ let name ~protect_last ~tie =
 
 let make ?(protect_last = false) ?(tie = Largest_work) _config =
   let index = Agg_index.per_switch (index ~protect_last ~tie) in
-  Proc_policy.make ~name:(name ~protect_last ~tie) ~push_out:true
+  Policy.make ~name:(name ~protect_last ~tie) ~push_out:true
     (fun sw ~dest ~value:_ ->
       if not (Proc_switch.is_full sw) then Decision.accept
       else

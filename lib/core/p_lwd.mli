@@ -23,7 +23,8 @@ type tie =
   | Smallest_work
   | Longest_queue
 
-val make : ?protect_last:bool -> ?tie:tie -> Proc_config.t -> Proc_policy.t
+val make :
+  ?protect_last:bool -> ?tie:tie -> Proc_config.t -> Proc_switch.t Policy.t
 (** The policy is named ["LWD"], ["LWD1"] when protecting last packets, and
     ["LWD/tie=..."] for non-default tie-breaking.  Victim selection reads
     the argmax off the switch's incremental index in O(log n). *)

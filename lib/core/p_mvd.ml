@@ -18,7 +18,7 @@ let index sw =
 
 let make _config =
   let index = Agg_index.per_switch index in
-  Proc_policy.make ~name:"MVD" ~push_out:true (fun sw ~dest:_ ~value ->
+  Policy.make ~name:"MVD" ~push_out:true (fun sw ~dest:_ ~value ->
       if not (Proc_switch.is_full sw) then Decision.accept
       else
         let victim = Agg_index.top (index sw) in

@@ -3,4 +3,4 @@
     arrival.  FIFO order makes only tails evictable, unlike the sorted
     queues of Section IV's MVD. *)
 
-val make : Proc_config.t -> Proc_policy.t
+val make : Proc_config.t -> Proc_switch.t Policy.t

@@ -1,7 +1,7 @@
 let make config =
   let n = Proc_config.n config in
   let b = config.Proc_config.buffer in
-  Proc_policy.make ~name:"NEST" ~push_out:false (fun sw ~dest ~value:_ ->
+  Policy.make ~name:"NEST" ~push_out:false (fun sw ~dest ~value:_ ->
       if Proc_switch.is_full sw then Decision.drop
         (* |Q_i| < B / n, in exact integer arithmetic *)
       else if Proc_switch.queue_length sw dest * n < b then Decision.accept

@@ -4,4 +4,4 @@
     partitioning of the buffer into equal shares.  Theorem 2:
     (n + o(n))-competitive. *)
 
-val make : Proc_config.t -> Proc_policy.t
+val make : Proc_config.t -> Proc_switch.t Policy.t

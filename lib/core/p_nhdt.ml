@@ -29,7 +29,7 @@ let admits ~buffer ~lengths ~dest =
 let make config =
   let n = Proc_config.n config in
   let thr = thresholds ~buffer:config.Proc_config.buffer ~n in
-  Proc_policy.make ~name:"NHDT" ~push_out:false (fun sw ~dest ~value:_ ->
+  Policy.make ~name:"NHDT" ~push_out:false (fun sw ~dest ~value:_ ->
       if
         (not (Proc_switch.is_full sw))
         && admits_in thr ~n ~length:Proc_switch.queue_length sw ~dest

@@ -12,7 +12,7 @@
     The harmonic normalizer uses [H_n] over the number of ports, which equals
     the paper's [H_k] in its contiguous configuration. *)
 
-val make : Proc_config.t -> Proc_policy.t
+val make : Proc_config.t -> Proc_switch.t Policy.t
 
 val admits :
   buffer:int -> lengths:int array -> dest:int -> bool

@@ -7,7 +7,7 @@ let make config =
   let thresholds =
     Array.init (Proc_config.n config) (fun i -> threshold config i)
   in
-  Proc_policy.make ~name:"NHST" ~push_out:false (fun sw ~dest ~value:_ ->
+  Policy.make ~name:"NHST" ~push_out:false (fun sw ~dest ~value:_ ->
       if Proc_switch.is_full sw then Decision.drop
       else if float_of_int (Proc_switch.queue_length sw dest) < thresholds.(dest)
       then Decision.accept

@@ -23,7 +23,7 @@ let pick_nonempty rng ~n ~length sw ~dest =
 
 let make ?(seed = 0x5eed) _config =
   let rng = Rng.create ~seed in
-  Proc_policy.make ~name:"RAND" ~push_out:true (fun sw ~dest ~value:_ ->
+  Policy.make ~name:"RAND" ~push_out:true (fun sw ~dest ~value:_ ->
       if not (Proc_switch.is_full sw) then Decision.accept
       else
         let victim =
@@ -34,7 +34,7 @@ let make ?(seed = 0x5eed) _config =
 
 let make_value ?(seed = 0x5eed) _config =
   let rng = Rng.create ~seed in
-  Value_policy.make ~name:"RAND" ~push_out:true (fun sw ~dest ~value ->
+  Policy.make ~name:"RAND" ~push_out:true (fun sw ~dest ~value ->
       if not (Value_switch.is_full sw) then Decision.accept
       else if Value_switch.min_value_or sw ~default:max_int <= value then
         let victim =

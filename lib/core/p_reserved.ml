@@ -63,7 +63,7 @@ let make ~reserve config =
          ~key:(Printf.sprintf "rsv-reclaim:%d" reserve)
          ~reserve ~tie:`Smallest_index)
   in
-  Proc_policy.make ~name ~push_out:true (fun sw ~dest ~value:_ ->
+  Policy.make ~name ~push_out:true (fun sw ~dest ~value:_ ->
       if not (Proc_switch.is_full sw) then Decision.accept
       else
         (* Buffer full.  The arrival may displace pool usage only while its

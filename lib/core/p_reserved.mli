@@ -15,7 +15,7 @@
     partition shares (plus reclamation of any transiently stolen
     reservation). *)
 
-val make : reserve:int -> Proc_config.t -> Proc_policy.t
+val make : reserve:int -> Proc_config.t -> Proc_switch.t Policy.t
 (** Both branches' argmaxes are read off the switch's incremental indexes
     in O(log n).
     @raise Invalid_argument if [reserve < 0] or [n * reserve > B]. *)

@@ -30,7 +30,7 @@ let select idx sw ~dest ~value =
 
 let make _config =
   let index = Agg_index.per_switch index in
-  Proc_policy.make ~name:"WVD" ~push_out:true (fun sw ~dest ~value ->
+  Policy.make ~name:"WVD" ~push_out:true (fun sw ~dest ~value ->
       if not (Proc_switch.is_full sw) then Decision.accept
       else
         let victim = select (index sw) sw ~dest ~value in

@@ -6,4 +6,4 @@
     collapses (see the bench's hybrid section) — BPD's pathology taken to
     the limit, a negative result worth keeping. *)
 
-val make : Proc_config.t -> Proc_policy.t
+val make : Proc_config.t -> Proc_switch.t Policy.t

@@ -22,16 +22,10 @@ let proc_extended config =
       P_rand.make config;
     ]
 
-let find_proc name pool =
-  let name = String.lowercase_ascii name in
-  List.find_opt
-    (fun (p : Proc_policy.t) -> String.lowercase_ascii p.name = name)
-    pool
-
-let proc_find config name = find_proc name (proc_extended config)
+let proc_find config name = Policy.find name (proc_extended config)
 
 let hybrid_greedy =
-  Proc_policy.make ~name:"Greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
+  Policy.make ~name:"Greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
       if Proc_switch.is_full sw then Decision.drop else Decision.accept)
 
 let hybrid config =
@@ -45,7 +39,7 @@ let hybrid config =
     P_dpk.make config;
   ]
 
-let hybrid_find config name = find_proc name (hybrid config)
+let hybrid_find config name = Policy.find name (hybrid config)
 
 let value_uniform config =
   [
@@ -65,13 +59,8 @@ let value_extended config =
   @ [ V_mrd.make ~protect_last:true config; P_rand.make_value config ]
 
 let value_find ?port_value config name =
-  let name = String.lowercase_ascii name in
-  let pool =
-    (match port_value with
-    | Some port_value -> value_port ~port_value config
-    | None -> value_uniform config)
-    @ value_extended config
-  in
-  List.find_opt
-    (fun (p : Value_policy.t) -> String.lowercase_ascii p.name = name)
-    pool
+  Policy.find name
+    ((match port_value with
+     | Some port_value -> value_port ~port_value config
+     | None -> value_uniform config)
+    @ value_extended config)

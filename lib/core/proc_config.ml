@@ -43,6 +43,7 @@ let geometric ~n ?(base = 2) ~buffer ?speedup () =
 let n t = Array.length t.works
 let k t = Array.fold_left max 1 t.works
 let work t i = t.works.(i)
+let unit_priced t = t.max_value = 1
 
 let inverse_work_sum t =
   Array.fold_left (fun z w -> z +. (1.0 /. float_of_int w)) 0.0 t.works

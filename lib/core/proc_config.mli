@@ -57,6 +57,12 @@ val k : t -> int
 val work : t -> int -> int
 (** [work t i] is the required work of port [i]. *)
 
+val unit_priced : t -> bool
+(** [max_value = 1]: the processing model, in which every packet is worth 1
+    whatever value its arrival carries.  The engine then stores value 1,
+    the exact optimum counts packets, and any recorded value replays.  The
+    one home of this rule. *)
+
 val inverse_work_sum : t -> float
 (** [Z = sum_i 1 / w_i], the normalizer of the NHST thresholds. *)
 

@@ -1,3 +1,3 @@
 let make _config =
-  Value_policy.make ~name:"Greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
+  Policy.make ~name:"Greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
       if Value_switch.is_full sw then Decision.drop else Decision.accept)

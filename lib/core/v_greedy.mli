@@ -3,4 +3,4 @@
     then send in the ks) — the paper's reason to consider only push-out
     policies in the value model. *)
 
-val make : Value_config.t -> Value_policy.t
+val make : Value_config.t -> Value_switch.t Policy.t

@@ -9,7 +9,7 @@
 
     Theorem 9: at least (cube root of k)-competitive. *)
 
-val make : Value_config.t -> Value_policy.t
+val make : Value_config.t -> Value_switch.t Policy.t
 (** Victim selection reads the argmax off the switch's incremental index in
     O(log n). *)
 

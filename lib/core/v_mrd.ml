@@ -48,7 +48,7 @@ let select_victim ?(protect_last = false) sw =
 let make ?(protect_last = false) _config =
   let name = if protect_last then "MRD1" else "MRD" in
   let index = Agg_index.per_switch (index ~protect_last) in
-  Value_policy.make ~name ~push_out:true (fun sw ~dest:_ ~value ->
+  Policy.make ~name ~push_out:true (fun sw ~dest:_ ~value ->
       if not (Value_switch.is_full sw) then Decision.accept
       else
         (* The paper drops only when the buffer minimum is strictly bigger

@@ -15,7 +15,7 @@
     value equals its output port label (Theorem 11).  Whether it achieves a
     constant ratio in general is the paper's open conjecture. *)
 
-val make : ?protect_last:bool -> Value_config.t -> Value_policy.t
+val make : ?protect_last:bool -> Value_config.t -> Value_switch.t Policy.t
 (** [~protect_last:true] is the MRD_1 ablation that never pushes out a
     queue's only packet (analogous to the paper's BPD_1 and MVD_1).  Victim
     selection reads the ratio argmax off the switch's incremental index in

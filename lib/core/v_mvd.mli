@@ -11,7 +11,7 @@
     [~protect_last:true] is the MVD_1 variant of Section V-C that never
     pushes out the last packet of a queue. *)
 
-val make : ?protect_last:bool -> Value_config.t -> Value_policy.t
+val make : ?protect_last:bool -> Value_config.t -> Value_switch.t Policy.t
 (** Victim selection reads the argmin off the switch's incremental index in
     O(log n). *)
 

@@ -19,7 +19,7 @@ let make ?(reversed = true) ~port_value config =
         threshold ~reversed ~port_value ~buffer i)
   in
   let name = if reversed then "NHST" else "NHST-direct" in
-  Value_policy.make ~name ~push_out:false (fun sw ~dest ~value:_ ->
+  Policy.make ~name ~push_out:false (fun sw ~dest ~value:_ ->
       if Value_switch.is_full sw then Decision.drop
       else if float_of_int (Value_switch.queue_length sw dest) < thresholds.(dest)
       then Decision.accept

@@ -8,7 +8,10 @@
     large shares. *)
 
 val make :
-  ?reversed:bool -> port_value:int array -> Value_config.t -> Value_policy.t
+  ?reversed:bool ->
+  port_value:int array ->
+  Value_config.t ->
+  Value_switch.t Policy.t
 (** [port_value.(i)] is the value associated with port [i].
     [reversed] defaults to [true] (the variant the paper simulates). *)
 

@@ -3,7 +3,7 @@
     Holds [n] priority queues (largest value first) drawing on one buffer of
     [B] packet slots.  Transmission sends up to [speedup] packets per
     non-empty queue per slot.  Mechanics only; admission decisions come from
-    a {!Value_policy}.
+    a [Value_switch.t] {!Policy}.
 
     The state is a struct-of-arrays slab of unboxed int columns with
     intrusive per-(port, value) bucket lists and per-port occupancy bitsets

@@ -12,7 +12,7 @@ let measure ?(k = 16) ?(buffer = 64) ?(episodes = 5) () =
   let episode = buffer in
   let trace = Runner.episodic ~episode ~burst ~trickle:(fun _ -> []) in
   let greedy =
-    Value_policy.make ~name:"Greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
+    Policy.make ~name:"Greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
         if Value_switch.is_full sw then Decision.drop else Decision.accept)
   in
   let quota dest = if dest = 1 then buffer else 0 in

@@ -8,7 +8,8 @@
 
 open Smbm_core
 
-val proc : ?name:string -> quota:(int -> int) -> unit -> Proc_policy.t
+val proc : ?name:string -> quota:(int -> int) -> unit -> Proc_switch.t Policy.t
 (** [quota port] is that port's reserved slot count. *)
 
-val value : ?name:string -> quota:(int -> int) -> unit -> Value_policy.t
+val value :
+  ?name:string -> quota:(int -> int) -> unit -> Value_switch.t Policy.t

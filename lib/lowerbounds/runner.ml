@@ -26,15 +26,15 @@ let params ~slots ~flush_every =
   { Experiment.slots; flush_every; check_every = None }
 
 let run_proc ~config ~alg ~opt ~trace ~slots ?flush_every () =
-  let alg = Proc_engine.instance config alg
-  and opt = Proc_engine.instance ~name:"OPT*" config opt in
+  let alg = Engine.Proc.instance config alg
+  and opt = Engine.Proc.instance ~name:"OPT*" config opt in
   let workload = Smbm_traffic.Workload.of_fun trace in
   Experiment.run ~params:(params ~slots ~flush_every) ~workload [ alg; opt ];
   measure ~objective:`Packets ~alg ~opt
 
 let run_value ~config ~alg ~opt ~trace ~slots ?flush_every () =
-  let alg = Value_engine.instance config alg
-  and opt = Value_engine.instance ~name:"OPT*" config opt in
+  let alg = Engine.Value.instance config alg
+  and opt = Engine.Value.instance ~name:"OPT*" config opt in
   let workload = Smbm_traffic.Workload.of_fun trace in
   Experiment.run ~params:(params ~slots ~flush_every) ~workload [ alg; opt ];
   measure ~objective:`Value ~alg ~opt

@@ -25,8 +25,8 @@ val burst : int -> Arrival.t -> Arrival.t list
 
 val run_proc :
   config:Proc_config.t ->
-  alg:Proc_policy.t ->
-  opt:Proc_policy.t ->
+  alg:Proc_switch.t Policy.t ->
+  opt:Proc_switch.t Policy.t ->
   trace:(int -> Arrival.t list) ->
   slots:int ->
   ?flush_every:int ->
@@ -36,8 +36,8 @@ val run_proc :
 
 val run_value :
   config:Value_config.t ->
-  alg:Value_policy.t ->
-  opt:Value_policy.t ->
+  alg:Value_switch.t Policy.t ->
+  opt:Value_switch.t Policy.t ->
   trace:(int -> Arrival.t list) ->
   slots:int ->
   ?flush_every:int ->

@@ -63,29 +63,6 @@ let clear t =
   t.size <- 0;
   t.sum <- 0
 
-let decrement_smallest t ~budget =
-  (* Scan keys upward; moved elements land on key-1, which has already been
-     scanned, so no element is served twice within one call. *)
-  let remaining = ref (min budget t.size) in
-  let transmitted = ref 0 in
-  let key = ref 1 in
-  while !remaining > 0 && !key <= t.k do
-    let take = min t.counts.(!key) !remaining in
-    if take > 0 then begin
-      t.counts.(!key) <- t.counts.(!key) - take;
-      t.sum <- t.sum - take;
-      remaining := !remaining - take;
-      if !key = 1 then begin
-        (* Served elements complete and leave. *)
-        t.size <- t.size - take;
-        transmitted := !transmitted + take
-      end
-      else t.counts.(!key - 1) <- t.counts.(!key - 1) + take
-    end;
-    incr key
-  done;
-  !transmitted
-
 let serve_srpt t ~budget =
   let budget = ref budget in
   let transmitted = ref 0 in

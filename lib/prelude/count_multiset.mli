@@ -40,13 +40,6 @@ val fold : ('acc -> key:int -> count:int -> 'acc) -> 'acc -> t -> 'acc
 
 val clear : t -> unit
 
-val decrement_smallest : t -> budget:int -> int
-(** [decrement_smallest t ~budget] gives one unit of service to each of the
-    [min budget (size t)] smallest elements: each selected element's key drops
-    by one, and elements reaching key 0 leave the multiset.  Returns the
-    number of elements that reached 0 (were "transmitted").  Elements already
-    served in this call are not served twice. *)
-
 val remove_largest : t -> budget:int -> int
 (** [remove_largest t ~budget] removes the [min budget (size t)] largest
     elements outright and returns the sum of their keys.  This is the value
@@ -56,7 +49,7 @@ val serve_srpt : t -> budget:int -> int
 (** [serve_srpt t ~budget] spends up to [budget] work units on the smallest
     elements, shortest-remaining-first and run-to-completion: the smallest
     element is worked on (and removed at key 0) before any budget goes to
-    the next one.  Returns the number of completed elements.  Unlike
-    {!decrement_smallest}, several units may go into one element within a
-    single call — this upper-bounds any switch schedule whose queues apply
-    multiple cycles per slot (speedup [C > 1]). *)
+    the next one.  Returns the number of completed elements.  Several
+    units may go into one element within a single call — this upper-bounds
+    any switch schedule whose queues apply multiple cycles per slot
+    (speedup [C > 1]). *)

@@ -111,10 +111,11 @@ let check_trace model trace =
   let ports, max_value =
     match model with
     | Model.Proc config ->
-      (* At max_value = 1 the engine prices every packet at 1, so any
-         recorded value replays. *)
-      let max_value = config.Proc_config.max_value in
-      (Proc_config.n config, if max_value = 1 then max_int else max_value)
+      (* A unit-priced engine stores every packet at 1, so any recorded
+         value replays. *)
+      ( Proc_config.n config,
+        if Proc_config.unit_priced config then max_int
+        else config.Proc_config.max_value )
     | Model.Value_uniform config | Model.Value_port config ->
       (Value_config.n config, config.Value_config.max_value)
   in
@@ -136,107 +137,79 @@ let check_trace model trace =
     Trace.Compact.iter_slot trace i ~f:check
   done
 
+(* The controlled engine, once for both models.  [find cfg name] is the
+   model's policy lookup; [live_config sw] rebuilds its configuration
+   against the switch's live buffer, because threshold policies capture B
+   at construction: a swap or resize always rebuilds against it, never the
+   boot-time config. *)
+let controlled (type sw cfg)
+    (module E : Engine.S with type Switch.t = sw and type Switch.config = cfg)
+    ?events ~kind ~model_name ~(find : cfg -> string -> sw Policy.t option)
+    ~(live_config : sw -> cfg) (config : cfg) policy_name =
+  let policy =
+    match find config policy_name with
+    | Some p -> p
+    | None ->
+      invalid_arg
+        ("Daemon.run: unknown " ^ kind ^ " policy \"" ^ policy_name ^ "\"")
+  in
+  let policy_ref = ref policy in
+  let inst, sw = E.create_controlled ~name:"serve" ?events config policy_ref in
+  let current = ref policy_name in
+  let set_policy name =
+    match find (live_config sw) name with
+    | Some p ->
+      policy_ref := p;
+      current := name;
+      true
+    | None -> false
+  in
+  let set_buffer b =
+    let applied = max b (E.Switch.occupancy sw) in
+    E.Switch.set_buffer sw applied;
+    (match find (live_config sw) !current with
+    | Some p -> policy_ref := p
+    | None -> ());
+    applied
+  in
+  {
+    inst;
+    set_policy;
+    set_buffer;
+    policy_name = (fun () -> !current);
+    buffer_size = (fun () -> E.Switch.buffer sw);
+    model_name;
+    n_ports = E.Switch.n sw;
+    queue_length = E.Switch.queue_length sw;
+  }
+
 let make_engine ?events model policy_name =
   match model with
   | Model.Proc config ->
-    let find cfg name = Policies.proc_find cfg name in
-    let policy =
-      match find config policy_name with
-      | Some p -> p
-      | None ->
-        invalid_arg
-          ("Daemon.run: unknown processing policy \"" ^ policy_name ^ "\"")
-    in
-    let policy_ref = ref policy in
-    let inst, sw =
-      Proc_engine.create_controlled ~name:"serve" ?events config policy_ref
-    in
-    let current = ref policy_name in
-    (* Threshold policies capture B at construction: always rebuild against
-       the switch's live buffer, never the boot-time config. *)
-    let live_config () =
+    let live_config sw =
       Proc_config.make
         ~works:(Array.copy config.Proc_config.works)
         ~buffer:(Proc_switch.buffer sw) ~speedup:config.Proc_config.speedup
         ~max_value:config.Proc_config.max_value ()
     in
-    let set_policy name =
-      match find (live_config ()) name with
-      | Some p ->
-        policy_ref := p;
-        current := name;
-        true
-      | None -> false
-    in
-    let set_buffer b =
-      let applied = max b (Proc_switch.occupancy sw) in
-      Proc_switch.set_buffer sw applied;
-      (match find (live_config ()) !current with
-      | Some p -> policy_ref := p
-      | None -> ());
-      applied
-    in
-    {
-      inst;
-      set_policy;
-      set_buffer;
-      policy_name = (fun () -> !current);
-      buffer_size = (fun () -> Proc_switch.buffer sw);
-      model_name = "proc";
-      n_ports = Proc_config.n config;
-      queue_length = Proc_switch.queue_length sw;
-    }
+    controlled (module Engine.Proc) ?events ~kind:"processing"
+      ~model_name:"proc" ~find:Policies.proc_find ~live_config config
+      policy_name
   | Model.Value_uniform config | Model.Value_port config ->
     let port_value =
       match model with
       | Model.Value_port _ -> Some (Scenario.port_values config)
       | _ -> None
     in
-    let find cfg name = Policies.value_find ?port_value cfg name in
-    let policy =
-      match find config policy_name with
-      | Some p -> p
-      | None ->
-        invalid_arg
-          ("Daemon.run: unknown value policy \"" ^ policy_name ^ "\"")
-    in
-    let policy_ref = ref policy in
-    let inst, sw =
-      Value_engine.create_controlled ~name:"serve" ?events config policy_ref
-    in
-    let current = ref policy_name in
-    let live_config () =
+    let live_config sw =
       Value_config.make ~ports:config.Value_config.ports
         ~max_value:config.Value_config.max_value
         ~buffer:(Value_switch.buffer sw) ~speedup:config.Value_config.speedup
         ()
     in
-    let set_policy name =
-      match find (live_config ()) name with
-      | Some p ->
-        policy_ref := p;
-        current := name;
-        true
-      | None -> false
-    in
-    let set_buffer b =
-      let applied = max b (Value_switch.occupancy sw) in
-      Value_switch.set_buffer sw applied;
-      (match find (live_config ()) !current with
-      | Some p -> policy_ref := p
-      | None -> ());
-      applied
-    in
-    {
-      inst;
-      set_policy;
-      set_buffer;
-      policy_name = (fun () -> !current);
-      buffer_size = (fun () -> Value_switch.buffer sw);
-      model_name = "value";
-      n_ports = Value_config.n config;
-      queue_length = Value_switch.queue_length sw;
-    }
+    controlled (module Engine.Value) ?events ~kind:"value" ~model_name:"value"
+      ~find:(Policies.value_find ?port_value)
+      ~live_config config policy_name
 
 (* Instruments that exist only when telemetry is on: their absence keeps a
    plain run's server registry (and its JSONL) identical to before. *)

@@ -3,8 +3,8 @@
 
     An ingest domain fills {!Spsc_ring} slots (one per simulated time slot)
     from a synthetic {!Mmpp_bank}, a recorded trace, or any workload; the
-    calling domain consumes them, stepping a {!Smbm_sim.Proc_engine} /
-    {!Smbm_sim.Value_engine} instance slot by slot.  The ring's capacity
+    calling domain consumes them, stepping a {!Smbm_sim.Engine.Proc} /
+    {!Smbm_sim.Engine.Value} instance slot by slot.  The ring's capacity
     bounds both memory and the ingest lead: when the engine falls behind,
     the chosen {!backpressure} either paces the producer ([Block]) or sheds
     whole slots with explicit accounting ([Shed]).

@@ -51,6 +51,6 @@ let run ~factor ?(objective = `Packets) ~workload ~slots ?flush_every ~policy
 
 let certify_lwd ?(factor = 2.0) ~config ~workload ~slots ?flush_every
     ~opponent () =
-  let policy = Proc_engine.instance config (Smbm_core.P_lwd.make config) in
-  let opponent = Proc_engine.instance ~name:"opponent" config opponent in
+  let policy = Engine.Proc.instance config (Smbm_core.P_lwd.make config) in
+  let opponent = Engine.Proc.instance ~name:"opponent" config opponent in
   run ~factor ~workload ~slots ?flush_every ~policy ~opponent ()

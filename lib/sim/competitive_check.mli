@@ -51,7 +51,7 @@ val certify_lwd :
   workload:Smbm_traffic.Workload.t ->
   slots:int ->
   ?flush_every:int ->
-  opponent:Smbm_core.Proc_policy.t ->
+  opponent:Smbm_core.Proc_switch.t Smbm_core.Policy.t ->
   unit ->
   outcome
 (** Convenience wrapper: LWD under certification against a processing-model

@@ -1,0 +1,174 @@
+open Smbm_core
+module Flight = Smbm_obs.Flight
+
+module type SWITCH = sig
+  type t
+  type config
+
+  val create : config -> t
+  val unit_priced : config -> bool
+  val n : t -> int
+  val now : t -> int
+  val is_full : t -> bool
+  val accept : t -> dest:int -> value:int -> unit
+  val push_out : t -> victim:int -> int
+
+  val transmit_phase :
+    t -> on_transmit:(dest:int -> value:int -> arrival:int -> unit) -> int
+
+  val occupancy : t -> int
+  val advance_slot : t -> unit
+  val flush : t -> int
+  val check_invariants : t -> unit
+  val buffer : t -> int
+  val set_buffer : t -> int -> unit
+  val queue_length : t -> int -> int
+end
+
+module type S = sig
+  module Switch : SWITCH
+
+  val create :
+    ?name:string ->
+    ?events:Flight.t ->
+    Switch.config ->
+    Switch.t Policy.t ->
+    Instance.t * Switch.t
+
+  val instance :
+    ?name:string ->
+    ?events:Flight.t ->
+    Switch.config ->
+    Switch.t Policy.t ->
+    Instance.t
+
+  val create_controlled :
+    ?name:string ->
+    ?events:Flight.t ->
+    Switch.config ->
+    Switch.t Policy.t ref ->
+    Instance.t * Switch.t
+end
+
+module Make (Switch : SWITCH) = struct
+  module Switch = Switch
+
+  let create_controlled ?name ?events config (policy_ref : Switch.t Policy.t ref)
+      =
+    let name = Option.value name ~default:!policy_ref.name in
+    let sw = Switch.create config in
+    let metrics = Metrics.create () in
+    let ports = Port_stats.create ~n:(Switch.n sw) in
+    (* Recording takes only immediate ints (the source is interned once
+       here), so an attached ring costs column writes, not allocation. *)
+    let src = match events with Some f -> Flight.intern f name | None -> 0 in
+    (* Read once here, not per arrival: a unit-priced configuration stores
+       every packet at value 1, so value traffic replayed into it yields
+       the same decisions, counters and events as unit traffic. *)
+    let unit_priced = Switch.unit_priced config in
+    let arrive_dv ~dest ~value =
+      let value = if unit_priced then 1 else value in
+      Metrics.record_arrival metrics;
+      (match events with
+      | None -> ()
+      | Some f -> Flight.arrival f ~slot:(Switch.now sw) ~src ~dest);
+      let d = !policy_ref.admit sw ~dest ~value in
+      (* A push-out makes room, then the arrival is accepted as usual. *)
+      if Decision.is_push_out d then begin
+        if not (Switch.is_full sw) then
+          invalid_arg
+            (name ^ ": push-out decision while the buffer has free space");
+        let victim = Decision.victim d in
+        let lost = Switch.push_out sw ~victim in
+        Metrics.record_push_out metrics;
+        match events with
+        | None -> ()
+        | Some f ->
+          Flight.push_out f ~slot:(Switch.now sw) ~src ~victim ~dest ~lost
+      end;
+      if Decision.is_drop d then begin
+        Metrics.record_drop metrics;
+        match events with
+        | None -> ()
+        | Some f -> Flight.drop f ~slot:(Switch.now sw) ~src ~dest ~value
+      end
+      else begin
+        Switch.accept sw ~dest ~value;
+        Metrics.record_accept metrics;
+        match events with
+        | None -> ()
+        | Some f -> Flight.accept f ~slot:(Switch.now sw) ~src ~dest
+      end
+    in
+    let transmit =
+      let on_transmit ~dest ~value ~arrival =
+        let latency = Switch.now sw - arrival in
+        Metrics.record_transmit metrics ~value ~latency;
+        Port_stats.record ports ~port:dest ~value;
+        match events with
+        | None -> ()
+        | Some f ->
+          Flight.transmit f ~slot:(Switch.now sw) ~src ~dest ~value ~latency
+      in
+      fun () -> ignore (Switch.transmit_phase sw ~on_transmit)
+    in
+    let end_slot () =
+      let occupancy = Switch.occupancy sw in
+      Metrics.record_occupancy metrics occupancy;
+      (match events with
+      | None -> ()
+      | Some f -> Flight.slot_end f ~slot:(Switch.now sw) ~src ~occupancy);
+      Switch.advance_slot sw
+    in
+    let flush () =
+      let count = Switch.flush sw in
+      Metrics.record_flush metrics count;
+      (match events with
+      | None -> ()
+      | Some f -> Flight.flush f ~slot:(Switch.now sw) ~src ~count);
+      Metrics.check_conservation metrics
+    in
+    let check () =
+      Switch.check_invariants sw;
+      Metrics.check_conservation metrics;
+      if Metrics.in_buffer metrics <> Switch.occupancy sw then
+        invalid_arg (name ^ ": metrics in-buffer count out of sync with switch")
+    in
+    let inst : Instance.t =
+      {
+        name;
+        arrive_dv;
+        arrive_batch = None;
+        transmit;
+        end_slot;
+        flush;
+        occupancy = (fun () -> Switch.occupancy sw);
+        metrics;
+        ports = Some ports;
+        check;
+      }
+    in
+    (inst, sw)
+
+  let create ?name ?events config policy =
+    create_controlled ?name ?events config (ref policy)
+
+  let instance ?name ?events config policy =
+    fst (create ?name ?events config policy)
+end
+
+module Proc = Make (struct
+  include Proc_switch
+
+  type config = Proc_config.t
+
+  let unit_priced = Proc_config.unit_priced
+end)
+
+module Value = Make (struct
+  include Value_switch
+
+  type config = Value_config.t
+
+  let unit_priced _ = false
+end)

@@ -1,76 +1,50 @@
 open Smbm_core
+module Flight = Smbm_obs.Flight
 
-(* ----- processing model (FIFO queues, optionally valued) -----
+(* One search for both models.  A queue is its head-of-line residual plus
+   the values of its packets in transmission order; the array of them is
+   the whole buffer.  Only the discipline differs between the models: how
+   an accepted packet enters its queue and how a transmission phase serves
+   one. *)
 
-   A queue is its head-of-line residual plus the values of its packets in
-   FIFO order: packets within a queue need the same work, so that is the
-   whole queue; the array of them is the whole buffer.  At [max_value = 1]
-   every value is 1 and the objective is the packet count. *)
+type queue = int * int list
 
-module Proc_state = struct
-  type t = { slot : int; idx : int; queues : (int * int list) array }
+module State = struct
+  type t = { slot : int; idx : int; queues : queue array }
 
   let equal a b = a.slot = b.slot && a.idx = b.idx && a.queues = b.queues
-
   let hash t = Hashtbl.hash (t.slot, t.idx, t.queues)
 end
 
-module Proc_tbl = Hashtbl.Make (Proc_state)
+module Tbl = Hashtbl.Make (State)
 
-let proc ?events ?(name = "EXACT") config trace ~drain =
-  if drain < 0 then invalid_arg "Exact_opt.proc: negative drain";
-  let n = Proc_config.n config in
-  let buffer = config.Proc_config.buffer in
-  let cycles = config.Proc_config.speedup in
+type discipline = {
+  enqueue : dest:int -> value:int -> queue -> queue;
+  serve : int -> queue -> queue * int * int;
+      (** one transmission phase of queue [i]: the queue after it, the
+          packets transmitted and their value *)
+}
+
+let search ?events ~name ~n ~buffer ~unit_priced d trace ~drain =
   let total_slots = Array.length trace + drain in
-  (* The engine's rule: the processing model prices every packet at 1. *)
-  let value_of (a : Arrival.t) =
-    if config.Proc_config.max_value = 1 then 1 else a.value
-  in
+  let value_of (a : Arrival.t) = if unit_priced then 1 else a.value in
   let arrivals_at slot =
     if slot < Array.length trace then Array.of_list trace.(slot) else [||]
   in
-  let memo = Proc_tbl.create 4096 in
+  let memo = Tbl.create 4096 in
   let occupancy queues =
     Array.fold_left (fun acc (_, values) -> acc + List.length values) 0 queues
   in
   let enqueue queues (a : Arrival.t) =
     let queues = Array.copy queues in
-    let hol, values = queues.(a.dest) in
-    let hol = if values = [] then Proc_config.work config a.dest else hol in
-    queues.(a.dest) <- (hol, values @ [ value_of a ]);
+    queues.(a.dest) <-
+      d.enqueue ~dest:a.dest ~value:(value_of a) queues.(a.dest);
     queues
   in
-  (* Deterministic transmission phase of one queue: returns the queue
-     after it, the packets transmitted and their value. *)
-  let serve_queue i (hol, values) =
-    let work = Proc_config.work config i in
-    let rec go budget hol values sent value =
-      match values with
-      | [] -> ((0, []), sent, value)
-      | v :: rest ->
-        if budget = 0 then ((hol, values), sent, value)
-        else if budget >= hol then
-          go (budget - hol) work rest (sent + 1) (value + v)
-        else ((hol - budget, values), sent, value)
-    in
-    go cycles hol values 0 0
-  in
-  let transmit queues =
-    let queues = Array.copy queues in
-    let value = ref 0 in
-    Array.iteri
-      (fun i q ->
-        let q', _, v = serve_queue i q in
-        queues.(i) <- q';
-        value := !value + v)
-      queues;
-    (queues, !value)
-  in
-  let rec best (st : Proc_state.t) =
+  let rec best (st : State.t) =
     if st.slot >= total_slots then 0
     else
-      match Proc_tbl.find_opt memo st with
+      match Tbl.find_opt memo st with
       | Some v -> v
       | None ->
         let arrivals = arrivals_at st.slot in
@@ -83,16 +57,21 @@ let proc ?events ?(name = "EXACT") config trace ~drain =
             else skip
           end
           else begin
-            let queues, value = transmit st.queues in
-            value + best { slot = st.slot + 1; idx = 0; queues }
+            let queues = Array.copy st.queues in
+            let value = ref 0 in
+            Array.iteri
+              (fun i q ->
+                let q', _, v = d.serve i q in
+                queues.(i) <- q';
+                value := !value + v)
+              st.queues;
+            !value + best { slot = st.slot + 1; idx = 0; queues }
           end
         in
-        Proc_tbl.add memo st v;
+        Tbl.add memo st v;
         v
   in
-  let initial =
-    { Proc_state.slot = 0; idx = 0; queues = Array.make n (0, []) }
-  in
+  let initial = { State.slot = 0; idx = 0; queues = Array.make n (0, []) } in
   let result = best initial in
   (* Replay the argmax path through the memo table as an event trace: the
      same accept/drop choices [best] scored, with deterministic per-port
@@ -101,171 +80,91 @@ let proc ?events ?(name = "EXACT") config trace ~drain =
   (match events with
   | None -> ()
   | Some f ->
-    let src = Smbm_obs.Flight.intern f name in
+    let src = Flight.intern f name in
     let st = ref initial in
-    while !st.Proc_state.slot < total_slots do
+    while !st.State.slot < total_slots do
       let s = !st in
-      let slot = s.Proc_state.slot in
+      let slot = s.State.slot in
       let arrivals = arrivals_at slot in
-      if s.Proc_state.idx < Array.length arrivals then begin
-        let a = arrivals.(s.Proc_state.idx) in
-        Smbm_obs.Flight.arrival f ~slot ~src ~dest:a.Arrival.dest;
-        let skip_state = { s with Proc_state.idx = s.Proc_state.idx + 1 } in
+      if s.State.idx < Array.length arrivals then begin
+        let a = arrivals.(s.State.idx) in
+        Flight.arrival f ~slot ~src ~dest:a.dest;
+        let skip_state = { s with State.idx = s.State.idx + 1 } in
         let accept_state =
-          if occupancy s.Proc_state.queues < buffer then
-            Some
-              {
-                skip_state with
-                Proc_state.queues = enqueue s.Proc_state.queues a;
-              }
+          if occupancy s.State.queues < buffer then
+            Some { skip_state with State.queues = enqueue s.State.queues a }
           else None
         in
         match accept_state with
         | Some acc_st when best acc_st > best skip_state ->
-          Smbm_obs.Flight.accept f ~slot ~src ~dest:a.Arrival.dest;
+          Flight.accept f ~slot ~src ~dest:a.dest;
           st := acc_st
         | Some _ | None ->
-          Smbm_obs.Flight.drop f ~slot ~src ~dest:a.Arrival.dest
-            ~value:(value_of a);
+          Flight.drop f ~slot ~src ~dest:a.dest ~value:(value_of a);
           st := skip_state
       end
       else begin
-        let queues = Array.copy s.Proc_state.queues in
+        let queues = Array.copy s.State.queues in
         Array.iteri
           (fun i q ->
-            let q', count, value = serve_queue i q in
+            let q', count, value = d.serve i q in
             queues.(i) <- q';
             if count > 0 then
-              Smbm_obs.Flight.transmit_bulk f ~slot ~src ~dest:i ~count ~value)
+              Flight.transmit_bulk f ~slot ~src ~dest:i ~count ~value)
           queues;
-        Smbm_obs.Flight.slot_end f ~slot ~src ~occupancy:(occupancy queues);
-        st := { Proc_state.slot = slot + 1; idx = 0; queues }
+        Flight.slot_end f ~slot ~src ~occupancy:(occupancy queues);
+        st := { State.slot = slot + 1; idx = 0; queues }
       end
     done);
   result
 
-(* ----- value model -----
+(* FIFO work queues: every packet of queue [i] needs [work i] cycles, so a
+   queue is its head-of-line residual and its values in arrival order;
+   [speedup] cycles per slot go head-of-line, run-to-completion. *)
+let proc ?events ?(name = "EXACT") config trace ~drain =
+  if drain < 0 then invalid_arg "Exact_opt.proc: negative drain";
+  let cycles = config.Proc_config.speedup in
+  let enqueue ~dest ~value (hol, values) =
+    let hol = if values = [] then Proc_config.work config dest else hol in
+    (hol, values @ [ value ])
+  in
+  let serve i (hol, values) =
+    let work = Proc_config.work config i in
+    let rec go budget hol values sent value =
+      match values with
+      | [] -> ((0, []), sent, value)
+      | v :: rest ->
+        if budget = 0 then ((hol, values), sent, value)
+        else if budget >= hol then
+          go (budget - hol) work rest (sent + 1) (value + v)
+        else ((hol - budget, values), sent, value)
+    in
+    go cycles hol values 0 0
+  in
+  search ?events ~name ~n:(Proc_config.n config)
+    ~buffer:config.Proc_config.buffer
+    ~unit_priced:(Proc_config.unit_priced config)
+    { enqueue; serve } trace ~drain
 
-   A queue is a descending-sorted list of values; transmission pops the
-   head of every non-empty queue [speedup] times. *)
-
-module Value_state = struct
-  type t = { slot : int; idx : int; queues : int list array }
-
-  let equal a b = a.slot = b.slot && a.idx = b.idx && a.queues = b.queues
-  let hash t = Hashtbl.hash (t.slot, t.idx, t.queues)
-end
-
-module Value_tbl = Hashtbl.Make (Value_state)
-
+(* Value-sorted unit-work queues: a queue is its values in descending
+   order (the residual stays 0); a slot pops up to [speedup] heads. *)
 let value ?events ?(name = "EXACT") config trace ~drain =
   if drain < 0 then invalid_arg "Exact_opt.value: negative drain";
-  let n = Value_config.n config in
-  let buffer = config.Value_config.buffer in
   let per_slot = config.Value_config.speedup in
-  let total_slots = Array.length trace + drain in
-  let arrivals_at slot =
-    if slot < Array.length trace then Array.of_list trace.(slot) else [||]
-  in
-  let memo = Value_tbl.create 4096 in
-  let occupancy queues =
-    Array.fold_left (fun acc q -> acc + List.length q) 0 queues
-  in
   let rec insert_desc v = function
     | [] -> [ v ]
     | x :: rest when x >= v -> x :: insert_desc v rest
     | rest -> v :: rest
   in
-  (* Pop up to [per_slot] head values; returns (rest, count, value sum). *)
-  let serve_queue q =
+  let enqueue ~dest:_ ~value (_, values) = (0, insert_desc value values) in
+  let serve _ (_, values) =
     let rec take budget count value = function
-      | v :: rest when budget > 0 -> take (budget - 1) (count + 1) (value + v) rest
-      | rest -> (rest, count, value)
+      | v :: rest when budget > 0 ->
+        take (budget - 1) (count + 1) (value + v) rest
+      | rest -> ((0, rest), count, value)
     in
-    take per_slot 0 0 q
+    take per_slot 0 0 values
   in
-  let transmit queues =
-    let queues = Array.copy queues in
-    let value = ref 0 in
-    Array.iteri
-      (fun i q ->
-        let rest, _, v = serve_queue q in
-        value := !value + v;
-        queues.(i) <- rest)
-      queues;
-    (queues, !value)
-  in
-  let rec best (st : Value_state.t) =
-    if st.slot >= total_slots then 0
-    else
-      match Value_tbl.find_opt memo st with
-      | Some v -> v
-      | None ->
-        let arrivals = arrivals_at st.slot in
-        let v =
-          if st.idx < Array.length arrivals then begin
-            let a = arrivals.(st.idx) in
-            let skip = best { st with idx = st.idx + 1 } in
-            if occupancy st.queues < buffer then begin
-              let queues = Array.copy st.queues in
-              queues.(a.Arrival.dest) <-
-                insert_desc a.Arrival.value queues.(a.Arrival.dest);
-              max skip (best { st with idx = st.idx + 1; queues })
-            end
-            else skip
-          end
-          else begin
-            let queues, sent = transmit st.queues in
-            sent + best { slot = st.slot + 1; idx = 0; queues }
-          end
-        in
-        Value_tbl.add memo st v;
-        v
-  in
-  let initial = { Value_state.slot = 0; idx = 0; queues = Array.make n [] } in
-  let result = best initial in
-  (match events with
-  | None -> ()
-  | Some f ->
-    let src = Smbm_obs.Flight.intern f name in
-    let st = ref initial in
-    while !st.Value_state.slot < total_slots do
-      let s = !st in
-      let slot = s.Value_state.slot in
-      let arrivals = arrivals_at slot in
-      if s.Value_state.idx < Array.length arrivals then begin
-        let a = arrivals.(s.Value_state.idx) in
-        Smbm_obs.Flight.arrival f ~slot ~src ~dest:a.Arrival.dest;
-        let skip_state = { s with Value_state.idx = s.Value_state.idx + 1 } in
-        let accept_state =
-          if occupancy s.Value_state.queues < buffer then begin
-            let queues = Array.copy s.Value_state.queues in
-            queues.(a.Arrival.dest) <-
-              insert_desc a.Arrival.value queues.(a.Arrival.dest);
-            Some { skip_state with Value_state.queues }
-          end
-          else None
-        in
-        match accept_state with
-        | Some acc_st when best acc_st > best skip_state ->
-          Smbm_obs.Flight.accept f ~slot ~src ~dest:a.Arrival.dest;
-          st := acc_st
-        | Some _ | None ->
-          Smbm_obs.Flight.drop f ~slot ~src ~dest:a.Arrival.dest
-            ~value:a.Arrival.value;
-          st := skip_state
-      end
-      else begin
-        let queues = Array.copy s.Value_state.queues in
-        Array.iteri
-          (fun i q ->
-            let rest, count, value = serve_queue q in
-            queues.(i) <- rest;
-            if count > 0 then
-              Smbm_obs.Flight.transmit_bulk f ~slot ~src ~dest:i ~count ~value)
-          queues;
-        Smbm_obs.Flight.slot_end f ~slot ~src ~occupancy:(occupancy queues);
-        st := { Value_state.slot = slot + 1; idx = 0; queues }
-      end
-    done);
-  result
+  search ?events ~name ~n:(Value_config.n config)
+    ~buffer:config.Value_config.buffer ~unit_priced:false { enqueue; serve }
+    trace ~drain

@@ -6,6 +6,10 @@
     Memoization is on (time position, buffer state), which stays small for
     toy parameters (B up to ~6, a handful of slots).
 
+    Both models run the same search and the same argmax replay; they
+    differ only in the queue discipline: FIFO work queues with a
+    head-of-line residual, or value-sorted unit-work queues.
+
     Purpose: ground truth.  Tests use it to certify per trace that
     [policy <= exact <= single-PQ reference], and to check LWD's
     2-competitive guarantee (Theorem 7) against the *true* optimum rather
@@ -22,10 +26,11 @@ val proc :
   int
 (** Maximum total value any (offline, clairvoyant) algorithm can transmit
     through the FIFO work queues when the given arrivals are followed by
-    [drain] empty slots.  At the configuration's [max_value = 1] (the
-    processing model) every packet is worth 1 whatever its arrival carries,
-    so this is the maximum number of packets; with [max_value > 1] (the
-    combined work + value model) it is the arrivals' own values.  Intended
+    [drain] empty slots.  On a {!Proc_config.unit_priced} configuration
+    (the processing model) every packet is worth 1 whatever its arrival
+    carries, so this is the maximum number of packets; with
+    [max_value > 1] (the combined work + value model) it is the arrivals'
+    own values.  Intended
     for tiny instances; cost is exponential in the number of arrivals
     before memoization.
 

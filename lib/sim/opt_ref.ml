@@ -10,155 +10,78 @@ module Flight = Smbm_obs.Flight
    counter, and for trace diffs against a policy trace of the same arrival
    instance. *)
 
-let proc_instance ?(name = "OPT") ?cores ?events config =
-  let cores =
-    match cores with
-    | Some c -> c
-    | None -> Proc_config.n config * config.Proc_config.speedup
-  in
-  if cores < 1 then invalid_arg "Opt_ref.proc_instance: cores must be >= 1";
-  let buffer = config.Proc_config.buffer in
-  let bag = Count_multiset.create ~k:(Proc_config.k config) in
-  let metrics = Metrics.create () in
-  let slot = ref 0 in
-  let src = match events with Some f -> Flight.intern f name | None -> 0 in
-  let arrive_dv ~dest ~value:_ =
-    Metrics.record_arrival metrics;
-    (match events with
-    | None -> ()
-    | Some f -> Flight.arrival f ~slot:!slot ~src ~dest);
-    let work = Proc_config.work config dest in
-    if Count_multiset.size bag < buffer then begin
-      Count_multiset.add bag work;
-      Metrics.record_accept metrics;
-      (match events with
-      | None -> ()
-      | Some f -> Flight.accept f ~slot:!slot ~src ~dest)
-    end
-    else begin
-      let worst = Count_multiset.max_key bag in
-      if worst > work then begin
-        Count_multiset.remove bag worst;
-        Count_multiset.add bag work;
-        Metrics.record_push_out metrics;
-        (match events with
-        | None -> ()
-        | Some f ->
-          Flight.push_out f ~slot:!slot ~src ~victim:worst ~dest ~lost:1);
-        Metrics.record_accept metrics;
-        match events with
-        | None -> ()
-        | Some f -> Flight.accept f ~slot:!slot ~src ~dest
-      end
-      else begin
-        Metrics.record_drop metrics;
-        match events with
-        | None -> ()
-        | Some f -> Flight.drop f ~slot:!slot ~src ~dest ~value:1
-      end
-    end
-  in
-  let transmit () =
-    (* SRPT with the full per-slot cycle budget: cycles may stack on one
-       packet within a slot, so the reference dominates real queues at any
-       speedup (a queue can burn C cycles into successive packets). *)
-    let sent = Count_multiset.serve_srpt bag ~budget:cores in
-    Metrics.record_transmissions metrics ~count:sent ~value:sent;
-    if sent > 0 then
-      match events with
-      | None -> ()
-      | Some f ->
-        Flight.transmit_bulk f ~slot:!slot ~src ~dest:(-1) ~count:sent
-          ~value:sent
-  in
-  let end_slot () =
-    let occupancy = Count_multiset.size bag in
-    Metrics.record_occupancy metrics occupancy;
-    (match events with
-    | None -> ()
-    | Some f -> Flight.slot_end f ~slot:!slot ~src ~occupancy);
-    incr slot
-  in
-  let flush () =
-    let count = Count_multiset.size bag in
-    Metrics.record_flush metrics count;
-    (match events with
-    | None -> ()
-    | Some f -> Flight.flush f ~slot:!slot ~src ~count);
-    Count_multiset.clear bag;
-    Metrics.check_conservation metrics
-  in
-  let check () =
-    Metrics.check_conservation metrics;
-    if Metrics.in_buffer metrics <> Count_multiset.size bag then
-      invalid_arg (name ^ ": metrics out of sync with buffer");
-    if Count_multiset.size bag > buffer then
-      invalid_arg (name ^ ": buffer overflow")
-  in
-  {
-    Instance.name;
-    arrive_dv;
-    arrive_batch = None;
-    transmit;
-    end_slot;
-    flush;
-    occupancy = (fun () -> Count_multiset.size bag);
-    metrics;
-    ports = None;
-    check;
-  }
+(* What separates the two bags.  [Srpt]: keys are residual work, the
+   largest is worst, a push-out loses one packet, and cycles go
+   shortest-remaining-first.  [Top_values]: keys are values, the smallest
+   is worst, a push-out loses the victim's value, and the [cores] most
+   valuable packets leave each slot. *)
+type rule = Srpt of Proc_config.t | Top_values
 
-let value_instance ?(name = "OPT") ?cores ?events config =
-  let cores =
-    match cores with
-    | Some c -> c
-    | None -> Value_config.n config * config.Value_config.speedup
-  in
-  if cores < 1 then invalid_arg "Opt_ref.value_instance: cores must be >= 1";
-  let buffer = config.Value_config.buffer in
-  let bag = Count_multiset.create ~k:(Value_config.k config) in
+let bag_instance ~name ~cores ?events ~buffer ~k rule =
+  let bag = Count_multiset.create ~k in
   let metrics = Metrics.create () in
   let slot = ref 0 in
   let src = match events with Some f -> Flight.intern f name | None -> 0 in
+  let accept key ~dest =
+    Count_multiset.add bag key;
+    Metrics.record_accept metrics;
+    match events with
+    | None -> ()
+    | Some f -> Flight.accept f ~slot:!slot ~src ~dest
+  in
   let arrive_dv ~dest ~value =
     Metrics.record_arrival metrics;
     (match events with
     | None -> ()
     | Some f -> Flight.arrival f ~slot:!slot ~src ~dest);
-    if Count_multiset.size bag < buffer then begin
-      Count_multiset.add bag value;
-      Metrics.record_accept metrics;
-      (match events with
-      | None -> ()
-      | Some f -> Flight.accept f ~slot:!slot ~src ~dest)
-    end
+    let key =
+      match rule with
+      | Srpt config -> Proc_config.work config dest
+      | Top_values -> value
+    in
+    if Count_multiset.size bag < buffer then accept key ~dest
     else begin
-      (* The bag is full, so non-empty: [min_key] is a real key. *)
-      let worst = Count_multiset.min_key bag in
-      if worst < value then begin
+      (* The bag is full, so non-empty: the worst key is a real key. *)
+      let worst =
+        match rule with
+        | Srpt _ -> Count_multiset.max_key bag
+        | Top_values -> Count_multiset.min_key bag
+      in
+      if (match rule with Srpt _ -> worst > key | Top_values -> worst < key)
+      then begin
         Count_multiset.remove bag worst;
-        Count_multiset.add bag value;
         Metrics.record_push_out metrics;
         (match events with
         | None -> ()
         | Some f ->
-          Flight.push_out f ~slot:!slot ~src ~victim:worst ~dest ~lost:worst);
-        Metrics.record_accept metrics;
-        match events with
-        | None -> ()
-        | Some f -> Flight.accept f ~slot:!slot ~src ~dest
+          let lost = match rule with Srpt _ -> 1 | Top_values -> worst in
+          Flight.push_out f ~slot:!slot ~src ~victim:worst ~dest ~lost);
+        accept key ~dest
       end
       else begin
         Metrics.record_drop metrics;
         match events with
         | None -> ()
-        | Some f -> Flight.drop f ~slot:!slot ~src ~dest ~value
+        | Some f ->
+          let value = match rule with Srpt _ -> 1 | Top_values -> value in
+          Flight.drop f ~slot:!slot ~src ~dest ~value
       end
     end
   in
   let transmit () =
-    let count = min cores (Count_multiset.size bag) in
-    let value = Count_multiset.remove_largest bag ~budget:cores in
+    (* SRPT spends the full per-slot cycle budget: cycles may stack on one
+       packet within a slot, so the reference dominates real queues at any
+       speedup (a queue can burn C cycles into successive packets). *)
+    let count =
+      match rule with
+      | Srpt _ -> Count_multiset.serve_srpt bag ~budget:cores
+      | Top_values -> min cores (Count_multiset.size bag)
+    in
+    let value =
+      match rule with
+      | Srpt _ -> count
+      | Top_values -> Count_multiset.remove_largest bag ~budget:cores
+    in
     Metrics.record_transmissions metrics ~count ~value;
     if count > 0 then
       match events with
@@ -202,3 +125,25 @@ let value_instance ?(name = "OPT") ?cores ?events config =
     ports = None;
     check;
   }
+
+let cores ~who ~n ~speedup = function
+  | None -> n * speedup
+  | Some c ->
+    if c < 1 then invalid_arg ("Opt_ref." ^ who ^ ": cores must be >= 1");
+    c
+
+let proc_instance ?(name = "OPT") ?cores:c ?events config =
+  let cores =
+    cores ~who:"proc_instance" ~n:(Proc_config.n config)
+      ~speedup:config.Proc_config.speedup c
+  in
+  bag_instance ~name ~cores ?events ~buffer:config.Proc_config.buffer
+    ~k:(Proc_config.k config) (Srpt config)
+
+let value_instance ?(name = "OPT") ?cores:c ?events config =
+  let cores =
+    cores ~who:"value_instance" ~n:(Value_config.n config)
+      ~speedup:config.Value_config.speedup c
+  in
+  bag_instance ~name ~cores ?events ~buffer:config.Value_config.buffer
+    ~k:(Value_config.k config) Top_values

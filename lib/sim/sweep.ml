@@ -73,7 +73,7 @@ let proc_setup ?events ~reference base =
   in
   let instances =
     Opt_ref.proc_instance ?events config
-    :: List.map (Proc_engine.instance ?events config) (Policies.proc config)
+    :: List.map (Engine.Proc.instance ?events config) (Policies.proc config)
   in
   (workload, instances)
 
@@ -101,7 +101,7 @@ let value_setup ?events ~reference ~port_tied base =
   in
   let instances =
     Opt_ref.value_instance ?events config
-    :: List.map (Value_engine.instance ?events config) policies
+    :: List.map (Engine.Value.instance ?events config) policies
   in
   (workload, instances)
 

@@ -1,7 +1,7 @@
 (* The combined work + value model as it was first written — its own
    switch of boxed packet records, its own engine and seven policies that
    rescan all n queues on every arrival — kept as the lockstep oracle of
-   the valued Proc_switch, Proc_engine and Policies.hybrid
+   the valued Proc_switch, Engine.Proc and Policies.hybrid
    (test_hybrid.ml drives the two side by side).
 
    The queues are plain lists (head of line first), deliberately naive.

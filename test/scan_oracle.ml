@@ -113,7 +113,7 @@ let rsv_reclaim ~reserve sw ~dest =
   !best
 
 let proc_policy name select =
-  Proc_policy.make ~name ~push_out:true (fun sw ~dest ~value:_ ->
+  Policy.make ~name ~push_out:true (fun sw ~dest ~value:_ ->
       if not (Proc_switch.is_full sw) then Decision.accept
       else select sw ~dest)
 
@@ -213,7 +213,7 @@ let mrd ~protect_last sw =
   match !best with Some (j, _, _) -> Some j | None -> None
 
 let value_policy name admit =
-  Value_policy.make ~name ~push_out:true (fun sw ~dest ~value ->
+  Policy.make ~name ~push_out:true (fun sw ~dest ~value ->
       if not (Value_switch.is_full sw) then Decision.accept
       else admit sw ~dest ~value)
 

@@ -26,16 +26,16 @@ let test_lwd1_protects_last_packet () =
   let config = Proc_switch.config sw in
   Alcotest.check decision "LWD evicts the singleton"
     (Decision.push_out 1)
-    (Proc_policy.admit (P_lwd.make config) sw ~dest:0 ~value:1);
+    (Policy.admit (P_lwd.make config) sw ~dest:0 ~value:1);
   Alcotest.check decision "LWD1 drops instead" Decision.drop
-    (Proc_policy.admit (P_lwd.make ~protect_last:true config) sw ~dest:0 ~value:1)
+    (Policy.admit (P_lwd.make ~protect_last:true config) sw ~dest:0 ~value:1)
 
 let test_lwd1_still_pushes_long_queues () =
   let _, sw = switch ~buffer:4 ~works:[| 1; 6 |] ~lengths:[| 2; 2 |] () in
   let config = Proc_switch.config sw in
   Alcotest.check decision "eligible victim found"
     (Decision.push_out 1)
-    (Proc_policy.admit (P_lwd.make ~protect_last:true config) sw ~dest:0 ~value:1)
+    (Policy.admit (P_lwd.make ~protect_last:true config) sw ~dest:0 ~value:1)
 
 let test_lwd_tie_variants_differ () =
   (* Q0: 6 x work 1 (W=6), Q3: 2 x work 3 (W=6): equal work, so the tie rule
@@ -45,13 +45,13 @@ let test_lwd_tie_variants_differ () =
   let config = Proc_switch.config sw in
   Alcotest.check decision "largest work (paper)"
     (Decision.push_out 3)
-    (Proc_policy.admit (P_lwd.make config) sw ~dest:1 ~value:1);
+    (Policy.admit (P_lwd.make config) sw ~dest:1 ~value:1);
   Alcotest.check decision "smallest work"
     (Decision.push_out 0)
-    (Proc_policy.admit (P_lwd.make ~tie:P_lwd.Smallest_work config) sw ~dest:1 ~value:1);
+    (Policy.admit (P_lwd.make ~tie:P_lwd.Smallest_work config) sw ~dest:1 ~value:1);
   Alcotest.check decision "longest queue"
     (Decision.push_out 0)
-    (Proc_policy.admit (P_lwd.make ~tie:P_lwd.Longest_queue config) sw ~dest:1 ~value:1)
+    (Policy.admit (P_lwd.make ~tie:P_lwd.Longest_queue config) sw ~dest:1 ~value:1)
 
 let test_mrd1_protects_singletons () =
   let config = Value_config.make ~ports:3 ~max_value:9 ~buffer:3 () in
@@ -63,10 +63,10 @@ let test_mrd1_protects_singletons () =
   ignore (Value_switch.accept sw ~dest:1 ~value:9);
   Alcotest.check decision "MRD evicts the singleton"
     (Decision.push_out 0)
-    (Value_policy.admit (V_mrd.make config) sw ~dest:2 ~value:5);
+    (Policy.admit (V_mrd.make config) sw ~dest:2 ~value:5);
   Alcotest.check decision "MRD1 falls back to an eligible queue"
     (Decision.push_out 1)
-    (Value_policy.admit (V_mrd.make ~protect_last:true config) sw ~dest:2
+    (Policy.admit (V_mrd.make ~protect_last:true config) sw ~dest:2
        ~value:5)
 
 let test_rand_legal_decisions () =
@@ -75,12 +75,12 @@ let test_rand_legal_decisions () =
   let sw = Proc_switch.create config in
   (* Not full: always accept. *)
   Alcotest.check decision "greedy accept" Decision.accept
-    (Proc_policy.admit policy sw ~dest:0 ~value:1);
+    (Policy.admit policy sw ~dest:0 ~value:1);
   for _ = 1 to 4 do
     ignore (Proc_switch.accept sw ~dest:2 ~value:1)
   done;
   for _ = 1 to 50 do
-    match Decision_view.of_decision (Proc_policy.admit policy sw ~dest:1 ~value:1) with
+    match Decision_view.of_decision (Policy.admit policy sw ~dest:1 ~value:1) with
     | Decision_view.Accept -> Alcotest.fail "accept on full buffer"
     | Decision_view.Push_out victim ->
       if Proc_switch.queue_length sw victim = 0 then
@@ -96,7 +96,7 @@ let test_rand_is_seeded () =
     for _ = 1 to 3 do
       ignore (Proc_switch.accept sw ~dest:2 ~value:1)
     done;
-    List.init 20 (fun _ -> Proc_policy.admit policy sw ~dest:0 ~value:1)
+    List.init 20 (fun _ -> Policy.admit policy sw ~dest:0 ~value:1)
   in
   Alcotest.(check bool) "same seed, same decisions" true
     (List.equal Decision.equal (run 1) (run 1));
@@ -106,7 +106,7 @@ let test_rand_is_seeded () =
 let test_extended_registries () =
   let config = Proc_config.contiguous ~k:4 ~buffer:8 () in
   let names =
-    List.map (fun (p : Proc_policy.t) -> p.name) (Policies.proc_extended config)
+    List.map (fun (p : Proc_switch.t Policy.t) -> p.name) (Policies.proc_extended config)
   in
   List.iter
     (fun n ->
@@ -114,7 +114,7 @@ let test_extended_registries () =
     [ "LWD"; "LWD1"; "LWD/tie=small-work"; "LWD/tie=long-queue"; "RAND" ];
   let vconfig = Value_config.make ~ports:4 ~max_value:4 ~buffer:8 () in
   let vnames =
-    List.map (fun (p : Value_policy.t) -> p.name)
+    List.map (fun (p : Value_switch.t Policy.t) -> p.name)
       (Policies.value_extended vconfig)
   in
   List.iter
@@ -132,8 +132,8 @@ let test_rand_is_a_floor () =
       ~mmpp:{ Smbm_traffic.Scenario.default_mmpp with sources = 50 }
       ~config ~load:2.5 ~seed:21 ()
   in
-  let lwd = Proc_engine.instance config (P_lwd.make config) in
-  let rand = Proc_engine.instance config (P_rand.make config) in
+  let lwd = Engine.Proc.instance config (P_lwd.make config) in
+  let rand = Engine.Proc.instance config (P_rand.make config) in
   let opt = Opt_ref.proc_instance config in
   Experiment.run
     ~params:

@@ -67,28 +67,28 @@ type case = {
 let cases () =
   let proc_cases =
     List.map
-      (fun (p : Proc_policy.t) ->
+      (fun (p : Proc_switch.t Policy.t) ->
         {
           name = "proc " ^ p.name;
-          make = (fun ?events () -> Proc_engine.instance ?events proc p);
+          make = (fun ?events () -> Engine.Proc.instance ?events proc p);
           trace = proc_trace;
         })
       (Policies.proc_extended proc)
   and hybrid_cases =
     List.map
-      (fun (p : Proc_policy.t) ->
+      (fun (p : Proc_switch.t Policy.t) ->
         {
           name = "hybrid " ^ p.name;
-          make = (fun ?events () -> Proc_engine.instance ?events hybrid p);
+          make = (fun ?events () -> Engine.Proc.instance ?events hybrid p);
           trace = value_trace;
         })
       (Policies.hybrid hybrid)
   and value_cases tag policies trace =
     List.map
-      (fun (p : Value_policy.t) ->
+      (fun (p : Value_switch.t Policy.t) ->
         {
           name = tag ^ " " ^ p.name;
-          make = (fun ?events () -> Value_engine.instance ?events value p);
+          make = (fun ?events () -> Engine.Value.instance ?events value p);
           trace;
         })
       policies

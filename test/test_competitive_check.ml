@@ -28,7 +28,7 @@ let test_certificate_against_all_policies_mmpp () =
       in
       if outcome.Competitive_check.violations > 0 then
         Alcotest.failf "%s violated the 2x prefix bound at slot %d"
-          opponent.Proc_policy.name
+          opponent.Policy.name
           (Option.get outcome.Competitive_check.first_violation))
     (Policies.proc_extended config)
 
@@ -59,7 +59,7 @@ let test_prefix_sharper_than_final () =
      packet then work-1 packets.  LWD takes the 4 first and is behind early
      but catches up. *)
   let opponent =
-    Proc_policy.make ~name:"ones-only" ~push_out:false (fun sw ~dest ~value:_ ->
+    Policy.make ~name:"ones-only" ~push_out:false (fun sw ~dest ~value:_ ->
         if Proc_switch.is_full sw then Decision.drop
         else if dest = 0 then Decision.accept
         else Decision.drop)
@@ -95,7 +95,7 @@ let prop_certificate_random_traces_random_opponents =
         Array.of_list (List.map (List.map (fun d -> Arrival.make ~dest:d ())) dests)
       in
       let opponent =
-        Proc_policy.make ~name:"quota" ~push_out:false (fun sw ~dest ~value:_ ->
+        Policy.make ~name:"quota" ~push_out:false (fun sw ~dest ~value:_ ->
             if Proc_switch.is_full sw then Decision.drop
             else if Proc_switch.queue_length sw dest < quotas.(dest) then
               Decision.accept
@@ -129,7 +129,7 @@ let prop_certificate_vs_exact_prefixes =
       (* LWD transmissions after the full (drained) run of each prefix. *)
       let lwd_prefix t =
         let sub = Array.sub trace 0 t in
-        let inst = Proc_engine.instance config (P_lwd.make config) in
+        let inst = Engine.Proc.instance config (P_lwd.make config) in
         Experiment.run
           ~params:
             {
@@ -159,7 +159,7 @@ let test_value_objective_envelope () =
       ~mmpp:{ Scenario.default_mmpp with sources = 40 }
       ~config ~load:2.0 ~seed:5 ()
   in
-  let policy = Value_engine.instance config (V_mrd.make config) in
+  let policy = Engine.Value.instance config (V_mrd.make config) in
   let opponent = Opt_ref.value_instance config in
   let o =
     Competitive_check.run ~factor:infinity ~objective:`Value ~workload

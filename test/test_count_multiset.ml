@@ -42,35 +42,40 @@ let test_remove_min_max () =
   Alcotest.(check int) "empty min" 0 (Count_multiset.min_key m);
   Alcotest.(check int) "empty max" 0 (Count_multiset.max_key m)
 
-let test_decrement_smallest () =
+let test_serve_srpt () =
   let m = Count_multiset.create ~k:5 in
   (* {1, 1, 3, 5} with budget 3: the two 1s complete, one 3 becomes a 2. *)
   List.iter (Count_multiset.add m) [ 1; 1; 3; 5 ];
-  let sent = Count_multiset.decrement_smallest m ~budget:3 in
+  let sent = Count_multiset.serve_srpt m ~budget:3 in
   Alcotest.(check int) "transmitted" 2 sent;
   Alcotest.(check int) "size" 2 (Count_multiset.size m);
   Alcotest.(check int) "count 2" 1 (Count_multiset.count m 2);
   Alcotest.(check int) "count 5" 1 (Count_multiset.count m 5);
   Alcotest.(check int) "sum" 7 (Count_multiset.sum m)
 
-let test_decrement_no_double_service () =
+let test_srpt_stacks_cycles () =
   let m = Count_multiset.create ~k:3 in
-  (* One packet of work 2 and budget 2: it must NOT complete in one call
-     (one cycle per element per slot). *)
+  (* One packet of work 2 and budget 2: run-to-completion spends both
+     units on it, so it leaves within the call. *)
   Count_multiset.add m 2;
-  let sent = Count_multiset.decrement_smallest m ~budget:2 in
+  let sent = Count_multiset.serve_srpt m ~budget:2 in
+  Alcotest.(check int) "transmitted in one call" 1 sent;
+  Alcotest.(check bool) "empty" true (Count_multiset.is_empty m);
+  (* Work 3 with budget 2: the residual 1 carries to the next call. *)
+  Count_multiset.add m 3;
+  let sent = Count_multiset.serve_srpt m ~budget:2 in
   Alcotest.(check int) "not transmitted yet" 0 sent;
   Alcotest.(check int) "moved to key 1" 1 (Count_multiset.count m 1);
-  let sent = Count_multiset.decrement_smallest m ~budget:2 in
-  Alcotest.(check int) "transmitted on second slot" 1 sent;
-  Alcotest.(check bool) "empty" true (Count_multiset.is_empty m)
+  let sent = Count_multiset.serve_srpt m ~budget:2 in
+  Alcotest.(check int) "transmitted on second call" 1 sent;
+  Alcotest.(check bool) "empty again" true (Count_multiset.is_empty m)
 
-let test_decrement_budget_exceeds_size () =
+let test_srpt_budget_exceeds_size () =
   let m = Count_multiset.create ~k:4 in
   List.iter (Count_multiset.add m) [ 1; 2 ];
-  let sent = Count_multiset.decrement_smallest m ~budget:100 in
-  Alcotest.(check int) "only size served" 1 sent;
-  Alcotest.(check int) "remaining" 1 (Count_multiset.size m)
+  let sent = Count_multiset.serve_srpt m ~budget:100 in
+  Alcotest.(check int) "every element served" 2 sent;
+  Alcotest.(check bool) "empty" true (Count_multiset.is_empty m)
 
 let test_remove_largest () =
   let m = Count_multiset.create ~k:9 in
@@ -92,8 +97,8 @@ let test_fold_and_clear () =
   Alcotest.(check int) "cleared" 0 (Count_multiset.size m);
   Alcotest.(check int) "sum cleared" 0 (Count_multiset.sum m)
 
-(* Property: sum/size/min/max always agree with a reference list under random
-   operations. *)
+(* Property: sum/size/min/max and [serve_srpt]'s completions always agree
+   with a sorted-list model under random operations. *)
 let prop_model =
   QCheck2.Test.make ~name:"count multiset agrees with sorted-list model"
     ~count:300
@@ -105,7 +110,7 @@ let prop_model =
                 map (fun v -> `Add v) (int_range 1 10);
                 pure `Remove_min;
                 pure `Remove_max;
-                map (fun b -> `Serve b) (int_range 0 5);
+                map (fun b -> `Serve b) (int_range 0 12);
               ])))
     (fun (k, ops) ->
       let m = Count_multiset.create ~k in
@@ -134,17 +139,17 @@ let prop_model =
               else Count_multiset.remove m x;
               model := List.rev rest_rev)
           | `Serve budget ->
-            let served = min budget (List.length !model) in
-            let head = List.filteri (fun i _ -> i < served) !model in
-            let tail = List.filteri (fun i _ -> i >= served) !model in
-            let sent = List.filter (fun v -> v = 1) head in
-            let kept = List.filter_map
-                (fun v -> if v > 1 then Some (v - 1) else None)
-                head
+            (* Run-to-completion on the smallest key: each element takes
+               as many units as it needs before the next gets any. *)
+            let rec srpt budget sent = function
+              | x :: rest when budget >= x -> srpt (budget - x) (sent + 1) rest
+              | x :: rest when budget > 0 -> (sent, (x - budget) :: rest)
+              | rest -> (sent, rest)
             in
-            let got = Count_multiset.decrement_smallest m ~budget in
-            if got <> List.length sent then ok := false;
-            model := List.sort compare (kept @ tail))
+            let sent, rest = srpt budget 0 !model in
+            let got = Count_multiset.serve_srpt m ~budget in
+            if got <> sent then ok := false;
+            model := List.sort compare rest)
         ops;
       !ok
       && Count_multiset.size m = List.length !model
@@ -159,11 +164,11 @@ let suite =
     Alcotest.test_case "basics" `Quick test_basic;
     Alcotest.test_case "key range validation" `Quick test_key_range;
     Alcotest.test_case "remove min/max" `Quick test_remove_min_max;
-    Alcotest.test_case "decrement_smallest" `Quick test_decrement_smallest;
-    Alcotest.test_case "no double service per slot" `Quick
-      test_decrement_no_double_service;
+    Alcotest.test_case "serve_srpt" `Quick test_serve_srpt;
+    Alcotest.test_case "serve_srpt stacks cycles" `Quick
+      test_srpt_stacks_cycles;
     Alcotest.test_case "budget exceeds size" `Quick
-      test_decrement_budget_exceeds_size;
+      test_srpt_budget_exceeds_size;
     Alcotest.test_case "remove_largest" `Quick test_remove_largest;
     Alcotest.test_case "fold and clear" `Quick test_fold_and_clear;
     Qc.to_alcotest prop_model;

@@ -11,7 +11,7 @@ open Smbm_sim
 
 let chaos_proc ~seed =
   let rng = Rng.create ~seed in
-  Proc_policy.make ~name:"chaos" ~push_out:true (fun sw ~dest ~value:_ ->
+  Policy.make ~name:"chaos" ~push_out:true (fun sw ~dest ~value:_ ->
       if not (Proc_switch.is_full sw) then
         (* Sometimes drop even with space: legal for any policy. *)
         if Rng.bernoulli rng ~p:0.8 then Decision.accept else Decision.drop
@@ -33,7 +33,7 @@ let chaos_proc ~seed =
 
 let chaos_value ~seed =
   let rng = Rng.create ~seed in
-  Value_policy.make ~name:"chaos" ~push_out:true (fun sw ~dest:_ ~value:_ ->
+  Policy.make ~name:"chaos" ~push_out:true (fun sw ~dest:_ ~value:_ ->
       if not (Value_switch.is_full sw) then
         if Rng.bernoulli rng ~p:0.8 then Decision.accept else Decision.drop
       else begin
@@ -62,7 +62,7 @@ let prop_proc_engine_fuzz =
       pure (seed, k, buffer, speedup, flush))
     (fun (seed, k, buffer, speedup, flush) ->
       let config = Proc_config.contiguous ~k ~buffer ~speedup () in
-      let inst = Proc_engine.instance config (chaos_proc ~seed) in
+      let inst = Engine.Proc.instance config (chaos_proc ~seed) in
       let rng = Rng.create ~seed:(seed + 1) in
       let workload =
         Workload.of_fun (fun _ ->
@@ -96,7 +96,7 @@ let prop_value_engine_fuzz =
       pure (seed, ports, k, buffer, speedup))
     (fun (seed, ports, k, buffer, speedup) ->
       let config = Value_config.make ~ports ~max_value:k ~buffer ~speedup () in
-      let inst = Value_engine.instance config (chaos_value ~seed) in
+      let inst = Engine.Value.instance config (chaos_value ~seed) in
       let rng = Rng.create ~seed:(seed + 1) in
       let workload =
         Workload.of_fun (fun _ ->

@@ -71,7 +71,7 @@ let proc_trace_of dests =
   Array.of_list (List.map (List.map (fun d -> Arrival.make ~dest:d ())) dests)
 
 let run_proc_policy config trace ~drain policy =
-  let inst = Proc_engine.instance config policy in
+  let inst = Engine.Proc.instance config policy in
   Experiment.run
     ~params:
       {
@@ -179,8 +179,54 @@ let prop_exact_value_ordering =
       exact <= reference
       && List.for_all
            (fun policy ->
-             run_value (Value_engine.instance config policy) <= exact)
+             run_value (Engine.Value.instance config policy) <= exact)
            (Policies.value_uniform config))
+
+(* The argmax replay must realise the optimum it reports: its
+   [Transmit_bulk] values sum to the returned value, for both queue
+   disciplines (FIFO work queues, valued or not, and value-sorted), and
+   every arrival is decided exactly once. *)
+let replay_realises ~run ~arrivals =
+  let f = Smbm_obs.Flight.create ~cap:4096 () in
+  let result = run f in
+  let sent = ref 0 and seen = ref 0 and decided = ref 0 in
+  Smbm_obs.Flight.iter
+    (fun (e : Smbm_obs.Event.t) ->
+      match e.kind with
+      | Smbm_obs.Event.Transmit_bulk { value; _ } -> sent := !sent + value
+      | Arrival _ -> incr seen
+      | Accept _ | Drop _ -> incr decided
+      | _ -> ())
+    f;
+  Smbm_obs.Flight.dropped f = 0
+  && !sent = result && !seen = arrivals && !decided = arrivals
+
+let prop_exact_replay_realises_optimum =
+  QCheck2.Test.make
+    ~name:"exact replay transmits the optimum (both disciplines)" ~count:150
+    QCheck2.Gen.(
+      let* fifo = bool in
+      let* ports = int_range 1 3 in
+      let* max_value = int_range 1 4 in
+      let* buffer = int_range 1 4 in
+      let* trace =
+        list_size (int_range 1 4)
+          (list_size (int_range 0 3)
+             (pair (int_range 0 (ports - 1)) (int_range 1 max_value)))
+      in
+      pure (fifo, ports, max_value, buffer, trace))
+    (fun (fifo, ports, max_value, buffer, pairs) ->
+      let trace = value_trace_of pairs in
+      let arrivals = List.length (List.concat pairs) in
+      let drain = (buffer * ports) + ports in
+      if fifo then
+        let config = Proc_config.contiguous ~k:ports ~buffer ~max_value () in
+        replay_realises ~arrivals ~run:(fun events ->
+            Exact_opt.proc ~events config trace ~drain)
+      else
+        let config = Value_config.make ~ports ~max_value ~buffer () in
+        replay_realises ~arrivals ~run:(fun events ->
+            Exact_opt.value ~events config trace ~drain))
 
 let suite =
   [
@@ -197,4 +243,5 @@ let suite =
     Qc.to_alcotest prop_lwd_two_competitive;
     Qc.to_alcotest prop_lqd_two_competitive_uniform_work;
     Qc.to_alcotest prop_exact_value_ordering;
+    Qc.to_alcotest prop_exact_replay_realises_optimum;
   ]

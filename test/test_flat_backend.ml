@@ -177,7 +177,7 @@ let drive_instance (inst : Smbm_sim.Instance.t) ~slots ~per_slot ~dv =
 let test_proc_engine_metric_identity () =
   let config = Proc_config.make ~works:[| 2; 3; 1; 4 |] ~buffer:8 () in
   let run policy =
-    let inst = Smbm_sim.Proc_engine.instance config policy in
+    let inst = Smbm_sim.Engine.Proc.instance config policy in
     drive_instance inst ~slots:200 ~per_slot:3 ~dv:(fun slot j ->
         ((((slot * 7) mod 11) + j) mod 4, 1));
     inst.metrics
@@ -188,7 +188,7 @@ let test_proc_engine_metric_identity () =
 let test_value_engine_metric_identity () =
   let config = Value_config.make ~ports:4 ~max_value:16 ~buffer:8 () in
   let run policy =
-    let inst = Smbm_sim.Value_engine.instance config policy in
+    let inst = Smbm_sim.Engine.Value.instance config policy in
     drive_instance inst ~slots:200 ~per_slot:3 ~dv:(fun slot j ->
         (((slot * 7) + j) mod 4, (((slot * 13) + (j * 5)) mod 16) + 1));
     inst.metrics

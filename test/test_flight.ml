@@ -131,7 +131,7 @@ let mmpp = { Smbm_traffic.Scenario.default_mmpp with sources = 10 }
 let run_proc ?events () =
   let config = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
   let inst =
-    Proc_engine.instance ?events config (Smbm_core.P_lwd.make config)
+    Engine.Proc.instance ?events config (Smbm_core.P_lwd.make config)
   in
   let workload =
     Smbm_traffic.Scenario.proc_workload ~mmpp ~config ~load:2.0 ~seed:11 ()
@@ -208,14 +208,14 @@ let producers =
   in
   [
     ( "proc",
-      (fun ?events () -> Proc_engine.instance ?events proc (P_lwd.make proc)),
+      (fun ?events () -> Engine.Proc.instance ?events proc (P_lwd.make proc)),
       proc_traffic );
     ( "value",
       (fun ?events () ->
-        Value_engine.instance ?events value (V_mrd.make value)),
+        Engine.Value.instance ?events value (V_mrd.make value)),
       value_traffic );
     ( "hybrid",
-      (fun ?events () -> Proc_engine.instance ?events hybrid (P_lwd.make hybrid)),
+      (fun ?events () -> Engine.Proc.instance ?events hybrid (P_lwd.make hybrid)),
       hybrid_traffic );
     ( "OPT proc",
       (fun ?events () -> Opt_ref.proc_instance ?events proc),

@@ -56,7 +56,7 @@ let check_round_trip label (inst : Instance.t) trace =
 let test_round_trip_proc () =
   let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
   let ring = Flight.create ~cap:65_536 () in
-  let inst = Proc_engine.instance ~events:ring cfg (Smbm_core.P_lwd.make cfg) in
+  let inst = Engine.Proc.instance ~events:ring cfg (Smbm_core.P_lwd.make cfg) in
   let workload =
     Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg ~load:2.0 ~seed:11 ()
   in
@@ -70,7 +70,7 @@ let test_round_trip_value () =
   let cfg = Smbm_core.Value_config.make ~ports:4 ~max_value:8 ~buffer:8 () in
   let ring = Flight.create ~cap:65_536 () in
   let inst =
-    Value_engine.instance ~events:ring cfg (Smbm_core.V_mrd.make cfg)
+    Engine.Value.instance ~events:ring cfg (Smbm_core.V_mrd.make cfg)
   in
   let workload =
     Smbm_traffic.Scenario.value_port_workload ~mmpp ~config:cfg ~load:2.5
@@ -88,7 +88,7 @@ let test_round_trip_hybrid () =
   in
   let ring = Flight.create ~cap:65_536 () in
   let inst =
-    Proc_engine.instance ~events:ring cfg (Smbm_core.P_lwd.make cfg)
+    Engine.Proc.instance ~events:ring cfg (Smbm_core.P_lwd.make cfg)
   in
   let rng = Smbm_prelude.Rng.create ~seed:5 in
   let slots = 300 in
@@ -116,7 +116,7 @@ let prop_round_trip_proc_random =
       let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer () in
       let ring = Flight.create ~cap:65_536 () in
       let inst =
-        Proc_engine.instance ~events:ring cfg (Smbm_core.P_lqd.make cfg)
+        Engine.Proc.instance ~events:ring cfg (Smbm_core.P_lqd.make cfg)
       in
       let workload =
         Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg
@@ -139,8 +139,8 @@ let diff_pair () =
   let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
   let ra = Flight.create ~cap:65_536 () in
   let rb = Flight.create ~cap:65_536 () in
-  let a = Proc_engine.instance ~events:ra cfg (Smbm_core.P_lwd.make cfg) in
-  let b = Proc_engine.instance ~events:rb cfg (Smbm_core.P_lqd.make cfg) in
+  let a = Engine.Proc.instance ~events:ra cfg (Smbm_core.P_lwd.make cfg) in
+  let b = Engine.Proc.instance ~events:rb cfg (Smbm_core.P_lqd.make cfg) in
   let workload =
     Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg ~load:2.0 ~seed:42 ()
   in
@@ -177,7 +177,7 @@ let test_diff_rejects_misaligned () =
   let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
   let run seed =
     let r = Flight.create ~cap:65_536 () in
-    let inst = Proc_engine.instance ~events:r cfg (Smbm_core.P_lwd.make cfg) in
+    let inst = Engine.Proc.instance ~events:r cfg (Smbm_core.P_lwd.make cfg) in
     let workload =
       Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg ~load:2.0 ~seed ()
     in
@@ -236,10 +236,10 @@ let prop_attribution_conserves_gap =
       let ra = Flight.create ~cap:65_536 () in
       let rb = Flight.create ~cap:65_536 () in
       let a =
-        Proc_engine.instance ~events:ra cfg (Smbm_core.P_lwd.make cfg)
+        Engine.Proc.instance ~events:ra cfg (Smbm_core.P_lwd.make cfg)
       in
       let b =
-        Proc_engine.instance ~events:rb cfg (Smbm_core.P_lqd.make cfg)
+        Engine.Proc.instance ~events:rb cfg (Smbm_core.P_lqd.make cfg)
       in
       let workload =
         Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg
@@ -375,7 +375,7 @@ let test_postmortem_write_load_certify () =
   let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
   let flight = Flight.create ~cap:65536 () in
   let inst, sw =
-    Proc_engine.create ~events:flight cfg (Smbm_core.P_lwd.make cfg)
+    Engine.Proc.create ~events:flight cfg (Smbm_core.P_lwd.make cfg)
   in
   let workload =
     Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg ~load:2.0 ~seed:3 ()
@@ -459,7 +459,7 @@ let test_postmortem_window_verdict () =
   let cfg = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
   let flight = Flight.create ~cap:64 () in
   let inst =
-    Proc_engine.instance ~events:flight cfg (Smbm_core.P_lwd.make cfg)
+    Engine.Proc.instance ~events:flight cfg (Smbm_core.P_lwd.make cfg)
   in
   let workload =
     Smbm_traffic.Scenario.proc_workload ~mmpp ~config:cfg ~load:2.0 ~seed:3 ()

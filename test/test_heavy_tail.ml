@@ -97,7 +97,7 @@ let test_heavy_tail_stresses_policies_more () =
   let open Smbm_sim in
   let config = Proc_config.contiguous ~k:8 ~buffer:32 () in
   let drop_rate workload =
-    let lwd = Proc_engine.instance config (P_lwd.make config) in
+    let lwd = Engine.Proc.instance config (P_lwd.make config) in
     Experiment.run
       ~params:
         { Experiment.slots = 20_000; flush_every = Some 2_000; check_every = None }

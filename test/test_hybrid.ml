@@ -83,11 +83,11 @@ let test_wvd_prefers_work_heavy_cheap_queue () =
   let cfg, sw = full_switch [ (1, 9); (1, 9); (2, 1); (2, 1) ] in
   Alcotest.check decision "evict cheap heavy queue"
     (Decision.push_out 2)
-    (Proc_policy.admit (P_wvd.make cfg) sw ~dest:0 ~value:5);
+    (Policy.admit (P_wvd.make cfg) sw ~dest:0 ~value:5);
   (* LWD, value-blind, agrees here (Q2 also has the most work)... *)
   Alcotest.check decision "LWD agrees on work alone"
     (Decision.push_out 2)
-    (Proc_policy.admit (P_lwd.make cfg) sw ~dest:0 ~value:5)
+    (Policy.admit (P_lwd.make cfg) sw ~dest:0 ~value:5)
 
 let test_wvd_differs_from_lwd () =
   (* Q1: three value-9 (W=6, V=27, ratio 0.22);
@@ -96,10 +96,10 @@ let test_wvd_differs_from_lwd () =
   let cfg, sw = full_switch [ (1, 9); (1, 9); (1, 9); (2, 1) ] in
   Alcotest.check decision "LWD follows work"
     (Decision.push_out 1)
-    (Proc_policy.admit (P_lwd.make cfg) sw ~dest:0 ~value:5);
+    (Policy.admit (P_lwd.make cfg) sw ~dest:0 ~value:5);
   Alcotest.check decision "WVD follows work-per-value"
     (Decision.push_out 2)
-    (Proc_policy.admit (P_wvd.make cfg) sw ~dest:0 ~value:5)
+    (Policy.admit (P_wvd.make cfg) sw ~dest:0 ~value:5)
 
 let test_mvd_tail_only () =
   (* Q1 holds values [9; 1] (tail 1), Q2 holds [5; 4] (tail 4): MVD may
@@ -107,23 +107,23 @@ let test_mvd_tail_only () =
   let cfg, sw = full_switch [ (1, 9); (1, 1); (2, 5); (2, 4) ] in
   Alcotest.check decision "cheapest tail"
     (Decision.push_out 1)
-    (Proc_policy.admit (P_mvd.make cfg) sw ~dest:0 ~value:8);
+    (Policy.admit (P_mvd.make cfg) sw ~dest:0 ~value:8);
   Alcotest.check decision "no gain, drop" Decision.drop
-    (Proc_policy.admit (P_mvd.make cfg) sw ~dest:0 ~value:1)
+    (Policy.admit (P_mvd.make cfg) sw ~dest:0 ~value:1)
 
 let test_registry () =
   let cfg = config () in
   Alcotest.(check (list string))
     "seven policies"
     [ "Greedy"; "NEST"; "LQD"; "LWD"; "MVD"; "WVD"; "DPK" ]
-    (List.map (fun (p : Proc_policy.t) -> p.name) (Policies.hybrid cfg));
+    (List.map (fun (p : Proc_switch.t Policy.t) -> p.name) (Policies.hybrid cfg));
   Alcotest.(check bool) "find WVD" true
     (Option.is_some (Policies.hybrid_find cfg "wvd"))
 
 (* --- engine + exact optimum --- *)
 
 let run_policy cfg trace ~drain policy =
-  let inst = Proc_engine.instance cfg policy in
+  let inst = Engine.Proc.instance cfg policy in
   Experiment.run
     ~params:
       {
@@ -210,7 +210,7 @@ let test_hybrid_regime_structure () =
   let trace = trace_at 2.0 in
   let lwd = value_of trace (P_lwd.make cfg) in
   List.iter
-    (fun (p : Proc_policy.t) ->
+    (fun (p : Proc_switch.t Policy.t) ->
       if p.name <> "Greedy" && value_of trace p > lwd + (lwd / 20) then
         Alcotest.failf "%s beats LWD by >5%% at moderate congestion" p.name)
     (Policies.hybrid cfg);
@@ -225,9 +225,9 @@ let test_hybrid_regime_structure () =
 (* --- lockstep against the original scan implementation --- *)
 
 (* The production policy, spied on: its last decision. *)
-let spy (p : Proc_policy.t) last =
-  Proc_policy.make ~name:p.name ~push_out:p.push_out (fun sw ~dest ~value ->
-      let d = Proc_policy.admit p sw ~dest ~value in
+let spy (p : Proc_switch.t Policy.t) last =
+  Policy.make ~name:p.name ~push_out:p.push_out (fun sw ~dest ~value ->
+      let d = Policy.admit p sw ~dest ~value in
       last := d;
       d)
 
@@ -271,7 +271,7 @@ let same_metrics (a : Instance.t) (b : Instance.t) =
 
 let prop_lockstep_with_oracle =
   QCheck2.Test.make
-    ~name:"hybrid: valued Proc_engine agrees with the scan oracle" ~count:300
+    ~name:"hybrid: valued Engine.Proc agrees with the scan oracle" ~count:300
     QCheck2.Gen.(
       let* n = int_range 1 4 in
       let* works = array_size (pure n) (int_range 1 5) in
@@ -302,7 +302,7 @@ let prop_lockstep_with_oracle =
       let pring = Smbm_obs.Flight.create ~cap:4096 ()
       and oring = Smbm_obs.Flight.create ~cap:4096 () in
       let inst, sw =
-        Proc_engine.create ~events:pring config (spy prod last)
+        Engine.Proc.create ~events:pring config (spy prod last)
       in
       let oinst, osw = Hybrid_oracle.engine ~events:oring config oracle in
       let ok = ref (prod.name = oracle.name) in
@@ -354,7 +354,7 @@ let test_unit_model_ignores_values () =
   in
   let run trace =
     let ring = Smbm_obs.Flight.create ~cap:65_536 () in
-    let inst = Proc_engine.instance ~events:ring cfg (P_lwd.make cfg) in
+    let inst = Engine.Proc.instance ~events:ring cfg (P_lwd.make cfg) in
     Experiment.run
       ~params:
         { Experiment.slots = 210; flush_every = Some 50; check_every = Some 1 }

@@ -108,7 +108,7 @@ let test_value_port_flood_mrd_wins () =
         ~mmpp:{ Scenario.default_mmpp with sources = 100 }
         ~config ~load:1.5 ~seed:7 ()
     in
-    let alg = Value_engine.instance config policy in
+    let alg = Engine.Value.instance config policy in
     let opt = Opt_ref.value_instance config in
     Experiment.run
       ~params:
@@ -168,7 +168,7 @@ let test_mrd_never_explicitly_worse_than_lqd () =
               Arrival.make ~dest:(R.int rng ports) ~value:(R.int_in rng 1 k) ()))
     in
     let run policy =
-      let inst = Value_engine.instance config policy in
+      let inst = Engine.Value.instance config policy in
       Experiment.run
         ~params:
           {

@@ -16,12 +16,12 @@ let test_quota_policy_proc () =
   let sw = Proc_switch.create config in
   let p = Quota.proc ~quota:(fun dest -> if dest = 0 then 1 else 0) () in
   Alcotest.(check bool) "under quota accepts" true
-    (Proc_policy.admit p sw ~dest:0 ~value:1 = Decision.accept);
+    (Policy.admit p sw ~dest:0 ~value:1 = Decision.accept);
   ignore (Proc_switch.accept sw ~dest:0 ~value:1);
   Alcotest.(check bool) "at quota drops" true
-    (Proc_policy.admit p sw ~dest:0 ~value:1 = Decision.drop);
+    (Policy.admit p sw ~dest:0 ~value:1 = Decision.drop);
   Alcotest.(check bool) "zero quota drops" true
-    (Proc_policy.admit p sw ~dest:1 ~value:1 = Decision.drop)
+    (Policy.admit p sw ~dest:1 ~value:1 = Decision.drop)
 
 let test_quota_policy_value () =
   let open Smbm_core in
@@ -29,11 +29,11 @@ let test_quota_policy_value () =
   let sw = Value_switch.create config in
   let p = Quota.value ~quota:(fun _ -> 1) () in
   Alcotest.(check bool) "accepts" true
-    (Value_policy.admit p sw ~dest:0 ~value:1 = Decision.accept);
+    (Policy.admit p sw ~dest:0 ~value:1 = Decision.accept);
   ignore (Value_switch.accept sw ~dest:0 ~value:1);
   ignore (Value_switch.accept sw ~dest:1 ~value:1);
   Alcotest.(check bool) "full buffer drops" true
-    (Value_policy.admit p sw ~dest:0 ~value:3 = Decision.drop)
+    (Policy.admit p sw ~dest:0 ~value:3 = Decision.drop)
 
 let test_episodic_shape () =
   let open Smbm_core in

@@ -8,11 +8,11 @@ open Smbm_traffic
 open Smbm_analysis
 
 let greedy =
-  Proc_policy.make ~name:"greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
+  Policy.make ~name:"greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
       if Proc_switch.is_full sw then Decision.drop else Decision.accept)
 
 let quota quotas =
-  Proc_policy.make ~name:"quota" ~push_out:false (fun sw ~dest ~value:_ ->
+  Policy.make ~name:"quota" ~push_out:false (fun sw ~dest ~value:_ ->
       if Proc_switch.is_full sw then Decision.drop
       else if Proc_switch.queue_length sw dest < quotas.(dest) then
         Decision.accept

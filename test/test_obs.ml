@@ -477,7 +477,7 @@ let test_engine_events_match_metrics () =
   let config = Smbm_core.Proc_config.contiguous ~k:4 ~buffer:8 () in
   let ring = Flight.create ~cap:65_536 () in
   let inst =
-    Proc_engine.instance ~events:ring config (Smbm_core.P_lwd.make config)
+    Engine.Proc.instance ~events:ring config (Smbm_core.P_lwd.make config)
   in
   let workload =
     Smbm_traffic.Scenario.proc_workload

@@ -61,7 +61,7 @@ let test_engine_integration () =
      count both ports evenly. *)
   let open Smbm_core in
   let config = Proc_config.uniform ~n:2 ~work:1 ~buffer:8 () in
-  let inst = Proc_engine.instance config (P_lwd.make config) in
+  let inst = Engine.Proc.instance config (P_lwd.make config) in
   let w =
     Smbm_traffic.Workload.of_fun (fun _ ->
         [ Arrival.make ~dest:0 (); Arrival.make ~dest:1 () ])

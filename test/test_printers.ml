@@ -63,7 +63,7 @@ let test_analysis_printers () =
   let open Smbm_analysis in
   let config = Proc_config.contiguous ~k:2 ~buffer:2 () in
   let greedy =
-    Proc_policy.make ~name:"greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
+    Policy.make ~name:"greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
         if Proc_switch.is_full sw then Decision.drop else Decision.accept)
   in
   let r =

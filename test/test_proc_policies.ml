@@ -31,33 +31,33 @@ let test_nhst_admission () =
   (* |Q_0| = 3 < 24/7: accept; |Q_3| = 1 >= 8/7 - no: 1 < 8/7 so accept;
      after another packet |Q_3| = 2 >= 8/7: drop. *)
   Alcotest.check decision "port 0 under threshold" Decision.accept
-    (Proc_policy.admit p sw ~dest:0 ~value:1);
+    (Policy.admit p sw ~dest:0 ~value:1);
   Alcotest.check decision "port 3 under threshold" Decision.accept
-    (Proc_policy.admit p sw ~dest:3 ~value:1);
+    (Policy.admit p sw ~dest:3 ~value:1);
   ignore (Proc_switch.accept sw ~dest:3 ~value:1);
   Alcotest.check decision "port 3 over threshold" Decision.drop
-    (Proc_policy.admit p sw ~dest:3 ~value:1);
+    (Policy.admit p sw ~dest:3 ~value:1);
   (* Port 0 at threshold: 24/7 = 3.43, length 4 > threshold. *)
   ignore (Proc_switch.accept sw ~dest:0 ~value:1);
   Alcotest.check decision "port 0 over threshold" Decision.drop
-    (Proc_policy.admit p sw ~dest:0 ~value:1)
+    (Policy.admit p sw ~dest:0 ~value:1)
 
 let test_nest_admission () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 1; 2; 0; 0 |] () in
   let p = P_nest.make (Proc_switch.config sw) in
   (* B/n = 2. *)
   Alcotest.check decision "below share" Decision.accept
-    (Proc_policy.admit p sw ~dest:0 ~value:1);
+    (Policy.admit p sw ~dest:0 ~value:1);
   Alcotest.check decision "at share" Decision.drop
-    (Proc_policy.admit p sw ~dest:1 ~value:1);
+    (Policy.admit p sw ~dest:1 ~value:1);
   Alcotest.check decision "empty queue" Decision.accept
-    (Proc_policy.admit p sw ~dest:3 ~value:1)
+    (Policy.admit p sw ~dest:3 ~value:1)
 
 let test_nest_respects_full_buffer () =
   let _, sw = switch ~works:[| 1; 1 |] ~buffer:2 ~lengths:[| 1; 1 |] () in
   let p = P_nest.make (Proc_switch.config sw) in
   Alcotest.check decision "full buffer" Decision.drop
-    (Proc_policy.admit p sw ~dest:0 ~value:1)
+    (Policy.admit p sw ~dest:0 ~value:1)
 
 let test_nhdt_pure_predicate () =
   (* B = 8, n = 4, H_4 = 25/12.  Arrival for the (only) longest queue:
@@ -80,13 +80,13 @@ let test_nhdt_admission_matches_predicate () =
     else Decision.drop
   in
   Alcotest.check decision "policy matches predicate" expected
-    (Proc_policy.admit p sw ~dest:1 ~value:1)
+    (Policy.admit p sw ~dest:1 ~value:1)
 
 let test_lqd_accepts_when_space () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 4; 2; 1; 0 |] () in
   let p = P_lqd.make (Proc_switch.config sw) in
   Alcotest.check decision "greedy accept" Decision.accept
-    (Proc_policy.admit p sw ~dest:3 ~value:1)
+    (Policy.admit p sw ~dest:3 ~value:1)
 
 let test_lqd_pushes_longest () =
   (* Full buffer: Q0 has 4, Q1 has 2, Q2 has 1, Q3 has 1.  An arrival for
@@ -94,14 +94,14 @@ let test_lqd_pushes_longest () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 4; 2; 1; 1 |] () in
   let p = P_lqd.make (Proc_switch.config sw) in
   Alcotest.check decision "push longest" (Decision.push_out 0)
-    (Proc_policy.admit p sw ~dest:3 ~value:1)
+    (Policy.admit p sw ~dest:3 ~value:1)
 
 let test_lqd_drop_when_own_longest () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 4; 2; 1; 1 |] () in
   let p = P_lqd.make (Proc_switch.config sw) in
   (* Arrival for port 0: virtually 5, still the unique longest: drop. *)
   Alcotest.check decision "drop into own longest" Decision.drop
-    (Proc_policy.admit p sw ~dest:0 ~value:1)
+    (Policy.admit p sw ~dest:0 ~value:1)
 
 let test_lqd_tie_break_largest_work () =
   (* Q1 (work 2) and Q3 (work 3) both have 4 packets; the arrival for port 0
@@ -110,7 +110,7 @@ let test_lqd_tie_break_largest_work () =
   let p = P_lqd.make (Proc_switch.config sw) in
   Alcotest.check decision "tie towards larger work"
     (Decision.push_out 3)
-    (Proc_policy.admit p sw ~dest:0 ~value:1)
+    (Policy.admit p sw ~dest:0 ~value:1)
 
 let test_lqd_virtual_add_wins_tie () =
   (* Q0 and Q1 both hold 4; arrival for port 1 makes Q1 virtually 5: push
@@ -118,7 +118,7 @@ let test_lqd_virtual_add_wins_tie () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 4; 4; 0; 0 |] () in
   let p = P_lqd.make (Proc_switch.config sw) in
   Alcotest.check decision "virtual add makes own queue longest" Decision.drop
-    (Proc_policy.admit p sw ~dest:1 ~value:1)
+    (Policy.admit p sw ~dest:1 ~value:1)
 
 let test_bpd_pushes_biggest_work () =
   (* Full buffer with packets in Q1 (work 2) and Q3 (work 3): an arrival for
@@ -127,7 +127,7 @@ let test_bpd_pushes_biggest_work () =
   let p = P_bpd.make (Proc_switch.config sw) in
   Alcotest.check decision "evict biggest work"
     (Decision.push_out 3)
-    (Proc_policy.admit p sw ~dest:0 ~value:1)
+    (Policy.admit p sw ~dest:0 ~value:1)
 
 let test_bpd_drops_bigger_arrival () =
   (* Buffer full of work-1 packets; a work-3 arrival comes after the victim
@@ -135,13 +135,13 @@ let test_bpd_drops_bigger_arrival () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 8; 0; 0; 0 |] () in
   let p = P_bpd.make (Proc_switch.config sw) in
   Alcotest.check decision "bigger than biggest" Decision.drop
-    (Proc_policy.admit p sw ~dest:3 ~value:1);
+    (Policy.admit p sw ~dest:3 ~value:1);
   (* Equal works: port 1 arrival with only Q2 (same work 2) occupied; (2, 1)
      <= (2, 2) in the sorted order, so it may push out. *)
   let _, sw = switch ~works:fig2_works ~lengths:[| 0; 0; 8; 0 |] () in
   Alcotest.check decision "equal work earlier port pushes"
     (Decision.push_out 2)
-    (Proc_policy.admit p sw ~dest:1 ~value:1)
+    (Policy.admit p sw ~dest:1 ~value:1)
 
 let test_bpd1_protects_last_packet () =
   (* Q3 has exactly one packet, Q1 has the rest: BPD would evict from Q3
@@ -152,16 +152,16 @@ let test_bpd1_protects_last_packet () =
   let bpd1 = P_bpd.make ~protect_last:true config in
   Alcotest.check decision "BPD evicts the single packet"
     (Decision.push_out 3)
-    (Proc_policy.admit bpd sw ~dest:0 ~value:1);
+    (Policy.admit bpd sw ~dest:0 ~value:1);
   Alcotest.check decision "BPD1 protects it"
     (Decision.push_out 1)
-    (Proc_policy.admit bpd1 sw ~dest:0 ~value:1)
+    (Policy.admit bpd1 sw ~dest:0 ~value:1)
 
 let test_bpd1_drops_when_all_queues_singletons () =
   let _, sw = switch ~works:[| 1; 2 |] ~buffer:2 ~lengths:[| 1; 1 |] () in
   let p = P_bpd.make ~protect_last:true (Proc_switch.config sw) in
   Alcotest.check decision "no eligible victim" Decision.drop
-    (Proc_policy.admit p sw ~dest:0 ~value:1)
+    (Policy.admit p sw ~dest:0 ~value:1)
 
 let test_lwd_pushes_most_work () =
   (* Q0: 6 x work 1 = 6 cycles; Q3: 2 x work 3 = 6 cycles; tie on total work
@@ -170,7 +170,7 @@ let test_lwd_pushes_most_work () =
   let p = P_lwd.make (Proc_switch.config sw) in
   Alcotest.check decision "tie towards larger work"
     (Decision.push_out 3)
-    (Proc_policy.admit p sw ~dest:1 ~value:1)
+    (Policy.admit p sw ~dest:1 ~value:1)
 
 let test_lwd_differs_from_lqd () =
   (* Q0 holds 5 work-1 packets (W=5), Q3 holds 3 work-3 packets (W=9): LQD
@@ -178,10 +178,10 @@ let test_lwd_differs_from_lqd () =
   let _, sw = switch ~works:fig2_works ~lengths:[| 5; 0; 0; 3 |] () in
   let config = Proc_switch.config sw in
   Alcotest.check decision "LQD evicts longest" (Decision.push_out 0)
-    (Proc_policy.admit (P_lqd.make config) sw ~dest:1 ~value:1);
+    (Policy.admit (P_lqd.make config) sw ~dest:1 ~value:1);
   Alcotest.check decision "LWD evicts most work"
     (Decision.push_out 3)
-    (Proc_policy.admit (P_lwd.make config) sw ~dest:1 ~value:1)
+    (Policy.admit (P_lwd.make config) sw ~dest:1 ~value:1)
 
 let test_lwd_virtual_add () =
   (* Q0: W = 7; Q3: W = 3.  An arrival for port 3 counts its own work 3:
@@ -190,11 +190,11 @@ let test_lwd_virtual_add () =
   let p = P_lwd.make (Proc_switch.config sw) in
   Alcotest.check decision "other queue heavier"
     (Decision.push_out 0)
-    (Proc_policy.admit p sw ~dest:3 ~value:1);
+    (Policy.admit p sw ~dest:3 ~value:1);
   (* Make Q3 virtually heaviest: Q0 = 5, Q3 = 1x3 + virtual 3 = 6 > 5. *)
   let _, sw = switch ~works:fig2_works ~buffer:6 ~lengths:[| 5; 0; 0; 1 |] () in
   Alcotest.check decision "own queue virtually heaviest drops" Decision.drop
-    (Proc_policy.admit p sw ~dest:3 ~value:1)
+    (Policy.admit p sw ~dest:3 ~value:1)
 
 let test_lwd_accounts_residual_work () =
   (* Two work-3 packets in Q3 (W=6) vs 5 work-1 in Q0 (W=5); after two
@@ -204,7 +204,7 @@ let test_lwd_accounts_residual_work () =
   let p = P_lwd.make (Proc_switch.config sw) in
   Alcotest.check decision "before processing"
     (Decision.push_out 3)
-    (Proc_policy.admit p sw ~dest:1 ~value:1);
+    (Policy.admit p sw ~dest:1 ~value:1);
   (* Two transmission phases: Q0 transmits 2 (W=3), Q3 works down to W=4. *)
   let on_transmit ~dest:_ ~value:_ ~arrival:_ = () in
   ignore (Proc_switch.transmit_phase sw ~on_transmit);
@@ -239,8 +239,8 @@ let prop_all_policies_legal =
     random_switch_gen (fun input ->
       let config, sw, dest = build input in
       List.for_all
-        (fun (p : Proc_policy.t) ->
-          match Decision_view.of_decision (Proc_policy.admit p sw ~dest ~value:1) with
+        (fun (p : Proc_switch.t Policy.t) ->
+          match Decision_view.of_decision (Policy.admit p sw ~dest ~value:1) with
           | Decision_view.Accept -> not (Proc_switch.is_full sw)
           | Decision_view.Push_out victim ->
             Proc_switch.is_full sw
@@ -256,9 +256,9 @@ let prop_push_out_policies_greedy =
       let config, sw, dest = build input in
       Proc_switch.is_full sw
       || List.for_all
-           (fun (p : Proc_policy.t) ->
+           (fun (p : Proc_switch.t Policy.t) ->
              (not p.push_out)
-             || Proc_policy.admit p sw ~dest ~value:1 = Decision.accept)
+             || Policy.admit p sw ~dest ~value:1 = Decision.accept)
            (Policies.proc config))
 
 (* Note: the equivalence is exact only while no packet is partially served
@@ -285,12 +285,12 @@ let prop_lwd_equals_lqd_uniform_work =
             ignore (Proc_switch.accept sw ~dest:d ~value:1))
         fill;
       Decision.equal
-        (Proc_policy.admit (P_lwd.make config) sw ~dest ~value:1)
-        (Proc_policy.admit (P_lqd.make config) sw ~dest ~value:1))
+        (Policy.admit (P_lwd.make config) sw ~dest ~value:1)
+        (Policy.admit (P_lqd.make config) sw ~dest ~value:1))
 
 let test_registry () =
   let config = Proc_config.contiguous ~k:3 ~buffer:6 () in
-  let names = List.map (fun (p : Proc_policy.t) -> p.name) (Policies.proc config) in
+  let names = List.map (fun (p : Proc_switch.t Policy.t) -> p.name) (Policies.proc config) in
   Alcotest.(check (list string)) "registry order"
     [ "NHST"; "NEST"; "NHDT"; "LQD"; "BPD"; "BPD1"; "LWD" ]
     names;

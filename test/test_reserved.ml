@@ -27,7 +27,7 @@ let test_greedy_accept () =
   let config, sw = switch ~works:[| 1; 2 |] ~lengths:[| 1; 0 |] () in
   let p = P_reserved.make ~reserve:2 config in
   Alcotest.check decision "space free" Decision.accept
-    (Proc_policy.admit p sw ~dest:1 ~value:1)
+    (Policy.admit p sw ~dest:1 ~value:1)
 
 let test_pool_user_evicted_for_reserved_arrival () =
   (* B = 4, reserve 1 each of 2 ports: Q1 holds all 4 slots (1 reserved + 3
@@ -37,7 +37,7 @@ let test_pool_user_evicted_for_reserved_arrival () =
   let p = P_reserved.make ~reserve:1 config in
   Alcotest.check decision "reclaims reservation"
     (Decision.push_out 1)
-    (Proc_policy.admit p sw ~dest:0 ~value:1)
+    (Policy.admit p sw ~dest:0 ~value:1)
 
 let test_reserved_slots_never_stolen () =
   (* Both queues exactly at their reservations (2 + 2 = B): nobody is above
@@ -46,7 +46,7 @@ let test_reserved_slots_never_stolen () =
   let config, sw = switch ~buffer:4 ~works:[| 1; 2 |] ~lengths:[| 2; 2 |] () in
   let p = P_reserved.make ~reserve:2 config in
   Alcotest.check decision "no pool user to evict" Decision.drop
-    (Proc_policy.admit p sw ~dest:0 ~value:1)
+    (Policy.admit p sw ~dest:0 ~value:1)
 
 let test_pool_arrival_evicts_largest_pool_user () =
   (* reserve 1; Q0 = 1 (no pool), Q1 = 2 (1 pool), Q2 = 3 (2 pool); full
@@ -58,7 +58,7 @@ let test_pool_arrival_evicts_largest_pool_user () =
   let p = P_reserved.make ~reserve:1 config in
   Alcotest.check decision "largest pool user"
     (Decision.push_out 2)
-    (Proc_policy.admit p sw ~dest:1 ~value:1)
+    (Policy.admit p sw ~dest:1 ~value:1)
 
 let test_own_queue_largest_pool_user_drops () =
   let config, sw =
@@ -67,7 +67,7 @@ let test_own_queue_largest_pool_user_drops () =
   let p = P_reserved.make ~reserve:1 config in
   (* Q2 with virtual add holds 4 pool slots, more than anyone: drop. *)
   Alcotest.check decision "own queue dominates pool" Decision.drop
-    (Proc_policy.admit p sw ~dest:2 ~value:1)
+    (Policy.admit p sw ~dest:2 ~value:1)
 
 let prop_reserve_zero_is_lqd =
   QCheck2.Test.make ~name:"RSV(0) coincides with LQD" ~count:300
@@ -86,8 +86,8 @@ let prop_reserve_zero_is_lqd =
             ignore (Proc_switch.accept sw ~dest:d ~value:1))
         fill;
       Decision.equal
-        (Proc_policy.admit (P_reserved.make ~reserve:0 config) sw ~dest ~value:1)
-        (Proc_policy.admit (P_lqd.make config) sw ~dest ~value:1))
+        (Policy.admit (P_reserved.make ~reserve:0 config) sw ~dest ~value:1)
+        (Policy.admit (P_lqd.make config) sw ~dest ~value:1))
 
 let prop_reservation_invariant_under_load =
   (* Driving RSV(r) with arbitrary traffic: whenever a queue is below its
@@ -103,7 +103,7 @@ let prop_reservation_invariant_under_load =
     (fun (k, reserve, buffer, dests) ->
       let config = Proc_config.contiguous ~k ~buffer () in
       let policy = P_reserved.make ~reserve config in
-      let inst, sw = Proc_engine.create config policy in
+      let inst, sw = Engine.Proc.create config policy in
       let ok = ref true in
       List.iter
         (fun dest ->
@@ -133,7 +133,7 @@ let test_bridges_nest_and_lqd_under_hotspot () =
     hot @ trickle
   in
   let run policy =
-    let inst = Proc_engine.instance config policy in
+    let inst = Engine.Proc.instance config policy in
     Experiment.run
       ~params:{ Experiment.slots = 3_000; flush_every = None; check_every = None }
       ~workload:(Smbm_traffic.Workload.of_fun trace)

@@ -39,7 +39,7 @@ let test_proc_engine_greedy_run () =
   (* Two work-1 arrivals per slot at a 2-port switch with ample buffer:
      everything is transmitted with no drops. *)
   let config = Proc_config.uniform ~n:2 ~work:1 ~buffer:8 () in
-  let inst = Proc_engine.instance config (P_lwd.make config) in
+  let inst = Engine.Proc.instance config (P_lwd.make config) in
   let w =
     Workload.of_fun (fun _ -> [ Arrival.make ~dest:0 (); Arrival.make ~dest:1 () ])
   in
@@ -52,7 +52,7 @@ let test_proc_engine_greedy_run () =
 
 let test_proc_engine_drop_counted () =
   let config = contiguous 2 2 in
-  let inst = Proc_engine.instance config (P_nest.make config) in
+  let inst = Engine.Proc.instance config (P_nest.make config) in
   (* NEST threshold B/n = 1; a 3-burst to port 0 gets 1 accepted, 2 dropped. *)
   let w = Workload.of_slots [| List.init 3 (fun _ -> Arrival.make ~dest:0 ()) |] in
   Experiment.run
@@ -63,7 +63,7 @@ let test_proc_engine_drop_counted () =
 
 let test_proc_engine_push_out_counted () =
   let config = contiguous 2 2 in
-  let inst, sw = Proc_engine.create config (P_lwd.make config) in
+  let inst, sw = Engine.Proc.create config (P_lwd.make config) in
   (* Fill with two work-1 packets, then a work-2 arrival pushes one out?
      LWD: W0 = 2 (virtual includes dest), W1 virtual = 2 - tie, larger work
      wins: victim is Q1 = dest, so drop.  Use a work-1 arrival onto heavier
@@ -88,17 +88,17 @@ let test_proc_engine_push_out_counted () =
 let test_proc_engine_rejects_illegal_push_out () =
   let config = contiguous 2 4 in
   let rogue =
-    Proc_policy.make ~name:"rogue" ~push_out:true (fun _sw ~dest:_ ~value:_ ->
+    Policy.make ~name:"rogue" ~push_out:true (fun _sw ~dest:_ ~value:_ ->
         Decision.push_out 0)
   in
-  let inst = Proc_engine.instance config rogue in
+  let inst = Engine.Proc.instance config rogue in
   match inst.arrive_dv ~dest:0 ~value:1 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "push-out with free space must be rejected"
 
 let test_proc_engine_latency () =
   let config = contiguous 1 4 in
-  let inst = Proc_engine.instance config (P_lwd.make config) in
+  let inst = Engine.Proc.instance config (P_lwd.make config) in
   (* One work-1 packet arriving at slot 0 transmits at slot 0: latency 0. *)
   let w = Workload.of_slots [| [ Arrival.make ~dest:0 () ] |] in
   Experiment.run
@@ -116,7 +116,7 @@ let test_flushout () =
      work-2... use k=2 port only (dest 0 work 1? contiguous 1 port work 1).
      Fill 3 packets in slot 0: one transmits, two remain, flush discards at
      slot boundary. *)
-  let inst = Proc_engine.instance config (P_lwd.make config) in
+  let inst = Engine.Proc.instance config (P_lwd.make config) in
   let w = Workload.of_slots [| List.init 3 (fun _ -> Arrival.make ~dest:0 ()) |] in
   Experiment.run
     ~params:{ Experiment.slots = 2; flush_every = Some 1; check_every = Some 1 }
@@ -129,7 +129,7 @@ let test_flushout () =
 
 let test_value_engine_value_accounting () =
   let config = Value_config.make ~ports:2 ~max_value:9 ~buffer:4 () in
-  let inst = Value_engine.instance config (V_mrd.make config) in
+  let inst = Engine.Value.instance config (V_mrd.make config) in
   let w =
     Workload.of_slots
       [| [ Arrival.make ~dest:0 ~value:9 (); Arrival.make ~dest:1 ~value:3 () ] |]
@@ -142,7 +142,7 @@ let test_value_engine_value_accounting () =
 
 let test_value_engine_push_out () =
   let config = Value_config.make ~ports:1 ~max_value:9 ~buffer:1 () in
-  let inst = Value_engine.instance config (V_mvd.make config) in
+  let inst = Engine.Value.instance config (V_mvd.make config) in
   let w =
     Workload.of_slots
       [| [ Arrival.make ~dest:0 ~value:1 (); Arrival.make ~dest:0 ~value:5 () ] |]
@@ -225,7 +225,7 @@ let prop_opt_dominates_policies =
       let total_slots = Array.length slots_arr + (buffer * k) in
       List.for_all
         (fun policy ->
-          let alg = Proc_engine.instance config policy in
+          let alg = Engine.Proc.instance config policy in
           let opt = Opt_ref.proc_instance config in
           Experiment.run
             ~params:
@@ -238,8 +238,8 @@ let prop_opt_dominates_policies =
 
 let test_experiment_lockstep_shares_traffic () =
   let config = contiguous 2 4 in
-  let a = Proc_engine.instance ~name:"a" config (P_lwd.make config) in
-  let b = Proc_engine.instance ~name:"b" config (P_lwd.make config) in
+  let a = Engine.Proc.instance ~name:"a" config (P_lwd.make config) in
+  let b = Engine.Proc.instance ~name:"b" config (P_lwd.make config) in
   let w =
     Workload.of_fun (fun slot -> [ Arrival.make ~dest:(slot mod 2) () ])
   in

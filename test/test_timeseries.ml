@@ -4,12 +4,12 @@ open Smbm_sim
 
 let build ?(every = 2) () =
   let config = Proc_config.uniform ~n:1 ~work:1 ~buffer:4 () in
-  let inst = Proc_engine.instance config (P_lwd.make config) in
+  let inst = Engine.Proc.instance config (P_lwd.make config) in
   Timeseries.attach ~every inst
 
 let test_validation () =
   let config = Proc_config.uniform ~n:1 ~work:1 ~buffer:4 () in
-  let inst = Proc_engine.instance config (P_lwd.make config) in
+  let inst = Engine.Proc.instance config (P_lwd.make config) in
   match Timeseries.attach ~every:0 inst with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "every = 0 accepted"
@@ -75,8 +75,8 @@ let test_csv_shape () =
 let test_wrapped_instance_transparent () =
   (* The wrapper must not change the instance's behaviour. *)
   let config = Proc_config.uniform ~n:2 ~work:2 ~buffer:4 () in
-  let plain = Proc_engine.instance config (P_lwd.make config) in
-  let wrapped, _ = Timeseries.attach ~every:5 (Proc_engine.instance config (P_lwd.make config)) in
+  let plain = Engine.Proc.instance config (P_lwd.make config) in
+  let wrapped, _ = Timeseries.attach ~every:5 (Engine.Proc.instance config (P_lwd.make config)) in
   let w1 = Workload.of_fun (fun i -> [ Arrival.make ~dest:(i mod 2) () ]) in
   let w2 = Workload.of_fun (fun i -> [ Arrival.make ~dest:(i mod 2) () ]) in
   Experiment.run

@@ -16,22 +16,22 @@ let test_greedy () =
   let config, sw = switch ~fill:[ (0, 1) ] () in
   let p = V_greedy.make config in
   Alcotest.check decision "accept with space" Decision.accept
-    (Value_policy.admit p sw ~dest:1 ~value:1);
+    (Policy.admit p sw ~dest:1 ~value:1);
   let config, sw =
     switch ~fill:(List.init 8 (fun i -> (i mod 4, 1))) ()
   in
   let p = V_greedy.make config in
   Alcotest.check decision "drop when full" Decision.drop
-    (Value_policy.admit p sw ~dest:0 ~value:4)
+    (Policy.admit p sw ~dest:0 ~value:4)
 
 let test_nest () =
   let config, sw = switch ~fill:[ (0, 1); (0, 2); (1, 3) ] () in
   let p = V_nest.make config in
   (* B/n = 2 *)
   Alcotest.check decision "at share" Decision.drop
-    (Value_policy.admit p sw ~dest:0 ~value:4);
+    (Policy.admit p sw ~dest:0 ~value:4);
   Alcotest.check decision "below share" Decision.accept
-    (Value_policy.admit p sw ~dest:1 ~value:1)
+    (Policy.admit p sw ~dest:1 ~value:1)
 
 let test_nhst_reversed_thresholds () =
   (* 4 ports with value = port + 1; reversed shares (k - v + 1) = 4,3,2,1 and
@@ -51,13 +51,13 @@ let test_nhst_policy () =
   let p = V_nhst.make ~port_value:[| 1; 2; 3; 4 |] config in
   (* Port 3 threshold 3.84: at length 3 accept, at 4 drop. *)
   Alcotest.check decision "below" Decision.accept
-    (Value_policy.admit p sw ~dest:3 ~value:4);
+    (Policy.admit p sw ~dest:3 ~value:4);
   ignore (Value_switch.accept sw ~dest:3 ~value:4);
   Alcotest.check decision "above" Decision.drop
-    (Value_policy.admit p sw ~dest:3 ~value:4);
+    (Policy.admit p sw ~dest:3 ~value:4);
   (* Port 0 threshold 0.96: one packet is already over. *)
   Alcotest.check decision "low-value port starved" Decision.drop
-    (Value_policy.admit p sw ~dest:0 ~value:1)
+    (Policy.admit p sw ~dest:0 ~value:1)
 
 let test_lqd_pushes_longest_min () =
   (* Full: Q0 = [4;3;2;1] (4 packets), Q1 = [2;2], Q2 = [3], Q3 = [4].
@@ -69,7 +69,7 @@ let test_lqd_pushes_longest_min () =
   in
   let p = V_lqd.make config in
   Alcotest.check decision "push from longest" (Decision.push_out 0)
-    (Value_policy.admit p sw ~dest:2 ~value:1)
+    (Policy.admit p sw ~dest:2 ~value:1)
 
 let test_lqd_own_queue_replace () =
   (* Q0 holds the whole buffer; an arrival for port 0 with a higher value
@@ -80,9 +80,9 @@ let test_lqd_own_queue_replace () =
   let p = V_lqd.make config in
   Alcotest.check decision "better packet replaces own min"
     (Decision.push_out 0)
-    (Value_policy.admit p sw ~dest:0 ~value:4);
+    (Policy.admit p sw ~dest:0 ~value:4);
   Alcotest.check decision "equal-or-worse packet dropped" Decision.drop
-    (Value_policy.admit p sw ~dest:0 ~value:1)
+    (Policy.admit p sw ~dest:0 ~value:1)
 
 let test_lqd_tie_break_cheaper_min () =
   (* Q1 = [4;4], Q2 = [4;1]: both length 2 and an arrival for port 0 sees
@@ -93,7 +93,7 @@ let test_lqd_tie_break_cheaper_min () =
   let p = V_lqd.make config in
   Alcotest.check decision "tie towards cheaper eviction"
     (Decision.push_out 2)
-    (Value_policy.admit p sw ~dest:0 ~value:3)
+    (Policy.admit p sw ~dest:0 ~value:3)
 
 let test_mvd_basic () =
   (* Full buffer; minimum value 1 lives in Q1. *)
@@ -103,9 +103,9 @@ let test_mvd_basic () =
   let p = V_mvd.make config in
   Alcotest.check decision "more valuable arrival evicts min"
     (Decision.push_out 1)
-    (Value_policy.admit p sw ~dest:0 ~value:3);
+    (Policy.admit p sw ~dest:0 ~value:3);
   Alcotest.check decision "equal value dropped" Decision.drop
-    (Value_policy.admit p sw ~dest:0 ~value:1)
+    (Policy.admit p sw ~dest:0 ~value:1)
 
 let test_mvd_tie_break_longest () =
   (* Minimum value 1 in Q0 (length 1) and Q2 (length 3): evict from Q2. *)
@@ -115,7 +115,7 @@ let test_mvd_tie_break_longest () =
   let p = V_mvd.make config in
   Alcotest.check decision "longest min queue"
     (Decision.push_out 2)
-    (Value_policy.admit p sw ~dest:1 ~value:4)
+    (Policy.admit p sw ~dest:1 ~value:4)
 
 let test_mvd1_protects_singletons () =
   (* Min value 1 is alone in Q0; MVD1 must evict the cheapest packet among
@@ -127,17 +127,17 @@ let test_mvd1_protects_singletons () =
   let mvd1 = V_mvd.make ~protect_last:true config in
   Alcotest.check decision "MVD takes the singleton"
     (Decision.push_out 0)
-    (Value_policy.admit mvd sw ~dest:1 ~value:4);
+    (Policy.admit mvd sw ~dest:1 ~value:4);
   Alcotest.check decision "MVD1 spares it"
     (Decision.push_out 2)
-    (Value_policy.admit mvd1 sw ~dest:1 ~value:4);
+    (Policy.admit mvd1 sw ~dest:1 ~value:4);
   (* All queues singletons: MVD1 drops. *)
   let config, sw =
     switch ~buffer:4 ~fill:[ (0, 1); (1, 1); (2, 1); (3, 1) ] ()
   in
   let mvd1 = V_mvd.make ~protect_last:true config in
   Alcotest.check decision "no eligible victim" Decision.drop
-    (Value_policy.admit mvd1 sw ~dest:0 ~value:4)
+    (Policy.admit mvd1 sw ~dest:0 ~value:4)
 
 let test_mrd_ratio_selection () =
   (* Q0 = four 1s: ratio 4/1 = 4; Q3 = four 4s: ratio 4/4 = 1.
@@ -149,19 +149,19 @@ let test_mrd_ratio_selection () =
   let p = V_mrd.make config in
   Alcotest.check decision "max ratio queue evicted"
     (Decision.push_out 0)
-    (Value_policy.admit p sw ~dest:1 ~value:2);
+    (Policy.admit p sw ~dest:1 ~value:2);
   (* An arrival equal to the buffer minimum still pushes out (the behaviour
      that makes MRD emulate LQD under unit values). *)
   Alcotest.check decision "equal value pushes out"
     (Decision.push_out 0)
-    (Value_policy.admit p sw ~dest:1 ~value:1)
+    (Policy.admit p sw ~dest:1 ~value:1)
 
 let test_mrd_drops_below_min () =
   (* Buffer minimum is 2; a value-1 arrival is strictly worse: drop. *)
   let config, sw = switch ~buffer:2 ~fill:[ (0, 2); (1, 3) ] () in
   let p = V_mrd.make config in
   Alcotest.check decision "worse than min" Decision.drop
-    (Value_policy.admit p sw ~dest:2 ~value:1)
+    (Policy.admit p sw ~dest:2 ~value:1)
 
 let test_mrd_drop_condition_is_global_min () =
   (* The push-out *condition* looks at the global minimum but the *victim*
@@ -174,14 +174,14 @@ let test_mrd_drop_condition_is_global_min () =
   let p = V_mrd.make config in
   Alcotest.check decision "condition global, victim ratio-maximal"
     (Decision.push_out 0)
-    (Value_policy.admit p sw ~dest:2 ~value:3)
+    (Policy.admit p sw ~dest:2 ~value:3)
 
 let test_mrd_selects_higher_ratio () =
   (* Q0 = [1;1] ratio 2/1 = 2; Q1 = [4;4] ratio 2/4 = 0.5. *)
   let config, sw = switch ~buffer:4 ~fill:[ (0, 1); (0, 1); (1, 4); (1, 4) ] () in
   let p = V_mrd.make config in
   Alcotest.check decision "higher ratio wins" (Decision.push_out 0)
-    (Value_policy.admit p sw ~dest:2 ~value:3)
+    (Policy.admit p sw ~dest:2 ~value:3)
 
 (* Generic laws. *)
 
@@ -219,8 +219,8 @@ let prop_all_policies_legal =
     ~count:500 random_state_gen (fun input ->
       let config, sw, dest, value = build input in
       List.for_all
-        (fun (p : Value_policy.t) ->
-          match Decision_view.of_decision (Value_policy.admit p sw ~dest ~value) with
+        (fun (p : Value_switch.t Policy.t) ->
+          match Decision_view.of_decision (Policy.admit p sw ~dest ~value) with
           | Decision_view.Accept -> not (Value_switch.is_full sw)
           | Decision_view.Push_out victim ->
             Value_switch.is_full sw
@@ -236,9 +236,9 @@ let prop_push_out_policies_greedy =
       let config, sw, dest, value = build input in
       Value_switch.is_full sw
       || List.for_all
-           (fun (p : Value_policy.t) ->
+           (fun (p : Value_switch.t Policy.t) ->
              (not p.push_out)
-             || Value_policy.admit p sw ~dest ~value = Decision.accept)
+             || Policy.admit p sw ~dest ~value = Decision.accept)
            (all_policies config))
 
 (* The queue-length vector that results from applying a decision to the
@@ -284,10 +284,10 @@ let prop_mrd_emulates_lqd_unit_values =
       ||
       let mrd =
         resulting_lengths sw ~dest
-          (Value_policy.admit (V_mrd.make config) sw ~dest ~value:1)
+          (Policy.admit (V_mrd.make config) sw ~dest ~value:1)
       and lqd =
         resulting_lengths sw ~dest
-          (Value_policy.admit (V_lqd.make config) sw ~dest ~value:1)
+          (Policy.admit (V_lqd.make config) sw ~dest ~value:1)
       in
       mrd = lqd)
 
@@ -296,7 +296,7 @@ let prop_mvd_never_evicts_better =
     ~name:"MVD only pushes out strictly less valuable packets" ~count:500
     random_state_gen (fun input ->
       let config, sw, dest, value = build input in
-      match Decision_view.of_decision (Value_policy.admit (V_mvd.make config) sw ~dest ~value) with
+      match Decision_view.of_decision (Policy.admit (V_mvd.make config) sw ~dest ~value) with
       | Decision_view.Push_out victim ->
         let m = Value_switch.queue_min_value_or sw victim ~default:0 in
         m > 0 && m < value && Value_switch.min_value_or sw ~default:0 = m
@@ -305,13 +305,13 @@ let prop_mvd_never_evicts_better =
 let test_registry () =
   let config = Value_config.make ~ports:4 ~max_value:4 ~buffer:8 () in
   let names =
-    List.map (fun (p : Value_policy.t) -> p.name) (Policies.value_uniform config)
+    List.map (fun (p : Value_switch.t Policy.t) -> p.name) (Policies.value_uniform config)
   in
   Alcotest.(check (list string)) "uniform registry"
     [ "Greedy"; "NEST"; "LQD"; "MVD"; "MVD1"; "MRD" ]
     names;
   let port_names =
-    List.map (fun (p : Value_policy.t) -> p.name)
+    List.map (fun (p : Value_switch.t Policy.t) -> p.name)
       (Policies.value_port ~port_value:[| 1; 2; 3; 4 |] config)
   in
   Alcotest.(check bool) "port registry adds NHST" true

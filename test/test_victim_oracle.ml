@@ -14,15 +14,15 @@ open Smbm_core
 
 let run_proc_lockstep ~works ~buffer ~speedup ~ops ~prod ~reference =
   let config = Proc_config.make ~works ~buffer ~speedup () in
-  let prod : Proc_policy.t = prod config and reference : Proc_policy.t = reference () in
+  let prod : Proc_switch.t Policy.t = prod config and reference : Proc_switch.t Policy.t = reference () in
   let sw = Proc_switch.create config in
   let ok = ref true in
   List.iter
     (fun op ->
       (match op with
       | `Arrival dest -> (
-        let d = Proc_policy.admit prod sw ~dest ~value:1 in
-        if not (Decision.equal d (Proc_policy.admit reference sw ~dest ~value:1)) then
+        let d = Policy.admit prod sw ~dest ~value:1 in
+        if not (Decision.equal d (Policy.admit reference sw ~dest ~value:1)) then
           ok := false;
         match Decision_view.of_decision d with
         | Decision_view.Accept -> Proc_switch.accept sw ~dest ~value:1
@@ -45,16 +45,16 @@ let run_proc_lockstep ~works ~buffer ~speedup ~ops ~prod ~reference =
 
 let run_value_lockstep ~ports ~max_value ~buffer ~speedup ~ops ~prod ~reference =
   let config = Value_config.make ~ports ~max_value ~buffer ~speedup () in
-  let prod : Value_policy.t = prod config
-  and reference : Value_policy.t = reference () in
+  let prod : Value_switch.t Policy.t = prod config
+  and reference : Value_switch.t Policy.t = reference () in
   let sw = Value_switch.create config in
   let ok = ref true in
   List.iter
     (fun op ->
       (match op with
       | `Arrival (dest, value) -> (
-        let d = Value_policy.admit prod sw ~dest ~value in
-        if not (Decision.equal d (Value_policy.admit reference sw ~dest ~value))
+        let d = Policy.admit prod sw ~dest ~value in
+        if not (Decision.equal d (Policy.admit reference sw ~dest ~value))
         then ok := false;
         match Decision_view.of_decision d with
         | Decision_view.Accept -> Value_switch.accept sw ~dest ~value
