@@ -2,7 +2,10 @@ module H = Smbm_prelude.Histogram
 module Rs = Smbm_prelude.Running_stats
 
 type counter = { c_name : string; mutable count : int }
-type gauge = { g_name : string; mutable level : float }
+(* The level lives in an all-float record, stored flat: a float field of
+   the mixed record [gauge] would box a fresh one on every [set]. *)
+type level = { mutable level : float }
+type gauge = { g_name : string; lv : level }
 type histogram = { h_name : string; hist : H.t; stats : Rs.t }
 
 type instrument = Counter of counter | Gauge of gauge | Histogram of histogram
@@ -29,7 +32,9 @@ let counter t name =
   | Gauge _ | Histogram _ -> kind_error name
 
 let gauge t name =
-  match register t name (fun () -> Gauge { g_name = name; level = 0.0 }) with
+  match
+    register t name (fun () -> Gauge { g_name = name; lv = { level = 0.0 } })
+  with
   | Gauge g -> g
   | Counter _ | Histogram _ -> kind_error name
 
@@ -53,8 +58,9 @@ let add c n =
   c.count <- c.count + n
 
 let counter_value c = c.count
-let set g x = g.level <- x
-let gauge_value g = g.level
+let set g x = g.lv.level <- x
+let set_int g x = g.lv.level <- float_of_int x
+let gauge_value g = g.lv.level
 
 let observe h x =
   H.add h.hist x;
@@ -63,6 +69,10 @@ let observe h x =
 let observe_int h x =
   H.add_int h.hist x;
   Rs.add_int h.stats x
+
+let observe_scaled h x scale =
+  H.add_scaled h.hist x scale;
+  Rs.add_scaled h.stats x scale
 
 let histogram_stats h = h.stats
 let histogram_values h = h.hist
@@ -83,7 +93,7 @@ type sample =
 
 let sample_of = function
   | Counter c -> Count c.count
-  | Gauge g -> Level g.level
+  | Gauge g -> Level g.lv.level
   | Histogram h ->
     Summary
       {
@@ -140,7 +150,7 @@ let clear t =
     (fun (_, i) ->
       match i with
       | Counter c -> c.count <- 0
-      | Gauge g -> g.level <- 0.0
+      | Gauge g -> g.lv.level <- 0.0
       | Histogram h ->
         H.clear h.hist;
         Rs.clear h.stats)

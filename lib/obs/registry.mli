@@ -33,12 +33,23 @@ val add : counter -> int -> unit
 
 val counter_value : counter -> int
 val set : gauge -> float -> unit
+
+val set_int : gauge -> int -> unit
+(** [set_int g x] is [set g (float_of_int x)] without boxing a float: the
+    per-slot form for a level counted in items. *)
+
 val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
 val observe_int : histogram -> int -> unit
 (** [observe_int h x] records exactly what [observe h (float_of_int x)]
     records, without boxing a float: the form for samples counted in slots
     on a per-packet or per-slot path. *)
+
+val observe_scaled : histogram -> int -> float -> unit
+(** [observe_scaled h x scale] records exactly what
+    [observe h (float_of_int x *. scale)] records, converting inside the
+    histogram, so a literal [scale] boxes nothing: the per-slot form for
+    clock readings ([observe_scaled h ns 1e-3] records microseconds). *)
 
 val histogram_stats : histogram -> Smbm_prelude.Running_stats.t
 val histogram_values : histogram -> Smbm_prelude.Histogram.t

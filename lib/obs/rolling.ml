@@ -1,21 +1,23 @@
 module H = Smbm_prelude.Histogram
 
 (* A rolling window is a fixed ring of time buckets of equal width.  Every
-   operation takes the caller's clock as [~now] — the module never reads
-   wall time itself, so tests drive it with injected instants and the
-   daemon passes the timestamp it already took for the slot.  Advancing
-   clears at most [nbuckets] cells regardless of how far the clock jumped,
-   so the amortized cost of keeping the window current is O(1). *)
+   operation takes the caller's clock as [~now], an integer instant in
+   nanoseconds — the module never reads a clock itself, so tests drive it
+   with injected instants and the daemon passes the reading it already
+   took for the slot.  Instants are ints so a per-slot write boxes
+   nothing, and a bucket's epoch is an integer division.  Advancing clears
+   at most [nbuckets] cells regardless of how far the clock jumped, so the
+   amortized cost of keeping the window current is O(1). *)
 
 type hdata = { bpd : int; hcells : H.t array }
 
 type t = {
-  window : float; (* seconds covered by the whole ring *)
-  width : float; (* seconds per bucket *)
+  window : int; (* ns covered by the whole ring *)
+  width : int; (* ns per bucket *)
   n : int;
   mutable epoch : int; (* floor (now / width) of the freshest bucket *)
   mutable started : bool;
-  mutable start : float; (* first instant ever seen *)
+  mutable start : int; (* first instant ever seen *)
   mutable counters : (string * int array) list;
   mutable histograms : (string * hdata) list;
 }
@@ -23,16 +25,24 @@ type t = {
 type counter = { c_roll : t; c_cells : int array }
 type histogram = { h_roll : t; h_data : hdata }
 
+(* Longest window accepted, in seconds (about 31 years): its nanoseconds
+   stay far inside the int range. *)
+let max_window = 1e9
+
 let create ~window ?(buckets = 10) () =
-  if window <= 0.0 then invalid_arg "Rolling.create: window <= 0";
+  if not (window > 0.0) then invalid_arg "Rolling.create: window <= 0";
+  if window > max_window then invalid_arg "Rolling.create: window too long";
   if buckets < 1 then invalid_arg "Rolling.create: buckets < 1";
+  let window = Float.to_int (Float.round (window *. 1e9)) in
+  let width = window / buckets in
+  if width < 1 then invalid_arg "Rolling.create: bucket under 1 ns";
   {
     window;
-    width = window /. float_of_int buckets;
+    width;
     n = buckets;
     epoch = 0;
     started = false;
-    start = 0.0;
+    start = 0;
     counters = [];
     histograms = [];
   }
@@ -58,11 +68,29 @@ let histogram t ?(buckets_per_decade = 10) name =
     t.histograms <- (name, hd) :: t.histograms;
     { h_roll = t; h_data = hd }
 
-let epoch_of t now = int_of_float (Float.floor (now /. t.width))
+(* Floor division, so an instant before the origin still lands in the
+   bucket below it. *)
+let epoch_of t now =
+  let q = now / t.width in
+  if now < 0 && q * t.width <> now then q - 1 else q
+
+(* Recursive walks rather than [List.iter] over a closure: a bucket
+   rollover happens on the slot path and allocates nothing. *)
+let rec clear_counters idx = function
+  | [] -> ()
+  | (_, cells) :: rest ->
+    cells.(idx) <- 0;
+    clear_counters idx rest
+
+let rec clear_histograms idx = function
+  | [] -> ()
+  | (_, hd) :: rest ->
+    H.clear hd.hcells.(idx);
+    clear_histograms idx rest
 
 let clear_cell t idx =
-  List.iter (fun (_, cells) -> cells.(idx) <- 0) t.counters;
-  List.iter (fun (_, hd) -> H.clear hd.hcells.(idx)) t.histograms
+  clear_counters idx t.counters;
+  clear_histograms idx t.histograms
 
 let advance t ~now =
   let e = epoch_of t now in
@@ -84,8 +112,11 @@ let advance t ~now =
    in the freshest bucket. *)
 
 let span t ~now =
-  if not t.started then t.width
-  else Float.max t.width (Float.min t.window (now -. t.start))
+  let covered =
+    if not t.started then t.width
+    else max t.width (min t.window (now - t.start))
+  in
+  float_of_int covered /. 1e9
 
 let cell_index t = ((t.epoch mod t.n) + t.n) mod t.n
 
@@ -105,6 +136,10 @@ let rate c ~now = float_of_int (total c ~now) /. span c.c_roll ~now
 let observe h ~now x =
   advance h.h_roll ~now;
   H.add h.h_data.hcells.(cell_index h.h_roll) x
+
+let observe_scaled h ~now x scale =
+  advance h.h_roll ~now;
+  H.add_scaled h.h_data.hcells.(cell_index h.h_roll) x scale
 
 let hist_count h ~now =
   advance h.h_roll ~now;

@@ -27,9 +27,10 @@ let create ?(max_value = 1e9) ?(buckets_per_decade = 10) () =
     f = { sum = 0.0; max_seen = 0.0 };
   }
 
-(* Both [add]s inline this and [observe], so [add_int]'s converted sample
-   never crosses a call boxed (the build has no flambda): an integer lands
-   in exactly the bucket its float would. *)
+(* Every [add] inlines this and [observe], so [add_int]'s and
+   [add_scaled]'s converted sample never crosses a call boxed (the build
+   has no flambda): an integer lands in exactly the bucket its float
+   would. *)
 let[@inline] index t x =
   if x < 1.0 then 0
   else
@@ -61,6 +62,13 @@ let add t x =
 let add_int t x =
   if x < 0 then invalid_arg "Histogram.add_int: negative sample";
   observe t (float_of_int x)
+
+(* The unit conversion happens here, after the call: a float constant
+   [scale] is a static block, so the caller boxes nothing. *)
+let add_scaled t x scale =
+  let v = float_of_int x *. scale in
+  if v < 0.0 then invalid_arg "Histogram.add_scaled: negative sample";
+  observe t v
 
 let count t = t.total
 let mean t = if t.total = 0 then 0.0 else t.f.sum /. float_of_int t.total

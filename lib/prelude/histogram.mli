@@ -20,6 +20,13 @@ val add_int : t -> int -> unit
     per-packet and per-slot form for samples counted in slots.
     @raise Invalid_argument on a negative sample. *)
 
+val add_scaled : t -> int -> float -> unit
+(** [add_scaled t x scale] records exactly what
+    [add t (float_of_int x *. scale)] records, converting inside the call:
+    the allocation-free form for an integer reading kept in another unit
+    (nanoseconds recorded in microseconds: [add_scaled t ns 1e-3]).
+    @raise Invalid_argument on a negative product. *)
+
 val count : t -> int
 
 val quantile : t -> float -> float

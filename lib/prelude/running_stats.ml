@@ -20,9 +20,9 @@ let clear t =
   t.f.min <- infinity;
   t.f.max <- neg_infinity
 
-(* Welford's update.  Inlined into both entry points, so [add_int]'s
-   converted sample never crosses a call boxed (the build has no
-   flambda). *)
+(* Welford's update.  Inlined into every entry point, so [add_int]'s and
+   [add_scaled]'s converted sample never crosses a call boxed (the build
+   has no flambda). *)
 let[@inline] welford t x =
   t.n <- t.n + 1;
   let f = t.f in
@@ -34,6 +34,7 @@ let[@inline] welford t x =
 
 let add t x = welford t x
 let add_int t x = welford t (float_of_int x)
+let add_scaled t x scale = welford t (float_of_int x *. scale)
 
 let count t = t.n
 let mean t = if t.n = 0 then 0.0 else t.f.mean

@@ -15,6 +15,11 @@ val add_int : t -> int -> unit
 (** [add_int t x] is [add t (float_of_int x)], bit for bit, without boxing
     the converted sample: the per-packet and per-slot form. *)
 
+val add_scaled : t -> int -> float -> unit
+(** [add_scaled t x scale] is [add t (float_of_int x *. scale)], bit for
+    bit, converting inside the call so nothing is boxed (see
+    {!Histogram.add_scaled}). *)
+
 val count : t -> int
 
 val mean : t -> float

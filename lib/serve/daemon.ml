@@ -286,19 +286,21 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
   in
   (* ----- ingest domain ----- *)
   let producer () =
-    let t0 = Unix.gettimeofday () in
-    let deadline = Option.map (fun d -> t0 +. d) duration in
+    let t0 = Clock.now_ns () in
+    let deadline =
+      Option.map (fun d -> t0 + Float.to_int (d *. 1e9)) duration
+    in
     let continue i =
       (match max_slots with Some m -> i < m | None -> true)
-      && match deadline with Some d -> Unix.gettimeofday () < d | None -> true
+      && match deadline with Some d -> Clock.now_ns () < d | None -> true
     in
     let pace i =
       match rate with
       | None -> ()
       | Some r ->
-        let due = t0 +. (float_of_int (i + 1) /. r) in
-        let now = Unix.gettimeofday () in
-        if due > now then Unix.sleepf (due -. now)
+        let due = t0 + Float.to_int (float_of_int (i + 1) /. r *. 1e9) in
+        let now = Clock.now_ns () in
+        if due > now then Unix.sleepf (Clock.seconds (due - now))
     in
     let produce_once =
       match stages with
@@ -306,17 +308,18 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
       | Some st ->
         (* Split the producer's slot into its two stages: ring-wait is the
            blocked stall alone (always zero under Shed, which never
-           blocks), ingest is the work of generating the slot. *)
-        let blocked = ref 0.0 in
-        let on_block s = blocked := s in
+           blocks), ingest is the work of generating the slot.  Both
+           splits are clamped at 0. *)
+        let blocked = ref 0 in
+        let on_block = Some (fun ns -> blocked := ns) in
         fun () ->
-          blocked := 0.0;
-          let p0 = Unix.gettimeofday () in
-          let r = Spsc_ring.produce ring ~on_block ~policy:bp ~fill () in
-          let dt = Unix.gettimeofday () -. p0 in
-          Registry.observe st.ring_wait_hist (!blocked *. 1e6);
-          Registry.observe st.ingest_hist
-            (Float.max 0.0 (dt -. !blocked) *. 1e6);
+          blocked := 0;
+          let p0 = Clock.now_ns () in
+          let r = Spsc_ring.produce ring ?on_block ~policy:bp ~fill () in
+          let dt = Clock.now_ns () - p0 in
+          let wait = max 0 !blocked in
+          Registry.observe_scaled st.ring_wait_hist wait 1e-3;
+          Registry.observe_scaled st.ingest_hist (max 0 (dt - wait)) 1e-3;
           r
     in
     let rec loop i =
@@ -432,15 +435,15 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
   let pending =
     ref (List.stable_sort (fun (a, _) (b, _) -> compare a b) controls)
   in
+  let rec scripted () =
+    match !pending with
+    | (s, c) :: rest when s <= !slot ->
+      pending := rest;
+      apply c;
+      scripted ()
+    | _ -> ()
+  in
   let drain_controls () =
-    let rec scripted () =
-      match !pending with
-      | (s, c) :: rest when s <= !slot ->
-        pending := rest;
-        apply c;
-        scripted ()
-      | _ -> ()
-    in
     scripted ();
     match controller with
     | None -> ()
@@ -472,10 +475,14 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
       drained := Flight.total f
     | _ -> ()
   in
-  let t_start = Unix.gettimeofday () in
+  let t_start = Clock.now_ns () in
   (* ----- telemetry plane (created always, fed only when on) ----- *)
   let m = inst.Instance.metrics in
-  let rolling = Rolling.create ~window:stats_window () in
+  let rolling =
+    match Rolling.create ~window:stats_window () with
+    | r -> r
+    | exception Invalid_argument m -> invalid_arg ("Daemon.run: " ^ m)
+  in
   let r_slots = Rolling.counter rolling "slots" in
   let r_arr = Rolling.counter rolling "arrivals" in
   let r_acc = Rolling.counter rolling "accepted" in
@@ -485,8 +492,8 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
   let prev_arr = ref 0 and prev_acc = ref 0 and prev_drop = ref 0 in
   let prev_shed = ref 0 and prev_shed_p = ref 0 in
   (* Rules are evaluated at publication instants; [eval_now] carries that
-     instant into the window reads so rules never touch the wall clock. *)
-  let eval_now = ref 0.0 in
+     instant into the window reads so rules never read the clock. *)
+  let eval_now = ref 0 in
   let health =
     let on_transition (e : Health.event) =
       (match events with
@@ -536,7 +543,7 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
   health_states_now :=
     (fun () ->
       List.map (fun (n, s) -> (n, s.Health.v_tripped)) (Health.states health));
-  let feed_rolling st now slot_us =
+  let feed_rolling st now slot_ns =
     Rolling.incr r_slots ~now;
     let a = Metrics.arrivals m in
     Rolling.add r_arr ~now (a - !prev_arr);
@@ -558,7 +565,7 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
     let p = Spsc_ring.shed_packets ring in
     Registry.add st.shed_packets_ctr (max 0 (p - !prev_shed_p));
     prev_shed_p := p;
-    Rolling.observe r_slot_us ~now slot_us
+    Rolling.observe_scaled r_slot_us ~now slot_ns 1e-3
   in
   let published : Telemetry.view option Atomic.t = Atomic.make None in
   let publish now =
@@ -583,9 +590,9 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
     Atomic.set published
       (Some
          {
-           Telemetry.at = now;
+           Telemetry.at = Unix.gettimeofday ();
            slot = !slot;
-           uptime = now -. t_start;
+           uptime = Clock.seconds (now - t_start);
            policy = engine.policy_name ();
            buffer = engine.buffer_size ();
            ring_occupancy = Spsc_ring.length ring;
@@ -611,10 +618,13 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
       | Ok s -> Some s
       | Error msg -> invalid_arg ("Daemon.run: " ^ msg))
   in
+  (* Stage timers are [Clock] readings in ns, recorded in µs by the
+     histograms themselves ([observe_scaled ... 1e-3]): no float is boxed
+     on the slot path. *)
   let step batch =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ns () in
     Instance.step_batch inst ~batch;
-    let t1 = match stages with None -> t0 | Some _ -> Unix.gettimeofday () in
+    let t1 = match stages with None -> t0 | Some _ -> Clock.now_ns () in
     incr slot;
     Registry.incr slots_ctr;
     (match flush_every with
@@ -622,19 +632,19 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
       inst.Instance.flush ();
       (match stages with
       | Some st ->
-        Registry.observe st.flush_hist ((Unix.gettimeofday () -. t1) *. 1e6)
+        Registry.observe_scaled st.flush_hist (Clock.now_ns () - t1) 1e-3
       | None -> ())
     | _ -> ());
     (* Slot boundary: bookkeeping done, next slot's arrivals not yet
        offered — the only point where reconfiguration is legal. *)
     drain_controls ();
-    let t_end = Unix.gettimeofday () in
-    Registry.observe slot_hist ((t_end -. t0) *. 1e6);
-    Registry.set ring_gauge (float_of_int (Spsc_ring.length ring));
+    let t_end = Clock.now_ns () in
+    Registry.observe_scaled slot_hist (t_end - t0) 1e-3;
+    Registry.set_int ring_gauge (Spsc_ring.length ring);
     (match stages with
     | Some st ->
-      Registry.observe st.engine_hist ((t1 -. t0) *. 1e6);
-      feed_rolling st t_end ((t_end -. t0) *. 1e6);
+      Registry.observe_scaled st.engine_hist (t1 - t0) 1e-3;
+      feed_rolling st t_end (t_end - t0);
       if !slot mod stats_every = 0 then publish t_end
     | None -> ());
     drain_events ();
@@ -643,9 +653,10 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
       check_sinks ()
     end
   in
+  let stop () = !stopped in
   let rec consume () =
     if not !stopped then
-      match Spsc_ring.consume ring ~stop:(fun () -> !stopped) ~f:step with
+      match Spsc_ring.consume ring ~stop ~f:step with
       | Spsc_ring.Consumed -> consume ()
       | Spsc_ring.Drained | Spsc_ring.Stopped -> ()
   in
@@ -662,12 +673,12 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
      (try Domain.join ingest_domain with _ -> ());
      raise exn);
   Domain.join ingest_domain;
-  let wall = Unix.gettimeofday () -. t_start in
+  let wall = Clock.seconds (Clock.now_ns () - t_start) in
   flush_metrics ();
   check_sinks ();
   (* Final publication (one last health evaluation included), then take the
      socket down before reporting. *)
-  if telemetry_on then publish (Unix.gettimeofday ());
+  if telemetry_on then publish (Clock.now_ns ());
   drain_events ();
   (match stats_server with Some s -> Telemetry.stop s | None -> ());
   let conservation_ok, conservation_error =

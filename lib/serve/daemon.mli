@@ -52,7 +52,7 @@ type ingest =
 
 type report = {
   slots : int;  (** slots fully processed by the engine *)
-  wall : float;  (** consumer wall-clock seconds *)
+  wall : float;  (** consumer elapsed seconds, on the monotonic {!Clock} *)
   slots_per_sec : float;
   arrivals : int;
   accepted : int;

@@ -48,7 +48,7 @@ type push_result =
 
 val produce :
   t ->
-  ?on_block:(float -> unit) ->
+  ?on_block:(int -> unit) ->
   policy:[ `Block | `Shed ] ->
   fill:(Arrival_batch.t -> unit) ->
   unit ->
@@ -56,11 +56,14 @@ val produce :
 (** Claim the next slot, [fill] its (cleared) batch, publish it.  [fill]
     runs on the producer domain; it must not touch the ring.
 
-    [on_block] is called (on the producer domain) with the seconds the
-    call spent waiting for space, only when it actually waited — i.e. only
-    under [`Block] with a full ring; shed mode never blocks and reports
-    nothing.  The stall clock is read only when [on_block] is supplied, so
-    the default path stays free of [gettimeofday] calls. *)
+    [on_block] is called (on the producer domain) with the nanoseconds
+    the call spent waiting for space, read from the monotonic {!Clock},
+    only when it actually waited — i.e. only under [`Block] with a full
+    ring; shed mode never blocks and reports nothing.  The stall clock is
+    read only when [on_block] is supplied.
+
+    A call allocates nothing: pass a prebuilt [?on_block] option, since
+    [~on_block:f] wraps [f] in a fresh [Some] at every call. *)
 
 val close : t -> unit
 (** Producer is done: after the ring drains, {!consume} returns [Drained].
@@ -77,7 +80,8 @@ val consume :
   t -> stop:(unit -> bool) -> f:(Arrival_batch.t -> unit) -> pop_result
 (** Wait for a published batch, run [f] on it, release the slot for reuse.
     [stop] is polled while waiting (not between [f] and the release), so a
-    control plane can interrupt an idle consumer. *)
+    control plane can interrupt an idle consumer.  A call allocates
+    nothing beyond what [f] and [stop] do. *)
 
 val abort : t -> unit
 (** Consumer gives up: a blocked producer unblocks and {!produce} returns

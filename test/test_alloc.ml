@@ -5,7 +5,10 @@
    the rest, once untraced and once with a wrapping [Flight] ring attached.
    A boxed float, an option or a decision block on the per-packet or
    per-slot path shows as one or more words per slot, far above the
-   budget. *)
+   budget.
+
+   The serve daemon is held to the same budget end to end, on both of its
+   domains, and its SPSC ring alone to a tenth of it per hand-off. *)
 
 open Smbm_core
 open Smbm_sim
@@ -13,6 +16,10 @@ module Compact = Smbm_traffic.Trace.Compact
 module Scenario = Smbm_traffic.Scenario
 module Workload = Smbm_traffic.Workload
 module Flight = Smbm_obs.Flight
+module Daemon = Smbm_serve.Daemon
+module Model = Smbm_serve.Model
+module Mmpp_bank = Smbm_serve.Mmpp_bank
+module Spsc_ring = Smbm_serve.Spsc_ring
 
 let warm_slots = 500
 let measured_slots = 2_000
@@ -128,10 +135,154 @@ let check_all ~traced () =
     (Printf.sprintf "instances over %.1f minor words/slot" budget)
     [] over
 
+(* ----- the serve daemon ----- *)
+
+let daemon_slots = 40_000
+
+(* Minor words one call of [f] allocates on every domain: a minor
+   collection is stop-the-world, so after it [Gc.quick_stat] has sampled
+   each running domain, and a joined domain's words are folded in. *)
+let all_domain_words f =
+  Gc.minor ();
+  let w0 = (Gc.quick_stat ()).minor_words in
+  f ();
+  Gc.minor ();
+  (Gc.quick_stat ()).minor_words -. w0
+
+(* A whole run pays a fixed set-up (the engine, the registries, the
+   domain) and tear-down (the final report and, with telemetry, one
+   publication whose snapshots vary by a few hundred words with the
+   timings); running N and then 2N slots cancels it, leaving the marginal
+   words per slot of both domains together.  A short first run warms
+   whatever the process initialises once. *)
+let marginal_words_per_slot run =
+  let words slots =
+    all_domain_words (fun () ->
+        let r : Daemon.report = run ~slots in
+        Alcotest.(check int) "slots served" slots r.slots;
+        Alcotest.(check bool) "conservation" true r.conservation_ok)
+  in
+  ignore (words 1_000);
+  let once = words daemon_slots in
+  let twice = words (2 * daemon_slots) in
+  (twice -. once) /. float_of_int daemon_slots
+
+let daemon_value_trace =
+  lazy
+    (Compact.of_workload
+       (Scenario.value_uniform_workload ~mmpp ~config:value ~load:2.0 ~seed:11
+          ())
+       ~slots:(2 * daemon_slots))
+
+(* The benchmark's two daemon configurations at test scale: value MRD on a
+   recorded trace, proc LWD on live MMPP sources with periodic flushouts.
+   With telemetry on, [stats_every] lies beyond the run, so the loop feeds
+   the stage histograms and the rolling window every slot but publishes
+   only once, after the run (publication builds immutable snapshots by
+   design). *)
+let daemon_cases =
+  [
+    ( "value MRD on a trace",
+      fun ~telemetry ~slots ->
+        Daemon.run ~telemetry ~stats_every:(4 * daemon_slots) ~slots
+          ~model:(Model.Value_uniform value) ~policy:"MRD"
+          ~ingest:(Daemon.Trace (Lazy.force daemon_value_trace))
+          () );
+    ( "proc LWD on a bank",
+      fun ~telemetry ~slots ->
+        Daemon.run ~telemetry ~stats_every:(4 * daemon_slots) ~slots
+          ~flush_every:2_500 ~model:(Model.Proc proc) ~policy:"LWD"
+          ~ingest:
+            (Daemon.Bank
+               (Mmpp_bank.create ~mmpp (Model.Proc proc) ~load:2.0 ~seed:13 ()))
+          () );
+  ]
+
+let check_daemon ~telemetry () =
+  let over =
+    List.filter_map
+      (fun (name, run) ->
+        let w = marginal_words_per_slot (run ~telemetry) in
+        if w > budget then Some (Printf.sprintf "%s: %.3f" name w) else None)
+      daemon_cases
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "daemon runs over %.1f minor words/slot" budget)
+    [] over
+
+(* ----- the SPSC ring alone ----- *)
+
+let handoffs = 20_000
+let ring_budget = 0.01
+
+(* [handoffs] one-packet batches through a 4-slot ring under [`Block],
+   words counted on each domain by its own [Gc.minor_words].  A sleeping
+   consumer naps 1 ms every 100 batches, so the producer finds the ring
+   full, spins, backs off into sleeps and reports every stall through
+   [on_block]. *)
+let ring_words ~sleepy =
+  let ring = Spsc_ring.create ~capacity:4 () in
+  let fill b = Arrival_batch.push b ~dest:1 ~value:1 in
+  let stalls = ref 0 in
+  let on_block = Some (fun _ -> incr stalls) in
+  let producer () =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to handoffs do
+      match Spsc_ring.produce ring ?on_block ~policy:`Block ~fill () with
+      | Spsc_ring.Pushed -> ()
+      | Spsc_ring.Shed | Spsc_ring.Aborted -> failwith "hand-off refused"
+    done;
+    let w = Gc.minor_words () -. w0 in
+    Spsc_ring.close ring;
+    w
+  in
+  let received = ref 0 in
+  let f b =
+    received := !received + Arrival_batch.length b;
+    if sleepy && !received mod 100 = 0 then Unix.sleepf 0.001
+  in
+  let stop () = false in
+  let rec drain () =
+    match Spsc_ring.consume ring ~stop ~f with
+    | Spsc_ring.Consumed -> drain ()
+    | Spsc_ring.Drained -> ()
+    | Spsc_ring.Stopped -> failwith "stop never fires"
+  in
+  let d = Domain.spawn producer in
+  let w0 = Gc.minor_words () in
+  drain ();
+  let consumer = Gc.minor_words () -. w0 in
+  let producer = Domain.join d in
+  Alcotest.(check int) "every packet handed off" handoffs !received;
+  (producer, consumer, !stalls)
+
+let check_ring ~sleepy () =
+  let producer, consumer, stalls = ring_words ~sleepy in
+  if sleepy then
+    Alcotest.(check bool) "the producer blocked" true (stalls > 0);
+  let per w = w /. float_of_int handoffs in
+  Alcotest.(check (list string))
+    (Printf.sprintf "domains over %.2f minor words/hand-off" ring_budget)
+    []
+    (List.filter_map
+       (fun (side, w) ->
+         if per w > ring_budget then
+           Some (Printf.sprintf "%s: %.4f" side (per w))
+         else None)
+       [ ("producer", producer); ("consumer", consumer) ])
+
 let suite =
   [
     Alcotest.test_case "slot loop allocation-free" `Quick
       (check_all ~traced:false);
     Alcotest.test_case "slot loop allocation-free with a ring" `Quick
       (check_all ~traced:true);
+    Alcotest.test_case "daemon allocation-free" `Quick
+      (check_daemon ~telemetry:false);
+    Alcotest.test_case "daemon allocation-free with telemetry" `Quick
+      (check_daemon ~telemetry:true);
+    Alcotest.test_case "ring hand-off allocation-free" `Quick
+      (check_ring ~sleepy:false);
+    Alcotest.test_case "ring hand-off allocation-free when blocked" `Quick
+      (check_ring ~sleepy:true);
   ]

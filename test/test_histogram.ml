@@ -280,6 +280,26 @@ let prop_add_int_is_add =
       List.iter (fun x -> Histogram.add h2 (float_of_int x)) xs;
       same_observations h1 h2)
 
+(* [add_scaled] converts inside the call; it must land exactly where the
+   caller's own conversion would. *)
+let prop_add_scaled_is_add =
+  QCheck2.Test.make ~name:"add_scaled x s = add (float x *. s)" ~count:300
+    QCheck2.Gen.(
+      triple (oneofl shapes)
+        (oneofl [ 1e-3; 1e-6; 1.0; 0.5 ])
+        (list_size (int_range 1 200) (int_range 0 4_000_000_000)))
+    (fun ((max_value, buckets_per_decade), scale, xs) ->
+      let h1 = Histogram.create ~max_value ~buckets_per_decade ()
+      and h2 = Histogram.create ~max_value ~buckets_per_decade () in
+      List.iter (fun x -> Histogram.add_scaled h1 x scale) xs;
+      List.iter (fun x -> Histogram.add h2 (float_of_int x *. scale)) xs;
+      same_observations h1 h2)
+
+let test_add_scaled_rejects_negative () =
+  match Histogram.add_scaled (Histogram.create ()) (-1) 1e-3 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "negative scaled sample accepted"
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -300,4 +320,7 @@ let suite =
     Alcotest.test_case "add_int = add at every bucket edge" `Quick
       test_add_int_edges;
     Qc.to_alcotest prop_add_int_is_add;
+    Qc.to_alcotest prop_add_scaled_is_add;
+    Alcotest.test_case "add_scaled rejects a negative sample" `Quick
+      test_add_scaled_rejects_negative;
   ]

@@ -156,6 +156,22 @@ let prop_storage_matches_reference =
       && same (Running_stats.merge a b) (Reference.merge ra rb)
       && same (Running_stats.merge b a) (Reference.merge rb ra))
 
+let prop_add_scaled_matches_reference =
+  QCheck2.Test.make ~name:"add_scaled x s = add (float x *. s), bit for bit"
+    ~count:300
+    QCheck2.Gen.(
+      pair
+        (oneofl [ 1e-3; 1e-6; 1.0 ])
+        (list_size (int_range 0 60) (int_range 0 10_000_000_000)))
+    (fun (scale, xs) ->
+      let s = Running_stats.create () and r = Reference.create () in
+      List.iter
+        (fun x ->
+          Running_stats.add_scaled s x scale;
+          Reference.add r (float_of_int x *. scale))
+        xs;
+      same s r)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -167,4 +183,5 @@ let suite =
     Alcotest.test_case "merge with empty" `Quick test_merge_with_empty;
     Qc.to_alcotest prop_welford_matches_naive;
     Qc.to_alcotest prop_storage_matches_reference;
+    Qc.to_alcotest prop_add_scaled_matches_reference;
   ]

@@ -80,6 +80,43 @@ let test_ring_abort_unblocks_producer () =
     (Invalid_argument "Spsc_ring.create: capacity must be >= 1") (fun () ->
       ignore (Spsc_ring.create ~capacity:0 ()))
 
+(* The stage clock: a monotonic reading never steps back, so no stage
+   sample can go negative and kill a domain mid-run. *)
+let test_clock_never_decreases () =
+  let prev = ref (Clock.now_ns ()) in
+  for _ = 1 to 100_000 do
+    let now = Clock.now_ns () in
+    if now < !prev then
+      Alcotest.failf "clock stepped back: %d after %d" now !prev;
+    prev := now
+  done
+
+(* A producer blocked on a full ring reports its stall once, in ns, when
+   the consumer frees a slot. *)
+let test_ring_reports_stall_ns () =
+  let ring = Spsc_ring.create ~capacity:1 () in
+  let fill b = Arrival_batch.push b ~dest:0 ~value:1 in
+  ignore (Spsc_ring.produce ring ~policy:`Block ~fill ());
+  let stalls = Atomic.make [] in
+  let on_block = Some (fun ns -> Atomic.set stalls (ns :: Atomic.get stalls)) in
+  let producer =
+    Domain.spawn (fun () ->
+        Spsc_ring.produce ring ?on_block ~policy:`Block ~fill ())
+  in
+  Unix.sleepf 0.02;
+  let stop () = false and f _ = () in
+  Alcotest.(check bool)
+    "consumed" true
+    (Spsc_ring.consume ring ~stop ~f = Spsc_ring.Consumed);
+  Alcotest.(check bool)
+    "unblocked producer pushed" true
+    (Domain.join producer = Spsc_ring.Pushed);
+  match Atomic.get stalls with
+  | [ ns ] ->
+    Alcotest.(check bool) "stall is positive and under 10 s" true
+      (ns > 0 && ns < 10_000_000_000)
+  | l -> Alcotest.failf "expected one stall report, got %d" (List.length l)
+
 (* S4: a batch that crossed the ring is bit-identical (dest, value, work,
    length, order) to what next_into on an identical workload yields
    directly — the hand-off neither reorders, duplicates, loses nor leaks
@@ -383,6 +420,27 @@ let test_daemon_unknown_policy_rejected () =
         (Daemon.run ~slots:1 ~model:(Model.Proc proc_config) ~policy:"bogus"
            ~ingest:(Daemon.Bank bank) ()))
 
+(* The rolling window holds whole nanoseconds per cell: a window it cannot
+   represent is an input error, reported like every other. *)
+let test_daemon_rejects_bad_stats_window () =
+  List.iter
+    (fun stats_window ->
+      let bank =
+        Mmpp_bank.create ~mmpp:(mmpp 5) (Model.Proc proc_config) ~load:1.0
+          ~seed:1 ()
+      in
+      match
+        Daemon.run ~slots:1 ~stats_window ~model:(Model.Proc proc_config)
+          ~policy:"LWD" ~ingest:(Daemon.Bank bank) ()
+      with
+      | (_ : Daemon.report) -> Alcotest.failf "window %g accepted" stats_window
+      | exception Invalid_argument m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "window %g: %s" stats_window m)
+          true
+          (String.starts_with ~prefix:"Daemon.run: " m))
+    [ 0.0; -1.0; 1e-9; Float.nan; 1e12 ]
+
 (* A run rejected at start never starts its ingest: no [~slots] bound, so
    a producer spawned before the rejection would keep filling the ring. *)
 let test_daemon_rejection_spawns_no_producer () =
@@ -545,6 +603,10 @@ let suite =
     Alcotest.test_case "ring shed accounting" `Quick test_ring_shed_accounting;
     Alcotest.test_case "ring abort unblocks producer" `Quick
       test_ring_abort_unblocks_producer;
+    Alcotest.test_case "clock reads never decrease" `Quick
+      test_clock_never_decreases;
+    Alcotest.test_case "ring reports a stall in ns" `Quick
+      test_ring_reports_stall_ns;
     Qc.to_alcotest prop_ring_transit_bit_identity;
     Alcotest.test_case "bank sharding deterministic" `Quick
       test_bank_sharding_deterministic;
@@ -557,6 +619,8 @@ let suite =
       test_daemon_trace_ingest_bit_exact;
     Alcotest.test_case "daemon rejects unknown initial policy" `Quick
       test_daemon_unknown_policy_rejected;
+    Alcotest.test_case "daemon rejects a bad stats window" `Quick
+      test_daemon_rejects_bad_stats_window;
     Alcotest.test_case "daemon checks a proc trace" `Quick
       test_daemon_trace_checked_proc;
     Alcotest.test_case "daemon checks a value-uniform trace" `Quick
