@@ -53,8 +53,8 @@ let make ?(protect_last = false) _config =
       else
         (* The paper drops only when the buffer minimum is strictly bigger
            than the arriving value; on equality MRD pushes out, which is
-           what makes it emulate LQD under unit values.  The minimum comes
-           off the switch's O(1) incremental tracker (a full buffer is
+           what makes it emulate LQD under unit values.  The minimum is a
+           bitset read off the switch's value histogram (a full buffer is
            non-empty, so the default is never taken). *)
         if Value_switch.min_value_or sw ~default:max_int <= value then begin
           let victim = select ~protect_last (index sw) sw in

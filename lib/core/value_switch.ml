@@ -43,8 +43,9 @@ let high_bit_index b =
    arrival, id, plus intrusive next/prev links) with a free-list stack.
    Each (port, value-level) bucket is a doubly-linked list threaded through
    the link columns (head = oldest, tail = youngest), and each port carries
-   an occupancy bitset, so min/max reads stay O(k/63).  Accept, push-out and
-   transmission never allocate on a warmed switch.
+   an occupancy bitset, so min/max reads stay O(k/63), as does the buffer
+   minimum off a buffer-wide value histogram and its level bitset.  Accept,
+   push-out and transmission never allocate on a warmed switch.
 
    The slab columns (indexed by slot id) are off-heap {!Int_col}s — never
    scanned by the GC, shareable read-only across domains.  The n-sized
@@ -69,12 +70,13 @@ type t = {
   occ : int array; (* bitsets, index [i * wpp + v / 63], bit [v mod 63] *)
   qlen : int array; (* per-port packet count *)
   qsum : int array; (* per-port total value *)
+  vcount : int array; (* buffer-wide packets per value level, index v *)
+  vocc : int array; (* bitset of the non-zero [vcount] levels, wpp words *)
   mutable buffer : int;
   mutable occupancy : int;
   mutable next_id : int;
   mutable now : int;
   mutable indexes : (string * Agg_index.t) list;
-  min_index : Agg_index.t; (* buffer-wide minimum tracker *)
 }
 
 type view = {
@@ -85,23 +87,21 @@ type view = {
   view_occ : int array;
 }
 
-(* Per-port min/max reads off the bitsets: a word scan plus a bit search
-   over this port's slice.  Parameterized over the raw columns so the same
-   scan serves both the switch internals and a policy-held {!view}. *)
+(* Lowest level set in the bitset slice at word [base], which the caller
+   guarantees non-empty, so the scan stays inside it and skips bounds
+   checks on this per-admission path. *)
+let low_level occ base =
+  let w = ref 0 in
+  while Array.unsafe_get occ (base + !w) = 0 do
+    incr w
+  done;
+  let bits = Array.unsafe_get occ (base + !w) in
+  (!w * 63) + bit_index (bits land -bits)
+
+(* Parameterized over the raw columns so the same scan serves both the
+   switch internals and a policy-held {!view}. *)
 let min_scan ~occ ~wpp ~qlen i ~default =
-  if Array.unsafe_get qlen i = 0 then default
-  else begin
-    (* Non-empty queue => some word of this port's slice is non-zero, so
-       the scans below stay inside [base, base + wpp); bounds checks are
-       skipped on this per-admission path. *)
-    let base = i * wpp in
-    let w = ref 0 in
-    while Array.unsafe_get occ (base + !w) = 0 do
-      incr w
-    done;
-    let bits = Array.unsafe_get occ (base + !w) in
-    (!w * 63) + bit_index (bits land -bits)
-  end
+  if Array.unsafe_get qlen i = 0 then default else low_level occ (i * wpp)
 
 let port_min_value_or t i ~default =
   min_scan ~occ:t.occ ~wpp:t.wpp ~qlen:t.qlen i ~default
@@ -120,27 +120,11 @@ let port_max_value_or t i ~default =
     (!w * 63) + high_bit_index (Array.unsafe_get t.occ (base + !w))
   end
 
-(* The built-in tracker behind [min_value_or]/[min_value_port]: argmin over
-   queues of (minimum value, then the longer queue, then the smaller port
-   index) — the documented MVD tie-break, pinned here so the indexed reads
-   cannot drift from a one-pass scan.  It runs as a keyed lexicographic
-   tree over (negated minimum, queue length) with the smaller-index tie;
-   empty queues carry the negated minimum of [max_int] and rank last.  The
-   negated minimum is a derived key recomputed when the index settles, the
-   length column aliases the live aggregate. *)
 let create (config : Value_config.t) =
   let n = Value_config.n config in
   let k = Value_config.k config in
   let cap = config.Value_config.buffer in
   let wpp = (k / 63) + 1 in
-  let qlen = Array.make n 0 and occ = Array.make (n * wpp) 0 in
-  let negmin = Array.make n (-max_int) in
-  let min_index =
-    Agg_index.create_lex ~n ~tie:`Smallest_index ~k1:negmin ~k2:qlen
-      ~refresh:(fun j ->
-        negmin.(j) <- -min_scan ~occ ~wpp ~qlen j ~default:max_int)
-      ()
-  in
   {
     config;
     n;
@@ -156,15 +140,16 @@ let create (config : Value_config.t) =
     free_top = cap;
     bhead = Array.make (n * k) (-1);
     btail = Array.make (n * k) (-1);
-    occ;
-    qlen;
+    occ = Array.make (n * wpp) 0;
+    qlen = Array.make n 0;
     qsum = Array.make n 0;
+    vcount = Array.make (k + 1) 0;
+    vocc = Array.make wpp 0;
     buffer = cap;
     occupancy = 0;
     next_id = 0;
     now = 0;
     indexes = [];
-    min_index;
   }
 
 let config t = t.config
@@ -231,13 +216,9 @@ let rec touch_list indexes i =
     Agg_index.invalidate idx i;
     touch_list rest i
 
-let touch t i =
-  Agg_index.invalidate t.min_index i;
-  touch_list t.indexes i
+let touch t i = touch_list t.indexes i
 
-let touch_all t =
-  Agg_index.refresh t.min_index;
-  List.iter (fun (_, idx) -> Agg_index.refresh idx) t.indexes
+let touch_all t = List.iter (fun (_, idx) -> Agg_index.refresh idx) t.indexes
 
 let find_index t ~key make =
   match List.assoc_opt key t.indexes with
@@ -257,11 +238,7 @@ let view t =
   }
 
 let min_value_or t ~default =
-  if t.occupancy = 0 then default
-  else port_min_value_or t (Agg_index.top t.min_index) ~default
-
-let min_value_port t =
-  if t.occupancy = 0 then -1 else Agg_index.top t.min_index
+  if t.occupancy = 0 then default else low_level t.vocc 0
 
 (* ----- bucket mechanics ----- *)
 
@@ -270,14 +247,23 @@ let min_value_port t =
    [0, cap) by the slab invariants), so these per-packet ops skip the
    bounds check. *)
 
-let mark t i v =
-  let w = (i * t.wpp) + (v / 63) in
-  Array.unsafe_set t.occ w (Array.unsafe_get t.occ w lor (1 lsl (v mod 63)))
+let mark occ base v =
+  let w = base + (v / 63) in
+  Array.unsafe_set occ w (Array.unsafe_get occ w lor (1 lsl (v mod 63)))
 
-let unmark t i v =
-  let w = (i * t.wpp) + (v / 63) in
-  Array.unsafe_set t.occ w
-    (Array.unsafe_get t.occ w land lnot (1 lsl (v mod 63)))
+let unmark occ base v =
+  let w = base + (v / 63) in
+  Array.unsafe_set occ w (Array.unsafe_get occ w land lnot (1 lsl (v mod 63)))
+
+let count_in t v =
+  let c = Array.unsafe_get t.vcount v in
+  Array.unsafe_set t.vcount v (c + 1);
+  if c = 0 then mark t.vocc 0 v
+
+let count_out t v =
+  let c = Array.unsafe_get t.vcount v - 1 in
+  Array.unsafe_set t.vcount v c;
+  if c = 0 then unmark t.vocc 0 v
 
 (* Append slot [s] (already carrying its columns) at the tail (youngest end)
    of bucket (i, v). *)
@@ -288,7 +274,7 @@ let bucket_push t i v s =
   Int_col.unsafe_set t.nxt s (-1);
   if tl = -1 then begin
     Array.unsafe_set t.bhead b s;
-    mark t i v
+    mark t.occ (i * t.wpp) v
   end
   else Int_col.unsafe_set t.nxt tl s;
   Array.unsafe_set t.btail b s
@@ -302,7 +288,7 @@ let bucket_pop_tail t i v =
   Array.unsafe_set t.btail b p;
   if p = -1 then begin
     Array.unsafe_set t.bhead b (-1);
-    unmark t i v
+    unmark t.occ (i * t.wpp) v
   end
   else Int_col.unsafe_set t.nxt p (-1);
   s
@@ -316,7 +302,7 @@ let bucket_pop_head t i v =
   Array.unsafe_set t.bhead b nx;
   if nx = -1 then begin
     Array.unsafe_set t.btail b (-1);
-    unmark t i v
+    unmark t.occ (i * t.wpp) v
   end
   else Int_col.unsafe_set t.prv nx (-1);
   s
@@ -335,6 +321,7 @@ let accept t ~dest ~value =
   Int_col.unsafe_set t.pid s t.next_id;
   t.next_id <- t.next_id + 1;
   bucket_push t dest value s;
+  count_in t value;
   Array.unsafe_set t.qlen dest (Array.unsafe_get t.qlen dest + 1);
   Array.unsafe_set t.qsum dest (Array.unsafe_get t.qsum dest + value);
   t.occupancy <- t.occupancy + 1;
@@ -346,6 +333,7 @@ let push_out t ~victim =
     invalid_arg "Value_switch.push_out: victim queue empty";
   let v = port_min_value_or t victim ~default:0 in
   let s = bucket_pop_tail t victim v in
+  count_out t v;
   Array.unsafe_set t.qlen victim (Array.unsafe_get t.qlen victim - 1);
   Array.unsafe_set t.qsum victim (Array.unsafe_get t.qsum victim - v);
   t.occupancy <- t.occupancy - 1;
@@ -362,6 +350,7 @@ let transmit_phase t ~on_transmit =
     while !sent < budget && Array.unsafe_get t.qlen i > 0 do
       let v = port_max_value_or t i ~default:0 in
       let s = bucket_pop_head t i v in
+      count_out t v;
       Array.unsafe_set t.qlen i (Array.unsafe_get t.qlen i - 1);
       Array.unsafe_set t.qsum i (Array.unsafe_get t.qsum i - v);
       t.occupancy <- t.occupancy - 1;
@@ -406,6 +395,8 @@ let flush t =
     t.qsum.(i) <- 0
   done;
   Array.fill t.occ 0 (Array.length t.occ) 0;
+  Array.fill t.vcount 0 (t.k + 1) 0;
+  Array.fill t.vocc 0 t.wpp 0;
   t.occupancy <- t.occupancy - !dropped;
   (* A real check, not [assert]: release builds compiled with [-noassert]
      must refuse to continue from a corrupted occupancy count too. *)
@@ -464,5 +455,19 @@ let check_invariants t =
     if seen.(s) then invalid_arg "Value_switch: free slot also queued";
     seen.(s) <- true
   done;
-  Agg_index.check t.min_index;
+  (* Recount the (validated) buckets value by value, allocating nothing. *)
+  for v = 1 to t.k do
+    let c = ref 0 in
+    for i = 0 to t.n - 1 do
+      let s = ref t.bhead.((i * t.k) + (v - 1)) in
+      while !s <> -1 do
+        incr c;
+        s := Int_col.get t.nxt !s
+      done
+    done;
+    if !c <> t.vcount.(v) then
+      invalid_arg "Value_switch: value histogram out of sync with buckets";
+    if t.vocc.(v / 63) land (1 lsl (v mod 63)) <> 0 <> (!c > 0) then
+      invalid_arg "Value_switch: value bitset out of sync with histogram"
+  done;
   List.iter (fun (_, idx) -> Agg_index.check idx) t.indexes

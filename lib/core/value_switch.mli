@@ -7,7 +7,8 @@
 
     The state is a struct-of-arrays slab of unboxed int columns with
     intrusive per-(port, value) bucket lists and per-port occupancy bitsets
-    (63 value levels per word), so per-port minima/maxima cost O(k/63).
+    (63 value levels per word), so per-port minima/maxima cost O(k/63), as
+    does the buffer minimum off a buffer-wide per-value count.
     Within a value bucket, push-out takes the youngest packet and
     transmission the oldest.  A warmed switch runs the whole
     accept/push-out/transmit cycle without allocating; tests and analyses
@@ -69,16 +70,8 @@ val queue_min_value_or : t -> int -> default:int -> int
 
 val min_value_or : t -> default:int -> int
 (** Smallest value currently admitted anywhere in the buffer; [default]
-    when the buffer is empty.  O(1): read off the switch's incremental
-    minimum tracker rather than rescanned.  The MRD drop gate. *)
-
-val min_value_port : t -> int
-(** The port whose queue holds the buffer-wide minimum value, [-1] when the
-    buffer is empty; among several, the longest such queue (the paper's MVD
-    tie-break), then the smallest port index.  Port and value come from one
-    tracker, so [min_value_port t] always names a queue whose minimum is
-    [min_value_or t] — the tie choice is pinned and cannot drift from
-    {!min_value_or}.  O(1). *)
+    when the buffer is empty.  O(k/63): the lowest set bit of the bitset
+    over a buffer-wide per-value count.  The MRD and RAND drop gate. *)
 
 val find_index : t -> key:string -> (n:int -> Agg_index.t) -> Agg_index.t
 (** The victim-selection index registered under [key]; see

@@ -154,6 +154,33 @@ let rsv_policy ~reserve () =
 
 let min_of sw j = Value_switch.queue_min_value_or sw j ~default:max_int
 
+(* The smallest value anywhere in the buffer, [max_int] when it is empty:
+   the minimum over ports of [min_of]. *)
+let buffer_min sw =
+  let m = ref max_int in
+  for j = 0 to Value_switch.n sw - 1 do
+    m := min !m (min_of sw j)
+  done;
+  !m
+
+(* argmin over non-empty queues of (min value, -length, index), replacing
+   only on a strictly better key: the port holding the buffer minimum, the
+   longest such queue, then the smallest index; -1 when the buffer is
+   empty. *)
+let min_value_port sw =
+  let best = ref (-1) and best_min = ref max_int and best_len = ref 0 in
+  for j = 0 to Value_switch.n sw - 1 do
+    let len = Value_switch.queue_length sw j in
+    let v = min_of sw j in
+    if len > 0 && (v < !best_min || (v = !best_min && len > !best_len))
+    then begin
+      best := j;
+      best_min := v;
+      best_len := len
+    end
+  done;
+  !best
+
 (* argmax over queues of (virtual length, -min value, index). *)
 let vlqd sw ~dest =
   let best = ref 0 and best_len = ref min_int and best_min = ref min_int in
@@ -233,7 +260,7 @@ let mvd_policy ~protect_last () =
 
 let mrd_policy ~protect_last () =
   value_policy "MRD" (fun sw ~dest:_ ~value ->
-      if Value_switch.min_value_or sw ~default:max_int <= value then
+      if buffer_min sw <= value then
         match mrd ~protect_last sw with
         | Some victim -> Decision.push_out victim
         | None -> Decision.drop

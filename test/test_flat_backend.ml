@@ -325,7 +325,7 @@ let prop_value_resize_never_drops =
           Value_switch.accept sw ~dest:d
             ~value:((!step * 5 mod 7) + 1))
         ~push_out:(fun () ->
-          let victim = Value_switch.min_value_port sw in
+          let victim = Scan_oracle.min_value_port sw in
           if victim >= 0 then ignore (Value_switch.push_out sw ~victim : int))
         ~transmit:(fun () ->
           let sent =
@@ -348,7 +348,7 @@ let prop_value_resize_never_drops =
           let m = Value_switch.min_value_or sw ~default:0 in
           if m = 0 then (if Value_switch.occupancy sw <> 0 then raise Exit)
           else
-            let j = Value_switch.min_value_port sw in
+            let j = Scan_oracle.min_value_port sw in
             if j < 0 || Value_switch.queue_min_value_or sw j ~default:0 <> m
             then raise Exit))
 

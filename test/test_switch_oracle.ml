@@ -210,7 +210,7 @@ let prop_value_switch_matches_oracle =
     ~count:200
     QCheck2.Gen.(
       let* n = int_range 1 4 in
-      let* k = int_range 1 6 in
+      let* k = Qc.value_levels in
       let* buffer = int_range 1 6 in
       let* speedup = int_range 1 3 in
       let* ops =

@@ -22,7 +22,7 @@ let test_min_value_views () =
   ignore (Value_switch.accept sw ~dest:1 ~value:2);
   ignore (Value_switch.accept sw ~dest:2 ~value:7);
   Alcotest.(check int) "min" 2 (Value_switch.min_value_or sw ~default:0);
-  Alcotest.(check int) "min port" 1 (Value_switch.min_value_port sw)
+  Alcotest.(check int) "min port" 1 (Scan_oracle.min_value_port sw)
 
 let test_min_value_port_tie_breaks_longest () =
   let sw = Value_switch.create (config ~buffer:6 ()) in
@@ -30,7 +30,26 @@ let test_min_value_port_tie_breaks_longest () =
   ignore (Value_switch.accept sw ~dest:0 ~value:1);
   ignore (Value_switch.accept sw ~dest:2 ~value:1);
   ignore (Value_switch.accept sw ~dest:2 ~value:4);
-  Alcotest.(check int) "longest min queue" 2 (Value_switch.min_value_port sw)
+  Alcotest.(check int) "longest min queue" 2 (Scan_oracle.min_value_port sw)
+
+(* Value 63 is bit 0 of the second bitset word: the buffer minimum must be
+   read across the word boundary, and back in word 0 for value 62. *)
+let test_min_value_second_word () =
+  let sw = Value_switch.create (config ~ports:2 ~max_value:64 ~buffer:4 ()) in
+  Value_switch.accept sw ~dest:0 ~value:64;
+  Value_switch.accept sw ~dest:1 ~value:63;
+  Value_switch.accept sw ~dest:1 ~value:64;
+  let low () = Value_switch.min_value_or sw ~default:0 in
+  Alcotest.(check int) "word 1, bit 0" 63 (low ());
+  Value_switch.check_invariants sw;
+  Alcotest.(check int) "evicted" 63 (Value_switch.push_out sw ~victim:1);
+  Alcotest.(check int) "next level" 64 (low ());
+  Value_switch.accept sw ~dest:0 ~value:62;
+  Alcotest.(check int) "word 0, bit 62" 62 (low ());
+  Value_switch.check_invariants sw;
+  ignore (Value_switch.flush sw : int);
+  Alcotest.(check int) "empty" 0 (low ());
+  Value_switch.check_invariants sw
 
 let test_push_out_takes_min () =
   let sw = Value_switch.create (config ~buffer:4 ()) in
@@ -81,11 +100,71 @@ let prop_occupancy_bounded =
       List.iter
         (fun (dest, value) ->
           if Value_switch.is_full sw then
-            ignore (Value_switch.push_out sw ~victim:(Value_switch.min_value_port sw) : int);
+            ignore
+              (Value_switch.push_out sw ~victim:(Scan_oracle.min_value_port sw)
+                : int);
           ignore (Value_switch.accept sw ~dest ~value);
           Value_switch.check_invariants sw)
         arrivals;
       Value_switch.occupancy sw <= 3)
+
+(* The buffer-wide histogram against a scan: after every accept, push-out,
+   transmission, flush and resize, [min_value_or] is the minimum over ports
+   of [queue_min_value_or], and [check_invariants] audits the counts and
+   the level bitset against the buckets. *)
+let prop_min_value_matches_port_scan =
+  QCheck2.Test.make ~name:"min_value_or = minimum of the per-port minima"
+    ~count:300
+    QCheck2.Gen.(
+      let* ports = int_range 1 4 in
+      let* k = Qc.value_levels in
+      let* buffer = int_range 1 8 in
+      let* speedup = int_range 1 2 in
+      let* ops =
+        list_size (int_range 1 60)
+          (frequency
+             [
+               ( 4,
+                 map2
+                   (fun d v -> `Accept (d, v))
+                   (int_range 0 (ports - 1))
+                   (int_range 1 k) );
+               (1, map (fun d -> `Push_out d) (int_range 0 (ports - 1)));
+               (1, pure `Transmit);
+               (1, map (fun b -> `Set_buffer b) (int_range 1 12));
+               (1, pure `Flush);
+             ])
+      in
+      pure (ports, k, buffer, speedup, ops))
+    (fun (ports, k, buffer, speedup, ops) ->
+      let sw =
+        Value_switch.create (config ~ports ~max_value:k ~buffer ~speedup ())
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Accept (dest, value) ->
+            if not (Value_switch.is_full sw) then
+              Value_switch.accept sw ~dest ~value
+          | `Push_out victim ->
+            if Value_switch.queue_length sw victim > 0 then
+              ignore (Value_switch.push_out sw ~victim : int)
+          | `Transmit ->
+            ignore
+              (Value_switch.transmit_phase sw
+                 ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ()))
+          | `Set_buffer b ->
+            Value_switch.set_buffer sw (max b (Value_switch.occupancy sw))
+          | `Flush -> ignore (Value_switch.flush sw : int));
+          Value_switch.check_invariants sw;
+          let scan = ref max_int in
+          for j = 0 to ports - 1 do
+            scan :=
+              min !scan (Value_switch.queue_min_value_or sw j ~default:max_int)
+          done;
+          let expected = if !scan = max_int then 0 else !scan in
+          Value_switch.min_value_or sw ~default:0 = expected)
+        ops)
 
 let suite =
   [
@@ -93,10 +172,13 @@ let suite =
     Alcotest.test_case "min-value views" `Quick test_min_value_views;
     Alcotest.test_case "min port tie-break" `Quick
       test_min_value_port_tie_breaks_longest;
+    Alcotest.test_case "min value in the second bitset word" `Quick
+      test_min_value_second_word;
     Alcotest.test_case "push_out takes min" `Quick test_push_out_takes_min;
     Alcotest.test_case "transmit max first" `Quick
       test_transmit_phase_max_first;
     Alcotest.test_case "transmit with speedup" `Quick test_transmit_speedup;
     Alcotest.test_case "flush and invariants" `Quick test_flush_and_invariants;
     Qc.to_alcotest prop_occupancy_bounded;
+    Qc.to_alcotest prop_min_value_matches_port_scan;
   ]

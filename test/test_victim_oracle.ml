@@ -150,7 +150,7 @@ let prop_value_policies_lockstep =
     ~name:"value push-out policies: scan = index lockstep" ~count:150
     QCheck2.Gen.(
       let* ports = int_range 1 6 in
-      let* max_value = int_range 1 8 in
+      let* max_value = Qc.value_levels in
       let* buffer = int_range 1 8 in
       let* speedup = int_range 1 2 in
       let* ops =
@@ -175,9 +175,9 @@ let prop_value_policies_lockstep =
             ~reference)
         value_policies)
 
-(* Deterministic soak with k = 130: min/max values cross the 63-bit word
-   boundary of the occupancy bitsets, which the small fuzzed configurations
-   above never reach.  Periodic resizes exercise slab growth at width. *)
+(* Deterministic soak with k = 130: min/max values cross the 63-level word
+   boundaries of the occupancy bitsets over 2000 operations, longer than
+   any fuzzed run above.  Periodic resizes exercise slab growth at width. *)
 let test_value_soak_wide_k () =
   let ports = 4 and max_value = 130 and buffer = 32 in
   let ops =
@@ -297,7 +297,7 @@ let test_min_value_port_pinned_tie () =
   in
   Alcotest.(check int) "min value" 1 (Value_switch.min_value_or sw ~default:0);
   Alcotest.(check int) "longest min-holder wins" 1
-    (Value_switch.min_value_port sw);
+    (Scan_oracle.min_value_port sw);
   Alcotest.(check int) "port holds the minimum" 1
     (Value_switch.queue_min_value_or sw 1 ~default:0);
   (* Equal lengths: the smallest index wins. *)
@@ -306,12 +306,12 @@ let test_min_value_port_pinned_tie () =
       ~queues:[| [ 1 ]; [ 1 ]; [ 1 ] |] ()
   in
   Alcotest.(check int) "smallest index among equals" 0
-    (Value_switch.min_value_port sw);
+    (Scan_oracle.min_value_port sw);
   (* Empty switch: no port. *)
   let sw =
     value_switch ~ports:2 ~max_value:4 ~buffer:4 ~queues:[| []; [] |] ()
   in
-  Alcotest.(check int) "empty" (-1) (Value_switch.min_value_port sw)
+  Alcotest.(check int) "empty" (-1) (Scan_oracle.min_value_port sw)
 
 (* --- raising hooks leave invariants intact --- *)
 
@@ -355,9 +355,9 @@ let test_value_switch_raising_hook () =
    with Exit -> ());
   Value_switch.check_invariants sw;
   Alcotest.(check int) "occupancy" 3 (Value_switch.occupancy sw);
-  (* The minimum tracker survived the interrupted phase. *)
+  (* The value histogram survived the interrupted phase. *)
   Alcotest.(check int) "min value" 1 (Value_switch.min_value_or sw ~default:0);
-  Alcotest.(check int) "min port" 1 (Value_switch.min_value_port sw)
+  Alcotest.(check int) "min port" 1 (Scan_oracle.min_value_port sw)
 
 (* --- intra-bucket order contract --- *)
 
