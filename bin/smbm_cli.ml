@@ -162,11 +162,6 @@ let progress_term =
     value & flag
     & info [ "progress" ] ~doc:"Print a progress line to stderr.")
 
-let model_name = function
-  | Sweep.Proc -> "proc"
-  | Sweep.Value_uniform -> "value-uniform"
-  | Sweep.Value_port -> "value-port"
-
 let write_events path events =
   let sink = Smbm_obs.Sink.file path in
   List.iter (Smbm_obs.Sink.event sink) events;
@@ -303,28 +298,11 @@ let load_arrival_trace path =
 
 let run_trace common model action path =
   let mmpp = { Smbm_traffic.Scenario.default_mmpp with sources = common.sources } in
+  let model = Sweep.to_model model (base_of common) in
   match action with
   | "record" ->
     let workload =
-      match model with
-      | Sweep.Proc ->
-        let config =
-          Proc_config.contiguous ~k:common.k ~buffer:common.buffer
-            ~speedup:common.speedup ()
-        in
-        Smbm_traffic.Scenario.proc_workload ~mmpp ~config ~load:common.load
-          ~seed:common.seed ()
-      | Sweep.Value_uniform | Sweep.Value_port ->
-        let config =
-          Value_config.make ~ports:common.k ~max_value:common.k
-            ~buffer:common.buffer ~speedup:common.speedup ()
-        in
-        if model = Sweep.Value_port then
-          Smbm_traffic.Scenario.value_port_workload ~mmpp ~config
-            ~load:common.load ~seed:common.seed ()
-        else
-          Smbm_traffic.Scenario.value_uniform_workload ~mmpp ~config
-            ~load:common.load ~seed:common.seed ()
+      Model.workload ~mmpp model ~load:common.load ~seed:common.seed
     in
     let trace =
       Smbm_traffic.Trace.Compact.of_workload workload ~slots:common.slots
@@ -340,11 +318,7 @@ let run_trace common model action path =
     let trace = load_arrival_trace path in
     let stats = Smbm_traffic.Trace_stats.analyze trace in
     Format.printf "%a@." Smbm_traffic.Trace_stats.pp stats;
-    let config =
-      Proc_config.contiguous ~k:common.k ~buffer:common.buffer
-        ~speedup:common.speedup ()
-    in
-    (match Smbm_traffic.Trace_stats.offered_load config trace with
+    (match Model.offered_load model trace with
     | load -> Format.printf "offered load vs k=%d switch: %.3f@." common.k load
     | exception Invalid_argument _ -> ());
     Format.printf "per-port packets:@.";
@@ -372,8 +346,8 @@ let trace_cmd =
 
 let run_simulate common model heavy_tail timeseries trace trace_cap
     metrics_out progress policy_name =
-  let base = base_of common in
   let mmpp = { Smbm_traffic.Scenario.default_mmpp with sources = common.sources } in
+  let model = Sweep.to_model model (base_of common) in
   let params =
     {
       Experiment.slots = common.slots;
@@ -386,47 +360,19 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
     | None -> None
     | Some _ -> Some (Smbm_obs.Flight.create ~cap:trace_cap ())
   in
-  let inst, workload =
-    match model with
-    | Sweep.Proc ->
-      let config =
-        Proc_config.contiguous ~k:common.k ~buffer:common.buffer
-          ~speedup:common.speedup ()
-      in
-      let policy =
-        match Policies.proc_find config policy_name with
-        | Some p -> p
-        | None -> die "unknown processing policy: %s" policy_name
-      in
-      let workload =
-        if heavy_tail then
-          Smbm_traffic.Scenario.proc_heavy_tail_workload ~mmpp ~config
-            ~load:common.load ~seed:common.seed ()
-        else
-          Smbm_traffic.Scenario.proc_workload ~mmpp ~config ~load:common.load
-            ~seed:common.seed ()
-      in
-      (Engine.Proc.instance ?events config policy, workload)
-    | Sweep.Value_uniform | Sweep.Value_port ->
-      let config =
-        Value_config.make ~ports:common.k ~max_value:common.k
-          ~buffer:common.buffer ~speedup:common.speedup ()
-      in
-      let port_value = Smbm_traffic.Scenario.port_values config in
-      let policy =
-        match Policies.value_find ~port_value config policy_name with
-        | Some p -> p
-        | None -> die "unknown value policy: %s" policy_name
-      in
-      let workload =
-        if model = Sweep.Value_port then
-          Smbm_traffic.Scenario.value_port_workload ~mmpp ~config
-            ~load:common.load ~seed:common.seed ()
-        else
-          Smbm_traffic.Scenario.value_uniform_workload ~mmpp ~config
-            ~load:common.load ~seed:common.seed ()
-      in
-      (Engine.Value.instance ?events config policy, workload)
+  let inst =
+    match Model.instance ?events model policy_name with
+    | Some inst -> inst
+    | None -> die "unknown %s policy: %s" (Model.name model) policy_name
+  in
+  let workload =
+    match (heavy_tail, model) with
+    | false, _ ->
+      Model.workload ~mmpp model ~load:common.load ~seed:common.seed
+    | true, Model.Proc config ->
+      Smbm_traffic.Scenario.proc_heavy_tail_workload ~mmpp ~config
+        ~load:common.load ~seed:common.seed ()
+    | true, _ -> die "--heavy-tail needs --model proc, not %s" (Model.name model)
   in
   let inst, series =
     match timeseries with
@@ -465,7 +411,7 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
   | None -> ()
   | Some path ->
     let labels =
-      [ ("policy", inst.Instance.name); ("model", model_name model) ]
+      [ ("policy", inst.Instance.name); ("model", Model.name model) ]
     in
     let sink = Smbm_obs.Sink.file path in
     List.iter (Smbm_obs.Sink.line sink)
@@ -480,7 +426,6 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
     Printf.printf "wrote time series to %s (%d samples)\n" path
       (Timeseries.samples ts)
   | _ -> ());
-  ignore (base : Sweep.base);
   let m = inst.Instance.metrics in
   Format.printf "%s over %d slots:@.  %a@." inst.Instance.name common.slots
     Metrics.pp m;
@@ -495,8 +440,7 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
   match inst.Instance.ports with
   | Some ports ->
     Format.printf "  fairness: jain %.3f, starved ports %d / %d@."
-      (Port_stats.jain_index ports
-         ~objective:(Sweep.objective model))
+      (Port_stats.jain_index ports ~objective:(Model.objective model))
       (Port_stats.starved_ports ports)
       (Port_stats.n ports)
   | None -> ()
@@ -511,7 +455,7 @@ let simulate_cmd =
     Arg.(
       value & flag
       & info [ "heavy-tail" ]
-          ~doc:"Pareto-batch bursts instead of Poisson emissions (processing model only).")
+          ~doc:"Pareto-batch bursts instead of Poisson emissions (processing model only; any other model exits 1).")
   in
   let timeseries =
     Arg.(
@@ -1396,16 +1340,10 @@ let run_certify common opponent_name =
     Proc_config.contiguous ~k:common.k ~buffer:common.buffer ()
   in
   let opponent =
-    match String.lowercase_ascii opponent_name with
-    | "greedy" ->
-      Policy.make ~name:"greedy" ~push_out:false
-        (fun sw ~dest:_ ~value:_ ->
-          if Proc_switch.is_full sw then Decision.drop else Decision.accept)
-    | name -> (
-      match Policies.proc_find config name with
-      | Some (p : Proc_switch.t Policy.t) when not p.push_out -> p
-      | Some _ -> die "%s pushes out; Theorem 7 opponents may not" name
-      | None -> die "unknown opponent policy: %s" name)
+    match Policies.proc_find config opponent_name with
+    | Some (p : Proc_switch.t Policy.t) when not p.push_out -> p
+    | Some _ -> die "%s pushes out; Theorem 7 opponents may not" opponent_name
+    | None -> die "unknown opponent policy: %s" opponent_name
   in
   let mmpp = { Smbm_traffic.Scenario.default_mmpp with sources = common.sources } in
   let workload =
@@ -1630,20 +1568,12 @@ let bench_diff_cmd =
 
 (* ----- serve / loadgen ----- *)
 
-let serve_model common model =
-  match model with
-  | Sweep.Proc ->
-    Smbm_serve.Model.Proc
-      (Proc_config.contiguous ~k:common.k ~buffer:common.buffer
-         ~speedup:common.speedup ())
-  | Sweep.Value_uniform ->
-    Smbm_serve.Model.Value_uniform
-      (Value_config.make ~ports:common.k ~max_value:common.k
-         ~buffer:common.buffer ~speedup:common.speedup ())
-  | Sweep.Value_port ->
-    Smbm_serve.Model.Value_port
-      (Value_config.make ~ports:common.k ~max_value:common.k
-         ~buffer:common.buffer ~speedup:common.speedup ())
+(* Worker domains stepping the MMPP bank's shards, if any are worth it. *)
+let shard_pool common shards =
+  let jobs = jobs_of common.jobs in
+  if shards > 1 && jobs > 0 then
+    Some (Smbm_par.Pool.create ~jobs:(min jobs shards) ())
+  else None
 
 let parse_at spec =
   let bad () =
@@ -1687,16 +1617,12 @@ let close_sink sink =
 let run_serve common model policy_name ingest_trace ring backpressure duration
     rate shards ats metrics_out metrics_every (trace, flight_cap) max_p99
     stats_sock stats_every stats_window postmortem =
+  let model = Sweep.to_model model (base_of common) in
   let mmpp =
     { Smbm_traffic.Scenario.default_mmpp with sources = common.sources }
   in
   let controls = List.map parse_at ats in
-  let jobs = jobs_of common.jobs in
-  let pool =
-    if shards > 1 && jobs > 0 then
-      Some (Smbm_par.Pool.create ~jobs:(min jobs shards) ())
-    else None
-  in
+  let pool = shard_pool common shards in
   let ingest =
     match ingest_trace with
     | Some path ->
@@ -1704,7 +1630,7 @@ let run_serve common model policy_name ingest_trace ring backpressure duration
     | None ->
       Smbm_serve.Daemon.Bank
         (Smbm_serve.Mmpp_bank.create ~mmpp ?pool ~shards
-           (serve_model common model) ~load:common.load ~seed:common.seed ())
+           model ~load:common.load ~seed:common.seed ())
   in
   let event_sink = Option.map open_sink trace in
   let metrics_sink = Option.map open_sink metrics_out in
@@ -1717,7 +1643,7 @@ let run_serve common model policy_name ingest_trace ring backpressure duration
         ?duration:(if duration > 0. then Some duration else None)
         ?rate:(if rate > 0. then Some rate else None)
         ?stats_sock ~stats_every ~stats_window ~p99_budget_us:max_p99
-        ~flight_cap ?postmortem ~model:(serve_model common model)
+        ~flight_cap ?postmortem ~model
         ~policy:policy_name ~ingest ()
     with
     | report -> report
@@ -1919,18 +1845,14 @@ let serve_cmd =
       $ postmortem)
 
 let run_loadgen common model policy_name ring duration shards =
+  let model = Sweep.to_model model (base_of common) in
   let mmpp =
     { Smbm_traffic.Scenario.default_mmpp with sources = common.sources }
   in
-  let jobs = jobs_of common.jobs in
-  let pool =
-    if shards > 1 && jobs > 0 then
-      Some (Smbm_par.Pool.create ~jobs:(min jobs shards) ())
-    else None
-  in
+  let pool = shard_pool common shards in
   let bank =
-    Smbm_serve.Mmpp_bank.create ~mmpp ?pool ~shards (serve_model common model)
-      ~load:common.load ~seed:common.seed ()
+    Smbm_serve.Mmpp_bank.create ~mmpp ?pool ~shards model ~load:common.load
+      ~seed:common.seed ()
   in
   let rate_txt =
     match Smbm_serve.Mmpp_bank.mean_rate bank with
@@ -1946,7 +1868,7 @@ let run_loadgen common model policy_name ring duration shards =
     Smbm_serve.Daemon.run ~ring_capacity:ring ~backpressure:Block
       ?flush_every:(if common.flush > 0 then Some common.flush else None)
       ~duration
-      ~model:(serve_model common model) ~policy:policy_name
+      ~model ~policy:policy_name
       ~ingest:(Smbm_serve.Daemon.Bank bank) ()
   in
   Option.iter Smbm_par.Pool.shutdown pool;

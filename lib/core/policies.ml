@@ -22,24 +22,21 @@ let proc_extended config =
       P_rand.make config;
     ]
 
-let proc_find config name = Policy.find name (proc_extended config)
-
 let hybrid_greedy =
   Policy.make ~name:"Greedy" ~push_out:false (fun sw ~dest:_ ~value:_ ->
       if Proc_switch.is_full sw then Decision.drop else Decision.accept)
 
-let hybrid config =
-  [
-    hybrid_greedy;
-    P_nest.make config;
-    P_lqd.make config;
-    P_lwd.make config;
-    P_mvd.make config;
-    P_wvd.make config;
-    P_dpk.make config;
-  ]
+let value_aware config =
+  [ P_mvd.make config; P_wvd.make config; P_dpk.make config ]
 
-let hybrid_find config name = Policy.find name (hybrid config)
+let hybrid config =
+  hybrid_greedy
+  :: [ P_nest.make config; P_lqd.make config; P_lwd.make config ]
+  @ value_aware config
+
+let proc_find config name =
+  Policy.find name
+    (proc_extended config @ (hybrid_greedy :: value_aware config))
 
 let value_uniform config =
   [
@@ -59,8 +56,9 @@ let value_extended config =
   @ [ V_mrd.make ~protect_last:true config; P_rand.make_value config ]
 
 let value_find ?port_value config name =
-  Policy.find name
-    ((match port_value with
-     | Some port_value -> value_port ~port_value config
-     | None -> value_uniform config)
-    @ value_extended config)
+  let nhst =
+    match port_value with
+    | Some port_value -> [ V_nhst.make ~port_value config ]
+    | None -> []
+  in
+  Policy.find name (value_extended config @ nhst)

@@ -9,17 +9,15 @@ val proc_extended : Proc_config.t -> Proc_switch.t Policy.t list
     LWD with alternative tie-breaking, sharing-with-reservation at half the
     partition share, and a random-eviction baseline. *)
 
-val proc_find : Proc_config.t -> string -> Proc_switch.t Policy.t option
-(** Case-insensitive lookup by name (searches the extended set). *)
-
 val hybrid : Proc_config.t -> Proc_switch.t Policy.t list
 (** Policies for the combined work + value model (a processing
     configuration with [max_value > 1]): Greedy (accept while there is
     space), and the value-blind NEST, LQD and LWD of Section III, then the
     value-aware tail-MVD ({!P_mvd}), WVD ({!P_wvd}) and DPK ({!P_dpk}). *)
 
-val hybrid_find : Proc_config.t -> string -> Proc_switch.t Policy.t option
-(** Case-insensitive lookup by name in {!hybrid}. *)
+val proc_find : Proc_config.t -> string -> Proc_switch.t Policy.t option
+(** Case-insensitive lookup by name in {!proc_extended} and {!hybrid}: the
+    one lookup for the processing switch, whatever its [max_value]. *)
 
 val value_uniform : Value_config.t -> Value_switch.t Policy.t list
 (** Value-model policies applicable when values are arbitrary per packet
@@ -39,3 +37,6 @@ val value_find :
   Value_config.t ->
   string ->
   Value_switch.t Policy.t option
+(** Case-insensitive lookup by name in {!value_extended}, and in
+    {!value_port} when [port_value] is given: the one lookup for the value
+    switch. *)

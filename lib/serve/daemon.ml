@@ -100,7 +100,7 @@ type engine = {
   set_buffer : int -> int;  (* clamped to occupancy; returns applied B *)
   policy_name : unit -> string;  (* current (post-reconfiguration) name *)
   buffer_size : unit -> int;  (* current live B *)
-  model_name : string;  (* "proc" or "value", for postmortem meta *)
+  switch_kind : string;  (* "proc" or "value", for postmortem meta *)
   n_ports : int;
   queue_length : int -> int;  (* live per-port occupancy *)
 }
@@ -108,17 +108,7 @@ type engine = {
 (* A recorded trace is input: reject, before slot 0, any arrival the model
    cannot accept, instead of letting the switch raise mid-run. *)
 let check_trace model trace =
-  let ports, max_value =
-    match model with
-    | Model.Proc config ->
-      (* A unit-priced engine stores every packet at 1, so any recorded
-         value replays. *)
-      ( Proc_config.n config,
-        if Proc_config.unit_priced config then max_int
-        else config.Proc_config.max_value )
-    | Model.Value_uniform config | Model.Value_port config ->
-      (Value_config.n config, config.Value_config.max_value)
-  in
+  let ports = Model.ports model and max_value = Model.max_trace_value model in
   let slot = ref 0 in
   let reject fmt =
     Printf.ksprintf
@@ -137,17 +127,16 @@ let check_trace model trace =
     Trace.Compact.iter_slot trace i ~f:check
   done
 
-(* The controlled engine, once for both models.  [find cfg name] is the
-   model's policy lookup; [live_config sw] rebuilds its configuration
-   against the switch's live buffer, because threshold policies capture B
-   at construction: a swap or resize always rebuilds against it, never the
-   boot-time config. *)
+(* The controlled engine, once for both models.  [find] is the model's
+   policy lookup; threshold policies capture B at construction, so a swap
+   or resize always looks up against the model at the switch's live
+   buffer, never the boot-time config. *)
 let controlled (type sw cfg)
     (module E : Engine.S with type Switch.t = sw and type Switch.config = cfg)
-    ?events ~kind ~model_name ~(find : cfg -> string -> sw Policy.t option)
-    ~(live_config : sw -> cfg) (config : cfg) policy_name =
+    ?events ~kind ~switch_kind ~(find : Model.t -> string -> sw Policy.t option)
+    model (config : cfg) policy_name =
   let policy =
-    match find config policy_name with
+    match find model policy_name with
     | Some p -> p
     | None ->
       invalid_arg
@@ -156,8 +145,11 @@ let controlled (type sw cfg)
   let policy_ref = ref policy in
   let inst, sw = E.create_controlled ~name:"serve" ?events config policy_ref in
   let current = ref policy_name in
+  let live_find name =
+    find (Model.with_buffer model (E.Switch.buffer sw)) name
+  in
   let set_policy name =
-    match find (live_config sw) name with
+    match live_find name with
     | Some p ->
       policy_ref := p;
       current := name;
@@ -167,7 +159,7 @@ let controlled (type sw cfg)
   let set_buffer b =
     let applied = max b (E.Switch.occupancy sw) in
     E.Switch.set_buffer sw applied;
-    (match find (live_config sw) !current with
+    (match live_find !current with
     | Some p -> policy_ref := p
     | None -> ());
     applied
@@ -178,7 +170,7 @@ let controlled (type sw cfg)
     set_buffer;
     policy_name = (fun () -> !current);
     buffer_size = (fun () -> E.Switch.buffer sw);
-    model_name;
+    switch_kind;
     n_ports = E.Switch.n sw;
     queue_length = E.Switch.queue_length sw;
   }
@@ -186,30 +178,11 @@ let controlled (type sw cfg)
 let make_engine ?events model policy_name =
   match model with
   | Model.Proc config ->
-    let live_config sw =
-      Proc_config.make
-        ~works:(Array.copy config.Proc_config.works)
-        ~buffer:(Proc_switch.buffer sw) ~speedup:config.Proc_config.speedup
-        ~max_value:config.Proc_config.max_value ()
-    in
     controlled (module Engine.Proc) ?events ~kind:"processing"
-      ~model_name:"proc" ~find:Policies.proc_find ~live_config config
-      policy_name
+      ~switch_kind:"proc" ~find:Model.proc_policy model config policy_name
   | Model.Value_uniform config | Model.Value_port config ->
-    let port_value =
-      match model with
-      | Model.Value_port _ -> Some (Scenario.port_values config)
-      | _ -> None
-    in
-    let live_config sw =
-      Value_config.make ~ports:config.Value_config.ports
-        ~max_value:config.Value_config.max_value
-        ~buffer:(Value_switch.buffer sw) ~speedup:config.Value_config.speedup
-        ()
-    in
-    controlled (module Engine.Value) ?events ~kind:"value" ~model_name:"value"
-      ~find:(Policies.value_find ?port_value)
-      ~live_config config policy_name
+    controlled (module Engine.Value) ?events ~kind:"value" ~switch_kind:"value"
+      ~find:Model.value_policy model config policy_name
 
 (* Instruments that exist only when telemetry is on: their absence keeps a
    plain run's server registry (and its JSONL) identical to before. *)
@@ -378,7 +351,7 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
           Postmortem.reason;
           detail;
           slot = !slot;
-          model = engine.model_name;
+          model = engine.switch_kind;
           src = inst.Instance.name;
           policy = engine.policy_name ();
           buffer = engine.buffer_size ();

@@ -109,7 +109,7 @@ val run :
   ?events:Smbm_obs.Flight.t ->
   ?flight_cap:int ->
   ?postmortem:string ->
-  model:Model.t ->
+  model:Smbm_sim.Model.t ->
   policy:string ->
   ingest:ingest ->
   unit ->

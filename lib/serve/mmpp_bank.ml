@@ -26,16 +26,7 @@ let create ?(mmpp = Scenario.default_mmpp) ?pool ?(shards = 1) model ~load
     let shard_load = load *. float_of_int sources /. total in
     let seed = shard_seed seed i in
     let workload =
-      match model with
-      | Model.Proc config ->
-        Scenario.proc_workload ~mmpp:shard_mmpp ~config ~load:shard_load ~seed
-          ()
-      | Model.Value_uniform config ->
-        Scenario.value_uniform_workload ~mmpp:shard_mmpp ~config
-          ~load:shard_load ~seed ()
-      | Model.Value_port config ->
-        Scenario.value_port_workload ~mmpp:shard_mmpp ~config ~load:shard_load
-          ~seed ()
+      Smbm_sim.Model.workload ~mmpp:shard_mmpp model ~load:shard_load ~seed
     in
     { workload; batch = Arrival_batch.create () }
   in

@@ -25,7 +25,7 @@ val create :
   ?mmpp:Smbm_traffic.Scenario.mmpp_params ->
   ?pool:Smbm_par.Pool.t ->
   ?shards:int ->
-  Model.t ->
+  Smbm_sim.Model.t ->
   load:float ->
   seed:int ->
   unit ->

@@ -48,10 +48,6 @@ let panel number =
 type point = { x : int; ratios : (string * float) list }
 type outcome = { panel : panel; points : point list }
 
-let objective = function
-  | Proc -> `Packets
-  | Value_uniform | Value_port -> `Value
-
 (* Effective parameters at sweep value [x]. *)
 let apply_axis base axis x =
   match axis with
@@ -59,62 +55,36 @@ let apply_axis base axis x =
   | B -> { base with buffer = x }
   | C -> { base with speedup = x }
 
-let proc_setup ?events ~reference base =
-  let config =
-    Proc_config.contiguous ~k:base.k ~buffer:base.buffer ~speedup:base.speedup
-      ()
-  in
-  let workload =
-    Scenario.proc_workload ~mmpp:base.mmpp
-      ~reference:
-        (Proc_config.contiguous ~k:reference.k ~buffer:reference.buffer
-           ~speedup:reference.speedup ())
-      ~config ~load:base.load ~seed:base.seed ()
-  in
-  let instances =
-    Opt_ref.proc_instance ?events config
-    :: List.map (Engine.Proc.instance ?events config) (Policies.proc config)
-  in
-  (workload, instances)
+let params { slots; flush_every; _ } =
+  { Experiment.slots; flush_every; check_every = None }
 
-let value_setup ?events ~reference ~port_tied base =
-  let config =
-    Value_config.make ~ports:base.k ~max_value:base.k ~buffer:base.buffer
-      ~speedup:base.speedup ()
+(* The paper's configuration of a Fig. 5 row: n = k ports, the contiguous
+   works 1..k of the processing model, values 1..k of the value models. *)
+let to_model model b =
+  let value () =
+    Value_config.make ~ports:b.k ~max_value:b.k ~buffer:b.buffer
+      ~speedup:b.speedup ()
   in
-  let ref_config =
-    Value_config.make ~ports:reference.k ~max_value:reference.k
-      ~buffer:reference.buffer ~speedup:reference.speedup ()
-  in
-  let workload =
-    if port_tied then
-      Scenario.value_port_workload ~mmpp:base.mmpp ~reference:ref_config
-        ~config ~load:base.load ~seed:base.seed ()
-    else
-      Scenario.value_uniform_workload ~mmpp:base.mmpp ~reference:ref_config
-        ~config ~load:base.load ~seed:base.seed ()
-  in
-  let policies =
-    if port_tied then
-      Policies.value_port ~port_value:(Scenario.port_values config) config
-    else Policies.value_uniform config
-  in
-  let instances =
-    Opt_ref.value_instance ?events config
-    :: List.map (Engine.Value.instance ?events config) policies
-  in
-  (workload, instances)
+  match model with
+  | Proc ->
+    Model.Proc
+      (Proc_config.contiguous ~k:b.k ~buffer:b.buffer ~speedup:b.speedup ())
+  | Value_uniform -> Model.Value_uniform (value ())
+  | Value_port -> Model.Value_port (value ())
+
+let objective model = Model.objective (to_model model default_base)
 
 (* [reference] carries the sweep's base parameters: the workload intensity is
    derived from it, not from the swept configuration, so the absolute traffic
    stays constant along the sweep (the paper's setup: growing k or C means
    growing capacity under the same offered traffic). *)
 let setup ?reference ?events model base =
-  let reference = Option.value reference ~default:base in
-  match model with
-  | Proc -> proc_setup ?events ~reference base
-  | Value_uniform -> value_setup ?events ~reference ~port_tied:false base
-  | Value_port -> value_setup ?events ~reference ~port_tied:true base
+  let reference = to_model model (Option.value reference ~default:base) in
+  let m = to_model model base in
+  let workload =
+    Model.workload ~mmpp:base.mmpp ~reference m ~load:base.load ~seed:base.seed
+  in
+  (workload, Model.instances ?events m)
 
 (* ----- trace cache -----
 
@@ -129,29 +99,19 @@ let setup ?reference ?events model base =
    its key, so sharing one materialized trace per key is correct by
    construction (and pinned by tests against live generation). *)
 
-let effective base axis x = apply_axis base axis x
-
 let trace_key ~base ~model ~axis ~x =
-  let reference = base in
-  let e = effective base axis x in
-  let tag =
-    match model with
-    | Proc -> "proc"
-    | Value_uniform -> "value_uniform"
-    | Value_port -> "value_port"
-  in
-  Printf.sprintf "%s|slots=%d|seed=%d|load=%h|mmpp=%d,%h,%h|ref=%d,%d|k=%d" tag
+  let e = apply_axis base axis x in
+  Printf.sprintf "%s|slots=%d|seed=%d|load=%h|mmpp=%d,%h,%h|ref=%d,%d|k=%d"
+    (Model.name (to_model model e))
     e.slots e.seed e.load e.mmpp.Scenario.sources e.mmpp.Scenario.p_on_to_off
-    e.mmpp.Scenario.p_off_to_on reference.k reference.speedup e.k
+    e.mmpp.Scenario.p_off_to_on base.k base.speedup e.k
 
 let point_workload ~base ~model ~axis ~x =
-  let reference = base in
-  let e = effective base axis x in
-  fst (setup ~reference model e)
+  fst (setup ~reference:base model (apply_axis base axis x))
 
 let materialize_trace ~base ~model ~axis ~x =
   let workload = point_workload ~base ~model ~axis ~x in
-  Trace.Compact.of_workload workload ~slots:(effective base axis x).slots
+  Trace.Compact.of_workload workload ~slots:(apply_axis base axis x).slots
 
 (* Budget guard: a materialized trace costs ~3 words per arrival plus one
    per slot; past a few million arrivals (paper-scale runs) the cache would
@@ -163,7 +123,7 @@ let trace_worth_caching ?(max_arrivals = default_max_cached_arrivals) ~base
     ~model ~axis ~x () =
   max_arrivals > 0
   &&
-  let e = effective base axis x in
+  let e = apply_axis base axis x in
   match Workload.mean_rate (point_workload ~base ~model ~axis ~x) with
   | Some rate -> rate *. float_of_int e.slots <= float_of_int max_arrivals
   | None -> false
@@ -186,14 +146,7 @@ let run_point ?events ?spans ?trace ~base ~model ~axis ~x () =
         invalid_arg "Sweep.run_point: trace shorter than the run";
       Trace.Compact.replay trace
   in
-  let params =
-    {
-      Experiment.slots = base.slots;
-      flush_every = base.flush_every;
-      check_every = None;
-    }
-  in
-  let run () = Experiment.run ~params ~workload instances in
+  let run () = Experiment.run ~params:(params base) ~workload instances in
   (match spans with
   | None -> run ()
   | Some spans ->
@@ -215,14 +168,7 @@ let run_point_detailed ~base ~model ~axis ~x =
   let reference = base in
   let base = apply_axis base axis x in
   let workload, instances = setup ~reference model base in
-  let params =
-    {
-      Experiment.slots = base.slots;
-      flush_every = base.flush_every;
-      check_every = None;
-    }
-  in
-  Experiment.run ~params ~workload instances;
+  Experiment.run ~params:(params base) ~workload instances;
   match instances with
   | opt :: algs ->
     List.map

@@ -13,6 +13,8 @@
     [i]. *)
 
 type model = Proc | Value_uniform | Value_port
+(** A Fig. 5 row; {!to_model} gives its switch. *)
+
 type axis = K | B | C
 
 type base = {
@@ -40,6 +42,10 @@ type point = { x : int; ratios : (string * float) list }
 (** Policy name -> empirical competitive ratio at one sweep value. *)
 
 type outcome = { panel : panel; points : point list }
+
+val to_model : model -> base -> Model.t
+(** The row's switch at [base]'s k, B and C: n = k ports, the contiguous
+    works 1..k for [Proc], values 1..k for the value rows. *)
 
 val policy_names : model -> base -> string list
 (** The series (policy names) a panel of this model produces, in order. *)

@@ -17,7 +17,7 @@ module Scenario = Smbm_traffic.Scenario
 module Workload = Smbm_traffic.Workload
 module Flight = Smbm_obs.Flight
 module Daemon = Smbm_serve.Daemon
-module Model = Smbm_serve.Model
+module Model = Smbm_sim.Model
 module Mmpp_bank = Smbm_serve.Mmpp_bank
 module Spsc_ring = Smbm_serve.Spsc_ring
 

@@ -118,7 +118,7 @@ let test_registry () =
     [ "Greedy"; "NEST"; "LQD"; "LWD"; "MVD"; "WVD"; "DPK" ]
     (List.map (fun (p : Proc_switch.t Policy.t) -> p.name) (Policies.hybrid cfg));
   Alcotest.(check bool) "find WVD" true
-    (Option.is_some (Policies.hybrid_find cfg "wvd"))
+    (Option.is_some (Policies.proc_find cfg "wvd"))
 
 (* --- engine + exact optimum --- *)
 

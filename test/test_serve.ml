@@ -1,5 +1,6 @@
 open Smbm_core
 open Smbm_serve
+module Model = Smbm_sim.Model
 module Scenario = Smbm_traffic.Scenario
 module Workload = Smbm_traffic.Workload
 module Trace = Smbm_traffic.Trace
@@ -301,6 +302,60 @@ let test_daemon_value_swap () =
   Alcotest.(check bool)
     (Option.value ~default:"conservation holds" report.Daemon.conservation_error)
     true report.Daemon.conservation_ok
+
+let test_daemon_hybrid_policies () =
+  (* The combined work + value model is a processing config with
+     max_value > 1: the daemon reaches its value-aware policies through the
+     one processing lookup, at boot and on a live swap. *)
+  let values = Value_config.make ~ports:4 ~max_value:4 ~buffer:16 () in
+  let compact =
+    Trace.Compact.of_workload
+      (Scenario.value_uniform_workload ~mmpp:(mmpp 20) ~config:values
+         ~load:2.0 ~seed:9 ())
+      ~slots:400
+  in
+  let s = Smbm_traffic.Trace_stats.analyze compact in
+  Alcotest.(check bool) "values above 1 in the trace" true
+    Smbm_traffic.Trace_stats.(s.total_value > s.arrivals);
+  let config = Proc_config.contiguous ~k:4 ~buffer:16 ~max_value:4 () in
+  let report =
+    Daemon.run ~ring_capacity:8
+      ~controls:[ (200, Daemon.Set_policy "DPK") ]
+      ~model:(Model.Proc config) ~policy:"WVD" ~ingest:(Daemon.Trace compact)
+      ()
+  in
+  Alcotest.(check int) "all slots served" 400 report.Daemon.slots;
+  Alcotest.(check int) "swap applied" 1 report.Daemon.reconfigs;
+  Alcotest.(check bool)
+    (Option.value ~default:"conservation holds" report.Daemon.conservation_error)
+    true report.Daemon.conservation_ok
+
+let test_daemon_reconfig_uses_live_buffer () =
+  (* NHST's thresholds depend on B, so a swap after a resize must build it
+     against the live buffer: growing 32 -> 64 and swapping to NHST at an
+     empty slot boundary equals booting NHST at 64. *)
+  let slots =
+    Array.init 400 (fun i ->
+        if i = 0 then []
+        else List.init 6 (fun j -> Arrival.make ~dest:((i * 7 + j) mod 8) ()))
+  in
+  let run ~buffer ~controls policy =
+    let config = Proc_config.contiguous ~k:8 ~buffer () in
+    let r =
+      Daemon.run ~ring_capacity:4 ~controls ~model:(Model.Proc config) ~policy
+        ~ingest:(Daemon.Trace (Trace.Compact.of_slots slots))
+        ()
+    in
+    (r.Daemon.accepted, r.Daemon.dropped, r.Daemon.transmitted)
+  in
+  let booted = run ~buffer:64 ~controls:[] "NHST" in
+  let reconfigured =
+    run ~buffer:32
+      ~controls:[ (1, Daemon.Resize_buffer 64); (1, Daemon.Set_policy "NHST") ]
+      "LWD"
+  in
+  Alcotest.(check (triple int int int))
+    "accepted, dropped, transmitted" booted reconfigured
 
 let test_daemon_trace_ingest_bit_exact () =
   (* Arrivals offered by the daemon over a trace ingest are exactly the
@@ -615,6 +670,10 @@ let suite =
     Alcotest.test_case "daemon stop control" `Quick test_daemon_stop_control;
     Alcotest.test_case "daemon policy swap + resize (value)" `Quick
       test_daemon_value_swap;
+    Alcotest.test_case "daemon reconfigures against the live buffer" `Quick
+      test_daemon_reconfig_uses_live_buffer;
+    Alcotest.test_case "daemon runs hybrid policies (WVD, DPK)" `Quick
+      test_daemon_hybrid_policies;
     Alcotest.test_case "daemon trace ingest is bit-exact" `Quick
       test_daemon_trace_ingest_bit_exact;
     Alcotest.test_case "daemon rejects unknown initial policy" `Quick

@@ -329,6 +329,19 @@ let test_sweep_objective () =
   Alcotest.(check bool) "value counts value" true
     (Sweep.objective Sweep.Value_port = `Value)
 
+let test_model_reference_and_objective () =
+  let proc = Model.Proc (Proc_config.contiguous ~k:4 ~buffer:8 ()) in
+  let value =
+    Model.Value_uniform (Value_config.make ~ports:4 ~max_value:4 ~buffer:8 ())
+  in
+  Alcotest.check_raises "a reference of another model"
+    (Invalid_argument "Model.workload: the reference is another model")
+    (fun () -> ignore (Model.workload ~reference:value proc ~load:1.0 ~seed:1));
+  Alcotest.(check bool) "the combined work + value model counts value" true
+    (Model.objective
+       (Model.Proc (Proc_config.contiguous ~k:4 ~buffer:8 ~max_value:4 ()))
+    = `Value)
+
 let suite =
   [
     Alcotest.test_case "metrics conservation" `Quick test_metrics_conservation;
@@ -364,5 +377,7 @@ let suite =
     Alcotest.test_case "sweep point sanity" `Quick test_sweep_run_point_sane;
     Alcotest.test_case "sweep panel run" `Quick test_sweep_panel_runs;
     Alcotest.test_case "sweep objective" `Quick test_sweep_objective;
+    Alcotest.test_case "model reference and objective" `Quick
+      test_model_reference_and_objective;
     Qc.to_alcotest prop_opt_dominates_policies;
   ]

@@ -196,7 +196,7 @@ let test_rejects_bad_load () =
       rejects ("value load " ^ name) (fun () ->
           Scenario.value_uniform_workload ~config:base_value ~load ~seed:1 ());
       rejects ("bank load " ^ name) (fun () ->
-          Smbm_serve.Mmpp_bank.create (Smbm_serve.Model.Proc base_proc) ~load
+          Smbm_serve.Mmpp_bank.create (Smbm_sim.Model.Proc base_proc) ~load
             ~seed:1 ()))
     bad_floats
 
@@ -250,7 +250,7 @@ let test_kernel_rejects_bad_shapes () =
 let test_single_shard_is_the_workload () =
   let mmpp = { Scenario.default_mmpp with sources = 30 } in
   let bank =
-    Smbm_serve.Mmpp_bank.create ~mmpp (Smbm_serve.Model.Proc base_proc) ~load:2.0
+    Smbm_serve.Mmpp_bank.create ~mmpp (Smbm_sim.Model.Proc base_proc) ~load:2.0
       ~seed:5 ()
   in
   let w = Scenario.proc_workload ~mmpp ~config:base_proc ~load:2.0 ~seed:(5 + 1000003) () in

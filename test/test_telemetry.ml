@@ -5,6 +5,7 @@
 
 open Smbm_core
 open Smbm_serve
+module Model = Smbm_sim.Model
 module Scenario = Smbm_traffic.Scenario
 module Trace = Smbm_traffic.Trace
 module Health = Smbm_obs.Health

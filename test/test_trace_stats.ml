@@ -49,6 +49,45 @@ let test_offered_work_and_load () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown port accepted"
 
+let test_model_offered_load () =
+  (* A processing switch weights each arrival by its port's work; a value
+     switch counts arrivals against n * C transmissions per slot. *)
+  let a d = Arrival.make ~dest:d () in
+  let trace = trace_of [ [ a 0; a 1 ]; [ a 2 ] ] in
+  let value ~speedup =
+    Value_config.make ~ports:3 ~max_value:3 ~buffer:6 ~speedup ()
+  in
+  let load model = Smbm_sim.Model.offered_load model trace in
+  Alcotest.(check (float 1e-9)) "proc" 1.0
+    (load (Smbm_sim.Model.Proc (Proc_config.contiguous ~k:3 ~buffer:6 ())));
+  Alcotest.(check (float 1e-9)) "value-uniform" 0.5
+    (load (Smbm_sim.Model.Value_uniform (value ~speedup:1)));
+  Alcotest.(check (float 1e-9)) "value-port at C = 2" 0.25
+    (load (Smbm_sim.Model.Value_port (value ~speedup:2)));
+  let no_port = trace_of [ [ a 3 ] ] in
+  match
+    Smbm_sim.Model.(offered_load (Value_uniform (value ~speedup:1)) no_port)
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "unknown port accepted"
+
+let test_model_offered_load_at_recorded_load () =
+  (* A value trace recorded at load 1.0 reads back near 1.0 against the
+     value switch it was recorded for. *)
+  let config = Value_config.make ~ports:4 ~max_value:4 ~buffer:16 () in
+  let model = Smbm_sim.Model.Value_uniform config in
+  let mmpp = { Scenario.default_mmpp with sources = 20 } in
+  let trace =
+    Trace.Compact.of_workload
+      (Smbm_sim.Model.workload ~mmpp model ~load:1.0 ~seed:42)
+      ~slots:20_000
+  in
+  let load = Smbm_sim.Model.offered_load model trace in
+  Alcotest.(check bool)
+    (Printf.sprintf "load %.3f within 10%% of 1.0" load)
+    true
+    (Float.abs (load -. 1.0) < 0.1)
+
 let test_total_value () =
   let v d value = Arrival.make ~dest:d ~value () in
   let s = Trace_stats.analyze (trace_of [ [ v 0 5; v 1 2 ] ]) in
@@ -79,6 +118,9 @@ let suite =
       test_burstiness_orders_traffic;
     Alcotest.test_case "offered work and load" `Quick
       test_offered_work_and_load;
+    Alcotest.test_case "model offered load" `Quick test_model_offered_load;
+    Alcotest.test_case "value trace reads back its load" `Quick
+      test_model_offered_load_at_recorded_load;
     Alcotest.test_case "total value" `Quick test_total_value;
     Alcotest.test_case "MMPP workload is bursty" `Quick
       test_mmpp_workload_is_bursty;
