@@ -14,8 +14,8 @@
     packets), avoiding the artificial deactivation of output ports. *)
 
 val make : ?protect_last:bool -> Proc_config.t -> Proc_switch.t Policy.t
-(** Victim selection reads the argmax off the switch's incremental index in
-    O(log n). *)
+(** Victim selection is one allocation-free pass over the switch's
+    per-port length and work columns. *)
 
 val select_victim : protect_last:bool -> Proc_switch.t -> int
 (** The queue BPD would evict from: the non-empty (length >= 2 when

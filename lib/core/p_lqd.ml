@@ -3,39 +3,35 @@
    the largest index (the decision contract a left-to-right scan with
    replacement on [key >= best] realises — the test-side oracle).
 
-   The index is a keyed lexicographic tree over the switch's own
-   (queue length, port work) aggregate columns — no refresh, both keys
-   alias live state — so the argmax over every queue but [dest] costs
-   O(log n); the destination then competes with its virtual length.  All
-   key comparisons are explicit integer comparisons. *)
+   One pass over the switch's own (queue length, port work) columns,
+   seeded with [dest] at its virtual length: the work column is read only
+   on an exact length tie, and since the incumbent may sit at a larger
+   index than [j], the index tie is compared explicitly.  All key
+   comparisons are explicit integer comparisons. *)
 
-let index sw =
-  let v = Proc_switch.view sw in
-  Proc_switch.find_index sw ~key:"lqd" (fun ~n ->
-      Agg_index.create_lex ~n ~k1:v.Proc_switch.view_qlen
-        ~k2:v.Proc_switch.view_works ~refresh:ignore ())
-
-let select idx sw ~dest =
-  let c = Agg_index.top_excluding idx dest in
-  if c < 0 then dest
-  else begin
-    let dlen = Proc_switch.queue_length sw dest + 1 in
-    let clen = Proc_switch.queue_length sw c in
-    if clen > dlen then c
-    else if clen < dlen then dest
-    else begin
-      let cw = Proc_switch.port_work sw c
-      and dw = Proc_switch.port_work sw dest in
-      if cw > dw || (cw = dw && c > dest) then c else dest
+let select (v : Proc_switch.view) ~dest =
+  let qlen = v.view_qlen and works = v.view_works in
+  let best = ref dest
+  and blen = ref (qlen.(dest) + 1)
+  and bwork = ref works.(dest) in
+  for j = 0 to Array.length qlen - 1 do
+    let l = Array.unsafe_get qlen j in
+    if l >= !blen && j <> dest then begin
+      let w = Array.unsafe_get works j in
+      if l > !blen || w > !bwork || (w = !bwork && j > !best) then begin
+        best := j;
+        blen := l;
+        bwork := w
+      end
     end
-  end
+  done;
+  !best
 
-let select_victim sw ~dest = select (index sw) sw ~dest
+let select_victim sw ~dest = select (Proc_switch.view sw) ~dest
 
 let make _config =
-  let index = Agg_index.per_switch index in
   Policy.make ~name:"LQD" ~push_out:true (fun sw ~dest ~value:_ ->
       if not (Proc_switch.is_full sw) then Decision.accept
       else
-        let victim = select (index sw) sw ~dest in
+        let victim = select (Proc_switch.view sw) ~dest in
         if victim <> dest then Decision.push_out victim else Decision.drop)

@@ -11,8 +11,8 @@
     least [sqrt k]-competitive under heterogeneous processing. *)
 
 val make : Proc_config.t -> Proc_switch.t Policy.t
-(** Victim selection reads the argmax off the switch's incremental index in
-    O(log n). *)
+(** Victim selection is one allocation-free pass over the switch's
+    per-port length and work columns. *)
 
 val select_victim : Proc_switch.t -> dest:int -> int
 (** The queue index LQD would evict from (may equal [dest], meaning drop);

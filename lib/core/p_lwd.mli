@@ -26,8 +26,9 @@ type tie =
 val make :
   ?protect_last:bool -> ?tie:tie -> Proc_config.t -> Proc_switch.t Policy.t
 (** The policy is named ["LWD"], ["LWD1"] when protecting last packets, and
-    ["LWD/tie=..."] for non-default tie-breaking.  Victim selection reads
-    the argmax off the switch's incremental index in O(log n). *)
+    ["LWD/tie=..."] for non-default tie-breaking.  Victim selection is one
+    allocation-free pass over the switch's per-port work and length
+    columns. *)
 
 val select_victim :
   ?protect_last:bool -> ?tie:tie -> Proc_switch.t -> dest:int -> int

@@ -2,26 +2,29 @@
    evictable packet — ties toward the smaller port index (a left-to-right
    scan replacing only on a strictly smaller tail: the test-side oracle).
 
-   Keyed lexicographic tree on (negated tail value, 0) with the
-   smallest-index tie.  An empty queue carries min_int and ranks below
-   every non-empty one (a tail value is in [1, max_value]).  The key is
-   derived, refreshed when the index settles from the slab's value column. *)
+   The tail value is the key and lives in the queue's FIFO ring, not in a
+   column, so the pass reads it for every non-empty queue and skips the
+   empty ones off the length column. *)
 
-let index sw =
-  Proc_switch.find_index sw ~key:"mvd" (fun ~n ->
-      let k1 = Array.make n min_int in
-      Agg_index.create_lex ~n ~tie:`Smallest_index ~k1 ~k2:(Array.make n 0)
-        ~refresh:(fun j ->
-          let tail = Proc_switch.tail_value sw j in
-          k1.(j) <- (if tail > 0 then -tail else min_int))
-        ())
+let select sw (v : Proc_switch.view) =
+  let qlen = v.view_qlen in
+  let best = ref (-1) and bt = ref max_int in
+  for j = 0 to Array.length qlen - 1 do
+    if Array.unsafe_get qlen j > 0 then begin
+      let t = Proc_switch.tail_value sw j in
+      if t < !bt then begin
+        best := j;
+        bt := t
+      end
+    end
+  done;
+  !best
 
 let make _config =
-  let index = Agg_index.per_switch index in
   Policy.make ~name:"MVD" ~push_out:true (fun sw ~dest:_ ~value ->
       if not (Proc_switch.is_full sw) then Decision.accept
       else
-        let victim = Agg_index.top (index sw) in
-        let tail = Proc_switch.tail_value sw victim in
-        if tail > 0 && tail < value then Decision.push_out victim
+        let victim = select sw (Proc_switch.view sw) in
+        if victim >= 0 && Proc_switch.tail_value sw victim < value then
+          Decision.push_out victim
         else Decision.drop)

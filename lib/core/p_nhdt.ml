@@ -7,14 +7,13 @@ let thresholds ~buffer ~n =
   let hn = Harmonic.h n in
   Array.init (n + 1) (fun m -> float_of_int buffer /. hn *. Harmonic.h m)
 
-(* One pass over local ints.  [length] is a top-level function (no closure
-   is built per arrival) applied to [src]: the live switch or a test's
-   length array. *)
-let admits_in thr ~n ~length src ~dest =
-  let li = length src dest in
+(* One pass over a length column: the live switch's own (its view) or a
+   test's array. *)
+let admits_in thr lengths ~dest =
+  let li = lengths.(dest) in
   let m = ref 0 and sum = ref 0 in
-  for j = 0 to n - 1 do
-    let l = length src j in
+  for j = 0 to Array.length lengths - 1 do
+    let l = Array.unsafe_get lengths j in
     if l >= li then begin
       incr m;
       sum := !sum + l
@@ -23,8 +22,7 @@ let admits_in thr ~n ~length src ~dest =
   float_of_int !sum < thr.(!m)
 
 let admits ~buffer ~lengths ~dest =
-  let n = Array.length lengths in
-  admits_in (thresholds ~buffer ~n) ~n ~length:Array.get lengths ~dest
+  admits_in (thresholds ~buffer ~n:(Array.length lengths)) lengths ~dest
 
 let make config =
   let n = Proc_config.n config in
@@ -32,6 +30,6 @@ let make config =
   Policy.make ~name:"NHDT" ~push_out:false (fun sw ~dest ~value:_ ->
       if
         (not (Proc_switch.is_full sw))
-        && admits_in thr ~n ~length:Proc_switch.queue_length sw ~dest
+        && admits_in thr (Proc_switch.view sw).view_qlen ~dest
       then Decision.accept
       else Decision.drop)

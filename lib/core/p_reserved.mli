@@ -16,6 +16,6 @@
     reservation). *)
 
 val make : reserve:int -> Proc_config.t -> Proc_switch.t Policy.t
-(** Both branches' argmaxes are read off the switch's incremental indexes
-    in O(log n).
+(** Each branch's victim is one allocation-free pass over the switch's
+    per-port length and work columns.
     @raise Invalid_argument if [reserve < 0] or [n * reserve > B]. *)

@@ -5,33 +5,33 @@
    non-empty queue has V_j >= 1 and the destination's virtual value is
    >= 1, so the cross-multiplied comparison is exact.
 
-   Ratio tree over the switch's own (W_j, V_j) columns — no refresh, both
-   alias live state; an empty queue's V_j = 0 is the tree's ineligible
-   mark.  The argmax over every queue but [dest] costs O(log n); the
-   destination then competes with its virtual aggregates. *)
+   One pass over the switch's own (W_j, V_j) columns, seeded with the
+   destination's virtual aggregates; an empty queue (V_j = 0) is not a
+   candidate.  Since the incumbent may sit at a larger index than [j], the
+   index tie is compared explicitly. *)
 
-let index sw =
-  let v = Proc_switch.view sw in
-  Proc_switch.find_index sw ~key:"wvd" (fun ~n ->
-      Agg_index.create_ratio ~n ~tie:`Smallest_index
-        ~num:v.Proc_switch.view_qwork ~den:v.Proc_switch.view_qvalue
-        ~k2:(Array.make n 0) ~refresh:ignore ())
-
-let select idx sw ~dest ~value =
-  let c = Agg_index.top_excluding idx dest in
-  if c < 0 || Proc_switch.queue_length sw c = 0 then dest
-  else begin
-    let dw = Proc_switch.queue_work sw dest + Proc_switch.port_work sw dest
-    and dv = Proc_switch.queue_value sw dest + value in
-    let x = Proc_switch.queue_work sw c * dv
-    and y = dw * Proc_switch.queue_value sw c in
-    if x > y || (x = y && c < dest) then c else dest
-  end
+let select (v : Proc_switch.view) ~dest ~value =
+  let qwork = v.view_qwork and qvalue = v.view_qvalue in
+  let best = ref dest
+  and bw = ref (qwork.(dest) + v.view_works.(dest))
+  and bv = ref (qvalue.(dest) + value) in
+  for j = 0 to Array.length qwork - 1 do
+    let vj = Array.unsafe_get qvalue j in
+    if vj > 0 && j <> dest then begin
+      let wj = Array.unsafe_get qwork j in
+      let x = wj * !bv and y = !bw * vj in
+      if x > y || (x = y && j < !best) then begin
+        best := j;
+        bw := wj;
+        bv := vj
+      end
+    end
+  done;
+  !best
 
 let make _config =
-  let index = Agg_index.per_switch index in
   Policy.make ~name:"WVD" ~push_out:true (fun sw ~dest ~value ->
       if not (Proc_switch.is_full sw) then Decision.accept
       else
-        let victim = select (index sw) sw ~dest ~value in
+        let victim = select (Proc_switch.view sw) ~dest ~value in
         if victim <> dest then Decision.push_out victim else Decision.drop)

@@ -8,9 +8,14 @@ open Smbm_prelude
    The slab columns (indexed by slot id) are off-heap {!Int_col}s: the GC
    never scans them, and they can be shared read-only across domains.  The
    per-port aggregates ([qlen]/[qwork]/[qvalue]/[works]) stay ordinary
-   [int array]s — they are the key columns the keyed victim indexes
-   (Agg_index) read directly, and they are n-sized, so scanning cost is
-   nil. *)
+   [int array]s: they are the columns the victim selectors scan directly. *)
+type view = {
+  view_works : int array;
+  view_qlen : int array;
+  view_qwork : int array;
+  view_qvalue : int array;
+}
+
 type t = {
   config : Proc_config.t;
   n : int;
@@ -32,23 +37,20 @@ type t = {
   mutable occupied_work : int;
   mutable next_id : int;
   mutable now : int;
-  mutable indexes : (string * Agg_index.t) list;
-}
-
-type view = {
-  view_works : int array;
-  view_qlen : int array;
-  view_qwork : int array;
-  view_qvalue : int array;
+  view : view; (* built once: its fields alias the columns above *)
 }
 
 let create (config : Proc_config.t) =
   let n = Proc_config.n config in
   let cap = config.Proc_config.buffer in
+  let works = Array.init n (Proc_config.work config)
+  and qlen = Array.make n 0
+  and qwork = Array.make n 0
+  and qvalue = Array.make n 0 in
   {
     config;
     n;
-    works = Array.init n (Proc_config.work config);
+    works;
     max_value = config.Proc_config.max_value;
     cap;
     residual = Int_col.create cap;
@@ -58,15 +60,21 @@ let create (config : Proc_config.t) =
     free = Int_col.init cap (fun s -> s);
     free_top = cap;
     rings = Array.init n (fun _ -> Int_ring.create ());
-    qlen = Array.make n 0;
-    qwork = Array.make n 0;
-    qvalue = Array.make n 0;
+    qlen;
+    qwork;
+    qvalue;
     buffer = cap;
     occupancy = 0;
     occupied_work = 0;
     next_id = 0;
     now = 0;
-    indexes = [];
+    view =
+      {
+        view_works = works;
+        view_qlen = qlen;
+        view_qwork = qwork;
+        view_qvalue = qvalue;
+      };
   }
 
 let config t = t.config
@@ -127,40 +135,7 @@ let tail_value t i =
 let port_work t i = Proc_config.work t.config i
 let total_occupied_work t = t.occupied_work
 
-(* ----- victim-selection indexes ----- *)
-
-(* [touch] runs for each accept, push-out and transmission, and only marks
-   the port pending in every registered index (O(1) each); the indexes
-   refresh its keys and re-run its matches when a policy next reads them.
-   Hand-rolled traversal: [List.iter] with a lambda capturing [i] would
-   allocate a closure on every mutation. *)
-let rec touch_list indexes i =
-  match indexes with
-  | [] -> ()
-  | (_, idx) :: rest ->
-    Agg_index.invalidate idx i;
-    touch_list rest i
-
-let touch t i = touch_list t.indexes i
-
-let touch_all t =
-  List.iter (fun (_, idx) -> Agg_index.refresh idx) t.indexes
-
-let find_index t ~key make =
-  match List.assoc_opt key t.indexes with
-  | Some idx -> idx
-  | None ->
-    let idx = make ~n:t.n in
-    t.indexes <- (key, idx) :: t.indexes;
-    idx
-
-let view t =
-  {
-    view_works = t.works;
-    view_qlen = t.qlen;
-    view_qwork = t.qwork;
-    view_qvalue = t.qvalue;
-  }
+let view t = t.view
 
 (* ----- mutations (every one keeps the aggregates in sync) ----- *)
 
@@ -186,8 +161,7 @@ let accept t ~dest ~value =
   Array.unsafe_set t.qwork dest (Array.unsafe_get t.qwork dest + work);
   Array.unsafe_set t.qvalue dest (Array.unsafe_get t.qvalue dest + value);
   t.occupancy <- t.occupancy + 1;
-  t.occupied_work <- t.occupied_work + work;
-  touch t dest
+  t.occupied_work <- t.occupied_work + work
 
 let push_out t ~victim =
   check_port t victim "push_out";
@@ -204,12 +178,11 @@ let push_out t ~victim =
   t.occupied_work <- t.occupied_work - r;
   Int_col.unsafe_set t.free t.free_top s;
   t.free_top <- t.free_top + 1;
-  touch t victim;
   v
 
-(* Head-of-line, run-to-completion service of one port; all aggregates and
-   indexes are settled before each hook runs, so a raising hook can only
-   fire immediately after a [touch]. *)
+(* Head-of-line, run-to-completion service of one port; each packet is
+   fully accounted before its hook runs, so a raising hook leaves a
+   consistent switch. *)
 let serve t i ~on_transmit =
   let ring = Array.unsafe_get t.rings i in
   if Int_ring.is_empty ring then 0
@@ -232,11 +205,9 @@ let serve t i ~on_transmit =
         t.free_top <- t.free_top + 1;
         t.occupancy <- t.occupancy - 1;
         incr sent;
-        touch t i;
         on_transmit ~dest:i ~value:v ~arrival:(Int_col.unsafe_get t.arrival s)
       end
     done;
-    touch t i;
     !sent
   end
 
@@ -280,7 +251,6 @@ let flush t =
      must refuse to continue from a corrupted occupancy count too. *)
   if t.occupancy <> 0 then
     invalid_arg "Proc_switch.flush: occupancy out of sync with queue contents";
-  touch_all t;
   !dropped
 
 let check_invariants t =
@@ -328,5 +298,4 @@ let check_invariants t =
       invalid_arg "Proc_switch: free slot id out of range";
     if seen.(s) then invalid_arg "Proc_switch: free slot also queued";
     seen.(s) <- true
-  done;
-  List.iter (fun (_, idx) -> Agg_index.check idx) t.indexes
+  done

@@ -24,10 +24,9 @@ type view = {
   view_qwork : int array;  (** live per-port total residual work *)
   view_qvalue : int array;  (** live per-port total value *)
 }
-(** Read-only aliases of the switch's per-port aggregate columns.  Policies
-    hand these to {!Agg_index.create_lex} as key columns, so their victim
-    indexes compare unboxed ints.  The arrays are the switch's own live
-    state: never write through them. *)
+(** Read-only aliases of the switch's per-port aggregate columns.  The
+    push-out policies select their victims in one pass over these arrays.
+    The arrays are the switch's own live state: never write through them. *)
 
 val create : Proc_config.t -> t
 
@@ -76,15 +75,9 @@ val port_work : t -> int -> int
 val total_occupied_work : t -> int
 (** Sum of [W_i] over all queues.  Maintained incrementally: O(1). *)
 
-val find_index : t -> key:string -> (n:int -> Agg_index.t) -> Agg_index.t
-(** The victim-selection index registered under [key]; [make ~n] builds it
-    (typically {!Agg_index.create_lex} over {!view} columns) only when [key]
-    is not yet registered.  The switch re-validates every registered index
-    on each mutation, so registrations should be few (one per policy
-    variant driving this switch). *)
-
 val view : t -> view
-(** The live per-port aggregate columns. *)
+(** The live per-port aggregate columns: one record, built at {!create}, so
+    reading it allocates nothing. *)
 
 val accept : t -> dest:int -> value:int -> unit
 (** Admit a fresh packet of the given value to [dest]'s queue; assigns the
@@ -105,7 +98,7 @@ val transmit_phase :
     admission slot.  Returns the number of packets transmitted.
 
     Exception-safe: each transmitted packet is fully accounted (occupancy,
-    work aggregate, indexes) {e before} [on_transmit] sees it, so a raising
+    work and value aggregates) {e before} [on_transmit] sees it, so a raising
     hook propagates out of a switch that still satisfies
     {!check_invariants}. *)
 
@@ -132,5 +125,4 @@ val flush : t -> int
 val check_invariants : t -> unit
 (** Assert internal consistency: occupancy = sum of queue lengths <= B,
     cached work and value totals match queue contents, values in range,
-    slab/free-list disjointness, per-slot residual bounds, and every
-    registered index.  Test hook. *)
+    slab/free-list disjointness and per-slot residual bounds.  Test hook. *)

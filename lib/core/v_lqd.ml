@@ -4,45 +4,43 @@
    left-to-right scan with replacement on [key >= best] — the test-side
    oracle).
 
-   Keyed lexicographic tree over (queue length, negated per-port minimum):
-   the length column aliases the live aggregate, the negated minimum is a
-   derived key refreshed when the index settles off the occupancy bitsets
-   ("smaller minimum wins the tie" becomes "larger negated minimum wins").
+   One pass over the switch's length column, seeded with [dest] at its
+   virtual length.  A port's minimum costs a bitset scan, so it is read
+   only on an exact length tie, and the incumbent's at most once ([bmin]
+   is [-1] until read; a minimum is >= 1, [max_int] for an empty queue).
    All comparisons are explicit integer comparisons. *)
 
-let min_of sw j = Value_switch.queue_min_value_or sw j ~default:max_int
+let min_of v j = Value_switch.view_min_value_or v j ~default:max_int
 
-let index sw =
-  let v = Value_switch.view sw in
-  Value_switch.find_index sw ~key:"lqd" (fun ~n ->
-      let negmin = Array.make n (-max_int) in
-      Agg_index.create_lex ~n ~k1:v.Value_switch.view_qlen ~k2:negmin
-        ~refresh:(fun j ->
-          negmin.(j) <- -Value_switch.view_min_value_or v j ~default:max_int)
-        ())
-
-let select idx sw ~dest =
-  let c = Agg_index.top_excluding idx dest in
-  if c < 0 then dest
-  else begin
-    let dlen = Value_switch.queue_length sw dest + 1
-    and clen = Value_switch.queue_length sw c in
-    if clen > dlen then c
-    else if clen < dlen then dest
-    else begin
-      let cm = min_of sw c and dm = min_of sw dest in
-      if cm < dm || (cm = dm && c > dest) then c else dest
+let select (v : Value_switch.view) ~dest =
+  let qlen = v.view_qlen in
+  let best = ref dest and blen = ref (qlen.(dest) + 1) and bmin = ref (-1) in
+  for j = 0 to Array.length qlen - 1 do
+    let l = Array.unsafe_get qlen j in
+    if l > !blen then begin
+      best := j;
+      blen := l;
+      bmin := -1
     end
-  end
+    else if l = !blen && j <> dest then begin
+      if !bmin < 0 then bmin := min_of v !best;
+      let m = min_of v j in
+      if m < !bmin || (m = !bmin && j > !best) then begin
+        best := j;
+        bmin := m
+      end
+    end
+  done;
+  !best
 
-let select_victim sw ~dest = select (index sw) sw ~dest
+let select_victim sw ~dest = select (Value_switch.view sw) ~dest
 
 let make _config =
-  let index = Agg_index.per_switch index in
   Policy.make ~name:"LQD" ~push_out:true (fun sw ~dest ~value ->
       if not (Value_switch.is_full sw) then Decision.accept
       else
-        let victim = select (index sw) sw ~dest in
+        let v = Value_switch.view sw in
+        let victim = select v ~dest in
         if victim <> dest then Decision.push_out victim
-        else if min_of sw dest < value then Decision.push_out dest
+        else if min_of v dest < value then Decision.push_out dest
         else Decision.drop)

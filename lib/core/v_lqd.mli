@@ -10,8 +10,9 @@
     Theorem 9: at least (cube root of k)-competitive. *)
 
 val make : Value_config.t -> Value_switch.t Policy.t
-(** Victim selection reads the argmax off the switch's incremental index in
-    O(log n). *)
+(** Victim selection is one allocation-free pass over the switch's
+    per-port length column; a port's minimum is read only on a length
+    tie. *)
 
 val select_victim : Value_switch.t -> dest:int -> int
 (** Exposed for tests. *)

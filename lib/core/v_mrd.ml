@@ -3,51 +3,50 @@
    sizes are bounded by B * k, far from overflow on 63-bit ints); equal
    ratios prefer the queue with the smaller minimum value, then the larger
    index.  The exact cross-multiplied comparison is a total order on
-   eligible queues, so a left-to-right scan (the test-side oracle) and the
-   indexed read pick the same victim.
+   eligible queues, so a left-to-right scan with that tie convention (the
+   test-side oracle) and this pass pick the same victim.
 
-   The ratio order is not lexicographic, so it gets
-   {!Agg_index.create_ratio}: a tree comparing the exact cross-multiplication
-   num / den = len^2 / sum over int key columns.  The sum key doubles as the
-   eligibility flag (0 = ineligible, ranking below all eligible queues; an
-   eligible queue's sum is >= 1); the negated minimum is the tie key.  All
-   three are derived, refreshed when the index settles off the live
-   aggregates. *)
+   One pass over the switch's (length, value sum) columns.  A port's
+   minimum costs a bitset scan, so it is read only on an exact ratio tie,
+   and the incumbent's at most once ([bmin] is [-1] until read; an
+   eligible queue's minimum is >= 1). *)
 
-let index ~protect_last sw =
+let min_of v j = Value_switch.view_min_value_or v j ~default:max_int
+
+let select ~protect_last (v : Value_switch.view) =
   let min_len = if protect_last then 2 else 1 in
-  let v = Value_switch.view sw in
-  let key = if protect_last then "mrd:protect" else "mrd" in
-  Value_switch.find_index sw ~key (fun ~n ->
-      let num = Array.make n 0
-      and den = Array.make n 0
-      and negmin = Array.make n 0 in
-      Agg_index.create_ratio ~n ~num ~den ~k2:negmin
-        ~refresh:(fun j ->
-          let l = v.Value_switch.view_qlen.(j) in
-          if l >= min_len then begin
-            num.(j) <- l * l;
-            den.(j) <- v.Value_switch.view_qsum.(j);
-            negmin.(j) <- -Value_switch.view_min_value_or v j ~default:max_int
-          end
-          else begin
-            num.(j) <- 0;
-            den.(j) <- 0;
-            negmin.(j) <- 0
-          end)
-        ())
-
-let select ~protect_last idx sw =
-  let min_len = if protect_last then 2 else 1 in
-  let c = Agg_index.top idx in
-  if c < 0 || Value_switch.queue_length sw c < min_len then -1 else c
+  let qlen = v.view_qlen and qsum = v.view_qsum in
+  let best = ref (-1) and bl2 = ref 0 and bs = ref 0 and bmin = ref (-1) in
+  for j = 0 to Array.length qlen - 1 do
+    let l = Array.unsafe_get qlen j in
+    if l >= min_len then begin
+      let s = Array.unsafe_get qsum j in
+      let x = l * l * !bs and y = !bl2 * s in
+      if !best < 0 || x > y then begin
+        best := j;
+        bl2 := l * l;
+        bs := s;
+        bmin := -1
+      end
+      else if x = y then begin
+        if !bmin < 0 then bmin := min_of v !best;
+        let m = min_of v j in
+        if m <= !bmin then begin
+          best := j;
+          bl2 := l * l;
+          bs := s;
+          bmin := m
+        end
+      end
+    end
+  done;
+  !best
 
 let select_victim ?(protect_last = false) sw =
-  select ~protect_last (index ~protect_last sw) sw
+  select ~protect_last (Value_switch.view sw)
 
 let make ?(protect_last = false) _config =
   let name = if protect_last then "MRD1" else "MRD" in
-  let index = Agg_index.per_switch (index ~protect_last) in
   Policy.make ~name ~push_out:true (fun sw ~dest:_ ~value ->
       if not (Value_switch.is_full sw) then Decision.accept
       else
@@ -57,7 +56,7 @@ let make ?(protect_last = false) _config =
            bitset read off the switch's value histogram (a full buffer is
            non-empty, so the default is never taken). *)
         if Value_switch.min_value_or sw ~default:max_int <= value then begin
-          let victim = select ~protect_last (index sw) sw in
+          let victim = select ~protect_last (Value_switch.view sw) in
           if victim >= 0 then Decision.push_out victim else Decision.drop
         end
         else Decision.drop)

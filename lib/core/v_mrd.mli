@@ -18,8 +18,8 @@
 val make : ?protect_last:bool -> Value_config.t -> Value_switch.t Policy.t
 (** [~protect_last:true] is the MRD_1 ablation that never pushes out a
     queue's only packet (analogous to the paper's BPD_1 and MVD_1).  Victim
-    selection reads the ratio argmax off the switch's incremental index in
-    O(log n). *)
+    selection is one allocation-free pass over the switch's per-port length
+    and value-sum columns; a port's minimum is read only on a ratio tie. *)
 
 val select_victim : ?protect_last:bool -> Value_switch.t -> int
 (** The ratio-maximal eligible queue, [-1] when none is eligible; exposed

@@ -3,48 +3,63 @@
    port index (a left-to-right scan with replacement on [key <= best] — the
    test-side oracle).
 
-   Keyed lexicographic tree with ineligibility encoded as (min_int, 0); an
-   eligible queue carries (negated minimum, length), and a non-empty
-   queue's minimum is in [1, k] so its negation stays above min_int.  Among
-   ineligible queues the index tie orders them.  Both keys are derived,
-   refreshed when the index settles off the live aggregates and occupancy
-   bitsets. *)
+   MVD reads no per-port minimum.  The buffer minimum [m]
+   ({!Value_switch.min_value_or}) is the smallest key any queue can have,
+   and a queue has it exactly when bit [m] of its occupancy bitset is set,
+   so one pass over the length column with that bit test finds the victim:
+   the longest eligible holder of [m], the later one on equal lengths.
+   Only MVD1 can find no eligible holder (every queue holding [m] is a
+   singleton); it then makes a second pass that reads each eligible
+   queue's minimum. *)
 
-let index ~protect_last sw =
-  let min_len = if protect_last then 2 else 1 in
-  let v = Value_switch.view sw in
-  let key = if protect_last then "mvd:protect" else "mvd" in
-  Value_switch.find_index sw ~key (fun ~n ->
-      let k1 = Array.make n 0 and k2 = Array.make n 0 in
-      Agg_index.create_lex ~n ~k1 ~k2
-        ~refresh:(fun j ->
-          if v.Value_switch.view_qlen.(j) >= min_len then begin
-            k1.(j) <- -Value_switch.view_min_value_or v j ~default:max_int;
-            k2.(j) <- v.Value_switch.view_qlen.(j)
-          end
-          else begin
-            k1.(j) <- min_int;
-            k2.(j) <- 0
-          end)
-        ())
+let min_of v j = Value_switch.view_min_value_or v j ~default:max_int
 
-let select ~protect_last idx sw =
+let select ~protect_last (v : Value_switch.view) ~m =
   let min_len = if protect_last then 2 else 1 in
-  let c = Agg_index.top idx in
-  if c < 0 || Value_switch.queue_length sw c < min_len then -1 else c
+  let qlen = v.view_qlen and occ = v.view_occ and wpp = v.view_wpp in
+  let word = m / 63 and bit = 1 lsl (m mod 63) in
+  let best = ref (-1) and bl = ref min_len in
+  for j = 0 to Array.length qlen - 1 do
+    let l = Array.unsafe_get qlen j in
+    if l >= !bl && Array.unsafe_get occ ((j * wpp) + word) land bit <> 0 then begin
+      best := j;
+      bl := l
+    end
+  done;
+  if !best >= 0 || not protect_last then !best
+  else begin
+    let bm = ref max_int in
+    for j = 0 to Array.length qlen - 1 do
+      let l = Array.unsafe_get qlen j in
+      if l >= min_len then begin
+        let mj = min_of v j in
+        if mj < !bm || (mj = !bm && l >= !bl) then begin
+          best := j;
+          bm := mj;
+          bl := l
+        end
+      end
+    done;
+    !best
+  end
 
 let select_victim ~protect_last sw =
-  select ~protect_last (index ~protect_last sw) sw
+  let m = Value_switch.min_value_or sw ~default:0 in
+  if m = 0 then -1 else select ~protect_last (Value_switch.view sw) ~m
 
 let make ?(protect_last = false) _config =
   let name = if protect_last then "MVD1" else "MVD" in
-  let index = Agg_index.per_switch (index ~protect_last) in
   Policy.make ~name ~push_out:true (fun sw ~dest:_ ~value ->
       if not (Value_switch.is_full sw) then Decision.accept
       else
-        let victim = select ~protect_last (index sw) sw in
-        if
-          victim >= 0
-          && Value_switch.queue_min_value_or sw victim ~default:0 < value
-        then Decision.push_out victim
-        else Decision.drop)
+        (* Every eligible queue's minimum is >= the buffer minimum (a full
+           buffer is non-empty, so the default is never taken): no victim
+           beats an arrival the buffer minimum already matches. *)
+        let m = Value_switch.min_value_or sw ~default:max_int in
+        if m >= value then Decision.drop
+        else
+          let v = Value_switch.view sw in
+          let victim = select ~protect_last v ~m in
+          if victim >= 0 && min_of v victim < value then
+            Decision.push_out victim
+          else Decision.drop)

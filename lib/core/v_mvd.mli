@@ -12,8 +12,8 @@
     pushes out the last packet of a queue. *)
 
 val make : ?protect_last:bool -> Value_config.t -> Value_switch.t Policy.t
-(** Victim selection reads the argmin off the switch's incremental index in
-    O(log n). *)
+(** Victim selection is one allocation-free pass over the switch's length
+    column, testing each port's occupancy bit at the buffer minimum. *)
 
 val select_victim : protect_last:bool -> Value_switch.t -> int
 (** The eviction candidate's port ({!Value_switch.queue_min_value_or} reads

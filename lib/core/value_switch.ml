@@ -50,8 +50,15 @@ let high_bit_index b =
    The slab columns (indexed by slot id) are off-heap {!Int_col}s — never
    scanned by the GC, shareable read-only across domains.  The n-sized
    per-port aggregates ([qlen]/[qsum]) and the bucket/bitset tables stay
-   ordinary [int array]s: the aggregates are key columns the keyed victim
-   indexes read directly, and the tables are port-indexed bookkeeping. *)
+   ordinary [int array]s: the aggregates are the columns the victim
+   selectors scan directly, and the tables are port-indexed bookkeeping. *)
+type view = {
+  view_wpp : int;
+  view_qlen : int array;
+  view_qsum : int array;
+  view_occ : int array;
+}
+
 type t = {
   config : Value_config.t;
   n : int;
@@ -76,15 +83,7 @@ type t = {
   mutable occupancy : int;
   mutable next_id : int;
   mutable now : int;
-  mutable indexes : (string * Agg_index.t) list;
-}
-
-type view = {
-  view_k : int;
-  view_wpp : int;
-  view_qlen : int array;
-  view_qsum : int array;
-  view_occ : int array;
+  view : view; (* built once: its fields alias the columns above *)
 }
 
 (* Lowest level set in the bitset slice at word [base], which the caller
@@ -125,6 +124,9 @@ let create (config : Value_config.t) =
   let k = Value_config.k config in
   let cap = config.Value_config.buffer in
   let wpp = (k / 63) + 1 in
+  let occ = Array.make (n * wpp) 0
+  and qlen = Array.make n 0
+  and qsum = Array.make n 0 in
   {
     config;
     n;
@@ -140,16 +142,22 @@ let create (config : Value_config.t) =
     free_top = cap;
     bhead = Array.make (n * k) (-1);
     btail = Array.make (n * k) (-1);
-    occ = Array.make (n * wpp) 0;
-    qlen = Array.make n 0;
-    qsum = Array.make n 0;
+    occ;
+    qlen;
+    qsum;
     vcount = Array.make (k + 1) 0;
     vocc = Array.make wpp 0;
     buffer = cap;
     occupancy = 0;
     next_id = 0;
     now = 0;
-    indexes = [];
+    view =
+      {
+        view_wpp = wpp;
+        view_qlen = qlen;
+        view_qsum = qsum;
+        view_occ = occ;
+      };
   }
 
 let config t = t.config
@@ -202,40 +210,7 @@ let queue_min_value_or t i ~default =
   check_port t i "queue_min_value_or";
   port_min_value_or t i ~default
 
-(* ----- victim-selection indexes ----- *)
-
-(* [touch] runs for each accept, push-out and transmission, and only marks
-   the port pending in every registered index (O(1) each); the indexes
-   refresh its keys and re-run its matches when a policy next reads them.
-   Hand-rolled traversal: [List.iter] with a lambda capturing [i] would
-   allocate a closure on every mutation. *)
-let rec touch_list indexes i =
-  match indexes with
-  | [] -> ()
-  | (_, idx) :: rest ->
-    Agg_index.invalidate idx i;
-    touch_list rest i
-
-let touch t i = touch_list t.indexes i
-
-let touch_all t = List.iter (fun (_, idx) -> Agg_index.refresh idx) t.indexes
-
-let find_index t ~key make =
-  match List.assoc_opt key t.indexes with
-  | Some idx -> idx
-  | None ->
-    let idx = make ~n:t.n in
-    t.indexes <- (key, idx) :: t.indexes;
-    idx
-
-let view t =
-  {
-    view_k = t.k;
-    view_wpp = t.wpp;
-    view_qlen = t.qlen;
-    view_qsum = t.qsum;
-    view_occ = t.occ;
-  }
+let view t = t.view
 
 let min_value_or t ~default =
   if t.occupancy = 0 then default else low_level t.vocc 0
@@ -324,8 +299,7 @@ let accept t ~dest ~value =
   count_in t value;
   Array.unsafe_set t.qlen dest (Array.unsafe_get t.qlen dest + 1);
   Array.unsafe_set t.qsum dest (Array.unsafe_get t.qsum dest + value);
-  t.occupancy <- t.occupancy + 1;
-  touch t dest
+  t.occupancy <- t.occupancy + 1
 
 let push_out t ~victim =
   check_port t victim "push_out";
@@ -339,7 +313,6 @@ let push_out t ~victim =
   t.occupancy <- t.occupancy - 1;
   Int_col.unsafe_set t.free t.free_top s;
   t.free_top <- t.free_top + 1;
-  touch t victim;
   v
 
 let transmit_phase t ~on_transmit =
@@ -358,7 +331,6 @@ let transmit_phase t ~on_transmit =
       t.free_top <- t.free_top + 1;
       (* Account the transmission before the user hook runs, so a raising
          hook propagates out of a consistent switch. *)
-      touch t i;
       incr sent;
       incr transmitted;
       on_transmit ~dest:i ~value:v ~arrival:(Int_col.unsafe_get t.arrival s)
@@ -402,7 +374,6 @@ let flush t =
      must refuse to continue from a corrupted occupancy count too. *)
   if t.occupancy <> 0 then
     invalid_arg "Value_switch.flush: occupancy out of sync with queue contents";
-  touch_all t;
   !dropped
 
 let check_invariants t =
@@ -469,5 +440,4 @@ let check_invariants t =
       invalid_arg "Value_switch: value histogram out of sync with buckets";
     if t.vocc.(v / 63) land (1 lsl (v mod 63)) <> 0 <> (!c > 0) then
       invalid_arg "Value_switch: value bitset out of sync with histogram"
-  done;
-  List.iter (fun (_, idx) -> Agg_index.check idx) t.indexes
+  done

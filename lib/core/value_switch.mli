@@ -17,22 +17,20 @@
 type t
 
 type view = {
-  view_k : int;  (** number of value levels *)
   view_wpp : int;  (** bitset words per port *)
   view_qlen : int array;  (** live per-port packet counts *)
   view_qsum : int array;  (** live per-port value sums *)
   view_occ : int array;  (** live per-port occupancy bitsets *)
 }
-(** Read-only aliases of the switch's per-port aggregate state.  Policies
-    hand the arrays to {!Agg_index.create_lex} as key columns and read
-    per-port minima through {!view_min_value_or}, so their victim indexes
-    compare unboxed ints.  The arrays are the switch's own live state: never
-    write through them. *)
+(** Read-only aliases of the switch's per-port aggregate state.  The push-out
+    policies select their victims in one pass over these arrays and read a
+    port's minimum through {!view_min_value_or} only where a tie needs it.
+    The arrays are the switch's own live state: never write through them. *)
 
 val view_min_value_or : view -> int -> default:int -> int
 (** Smallest value queued at the port, [default] when empty — the same
-    bitset scan the switch itself runs, exposed for derived-key refresh
-    functions. *)
+    bitset scan the switch itself runs, exposed for the policies' tie
+    keys. *)
 
 val create : Value_config.t -> t
 
@@ -73,12 +71,9 @@ val min_value_or : t -> default:int -> int
     when the buffer is empty.  O(k/63): the lowest set bit of the bitset
     over a buffer-wide per-value count.  The MRD and RAND drop gate. *)
 
-val find_index : t -> key:string -> (n:int -> Agg_index.t) -> Agg_index.t
-(** The victim-selection index registered under [key]; see
-    {!Proc_switch.find_index} for the contract. *)
-
 val view : t -> view
-(** The live per-port aggregate state. *)
+(** The live per-port aggregate state: one record, built at {!create}, so
+    reading it allocates nothing. *)
 
 val accept : t -> dest:int -> value:int -> unit
 (** @raise Invalid_argument if the buffer is full or the value is outside

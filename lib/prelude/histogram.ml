@@ -7,6 +7,7 @@ type t = {
   max_value : float;
   buckets_per_decade : int;
   counts : int array; (* counts.(0) is the [0, 1) bucket *)
+  small : int array; (* small.(x): the unclamped bucket of integer sample x *)
   mutable total : int;
   f : floats;
 }
@@ -15,7 +16,46 @@ let bucket_count ~max_value ~buckets_per_decade =
   (* One bucket for [0, 1), then buckets_per_decade per decade above 1. *)
   1 + int_of_float (ceil (log10 max_value *. float_of_int buckets_per_decade))
 
-let create ?(max_value = 1e9) ?(buckets_per_decade = 10) () =
+(* Every [add] inlines these and [observe], so [add_int]'s and
+   [add_scaled]'s converted sample never crosses a call boxed (the build
+   has no flambda): an integer lands in exactly the bucket its float
+   would.  [index] is [clamp] of [raw_index]; the small-sample table below
+   stores [raw_index] and [add_int] clamps what it reads the same way. *)
+let[@inline] raw_index bpd x =
+  if x < 1.0 then 0 else 1 + int_of_float (log10 x *. float_of_int bpd)
+
+let[@inline] clamp t i =
+  let last = Array.length t.counts - 1 in
+  if i < last then i else last
+
+let[@inline] index t x = clamp t (raw_index t.buckets_per_decade x)
+
+let[@inline] observe_at t i x =
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.total <- t.total + 1;
+  let f = t.f in
+  f.sum <- f.sum +. x;
+  if x > f.max_seen then f.max_seen <- x
+
+let[@inline] observe t x = observe_at t (index t x) x
+
+(* Integer samples below [small_ints] read their bucket from a table
+   instead of taking a [log10]: per-packet latencies and per-slot
+   occupancies in slots almost always fit.  The table depends only on
+   [buckets_per_decade], so every histogram at the default shares one,
+   built when the program starts, and creating one takes no [log10]
+   (simulations create histograms by the thousand); another bucketing
+   builds its own. *)
+let small_ints = 1024
+let default_buckets_per_decade = 10
+
+let small_table bpd =
+  Array.init small_ints (fun x -> raw_index bpd (float_of_int x))
+
+let default_small = small_table default_buckets_per_decade
+
+let create ?(max_value = 1e9)
+    ?(buckets_per_decade = default_buckets_per_decade) () =
   if max_value <= 1.0 then invalid_arg "Histogram.create: max_value <= 1";
   if buckets_per_decade < 1 then
     invalid_arg "Histogram.create: buckets_per_decade < 1";
@@ -23,28 +63,12 @@ let create ?(max_value = 1e9) ?(buckets_per_decade = 10) () =
     max_value;
     buckets_per_decade;
     counts = Array.make (bucket_count ~max_value ~buckets_per_decade + 1) 0;
+    small =
+      (if buckets_per_decade = default_buckets_per_decade then default_small
+       else small_table buckets_per_decade);
     total = 0;
     f = { sum = 0.0; max_seen = 0.0 };
   }
-
-(* Every [add] inlines this and [observe], so [add_int]'s and
-   [add_scaled]'s converted sample never crosses a call boxed (the build
-   has no flambda): an integer lands in exactly the bucket its float
-   would. *)
-let[@inline] index t x =
-  if x < 1.0 then 0
-  else
-    let i = 1 + int_of_float (log10 x *. float_of_int t.buckets_per_decade) in
-    let last = Array.length t.counts - 1 in
-    if i < last then i else last
-
-let[@inline] observe t x =
-  let i = index t x in
-  t.counts.(i) <- t.counts.(i) + 1;
-  t.total <- t.total + 1;
-  let f = t.f in
-  f.sum <- f.sum +. x;
-  if x > f.max_seen then f.max_seen <- x
 
 (* Lower edge of bucket i (inverse of [index]). *)
 let lower_edge t i =
@@ -61,7 +85,9 @@ let add t x =
 
 let add_int t x =
   if x < 0 then invalid_arg "Histogram.add_int: negative sample";
-  observe t (float_of_int x)
+  if x < small_ints then
+    observe_at t (clamp t (Array.unsafe_get t.small x)) (float_of_int x)
+  else observe t (float_of_int x)
 
 (* The unit conversion happens here, after the call: a float constant
    [scale] is a static block, so the caller boxes nothing. *)

@@ -17,7 +17,9 @@ val add : t -> float -> unit
 val add_int : t -> int -> unit
 (** [add_int t x] records exactly what [add t (float_of_int x)] records —
     same bucket, count, sum and maximum — without boxing a float: the
-    per-packet and per-slot form for samples counted in slots.
+    per-packet and per-slot form for samples counted in slots.  A sample
+    below 1 024 reads its bucket from a table instead of taking a
+    [log10].
     @raise Invalid_argument on a negative sample. *)
 
 val add_scaled : t -> int -> float -> unit

@@ -1,10 +1,11 @@
 (* Reference O(n) victim selection for every push-out policy, plus
-   reference policies built from it.  These are the original left-to-right
-   scans the production policies' incremental indexes must agree with,
-   decision for decision (test_victim_oracle.ml drives the two in
-   lockstep).  Each scan replaces its running best on [key >= best] (or
-   strict [>] where noted) while iterating j = 0 .. n-1, which fixes the tie
-   convention; all comparisons are explicit integer comparisons. *)
+   reference policies built from it.  These are plain left-to-right scans
+   through the switches' public accessors, which the production policies'
+   passes over the raw columns must agree with, decision for decision
+   (test_victim_oracle.ml drives the two in lockstep).  Each scan replaces
+   its running best on [key >= best] (or strict [>] where noted) while
+   iterating j = 0 .. n-1, which fixes the tie convention; all comparisons
+   are explicit integer comparisons. *)
 
 open Smbm_core
 

@@ -295,6 +295,30 @@ let prop_add_scaled_is_add =
       List.iter (fun x -> Histogram.add h2 (float_of_int x *. scale)) xs;
       same_observations h1 h2)
 
+(* [add_int] reads a small sample's bucket from a table filled at
+   creation (1024 entries) and sends a larger one down the float path.
+   Each case checks every integer in [0, 4096), one sample at a time on a
+   cleared pair, so the whole table and the switch-over to the float path
+   are covered, then random large samples; the shapes include a cap
+   inside the table range (100) and a fine bucketing. *)
+let prop_add_int_table_is_float_path =
+  QCheck2.Test.make ~name:"add_int table = float path" ~count:20
+    QCheck2.Gen.(
+      pair
+        (oneofl ((100.0, 10) :: (1e6, 50) :: shapes))
+        (list_size (int_range 1 200) (int_range 0 4_000_000_000)))
+    (fun ((max_value, buckets_per_decade), large) ->
+      let h1 = Histogram.create ~max_value ~buckets_per_decade ()
+      and h2 = Histogram.create ~max_value ~buckets_per_decade () in
+      let agrees x =
+        Histogram.clear h1;
+        Histogram.clear h2;
+        Histogram.add_int h1 x;
+        Histogram.add h2 (float_of_int x);
+        same_observations h1 h2
+      in
+      List.for_all agrees (List.init 4096 Fun.id) && List.for_all agrees large)
+
 let test_add_scaled_rejects_negative () =
   match Histogram.add_scaled (Histogram.create ()) (-1) 1e-3 with
   | exception Invalid_argument _ -> ()
@@ -320,6 +344,7 @@ let suite =
     Alcotest.test_case "add_int = add at every bucket edge" `Quick
       test_add_int_edges;
     Qc.to_alcotest prop_add_int_is_add;
+    Qc.to_alcotest prop_add_int_table_is_float_path;
     Qc.to_alcotest prop_add_scaled_is_add;
     Alcotest.test_case "add_scaled rejects a negative sample" `Quick
       test_add_scaled_rejects_negative;

@@ -273,23 +273,31 @@ let prop_lockstep_with_oracle =
   QCheck2.Test.make
     ~name:"hybrid: valued Engine.Proc agrees with the scan oracle" ~count:300
     QCheck2.Gen.(
-      let* n = int_range 1 4 in
-      let* works = array_size (pure n) (int_range 1 5) in
-      let* buffer = int_range 1 6 in
+      (* Mostly small switches, and some of 63-65 ports with a larger
+         buffer and longer runs; half the cases draw works and values from
+         {1, 2} only, so WVD's ratios, DPK's densities and tail-MVD's tails
+         tie often. *)
+      let* wide = frequency [ (4, pure false); (1, pure true) ] in
+      let* n = if wide then oneofl [ 63; 64; 65 ] else int_range 1 4 in
+      let* ties = bool in
+      let key max = int_range 1 (if ties then 2 else max) in
+      let* works = array_size (pure n) (key 5) in
+      let* buffer = int_range 1 (if wide then 96 else 6) in
       let* speedup = int_range 1 3 in
-      let* max_value = int_range 1 6 in
+      let* max_value = int_range (if ties then 2 else 1) 6 in
       let* policy = int_range 0 6 in
       let* ops =
-        list_size (int_range 1 80)
+        list_size
+          (if wide then int_range 40 240 else int_range 1 80)
           (frequency
              [
                ( 6,
                  map2
                    (fun d v -> `Arrive (d, v))
                    (int_range 0 (n - 1))
-                   (int_range 1 max_value) );
+                   (key max_value) );
                (2, pure `Slot);
-               (1, map (fun b -> `Resize b) (int_range 1 8));
+               (1, map (fun b -> `Resize b) (int_range 1 (if wide then 100 else 8)));
                (1, pure `Flush);
              ])
       in

@@ -1,12 +1,12 @@
 (* Two-way differential oracle for victim selection: every push-out policy
-   variant, as built by the production registry (keyed incremental indexes
-   over the switch's aggregate columns), is driven in lockstep with its
-   test-side reference (the original O(n) scans, Scan_oracle) under fuzzed
-   traffic including mid-run [set_buffer] resizes and flushouts.  Both
-   policies see the same switch at every arrival and must return the same
-   decision; the switch (with every registered index) is re-validated after
-   each operation.  Plus pinned tie-break regressions, raising-hook
-   invariant checks and the value switch's intra-bucket order. *)
+   variant, as built by the production registry (one tight pass over the
+   switch's aggregate columns), is driven in lockstep with its test-side
+   reference (plain O(n) scans through the public accessors, Scan_oracle)
+   under fuzzed traffic including mid-run [set_buffer] resizes and
+   flushouts.  Both policies see the same switch at every arrival and must
+   return the same decision; the switch is re-validated after each
+   operation.  Plus pinned tie-break regressions, raising-hook invariant
+   checks and the value switch's intra-bucket order. *)
 
 open Smbm_core
 
@@ -20,15 +20,15 @@ let run_proc_lockstep ~works ~buffer ~speedup ~ops ~prod ~reference =
   List.iter
     (fun op ->
       (match op with
-      | `Arrival dest -> (
-        let d = Policy.admit prod sw ~dest ~value:1 in
-        if not (Decision.equal d (Policy.admit reference sw ~dest ~value:1)) then
+      | `Arrival (dest, value) -> (
+        let d = Policy.admit prod sw ~dest ~value in
+        if not (Decision.equal d (Policy.admit reference sw ~dest ~value)) then
           ok := false;
         match Decision_view.of_decision d with
-        | Decision_view.Accept -> Proc_switch.accept sw ~dest ~value:1
+        | Decision_view.Accept -> Proc_switch.accept sw ~dest ~value
         | Decision_view.Push_out victim ->
           ignore (Proc_switch.push_out sw ~victim : int);
-          Proc_switch.accept sw ~dest ~value:1
+          Proc_switch.accept sw ~dest ~value
         | Decision_view.Drop -> ())
       | `Transmit ->
         ignore
@@ -83,60 +83,85 @@ let proc_policies ~buffer ~n =
       (fun c -> P_reserved.make ~reserve:r c),
       S.rsv_policy ~reserve:r )
   in
-  [
-    ("LQD", P_lqd.make, S.lqd_policy);
-    ("LWD", (fun c -> P_lwd.make c), fun () -> S.lwd_policy ());
-    ( "LWD1",
-      (fun c -> P_lwd.make ~protect_last:true c),
-      fun () -> S.lwd_policy ~protect_last:true () );
-    ( "LWD/tie=small-work",
-      (fun c -> P_lwd.make ~tie:P_lwd.Smallest_work c),
-      fun () -> S.lwd_policy ~tie:P_lwd.Smallest_work () );
-    ( "LWD/tie=long-queue",
-      (fun c -> P_lwd.make ~tie:P_lwd.Longest_queue c),
-      fun () -> S.lwd_policy ~tie:P_lwd.Longest_queue () );
-    ("BPD", (fun c -> P_bpd.make c), S.bpd_policy ~protect_last:false);
-    ( "BPD1",
-      (fun c -> P_bpd.make ~protect_last:true c),
-      S.bpd_policy ~protect_last:true );
-    rsv 0;
-    rsv (buffer / n);
-  ]
+  let lwd ~protect_last tie =
+    ( "LWD",
+      (fun c -> P_lwd.make ~protect_last ~tie c),
+      fun () -> S.lwd_policy ~protect_last ~tie () )
+  in
+  [ ("LQD", P_lqd.make, S.lqd_policy) ]
+  @ List.concat_map
+      (fun protect_last ->
+        [
+          lwd ~protect_last P_lwd.Largest_work;
+          lwd ~protect_last P_lwd.Smallest_work;
+          lwd ~protect_last P_lwd.Longest_queue;
+          ( "BPD",
+            (fun c -> P_bpd.make ~protect_last c),
+            S.bpd_policy ~protect_last );
+        ])
+      [ false; true ]
+  @ [ rsv 0; rsv (buffer / n) ]
 
 let value_policies =
   let module S = Scan_oracle in
-  [
-    ("V-LQD", V_lqd.make, S.vlqd_policy);
-    ("MVD", (fun c -> V_mvd.make c), S.mvd_policy ~protect_last:false);
-    ( "MVD1",
-      (fun c -> V_mvd.make ~protect_last:true c),
-      S.mvd_policy ~protect_last:true );
-    ("MRD", (fun c -> V_mrd.make c), S.mrd_policy ~protect_last:false);
-    ( "MRD1",
-      (fun c -> V_mrd.make ~protect_last:true c),
-      S.mrd_policy ~protect_last:true );
-  ]
+  [ ("V-LQD", V_lqd.make, S.vlqd_policy) ]
+  @ List.concat_map
+      (fun protect_last ->
+        [
+          ( "MVD",
+            (fun c -> V_mvd.make ~protect_last c),
+            S.mvd_policy ~protect_last );
+          ( "MRD",
+            (fun c -> V_mrd.make ~protect_last c),
+            S.mrd_policy ~protect_last );
+        ])
+      [ false; true ]
 
-let proc_ops_gen n =
+(* Port counts: mostly small switches, plus n = 1 (no port besides the
+   destination) and n in {63, 64, 65}: wide switches whose many short
+   queues tie on length across dozens of ports.  Those get a larger buffer
+   and longer runs, so their queues still fill. *)
+let ports_gen =
   QCheck2.Gen.(
-    list_size (int_range 20 80)
+    frequency [ (5, int_range 2 6); (1, pure 1); (1, oneofl [ 63; 64; 65 ]) ])
+
+let sizing n =
+  if n > 6 then (96, 40, 240) (* max buffer, min ops, max ops *) else (8, 20, 80)
+
+(* Operations over [n] ports, arrival values drawn by [value].  A quarter
+   of the arrivals go to the first four ports, so some queues grow long
+   even on a wide switch. *)
+let ops_gen n ~value =
+  let max_buffer, lo, hi = sizing n in
+  QCheck2.Gen.(
+    let dest =
+      frequency [ (3, int_range 0 (n - 1)); (1, int_range 0 (min 3 (n - 1))) ]
+    in
+    list_size (int_range lo hi)
       (frequency
          [
-           (6, map (fun d -> `Arrival d) (int_range 0 (n - 1)));
+           (6, map2 (fun d v -> `Arrival (d, v)) dest value);
            (2, pure `Transmit);
-           (1, map (fun b -> `Set_buffer b) (int_range 1 12));
+           (1, map (fun b -> `Set_buffer b) (int_range 1 (max_buffer + 4)));
            (1, pure `Flush);
          ]))
 
+(* Tie-heavy draws: port works (proc) or values (value) from {1, 2} only,
+   so equal lengths, equal works and equal MRD ratios — and with them every
+   lazily read tie key — come up constantly. *)
+let key_gen ~ties ~max = QCheck2.Gen.int_range 1 (if ties then min 2 max else max)
+
 let prop_proc_policies_lockstep =
   QCheck2.Test.make
-    ~name:"proc push-out policies: scan = index lockstep" ~count:150
+    ~name:"proc push-out policies: scan = pass lockstep" ~count:150
     QCheck2.Gen.(
-      let* n = int_range 1 6 in
-      let* works = array_size (pure n) (int_range 1 4) in
-      let* buffer = int_range 1 8 in
+      let* n = ports_gen in
+      let* ties = bool in
+      let* works = array_size (pure n) (key_gen ~ties ~max:4) in
+      let max_buffer, _, _ = sizing n in
+      let* buffer = int_range 1 max_buffer in
       let* speedup = int_range 1 2 in
-      let* ops = proc_ops_gen n in
+      let* ops = ops_gen n ~value:(pure 1) in
       pure (works, buffer, speedup, ops))
     (fun (works, buffer, speedup, ops) ->
       let n = Array.length works in
@@ -147,26 +172,15 @@ let prop_proc_policies_lockstep =
 
 let prop_value_policies_lockstep =
   QCheck2.Test.make
-    ~name:"value push-out policies: scan = index lockstep" ~count:150
+    ~name:"value push-out policies: scan = pass lockstep" ~count:150
     QCheck2.Gen.(
-      let* ports = int_range 1 6 in
+      let* ports = ports_gen in
+      let* ties = bool in
       let* max_value = Qc.value_levels in
-      let* buffer = int_range 1 8 in
+      let max_buffer, _, _ = sizing ports in
+      let* buffer = int_range 1 max_buffer in
       let* speedup = int_range 1 2 in
-      let* ops =
-        list_size (int_range 20 80)
-          (frequency
-             [
-               ( 6,
-                 map2
-                   (fun d v -> `Arrival (d, v))
-                   (int_range 0 (ports - 1))
-                   (int_range 1 max_value) );
-               (2, pure `Transmit);
-               (1, map (fun b -> `Set_buffer b) (int_range 1 12));
-               (1, pure `Flush);
-             ])
-      in
+      let* ops = ops_gen ports ~value:(key_gen ~ties ~max:max_value) in
       pure (ports, max_value, buffer, speedup, ops))
     (fun (ports, max_value, buffer, speedup, ops) ->
       List.for_all
@@ -242,13 +256,13 @@ let proc_switch ?speedup ~works ~buffer ~lengths () =
 
 let test_lqd_tie_largest_index () =
   (* Equal virtual lengths and equal port works: the >=-scan keeps the
-     largest index; the indexed path must agree. *)
+     largest index; the pass must agree. *)
   let sw = proc_switch ~works:[| 1; 1 |] ~buffer:3 ~lengths:[| 2; 1 |] () in
   Alcotest.(check int) "scan" 1 (Scan_oracle.lqd sw ~dest:1);
-  Alcotest.(check int) "indexed" 1 (P_lqd.select_victim sw ~dest:1);
+  Alcotest.(check int) "pass" 1 (P_lqd.select_victim sw ~dest:1);
   (* Virtual add dominates: dest 0 at virtual length 3 wins outright. *)
   Alcotest.(check int) "scan dest 0" 0 (Scan_oracle.lqd sw ~dest:0);
-  Alcotest.(check int) "indexed dest 0" 0 (P_lqd.select_victim sw ~dest:0)
+  Alcotest.(check int) "pass dest 0" 0 (P_lqd.select_victim sw ~dest:0)
 
 let test_lwd_tie_largest_index () =
   (* works [|1;1|], lengths [|1;2|], arrival at 0: virtual totals tie at 2,
@@ -257,7 +271,7 @@ let test_lwd_tie_largest_index () =
   let sw = proc_switch ~works:[| 1; 1 |] ~buffer:3 ~lengths:[| 1; 2 |] () in
   Alcotest.(check int) "scan" 1
     (Scan_oracle.lwd ~protect_last:false ~tie:P_lwd.Largest_work sw ~dest:0);
-  Alcotest.(check int) "indexed" 1 (P_lwd.select_victim sw ~dest:0)
+  Alcotest.(check int) "pass" 1 (P_lwd.select_victim sw ~dest:0)
 
 let value_switch ~ports ~max_value ~buffer ~queues () =
   let config = Value_config.make ~ports ~max_value ~buffer () in
@@ -277,7 +291,7 @@ let test_mrd_tie_smaller_min_then_largest_index () =
   in
   Alcotest.(check (option int)) "scan" (Some 0)
     (Scan_oracle.mrd ~protect_last:false sw);
-  Alcotest.(check int) "indexed" 0 (V_mrd.select_victim sw);
+  Alcotest.(check int) "pass" 0 (V_mrd.select_victim sw);
   (* Equal ratios and equal minima: the largest index wins. *)
   let sw =
     value_switch ~ports:2 ~max_value:4 ~buffer:4
@@ -285,7 +299,18 @@ let test_mrd_tie_smaller_min_then_largest_index () =
   in
   Alcotest.(check (option int)) "scan tie" (Some 1)
     (Scan_oracle.mrd ~protect_last:false sw);
-  Alcotest.(check int) "indexed tie" 1 (V_mrd.select_victim sw)
+  Alcotest.(check int) "pass tie" 1 (V_mrd.select_victim sw);
+  (* A tie read the incumbent's minimum (ports 0 and 1, ratio 1/2, minimum
+     2); port 2 then wins outright (ratio 1, minimum 1) and ties port 3
+     (ratio 1, minimum 2).  The tie must compare against port 2's minimum,
+     not the one read for the incumbent it replaced. *)
+  let sw =
+    value_switch ~ports:4 ~max_value:2 ~buffer:5
+      ~queues:[| [ 2 ]; [ 2 ]; [ 1 ]; [ 2; 2 ] |] ()
+  in
+  Alcotest.(check (option int)) "scan after a strict win" (Some 2)
+    (Scan_oracle.mrd ~protect_last:false sw);
+  Alcotest.(check int) "pass after a strict win" 2 (V_mrd.select_victim sw)
 
 let test_min_value_port_pinned_tie () =
   (* Several queues hold the buffer minimum: the longest one wins, then the
@@ -327,7 +352,7 @@ let test_proc_switch_raising_hook () =
    with Exit -> ());
   Proc_switch.check_invariants sw;
   Alcotest.(check int) "occupancy" 3 (Proc_switch.occupancy sw);
-  (* Victim selection still answers correctly off the re-validated index. *)
+  (* Victim selection still answers correctly off the live columns. *)
   Alcotest.(check int) "post-raise victim" 1 (P_lqd.select_victim sw ~dest:1);
   (* And draining the rest keeps everything consistent. *)
   let rec drain () =
