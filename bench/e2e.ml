@@ -288,22 +288,26 @@ let flight_run ~flight =
     Smbm_core.Proc_switch.accept sw ~dest:(!d mod n) ~value:1;
     incr d
   done;
-  (* Built once, as the engines build theirs: a hook closing over the
+  (* The engines' own slot clock: advanced beside [advance_slot], it
+     stamps events and latencies without a call into the switch.  The hook
+     is built once, as the engines build theirs: a hook closing over the
      slot's [now] would be a fresh closure every slot, and the cell would
      price that allocation instead of the ring. *)
+  let clock = ref (Smbm_core.Proc_switch.now sw) in
   let on_transmit ~dest ~value ~arrival =
     match flight with
     | None -> ()
     | Some f ->
-      let now = Smbm_core.Proc_switch.now sw in
+      let now = !clock in
       Smbm_obs.Flight.transmit f ~slot:now ~src:fsrc ~dest ~value
         ~latency:(now - arrival)
   in
   fun () ->
     for _ = 1 to slots do
-      let now = Smbm_core.Proc_switch.now sw in
+      let now = !clock in
       let freed = Smbm_core.Proc_switch.transmit_phase sw ~on_transmit in
       Smbm_core.Proc_switch.advance_slot sw;
+      incr clock;
       for _ = 1 to freed do
         let dest = next n in
         (match flight with

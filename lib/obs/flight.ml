@@ -1,23 +1,21 @@
-(* A fixed-capacity struct-of-arrays event ring: the engines' one event
-   recorder.  Six unboxed int columns (kind tag, slot, source id, three
-   payload words) plus an interning table mapping the few strings an event
-   can carry (sources, reconfig knobs, health rules) to dense ids.  The
-   record fast path writes six ints and bumps three counters — no event
-   record, no option, no closure — so engines can leave it on at full
-   speed; events are boxed back into {!Event.t} only when read out. *)
+(* A fixed-capacity event ring: the engines' one event recorder.  One
+   unboxed int array holds a six-word row per event (kind tag, slot,
+   source id, three payload words), beside an interning table mapping the
+   few strings an event can carry (sources, reconfig knobs, health rules)
+   to dense ids.  The record fast path writes one row and advances two
+   counters — no event record, no option, no closure, one array to
+   address — so engines can leave it on at full speed;
+   events are boxed back into {!Event.t} only when read out. *)
+
+let width = 6
 
 type t = {
   scope : string;
   cap : int;
-  kind : int array;
-  slot : int array;
-  src : int array;
-  a : int array;
-  b : int array;
-  c : int array;
-  mutable next : int; (* = total mod cap *)
-  mutable len : int;
-  mutable total : int;
+  rows : int array;
+      (* event [i] at [i * width]: kind tag, slot, source id, a, b, c *)
+  mutable next : int; (* = (total mod cap) * width *)
+  mutable total : int; (* the ring holds the last [min total cap] *)
   (* interning: id -> string and string -> id.  Ids are stable for the
      life of the ring ([clear] keeps them), so engines intern once. *)
   mutable names : string array;
@@ -30,14 +28,8 @@ let create ?(scope = "") ~cap () =
   {
     scope;
     cap;
-    kind = Array.make cap 0;
-    slot = Array.make cap 0;
-    src = Array.make cap 0;
-    a = Array.make cap 0;
-    b = Array.make cap 0;
-    c = Array.make cap 0;
+    rows = Array.make (cap * width) 0;
     next = 0;
-    len = 0;
     total = 0;
     names = Array.make 8 "";
     n_names = 0;
@@ -46,9 +38,9 @@ let create ?(scope = "") ~cap () =
 
 let scope t = t.scope
 let capacity t = t.cap
-let length t = t.len
+let length t = if t.total < t.cap then t.total else t.cap
 let total t = t.total
-let dropped t = t.total - t.len
+let dropped t = t.total - length t
 
 (* [Hashtbl.find], not [find_opt]: the hit path must not allocate (an
    option cell per [reconfig]/[health] would belie the mli's claim). *)
@@ -76,16 +68,15 @@ let name_of t id =
   else t.names.(id)
 
 let[@inline] record t ~slot ~src ~kind ~a ~b ~c =
-  let i = t.next in
-  Array.unsafe_set t.kind i kind;
-  Array.unsafe_set t.slot i slot;
-  Array.unsafe_set t.src i src;
-  Array.unsafe_set t.a i a;
-  Array.unsafe_set t.b i b;
-  Array.unsafe_set t.c i c;
-  let n = i + 1 in
-  t.next <- (if n = t.cap then 0 else n);
-  if t.len < t.cap then t.len <- t.len + 1;
+  let rows = t.rows and i = t.next in
+  Array.unsafe_set rows i kind;
+  Array.unsafe_set rows (i + 1) slot;
+  Array.unsafe_set rows (i + 2) src;
+  Array.unsafe_set rows (i + 3) a;
+  Array.unsafe_set rows (i + 4) b;
+  Array.unsafe_set rows (i + 5) c;
+  let n = i + width in
+  t.next <- (if n = Array.length rows then 0 else n);
   t.total <- t.total + 1
 
 let[@inline] arrival t ~slot ~src ~dest =
@@ -125,17 +116,19 @@ let health t ~slot ~src ~rule ~tripped ~reason =
    [next] starts at 0 with [total] and wraps with it. *)
 let iter_from ~from f t =
   if from < 0 then invalid_arg "Flight.iter_from: negative cursor";
-  let first = t.total - t.len in
+  let first = dropped t in
   let evicted = first - from in
   if evicted > 0 then begin
-    let slot = if t.len > 0 then t.slot.(first mod t.cap) else 0 in
+    let slot =
+      if t.total > 0 then t.rows.((first mod t.cap * width) + 1) else 0
+    in
     f (Event.make ~src:t.scope ~slot (Event.Truncated { evicted }))
   end;
   let i = ref 0 and col = ref 0 in
   let word () =
     let k = !col in
     col := k + 1;
-    (if k = 0 then t.a else if k = 1 then t.b else t.c).(!i)
+    t.rows.(!i + 3 + min k 2)
   in
   let r =
     {
@@ -145,13 +138,16 @@ let iter_from ~from f t =
     }
   in
   for n = max from first to t.total - 1 do
-    i := n mod t.cap;
+    i := n mod t.cap * width;
     col := 0;
-    match Event.of_tag t.kind.(!i) r with
+    match Event.of_tag t.rows.(!i) r with
     | Some kind ->
-      f (Event.make ~src:(name_of t t.src.(!i)) ~slot:t.slot.(!i) kind)
+      f
+        (Event.make
+           ~src:(name_of t t.rows.(!i + 2))
+           ~slot:t.rows.(!i + 1) kind)
     | None ->
-      invalid_arg (Printf.sprintf "Flight: corrupt kind tag %d" t.kind.(!i))
+      invalid_arg (Printf.sprintf "Flight: corrupt kind tag %d" t.rows.(!i))
   done
 
 let to_list iter t =
@@ -159,11 +155,10 @@ let to_list iter t =
   iter (fun e -> acc := e :: !acc) t;
   List.rev !acc
 
-let iter f t = iter_from ~from:(t.total - t.len) f t
+let iter f t = iter_from ~from:(dropped t) f t
 let events t = to_list iter t
 let dump t = to_list (iter_from ~from:0) t
 
 let clear t =
   t.next <- 0;
-  t.len <- 0;
   t.total <- 0

@@ -1,9 +1,10 @@
-(** The event recorder: a fixed-capacity struct-of-arrays event ring with
-    an allocation-free record fast path.
+(** The event recorder: a fixed-capacity event ring of unboxed int rows
+    with an allocation-free record fast path.
 
     It is the engines' one event seam ([?events] on every producer), cheap
-    enough to leave on everywhere.  Events live in six unboxed int columns
-    (kind tag, slot, source id, three payload words, laid out as
+    enough to leave on everywhere.  Events live in one flat int array, six
+    words per event (kind tag, slot, source id, three payload words, laid
+    out as
     {!Event.tag} and {!Event.write_payload} fix them); the strings an event
     can carry — sources, reconfig knobs, health rules and reasons — go
     through an interning table once, so the steady-state [record] path

@@ -12,7 +12,8 @@
 
    The [unsafe_*] accessors sit on the per-packet hot paths of the
    switches; indices there are in bounds by the slab invariants the
-   switches' [check_invariants] prove. *)
+   switches' [check_invariants] prove.  They are [external]s so that they
+   compile inline at the call site even where the build passes [-opaque]. *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -34,8 +35,8 @@ let length (t : t) = Bigarray.Array1.dim t
 let get (t : t) i = Bigarray.Array1.get t i
 let set (t : t) i x = Bigarray.Array1.set t i x
 
-let unsafe_get (t : t) i = Bigarray.Array1.unsafe_get t i [@@inline]
-let unsafe_set (t : t) i x = Bigarray.Array1.unsafe_set t i x [@@inline]
+external unsafe_get : t -> int -> int = "%caml_ba_unsafe_ref_1"
+external unsafe_set : t -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 
 let fill (t : t) x = Bigarray.Array1.fill t x
 

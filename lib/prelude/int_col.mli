@@ -19,8 +19,12 @@ val length : t -> int
 val get : t -> int -> int
 val set : t -> int -> int -> unit
 
-val unsafe_get : t -> int -> int
-val unsafe_set : t -> int -> int -> unit
+external unsafe_get : t -> int -> int = "%caml_ba_unsafe_ref_1"
+external unsafe_set : t -> int -> int -> unit = "%caml_ba_unsafe_set_1"
+(** Bigarray primitives, not functions: [t]'s element kind and layout are
+    concrete, so every call site compiles to one load or store, with no
+    call, in every build profile (a function here would cost a call per
+    slab access wherever cross-unit inlining is off). *)
 
 val fill : t -> int -> unit
 

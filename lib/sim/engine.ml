@@ -1,5 +1,6 @@
 open Smbm_core
 module Flight = Smbm_obs.Flight
+module Registry = Smbm_obs.Registry
 
 module type SWITCH = sig
   type t
@@ -8,7 +9,6 @@ module type SWITCH = sig
   val create : config -> t
   val unit_priced : config -> bool
   val n : t -> int
-  val now : t -> int
   val is_full : t -> bool
   val accept : t -> dest:int -> value:int -> unit
   val push_out : t -> victim:int -> int
@@ -50,6 +50,10 @@ module type S = sig
     Instance.t * Switch.t
 end
 
+(* A push-out decision is its victim's index (>= 0); read once here so
+   the arrival path tests an int instead of calling into [Decision]. *)
+let drop = (Decision.drop :> int)
+
 module Make (Switch : SWITCH) = struct
   module Switch = Switch
 
@@ -66,66 +70,83 @@ module Make (Switch : SWITCH) = struct
        every packet at value 1, so value traffic replayed into it yields
        the same decisions, counters and events as unit traffic. *)
     let unit_priced = Switch.unit_priced config in
-    let arrive_dv ~dest ~value =
+    (* The slot path counts into [tally], settled into [metrics] once per
+       batch of arrivals and once per transmission phase; only latency is
+       sampled per packet.  [now] is the engine's own copy of the switch's
+       clock, advanced beside [Switch.advance_slot], that stamps events and
+       latencies. *)
+    let tally = Metrics.Tally.create () in
+    let latency_h = Metrics.latency_histogram metrics in
+    let now = ref 0 in
+    let settle () = Metrics.settle metrics tally in
+    let arrive ~dest ~value =
       let value = if unit_priced then 1 else value in
-      Metrics.record_arrival metrics;
+      tally.arrivals <- tally.arrivals + 1;
       (match events with
       | None -> ()
-      | Some f -> Flight.arrival f ~slot:(Switch.now sw) ~src ~dest);
-      let d = !policy_ref.admit sw ~dest ~value in
+      | Some f -> Flight.arrival f ~slot:!now ~src ~dest);
+      let d = (!policy_ref.admit sw ~dest ~value :> int) in
       (* A push-out makes room, then the arrival is accepted as usual. *)
-      if Decision.is_push_out d then begin
+      if d >= 0 then begin
         if not (Switch.is_full sw) then
           invalid_arg
             (name ^ ": push-out decision while the buffer has free space");
-        let victim = Decision.victim d in
-        let lost = Switch.push_out sw ~victim in
-        Metrics.record_push_out metrics;
+        let lost = Switch.push_out sw ~victim:d in
+        tally.pushed_out <- tally.pushed_out + 1;
         match events with
         | None -> ()
-        | Some f ->
-          Flight.push_out f ~slot:(Switch.now sw) ~src ~victim ~dest ~lost
+        | Some f -> Flight.push_out f ~slot:!now ~src ~victim:d ~dest ~lost
       end;
-      if Decision.is_drop d then begin
-        Metrics.record_drop metrics;
+      if d = drop then begin
+        tally.dropped <- tally.dropped + 1;
         match events with
         | None -> ()
-        | Some f -> Flight.drop f ~slot:(Switch.now sw) ~src ~dest ~value
+        | Some f -> Flight.drop f ~slot:!now ~src ~dest ~value
       end
       else begin
         Switch.accept sw ~dest ~value;
-        Metrics.record_accept metrics;
+        tally.accepted <- tally.accepted + 1;
         match events with
         | None -> ()
-        | Some f -> Flight.accept f ~slot:(Switch.now sw) ~src ~dest
+        | Some f -> Flight.accept f ~slot:!now ~src ~dest
       end
     in
+    (* A raising policy or switch still leaves settled counters: the
+       arrival it raised on counted, no admission for it. *)
+    let arrive_dv, arrive_batch = Instance.arrival_paths ~settle arrive in
     let transmit =
       let on_transmit ~dest ~value ~arrival =
-        let latency = Switch.now sw - arrival in
-        Metrics.record_transmit metrics ~value ~latency;
+        let latency = !now - arrival in
+        tally.transmitted <- tally.transmitted + 1;
+        tally.transmitted_value <- tally.transmitted_value + value;
+        Registry.observe_int latency_h latency;
         Port_stats.record ports ~port:dest ~value;
         match events with
         | None -> ()
-        | Some f ->
-          Flight.transmit f ~slot:(Switch.now sw) ~src ~dest ~value ~latency
+        | Some f -> Flight.transmit f ~slot:!now ~src ~dest ~value ~latency
       in
-      fun () -> ignore (Switch.transmit_phase sw ~on_transmit)
+      fun () ->
+        match Switch.transmit_phase sw ~on_transmit with
+        | _ -> settle ()
+        | exception e ->
+          settle ();
+          raise e
     in
     let end_slot () =
       let occupancy = Switch.occupancy sw in
       Metrics.record_occupancy metrics occupancy;
       (match events with
       | None -> ()
-      | Some f -> Flight.slot_end f ~slot:(Switch.now sw) ~src ~occupancy);
-      Switch.advance_slot sw
+      | Some f -> Flight.slot_end f ~slot:!now ~src ~occupancy);
+      Switch.advance_slot sw;
+      incr now
     in
     let flush () =
       let count = Switch.flush sw in
       Metrics.record_flush metrics count;
       (match events with
       | None -> ()
-      | Some f -> Flight.flush f ~slot:(Switch.now sw) ~src ~count);
+      | Some f -> Flight.flush f ~slot:!now ~src ~count);
       Metrics.check_conservation metrics
     in
     let check () =
@@ -138,7 +159,7 @@ module Make (Switch : SWITCH) = struct
       {
         name;
         arrive_dv;
-        arrive_batch = None;
+        arrive_batch = Some arrive_batch;
         transmit;
         end_slot;
         flush;

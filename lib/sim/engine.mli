@@ -36,7 +36,6 @@ module type SWITCH = sig
       Read once per engine, at creation. *)
 
   val n : t -> int
-  val now : t -> int
   val is_full : t -> bool
   val accept : t -> dest:int -> value:int -> unit
 
@@ -70,8 +69,20 @@ module type S = sig
       receives every per-slot event (arrival, accept, push-out, drop,
       transmit, slot-end, flush) into its allocation-free ring, with this
       instance's name as source (interned once at creation).  Recording
-      changes no decision and no counter.  Every arrival goes through
-      [arrive_dv]; the instance's [arrive_batch] is [None]. *)
+      changes no decision and no counter.
+
+      [arrive_batch] is the slot path: the batch's arrivals run through
+      one body that counts into instance-local fields, settled into
+      [metrics] once at the end of the batch ({!Metrics.settle});
+      [transmit] settles its count and value once per phase, and samples
+      latency per packet.  [arrive_dv] is a batch of one and settles
+      immediately.  Both settle also when the policy or the switch raises,
+      so the counters then read as if every event were recorded one by
+      one: the arrival that raised counted, no admission for it.
+
+      Event slots and latencies come from the engine's own clock, advanced
+      by [end_slot] beside {!SWITCH.advance_slot}: advance the returned
+      switch only through [end_slot]. *)
 
   val instance :
     ?name:string ->

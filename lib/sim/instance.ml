@@ -19,3 +19,20 @@ let step_batch t ~batch =
   | None -> Arrival_batch.iter batch ~f:t.arrive_dv);
   t.transmit ();
   t.end_slot ()
+
+let arrival_paths ~settle arrive =
+  let arrive_dv ~dest ~value =
+    match arrive ~dest ~value with
+    | () -> settle ()
+    | exception e ->
+      settle ();
+      raise e
+  in
+  let arrive_batch batch =
+    match Arrival_batch.iter batch ~f:arrive with
+    | () -> settle ()
+    | exception e ->
+      settle ();
+      raise e
+  in
+  (arrive_dv, arrive_batch)

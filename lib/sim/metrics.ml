@@ -37,6 +37,12 @@ let record_accept t = Registry.incr t.accepted
 let record_drop t = Registry.incr t.dropped
 let record_push_out t = Registry.incr t.pushed_out
 
+let record_admissions t ~arrivals ~accepted ~dropped ~pushed_out =
+  Registry.add t.arrivals arrivals;
+  Registry.add t.accepted accepted;
+  Registry.add t.dropped dropped;
+  Registry.add t.pushed_out pushed_out
+
 let record_transmit t ~value ~latency =
   Registry.incr t.transmitted;
   Registry.add t.transmitted_value value;
@@ -45,6 +51,46 @@ let record_transmit t ~value ~latency =
 let record_transmissions t ~count ~value =
   Registry.add t.transmitted count;
   Registry.add t.transmitted_value value
+
+let latency_histogram t = t.latency
+
+module Tally = struct
+  type t = {
+    mutable arrivals : int;
+    mutable accepted : int;
+    mutable dropped : int;
+    mutable pushed_out : int;
+    mutable transmitted : int;
+    mutable transmitted_value : int;
+  }
+
+  let create () =
+    {
+      arrivals = 0;
+      accepted = 0;
+      dropped = 0;
+      pushed_out = 0;
+      transmitted = 0;
+      transmitted_value = 0;
+    }
+end
+
+(* Every accept, drop or push-out follows its arrival in the same batch,
+   so an unsettled admission implies an unsettled arrival. *)
+let settle t (c : Tally.t) =
+  if c.arrivals > 0 then begin
+    record_admissions t ~arrivals:c.arrivals ~accepted:c.accepted
+      ~dropped:c.dropped ~pushed_out:c.pushed_out;
+    c.arrivals <- 0;
+    c.accepted <- 0;
+    c.dropped <- 0;
+    c.pushed_out <- 0
+  end;
+  if c.transmitted > 0 then begin
+    record_transmissions t ~count:c.transmitted ~value:c.transmitted_value;
+    c.transmitted <- 0;
+    c.transmitted_value <- 0
+  end
 
 let record_flush t n = Registry.add t.flushed n
 let record_occupancy t occ = Registry.observe_int t.occupancy occ

@@ -39,6 +39,11 @@ val record_drop : t -> unit
 val record_push_out : t -> unit
 (** An admitted packet was evicted in favour of an arrival. *)
 
+val record_admissions :
+  t -> arrivals:int -> accepted:int -> dropped:int -> pushed_out:int -> unit
+(** Batch form of the four calls above: what {!settle} records for one
+    batch of arrivals. *)
+
 val record_transmit : t -> value:int -> latency:int -> unit
 (** One packet fully processed and sent: counts it, adds [value] to the
     value objective and [latency] (slots since arrival) to the latency
@@ -47,6 +52,33 @@ val record_transmit : t -> value:int -> latency:int -> unit
 val record_transmissions : t -> count:int -> value:int -> unit
 (** Batch form without latency samples — for references (OPT) that
     transmit from a bag with no per-packet identity. *)
+
+val latency_histogram : t -> Smbm_obs.Registry.histogram
+(** The latency instrument, for an engine that counts its transmissions in
+    a {!Tally} and records one latency sample per packet with
+    {!Smbm_obs.Registry.observe_int} — together, what [record_transmit]
+    records. *)
+
+(** Counts accumulated on an engine's slot path and folded into the
+    registry by {!settle}, once per batch of arrivals and once per
+    transmission phase: a field increment costs no call, a registry
+    update costs one. *)
+module Tally : sig
+  type t = {
+    mutable arrivals : int;
+    mutable accepted : int;
+    mutable dropped : int;
+    mutable pushed_out : int;
+    mutable transmitted : int;
+    mutable transmitted_value : int;
+  }
+
+  val create : unit -> t
+end
+
+val settle : t -> Tally.t -> unit
+(** Record the tally ({!record_admissions}, {!record_transmissions}) and
+    zero it. *)
 
 val record_flush : t -> int -> unit
 (** [n] packets discarded by a periodic flushout. *)

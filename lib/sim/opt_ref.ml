@@ -20,17 +20,20 @@ type rule = Srpt of Proc_config.t | Top_values
 let bag_instance ~name ~cores ?events ~buffer ~k rule =
   let bag = Count_multiset.create ~k in
   let metrics = Metrics.create () in
+  (* Admissions are counted into [tally] and settled once per batch, as
+     the engines do. *)
+  let tally = Metrics.Tally.create () in
   let slot = ref 0 in
   let src = match events with Some f -> Flight.intern f name | None -> 0 in
   let accept key ~dest =
     Count_multiset.add bag key;
-    Metrics.record_accept metrics;
+    tally.accepted <- tally.accepted + 1;
     match events with
     | None -> ()
     | Some f -> Flight.accept f ~slot:!slot ~src ~dest
   in
-  let arrive_dv ~dest ~value =
-    Metrics.record_arrival metrics;
+  let arrive ~dest ~value =
+    tally.arrivals <- tally.arrivals + 1;
     (match events with
     | None -> ()
     | Some f -> Flight.arrival f ~slot:!slot ~src ~dest);
@@ -50,7 +53,7 @@ let bag_instance ~name ~cores ?events ~buffer ~k rule =
       if (match rule with Srpt _ -> worst > key | Top_values -> worst < key)
       then begin
         Count_multiset.remove bag worst;
-        Metrics.record_push_out metrics;
+        tally.pushed_out <- tally.pushed_out + 1;
         (match events with
         | None -> ()
         | Some f ->
@@ -59,7 +62,7 @@ let bag_instance ~name ~cores ?events ~buffer ~k rule =
         accept key ~dest
       end
       else begin
-        Metrics.record_drop metrics;
+        tally.dropped <- tally.dropped + 1;
         match events with
         | None -> ()
         | Some f ->
@@ -67,6 +70,10 @@ let bag_instance ~name ~cores ?events ~buffer ~k rule =
           Flight.drop f ~slot:!slot ~src ~dest ~value
       end
     end
+  in
+  let arrive_dv, arrive_batch =
+    Instance.arrival_paths ~settle:(fun () -> Metrics.settle metrics tally)
+      arrive
   in
   let transmit () =
     (* SRPT spends the full per-slot cycle budget: cycles may stack on one
@@ -116,7 +123,7 @@ let bag_instance ~name ~cores ?events ~buffer ~k rule =
   {
     Instance.name;
     arrive_dv;
-    arrive_batch = None;
+    arrive_batch = Some arrive_batch;
     transmit;
     end_slot;
     flush;

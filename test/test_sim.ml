@@ -234,6 +234,186 @@ let prop_opt_dominates_policies =
           (Metrics.transmitted opt.metrics) >= (Metrics.transmitted alg.metrics))
         (Policies.proc config))
 
+(* --- batch path = single path --- *)
+
+module Flight = Smbm_obs.Flight
+
+let batch_pcfg = Proc_config.contiguous ~k:4 ~buffer:6 ()
+let batch_vcfg = Value_config.make ~ports:4 ~max_value:8 ~buffer:6 ()
+
+(* Every instance kind whose slot path is [arrive_batch]: the proc and
+   value engines under push-out policies, and both OPT references. *)
+let batch_subjects : (string * (Flight.t -> Instance.t)) list =
+  let proc p events = Engine.Proc.instance ~events batch_pcfg p in
+  let value p events = Engine.Value.instance ~events batch_vcfg p in
+  [
+    ("proc LWD", proc (P_lwd.make batch_pcfg));
+    ("proc BPD", proc (P_bpd.make batch_pcfg));
+    ("value MRD", value (V_mrd.make batch_vcfg));
+    ("value MVD1", value (V_mvd.make ~protect_last:true batch_vcfg));
+    ("OPT proc", fun events -> Opt_ref.proc_instance ~events batch_pcfg);
+    ("OPT value", fun events -> Opt_ref.value_instance ~events batch_vcfg);
+  ]
+
+(* Slots of (dest, value) arrivals on 4 ports, values 1..8 (the proc
+   subjects are unit-priced and store every value as 1). *)
+let gen_slots =
+  QCheck2.Gen.(
+    list_size (int_range 1 30)
+      (list_size (int_range 0 9) (pair (int_range 0 3) (int_range 1 8))))
+
+let fill batch arrivals =
+  Arrival_batch.clear batch;
+  List.iter
+    (fun (dest, value) -> Arrival_batch.push batch ~dest ~value)
+    arrivals
+
+let per_port (inst : Instance.t) =
+  match inst.ports with
+  | None -> []
+  | Some p ->
+    List.init (Port_stats.n p) (fun i ->
+        (Port_stats.transmitted p i, Port_stats.transmitted_value p i))
+
+let flush_due i = i mod 7 = 6
+
+(* Counters, per-port tallies and events of a run, stepped either through
+   [Instance.step_batch] or arrival by arrival through [arrive_dv]. *)
+let run_slots ~batched mk slots =
+  let ring = Flight.create ~cap:8192 () in
+  let inst = mk ring in
+  let batch = Arrival_batch.create () in
+  List.iteri
+    (fun i arrivals ->
+      if batched then begin
+        fill batch arrivals;
+        Instance.step_batch inst ~batch
+      end
+      else begin
+        List.iter (fun (dest, value) -> inst.arrive_dv ~dest ~value) arrivals;
+        inst.transmit ();
+        inst.end_slot ()
+      end;
+      if flush_due i then inst.flush ();
+      inst.check ())
+    slots;
+  (Metrics.to_jsonl inst.metrics, per_port inst, Flight.events ring)
+
+let prop_batch_equals_single =
+  QCheck2.Test.make ~name:"step_batch = folding arrive_dv, every engine"
+    ~count:60 gen_slots (fun slots ->
+      List.for_all
+        (fun (name, mk) ->
+          if (mk (Flight.create ~cap:1 ())).Instance.arrive_batch = None then
+            QCheck2.Test.fail_reportf "%s: no batch path" name;
+          run_slots ~batched:true mk slots = run_slots ~batched:false mk slots
+          || QCheck2.Test.fail_reportf "%s: batch and single paths differ" name)
+        batch_subjects)
+
+exception Injected
+
+(* [inner], except that its [j]-th admission (counting from 0) raises. *)
+let raising_at j (inner : 'sw Policy.t) =
+  let calls = ref 0 in
+  Policy.make ~name:inner.name ~push_out:true (fun sw ~dest ~value ->
+      let c = !calls in
+      incr calls;
+      if c = j then raise Injected;
+      inner.admit sw ~dest ~value)
+
+let counters m =
+  Metrics.
+    [
+      arrivals m; accepted m; dropped m; pushed_out m; transmitted m;
+      transmitted_value m; flushed m;
+    ]
+
+let replay_of ring name =
+  let lines =
+    List.mapi
+      (fun i event -> { Smbm_forensics.Trace_file.lineno = i + 1; event })
+      (Flight.dump ring)
+  in
+  Smbm_forensics.Replay.replay
+    {
+      Smbm_forensics.Trace_file.src = name;
+      lines;
+      evicted = 0;
+      oldest_slot = 0;
+    }
+
+(* (name, an engine whose policy raises at its [j]-th admission, a twin
+   whose policy does not) *)
+let raise_subjects j =
+  let proc p events = Engine.Proc.instance ~events batch_pcfg p in
+  let value p events = Engine.Value.instance ~events batch_vcfg p in
+  [
+    ( "proc LWD",
+      proc (raising_at j (P_lwd.make batch_pcfg)),
+      proc (P_lwd.make batch_pcfg) );
+    ( "value MRD",
+      value (raising_at j (V_mrd.make batch_vcfg)),
+      value (V_mrd.make batch_vcfg) );
+  ]
+
+(* A policy raising at arrival [j] of a slot's batch: the exception reaches
+   the caller, and the counters read as if each event had been recorded on
+   its own — every earlier arrival settled, the raising one counted with no
+   accept, drop or push-out.  Replaying the ring reproduces them. *)
+let prop_raise_mid_batch =
+  QCheck2.Test.make ~name:"raise mid-batch leaves per-event counters"
+    ~count:60
+    QCheck2.Gen.(pair gen_slots (int_range 0 1_000))
+    (fun (slots, j) ->
+      let total = List.fold_left (fun n s -> n + List.length s) 0 slots in
+      QCheck2.assume (total > 0);
+      let j = j mod total in
+      List.for_all
+        (fun (name, mk_raising, mk_twin) ->
+          let ring = Flight.create ~cap:8192 () in
+          let inst = mk_raising ring in
+          let twin = mk_twin (Flight.create ~cap:1 ()) in
+          let batch = Arrival_batch.create () in
+          (* Step both until arrival [j]; the twin takes the raising slot's
+             earlier arrivals one by one and stops before [j]. *)
+          let rec go i seen = function
+            | [] -> QCheck2.Test.fail_reportf "%s: no raise" name
+            | arrivals :: rest ->
+              let n = List.length arrivals in
+              fill batch arrivals;
+              if seen + n <= j then begin
+                Instance.step_batch inst ~batch;
+                Instance.step_batch twin ~batch;
+                if flush_due i then begin
+                  inst.flush ();
+                  twin.flush ()
+                end;
+                go (i + 1) (seen + n) rest
+              end
+              else begin
+                (match Instance.step_batch inst ~batch with
+                | () -> QCheck2.Test.fail_reportf "%s: no raise" name
+                | exception Injected -> ());
+                List.iteri
+                  (fun a (dest, value) ->
+                    if seen + a < j then twin.arrive_dv ~dest ~value)
+                  arrivals
+              end
+          in
+          go 0 0 slots;
+          let expected =
+            match counters twin.metrics with
+            | arrivals :: rest -> (arrivals + 1) :: rest
+            | [] -> []
+          in
+          if counters inst.metrics <> expected then
+            QCheck2.Test.fail_reportf "%s: counters differ from per-event" name;
+          let r = replay_of ring name in
+          Metrics.to_jsonl r.Smbm_forensics.Replay.metrics
+          = Metrics.to_jsonl inst.metrics
+          || QCheck2.Test.fail_reportf "%s: replay differs" name)
+        (raise_subjects j))
+
 (* --- Experiment --- *)
 
 let test_experiment_lockstep_shares_traffic () =
@@ -380,4 +560,6 @@ let suite =
     Alcotest.test_case "model reference and objective" `Quick
       test_model_reference_and_objective;
     Qc.to_alcotest prop_opt_dominates_policies;
+    Qc.to_alcotest prop_batch_equals_single;
+    Qc.to_alcotest prop_raise_mid_batch;
   ]
