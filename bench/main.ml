@@ -550,7 +550,7 @@ let micro () =
   let value_tests = value_tests_at "full" 256 @ value_tests_at "open" 180 in
   let machinery_tests =
     let config, sw, _ = prepared_proc_switch () in
-    let _vconfig, vsw, _ = prepared_value_switch () in
+    let _vconfig, vsw, vrng = prepared_value_switch () in
     let opt = Opt_ref.proc_instance config in
     [
       Test.make ~name:"switch/proc-transmit-phase"
@@ -567,8 +567,12 @@ let micro () =
              ignore
                (Value_switch.transmit_phase vsw
                   ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ()));
+             (* Refill at random ports and levels, as the traffic does, so
+                every phase reads maxima across mixed bitsets. *)
              while not (Value_switch.is_full vsw) do
-               Value_switch.accept vsw ~dest:0 ~value:1
+               Value_switch.accept vsw
+                 ~dest:(Smbm_prelude.Rng.int vrng 16)
+                 ~value:(1 + Smbm_prelude.Rng.int vrng 16)
              done));
       Test.make ~name:"opt-ref/arrive+transmit"
         (Staged.stage (fun () ->

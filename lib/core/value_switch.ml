@@ -1,43 +1,57 @@
 open Smbm_prelude
 
 (* Occupancy bitsets pack value level v into bit [v mod 63] of word
-   [v / 63] — 63 levels per word, never 64, so the top bit of every word
-   stays clear and [lsl]/[land -b] never touch the sign bit.
-   [bit_index]/[high_bit_index] assume the operand fits 63 bits and take
-   32-bit-wide first steps, so the whole scheme requires OCaml's native int
-   to be at least 63 bits wide; the init-time check below turns a silently
-   corrupting 32-bit build into an immediate error. *)
+   [v / 63]: 63 levels per word, every bit of OCaml's native int.  Level
+   [v mod 63 = 62] is bit 62, the sign bit ([1 lsl 62 = min_int]), so the
+   scans below assume no clear top bit; they rely instead on native ints
+   wrapping modulo 2^63.  [w land -w] isolates the lowest set bit, and
+   [w - (w lsr 1)] of the right-smeared word the highest ([lsr] is logical,
+   so bit 62 never spreads).  [bit_index] reads the isolated bit's index
+   off one multiply by a de Bruijn constant: [(1 lsl i) * debruijn] is the
+   constant shifted left by [i] with every bit past 62 dropped, and its top
+   six bits ([lsr 57]) are a window of the constant that differs for each
+   i in 0..62 (the table build checks it).  No operand leaves the native
+   int, so nothing is sign-extended or boxed.  The scheme needs a native
+   int of exactly 63 bits; the init-time check turns any other width into
+   an immediate error. *)
 
 let () =
-  if Sys.int_size < 63 then
+  if Sys.int_size <> 63 then
     failwith
       (Printf.sprintf
          "Value_switch: native int is %d bits, but the occupancy bitset packs \
-          63 value levels per word and its bit searches step by 32 bits — \
-          32-bit platforms are unsupported"
+          63 value levels per word and its bit scans wrap modulo 2^63 — only \
+          63-bit ints are supported"
          Sys.int_size)
 
-(* Bit index of the single set bit of [b]. *)
-let bit_index b =
-  let i = ref 0 and b = ref b in
-  if !b land 0xFFFFFFFF = 0 then begin i := 32; b := !b lsr 32 end;
-  if !b land 0xFFFF = 0 then begin i := !i + 16; b := !b lsr 16 end;
-  if !b land 0xFF = 0 then begin i := !i + 8; b := !b lsr 8 end;
-  if !b land 0xF = 0 then begin i := !i + 4; b := !b lsr 4 end;
-  if !b land 0x3 = 0 then begin i := !i + 2; b := !b lsr 2 end;
-  if !b land 0x1 = 0 then incr i;
-  !i
+(* A 64-bit de Bruijn sequence B(2, 6) whose top six bits are clear, so it
+   is a positive native int and its 63-bit windows stay distinct. *)
+let debruijn = 0x03f7_9d71_b4cb_0a89
 
-(* Bit index of the highest set bit of [b > 0]. *)
-let high_bit_index b =
-  let i = ref 0 and b = ref b in
-  if !b lsr 32 <> 0 then begin i := 32; b := !b lsr 32 end;
-  if !b lsr 16 <> 0 then begin i := !i + 16; b := !b lsr 16 end;
-  if !b lsr 8 <> 0 then begin i := !i + 8; b := !b lsr 8 end;
-  if !b lsr 4 <> 0 then begin i := !i + 4; b := !b lsr 4 end;
-  if !b lsr 2 <> 0 then begin i := !i + 2; b := !b lsr 2 end;
-  if !b lsr 1 <> 0 then incr i;
-  !i
+(* [debruijn_index.((1 lsl i) * debruijn lsr 57) = i] for i in 0..62. *)
+let debruijn_index =
+  let t = Array.make 64 (-1) in
+  for i = 0 to 62 do
+    let j = ((1 lsl i) * debruijn) lsr 57 in
+    if t.(j) <> -1 then failwith "Value_switch: de Bruijn windows collide";
+    t.(j) <- i
+  done;
+  t
+
+(* Index of the single set bit of [b]; [b] may be [min_int] (bit 62). *)
+let[@inline] bit_index b =
+  Array.unsafe_get debruijn_index ((b * debruijn) lsr 57)
+
+let[@inline] low_bit_index w = bit_index (w land -w)
+
+let[@inline] high_bit_index w =
+  let w = w lor (w lsr 1) in
+  let w = w lor (w lsr 2) in
+  let w = w lor (w lsr 4) in
+  let w = w lor (w lsr 8) in
+  let w = w lor (w lsr 16) in
+  let w = w lor (w lsr 32) in
+  bit_index (w - (w lsr 1))
 
 (* One struct-of-arrays slab of [cap] packet slots (columns: value,
    arrival, id, plus intrusive next/prev links) with a free-list stack.
@@ -94,8 +108,7 @@ let low_level occ base =
   while Array.unsafe_get occ (base + !w) = 0 do
     incr w
   done;
-  let bits = Array.unsafe_get occ (base + !w) in
-  (!w * 63) + bit_index (bits land -bits)
+  (!w * 63) + low_bit_index (Array.unsafe_get occ (base + !w))
 
 (* Parameterized over the raw columns so the same scan serves both the
    switch internals and a policy-held {!view}. *)

@@ -32,6 +32,15 @@ val view_min_value_or : view -> int -> default:int -> int
     bitset scan the switch itself runs, exposed for the policies' tie
     keys. *)
 
+val low_bit_index : int -> int
+(** Index (0..62) of the lowest set bit of a non-zero word — the
+    branch-free scan behind every minimum read.  Bit 62 is the native
+    int's sign bit and a valid occupancy level. *)
+
+val high_bit_index : int -> int
+(** Index (0..62) of the highest set bit of a non-zero word — the scan
+    behind transmission's most-valuable-first read. *)
+
 val create : Value_config.t -> t
 
 val config : t -> Value_config.t

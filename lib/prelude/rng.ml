@@ -34,9 +34,11 @@ let[@inline] next s o =
   set64 s o state;
   mix state
 
-(* 53 high bits scaled to [0, 1). *)
+(* 53 high bits scaled to [0, 1).  The 53-bit operand fits a native int,
+   so [float_of_int (Int64.to_int _)] converts it exactly and inline, where
+   [Int64.to_float] is a C call per draw. *)
 let[@inline] float_at s o =
-  Int64.to_float (Int64.shift_right_logical (next s o) 11)
+  float_of_int (Int64.to_int (Int64.shift_right_logical (next s o) 11))
   *. (1.0 /. 9007199254740992.0)
 
 (* Uniform on [0, bound), rejection sampling to avoid modulo bias. *)

@@ -126,6 +126,24 @@ let test_choose () =
     (Invalid_argument "Rng.choose: empty array") (fun () ->
       ignore (Rng.choose rng [||]))
 
+(* [Rng.float] converts its 53-bit operand through a native int; both
+   conversions are exact below 2^53, so on every word of a stream, and at
+   the largest operand, they agree and the draw equals the [Int64.to_float]
+   formula bit for bit. *)
+let prop_float_conversion_exact =
+  QCheck2.Test.make ~name:"Rng.float = Int64.to_float of the 53 high bits"
+    ~count:500 QCheck2.Gen.int
+    (fun seed ->
+      let a = Rng.create ~seed and b = Rng.create ~seed in
+      let exact x = float_of_int (Int64.to_int x) = Int64.to_float x in
+      exact 0x1F_FFFF_FFFF_FFFFL
+      && List.for_all
+           (fun _ ->
+             let x = Int64.shift_right_logical (Rng.bits64 b) 11 in
+             exact x
+             && Rng.float a = Int64.to_float x *. (1.0 /. 9007199254740992.0))
+           [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+
 let prop_int_uniformity =
   QCheck2.Test.make ~name:"Rng.int covers its range" ~count:50
     QCheck2.Gen.(int_range 2 40)
@@ -261,5 +279,6 @@ let suite =
     Alcotest.test_case "geometric" `Quick test_geometric;
     Alcotest.test_case "choose" `Quick test_choose;
     Qc.to_alcotest prop_int_uniformity;
+    Qc.to_alcotest prop_float_conversion_exact;
     Qc.to_alcotest prop_split_no_overlap;
   ]

@@ -166,6 +166,56 @@ let prop_min_value_matches_port_scan =
           Value_switch.min_value_or sw ~default:0 = expected)
         ops)
 
+(* The bit scans against a naive walk: every single-bit word (bit 62 is the
+   native int's sign bit, [min_int]) and random multi-bit words, half of
+   them with bit 62 forced on. *)
+let naive_low w =
+  let i = ref 0 in
+  while (w lsr !i) land 1 = 0 do
+    incr i
+  done;
+  !i
+
+let naive_high w =
+  let i = ref 62 in
+  while (w lsr !i) land 1 = 0 do
+    decr i
+  done;
+  !i
+
+let test_bit_index_single_bits () =
+  for i = 0 to 62 do
+    let w = 1 lsl i in
+    Alcotest.(check int) (Printf.sprintf "low bit %d" i) i
+      (Value_switch.low_bit_index w);
+    Alcotest.(check int) (Printf.sprintf "high bit %d" i) i
+      (Value_switch.high_bit_index w)
+  done;
+  Alcotest.(check int) "min_int is bit 62" 62
+    (Value_switch.low_bit_index min_int);
+  Alcotest.(check int) "every bit set: low" 0 (Value_switch.low_bit_index (-1));
+  Alcotest.(check int) "every bit set: high" 62
+    (Value_switch.high_bit_index (-1))
+
+let prop_bit_index_matches_naive =
+  QCheck2.Test.make ~name:"low/high bit index = naive scan" ~count:2000
+    QCheck2.Gen.(
+      let* lo = int_bound ((1 lsl 30) - 1) in
+      let* hi = int_bound ((1 lsl 30) - 1) in
+      let* top = int_bound 7 in
+      let* sign = bool in
+      let w = lo lor (hi lsl 30) lor (top lsl 60) in
+      let w = if sign then w lor min_int else w in
+      (* Half the words are cleared below a random bit that is then set,
+         so the lowest set bit lands anywhere in 0..62. *)
+      let* sparse = bool in
+      let* shift = int_bound 62 in
+      pure (if sparse then w land (-1 lsl shift) lor (1 lsl shift) else w))
+    (fun w ->
+      QCheck2.assume (w <> 0);
+      Value_switch.low_bit_index w = naive_low w
+      && Value_switch.high_bit_index w = naive_high w)
+
 let suite =
   [
     Alcotest.test_case "accept and occupancy" `Quick test_accept_and_occupancy;
@@ -181,4 +231,7 @@ let suite =
     Alcotest.test_case "flush and invariants" `Quick test_flush_and_invariants;
     Qc.to_alcotest prop_occupancy_bounded;
     Qc.to_alcotest prop_min_value_matches_port_scan;
+    Alcotest.test_case "bit index of every single-bit word" `Quick
+      test_bit_index_single_bits;
+    Qc.to_alcotest prop_bit_index_matches_naive;
   ]
