@@ -9,7 +9,6 @@
      dune exec bench/main.exe flood        -- MRD vs LQD, skewed regime
      dune exec bench/main.exe hybrid       -- combined work+value extension
      dune exec bench/main.exe certificate  -- Theorem 7's proof, live
-     dune exec bench/main.exe micro        -- Bechamel micro-benchmarks
 
    Scaling knobs (environment):
      SMBM_BENCH_SLOTS    slots per sweep point   (default 20_000)
@@ -493,117 +492,6 @@ let certificate () =
      of the paper's literal Lemma 8 invariant, whose gap and repair are\n\
      documented in EXPERIMENTS.md)\n"
 
-(* ----- Micro-benchmarks ----- *)
-
-(* [fill] of the 256-slot buffer: 256 exercises the push-out / threshold
-   rejection path, 180 the open-buffer path of the non-push-out policies. *)
-let prepared_proc_switch ?(fill = 256) () =
-  let config = Proc_config.contiguous ~k:16 ~buffer:256 () in
-  let sw = Proc_switch.create config in
-  let rng = Smbm_prelude.Rng.create ~seed:5 in
-  while Proc_switch.occupancy sw < fill do
-    Proc_switch.accept sw ~dest:(Smbm_prelude.Rng.int rng 16) ~value:1
-  done;
-  (config, sw, rng)
-
-let prepared_value_switch ?(fill = 256) () =
-  let config = Value_config.make ~ports:16 ~max_value:16 ~buffer:256 () in
-  let sw = Value_switch.create config in
-  let rng = Smbm_prelude.Rng.create ~seed:5 in
-  while Value_switch.occupancy sw < fill do
-    ignore
-      (Value_switch.accept sw
-         ~dest:(Smbm_prelude.Rng.int rng 16)
-         ~value:(1 + Smbm_prelude.Rng.int rng 16))
-  done;
-  (config, sw, rng)
-
-let micro () =
-  let open Bechamel in
-  print_endline
-    "=== Micro-benchmarks: decision cost on a full 16-port, 256-slot\n\
-     switch (ns per operation) ===\n";
-  let proc_tests_at tag fill =
-    let config, sw, rng = prepared_proc_switch ~fill () in
-    List.map
-      (fun (p : Proc_switch.t Policy.t) ->
-        Test.make
-          ~name:(Printf.sprintf "proc-admit-%s/%s" tag p.name)
-          (Staged.stage (fun () ->
-               let dest = Smbm_prelude.Rng.int rng 16 in
-               ignore (Policy.admit p sw ~dest ~value:1))))
-      (Policies.proc config)
-  in
-  let value_tests_at tag fill =
-    let config, sw, rng = prepared_value_switch ~fill () in
-    List.map
-      (fun (p : Value_switch.t Policy.t) ->
-        Test.make
-          ~name:(Printf.sprintf "value-admit-%s/%s" tag p.name)
-          (Staged.stage (fun () ->
-               let dest = Smbm_prelude.Rng.int rng 16 in
-               let value = 1 + Smbm_prelude.Rng.int rng 16 in
-               ignore (Policy.admit p sw ~dest ~value))))
-      (Policies.value_port ~port_value:(Array.init 16 (fun i -> i + 1)) config)
-  in
-  let proc_tests = proc_tests_at "full" 256 @ proc_tests_at "open" 180 in
-  let value_tests = value_tests_at "full" 256 @ value_tests_at "open" 180 in
-  let machinery_tests =
-    let config, sw, _ = prepared_proc_switch () in
-    let _vconfig, vsw, vrng = prepared_value_switch () in
-    let opt = Opt_ref.proc_instance config in
-    [
-      Test.make ~name:"switch/proc-transmit-phase"
-        (Staged.stage (fun () ->
-             ignore
-               (Proc_switch.transmit_phase sw
-                  ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ()));
-             (* Top the switch back up so the workload stays stable. *)
-             while not (Proc_switch.is_full sw) do
-               Proc_switch.accept sw ~dest:0 ~value:1
-             done));
-      Test.make ~name:"switch/value-transmit-phase"
-        (Staged.stage (fun () ->
-             ignore
-               (Value_switch.transmit_phase vsw
-                  ~on_transmit:(fun ~dest:_ ~value:_ ~arrival:_ -> ()));
-             (* Refill at random ports and levels, as the traffic does, so
-                every phase reads maxima across mixed bitsets. *)
-             while not (Value_switch.is_full vsw) do
-               Value_switch.accept vsw
-                 ~dest:(Smbm_prelude.Rng.int vrng 16)
-                 ~value:(1 + Smbm_prelude.Rng.int vrng 16)
-             done));
-      Test.make ~name:"opt-ref/arrive+transmit"
-        (Staged.stage (fun () ->
-             opt.Instance.arrive_dv ~dest:7 ~value:1;
-             opt.Instance.transmit ()));
-    ]
-  in
-  let grouped =
-    Test.make_grouped ~name:"smbm" (proc_tests @ value_tests @ machinery_tests)
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (t :: _) -> Table.float_cell ~digits:1 t
-          | Some [] | None -> "?"
-        in
-        [ name; ns ] :: acc)
-      results []
-    |> List.sort compare
-  in
-  print_string (Table.render ~headers:[ "operation"; "ns/op" ] ~rows ());
-  print_newline ()
-
 let () =
   match section with
   | "fig5" -> timed "fig5" fig5
@@ -613,7 +501,6 @@ let () =
   | "hybrid" -> timed "hybrid" hybrid
   | "flood" -> timed "flood" flood
   | "certificate" -> timed "certificate" certificate
-  | "micro" -> timed "micro" micro
   | "all" ->
     timed "lowerbounds" lowerbounds;
     timed "fig5" fig5;
@@ -621,11 +508,10 @@ let () =
     timed "ablations" ablations;
     timed "flood" flood;
     timed "hybrid" hybrid;
-    timed "certificate" certificate;
-    timed "micro" micro
+    timed "certificate" certificate
   | other ->
     Printf.eprintf
       "unknown section %S (expected \
-       fig5|lowerbounds|fairness|ablations|flood|hybrid|certificate|micro|all)\n"
+       fig5|lowerbounds|fairness|ablations|flood|hybrid|certificate|all)\n"
       other;
     exit 2

@@ -18,8 +18,7 @@
    smbm_cli serve     [options]     online switch daemon (ring ingest,
                                     live reconfiguration, soak gates)
    smbm_cli loadgen   [options]     MMPP load generator (sustained
-                                    slots/sec, tail latency)
-   smbm_cli bench-diff BASE CUR     gate benchmark JSONL vs a baseline *)
+                                    slots/sec, tail latency) *)
 
 open Cmdliner
 open Smbm_core
@@ -1379,193 +1378,6 @@ let certify_cmd =
          "Run the paper's Theorem 7 mapping routine (Fig. 3) live: LWD against a non-push-out opponent with the charging invariants checked at every event.")
     Term.(const run_certify $ common_term $ opponent)
 
-(* ----- bench-diff ----- *)
-
-let load_bench_metrics path =
-  let ic = try open_in path with Sys_error m -> die "%s" m in
-  let metrics = ref [] in
-  let line_no = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr line_no;
-       if String.trim line <> "" then begin
-         match Smbm_obs.Json.parse_flat line with
-         | Error msg ->
-           close_in ic;
-           die "%s:%d: %s" path !line_no msg
-         | Ok fields -> (
-           match
-             (List.assoc_opt "metric" fields, List.assoc_opt "value" fields)
-           with
-           | Some (Smbm_obs.Json.Str name), Some (Smbm_obs.Json.Float v) ->
-             metrics := (name, v) :: !metrics
-           | Some (Smbm_obs.Json.Str name), Some (Smbm_obs.Json.Int v) ->
-             metrics := (name, float_of_int v) :: !metrics
-           | _ -> ())
-       end
-     done
-   with End_of_file -> close_in ic);
-  List.rev !metrics
-
-let parse_floor spec =
-  match String.rindex_opt spec '=' with
-  | None -> die "--floor %s: expected METRIC=X" spec
-  | Some i -> (
-    let name = String.sub spec 0 i in
-    let v = String.sub spec (i + 1) (String.length spec - i - 1) in
-    match float_of_string_opt v with
-    | Some x when name <> "" -> (name, x)
-    | _ -> die "--floor %s: expected METRIC=X" spec)
-
-let run_bench_diff baseline current tolerance cap slack alloc_tolerance floors
-    =
-  let floors = List.map parse_floor floors in
-  let base = load_bench_metrics baseline
-  and cur = load_bench_metrics current in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  (* Raw slots/sec are machine-dependent; speedup ratios between two arms
-     of one run transfer between machines, so the regression gate compares
-     those.  Ratios are saturated at [cap] before comparison: beyond it the
-     faster arm's wall time is so short that the exact magnitude is timing
-     noise, while any real regression collapses the ratio toward 1x and is
-     caught regardless. *)
-  let is_ratio n =
-    has_suffix ~suffix:"/speedup" n || has_suffix ~suffix:"/total" n
-  in
-  let speedups = List.filter (fun (n, _) -> is_ratio n) base in
-  Printf.printf "%-32s %9s %9s %8s\n" "metric" "baseline" "current" "delta";
-  List.iter
-    (fun (name, b) ->
-      match List.assoc_opt name cur with
-      | None -> fail "%s: missing from %s" name current
-      | Some c ->
-        Printf.printf "%-32s %8.2fx %8.2fx %+7.1f%%\n" name b c
-          ((c -. b) /. b *. 100.0);
-        let b = Float.min b cap and c = Float.min c cap in
-        (* [slack] absorbs run-to-run jitter that a pure percentage cannot:
-           a 2x ratio legitimately wobbles by a few tenths between runs. *)
-        if c < (b *. (1.0 -. tolerance)) -. slack then
-          fail "%s regressed: %.2fx -> %.2fx (tolerance %.0f%% + %.1f, cap %.1fx)"
-            name b c (tolerance *. 100.0) slack cap)
-    speedups;
-  (* Allocation budget: minor words per slot are deterministic (no timing
-     noise), so they transfer between machines and get a plain percentage
-     gate — an accidentally reintroduced per-arrival allocation shows up
-     here even when wall-clock ratios absorb it. *)
-  let allocs =
-    List.filter
-      (fun (n, _) -> has_suffix ~suffix:"/minor_words_per_slot" n)
-      base
-  in
-  if speedups = [] && allocs = [] then
-    fail "%s: no */speedup, */total or */minor_words_per_slot metrics"
-      baseline;
-  List.iter
-    (fun (name, b) ->
-      match List.assoc_opt name cur with
-      | None -> fail "%s: missing from %s" name current
-      | Some c ->
-        Printf.printf "%-44s %8.1fw %8.1fw %+7.1f%%\n" name b c
-          ((c -. b) /. b *. 100.0);
-        if c > b *. (1.0 +. alloc_tolerance) +. 1.0 then
-          fail "%s allocation regressed: %.1f -> %.1f words/slot (>%.0f%%)"
-            name b c (alloc_tolerance *. 100.0))
-    allocs;
-  (* Metrics the fresh run emits that the committed baseline lacks are not
-     errors — they are cells a new benchmark arm added — but silently
-     skipping them would leave them ungated forever.  Print each one so the
-     baseline regeneration is visible in the gate's output. *)
-  let gated n = is_ratio n || has_suffix ~suffix:"/minor_words_per_slot" n in
-  List.iter
-    (fun (name, c) ->
-      if gated name && not (List.mem_assoc name base) then
-        Printf.printf "%-32s %9s %8.2f  [new]\n" name "-" c)
-    cur;
-  (* Absolute acceptance floors: explicit METRIC=X floors checked against
-     the current run. *)
-  List.iter
-    (fun (name, floor) ->
-      match List.assoc_opt name cur with
-      | Some c when c < floor ->
-        fail "%s = %.2fx below the %.1fx floor" name c floor
-      | Some _ -> ()
-      | None -> fail "%s missing from %s" name current)
-    floors;
-  match !failures with
-  | [] ->
-    Printf.printf
-      "bench-diff: %d speedup ratios, %d allocation budgets, %d floors ok\n"
-      (List.length speedups) (List.length allocs) (List.length floors)
-  | fs ->
-    List.iter (fun f -> Printf.eprintf "bench-diff: %s\n" f) (List.rev fs);
-    exit 1
-
-let bench_diff_cmd =
-  let baseline =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BASELINE" ~doc:"Committed benchmark JSONL (the reference).")
-  in
-  let current =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"CURRENT" ~doc:"Freshly generated benchmark JSONL.")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 0.2
-      & info [ "tolerance" ] ~docv:"FRAC"
-          ~doc:"Allowed relative regression of each speedup ratio (default 0.2 = 20%).")
-  in
-  let cap =
-    Arg.(
-      value & opt float 4.0
-      & info [ "cap" ] ~docv:"X"
-          ~doc:
-            "Saturate speedup ratios at $(docv) before comparing: very large \
-             ratios are timing-noise-dominated, and a real regression drags \
-             them below the cap anyway (default 4.0).")
-  in
-  let slack =
-    Arg.(
-      value & opt float 0.3
-      & info [ "slack" ] ~docv:"X"
-          ~doc:
-            "Absolute jitter allowance subtracted from each gate threshold \
-             (default 0.3).")
-  in
-  let alloc_tolerance =
-    Arg.(
-      value & opt float 0.2
-      & info [ "alloc-tolerance" ] ~docv:"FRAC"
-          ~doc:
-            "Allowed relative growth of each */minor_words_per_slot metric, \
-             plus one word per slot (default 0.2 = 20%; allocation counts \
-             are deterministic, so no noise slack applies).")
-  in
-  let floors =
-    Arg.(
-      value & opt_all string []
-      & info [ "floor" ] ~docv:"METRIC=X"
-          ~doc:
-            "Absolute floor on a current-run metric (repeatable), e.g. \
-             $(b,--floor e2e/flight/proc/overhead=0.8).")
-  in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:
-         "Compare two benchmark JSONL outputs (e.g. $(b,bench/e2e.exe)) and \
-          fail on speedup-ratio regressions beyond \
-          the tolerance, allocation-budget regressions, or floor violations \
-          (CI gate against the committed BENCH_*.json).")
-    Term.(
-      const run_bench_diff $ baseline $ current $ tolerance $ cap $ slack
-      $ alloc_tolerance $ floors)
-
 (* ----- serve / loadgen ----- *)
 
 (* Worker domains stepping the MMPP bank's shards, if any are worth it. *)
@@ -2246,9 +2058,6 @@ let () =
       `P
         "$(b,smbm_cli watch) $(i,SOCK) [--interval $(i,SECS)] — refreshing \
          TTY dashboard over a stats socket";
-      `P
-        "$(b,smbm_cli bench-diff) $(i,BASELINE) $(i,CURRENT) — gate benchmark \
-         JSONL against a committed baseline";
     ]
   in
   let info = Cmd.info "smbm_cli" ~version:"1.0.0" ~doc ~man in
@@ -2259,6 +2068,6 @@ let () =
             policies_cmd; compare_cmd; simulate_cmd; figure_cmd;
             lowerbound_cmd; trace_cmd; trace_validate_cmd; trace_replay_cmd;
             trace_diff_cmd; trace_explain_cmd; trace_convert_cmd; certify_cmd;
-            sweep_cmd; bench_diff_cmd; serve_cmd; loadgen_cmd; stats_cmd;
+            sweep_cmd; serve_cmd; loadgen_cmd; stats_cmd;
             watch_cmd; postmortem_cmd;
           ]))

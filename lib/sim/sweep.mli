@@ -59,7 +59,7 @@ val setup :
 (** The workload and instance list (OPT reference first, then every policy)
     of one point: [base] holds the point's effective parameters, [reference]
     (default [base]) the sweep's base the traffic intensity derives from.
-    Exposed for benchmarks ({e bench/e2e.exe} times
+    Exposed for benchmarks ({e benchmark/workloads.ml} times
     {!Experiment.run} over exactly these instances) and custom drivers;
     {!run_point} is this plus the run and the ratio extraction. *)
 

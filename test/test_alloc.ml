@@ -7,6 +7,11 @@
    per-slot path shows as one or more words per slot, far above the
    budget.
 
+   The raw switch slot loop is held to the same budget across a size panel
+   up to 1024 ports, and one whole sweep point (set-up plus run) to the
+   same marginal budget and a fixed word count per point, as is the
+   materialization of a panel's trace.
+
    The serve daemon is held to the same budget end to end, on both of its
    domains, and its SPSC ring alone to a tenth of it per hand-off. *)
 
@@ -16,6 +21,7 @@ module Compact = Smbm_traffic.Trace.Compact
 module Scenario = Smbm_traffic.Scenario
 module Workload = Smbm_traffic.Workload
 module Flight = Smbm_obs.Flight
+module Rng = Smbm_prelude.Rng
 module Daemon = Smbm_serve.Daemon
 module Model = Smbm_sim.Model
 module Mmpp_bank = Smbm_serve.Mmpp_bank
@@ -134,6 +140,181 @@ let check_all ~traced () =
   Alcotest.(check (list string))
     (Printf.sprintf "instances over %.1f minor words/slot" budget)
     [] over
+
+(* ----- the raw switch slot loop across a size panel ----- *)
+
+(* One switch of either model behind the three operations the loop needs:
+   accept one packet at [dest], run one slot's transmission and advance the
+   clock (returning how many buffer cells it freed), and the full test. *)
+type flat = { accept : int -> unit; slot : unit -> int; is_full : unit -> bool }
+
+let no_transmit ~dest:_ ~value:_ ~arrival:_ = ()
+
+(* The paper's contiguous configuration at n = 4 (works 1..4); unit works
+   above it, the classical shared-memory switch, so every port completes a
+   packet every slot. *)
+let flat_proc ~n ~buffer =
+  let config =
+    if n <= 4 then Proc_config.contiguous ~k:n ~buffer ()
+    else Proc_config.uniform ~n ~work:1 ~buffer ()
+  in
+  let sw = Proc_switch.create config in
+  {
+    accept = (fun dest -> Proc_switch.accept sw ~dest ~value:1);
+    slot =
+      (fun () ->
+        let freed = Proc_switch.transmit_phase sw ~on_transmit:no_transmit in
+        Proc_switch.advance_slot sw;
+        freed);
+    is_full = (fun () -> Proc_switch.is_full sw);
+  }
+
+let flat_value ~n ~buffer =
+  let k = 16 in
+  let sw =
+    Value_switch.create (Value_config.make ~ports:n ~max_value:k ~buffer ())
+  in
+  let rng = Rng.create ~seed:5 in
+  {
+    accept =
+      (fun dest -> Value_switch.accept sw ~dest ~value:(Rng.int rng k + 1));
+    slot =
+      (fun () ->
+        let freed = Value_switch.transmit_phase sw ~on_transmit:no_transmit in
+        Value_switch.advance_slot sw;
+        freed);
+    is_full = (fun () -> Value_switch.is_full sw);
+  }
+
+(* (ports, buffer, measured slots): from the paper's 4-port switch up to
+   1024 ports, the working set growing past cache. *)
+let flat_sizes =
+  [
+    (4, 64, 20_000);
+    (64, 16_384, 2_000);
+    (256, 65_536, 1_000);
+    (1024, 262_144, 200);
+  ]
+
+(* The switch is filled once; every slot then re-accepts exactly what it
+   transmitted, so occupancy is conserved and the measured slots are
+   steady-state churn.  Nothing sits between the loop and the switch: no
+   workload, no metrics, no admission policy. *)
+let flat_words_per_slot sw ~n ~slots =
+  let rng = Rng.create ~seed:3 in
+  let d = ref 0 in
+  while not (sw.is_full ()) do
+    sw.accept (!d mod n);
+    incr d
+  done;
+  let run slots =
+    for _ = 1 to slots do
+      for _ = 1 to sw.slot () do
+        sw.accept (Rng.int rng n)
+      done
+    done
+  in
+  run (slots / 4);
+  let w0 = Gc.minor_words () in
+  run slots;
+  (Gc.minor_words () -. w0) /. float_of_int slots
+
+let check_flat make () =
+  Alcotest.(check (list string))
+    (Printf.sprintf "sizes over %.1f minor words/slot" budget)
+    []
+    (List.filter_map
+       (fun (n, buffer, slots) ->
+         let w = flat_words_per_slot (make ~n ~buffer) ~n ~slots in
+         if w > budget then Some (Printf.sprintf "n = %d: %.3f" n w) else None)
+       flat_sizes)
+
+(* ----- one sweep point and one panel trace ----- *)
+
+(* A point at 50 sources, the scale its word budgets were recorded at,
+   with twenty flushouts whatever its length: a flushout's words then land
+   in the point's fixed cost, not its marginal one. *)
+let point_slots = 4_000
+
+let point_base ~slots =
+  {
+    Sweep.default_base with
+    slots;
+    flush_every = Some (slots / 20);
+    mmpp = { Scenario.default_mmpp with sources = 50 };
+  }
+
+(* Minor words of [Sweep.setup] plus [Experiment.run] at [slots]: the OPT
+   reference and every policy of the model, exactly one Fig. 5 point. *)
+let point_words model ~slots =
+  let base = point_base ~slots in
+  let w0 = Gc.minor_words () in
+  let workload, instances = Sweep.setup model base in
+  Experiment.run
+    ~params:
+      { Experiment.slots; flush_every = base.flush_every; check_every = None }
+    ~workload instances;
+  Gc.minor_words () -. w0
+
+(* Per model: its recorded words per slot of one whole point at
+   [point_slots], whose budget is that times 1.2 plus one word per slot, and
+   the recorded words of materializing one B-axis panel trace at the same
+   scale, whose budget is a tenth above it. *)
+let point_models =
+  [
+    ("proc", Sweep.Proc, 4.72425, 35_972.);
+    ("value_uniform", Sweep.Value_uniform, 2.225, 36_941.);
+    ("value_port", Sweep.Value_port, 2.69675, 38_827.);
+  ]
+
+(* Two gates per model.  The marginal words per slot, from N slots against
+   2N as the daemon cases measure, hold the slot loop under a full point's
+   instance list to [budget]; the words of one N-slot point, set-up
+   included, hold the fixed cost.  A short first run warms whatever the
+   process initialises once. *)
+let check_point () =
+  Alcotest.(check (list string))
+    (Printf.sprintf "points over %.1f marginal words/slot or their word budget"
+       budget)
+    []
+    (List.concat_map
+       (fun (name, model, recorded, _) ->
+         ignore (point_words model ~slots:200);
+         let once = point_words model ~slots:point_slots in
+         let twice = point_words model ~slots:(2 * point_slots) in
+         let marginal = (twice -. once) /. float_of_int point_slots in
+         let fixed_budget =
+           ((recorded *. 1.2) +. 1.0) *. float_of_int point_slots
+         in
+         (if marginal > budget then
+            [ Printf.sprintf "%s: %.3f words/slot" name marginal ]
+          else [])
+         @
+         if once > fixed_budget then
+           [ Printf.sprintf "%s: %.0f words > %.0f" name once fixed_budget ]
+         else [])
+       point_models)
+
+let panel_trace_words model =
+  let base = point_base ~slots:point_slots in
+  let w0 = Gc.minor_words () in
+  ignore (Sweep.materialize_trace ~base ~model ~axis:Sweep.B ~x:16);
+  Gc.minor_words () -. w0
+
+(* Generation, one workload set-up and the copy into the off-heap columns:
+   a boxed value per slot anywhere on that path is 8 000 words, twice the
+   headroom. *)
+let check_panel_trace () =
+  Alcotest.(check (list string))
+    "panel traces over their word budget" []
+    (List.filter_map
+       (fun (name, model, _, recorded) ->
+         let w = panel_trace_words model in
+         if w > recorded *. 1.1 then
+           Some
+             (Printf.sprintf "%s: %.0f words > %.0f" name w (recorded *. 1.1))
+         else None)
+       point_models)
 
 (* ----- the serve daemon ----- *)
 
@@ -285,4 +466,12 @@ let suite =
       (check_ring ~sleepy:false);
     Alcotest.test_case "ring hand-off allocation-free when blocked" `Quick
       (check_ring ~sleepy:true);
+    Alcotest.test_case "proc switch loop allocation-free at every size" `Quick
+      (check_flat flat_proc);
+    Alcotest.test_case "value switch loop allocation-free at every size" `Quick
+      (check_flat flat_value);
+    Alcotest.test_case "sweep point within its word budgets" `Quick
+      check_point;
+    Alcotest.test_case "panel trace within its word budget" `Quick
+      check_panel_trace;
   ]
