@@ -235,11 +235,12 @@ let flush t =
   for i = 0 to t.n - 1 do
     let ring = t.rings.(i) in
     dropped := !dropped + Int_ring.length ring;
-    Int_ring.iter
-      (fun s ->
-        Int_col.set t.free t.free_top s;
-        t.free_top <- t.free_top + 1)
-      ring;
+    (* An index loop, not [Int_ring.iter]: a closure over [t] per port
+       would allocate on every flushout. *)
+    for j = 0 to Int_ring.length ring - 1 do
+      Int_col.set t.free (t.free_top + j) (Int_ring.get ring j)
+    done;
+    t.free_top <- t.free_top + Int_ring.length ring;
     Int_ring.clear ring;
     t.qlen.(i) <- 0;
     t.qwork.(i) <- 0;

@@ -1,14 +1,16 @@
-(** Parallel mirrors of {!Smbm_sim.Sweep}, bit-identical to the sequential
-    path.
+(** The sweep runner: every Fig. 5 entry point over more than one point.
 
-    Every entry point shards work at the granularity of one independent
-    simulation (a sweep point, or one replicate seed of a point).  Each task
-    is a pure function of its parameters — the per-task RNG is constructed
-    inside the task from a seed fixed at submission time (the point's [base]
-    seed, or a replicate seed derived by deterministic {!Smbm_prelude.Rng}
-    splitting) — and {!Pool} returns results in submission order.  Outputs
-    are therefore identical to the sequential functions for every value of
-    [jobs] and any scheduling of the workers.
+    Every entry point goes through one body over a list of tasks, one task
+    per independent simulation (a sweep point, or one replicate seed of a
+    point): the traces that two or more tasks share are materialized once
+    on the caller, then {!Pool.map} runs {!Smbm_sim.Sweep.run_point} over
+    the tasks.  Each task is a pure function of its parameters — the
+    per-task RNG is constructed inside the task from a seed fixed at
+    submission time (the point's [base] seed, or a replicate seed derived by
+    deterministic {!Smbm_prelude.Rng} splitting) — and {!Pool} returns
+    results in submission order.  Outputs therefore equal [List.map] of
+    {!Smbm_sim.Sweep.run_point} over the tasks, for every value of [jobs]
+    and any scheduling of the workers.
 
     [jobs] defaults to {!Pool.default_jobs} ([SMBM_JOBS] or
     [Domain.recommended_domain_count ()]); [jobs:0] runs inline on the
@@ -16,9 +18,7 @@
     progress line on stderr.  [on_timing] receives the pool's aggregate
     {!Pool.timing} once the batch is done — wall-clock derived, so route it
     to stderr or a strippable [[time]] line, never into deterministic
-    output.  [spans] collects per-point spans across worker domains (the
-    collector is mutex-guarded); span {e record order} is
-    schedule-dependent even though traces are not. *)
+    output. *)
 
 open Smbm_sim
 
@@ -32,8 +32,6 @@ val run_points :
   ?jobs:int ->
   ?on_tick:(int -> unit) ->
   ?on_timing:(Pool.timing -> unit) ->
-  ?spans:Smbm_obs.Span.t ->
-  ?max_cached_arrivals:int ->
   base:Sweep.base ->
   model:Sweep.model ->
   axis:Sweep.axis ->
@@ -45,22 +43,22 @@ val run_points :
 
     Points sharing a {!Sweep.trace_key} replay one compact trace,
     materialized on the caller before the pool starts and shared read-only
-    across domains (immutable once built).  [max_cached_arrivals] bounds
-    materialization as in {!Sweep.run_panel}; replays are bit-identical to
+    across domains (immutable once built), when
+    {!Sweep.trace_worth_caching} admits it; replays are bit-identical to
     live generation, so outcomes are unchanged. *)
 
 val run_panel :
   ?jobs:int ->
   ?on_tick:(int -> unit) ->
   ?on_timing:(Pool.timing -> unit) ->
-  ?spans:Smbm_obs.Span.t ->
-  ?max_cached_arrivals:int ->
   ?base:Sweep.base ->
   ?xs:int list ->
   int ->
   Sweep.outcome
-(** Parallel {!Sweep.run_panel}: same outcome, points sharded across the
-    pool (trace sharing as in {!run_points}). *)
+(** Run panel [number] (1-9) at [base] (default {!Sweep.default_base}),
+    overriding the sweep values with [xs] when given: {!run_points} over
+    the panel's axis.  A 7-point B panel generates its traffic once instead
+    of seven times, with bit-identical results. *)
 
 type traced = {
   outcome : Sweep.outcome;
@@ -80,9 +78,7 @@ val run_panel_traced :
   ?jobs:int ->
   ?on_tick:(int -> unit) ->
   ?on_timing:(Pool.timing -> unit) ->
-  ?spans:Smbm_obs.Span.t ->
   ?trace_cap:int ->
-  ?max_cached_arrivals:int ->
   ?base:Sweep.base ->
   ?xs:int list ->
   int ->
@@ -99,7 +95,6 @@ val run_panels :
   ?jobs:int ->
   ?on_tick:(int -> unit) ->
   ?on_timing:(Pool.timing -> unit) ->
-  ?max_cached_arrivals:int ->
   ?base:Sweep.base ->
   int list ->
   Sweep.outcome list
@@ -107,7 +102,7 @@ val run_panels :
     points sharded across one pool — e.g. [run_panels [1;2;...;9]] spreads
     the full figure's 60-odd simulations over the domains instead of
     parallelizing only within a panel.  Equals
-    [List.map (Sweep.run_panel ?base) numbers].
+    [List.map (run_panel ?base) numbers].
 
     Trace sharing is cross-panel: within one model, the B panel, the C
     panel and the K panel's base point all carry the same
@@ -125,6 +120,7 @@ val run_point_replicated :
   seeds:int list ->
   unit ->
   (string * Sweep.replicated) list
-(** Parallel {!Sweep.run_point_replicated}: one task per seed, aggregated
-    with {!Sweep.aggregate_replicates} (identical arithmetic and order).
+(** {!Sweep.run_point} repeated over independent seeds, one task per seed,
+    with per-policy mean and sample standard deviation of the ratio
+    ({!Sweep.aggregate_replicates}).
     @raise Invalid_argument on an empty [seeds]. *)

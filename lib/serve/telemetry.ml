@@ -1,7 +1,8 @@
 module Registry = Smbm_obs.Registry
 module Health = Smbm_obs.Health
-module Span = Smbm_obs.Span
 module Json = Smbm_obs.Json
+
+type stage = { count : int; wall : float; wall_mean : float; wall_max : float }
 
 type window_stats = {
   w_span : float;
@@ -29,7 +30,7 @@ type view = {
   window : window_stats;
   engine : (string * Registry.sample) list;
   server : (string * Registry.sample) list;
-  spans : (string * Span.agg) list;
+  spans : (string * stage) list;
   health : (string * Health.view_state) list;
   degraded : bool;
 }
@@ -37,9 +38,8 @@ type view = {
 (* ----- stage aggregates ----- *)
 
 (* The slot loop times its stages into server-registry histograms named
-   [stage/<name>_us]; this lifts them into {!Span.agg} values (seconds, cpu
-   unattributed) so the [spans] answer and any other consumer share the
-   span report's shape. *)
+   [stage/<name>_us]; this lifts them into {!stage} profiles in seconds for
+   the [spans] answer. *)
 let stage_aggregates server =
   List.filter_map
     (fun (name, sample) ->
@@ -57,11 +57,10 @@ let stage_aggregates server =
         Some
           ( stage,
             {
-              Span.count = n;
+              count = n;
               wall = float_of_int n *. mean /. 1e6;
               wall_mean = mean /. 1e6;
               wall_max = max /. 1e6;
-              cpu = 0.0;
             } )
       | _ -> None)
     server
@@ -85,11 +84,9 @@ let render_spans v =
   | [] -> [ "no stage profile yet" ]
   | spans ->
     List.map
-      (fun (name, (a : Span.agg)) ->
+      (fun (name, a) ->
         Printf.sprintf "%s: count %d, wall %.3fs (mean %.1fus, max %.1fus)"
-          name a.Span.count a.Span.wall
-          (a.Span.wall_mean *. 1e6)
-          (a.Span.wall_max *. 1e6))
+          name a.count a.wall (a.wall_mean *. 1e6) (a.wall_max *. 1e6))
       spans
 
 let render_stats v =

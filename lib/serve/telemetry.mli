@@ -28,8 +28,15 @@
 
 module Registry = Smbm_obs.Registry
 module Health = Smbm_obs.Health
-module Span = Smbm_obs.Span
 module Json = Smbm_obs.Json
+
+type stage = {
+  count : int;
+  wall : float;  (** total seconds *)
+  wall_mean : float;
+  wall_max : float;
+}
+(** One slot stage's wall-time profile. *)
 
 type window_stats = {
   w_span : float;  (** seconds the rolling window currently covers *)
@@ -59,15 +66,15 @@ type view = {
       (** cumulative engine metrics snapshot *)
   server : (string * Registry.sample) list;
       (** daemon-side instruments (slot_time_us, stage/*, ...) *)
-  spans : (string * Span.agg) list;  (** slot-stage profile *)
+  spans : (string * stage) list;  (** slot-stage profile *)
   health : (string * Health.view_state) list;
   degraded : bool;
 }
 
 val stage_aggregates :
-  (string * Registry.sample) list -> (string * Span.agg) list
+  (string * Registry.sample) list -> (string * stage) list
 (** Lift [stage/<name>_us] histograms from a server-registry snapshot into
-    named {!Smbm_obs.Span.agg} values (seconds; [cpu] unattributed). *)
+    named {!stage} profiles (seconds). *)
 
 val handle : view option -> string -> string list
 (** Pure protocol step: answer one command line against the latest view

@@ -77,14 +77,16 @@ let objective model = Model.objective (to_model model default_base)
 (* [reference] carries the sweep's base parameters: the workload intensity is
    derived from it, not from the swept configuration, so the absolute traffic
    stays constant along the sweep (the paper's setup: growing k or C means
-   growing capacity under the same offered traffic). *)
+   growing capacity under the same offered traffic).  [m] is [base]'s
+   switch. *)
+let workload ~reference model base m =
+  Model.workload ~mmpp:base.mmpp ~reference:(to_model model reference) m
+    ~load:base.load ~seed:base.seed
+
 let setup ?reference ?events model base =
-  let reference = to_model model (Option.value reference ~default:base) in
   let m = to_model model base in
-  let workload =
-    Model.workload ~mmpp:base.mmpp ~reference m ~load:base.load ~seed:base.seed
-  in
-  (workload, Model.instances ?events m)
+  ( workload ~reference:(Option.value reference ~default:base) model base m,
+    Model.instances ?events m )
 
 (* ----- trace cache -----
 
@@ -107,7 +109,8 @@ let trace_key ~base ~model ~axis ~x =
     e.mmpp.Scenario.p_off_to_on base.k base.speedup e.k
 
 let point_workload ~base ~model ~axis ~x =
-  fst (setup ~reference:base model (apply_axis base axis x))
+  let e = apply_axis base axis x in
+  workload ~reference:base model e (to_model model e)
 
 let materialize_trace ~base ~model ~axis ~x =
   let workload = point_workload ~base ~model ~axis ~x in
@@ -117,41 +120,33 @@ let materialize_trace ~base ~model ~axis ~x =
    per slot; past a few million arrivals (paper-scale runs) the cache would
    dominate memory for a marginal win, so callers fall back to live
    generation. *)
-let default_max_cached_arrivals = 4_000_000
+let max_cached_arrivals = 4_000_000
 
-let trace_worth_caching ?(max_arrivals = default_max_cached_arrivals) ~base
-    ~model ~axis ~x () =
-  max_arrivals > 0
-  &&
+let trace_worth_caching ~base ~model ~axis ~x =
   let e = apply_axis base axis x in
   match Workload.mean_rate (point_workload ~base ~model ~axis ~x) with
-  | Some rate -> rate *. float_of_int e.slots <= float_of_int max_arrivals
+  | Some rate -> rate *. float_of_int e.slots <= float_of_int max_cached_arrivals
   | None -> false
 
-let policy_names model base =
-  let _, instances = setup model base in
-  match instances with
-  | _opt :: algs -> List.map (fun (i : Instance.t) -> i.Instance.name) algs
-  | [] -> []
-
-let run_point ?events ?spans ?trace ~base ~model ~axis ~x () =
-  let reference = base in
-  let base = apply_axis base axis x in
-  let live_workload, instances = setup ?events ~reference model base in
+(* One point's set-up and run: its instances, OPT reference first, after
+   [Experiment.run] over the live workload or the replayed [trace]. *)
+let run ?events ?trace ~base ~model ~axis ~x () =
+  let e = apply_axis base axis x in
+  let m = to_model model e in
   let workload =
     match trace with
-    | None -> live_workload
+    | None -> workload ~reference:base model e m
     | Some trace ->
-      if Trace.Compact.slots trace < base.slots then
+      if Trace.Compact.slots trace < e.slots then
         invalid_arg "Sweep.run_point: trace shorter than the run";
       Trace.Compact.replay trace
   in
-  let run () = Experiment.run ~params:(params base) ~workload instances in
-  (match spans with
-  | None -> run ()
-  | Some spans ->
-    Smbm_obs.Span.with_span spans (Printf.sprintf "point/x=%d" x) run);
-  match instances with
+  let instances = Model.instances ?events m in
+  Experiment.run ~params:(params e) ~workload instances;
+  instances
+
+let run_point ?events ?trace ~base ~model ~axis ~x () =
+  match run ?events ?trace ~base ~model ~axis ~x () with
   | opt :: algs -> Experiment.ratios ~objective:(objective model) ~opt ~algs
   | [] -> []
 
@@ -165,11 +160,7 @@ type detail = {
 }
 
 let run_point_detailed ~base ~model ~axis ~x =
-  let reference = base in
-  let base = apply_axis base axis x in
-  let workload, instances = setup ~reference model base in
-  Experiment.run ~params:(params base) ~workload instances;
-  match instances with
+  match run ~base ~model ~axis ~x () with
   | opt :: algs ->
     List.map
       (fun (alg : Instance.t) ->
@@ -230,64 +221,3 @@ let aggregate_replicates per_seed =
             dropped_non_finite = !dropped;
           } ))
       first
-
-let run_point_replicated ~base ~model ~axis ~x ~seeds =
-  if seeds = [] then invalid_arg "Sweep.run_point_replicated: no seeds";
-  aggregate_replicates
-    (List.map
-       (fun seed -> run_point ~base:{ base with seed } ~model ~axis ~x ())
-       seeds)
-
-(* Panel-level trace cache: a key is materialized once and replayed by
-   every later point with the same key (all of a B or C axis).  Keys used
-   once — every K-axis point — are never materialized: generating into a
-   trace first would only add a copy. *)
-let run_panel ?(base = default_base) ?events ?spans ?xs
-    ?(max_cached_arrivals = default_max_cached_arrivals) number =
-  let panel = panel number in
-  let panel = match xs with Some xs -> { panel with xs } | None -> panel in
-  let model = panel.model and axis = panel.axis in
-  let key x = trace_key ~base ~model ~axis ~x in
-  let uses = Hashtbl.create 8 in
-  List.iter
-    (fun x ->
-      let k = key x in
-      Hashtbl.replace uses k (1 + Option.value ~default:0 (Hashtbl.find_opt uses k)))
-    panel.xs;
-  let cache = Hashtbl.create 8 in
-  let trace_for x =
-    let k = key x in
-    match Hashtbl.find_opt cache k with
-    | Some trace -> Some trace
-    | None ->
-      if
-        Option.value ~default:0 (Hashtbl.find_opt uses k) >= 2
-        && trace_worth_caching ~max_arrivals:max_cached_arrivals ~base ~model
-             ~axis ~x ()
-      then begin
-        let trace = materialize_trace ~base ~model ~axis ~x in
-        Hashtbl.replace cache k trace;
-        Some trace
-      end
-      else None
-  in
-  let run_points () =
-    List.map
-      (fun x ->
-        {
-          x;
-          ratios =
-            run_point ?events ?spans ?trace:(trace_for x) ~base ~model ~axis
-              ~x ();
-        })
-      panel.xs
-  in
-  let points =
-    match spans with
-    | None -> run_points ()
-    | Some spans ->
-      Smbm_obs.Span.with_span spans
-        (Printf.sprintf "panel/%d" panel.number)
-        run_points
-  in
-  { panel; points }

@@ -10,7 +10,11 @@
     As in the paper, the number of output ports [n] equals [k]: the
     processing model uses the contiguous configuration (port [i] requires
     [i+1] cycles) and the value-per-port case assigns value [i+1] to port
-    [i]. *)
+    [i].
+
+    This module defines the panels and runs one point; every runner over
+    many points (a panel, the figure, replicate seeds) is
+    {!Smbm_par.Par_sweep}. *)
 
 type model = Proc | Value_uniform | Value_port
 (** A Fig. 5 row; {!to_model} gives its switch. *)
@@ -47,9 +51,6 @@ val to_model : model -> base -> Model.t
 (** The row's switch at [base]'s k, B and C: n = k ports, the contiguous
     works 1..k for [Proc], values 1..k for the value rows. *)
 
-val policy_names : model -> base -> string list
-(** The series (policy names) a panel of this model produces, in order. *)
-
 val setup :
   ?reference:base ->
   ?events:Smbm_obs.Flight.t ->
@@ -81,25 +82,14 @@ val materialize_trace :
     arrays), consuming the workload exactly as a live run would — replaying
     it through {!run_point}'s [?trace] is bit-identical to live generation. *)
 
-val default_max_cached_arrivals : int
-(** Default budget (4M arrivals, ~100 MB of trace) above which panel runs
-    fall back to live generation instead of materializing. *)
-
 val trace_worth_caching :
-  ?max_arrivals:int ->
-  base:base ->
-  model:model ->
-  axis:axis ->
-  x:int ->
-  unit ->
-  bool
+  base:base -> model:model -> axis:axis -> x:int -> bool
 (** Whether the point's estimated arrival count (mean workload rate times
-    slots) fits the materialization budget.  [max_arrivals <= 0] disables
-    caching outright. *)
+    slots) fits the materialization budget (4M arrivals, ~100 MB of trace);
+    above it, sweeps generate the point's traffic live. *)
 
 val run_point :
   ?events:Smbm_obs.Flight.t ->
-  ?spans:Smbm_obs.Span.t ->
   ?trace:Smbm_traffic.Trace.Compact.t ->
   base:base ->
   model:model ->
@@ -113,13 +103,13 @@ val run_point :
     along an axis, as in the paper.
 
     [trace] replays a pre-materialized traffic stream (see
-    {!materialize_trace}) instead of generating live — the caller is
-    responsible for the trace matching the point's {!trace_key}.
+    {!materialize_trace}) instead of generating live, and no live workload
+    is built — the caller is responsible for the trace matching the
+    point's {!trace_key}.
     @raise Invalid_argument if the trace covers fewer slots than the run.
 
     [events] is handed to every instance, the OPT reference included (its
-    events speak the bag's language, see {!Opt_ref.proc_instance}); [spans]
-    gets one [point/x=<x>] span covering the run. *)
+    events speak the bag's language, see {!Opt_ref.proc_instance}). *)
 
 type detail = {
   ratio : float;
@@ -151,36 +141,7 @@ val aggregate_replicates :
 (** Per-policy mean and sample standard deviation over per-seed ratio lists.
     Non-finite ratios are excluded from the statistics and surfaced in
     [dropped_non_finite] rather than silently discarded.  The series and
-    their order come from the first list.  Exposed so that parallel runners
-    ({!Smbm_par.Par_sweep}) aggregate replicate results with the exact same
-    arithmetic as {!run_point_replicated}. *)
-
-val run_point_replicated :
-  base:base ->
-  model:model ->
-  axis:axis ->
-  x:int ->
-  seeds:int list ->
-  (string * replicated) list
-(** {!run_point} repeated over independent seeds, with per-policy mean and
-    sample standard deviation of the ratio. *)
-
-val run_panel :
-  ?base:base ->
-  ?events:Smbm_obs.Flight.t ->
-  ?spans:Smbm_obs.Span.t ->
-  ?xs:int list ->
-  ?max_cached_arrivals:int ->
-  int ->
-  outcome
-(** Run panel [number] (1-9), overriding the sweep values with [xs] when
-    given.  [events]/[spans] as in {!run_point}, plus one [panel/<n>]
-    span over the whole panel.
-
-    Points sharing a {!trace_key} (every B- or C-axis panel) materialize
-    their traffic once and replay it — a 7-point B panel generates once
-    instead of seven times, with bit-identical results.
-    [max_cached_arrivals] bounds the materialization (default
-    {!default_max_cached_arrivals}; [0] disables the cache). *)
+    their order come from the first list; the arithmetic behind
+    {!Smbm_par.Par_sweep.run_point_replicated}. *)
 
 val objective : model -> [ `Packets | `Value ]

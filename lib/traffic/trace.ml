@@ -19,11 +19,18 @@ module Compact = struct
   let of_workload workload ~slots =
     if slots < 0 then invalid_arg "Trace.Compact.of_workload: negative slots";
     (* Build into growable heap arrays, then copy once into the off-heap
-       columns at their exact final size. *)
+       columns at their exact final size.  [copy] is made once, outside
+       the slot loop: a closure built per slot would allocate every slot,
+       and [iteri] beats two bounds-checked [Arrival_batch.dest]/[value]
+       calls per arrival. *)
     let offsets = Array.make (slots + 1) 0 in
     let dest = ref (Array.make (max 64 slots) 0) in
     let value = ref (Array.make (max 64 slots) 0) in
     let len = ref 0 in
+    let copy j ~dest:d ~value:v =
+      !dest.(!len + j) <- d;
+      !value.(!len + j) <- v
+    in
     let batch = Arrival_batch.create () in
     for i = 0 to slots - 1 do
       Workload.next_into workload batch;
@@ -34,9 +41,7 @@ module Compact = struct
         dest := extend !dest;
         value := extend !value
       end;
-      Arrival_batch.iteri batch ~f:(fun j ~dest:d ~value:v ->
-          !dest.(!len + j) <- d;
-          !value.(!len + j) <- v);
+      Arrival_batch.iteri batch ~f:copy;
       len := !len + n;
       offsets.(i + 1) <- !len
     done;

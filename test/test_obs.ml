@@ -1,5 +1,5 @@
 (* The observability layer: JSON codec, event round-trips, ring-buffer
-   recording, the metrics registry, span nesting, and — the load-bearing
+   recording, the metrics registry, and — the load-bearing
    property — trace determinism across job counts with zero observer
    effect on results. *)
 
@@ -439,50 +439,7 @@ let test_rolling_delta_rates () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "dt <= 0 accepted"
 
-(* --- Span --- *)
-
-let test_span_nesting_and_report () =
-  let spans = Span.create () in
-  let result =
-    Span.with_span spans "outer" (fun () ->
-        Span.with_span spans "inner" (fun () -> 7) + 1)
-  in
-  Alcotest.(check int) "result" 8 result;
-  (match Span.records spans with
-  | [ inner; outer ] ->
-    (* Inner completes first and carries the greater depth. *)
-    Alcotest.(check string) "inner name" "inner" inner.Span.name;
-    Alcotest.(check int) "inner depth" 1 inner.Span.depth;
-    Alcotest.(check string) "outer name" "outer" outer.Span.name;
-    Alcotest.(check int) "outer depth" 0 outer.Span.depth;
-    Alcotest.(check bool) "outer wall covers inner" true
-      (outer.Span.wall >= inner.Span.wall)
-  | rs -> Alcotest.fail (Printf.sprintf "expected 2 records, got %d" (List.length rs)));
-  (* A raising thunk still records its span. *)
-  (match Span.with_span spans "boom" (fun () -> failwith "x") with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "exception swallowed");
-  Alcotest.(check int) "raise recorded" 3 (List.length (Span.records spans));
-  let report = Format.asprintf "%a" Span.report spans in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "report mentions outer" true (contains report "outer");
-  (* The aggregate view groups records by name with exact counts. *)
-  (match Span.aggregate spans with
-  | [ ("boom", boom); ("inner", inner); ("outer", outer) ] ->
-    List.iter
-      (fun (label, (a : Span.agg)) -> Alcotest.(check int) label 1 a.Span.count)
-      [ ("boom count", boom); ("inner count", inner); ("outer count", outer) ];
-    Alcotest.(check bool) "outer wall covers inner" true
-      (outer.Span.wall >= inner.Span.wall);
-    Alcotest.(check (float 1e-9)) "mean of one is the wall" outer.Span.wall
-      outer.Span.wall_mean
-  | aggs ->
-    Alcotest.fail
-      (Printf.sprintf "expected 3 aggregates, got %d" (List.length aggs)))
+(* --- Progress --- *)
 
 let test_progress_bar () =
   Alcotest.(check string) "empty" "[..........]" (Progress.bar ~width:10 0.0);
@@ -538,7 +495,21 @@ let test_engine_events_match_metrics () =
 
 let test_traced_panel_matches_untraced_and_jobs () =
   let xs = [ 2; 4 ] in
-  let plain = Sweep.run_panel ~base:small_base ~xs 4 in
+  let plain =
+    {
+      Sweep.panel = { (Sweep.panel 4) with Sweep.xs };
+      points =
+        List.map
+          (fun x ->
+            {
+              Sweep.x;
+              ratios =
+                Sweep.run_point ~base:small_base ~model:Sweep.Value_uniform
+                  ~axis:Sweep.K ~x ();
+            })
+          xs;
+    }
+  in
   let t1 =
     Smbm_par.Par_sweep.run_panel_traced ~jobs:1 ~base:small_base ~xs 4
   in
@@ -665,7 +636,6 @@ let suite =
     Alcotest.test_case "rolling delta rates" `Quick test_rolling_delta_rates;
     Alcotest.test_case "int entry points match float forms" `Quick
       test_int_entry_points;
-    Alcotest.test_case "span nesting" `Quick test_span_nesting_and_report;
     Alcotest.test_case "progress bar" `Quick test_progress_bar;
     Alcotest.test_case "engine events match metrics" `Quick
       test_engine_events_match_metrics;

@@ -38,14 +38,32 @@ let check_outcome_equal msg (a : Sweep.outcome) (b : Sweep.outcome) =
         pa.Sweep.ratios pb.Sweep.ratios)
     a.Sweep.points b.Sweep.points
 
+(* The oracle: [Sweep.run_point] over the panel's xs, one after another,
+   every point generating its traffic live. *)
+let sequential ?(xs = xs) number =
+  let panel = { (Sweep.panel number) with Sweep.xs } in
+  {
+    Sweep.panel;
+    points =
+      List.map
+        (fun x ->
+          {
+            Sweep.x;
+            ratios =
+              Sweep.run_point ~base:tiny_base ~model:panel.Sweep.model
+                ~axis:panel.Sweep.axis ~x ();
+          })
+        xs;
+  }
+
 let test_run_panel_matches_sequential jobs () =
-  let seq = Sweep.run_panel ~base:tiny_base ~xs 1 in
+  let seq = sequential 1 in
   let par = Par_sweep.run_panel ~jobs ~base:tiny_base ~xs 1 in
   check_outcome_equal (Printf.sprintf "jobs=%d" jobs) seq par
 
 let test_run_panel_value_model () =
   (* Panel 7 exercises the value-model path (value = port). *)
-  let seq = Sweep.run_panel ~base:tiny_base ~xs 7 in
+  let seq = sequential 7 in
   let par = Par_sweep.run_panel ~jobs:4 ~base:tiny_base ~xs 7 in
   check_outcome_equal "value model" seq par
 
@@ -57,7 +75,7 @@ let test_run_panels_matches_per_panel () =
   List.iter2
     (fun n outcome ->
       (* run_panels uses the panels' default xs; so must the reference. *)
-      let seq = Sweep.run_panel ~base:tiny_base n in
+      let seq = sequential ~xs:(Sweep.panel n).Sweep.xs n in
       check_outcome_equal (Printf.sprintf "panel %d" n) seq outcome)
     numbers par
 
@@ -90,8 +108,13 @@ let flatten_reps reps =
 let test_replicated_matches_sequential () =
   let seeds = Par_sweep.split_seeds ~seed:tiny_base.Sweep.seed 5 in
   let seq =
-    Sweep.run_point_replicated ~base:tiny_base ~model:Sweep.Proc ~axis:Sweep.K
-      ~x:4 ~seeds
+    Sweep.aggregate_replicates
+      (List.map
+         (fun seed ->
+           Sweep.run_point
+             ~base:{ tiny_base with Sweep.seed }
+             ~model:Sweep.Proc ~axis:Sweep.K ~x:4 ())
+         seeds)
   in
   let par =
     Par_sweep.run_point_replicated ~jobs:4 ~base:tiny_base ~model:Sweep.Proc

@@ -496,7 +496,9 @@ let test_sweep_run_point_sane () =
     ratios
 
 let test_sweep_panel_runs () =
-  let outcome = Sweep.run_panel ~base:tiny_base ~xs:[ 2; 4 ] 4 in
+  let outcome =
+    Smbm_par.Par_sweep.run_panel ~jobs:0 ~base:tiny_base ~xs:[ 2; 4 ] 4
+  in
   Alcotest.(check int) "two points" 2 (List.length outcome.Sweep.points);
   List.iter
     (fun (p : Sweep.point) ->

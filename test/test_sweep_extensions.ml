@@ -44,20 +44,19 @@ let test_detailed_matches_plain_ratio () =
       Alcotest.(check (float 1e-9)) "same ratio" r d.ratio)
     plain detailed
 
+let replicated ~seeds =
+  Smbm_par.Par_sweep.run_point_replicated ~jobs:0 ~base:tiny_base
+    ~model:Sweep.Proc ~axis:Sweep.K ~x:4 ~seeds ()
+
 let test_replicated_statistics () =
-  let reps =
-    Sweep.run_point_replicated ~base:tiny_base ~model:Sweep.Proc ~axis:Sweep.K
-      ~x:4 ~seeds:[ 1; 2; 3 ]
-  in
+  let reps = replicated ~seeds:[ 1; 2; 3 ] in
   List.iter
     (fun (name, (r : Sweep.replicated)) ->
       Alcotest.(check int) (name ^ " runs") 3 r.runs;
       if r.mean < 0.999 then Alcotest.failf "%s mean < 1" name;
       if r.stddev < 0.0 then Alcotest.failf "%s negative stddev" name)
     reps;
-  match Sweep.run_point_replicated ~base:tiny_base ~model:Sweep.Proc
-          ~axis:Sweep.K ~x:4 ~seeds:[]
-  with
+  match replicated ~seeds:[] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty seed list accepted"
 
@@ -67,10 +66,7 @@ let test_replicated_single_seed_matches_run_point () =
       ~base:{ tiny_base with Sweep.seed = 9 }
       ~model:Sweep.Proc ~axis:Sweep.K ~x:4 ()
   in
-  let reps =
-    Sweep.run_point_replicated ~base:tiny_base ~model:Sweep.Proc ~axis:Sweep.K
-      ~x:4 ~seeds:[ 9 ]
-  in
+  let reps = replicated ~seeds:[ 9 ] in
   List.iter2
     (fun (n1, r) (n2, (rep : Sweep.replicated)) ->
       Alcotest.(check string) "same policy" n1 n2;

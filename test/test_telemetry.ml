@@ -11,7 +11,6 @@ module Trace = Smbm_traffic.Trace
 module Health = Smbm_obs.Health
 module Registry = Smbm_obs.Registry
 module Json = Smbm_obs.Json
-module Span = Smbm_obs.Span
 
 let proc_config = Proc_config.contiguous ~k:8 ~buffer:32 ()
 let mmpp sources = { Scenario.default_mmpp with sources }
@@ -230,11 +229,12 @@ let test_stage_aggregates () =
   ignore (Registry.histogram reg "slot_time_us");
   match Telemetry.stage_aggregates (Registry.snapshot reg) with
   | [ ("flush", a) ] ->
-    Alcotest.(check int) "count" 2 a.Span.count;
+    Alcotest.(check int) "count" 2 a.Telemetry.count;
     Alcotest.(check (float 1e-12)) "mean back to seconds" 200e-6
-      a.Span.wall_mean;
-    Alcotest.(check (float 1e-12)) "wall = n * mean" 400e-6 a.Span.wall;
-    Alcotest.(check (float 1e-12)) "max back to seconds" 300e-6 a.Span.wall_max
+      a.Telemetry.wall_mean;
+    Alcotest.(check (float 1e-12)) "wall = n * mean" 400e-6 a.Telemetry.wall;
+    Alcotest.(check (float 1e-12)) "max back to seconds" 300e-6
+      a.Telemetry.wall_max
   | aggs ->
     Alcotest.fail
       (Printf.sprintf "expected flush only, got %d aggregates"
