@@ -4,7 +4,13 @@
    (bytes, offset) pair and is inlined, so a draw allocates nothing; the
    public functions are the offset-0 instances.  [-opaque] builds never
    inline across compilation units, which is why the bank's per-slot loop
-   lives here, next to the one SplitMix64 step it calls. *)
+   lives here, next to the one SplitMix64 step it calls.
+
+   The bank's contract is per source, not per bank: each source's process
+   word and label word see their draws in a fixed order, a slot's arrivals
+   land in source order, and the on/off column holds each source's state
+   after the slot.  Sources share no word, so the order in which
+   {!Bank.fill} steps them is free, and it steps them in two passes. *)
 
 type t = Bytes.t
 
@@ -34,12 +40,15 @@ let[@inline] next s o =
   set64 s o state;
   mix state
 
-(* 53 high bits scaled to [0, 1).  The 53-bit operand fits a native int,
-   so [float_of_int (Int64.to_int _)] converts it exactly and inline, where
-   [Int64.to_float] is a C call per draw. *)
-let[@inline] float_at s o =
-  float_of_int (Int64.to_int (Int64.shift_right_logical (next s o) 11))
-  *. (1.0 /. 9007199254740992.0)
+(* The 53 high bits of a draw, as a native int in [0, 2^53). *)
+let[@inline] bits53_at s o = Int64.to_int (Int64.shift_right_logical (next s o) 11)
+
+let two53 = 1 lsl 53
+
+(* 53 high bits scaled to [0, 1).  [float_of_int] converts the 53-bit
+   operand exactly and inline, where [Int64.to_float] is a C call per
+   draw. *)
+let[@inline] float_at s o = float_of_int (bits53_at s o) *. (1.0 /. 9007199254740992.0)
 
 (* Uniform on [0, bound), rejection sampling to avoid modulo bias. *)
 let[@inline] int_at s o bound =
@@ -53,8 +62,24 @@ let[@inline] int_at s o bound =
   done;
   Int64.to_int !v
 
-let[@inline] bernoulli_at s o p =
-  if p <= 0.0 then false else if p >= 1.0 then true else float_at s o < p
+(* A Bernoulli probability as the integer a 53-bit draw is compared
+   against.  For [p] in (0, 1) it is [ceil (p * 2^53)], in [1, 2^53): the
+   product is exact (a power-of-two scaling) and a draw [u] satisfies
+   [u < ceil (p * 2^53)] exactly when [u * 2^-53 < p], the test on
+   {!float_at}.  [p <= 0] and [p >= 1] map to 0 and 2^53, the two
+   thresholds that draw nothing.  NaN has no threshold. *)
+let threshold p =
+  if Float.is_nan p then invalid_arg "Rng: probability is NaN";
+  if p <= 0.0 then 0 else if p >= 1.0 then two53
+  else int_of_float (Float.ceil (p *. 9007199254740992.0))
+
+(* The one Bernoulli draw: [true] with probability [thr / 2^53].  The
+   thresholds 0 and 2^53 (those of [p <= 0] and [p >= 1]) have no bit below
+   2^53 set; they draw nothing, and the comparison of the undrawn 0 then
+   reads [false] and [true].  Every other threshold draws. *)
+let[@inline] bernoulli_at s o thr =
+  let u = if thr land (two53 - 1) = 0 then 0 else bits53_at s o in
+  u < thr
 
 (* Poisson with mean [lambda] >= 0; [limit] is [exp (-. lambda)].  No draw
    for a zero mean, Knuth's product method for small means, a normal
@@ -97,7 +122,7 @@ let int_in t lo hi =
   lo + int t (hi - lo + 1)
 
 let bool t = Int64.logand (next t 0) 1L = 1L
-let bernoulli t ~p = bernoulli_at t 0 p
+let bernoulli t ~p = bernoulli_at t 0 (threshold p)
 
 let exponential t ~rate =
   if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
@@ -149,12 +174,13 @@ module Bank = struct
     words : rng;
         (* two SplitMix64 words per source: process at [16 i], label at
            [16 i + 8] *)
-    on : Bytes.t;  (* one byte per source *)
-    p_on_to_off : float;
-    p_off_to_on : float;
+    on : Bytes.t;  (* one byte per source, 0 or 1 *)
+    active : int array;  (* [fill]'s list of the sources that are on *)
+    off_to_on : int;  (* {!threshold}s of the transition probabilities *)
+    on_to_off : int;
     lambda : float;  (* Poisson mean *)
     limit : float;  (* exp (-. lambda) *)
-    batch_p : float;  (* probability of the Pareto batch *)
+    batch : int;  (* threshold of the Pareto batch's probability *)
     exponent : float;  (* -1 /. alpha *)
     cap : int;  (* Pareto cap *)
     label : label;
@@ -167,27 +193,38 @@ module Bank = struct
     if p_on_to_off +. p_off_to_on = 0.0 then 0.5
     else p_off_to_on /. (p_on_to_off +. p_off_to_on)
 
-  (* The shapes the loop indexes or divides by; the full argument checks
-     live in the constructors of [Smbm_traffic]. *)
+  let invalid fmt = Printf.ksprintf invalid_arg ("Rng.Bank.create: " ^^ fmt)
+
+  (* The values that have no threshold or no Poisson limit, and the shapes
+     the loop indexes or divides by; the traffic-level checks live in the
+     constructors of [Smbm_traffic]. *)
+  let check_probability what p =
+    if not (p >= 0.0 && p <= 1.0) then invalid "%s must be in [0, 1], got %h" what p
+
   let check_label = function
     | Uniform_port n | Value_equals_port n ->
-      if n < 1 then invalid_arg "Rng.Bank.create: n must be >= 1"
+      if n < 1 then invalid "n must be >= 1"
     | Uniform_port_and_value { n; k } ->
-      if n < 1 || k < 1 then invalid_arg "Rng.Bank.create: n, k must be >= 1"
+      if n < 1 || k < 1 then invalid "n, k must be >= 1"
     | Fixed _ -> ()
     | Weighted { cumulative; value_of_port } ->
       if Array.length cumulative = 0
          || Array.length value_of_port <> Array.length cumulative
-      then invalid_arg "Rng.Bank.create: weighted arrays must be non-empty and equal"
+      then invalid "weighted arrays must be non-empty and equal"
 
   let create ~rng ~sources ~p_on_to_off ~p_off_to_on ~lambda ~batch_p ~alpha
       ~max_batch ~label =
-    if sources < 0 then invalid_arg "Rng.Bank.create: sources must be >= 0";
-    if max_batch < 1 then invalid_arg "Rng.Bank.create: max_batch must be >= 1";
+    if sources < 0 then invalid "sources must be >= 0";
+    if max_batch < 1 then invalid "max_batch must be >= 1";
+    check_probability "p_on_to_off" p_on_to_off;
+    check_probability "p_off_to_on" p_off_to_on;
+    check_probability "batch_p" batch_p;
+    if not (Float.is_finite lambda && lambda >= 0.0) then
+      invalid "lambda must be finite and >= 0, got %h" lambda;
     check_label label;
     let words = Bytes.create (16 * sources) in
     let on = Bytes.make sources '\000' in
-    let start = stationary_on ~p_on_to_off ~p_off_to_on in
+    let start = threshold (stationary_on ~p_on_to_off ~p_off_to_on) in
     for i = 0 to sources - 1 do
       set64 words (16 * i) (next rng 0);
       set64 words ((16 * i) + 8) (next rng 0);
@@ -197,11 +234,12 @@ module Bank = struct
       sources;
       words;
       on;
-      p_on_to_off;
-      p_off_to_on;
+      active = Array.make sources 0;
+      off_to_on = threshold p_off_to_on;
+      on_to_off = threshold p_on_to_off;
       lambda;
       limit = exp (-.lambda);
-      batch_p;
+      batch = threshold batch_p;
       exponent = -1.0 /. alpha;
       cap = max_batch;
       label;
@@ -233,7 +271,7 @@ module Bank = struct
   let[@inline] emit t o =
     let w = t.words in
     let extra = poisson_at w o ~lambda:t.lambda ~limit:t.limit in
-    if bernoulli_at w o t.batch_p then
+    if bernoulli_at w o t.batch then
       pareto_at w o ~exponent:t.exponent ~cap:t.cap + extra
     else extra
 
@@ -280,20 +318,31 @@ module Bank = struct
       done);
     t.len <- last + 1
 
+  (* Pass 1 steps every source's on/off state with no branch on the data:
+     the state (0 or 1) picks its flip threshold arithmetically, the flip
+     is xor-ed in, and every source is written to the active list's next
+     free cell, which the list keeps only when the source is on.  The
+     draw's own branch ({!bernoulli_at}) is taken the same way for every
+     source unless a probability is 0 or 1.  Pass 2 runs the emissions of
+     the listed sources in index order, so the arrivals land in source
+     order. *)
   let fill t =
     t.len <- 0;
-    let on = t.on in
+    let w = t.words and on = t.on and active = t.active in
+    let off_to_on = t.off_to_on and delta = t.on_to_off - t.off_to_on in
+    let n = ref 0 in
     for i = 0 to t.sources - 1 do
-      let o = 16 * i in
-      let was_on = Bytes.unsafe_get on i <> '\000' in
-      let flip = if was_on then t.p_on_to_off else t.p_off_to_on in
-      let now_on = if bernoulli_at t.words o flip then not was_on else was_on in
-      if now_on <> was_on then
-        Bytes.unsafe_set on i (if now_on then '\001' else '\000');
-      if now_on then begin
-        let count = emit t o in
-        if count > 0 then labels t (o + 8) count
-      end
+      let was = Char.code (Bytes.unsafe_get on i) in
+      let flip = Bool.to_int (bernoulli_at w (16 * i) (off_to_on + (was * delta))) in
+      let now = was lxor flip in
+      Bytes.unsafe_set on i (Char.unsafe_chr now);
+      Array.unsafe_set active !n i;
+      n := !n + now
+    done;
+    for j = 0 to !n - 1 do
+      let o = 16 * Array.unsafe_get active j in
+      let count = emit t o in
+      if count > 0 then labels t (o + 8) count
     done;
     t.len
 end

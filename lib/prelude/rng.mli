@@ -32,7 +32,11 @@ val float : t -> float
 val bool : t -> bool
 
 val bernoulli : t -> p:float -> bool
-(** [true] with probability [p] (clamped to [0, 1]). *)
+(** [true] with probability [p] (clamped to [0, 1]): one draw [u], true
+    exactly when [float] would have returned a value below [p], tested as
+    the 53-bit integer comparison [u < ceil (p * 2^53)].  A [p <= 0] or
+    [p >= 1] draws nothing.
+    @raise Invalid_argument if [p] is NaN. *)
 
 val exponential : t -> rate:float -> float
 (** Exponential variate with the given rate (mean [1 /. rate]).
@@ -64,7 +68,8 @@ type rng = t
     stream and its label stream), an on/off column, and one shared
     description of the transitions, the on-state emission and the
     labelling.  {!fill} steps every source for one slot with no allocation
-    and no call per draw.  This is the kernel behind
+    and no call per draw, and runs the emission draws of the on sources
+    only.  This is the kernel behind
     [Smbm_traffic.Source_bank], which validates every argument; use that
     module instead. *)
 module Bank : sig
@@ -97,15 +102,21 @@ module Bank : sig
       emits a Poisson([lambda]) count, drawn first, plus with probability
       [batch_p] one {!pareto_int} batch ([alpha], [max_batch]); a zero
       [lambda] and a [batch_p] of 0 or 1 draw nothing.
-      @raise Invalid_argument if [sources < 0], [max_batch < 1], or the
-      label has a port or value count below 1 or empty or unequal weighted
-      arrays.  The probabilities and means are not checked. *)
+      @raise Invalid_argument if [sources < 0], [max_batch < 1], a
+      probability ([p_on_to_off], [p_off_to_on], [batch_p]) is NaN or
+      outside [\[0, 1\]], [lambda] is negative or not finite, or the label
+      has a port or value count below 1 or empty or unequal weighted
+      arrays. *)
 
   val fill : t -> int
-  (** Step every source one slot, in source order: per source, the
-      transition draw, then (when on) the emission draws on the process
-      stream, then one label per packet on the label stream.  The packets
-      land in {!dest}/{!value} in draw order; returns their count. *)
+  (** Step every source one slot.  What a caller can rely on, per source:
+      its process stream sees the transition draw (none for a transition
+      probability of 0 or 1), then, when the source ends the slot on, the
+      emission draws; its label stream sees one label per emitted packet.
+      The packets land in {!dest}/{!value} in source order, each source's
+      in draw order; returns their count.  After the call {!is_on} reads
+      each source's new state.  The order in which different sources are
+      stepped is not part of the contract: no two share a stream. *)
 
   val dest : t -> int array
   val value : t -> int array

@@ -9,16 +9,12 @@ type t = { bank : Rng.Bank.t; duty_cycle : float; on_mean : float }
 
 let invalid fmt = Printf.ksprintf invalid_arg ("Source_bank.create: " ^^ fmt)
 
-let check_probability what p =
-  if not (p >= 0.0 && p <= 1.0) then invalid "%s must be in [0, 1], got %h" what p
-
 let check_mean what x =
   if not (Float.is_finite x && x >= 0.0) then
     invalid "%s must be finite and >= 0, got %h" what x
 
+(* The transition probabilities are checked by [Rng.Bank.create]. *)
 let create ~rng ~sources ~p_on_to_off ~p_off_to_on ~emission ~label =
-  check_probability "p_on_to_off" p_on_to_off;
-  check_probability "p_off_to_on" p_off_to_on;
   (* The kernel's emission is a Poisson count plus a Pareto batch with
      probability [batch_p].  The heavy tail's batches are thinned when
      their raw mean exceeds the target, topped up with an independent

@@ -83,7 +83,10 @@ let test_bernoulli () =
   let mean =
     mean_of 50_000 (fun () -> if Rng.bernoulli rng ~p:0.3 then 1.0 else 0.0)
   in
-  Alcotest.(check bool) "p=0.3 frequency" true (abs_float (mean -. 0.3) < 0.01)
+  Alcotest.(check bool) "p=0.3 frequency" true (abs_float (mean -. 0.3) < 0.01);
+  match Rng.bernoulli rng ~p:Float.nan with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "p=NaN accepted"
 
 let test_poisson_mean_small () =
   let rng = Rng.create ~seed:23 in
@@ -143,6 +146,37 @@ let prop_float_conversion_exact =
              exact x
              && Rng.float a = Int64.to_float x *. (1.0 /. 9007199254740992.0))
            [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+
+(* The float test [Rng.bernoulli] stands for: no draw at or beyond the ends
+   of [0, 1], otherwise [true] when the draw's float is below [p]. *)
+let float_bernoulli rng p =
+  if p <= 0.0 then false else if p >= 1.0 then true else Rng.float rng < p
+
+(* [Rng.bernoulli] compares 53-bit integers: it must agree with the float
+   test where an off-by-one threshold would not, at [p] equal to the next
+   draw's own float and at its two neighbours, and at the probabilities
+   nearest 0 and 1; it must also leave the stream where the float test
+   does. *)
+let prop_bernoulli_threshold_exact =
+  QCheck2.Test.make ~name:"Rng.bernoulli = float test at the draw's own value"
+    ~count:500 QCheck2.Gen.int
+    (fun seed ->
+      let r = Rng.create ~seed in
+      List.for_all
+        (fun _ ->
+          let f = Rng.float (Rng.copy r) in
+          let agrees p =
+            let a = Rng.copy r and b = Rng.copy r in
+            Rng.bernoulli a ~p = float_bernoulli b p && Rng.bits64 a = Rng.bits64 b
+          in
+          let ok =
+            List.for_all agrees
+              [ f; Float.pred f; Float.succ f; Float.pred 1.0; Float.succ 0.0;
+                ldexp 1.0 (-60) ]
+          in
+          ignore (Rng.bits64 r);
+          ok)
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ])
 
 let prop_int_uniformity =
   QCheck2.Test.make ~name:"Rng.int covers its range" ~count:50
@@ -280,5 +314,6 @@ let suite =
     Alcotest.test_case "choose" `Quick test_choose;
     Qc.to_alcotest prop_int_uniformity;
     Qc.to_alcotest prop_float_conversion_exact;
+    Qc.to_alcotest prop_bernoulli_threshold_exact;
     Qc.to_alcotest prop_split_no_overlap;
   ]

@@ -60,8 +60,25 @@ let show c =
 
 let gen_case =
   let open QCheck2.Gen in
-  (* The extremes matter: 0 and 1 skip the transition draw. *)
-  let prob = oneof [ pure 0.0; pure 1.0; float_bound_inclusive 1.0 ] in
+  (* The extremes matter: 0 and 1 skip the transition draw.  So do the
+     probabilities where an integer threshold could be off by one: a
+     multiple of 2^-53 and its neighbours, and those nearest 0 and 1. *)
+  let edge =
+    map2
+      (fun m nudge -> nudge (float_of_int m /. 9007199254740992.0))
+      (oneof [ int_range 1 1000; int_range 1 ((1 lsl 53) - 1) ])
+      (oneofl [ Fun.id; Float.pred; Float.succ ])
+  in
+  let prob =
+    oneof
+      [
+        pure 0.0;
+        pure 1.0;
+        float_bound_inclusive 1.0;
+        edge;
+        oneofl [ Float.pred 1.0; Float.succ 0.0; ldexp 1.0 (-60) ];
+      ]
+  in
   (* 0 skips the emission draw; >= 30 takes the normal approximation. *)
   let rate = oneof [ pure 0.0; float_bound_inclusive 5.0; float_range 30.0 60.0 ] in
   let emission =
@@ -134,6 +151,28 @@ let lockstep c =
 let prop_bank_matches_oracle =
   QCheck2.Test.make ~name:"bank = per-source oracle, slot by slot" ~count:300
     ~print:show gen_case lockstep
+
+(* The paper's scale: 500 sources of the default MMPP under each Fig. 5
+   labelling, at a Poisson rate offering 16 packets per slot, for 2 000
+   slots. *)
+let test_paper_scale_lockstep () =
+  let mmpp = Scenario.default_mmpp in
+  let rate = 16.0 /. (float_of_int mmpp.sources *. Scenario.duty_cycle mmpp) in
+  List.iter
+    (fun label ->
+      let c =
+        {
+          sources = mmpp.sources;
+          p_on_to_off = mmpp.p_on_to_off;
+          p_off_to_on = mmpp.p_off_to_on;
+          emission = Poisson rate;
+          label;
+          seed = 42;
+          slots = 2_000;
+        }
+      in
+      if not (lockstep c) then Alcotest.failf "diverged: %s" (show c))
+    [ Uniform 16; Uniform_value (16, 16); Value_port 16 ]
 
 let test_mean_rate () =
   let rate = 0.7 and sources = 37 in
@@ -245,6 +284,31 @@ let test_kernel_rejects_bad_shapes () =
   rejects "unequal weighted arrays"
     (kernel (Weighted { cumulative = [| 1.0; 2.0 |]; value_of_port = [| 1 |] }))
 
+(* A probability outside [0, 1] or NaN has no integer threshold, and a
+   negative or non-finite mean no Poisson limit: the kernel itself
+   refuses them. *)
+let test_kernel_rejects_bad_parameters () =
+  let kernel ?(p_on_to_off = 0.1) ?(p_off_to_on = 0.1) ?(lambda = 1.0)
+      ?(batch_p = 0.5) () =
+    Rng.Bank.create ~rng:(Rng.create ~seed:1) ~sources:3 ~p_on_to_off ~p_off_to_on
+      ~lambda ~batch_p ~alpha:1.0 ~max_batch:1 ~label:(Uniform_port 2)
+  in
+  List.iter
+    (fun (name, p) ->
+      rejects ("kernel p_on_to_off " ^ name) (kernel ~p_on_to_off:p);
+      rejects ("kernel p_off_to_on " ^ name) (kernel ~p_off_to_on:p);
+      rejects ("kernel batch_p " ^ name) (kernel ~batch_p:p))
+    (("1.5", 1.5) :: ("-0.5", -0.5) :: bad_floats);
+  List.iter
+    (fun (name, x) -> rejects ("kernel lambda " ^ name) (kernel ~lambda:x))
+    bad_floats;
+  (* The ends of the ranges stay accepted. *)
+  List.iter
+    (fun p ->
+      ignore (kernel ~p_on_to_off:p ~p_off_to_on:p ~batch_p:p ());
+      ignore (kernel ~lambda:p ()))
+    [ 0.0; 1.0 ]
+
 (* --- the daemon's bank --- *)
 
 let test_single_shard_is_the_workload () =
@@ -265,6 +329,8 @@ let test_single_shard_is_the_workload () =
 let suite =
   [
     Qc.to_alcotest prop_bank_matches_oracle;
+    Alcotest.test_case "paper-scale lockstep, three labels" `Quick
+      test_paper_scale_lockstep;
     Alcotest.test_case "mean rate sums per source" `Quick test_mean_rate;
     Alcotest.test_case "next_into allocates nothing" `Quick
       test_steady_state_allocation;
@@ -274,6 +340,8 @@ let suite =
     Alcotest.test_case "rejects bad emission" `Quick test_rejects_bad_emission;
     Alcotest.test_case "kernel rejects bad shapes" `Quick
       test_kernel_rejects_bad_shapes;
+    Alcotest.test_case "kernel rejects bad parameters" `Quick
+      test_kernel_rejects_bad_parameters;
     Alcotest.test_case "single shard fills the batch directly" `Quick
       test_single_shard_is_the_workload;
   ]
