@@ -106,26 +106,30 @@ type engine = {
 }
 
 (* A recorded trace is input: reject, before slot 0, any arrival the model
-   cannot accept, instead of letting the switch raise mid-run. *)
+   cannot accept, instead of letting the switch raise mid-run.  The check is
+   one pass over the trace's columns; only a trace that fails it is scanned
+   slot by slot, to name the first offending arrival's slot. *)
 let check_trace model trace =
   let ports = Model.ports model and max_value = Model.max_trace_value model in
-  let slot = ref 0 in
-  let reject fmt =
-    Printf.ksprintf
-      (fun m ->
-        invalid_arg (Printf.sprintf "Daemon.run: trace slot %d: %s" !slot m))
-      fmt
-  in
-  let check ~dest ~value =
-    if dest >= ports then
-      reject "dest %d has no port (the model has %d)" dest ports;
-    if value > max_value then
-      reject "value %d exceeds max_value %d" value max_value
-  in
-  for i = 0 to Trace.Compact.slots trace - 1 do
-    slot := i;
-    Trace.Compact.iter_slot trace i ~f:check
-  done
+  if not (Trace.Compact.within trace ~ports ~max_value) then begin
+    let slot = ref 0 in
+    let reject fmt =
+      Printf.ksprintf
+        (fun m ->
+          invalid_arg (Printf.sprintf "Daemon.run: trace slot %d: %s" !slot m))
+        fmt
+    in
+    let check ~dest ~value =
+      if dest >= ports then
+        reject "dest %d has no port (the model has %d)" dest ports;
+      if value > max_value then
+        reject "value %d exceeds max_value %d" value max_value
+    in
+    for i = 0 to Trace.Compact.slots trace - 1 do
+      slot := i;
+      Trace.Compact.iter_slot trace i ~f:check
+    done
+  end
 
 (* The controlled engine, once for both models.  [find] is the model's
    policy lookup; threshold policies capture B at construction, so a swap

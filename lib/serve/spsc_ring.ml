@@ -11,6 +11,9 @@ type t = {
   shed_packets : int Atomic.t;
   scratch : Arrival_batch.t;  (* producer-only: shed generation target *)
   mutable max_occupancy : int;  (* producer-only *)
+  lock : Mutex.t;  (* guards parking only, never the hand-off itself *)
+  data : Condition.t;  (* a parked consumer waits here *)
+  parked : int Atomic.t;  (* instant (ns) the consumer parked, or -1 *)
 }
 
 let create ~capacity () =
@@ -26,6 +29,9 @@ let create ~capacity () =
     shed_packets = Atomic.make 0;
     scratch = Arrival_batch.create ();
     max_occupancy = 0;
+    lock = Mutex.create ();
+    data = Condition.create ();
+    parked = Atomic.make (-1);
   }
 
 let capacity t = t.capacity
@@ -36,11 +42,60 @@ let max_occupancy t = t.max_occupancy
 
 type push_result = Pushed | Shed | Aborted
 
-(* Back off while a full/empty condition persists: spin briefly to catch
-   the common fast hand-off, then yield the core so a pinned pair of
-   domains cannot starve the rest of the process. *)
+(* Waiting on a full ring (producer, under [`Block]): spin 64 turns with
+   [Domain.cpu_relax] to catch the consumer in mid-hand-off, then sleep
+   200 µs at a time.  A full ring is a whole ring of queued work for the
+   consumer, so a live consumer that takes longer to drain it than one
+   sleep lasts (about 4 µs a slot at 64 slots) never runs dry. *)
 let backoff spins =
   if spins < 64 then Domain.cpu_relax () else Unix.sleepf 0.0002
+
+(* Waiting on an empty ring (consumer): park.  The consumer blocks on a
+   condition variable and takes no CPU until the producer wakes it: once
+   half the ring is filled, or at the first publication after it has been
+   parked [wake_window_ns], so a live producer wakes it once per half ring
+   and a slow or paced producer's slots wait at most about one window.
+   An empty ring holds no work at all, and the producer is the side that
+   is short of time: a consumer that spins beside it takes its cycles
+   when the two domains share a core, and one that sleeps on a timer
+   either lets the ring fill and block the producer or wakes for nothing
+   (EXPERIMENTS.md, "Ring hand-off by parking"). *)
+let wake_window_ns = 200_000
+
+let wake ~capacity ~ready ~parked_ns =
+  2 * ready >= capacity || parked_ns >= wake_window_ns
+
+(* Park unless the ring has been filled or closed meanwhile.  The parked
+   instant is stored before the ring is read again, and the producer
+   moves [tail] before it reads [parked]: so either the consumer sees the
+   new batch, or the producer sees it parked and signals under the lock
+   the consumer holds until it waits.  A single wait: the caller
+   re-examines the ring on every return, spurious or not. *)
+let park t =
+  Mutex.lock t.lock;
+  Atomic.set t.parked (Clock.now_ns ());
+  if Atomic.get t.tail = Atomic.get t.head && not (Atomic.get t.closed) then
+    Condition.wait t.data t.lock;
+  Atomic.set t.parked (-1);
+  Mutex.unlock t.lock
+
+let signal t =
+  Mutex.lock t.lock;
+  Condition.signal t.data;
+  Mutex.unlock t.lock
+
+(* The producer has just published, leaving [occ] batches in the ring.
+   Taking [parked] back to -1 before signalling means a parked consumer
+   is signalled once, however many batches are published before it
+   runs. *)
+let nudge t occ =
+  let parked = Atomic.get t.parked in
+  if
+    parked >= 0
+    && wake ~capacity:t.capacity ~ready:occ
+         ~parked_ns:(Clock.now_ns () - parked)
+    && Atomic.compare_and_set t.parked parked (-1)
+  then signal t
 
 (* The producer and consumer paths are top-level recursive functions over
    their arguments: a local closure would be allocated on every call, and
@@ -54,6 +109,7 @@ let publish t fill tail =
   Atomic.set t.tail (tail + 1);
   let occ = tail + 1 - Atomic.get t.head in
   if occ > t.max_occupancy then t.max_occupancy <- occ;
+  nudge t occ;
   Pushed
 
 (* Report the total stall once, on unblocking.  [blocked_since] is the
@@ -96,12 +152,15 @@ let produce t ?on_block ~policy ~fill () =
     invalid_arg "Spsc_ring.produce: ring already closed";
   wait_for_space t on_block policy fill 0 (-1)
 
-let close t = Atomic.set t.closed true
+let close t =
+  Atomic.set t.closed true;
+  signal t
+
 let abort t = Atomic.set t.aborted true
 
 type pop_result = Consumed | Drained | Stopped
 
-let rec wait_for_batch t stop f spins =
+let rec wait_for_batch t stop f =
   let head = Atomic.get t.head in
   if Atomic.get t.tail > head then begin
     let batch = t.slots.(head mod t.capacity) in
@@ -113,8 +172,8 @@ let rec wait_for_batch t stop f spins =
   else if Atomic.get t.closed && Atomic.get t.tail = head then Drained
   else if stop () then Stopped
   else begin
-    backoff spins;
-    wait_for_batch t stop f (spins + 1)
+    park t;
+    wait_for_batch t stop f
   end
 
-let consume t ~stop ~f = wait_for_batch t stop f 0
+let consume t ~stop ~f = wait_for_batch t stop f

@@ -25,7 +25,11 @@
       it, accounting the shed slot and its packets — the engine never sees
       the traffic, but the loss is measured, not silent.  The workload's
       RNG advances identically either way, so a shed stream is a strict
-      subsequence of the blocked one. *)
+      subsequence of the blocked one.
+
+    On an empty ring the consumer parks instead: it blocks, taking no CPU,
+    until the producer has filled half the ring or publishes after the
+    consumer has waited {!wake_window_ns} ({!wake}), or closes the ring. *)
 
 open Smbm_core
 
@@ -79,13 +83,27 @@ type pop_result =
 val consume :
   t -> stop:(unit -> bool) -> f:(Arrival_batch.t -> unit) -> pop_result
 (** Wait for a published batch, run [f] on it, release the slot for reuse.
-    [stop] is polled while waiting (not between [f] and the release), so a
-    control plane can interrupt an idle consumer.  A call allocates
-    nothing beyond what [f] and [stop] do. *)
+    [stop] is polled before the consumer parks on an empty ring and each
+    time it wakes (not between [f] and the release).  A parked consumer
+    wakes on a publication that meets {!wake} or on {!close}, so a [stop]
+    set from another domain takes effect at the next of those.  A call
+    allocates nothing beyond what [f] and [stop] do. *)
 
 val abort : t -> unit
 (** Consumer gives up: a blocked producer unblocks and {!produce} returns
     [Aborted] from then on.  Idempotent. *)
+
+(* ----- waiting ----- *)
+
+val wake_window_ns : int
+(** 200 µs: a consumer parked longer than this is woken by the next
+    publication, however few batches the ring then holds. *)
+
+val wake : capacity:int -> ready:int -> parked_ns:int -> bool
+(** The wake-up rule: a publication that leaves [ready] batches in the
+    ring wakes a consumer parked for [parked_ns] when
+    [2 * ready >= capacity] or [parked_ns >= wake_window_ns].  A parked
+    consumer is signalled once, by the first publication that meets it. *)
 
 (* ----- accounting ----- *)
 

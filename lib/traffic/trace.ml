@@ -60,6 +60,16 @@ module Compact = struct
       f ~dest:(Int_col.unsafe_get t.dest j) ~value:(Int_col.unsafe_get t.value j)
     done
 
+  (* No per-arrival call: one pass over the two columns. *)
+  let within t ~ports ~max_value =
+    let fits = ref true in
+    for j = 0 to arrivals t - 1 do
+      if Int_col.unsafe_get t.dest j >= ports
+         || Int_col.unsafe_get t.value j > max_value
+      then fits := false
+    done;
+    !fits
+
   (* Replay straight out of the flat columns: the filled batch segment is
      one column-to-array copy, no per-packet allocation.  Slots beyond the
      end are empty. *)

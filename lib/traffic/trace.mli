@@ -31,6 +31,10 @@ module Compact : sig
   (** Arrivals of slot [i] in arrival order.
       @raise Invalid_argument out of bounds. *)
 
+  val within : t -> ports:int -> max_value:int -> bool
+  (** Whether every arrival has [dest < ports] and [value <= max_value]:
+      one pass over the columns, with no call per arrival. *)
+
   val replay : t -> Workload.t
   (** A workload that replays the trace; slots beyond the end are empty.
       Replaying consumes no RNG and allocates nothing per slot, and the

@@ -423,8 +423,7 @@ let ring_budget = 0.01
 (* [handoffs] one-packet batches through a 4-slot ring under [`Block],
    words counted on each domain by its own [Gc.minor_words].  A sleeping
    consumer naps 1 ms every 100 batches, so the producer finds the ring
-   full, spins, backs off into sleeps and reports every stall through
-   [on_block]. *)
+   full, parks and reports every stall through [on_block]. *)
 let ring_words ~sleepy =
   let ring = Spsc_ring.create ~capacity:4 () in
   let fill b = Arrival_batch.push b ~dest:1 ~value:1 in

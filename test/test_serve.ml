@@ -81,6 +81,69 @@ let test_ring_abort_unblocks_producer () =
     (Invalid_argument "Spsc_ring.create: capacity must be >= 1") (fun () ->
       ignore (Spsc_ring.create ~capacity:0 ()))
 
+(* The wake-up rule at its two boundaries: half the ring usable, or a
+   parked side that has waited the window. *)
+let test_ring_wake_rule () =
+  let window = Spsc_ring.wake_window_ns in
+  let check expected capacity ready parked_ns =
+    Alcotest.(check bool)
+      (Printf.sprintf "capacity %d, ready %d, parked %d ns" capacity ready
+         parked_ns)
+      expected
+      (Spsc_ring.wake ~capacity ~ready ~parked_ns)
+  in
+  check false 64 31 0;
+  check true 64 32 0;
+  check true 64 64 0;
+  check false 64 1 (window - 1);
+  check true 64 1 window;
+  check true 64 0 (1000 * window);
+  check false 5 2 0;
+  check true 5 3 0;
+  check true 1 1 0
+
+(* A consumer parked on an empty 64-slot ring: one lone batch wakes it
+   once it has waited the window, and closing the ring wakes it with
+   nothing published.  [within] fails a parked side that never wakes
+   instead of hanging, releasing it with [release]. *)
+let test_ring_parked_consumer_wakes () =
+  let within name release result =
+    let t0 = Unix.gettimeofday () in
+    while Atomic.get result = None && Unix.gettimeofday () -. t0 < 5.0 do
+      Unix.sleepf 0.001
+    done;
+    match Atomic.get result with
+    | Some r -> r
+    | None ->
+      release ();
+      Alcotest.failf "%s: still parked after 5 s" name
+  in
+  let stop () = false and f _ = () in
+  let ring = Spsc_ring.create ~capacity:64 () in
+  let result = Atomic.make None in
+  let consumer =
+    Domain.spawn (fun () ->
+        Atomic.set result (Some (Spsc_ring.consume ring ~stop ~f)))
+  in
+  Unix.sleepf 0.005;
+  ignore
+    (Spsc_ring.produce ring ~policy:`Block
+       ~fill:(fun b -> Arrival_batch.push b ~dest:0 ~value:1)
+       ());
+  let r = within "lone batch" (fun () -> Spsc_ring.close ring) result in
+  Domain.join consumer;
+  Alcotest.(check bool) "lone batch consumed" true (r = Spsc_ring.Consumed);
+  let result = Atomic.make None in
+  let consumer =
+    Domain.spawn (fun () ->
+        Atomic.set result (Some (Spsc_ring.consume ring ~stop ~f)))
+  in
+  Unix.sleepf 0.005;
+  Spsc_ring.close ring;
+  let r = within "close" ignore result in
+  Domain.join consumer;
+  Alcotest.(check bool) "close drains" true (r = Spsc_ring.Drained)
+
 (* The stage clock: a monotonic reading never steps back, so no stage
    sample can go negative and kill a domain mid-run. *)
 let test_clock_never_decreases () =
@@ -660,6 +723,10 @@ let suite =
       test_ring_abort_unblocks_producer;
     Alcotest.test_case "clock reads never decrease" `Quick
       test_clock_never_decreases;
+    Alcotest.test_case "ring wake rule: half the ring or the window" `Quick
+      test_ring_wake_rule;
+    Alcotest.test_case "ring parked consumer wakes on a lone batch and close"
+      `Quick test_ring_parked_consumer_wakes;
     Alcotest.test_case "ring reports a stall in ns" `Quick
       test_ring_reports_stall_ns;
     Qc.to_alcotest prop_ring_transit_bit_identity;

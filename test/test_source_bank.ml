@@ -174,6 +174,36 @@ let test_paper_scale_lockstep () =
       if not (lockstep c) then Alcotest.failf "diverged: %s" (show c))
     [ Uniform 16; Uniform_value (16, 16); Value_port 16 ]
 
+(* The transition probabilities 0 and 1 draw nothing and leave the process
+   word where it was.  Each pairing of them with each other and with two
+   probabilities that draw runs at bank sizes 0 to 9 and around the
+   paper's 500 sources, with [is_on] compared every slot, so a transition
+   step that mishandles a degenerate threshold diverges here for certain;
+   the QCheck property reaches these pairings only by chance. *)
+let test_transition_grid () =
+  let probabilities = [ 0.0; 1.0; 0.1; 1.0 /. 30.0 ] in
+  List.iter
+    (fun sources ->
+      List.iteri
+        (fun a p_on_to_off ->
+          List.iteri
+            (fun b p_off_to_on ->
+              let c =
+                {
+                  sources;
+                  p_on_to_off;
+                  p_off_to_on;
+                  emission = Poisson 0.5;
+                  label = Uniform 4;
+                  seed = (100 * sources) + (4 * a) + b;
+                  slots = 40;
+                }
+              in
+              if not (lockstep c) then Alcotest.failf "diverged: %s" (show c))
+            probabilities)
+        probabilities)
+    (List.init 10 Fun.id @ [ 499; 500; 501 ])
+
 let test_mean_rate () =
   let rate = 0.7 and sources = 37 in
   let bank =
@@ -331,6 +361,8 @@ let suite =
     Qc.to_alcotest prop_bank_matches_oracle;
     Alcotest.test_case "paper-scale lockstep, three labels" `Quick
       test_paper_scale_lockstep;
+    Alcotest.test_case "transition grid: bank sizes x degenerate thresholds"
+      `Quick test_transition_grid;
     Alcotest.test_case "mean rate sums per source" `Quick test_mean_rate;
     Alcotest.test_case "next_into allocates nothing" `Quick
       test_steady_state_allocation;
