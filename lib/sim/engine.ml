@@ -31,6 +31,7 @@ module type S = sig
   val create :
     ?name:string ->
     ?events:Flight.t ->
+    ?distributions:bool ->
     Switch.config ->
     Switch.t Policy.t ->
     Instance.t * Switch.t
@@ -38,6 +39,7 @@ module type S = sig
   val instance :
     ?name:string ->
     ?events:Flight.t ->
+    ?distributions:bool ->
     Switch.config ->
     Switch.t Policy.t ->
     Instance.t
@@ -57,12 +59,12 @@ let drop = (Decision.drop :> int)
 module Make (Switch : SWITCH) = struct
   module Switch = Switch
 
-  let create_controlled ?name ?events config (policy_ref : Switch.t Policy.t ref)
-      =
+  let make ?name ?events ?distributions config
+      (policy_ref : Switch.t Policy.t ref) =
     let name = Option.value name ~default:!policy_ref.name in
     let sw = Switch.create config in
-    let metrics = Metrics.create () in
-    let ports = Port_stats.create ~n:(Switch.n sw) in
+    let metrics = Metrics.create ?distributions () in
+    let distributions = Option.value distributions ~default:true in
     (* Recording takes only immediate ints (the source is interned once
        here), so an attached ring costs column writes, not allocation. *)
     let src = match events with Some f -> Flight.intern f name | None -> 0 in
@@ -71,12 +73,12 @@ module Make (Switch : SWITCH) = struct
        the same decisions, counters and events as unit traffic. *)
     let unit_priced = Switch.unit_priced config in
     (* The slot path counts into [tally], settled into [metrics] once per
-       batch of arrivals and once per transmission phase; only latency is
-       sampled per packet.  [now] is the engine's own copy of the switch's
+       batch of arrivals and once per transmission phase; only latency and
+       the port tallies are recorded per packet, and only with
+       [distributions].  [now] is the engine's own copy of the switch's
        clock, advanced beside [Switch.advance_slot], that stamps events and
        latencies. *)
     let tally = Metrics.Tally.create () in
-    let latency_h = Metrics.latency_histogram metrics in
     let now = ref 0 in
     let settle () = Metrics.settle metrics tally in
     let arrive ~dest ~value =
@@ -114,27 +116,45 @@ module Make (Switch : SWITCH) = struct
     (* A raising policy or switch still leaves settled counters: the
        arrival it raised on counted, no admission for it. *)
     let arrive_dv, arrive_batch = Instance.arrival_paths ~settle arrive in
-    let transmit =
-      let on_transmit ~dest ~value ~arrival =
-        let latency = !now - arrival in
-        tally.transmitted <- tally.transmitted + 1;
-        tally.transmitted_value <- tally.transmitted_value + value;
-        Registry.observe_int latency_h latency;
-        Port_stats.record ports ~port:dest ~value;
-        match events with
-        | None -> ()
-        | Some f -> Flight.transmit f ~slot:!now ~src ~dest ~value ~latency
-      in
-      fun () ->
-        match Switch.transmit_phase sw ~on_transmit with
-        | _ -> settle ()
-        | exception e ->
-          settle ();
-          raise e
+    (* The hook is chosen here, once: a counters-only instance's hook only
+       counts, so its packets pay for no histogram sample and no port
+       update. *)
+    let ports =
+      if distributions then Some (Port_stats.create ~n:(Switch.n sw)) else None
+    in
+    let on_transmit =
+      match ports with
+      | Some ports ->
+        let latency_h = Metrics.latency_histogram metrics in
+        fun ~dest ~value ~arrival ->
+          let latency = !now - arrival in
+          tally.transmitted <- tally.transmitted + 1;
+          tally.transmitted_value <- tally.transmitted_value + value;
+          Registry.observe_int latency_h latency;
+          Port_stats.record ports ~port:dest ~value;
+          (match events with
+          | None -> ()
+          | Some f -> Flight.transmit f ~slot:!now ~src ~dest ~value ~latency)
+      | None ->
+        fun ~dest ~value ~arrival ->
+          tally.transmitted <- tally.transmitted + 1;
+          tally.transmitted_value <- tally.transmitted_value + value;
+          (match events with
+          | None -> ()
+          | Some f ->
+            Flight.transmit f ~slot:!now ~src ~dest ~value
+              ~latency:(!now - arrival))
+    in
+    let transmit () =
+      match Switch.transmit_phase sw ~on_transmit with
+      | _ -> settle ()
+      | exception e ->
+        settle ();
+        raise e
     in
     let end_slot () =
       let occupancy = Switch.occupancy sw in
-      Metrics.record_occupancy metrics occupancy;
+      if distributions then Metrics.record_occupancy metrics occupancy;
       (match events with
       | None -> ()
       | Some f -> Flight.slot_end f ~slot:!now ~src ~occupancy);
@@ -165,17 +185,20 @@ module Make (Switch : SWITCH) = struct
         flush;
         occupancy = (fun () -> Switch.occupancy sw);
         metrics;
-        ports = Some ports;
+        ports;
         check;
       }
     in
     (inst, sw)
 
-  let create ?name ?events config policy =
-    create_controlled ?name ?events config (ref policy)
+  let create_controlled ?name ?events config policy_ref =
+    make ?name ?events config policy_ref
 
-  let instance ?name ?events config policy =
-    fst (create ?name ?events config policy)
+  let create ?name ?events ?distributions config policy =
+    make ?name ?events ?distributions config (ref policy)
+
+  let instance ?name ?events ?distributions config policy =
+    fst (create ?name ?events ?distributions config policy)
 end
 
 module Proc = Make (struct

@@ -60,12 +60,21 @@ module type S = sig
   val create :
     ?name:string ->
     ?events:Smbm_obs.Flight.t ->
+    ?distributions:bool ->
     Switch.config ->
     Switch.t Smbm_core.Policy.t ->
     Instance.t * Switch.t
   (** Fresh instance plus its underlying switch (exposed for inspection in
       tests and examples).  [name] defaults to the policy's name.  Per-port
-      transmission tallies are in the instance's [ports].  [events]
+      transmission tallies are in the instance's [ports].
+
+      [distributions] (default [true]) records, besides the counters, a
+      latency sample and a {!Port_stats} update per transmitted packet and
+      an occupancy sample per slot.  At [false] the instance is
+      counters-only: its transmit hook only counts, [end_slot] samples no
+      occupancy, [ports] is [None], and its metrics hold no histogram
+      ({!Metrics.create}); decisions, counters and events are the same.
+      Sweep ratio points, which read two counters, build it so.  [events]
       receives every per-slot event (arrival, accept, push-out, drop,
       transmit, slot-end, flush) into its allocation-free ring, with this
       instance's name as source (interned once at creation).  Recording
@@ -74,8 +83,8 @@ module type S = sig
       [arrive_batch] is the slot path: the batch's arrivals run through
       one body that counts into instance-local fields, settled into
       [metrics] once at the end of the batch ({!Metrics.settle});
-      [transmit] settles its count and value once per phase, and samples
-      latency per packet.  [arrive_dv] is a batch of one and settles
+      [transmit] settles its count and value once per phase, and (with
+      [distributions]) samples latency per packet.  [arrive_dv] is a batch of one and settles
       immediately.  Both settle also when the policy or the switch raises,
       so the counters then read as if every event were recorded one by
       one: the arrival that raised counted, no admission for it.
@@ -87,6 +96,7 @@ module type S = sig
   val instance :
     ?name:string ->
     ?events:Smbm_obs.Flight.t ->
+    ?distributions:bool ->
     Switch.config ->
     Switch.t Smbm_core.Policy.t ->
     Instance.t
@@ -102,7 +112,8 @@ module type S = sig
       on {e every} admission, so the caller may swap it mid-run (the
       {!Smbm_serve} daemon does this at slot boundaries).  [name] defaults
       to the initial policy's name and does not change on swap — event
-      [src] fields stay stable across reconfigurations. *)
+      [src] fields stay stable across reconfigurations.  Always records
+      distributions. *)
 end
 
 module Make (Switch : SWITCH) : S with module Switch = Switch

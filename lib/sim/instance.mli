@@ -17,13 +17,16 @@ type t = {
           back to [arrive_dv] per arrival.  A wrapper may replace it, e.g.
           to time a slot's arrivals as a unit. *)
   transmit : unit -> unit;  (** run one transmission phase *)
-  end_slot : unit -> unit;  (** per-slot bookkeeping (occupancy sample, clock) *)
+  end_slot : unit -> unit;
+      (** per-slot bookkeeping (clock; the occupancy sample unless
+          counters-only) *)
   flush : unit -> unit;  (** discard all buffered packets *)
   occupancy : unit -> int;
   metrics : Metrics.t;
   ports : Port_stats.t option;
       (** per-port transmission counters; [None] for references without
-          per-port structure (the single-PQ OPT) *)
+          per-port structure (the single-PQ OPT) and for counters-only
+          instances ([Engine.S.create ~distributions:false]) *)
   check : unit -> unit;  (** assert internal invariants (test hook) *)
 }
 

@@ -14,7 +14,14 @@ type t = {
   occupancy : Registry.histogram;
 }
 
-let create ?(latency_cap = 1e7) () =
+(* Both histogram fields of counters-only metrics point to this one.  No
+   instance's registry lists it, so snapshots skip it, and every access
+   below raises on it rather than report an empty distribution, so it is
+   never written or read.  One shared sentinel keeps the record its old
+   size: metrics that record distributions cost no extra word. *)
+let absent = Registry.histogram (Registry.create ()) "absent"
+
+let create ?(latency_cap = 1e7) ?(distributions = true) () =
   let registry = Registry.create () in
   {
     registry;
@@ -25,9 +32,20 @@ let create ?(latency_cap = 1e7) () =
     transmitted = Registry.counter registry "transmitted";
     transmitted_value = Registry.counter registry "transmitted_value";
     flushed = Registry.counter registry "flushed";
-    latency = Registry.histogram registry ~max_value:latency_cap "latency";
-    occupancy = Registry.histogram registry "occupancy";
+    latency =
+      (if distributions then
+         Registry.histogram registry ~max_value:latency_cap "latency"
+       else absent);
+    occupancy =
+      (if distributions then Registry.histogram registry "occupancy"
+       else absent);
   }
+
+let recorded what h =
+  if h == absent then
+    invalid_arg
+      ("Metrics." ^ what ^ ": a counters-only instance records no distributions");
+  h
 
 let registry t = t.registry
 let clear t = Registry.clear t.registry
@@ -46,13 +64,13 @@ let record_admissions t ~arrivals ~accepted ~dropped ~pushed_out =
 let record_transmit t ~value ~latency =
   Registry.incr t.transmitted;
   Registry.add t.transmitted_value value;
-  Registry.observe_int t.latency latency
+  Registry.observe_int (recorded "record_transmit" t.latency) latency
 
 let record_transmissions t ~count ~value =
   Registry.add t.transmitted count;
   Registry.add t.transmitted_value value
 
-let latency_histogram t = t.latency
+let latency_histogram t = recorded "latency_histogram" t.latency
 
 module Tally = struct
   type t = {
@@ -93,7 +111,8 @@ let settle t (c : Tally.t) =
   end
 
 let record_flush t n = Registry.add t.flushed n
-let record_occupancy t occ = Registry.observe_int t.occupancy occ
+let record_occupancy t occ =
+  Registry.observe_int (recorded "record_occupancy" t.occupancy) occ
 
 let arrivals t = Registry.counter_value t.arrivals
 let accepted t = Registry.counter_value t.accepted
@@ -102,9 +121,15 @@ let pushed_out t = Registry.counter_value t.pushed_out
 let transmitted t = Registry.counter_value t.transmitted
 let transmitted_value t = Registry.counter_value t.transmitted_value
 let flushed t = Registry.counter_value t.flushed
-let latency_stats t = Registry.histogram_stats t.latency
-let latency_hist t = Registry.histogram_values t.latency
-let occupancy_stats t = Registry.histogram_stats t.occupancy
+
+let latency_stats t =
+  Registry.histogram_stats (recorded "latency_stats" t.latency)
+
+let latency_hist t =
+  Registry.histogram_values (recorded "latency_hist" t.latency)
+
+let occupancy_stats t =
+  Registry.histogram_stats (recorded "occupancy_stats" t.occupancy)
 
 let in_buffer t = accepted t - transmitted t - pushed_out t - flushed t
 
@@ -127,9 +152,11 @@ let pp ppf t =
      value=%d flushed=%d buffered=%d"
     (arrivals t) (accepted t) (dropped t) (pushed_out t) (transmitted t)
     (transmitted_value t) (flushed t) (in_buffer t);
-  let hist = latency_hist t in
-  if Histogram.count hist > 0 then
-    Format.fprintf ppf " latency[p50=%.1f p95=%.1f p99=%.1f]"
-      (Histogram.quantile hist 0.5)
-      (Histogram.quantile hist 0.95)
-      (Histogram.quantile hist 0.99)
+  if t.latency != absent then begin
+    let hist = latency_hist t in
+    if Histogram.count hist > 0 then
+      Format.fprintf ppf " latency[p50=%.1f p95=%.1f p99=%.1f]"
+        (Histogram.quantile hist 0.5)
+        (Histogram.quantile hist 0.95)
+        (Histogram.quantile hist 0.99)
+  end

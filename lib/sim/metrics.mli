@@ -15,9 +15,17 @@ open Smbm_prelude
 
 type t
 
-val create : ?latency_cap:float -> unit -> t
+val create : ?latency_cap:float -> ?distributions:bool -> unit -> t
 (** [latency_cap] bounds the latency histogram's bucketed range in slots
-    (default [1e7]); samples above it are clamped into the last bucket. *)
+    (default [1e7]); samples above it are clamped into the last bucket.
+
+    [distributions] (default [true]) registers the [latency] and
+    [occupancy] histograms.  At [false] the metrics are counters-only:
+    neither histogram exists or appears in {!to_jsonl}, and every
+    function that records or reads one ({!record_transmit},
+    {!latency_histogram}, {!record_occupancy}, {!latency_stats},
+    {!latency_hist}, {!occupancy_stats}) raises [Invalid_argument] rather
+    than report an empty distribution. *)
 
 val registry : t -> Smbm_obs.Registry.t
 (** The backing registry (for snapshots; the instruments themselves are
@@ -106,7 +114,10 @@ val latency_hist : t -> Histogram.t
 (** Same samples, log-bucketed for quantiles. *)
 
 val occupancy_stats : t -> Running_stats.t
-(** Occupancy samples, one per slot. *)
+(** Occupancy samples, one per slot.
+
+    The three reads above raise [Invalid_argument] on counters-only
+    metrics ([create ~distributions:false]). *)
 
 val check_conservation : t -> unit
 (** @raise Invalid_argument when the counters are inconsistent. *)
@@ -119,4 +130,5 @@ val to_jsonl : ?labels:(string * string) list -> t -> string list
 
 val pp : Format.formatter -> t -> unit
 (** One line: the seven counters, the derived buffered count, and — when
-    any packet was transmitted — latency p50/p95/p99. *)
+    latency is recorded and any packet was transmitted — latency
+    p50/p95/p99. *)

@@ -76,19 +76,21 @@ let port_value = function
   | Value_port config -> Some (Scenario.port_values config)
   | Proc _ | Value_uniform _ -> None
 
-let instances ?events t =
+let instances ?events ?distributions t =
   match t with
   | Proc config ->
-    Opt_ref.proc_instance ?events config
-    :: List.map (Engine.Proc.instance ?events config) (Policies.proc config)
+    Opt_ref.proc_instance ?events ?distributions config
+    :: List.map
+         (Engine.Proc.instance ?events ?distributions config)
+         (Policies.proc config)
   | Value_uniform config | Value_port config ->
     let policies =
       match port_value t with
       | Some port_value -> Policies.value_port ~port_value config
       | None -> Policies.value_uniform config
     in
-    Opt_ref.value_instance ?events config
-    :: List.map (Engine.Value.instance ?events config) policies
+    Opt_ref.value_instance ?events ?distributions config
+    :: List.map (Engine.Value.instance ?events ?distributions config) policies
 
 let proc_policy t name =
   match t with

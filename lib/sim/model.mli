@@ -47,8 +47,12 @@ val offered_load : t -> Smbm_traffic.Trace.Compact.t -> float
 (** Offered work (processing) or arrivals (value) over the capacity
     [slots * n * C], as {!Smbm_traffic.Trace_stats.offered_load}. *)
 
-val instances : ?events:Smbm_obs.Flight.t -> t -> Instance.t list
-(** The OPT reference, then the model's paper policies in Fig. 5 order. *)
+val instances :
+  ?events:Smbm_obs.Flight.t -> ?distributions:bool -> t -> Instance.t list
+(** The OPT reference, then the model's paper policies in Fig. 5 order.
+    [distributions] (default [true]) is handed to every instance: at
+    [false] none records latency, port or occupancy distributions, only
+    counters ({!Engine.S.create}, {!Opt_ref.proc_instance}). *)
 
 val instance : ?events:Smbm_obs.Flight.t -> t -> string -> Instance.t option
 (** One policy by case-insensitive name, run on the model's engine. *)

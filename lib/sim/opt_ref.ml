@@ -17,9 +17,9 @@ module Flight = Smbm_obs.Flight
    valuable packets leave each slot. *)
 type rule = Srpt of Proc_config.t | Top_values
 
-let bag_instance ~name ~cores ?events ~buffer ~k rule =
+let bag_instance ~name ~cores ?events ~distributions ~buffer ~k rule =
   let bag = Count_multiset.create ~k in
-  let metrics = Metrics.create () in
+  let metrics = Metrics.create ~distributions () in
   (* Admissions are counted into [tally] and settled once per batch, as
      the engines do. *)
   let tally = Metrics.Tally.create () in
@@ -98,7 +98,7 @@ let bag_instance ~name ~cores ?events ~buffer ~k rule =
   in
   let end_slot () =
     let occupancy = Count_multiset.size bag in
-    Metrics.record_occupancy metrics occupancy;
+    if distributions then Metrics.record_occupancy metrics occupancy;
     (match events with
     | None -> ()
     | Some f -> Flight.slot_end f ~slot:!slot ~src ~occupancy);
@@ -139,18 +139,20 @@ let cores ~who ~n ~speedup = function
     if c < 1 then invalid_arg ("Opt_ref." ^ who ^ ": cores must be >= 1");
     c
 
-let proc_instance ?(name = "OPT") ?cores:c ?events config =
+let proc_instance ?(name = "OPT") ?cores:c ?events ?(distributions = true)
+    config =
   let cores =
     cores ~who:"proc_instance" ~n:(Proc_config.n config)
       ~speedup:config.Proc_config.speedup c
   in
-  bag_instance ~name ~cores ?events ~buffer:config.Proc_config.buffer
-    ~k:(Proc_config.k config) (Srpt config)
+  bag_instance ~name ~cores ?events ~distributions
+    ~buffer:config.Proc_config.buffer ~k:(Proc_config.k config) (Srpt config)
 
-let value_instance ?(name = "OPT") ?cores:c ?events config =
+let value_instance ?(name = "OPT") ?cores:c ?events ?(distributions = true)
+    config =
   let cores =
     cores ~who:"value_instance" ~n:(Value_config.n config)
       ~speedup:config.Value_config.speedup c
   in
-  bag_instance ~name ~cores ?events ~buffer:config.Value_config.buffer
-    ~k:(Value_config.k config) Top_values
+  bag_instance ~name ~cores ?events ~distributions
+    ~buffer:config.Value_config.buffer ~k:(Value_config.k config) Top_values

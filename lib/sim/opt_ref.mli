@@ -22,6 +22,7 @@ val proc_instance :
   ?name:string ->
   ?cores:int ->
   ?events:Smbm_obs.Flight.t ->
+  ?distributions:bool ->
   Proc_config.t ->
   Instance.t
 (** Processing model: smallest-residual-first.  [cores] defaults to
@@ -32,13 +33,19 @@ val proc_instance :
     against the reference on the same arrival instance.  The reference has
     no ports, so push-out victims are recorded as bag keys and transmissions
     as per-slot [Transmit_bulk] events (dest = -1); recording allocates
-    nothing and never changes a decision. *)
+    nothing and never changes a decision.
+
+    The reference records no latency (its bag has no per-packet identity)
+    and has no [ports].  [distributions] (default [true]) samples its
+    occupancy once per slot; at [false] its metrics are counters-only
+    ({!Metrics.create}) and [end_slot] takes no sample. *)
 
 val value_instance :
   ?name:string ->
   ?cores:int ->
   ?events:Smbm_obs.Flight.t ->
+  ?distributions:bool ->
   Value_config.t ->
   Instance.t
 (** Value model: largest-value-first, unit work.  [cores] defaults to
-    [n * speedup].  [events] as in {!proc_instance}. *)
+    [n * speedup].  [events] and [distributions] as in {!proc_instance}. *)

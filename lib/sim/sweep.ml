@@ -83,10 +83,12 @@ let workload ~reference model base m =
   Model.workload ~mmpp:base.mmpp ~reference:(to_model model reference) m
     ~load:base.load ~seed:base.seed
 
+(* A ratio point reads two counters per instance, so its instances record
+   no distributions. *)
 let setup ?reference ?events model base =
   let m = to_model model base in
   ( workload ~reference:(Option.value reference ~default:base) model base m,
-    Model.instances ?events m )
+    Model.instances ?events ~distributions:false m )
 
 (* ----- trace cache -----
 
@@ -129,8 +131,10 @@ let trace_worth_caching ~base ~model ~axis ~x =
   | None -> false
 
 (* One point's set-up and run: its instances, OPT reference first, after
-   [Experiment.run] over the live workload or the replayed [trace]. *)
-let run ?events ?trace ~base ~model ~axis ~x () =
+   [Experiment.run] over the live workload or the replayed [trace].
+   [distributions] as in [Model.instances]: off for ratios, on for
+   [run_point_detailed]. *)
+let run ?events ?trace ~distributions ~base ~model ~axis ~x () =
   let e = apply_axis base axis x in
   let m = to_model model e in
   let workload =
@@ -141,12 +145,12 @@ let run ?events ?trace ~base ~model ~axis ~x () =
         invalid_arg "Sweep.run_point: trace shorter than the run";
       Trace.Compact.replay trace
   in
-  let instances = Model.instances ?events m in
+  let instances = Model.instances ?events ~distributions m in
   Experiment.run ~params:(params e) ~workload instances;
   instances
 
 let run_point ?events ?trace ~base ~model ~axis ~x () =
-  match run ?events ?trace ~base ~model ~axis ~x () with
+  match run ?events ?trace ~distributions:false ~base ~model ~axis ~x () with
   | opt :: algs -> Experiment.ratios ~objective:(objective model) ~opt ~algs
   | [] -> []
 
@@ -159,8 +163,9 @@ type detail = {
   drop_rate : float;
 }
 
-let run_point_detailed ~base ~model ~axis ~x =
-  match run ~base ~model ~axis ~x () with
+(* An instance without port tallies has no fairness to report: reading it
+   as perfectly fair would turn a wiring mistake into a wrong table. *)
+let details model = function
   | opt :: algs ->
     List.map
       (fun (alg : Instance.t) ->
@@ -170,7 +175,10 @@ let run_point_detailed ~base ~model ~axis ~x =
           | Some ports ->
             ( Port_stats.jain_index ports ~objective:(objective model),
               Port_stats.starved_ports ports )
-          | None -> (1.0, 0)
+          | None ->
+            invalid_arg
+              ("Sweep.details: " ^ alg.name
+             ^ " records no per-port transmissions")
         in
         let drop_rate =
           if Metrics.arrivals m = 0 then 0.0
@@ -189,6 +197,9 @@ let run_point_detailed ~base ~model ~axis ~x =
           } ))
       algs
   | [] -> []
+
+let run_point_detailed ~base ~model ~axis ~x =
+  details model (run ~distributions:true ~base ~model ~axis ~x ())
 
 type replicated = {
   mean : float;

@@ -62,7 +62,12 @@ val setup :
     (default [base]) the sweep's base the traffic intensity derives from.
     Exposed for benchmarks ({e benchmark/workloads.ml} times
     {!Experiment.run} over exactly these instances) and custom drivers;
-    {!run_point} is this plus the run and the ratio extraction. *)
+    {!run_point} is this plus the run and the ratio extraction.
+
+    The instances are {!run_point}'s, so counters-only
+    ([Model.instances ~distributions:false]): no latency, port or occupancy
+    distribution is recorded, and reading one raises.  A caller that needs
+    them builds its list with {!Model.instances} at its default. *)
 
 val trace_key : base:base -> model:model -> axis:axis -> x:int -> string
 (** Cache key of the point's traffic: a deterministic rendering of exactly
@@ -102,6 +107,9 @@ val run_point :
     derived from [base] (not the swept value), so traffic stays constant
     along an axis, as in the paper.
 
+    A ratio is two counters, so the instances are counters-only, as in
+    {!setup}: they record no latency, port or occupancy distribution.
+
     [trace] replays a pre-materialized traffic stream (see
     {!materialize_trace}) instead of generating live, and no live workload
     is built — the caller is responsible for the trace matching the
@@ -120,11 +128,20 @@ type detail = {
   drop_rate : float;  (** dropped / arrivals *)
 }
 
+val details : model -> Instance.t list -> (string * detail) list
+(** The detail row of every policy of a run instance list, OPT reference
+    first (it gives the ratio's numerator and has no row).
+    @raise Invalid_argument naming the first policy instance whose [ports]
+    is [None], or (from {!Metrics}) whose metrics are counters-only:
+    such an instance has no fairness or latency to report. *)
+
 val run_point_detailed :
   base:base -> model:model -> axis:axis -> x:int -> (string * detail) list
 (** Like {!run_point} but also reporting fairness, latency and loss — the
     dimensions the paper's introduction motivates (complete sharing can
-    hamper fairness; starvation of expensive traffic). *)
+    hamper fairness; starvation of expensive traffic).  Its instances
+    record distributions ([Model.instances] at its default): {!details}
+    over them. *)
 
 type replicated = {
   mean : float;

@@ -285,9 +285,9 @@ let point_words model ~slots =
    scale, whose budget is a tenth above it. *)
 let point_models =
   [
-    ("proc", Sweep.Proc, 2.492, 601.);
-    ("value_uniform", Sweep.Value_uniform, 2.225, 1_330.);
-    ("value_port", Sweep.Value_port, 2.69675, 1_329.);
+    ("proc", Sweep.Proc, 1.9475, 601.);
+    ("value_uniform", Sweep.Value_uniform, 1.758, 1_330.);
+    ("value_port", Sweep.Value_port, 2.16, 1_329.);
   ]
 
 (* Two gates per model.  The marginal words per slot, from N slots against

@@ -157,7 +157,14 @@ let fingerprint (i : Instance.t) =
 
 (* Every instance reads the one shared batch per slot; none may disturb it
    for the others.  Running all instances together must leave each exactly
-   where running it alone on the same traffic does. *)
+   where running it alone on the same traffic does.  The point's workload
+   comes from [Sweep.setup]; its instances are built with distributions
+   ([Model.instances] at its default, unlike the setup's counters-only
+   list), so the fingerprint's mean latency is recorded. *)
+let point model =
+  let workload, _ = Sweep.setup model small_base in
+  (workload, Model.instances (Sweep.to_model model small_base))
+
 let test_lockstep_matches_solo_runs () =
   List.iter
     (fun model ->
@@ -168,11 +175,11 @@ let test_lockstep_matches_solo_runs () =
           check_every = Some 500;
         }
       in
-      let workload, instances = Sweep.setup model small_base in
+      let workload, instances = point model in
       Experiment.run ~params ~workload instances;
       List.iteri
         (fun idx together ->
-          let workload, fresh = Sweep.setup model small_base in
+          let workload, fresh = point model in
           let alone = List.nth fresh idx in
           Experiment.run ~params ~workload [ alone ];
           let n1, a1, t1, l1 = fingerprint together
