@@ -15,6 +15,9 @@
    smbm_cli trace-diff F [G]        first divergence between two sources
    smbm_cli trace-explain F [G]     charge a throughput gap to loss events
    smbm_cli certify   [options]     Theorem 7's mapping routine, live
+   smbm_cli reproduce [SECTION]     every evaluation artifact of the paper
+                                    (fig5, lowerbounds, fairness, ablations,
+                                    flood, hybrid, certificate; all)
    smbm_cli serve     [options]     online switch daemon (ring ingest,
                                     live reconfiguration, soak gates)
    smbm_cli loadgen   [options]     MMPP load generator (sustained
@@ -35,39 +38,58 @@ type common = {
   slots : int;
   flush : int;
   seed : int;
-  jobs : int;
+  jobs : int option;
 }
+
+(* A count out of range is a usage error (exit 124), never an uncaught
+   exception or a silently degenerate run. *)
+let int_at_least ~min ~what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s: expected %s" s what))
+    | None -> Error (`Msg (Printf.sprintf "%s: not an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive = int_at_least ~min:1 ~what:"a positive integer"
+let non_negative = int_at_least ~min:0 ~what:"a non-negative integer"
 
 let jobs_term =
   Arg.(
     value
-    & opt int (-1)
+    & opt (some non_negative) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~env:(Cmd.Env.info "SMBM_JOBS")
         ~doc:
-          "Worker domains for parallel commands ($(b,figure), $(b,sweep), \
-           $(b,compare --replications), $(b,lowerbound all)).  0 runs \
-           inline; default: $(b,SMBM_JOBS) or the number of cores.  Results \
-           are bit-identical for every value.")
+          "Worker domains for parallel commands ($(b,reproduce), \
+           $(b,figure), $(b,sweep), $(b,compare --replications), \
+           $(b,lowerbound all)).  0 runs inline; default: $(b,SMBM_JOBS) or \
+           the number of cores.  Results are bit-identical for every value.")
 
-let jobs_of jobs =
-  if jobs >= 0 then jobs
-  else
-    try Smbm_par.Pool.default_jobs ()
-    with Invalid_argument msg ->
-      prerr_endline ("smbm_cli: " ^ msg);
-      exit 2
+let jobs_of = function
+  | Some jobs -> jobs
+  | None -> Smbm_par.Pool.default_jobs ()
 
-let common_term =
+let slots_arg ?(count = positive) ~default ~doc () =
+  Arg.(value & opt count default & info [ "slots" ] ~docv:"T" ~doc)
+
+let sources_arg ~default =
+  Arg.(
+    value & opt positive default
+    & info [ "sources" ] ~docv:"N" ~doc:"Number of interleaved MMPP sources.")
+
+(* [slots] is a term so that [serve] can accept 0 (no slot limit). *)
+let common_term_with ~slots =
   let open Term in
   let k =
-    Arg.(value & opt int 16 & info [ "k" ] ~docv:"K" ~doc:"Maximum work/value (also the number of ports).")
+    Arg.(value & opt positive 16 & info [ "k" ] ~docv:"K" ~doc:"Maximum work/value (also the number of ports).")
   in
   let buffer =
-    Arg.(value & opt int 64 & info [ "b"; "buffer" ] ~docv:"B" ~doc:"Shared buffer size in packets.")
+    Arg.(value & opt positive 64 & info [ "b"; "buffer" ] ~docv:"B" ~doc:"Shared buffer size in packets.")
   in
   let speedup =
-    Arg.(value & opt int 1 & info [ "c"; "speedup" ] ~docv:"C" ~doc:"Processing cycles (resp. transmissions) per queue per slot.")
+    Arg.(value & opt positive 1 & info [ "c"; "speedup" ] ~docv:"C" ~doc:"Processing cycles (resp. transmissions) per queue per slot.")
   in
   (* The traffic constructors reject a negative or non-finite load; refusing
      it here makes it a usage error rather than an internal one. *)
@@ -83,21 +105,20 @@ let common_term =
   let load =
     Arg.(value & opt load_conv 2.0 & info [ "load" ] ~docv:"RHO" ~doc:"Normalized offered load (1.0 saturates the switch on average); finite and non-negative.")
   in
-  let sources =
-    Arg.(value & opt int 500 & info [ "sources" ] ~docv:"N" ~doc:"Number of interleaved MMPP sources.")
-  in
-  let slots =
-    Arg.(value & opt int 200_000 & info [ "slots" ] ~docv:"T" ~doc:"Simulation length in time slots.")
-  in
   let flush =
-    Arg.(value & opt int 10_000 & info [ "flush-every" ] ~docv:"F" ~doc:"Periodic flushout interval in slots (0 disables).")
+    Arg.(value & opt non_negative 10_000 & info [ "flush-every" ] ~docv:"F" ~doc:"Periodic flushout interval in slots (0 disables).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
   let make k buffer speedup load sources slots flush seed jobs =
     { k; buffer; speedup; load; sources; slots; flush; seed; jobs }
   in
-  const make $ k $ buffer $ speedup $ load $ sources $ slots $ flush $ seed
-  $ jobs_term
+  const make $ k $ buffer $ speedup $ load $ sources_arg ~default:500 $ slots
+  $ flush $ seed $ jobs_term
+
+let common_term =
+  common_term_with
+    ~slots:
+      (slots_arg ~default:200_000 ~doc:"Simulation length in time slots." ())
 
 let model_term =
   let models =
@@ -196,33 +217,10 @@ let run_compare common model replications detail =
   let objective =
     match Sweep.objective model with `Packets -> "packets" | `Value -> "value"
   in
-  if detail then begin
-    let details =
-      Sweep.run_point_detailed ~base ~model ~axis:Sweep.K ~x:common.k
-    in
-    let rows =
-      List.map
-        (fun (name, (d : Sweep.detail)) ->
-          [
-            name;
-            Smbm_report.Table.float_cell d.ratio;
-            Smbm_report.Table.float_cell d.jain;
-            string_of_int d.starved;
-            Smbm_report.Table.float_cell ~digits:1 d.mean_latency;
-            Smbm_report.Table.float_cell ~digits:1 d.p99_latency;
-            Smbm_report.Table.float_cell ~digits:4 d.drop_rate;
-          ])
-        details
-    in
-    print_string
-      (Smbm_report.Table.render
-         ~headers:
-           [
-             "policy"; "ratio (" ^ objective ^ ")"; "jain"; "starved";
-             "lat-mean"; "lat-p99"; "drop";
-           ]
-         ~rows ())
-  end
+  if detail then
+    Artifact.print_details
+      ~ratio_header:("ratio (" ^ objective ^ ")")
+      (Sweep.run_point_detailed ~base ~model ~axis:Sweep.K ~x:common.k)
   else if replications > 1 then begin
     let seeds = List.init replications (fun i -> common.seed + i) in
     let reps =
@@ -525,45 +523,11 @@ let run_figure common panel xs csv trace trace_cap metrics_out progress =
       outcome.Sweep.points;
     Smbm_obs.Sink.close sink;
     Printf.printf "wrote metrics to %s\n" path);
-  let points = outcome.Sweep.points in
-  let names =
-    match points with
-    | p :: _ -> List.map fst p.Sweep.ratios
-    | [] -> []
-  in
-  let axis_name =
-    match outcome.Sweep.panel.Sweep.axis with
-    | Sweep.K -> "k"
-    | Sweep.B -> "B"
-    | Sweep.C -> "C"
-  in
-  let headers = axis_name :: names in
-  let rows =
-    List.map
-      (fun (p : Sweep.point) ->
-        string_of_int p.x
-        :: List.map (fun (_, r) -> Smbm_report.Table.float_cell r) p.ratios)
-      points
-  in
-  Printf.printf "Fig. 5 panel %d\n" panel;
-  print_string (Smbm_report.Table.render ~headers ~rows ());
-  let series =
-    List.map
-      (fun name ->
-        Smbm_report.Series.of_ints ~name
-          ~points:
-            (List.map
-               (fun (p : Sweep.point) -> (p.x, List.assoc name p.ratios))
-               points))
-      names
-  in
-  print_string
-    (Smbm_report.Ascii_plot.render
-       ~title:(Printf.sprintf "competitive ratio vs %s" axis_name)
-       ~x_label:axis_name ~log_x:true series);
+  Artifact.print_panel outcome;
   match csv with
   | None -> ()
   | Some path ->
+    let headers, rows = Artifact.panel_table outcome in
     let oc = open_out path in
     Smbm_report.Csv.write oc (headers :: rows);
     close_out oc;
@@ -1242,27 +1206,7 @@ let run_lowerbound which jobs =
       | None ->
         die "unknown construction %S (try \"Thm 4\" or \"all\")" which
   in
-  let measures =
-    Runner.measure_many ~jobs:(jobs_of jobs)
-      (List.map (fun (c : Constructions.t) -> c.measure) entries)
-  in
-  let rows =
-    List.map2
-      (fun (c : Constructions.t) (m : Runner.measured) ->
-        [
-          c.theorem;
-          c.policy;
-          (match c.model with `Proc -> "proc" | `Value -> "value");
-          c.bound_text;
-          Smbm_report.Table.float_cell c.finite_bound;
-          Smbm_report.Table.float_cell m.Runner.ratio;
-        ])
-      entries measures
-  in
-  print_string
-    (Smbm_report.Table.render
-       ~headers:[ "theorem"; "policy"; "model"; "bound"; "finite bound"; "measured" ]
-       ~rows ())
+  Artifact.print_lowerbounds ~jobs:(jobs_of jobs) entries
 
 let lowerbound_cmd =
   let which =
@@ -1293,15 +1237,7 @@ let run_sweep common model axis_name xs csv =
     Smbm_par.Par_sweep.run_points ~jobs:(jobs_of common.jobs) ~base ~model
       ~axis ~xs ()
   in
-  let names = match points with (_, r) :: _ -> List.map fst r | [] -> [] in
-  let headers = axis_name :: names in
-  let rows =
-    List.map
-      (fun (x, ratios) ->
-        string_of_int x
-        :: List.map (fun (_, r) -> Smbm_report.Table.float_cell r) ratios)
-      points
-  in
+  let headers, rows = Artifact.ratio_table ~axis:axis_name points in
   print_string (Smbm_report.Table.render ~headers ~rows ());
   match csv with
   | None -> ()
@@ -1344,19 +1280,12 @@ let run_certify common opponent_name =
     | Some _ -> die "%s pushes out; Theorem 7 opponents may not" opponent_name
     | None -> die "unknown opponent policy: %s" opponent_name
   in
-  let mmpp = { Smbm_traffic.Scenario.default_mmpp with sources = common.sources } in
-  let workload =
-    Smbm_traffic.Scenario.proc_workload ~mmpp ~config ~load:common.load
-      ~seed:common.seed ()
-  in
+  Format.printf "Theorem 7 mapping certificate (LWD vs %s, %d slots):@."
+    opponent_name common.slots;
   let report =
-    Smbm_analysis.Mapping_certifier.run ~config ~opponent
-      ~workload ~slots:common.slots ()
+    Artifact.certify ~config ~opponent ~sources:common.sources
+      ~load:common.load ~seed:common.seed ~slots:common.slots
   in
-  Format.printf
-    "Theorem 7 mapping certificate (LWD vs %s, %d slots):@.  %a@."
-    opponent_name common.slots Smbm_analysis.Mapping_certifier.pp_report
-    report;
   if report.Smbm_analysis.Mapping_certifier.violation_count = 0 then
     Format.printf
       "  certified: every opponent transmission is charged to an LWD\n\
@@ -1377,6 +1306,40 @@ let certify_cmd =
        ~doc:
          "Run the paper's Theorem 7 mapping routine (Fig. 3) live: LWD against a non-push-out opponent with the charging invariants checked at every event.")
     Term.(const run_certify $ common_term $ opponent)
+
+(* ----- reproduce ----- *)
+
+let reproduce_cmd =
+  let sections =
+    Arg.(
+      value
+      & pos 0 (enum Artifact.choices) (List.assoc "all" Artifact.choices)
+      & info [] ~docv:"SECTION"
+          ~doc:
+            ("Artifact to regenerate: "
+            ^ Arg.doc_alts_enum Artifact.choices
+            ^ "."))
+  in
+  let slots =
+    slots_arg ~default:20_000
+      ~doc:
+        "Slots per sweep point; with $(b,--sources 500), 2000000 is the \
+         paper's scale."
+      ()
+  in
+  let run sections slots sources jobs =
+    Artifact.run ~jobs:(jobs_of jobs) ~slots ~sources sections
+  in
+  Cmd.v
+    (Cmd.info "reproduce"
+       ~doc:
+         "Regenerate the paper's evaluation artifacts: the nine Fig. 5 \
+          panels, the lower-bound table (Theorems 1-6, 9-11), fairness \
+          detail, ablations, MRD vs LQD under a flood, the combined work + \
+          value model and Theorem 7's mapping certificate.  Stdout is \
+          bit-identical for every $(b,--jobs); per-section $(b,[time]) \
+          lines and progress go to stderr.")
+    Term.(const run $ sections $ slots $ sources_arg ~default:100 $ jobs_term)
 
 (* ----- serve / loadgen ----- *)
 
@@ -1649,7 +1612,15 @@ let serve_cmd =
           metrics and event flushing, an optional live stats socket with \
           health watchdogs, and a final conservation audit.")
     Term.(
-      const run_serve $ common_term $ model_term $ policy $ ingest_trace
+      const run_serve
+      $ common_term_with
+          ~slots:
+            (slots_arg ~count:non_negative ~default:200_000
+               ~doc:
+                 "Slots to serve; 0 serves until $(b,--duration) or the \
+                  ingest trace ends."
+               ())
+      $ model_term $ policy $ ingest_trace
       $ ring_term $ backpressure_term
       $ duration_term ~default:0.
       $ rate $ shards_term $ ats $ metrics_out_term $ metrics_every
@@ -2047,6 +2018,10 @@ let () =
          replay-certify a black-box dump";
       `P "$(b,smbm_cli certify) [$(i,OPTIONS)] — Theorem 7's mapping routine, live";
       `P
+        "$(b,smbm_cli reproduce) [$(i,SECTION)] [$(i,OPTIONS)] — every \
+         evaluation artifact of the paper; paper scale is $(b,--slots \
+         2000000 --sources 500)";
+      `P
         "$(b,smbm_cli serve) [$(i,OPTIONS)] — online switch daemon with \
          bounded-ring ingest and live reconfiguration";
       `P
@@ -2068,6 +2043,7 @@ let () =
             policies_cmd; compare_cmd; simulate_cmd; figure_cmd;
             lowerbound_cmd; trace_cmd; trace_validate_cmd; trace_replay_cmd;
             trace_diff_cmd; trace_explain_cmd; trace_convert_cmd; certify_cmd;
+            reproduce_cmd;
             sweep_cmd; serve_cmd; loadgen_cmd; stats_cmd;
             watch_cmd; postmortem_cmd;
           ]))
