@@ -20,8 +20,9 @@
                                     flood, hybrid, certificate; all)
    smbm_cli serve     [options]     online switch daemon (ring ingest,
                                     live reconfiguration, soak gates)
-   smbm_cli loadgen   [options]     MMPP load generator (sustained
-                                    slots/sec, tail latency) *)
+
+   Every file a verb writes goes through one checked sink: a failed open,
+   write or close exits 1 naming the path, and prints no "wrote" line. *)
 
 open Cmdliner
 open Smbm_core
@@ -161,7 +162,7 @@ let trace_term =
 let trace_cap_term =
   Arg.(
     value
-    & opt int Smbm_par.Par_sweep.default_trace_cap
+    & opt positive Smbm_par.Par_sweep.default_trace_cap
     & info [ "trace-cap" ] ~docv:"N"
         ~doc:
           "Event ring-buffer capacity (per sweep point for $(b,figure)); \
@@ -182,10 +183,32 @@ let progress_term =
     value & flag
     & info [ "progress" ] ~doc:"Print a progress line to stderr.")
 
-let write_events path events =
-  let sink = Smbm_obs.Sink.file path in
-  List.iter (Smbm_obs.Sink.event sink) events;
-  Smbm_obs.Sink.close sink
+let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
+
+let open_sink path =
+  match Smbm_obs.Sink.open_file path with
+  | Ok sink -> sink
+  | Error e -> die "%s" (Smbm_obs.Sink.error_to_string e)
+
+let close_sink sink =
+  match Smbm_obs.Sink.close_result sink with
+  | Ok () -> ()
+  | Error e -> die "%s" (Smbm_obs.Sink.error_to_string e)
+
+(* A whole file at once: [emit] gets the sink's line writer. *)
+let write_lines path emit =
+  let sink = open_sink path in
+  emit (Smbm_obs.Sink.line sink);
+  close_sink sink
+
+let write_csv path (headers, rows) =
+  write_lines path (fun line ->
+      List.iter (fun r -> line (Smbm_report.Csv.row r)) (headers :: rows))
+
+let write_trace ?(format = `Jsonl) path events =
+  match Smbm_forensics.Trace_file.write ~format path events with
+  | Ok () -> ()
+  | Error msg -> die "%s" msg
 
 let has_suffix ~suffix s =
   let ls = String.length suffix and l = String.length s in
@@ -279,8 +302,6 @@ let compare_cmd =
 
 (* ----- trace ----- *)
 
-let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
-
 (* An arrival trace file, or exit 1 with [path:line: reason]. *)
 let load_arrival_trace path =
   let ic = try open_in path with Sys_error m -> die "%s" m in
@@ -304,9 +325,7 @@ let run_trace common model action path =
     let trace =
       Smbm_traffic.Trace.Compact.of_workload workload ~slots:common.slots
     in
-    let oc = open_out path in
-    Smbm_traffic.Trace.Compact.save trace oc;
-    close_out oc;
+    write_lines path (fun line -> Smbm_traffic.Trace.Compact.save trace ~line);
     Printf.printf "recorded %d slots (%d arrivals) to %s\n"
       (Smbm_traffic.Trace.Compact.slots trace)
       (Smbm_traffic.Trace.Compact.arrivals trace)
@@ -397,7 +416,7 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
   Experiment.run ~params ~workload [ inst ];
   (match (trace, events) with
   | Some path, Some f ->
-    write_events path (Smbm_obs.Flight.dump f);
+    write_trace path (Smbm_obs.Flight.dump f);
     if Smbm_obs.Flight.dropped f > 0 then
       Printf.eprintf "trace: %d events evicted (raise --trace-cap)\n"
         (Smbm_obs.Flight.dropped f);
@@ -410,16 +429,12 @@ let run_simulate common model heavy_tail timeseries trace trace_cap
     let labels =
       [ ("policy", inst.Instance.name); ("model", Model.name model) ]
     in
-    let sink = Smbm_obs.Sink.file path in
-    List.iter (Smbm_obs.Sink.line sink)
-      (Metrics.to_jsonl ~labels inst.Instance.metrics);
-    Smbm_obs.Sink.close sink;
+    write_lines path (fun line ->
+        List.iter line (Metrics.to_jsonl ~labels inst.Instance.metrics));
     Printf.printf "wrote metrics to %s\n" path);
   (match timeseries, series with
   | Some path, Some ts ->
-    let oc = open_out path in
-    output_string oc (Timeseries.to_csv ts);
-    close_out oc;
+    write_csv path (Timeseries.table ts);
     Printf.printf "wrote time series to %s (%d samples)\n" path
       (Timeseries.samples ts)
   | _ -> ());
@@ -492,7 +507,7 @@ let run_figure common panel xs csv trace trace_cap metrics_out progress =
         Smbm_par.Par_sweep.run_panel_traced ?on_tick ~trace_cap
           ~jobs:(jobs_of common.jobs) ~base ?xs panel
       in
-      write_events path traced.Smbm_par.Par_sweep.events;
+      write_trace path traced.Smbm_par.Par_sweep.events;
       if traced.Smbm_par.Par_sweep.dropped_events > 0 then
         Printf.eprintf "trace: %d events evicted (raise --trace-cap)\n"
           traced.Smbm_par.Par_sweep.dropped_events;
@@ -504,33 +519,29 @@ let run_figure common panel xs csv trace trace_cap metrics_out progress =
   | None -> ()
   | Some path ->
     (* One gauge line per (point, policy): the panel's ratio surface. *)
-    let sink = Smbm_obs.Sink.file path in
-    List.iter
-      (fun (p : Sweep.point) ->
+    write_lines path (fun line ->
         List.iter
-          (fun (name, r) ->
-            Smbm_obs.Sink.line sink
-              (Smbm_obs.Json.obj
-                 [
-                   ("metric", Smbm_obs.Json.Str "competitive_ratio");
-                   ("type", Smbm_obs.Json.Str "gauge");
-                   ("value", Smbm_obs.Json.Float r);
-                   ("panel", Smbm_obs.Json.Int panel);
-                   ("x", Smbm_obs.Json.Int p.Sweep.x);
-                   ("policy", Smbm_obs.Json.Str name);
-                 ]))
-          p.Sweep.ratios)
-      outcome.Sweep.points;
-    Smbm_obs.Sink.close sink;
+          (fun (p : Sweep.point) ->
+            List.iter
+              (fun (name, r) ->
+                line
+                  (Smbm_obs.Json.obj
+                     [
+                       ("metric", Smbm_obs.Json.Str "competitive_ratio");
+                       ("type", Smbm_obs.Json.Str "gauge");
+                       ("value", Smbm_obs.Json.Float r);
+                       ("panel", Smbm_obs.Json.Int panel);
+                       ("x", Smbm_obs.Json.Int p.Sweep.x);
+                       ("policy", Smbm_obs.Json.Str name);
+                     ]))
+              p.Sweep.ratios)
+          outcome.Sweep.points);
     Printf.printf "wrote metrics to %s\n" path);
   Artifact.print_panel outcome;
   match csv with
   | None -> ()
   | Some path ->
-    let headers, rows = Artifact.panel_table outcome in
-    let oc = open_out path in
-    Smbm_report.Csv.write oc (headers :: rows);
-    close_out oc;
+    write_csv path (Artifact.panel_table outcome);
     Printf.printf "wrote %s\n" path
 
 let figure_cmd =
@@ -538,7 +549,7 @@ let figure_cmd =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"PANEL" ~doc:"Panel number, 1-9.")
   in
   let xs =
-    Arg.(value & opt (list int) [] & info [ "xs" ] ~docv:"X1,X2,.." ~doc:"Override the swept values.")
+    Arg.(value & opt (list positive) [] & info [ "xs" ] ~docv:"X1,X2,.." ~doc:"Override the swept values.")
   in
   let csv =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV.")
@@ -552,148 +563,36 @@ let figure_cmd =
 
 (* ----- trace-validate ----- *)
 
-(* Structural audit of an event trace produced by --trace: every line must
-   parse strictly, slots must be non-decreasing within each source stream,
-   and each source's arrivals must balance its accepts plus drops.  When the
-   recording ring evicted a prefix, the dump's [truncated] markers declare
-   how much is missing per scope; the audit then allows each covered source
-   a resolution surplus (an evicted arrival whose accept/drop survived) up
-   to the declared budget, and reports which slots are unverifiable.
-   [--allow-truncation] remains for legacy traces without markers. *)
+let load_trace path =
+  match Smbm_forensics.Trace_file.load path with
+  | Ok t -> t
+  | Error msg -> die "%s" msg
+
+(* The audit is [Trace_file.audit]; this only prints its verdict. *)
 let run_trace_validate allow_truncation path =
-  let module E = Smbm_obs.Event in
-  let per_src : (string, int * (int * int * int)) Hashtbl.t =
-    (* src -> last slot, (arrivals, accepted, dropped) *)
-    Hashtbl.create 16
-  in
-  let truncations = ref [] (* scope, evicted, oldest surviving slot *) in
-  let kinds = Hashtbl.create 8 in
-  let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt in
-  let on_event ~lineno (ev : E.t) =
-    let name = E.kind_name ev.E.kind in
-    Hashtbl.replace kinds name
-      (1 + Option.value (Hashtbl.find_opt kinds name) ~default:0);
-    match ev.E.kind with
-    | E.Truncated { evicted } ->
-      truncations := (ev.E.src, evicted, ev.E.slot) :: !truncations
-    | _ ->
-      let last, (arr, acc, drop) =
-        Option.value
-          (Hashtbl.find_opt per_src ev.E.src)
-          ~default:(0, (0, 0, 0))
-      in
-      if ev.E.slot < last then
-        fail "%s:%d: slot %d of %S goes backwards (last %d)" path lineno
-          ev.E.slot ev.E.src last;
-      let counts =
-        match ev.E.kind with
-        | E.Arrival _ -> (arr + 1, acc, drop)
-        | E.Accept _ -> (arr, acc + 1, drop)
-        | E.Drop _ -> (arr, acc, drop + 1)
-        | E.Push_out _ | E.Transmit _ | E.Transmit_bulk _ | E.Flush _
-        | E.Slot_end _ | E.Reconfig _ | E.Health _ | E.Truncated _ ->
-          (arr, acc, drop)
-      in
-      Hashtbl.replace per_src ev.E.src (ev.E.slot, counts)
-  in
-  (* iter_events dispatches on the binary magic, so both encodings get the
-     same audit. *)
-  (match Smbm_forensics.Trace_file.iter_events path ~f:on_event with
-  | Ok _ -> ()
-  | Error msg -> fail "%s" msg);
-  (* One budget per scope: a ring drained while it runs (serve --trace)
-     can declare several losses, each with its own marker. *)
-  let truncations =
-    let markers = List.rev !truncations in
-    let scopes =
-      List.fold_left
-        (fun acc (scope, _, _) ->
-          if List.mem scope acc then acc else scope :: acc)
-        [] markers
-    in
-    List.rev_map
-      (fun scope ->
-        List.fold_left
-          (fun (_, e, o) (s, evicted, oldest) ->
-            if s = scope then (scope, e + evicted, max o oldest)
-            else (scope, e, o))
-          (scope, 0, 0) markers)
-      scopes
-  in
-  let sources =
-    Hashtbl.fold (fun src v acc -> (src, v) :: acc) per_src []
-    |> List.sort compare
-  in
-  (* Conservation per source.  In a stream whose oldest events were evicted,
-     resolutions can outnumber arrivals (the arrival fell off the ring, its
-     accept/drop survived) — never the reverse, since an arrival is always
-     recorded before its resolution. *)
-  let deficits =
-    List.filter_map
-      (fun (src, (_, (arr, acc, drop))) ->
-        let deficit = acc + drop - arr in
-        if deficit < 0 then
-          fail
-            "%s: source %S has %d arrivals but only %d resolutions — \
-             impossible even under truncation (corrupted trace)"
-            path src arr (acc + drop);
-        if deficit = 0 then None else Some (src, deficit))
-      sources
-  in
-  List.iter
-    (fun (src, deficit) ->
-      let budget =
-        List.fold_left
-          (fun b (scope, evicted, _) ->
-            if Smbm_forensics.Trace_file.scope_covers ~scope src then
-              b + evicted
-            else b)
-          0 truncations
-      in
-      if budget = 0 && not allow_truncation then
-        fail
-          "%s: source %S violates arrivals = accepted + dropped (missing %d \
-           arrivals) with no truncation marker covering it; a truncated \
-           legacy trace? (--allow-truncation)"
-          path src deficit)
-    deficits;
-  (* The declared budgets must cover the observed imbalances. *)
-  List.iter
-    (fun (scope, evicted, _) ->
-      let missing =
-        List.fold_left
-          (fun n (src, deficit) ->
-            if Smbm_forensics.Trace_file.scope_covers ~scope src then
-              n + deficit
-            else n)
-          0 deficits
-      in
-      if missing > evicted then
-        fail
-          "%s: scope %S declares %d evicted events but its sources are \
-           missing %d arrival resolutions (corrupted trace)"
-          path scope evicted missing)
-    truncations;
-  let total = Hashtbl.fold (fun _ n acc -> acc + n) kinds 0 in
-  Printf.printf "%s: %d events, %d sources, all lines valid\n" path total
-    (Hashtbl.length per_src);
-  Hashtbl.fold (fun k n acc -> (k, n) :: acc) kinds []
-  |> List.sort compare
-  |> List.iter (fun (k, n) -> Printf.printf "  %-13s %d\n" k n);
-  List.iter
-    (fun (scope, evicted, oldest) ->
-      Printf.printf
-        "  truncated scope %s: %d events evicted; slots < %d unverifiable\n"
-        (if scope = "" then "(root)" else scope)
-        evicted oldest)
-    truncations;
-  List.iter
-    (fun (src, deficit) ->
-      Printf.printf
-        "  source %s: %d resolutions without surviving arrivals (evicted \
-         prefix)\n"
-        src deficit)
-    deficits
+  let module TF = Smbm_forensics.Trace_file in
+  let t = load_trace path in
+  match TF.audit ~allow_truncation t with
+  | Error msg -> die "%s" msg
+  | Ok a ->
+    Printf.printf "%s: %d events, %d sources, all lines valid\n" path
+      a.TF.events
+      (List.length t.TF.sources);
+    List.iter (fun (k, n) -> Printf.printf "  %-13s %d\n" k n) a.TF.kinds;
+    List.iter
+      (fun (scope, evicted, oldest) ->
+        Printf.printf
+          "  truncated scope %s: %d events evicted; slots < %d unverifiable\n"
+          (if scope = "" then "(root)" else scope)
+          evicted oldest)
+      a.TF.scopes;
+    List.iter
+      (fun (src, deficit) ->
+        Printf.printf
+          "  source %s: %d resolutions without surviving arrivals (evicted \
+           prefix)\n"
+          src deficit)
+      a.TF.deficits
 
 let trace_validate_cmd =
   let allow_truncation =
@@ -723,8 +622,7 @@ let trace_validate_cmd =
 
 let run_trace_convert input output to_format =
   let module TF = Smbm_forensics.Trace_file in
-  let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt in
-  let target =
+  let format =
     match to_format with
     | Some f -> f
     | None ->
@@ -732,28 +630,14 @@ let run_trace_convert input output to_format =
       if TF.is_binary input then `Jsonl else `Binary
   in
   match TF.read_events input with
-  | Error msg -> fail "%s" msg
-  | Ok indexed -> (
+  | Error msg -> die "%s" msg
+  | Ok indexed ->
     let events = List.map snd indexed in
-    match target with
-    | `Binary -> (
-      match TF.write_binary output events with
-      | Ok () ->
-        Printf.printf "%s: wrote %d events (binary) to %s\n" input
-          (List.length events) output
-      | Error msg -> fail "%s" msg)
-    | `Jsonl -> (
-      match open_out output with
-      | exception Sys_error msg -> fail "%s" msg
-      | oc ->
-        List.iter
-          (fun e ->
-            output_string oc (Smbm_obs.Event.to_json e);
-            output_char oc '\n')
-          events;
-        close_out oc;
-        Printf.printf "%s: wrote %d events (jsonl) to %s\n" input
-          (List.length events) output))
+    write_trace ~format output events;
+    Printf.printf "%s: wrote %d events (%s) to %s\n" input
+      (List.length events)
+      (match format with `Binary -> "binary" | `Jsonl -> "jsonl")
+      output
 
 let trace_convert_cmd =
   let input =
@@ -786,11 +670,6 @@ let trace_convert_cmd =
     Term.(const run_trace_convert $ input $ output $ to_format)
 
 (* ----- trace-replay / trace-diff / trace-explain ----- *)
-
-let load_trace path =
-  match Smbm_forensics.Trace_file.load path with
-  | Ok t -> t
-  | Error msg -> die "%s" msg
 
 (* Two-trace commands: sources come from one file or two.  Omitted source
    names default positionally — the first (and second) source of the
@@ -853,17 +732,6 @@ let src_b_term =
     & info [ "b"; "src-b" ] ~docv:"SRC"
         ~doc:"Source under scrutiny; default: the next distinct source.")
 
-let read_jsonl_lines path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       let l = input_line ic in
-       if String.trim l <> "" then lines := l :: !lines
-     done
-   with End_of_file -> close_in ic);
-  List.rev !lines
-
 (* Metric lines carry run labels (policy, model) the replayer cannot know;
    strip them before the bit-identity comparison. *)
 let strip_metric_labels line =
@@ -916,7 +784,11 @@ let run_trace_replay src expect_metrics path =
   (match expect_metrics with
   | None -> ()
   | Some mpath ->
-    let expected = read_jsonl_lines mpath in
+    let expected =
+      match Smbm_obs.Json.read_lines mpath with
+      | Ok lines -> lines
+      | Error msg -> die "%s" msg
+    in
     let r =
       match metric_policy_label expected with
       | None -> (
@@ -1046,22 +918,23 @@ let run_trace_diff file_a file_b src_a src_b csv limit =
     (match csv with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      Smbm_report.Csv.write oc
-        ([ "slot"; "arrivals"; "diffs"; "occ_a"; "occ_b"; "cum_tx_a"; "cum_tx_b" ]
-        :: List.map
-             (fun (r : F.Diff.row) ->
-               [
-                 string_of_int r.F.Diff.slot;
-                 string_of_int r.F.Diff.arrivals;
-                 string_of_int r.F.Diff.diffs;
-                 string_of_int r.F.Diff.occ_a;
-                 string_of_int r.F.Diff.occ_b;
-                 string_of_int r.F.Diff.cum_tx_a;
-                 string_of_int r.F.Diff.cum_tx_b;
-               ])
-             d.F.Diff.rows);
-      close_out oc;
+      write_csv path
+        ( [
+            "slot"; "arrivals"; "diffs"; "occ_a"; "occ_b"; "cum_tx_a";
+            "cum_tx_b";
+          ],
+          List.map
+            (fun (r : F.Diff.row) ->
+              [
+                string_of_int r.F.Diff.slot;
+                string_of_int r.F.Diff.arrivals;
+                string_of_int r.F.Diff.diffs;
+                string_of_int r.F.Diff.occ_a;
+                string_of_int r.F.Diff.occ_b;
+                string_of_int r.F.Diff.cum_tx_a;
+                string_of_int r.F.Diff.cum_tx_b;
+              ])
+            d.F.Diff.rows );
       Printf.printf "wrote %s\n" path);
     if d.F.Diff.first <> None then exit 2
 
@@ -1159,13 +1032,11 @@ let run_trace_explain file_a file_b src_a src_b top csv =
     (match csv with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      Smbm_report.Csv.write oc
-        ([ "slot"; "cumulative_regret" ]
-        :: List.map
-             (fun (slot, r) -> [ string_of_int slot; string_of_int r ])
-             (Array.to_list t.F.Attribution.regret_series));
-      close_out oc;
+      write_csv path
+        ( [ "slot"; "cumulative_regret" ],
+          List.map
+            (fun (slot, r) -> [ string_of_int slot; string_of_int r ])
+            (Array.to_list t.F.Attribution.regret_series) );
       Printf.printf "wrote %s\n" path)
 
 let trace_explain_cmd =
@@ -1242,9 +1113,7 @@ let run_sweep common model axis_name xs csv =
   match csv with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    Smbm_report.Csv.write oc (headers :: rows);
-    close_out oc;
+    write_csv path (headers, rows);
     Printf.printf "wrote %s\n" path
 
 let sweep_cmd =
@@ -1255,7 +1124,7 @@ let sweep_cmd =
   in
   let xs =
     Arg.(
-      value & opt (list int) []
+      value & opt (list positive) []
       & info [ "xs" ] ~docv:"X1,X2,.." ~doc:"Values to sweep over (required).")
   in
   let csv =
@@ -1341,7 +1210,7 @@ let reproduce_cmd =
           lines and progress go to stderr.")
     Term.(const run $ sections $ slots $ sources_arg ~default:100 $ jobs_term)
 
-(* ----- serve / loadgen ----- *)
+(* ----- serve ----- *)
 
 (* Worker domains stepping the MMPP bank's shards, if any are worth it. *)
 let shard_pool common shards =
@@ -1378,16 +1247,6 @@ let parse_at spec =
             | Some b -> (slot, Smbm_serve.Daemon.Resize_buffer b)
             | None -> bad ())
           | _ -> bad ())))
-
-let open_sink path =
-  match Smbm_obs.Sink.open_file path with
-  | Ok sink -> sink
-  | Error e -> die "%s" (Smbm_obs.Sink.error_to_string e)
-
-let close_sink sink =
-  match Smbm_obs.Sink.close_result sink with
-  | Ok () -> ()
-  | Error e -> die "%s" (Smbm_obs.Sink.error_to_string e)
 
 let run_serve common model policy_name ingest_trace ring backpressure duration
     rate shards ats metrics_out metrics_every (trace, flight_cap) max_p99
@@ -1474,22 +1333,22 @@ let backpressure_term =
 
 let ring_term =
   Arg.(
-    value & opt int 64
+    value & opt positive 64
     & info [ "ring" ] ~docv:"N"
         ~doc:"Ingest ring capacity in slots (bounds memory and ingest lead).")
 
 let shards_term =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Split the MMPP source bank into $(docv) independent shards, \
            stepped in parallel on $(b,--jobs) worker domains.  The arrival \
            stream depends only on (seed, shards), never on --jobs.")
 
-let duration_term ~default =
+let duration_term =
   Arg.(
-    value & opt float default
+    value & opt float 0.
     & info [ "duration" ] ~docv:"SECS"
         ~doc:"Stop the ingest after $(docv) wall-clock seconds (0 = no limit).")
 
@@ -1526,7 +1385,7 @@ let serve_cmd =
   in
   let metrics_every =
     Arg.(
-      value & opt int 0
+      value & opt non_negative 0
       & info [ "metrics-every" ] ~docv:"SLOTS"
           ~doc:
             "Emit a labeled metrics snapshot to $(b,--metrics-out) every \
@@ -1553,7 +1412,7 @@ let serve_cmd =
   in
   let stats_every =
     Arg.(
-      value & opt int 500
+      value & opt positive 500
       & info [ "stats-every" ] ~docv:"SLOTS"
           ~doc:"Publish a fresh telemetry snapshot every $(docv) slots.")
   in
@@ -1622,73 +1481,10 @@ let serve_cmd =
                ())
       $ model_term $ policy $ ingest_trace
       $ ring_term $ backpressure_term
-      $ duration_term ~default:0.
+      $ duration_term
       $ rate $ shards_term $ ats $ metrics_out_term $ metrics_every
       $ trace_and_ring $ max_p99 $ stats_sock $ stats_every $ stats_window
       $ postmortem)
-
-let run_loadgen common model policy_name ring duration shards =
-  let model = Sweep.to_model model (base_of common) in
-  let mmpp =
-    { Smbm_traffic.Scenario.default_mmpp with sources = common.sources }
-  in
-  let pool = shard_pool common shards in
-  let bank =
-    Smbm_serve.Mmpp_bank.create ~mmpp ?pool ~shards model ~load:common.load
-      ~seed:common.seed ()
-  in
-  let rate_txt =
-    match Smbm_serve.Mmpp_bank.mean_rate bank with
-    | Some r -> Printf.sprintf "%.1f" r
-    | None -> "?"
-  in
-  Printf.printf
-    "loadgen: %d MMPP sources in %d shard(s), mean %s packets/slot, ring %d, \
-     %.1fs\n\
-     %!"
-    common.sources shards rate_txt ring duration;
-  let report =
-    Smbm_serve.Daemon.run ~ring_capacity:ring ~backpressure:Block
-      ?flush_every:(if common.flush > 0 then Some common.flush else None)
-      ~duration
-      ~model ~policy:policy_name
-      ~ingest:(Smbm_serve.Daemon.Bank bank) ()
-  in
-  Option.iter Smbm_par.Pool.shutdown pool;
-  let r = report in
-  Printf.printf
-    "sustained %.0f slots/s (%.0f packets/s offered) over %d slots\n"
-    r.Smbm_serve.Daemon.slots_per_sec
-    (if r.Smbm_serve.Daemon.wall > 0. then
-       float_of_int r.Smbm_serve.Daemon.arrivals /. r.Smbm_serve.Daemon.wall
-     else 0.)
-    r.Smbm_serve.Daemon.slots;
-  Printf.printf "engine slot time p50 %.1f / p95 %.1f / p99 %.1f us\n"
-    r.Smbm_serve.Daemon.p50_us r.Smbm_serve.Daemon.p95_us
-    r.Smbm_serve.Daemon.p99_us;
-  Printf.printf "ring max %d/%d\n" r.Smbm_serve.Daemon.ring_max
-    r.Smbm_serve.Daemon.ring_capacity;
-  if not r.Smbm_serve.Daemon.conservation_ok then
-    die "conservation audit failed: %s"
-      (Option.value ~default:"?" r.Smbm_serve.Daemon.conservation_error)
-
-let loadgen_cmd =
-  let policy =
-    Arg.(
-      value & opt string "LWD"
-      & info [ "policy" ] ~docv:"NAME"
-          ~doc:"Victim policy of the served instance (see $(b,policies)).")
-  in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:
-         "Drive a served switch instance with unpaced MMPP traffic for a \
-          fixed duration and report the sustained slot rate and engine slot \
-          time tail latency.")
-    Term.(
-      const run_loadgen $ common_term $ model_term $ policy $ ring_term
-      $ duration_term ~default:2.
-      $ shards_term)
 
 (* ----- stats / watch: clients of the serve daemon's stats socket ----- *)
 
@@ -1727,38 +1523,32 @@ let connect_timeout_arg =
            (with backoff) before giving up — tolerates querying a daemon \
            that is still starting.  0 means a single attempt.")
 
-let run_stats sock json health spans connect_timeout =
-  let cmd =
-    if json then "stats json"
-    else if health then "health"
-    else if spans then "spans"
-    else "stats"
-  in
+let run_stats sock cmd connect_timeout =
   match query_retry ~timeout:connect_timeout ~path:sock cmd with
   | Ok lines -> List.iter print_endline lines
   | Error msg -> die "stats %s: %s" sock msg
 
 let stats_cmd =
-  let json =
+  (* One query per call: naming two of these flags is a usage error. *)
+  let query =
     Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Ask for $(b,stats json) (one flat JSON line).")
-  in
-  let health =
-    Arg.(
-      value & flag
-      & info [ "health" ]
-          ~doc:
-            "Ask for $(b,health): first line $(b,ok)/$(b,degraded), then one \
-             line per watchdog rule.")
-  in
-  let spans =
-    Arg.(
-      value & flag
-      & info [ "spans" ]
-          ~doc:
-            "Ask for $(b,spans): the slot-stage wall-time profile \
-             (ingest/ring_wait/engine/flush).")
+      value
+      & vflag "stats"
+          [
+            ( "stats json",
+              info [ "json" ]
+                ~doc:"Ask for $(b,stats json) (one flat JSON line)." );
+            ( "health",
+              info [ "health" ]
+                ~doc:
+                  "Ask for $(b,health): first line $(b,ok)/$(b,degraded), \
+                   then one line per watchdog rule." );
+            ( "spans",
+              info [ "spans" ]
+                ~doc:
+                  "Ask for $(b,spans): the slot-stage wall-time profile \
+                   (ingest/ring_wait/engine/flush)." );
+          ])
   in
   Cmd.v
     (Cmd.info "stats"
@@ -1766,8 +1556,7 @@ let stats_cmd =
          "One-shot query against a running daemon's stats socket.  Exit \
           status is nonzero when the socket is unreachable or the daemon \
           answers with an error.")
-    Term.(const run_stats $ sock_pos $ json $ health $ spans
-          $ connect_timeout_arg)
+    Term.(const run_stats $ sock_pos $ query $ connect_timeout_arg)
 
 let run_watch sock interval connect_timeout =
   let module J = Smbm_obs.Json in
@@ -1906,7 +1695,7 @@ let watch_cmd =
           shuts down.")
     Term.(const run_watch $ sock_pos $ interval $ connect_timeout_arg)
 
-let run_postmortem action path out =
+let run_postmortem action path =
   let module PM = Smbm_forensics.Postmortem in
   match PM.load path with
   | Error msg -> die "postmortem: %s" msg
@@ -1921,33 +1710,12 @@ let run_postmortem action path out =
     | `Certify -> (
       match PM.certify meta trace with
       | Ok verdict -> Format.printf "%a@." PM.pp_verdict verdict
-      | Error msg -> die "postmortem certify: %s" msg)
-    | `Export -> (
-      let out =
-        match out with
-        | Some o -> o
-        | None -> PM.base_of path ^ ".trace.jsonl"
-      in
-      match
-        Smbm_forensics.Trace_file.read_events
-          (PM.trace_path (PM.base_of path))
-      with
-      | Error msg -> die "postmortem export: %s" msg
-      | Ok events ->
-        let oc = open_out out in
-        List.iter
-          (fun (_, ev) ->
-            output_string oc (Smbm_obs.Event.to_json ev);
-            output_char oc '\n')
-          events;
-        close_out oc;
-        Printf.printf "postmortem export: %d events -> %s\n"
-          (List.length events) out))
+      | Error msg -> die "postmortem certify: %s" msg))
 
 let postmortem_cmd =
   let action =
     let act =
-      Arg.enum [ ("show", `Show); ("certify", `Certify); ("export", `Export) ]
+      Arg.enum [ ("show", `Show); ("certify", `Certify) ]
     in
     Arg.(
       required
@@ -1955,8 +1723,8 @@ let postmortem_cmd =
       & info [] ~docv:"ACTION"
           ~doc:
             "$(b,show) prints the snapshot and trace summary; $(b,certify) \
-             replays the dumped window and checks it against the snapshot; \
-             $(b,export) writes the trace half as JSONL.")
+             replays the dumped window and checks it against the snapshot \
+             ($(b,trace-convert) turns the trace half into JSONL).")
   in
   let path =
     Arg.(
@@ -1967,22 +1735,13 @@ let postmortem_cmd =
             "Postmortem base path, or either of its files \
              ($(i,BASE).trace.bin / $(i,BASE).meta.jsonl).")
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Output file for $(b,export) (default \
-             $(i,BASE).trace.jsonl).")
-  in
   Cmd.v
     (Cmd.info "postmortem"
        ~doc:
-         "Inspect, certify or export a black-box dump written by $(b,smbm_cli \
+         "Inspect or certify a black-box dump written by $(b,smbm_cli \
           serve --postmortem).  $(b,certify) exits nonzero on replay \
           divergence or a snapshot mismatch.")
-    Term.(const run_postmortem $ action $ path $ out)
+    Term.(const run_postmortem $ action $ path)
 
 let () =
   let doc = "shared-memory buffer management for heterogeneous packet processing" in
@@ -2014,7 +1773,7 @@ let () =
         "$(b,smbm_cli trace-convert) $(i,IN) $(i,OUT) — convert an event \
          trace between JSONL and binary, losslessly";
       `P
-        "$(b,smbm_cli postmortem) show|certify|export $(i,DUMP) — inspect or \
+        "$(b,smbm_cli postmortem) show|certify $(i,DUMP) — inspect or \
          replay-certify a black-box dump";
       `P "$(b,smbm_cli certify) [$(i,OPTIONS)] — Theorem 7's mapping routine, live";
       `P
@@ -2024,9 +1783,6 @@ let () =
       `P
         "$(b,smbm_cli serve) [$(i,OPTIONS)] — online switch daemon with \
          bounded-ring ingest and live reconfiguration";
-      `P
-        "$(b,smbm_cli loadgen) [$(i,OPTIONS)] — MMPP load generator reporting \
-         sustained slot rate and tail latency";
       `P
         "$(b,smbm_cli stats) $(i,SOCK) [--json|--health|--spans] — one-shot \
          query of a daemon's stats socket";
@@ -2044,6 +1800,6 @@ let () =
             lowerbound_cmd; trace_cmd; trace_validate_cmd; trace_replay_cmd;
             trace_diff_cmd; trace_explain_cmd; trace_convert_cmd; certify_cmd;
             reproduce_cmd;
-            sweep_cmd; serve_cmd; loadgen_cmd; stats_cmd;
+            sweep_cmd; serve_cmd; stats_cmd;
             watch_cmd; postmortem_cmd;
           ]))

@@ -3,7 +3,7 @@
     value), the arrival's own queue counted virtually.  Reduces to LWD
     under uniform values.  Under extreme congestion it prunes the expensive
     ports until the lightest queue monopolizes the buffer and throughput
-    collapses (see the bench's hybrid section) — BPD's pathology taken to
+    collapses (see [smbm_cli reproduce hybrid]) — BPD's pathology taken to
     the limit, a negative result worth keeping. *)
 
 val make : Proc_config.t -> Proc_switch.t Policy.t

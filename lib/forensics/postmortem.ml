@@ -67,34 +67,20 @@ let meta_lines m =
   (header :: counters) @ ports @ health
 
 let write ~base meta events =
-  match Trace_file.write_binary (trace_path base) events with
+  let module Sink = Smbm_obs.Sink in
+  match Trace_file.write ~format:`Binary (trace_path base) events with
   | Error msg -> Error msg
   | Ok () -> (
-    match open_out (meta_path base) with
-    | exception Sys_error msg -> Error msg
-    | oc ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        (meta_lines meta);
-      (match close_out oc with
-      | () -> Ok ()
-      | exception Sys_error msg -> Error msg))
+    match Sink.open_file (meta_path base) with
+    | Error e -> Error (Sink.error_to_string e)
+    | Ok sink ->
+      List.iter (Sink.line sink) (meta_lines meta);
+      Result.map_error Sink.error_to_string (Sink.close_result sink))
 
 let parse_meta path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let lines = ref [] in
-    (try
-       while true do
-         let l = input_line ic in
-         if String.trim l <> "" then lines := l :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let lines = List.rev !lines in
+  match Json.read_lines path with
+  | Error msg -> Error msg
+  | Ok lines ->
     let parse lineno line =
       match Json.parse_flat line with
       | Ok fields -> Ok fields

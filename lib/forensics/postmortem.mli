@@ -41,6 +41,9 @@ val base_of : string -> string
 (** The base for a base, trace or meta path (inverse of the two above). *)
 
 val write : base:string -> meta -> Smbm_obs.Event.t list -> (unit, string) result
+(** Write both halves: the events through {!Trace_file.write} (binary),
+    then the meta lines through a {!Smbm_obs.Sink}.  [Error] names the
+    path that failed. *)
 
 val load : string -> (meta * Trace_file.t, string) result
 (** Load both halves; the argument may be the base or either file path. *)

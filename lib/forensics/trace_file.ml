@@ -11,7 +11,6 @@ type source = {
 
 type t = {
   path : string;
-  line_count : int;
   sources : source list;
   truncations : (string * int * int) list;
 }
@@ -103,19 +102,33 @@ let to_binary events =
     events;
   Buffer.contents buf
 
-let write_binary path events =
-  match open_out_bin path with
-  | exception Sys_error msg -> Error msg
-  | oc ->
-    let r =
+(* JSONL streams one line per event through a sink, so a million-event
+   panel dump never becomes one string; binary needs its string table up
+   front, so it is encoded whole.  Both report failures as the sink does. *)
+let write ~format path events =
+  let module Sink = Smbm_obs.Sink in
+  let fail op message =
+    Error (Sink.error_to_string { Sink.path; op; message })
+  in
+  match format with
+  | `Jsonl -> (
+    match Sink.open_file path with
+    | Error e -> Error (Sink.error_to_string e)
+    | Ok sink ->
+      List.iter (Sink.event sink) events;
+      Result.map_error Sink.error_to_string (Sink.close_result sink))
+  | `Binary -> (
+    match open_out_bin path with
+    | exception Sys_error msg -> fail `Open msg
+    | oc -> (
       match output_string oc (to_binary events) with
-      | () -> Ok ()
-      | exception Sys_error msg -> Error msg
-    in
-    (match close_out oc with
-    | () -> r
-    | exception Sys_error msg -> (
-      match r with Ok () -> Error msg | Error _ -> r))
+      | exception Sys_error msg ->
+        close_out_noerr oc;
+        fail `Write msg
+      | () -> (
+        match close_out oc with
+        | () -> Ok ()
+        | exception Sys_error msg -> fail `Close msg)))
 
 exception Corrupt of string
 
@@ -220,12 +233,10 @@ let iter_events path ~f =
       match of_binary ~path data with
       | exception Corrupt msg -> Error msg
       | events ->
-        List.iteri (fun i e -> f ~lineno:(i + 1) e) events;
-        Ok (List.length events))
+        Ok (List.iteri (fun i e -> f ~lineno:(i + 1) e) events))
     else begin
       let lineno = ref 0 in
       let error = ref None in
-      let lines = String.split_on_char '\n' data in
       List.iter
         (fun raw ->
           if !error = None then begin
@@ -236,20 +247,15 @@ let iter_events path ~f =
                 error := Some (Printf.sprintf "%s:%d: %s" path !lineno msg)
               | Ok ev -> f ~lineno:!lineno ev
           end)
-        lines;
-      (* A trailing newline splits into a final empty chunk that is not a
-         line; don't count it. *)
-      let count =
-        match List.rev lines with "" :: _ -> !lineno - 1 | _ -> !lineno
-      in
-      match !error with Some msg -> Error msg | None -> Ok count
+        (String.split_on_char '\n' data);
+      match !error with Some msg -> Error msg | None -> Ok ()
     end
 
 let read_events path =
   let acc = ref [] in
   match iter_events path ~f:(fun ~lineno e -> acc := (lineno, e) :: !acc) with
   | Error msg -> Error msg
-  | Ok _ -> Ok (List.rev !acc)
+  | Ok () -> Ok (List.rev !acc)
 
 let load path =
   let buckets : (string, line list ref) Hashtbl.t = Hashtbl.create 16 in
@@ -273,7 +279,7 @@ let load path =
   in
   match iter_events path ~f:on_event with
   | Error msg -> Error msg
-  | Ok line_count ->
+  | Ok () ->
     let truncations = List.rev !truncations in
     let sources =
       List.rev_map
@@ -292,7 +298,7 @@ let load path =
           { src; lines; evicted; oldest_slot })
         !order
     in
-    Ok { path; line_count; sources; truncations }
+    Ok { path; sources; truncations }
 
 let source_names t = List.map (fun s -> s.src) t.sources
 
@@ -320,3 +326,136 @@ let find t name =
         (Printf.sprintf "source %S is ambiguous in %s (matches: %s)" name
            t.path
            (String.concat ", " (List.map (fun s -> s.src) many))))
+
+type audit = {
+  events : int;
+  kinds : (string * int) list;
+  scopes : (string * int * int) list;
+  deficits : (string * int) list;
+}
+
+let audit ?(allow_truncation = false) t =
+  let ( let* ) = Result.bind in
+  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  (* Slots never go backwards within a source; report the earliest
+     offending line of the file. *)
+  let backwards =
+    List.filter_map
+      (fun s ->
+        let rec go last = function
+          | [] -> None
+          | { lineno; event } :: rest ->
+            if event.Event.slot < last then
+              Some (lineno, event.Event.slot, s.src, last)
+            else go event.Event.slot rest
+        in
+        go 0 s.lines)
+      t.sources
+  in
+  let* () =
+    match List.sort compare backwards with
+    | (lineno, slot, src, last) :: _ ->
+      fail "%s:%d: slot %d of %S goes backwards (last %d)" t.path lineno slot
+        src last
+    | [] -> Ok ()
+  in
+  (* Conservation per source.  In a stream whose oldest events were
+     evicted, resolutions can outnumber arrivals (the arrival fell off the
+     ring, its accept/drop survived) — never the reverse, since an arrival
+     is always recorded before its resolution. *)
+  let balances =
+    List.sort compare
+      (List.map
+         (fun s ->
+           let arrivals, resolutions =
+             List.fold_left
+               (fun (a, r) { event; _ } ->
+                 match event.Event.kind with
+                 | Event.Arrival _ -> (a + 1, r)
+                 | Event.Accept _ | Event.Drop _ -> (a, r + 1)
+                 | _ -> (a, r))
+               (0, 0) s.lines
+           in
+           (s.src, arrivals, resolutions, s.evicted))
+         t.sources)
+  in
+  let* () =
+    match List.find_opt (fun (_, a, r, _) -> r < a) balances with
+    | Some (src, a, r, _) ->
+      fail
+        "%s: source %S has %d arrivals but only %d resolutions — impossible \
+         even under truncation (corrupted trace)"
+        t.path src a r
+    | None -> Ok ()
+  in
+  let deficits =
+    List.filter_map
+      (fun (src, a, r, budget) ->
+        if r > a then Some (src, r - a, budget) else None)
+      balances
+  in
+  let* () =
+    match List.find_opt (fun (_, _, budget) -> budget = 0) deficits with
+    | Some (src, deficit, _) when not allow_truncation ->
+      fail
+        "%s: source %S violates arrivals = accepted + dropped (missing %d \
+         arrivals) with no truncation marker covering it; a truncated legacy \
+         trace? (--allow-truncation)"
+        t.path src deficit
+    | _ -> Ok ()
+  in
+  (* One budget per scope: a ring drained while it runs (serve --trace) can
+     declare several losses, each with its own marker.  The budgets must
+     cover the observed imbalances. *)
+  let scopes =
+    List.rev
+      (List.fold_left
+         (fun acc (scope, evicted, oldest) ->
+           if List.exists (fun (s, _, _) -> s = scope) acc then
+             List.map
+               (fun ((s, e, o) as entry) ->
+                 if s = scope then (s, e + evicted, max o oldest) else entry)
+               acc
+           else (scope, evicted, oldest) :: acc)
+         [] t.truncations)
+  in
+  let* () =
+    let missing scope =
+      List.fold_left
+        (fun n (src, deficit, _) ->
+          if scope_covers ~scope src then n + deficit else n)
+        0 deficits
+    in
+    match List.find_opt (fun (scope, e, _) -> missing scope > e) scopes with
+    | Some (scope, evicted, _) ->
+      fail
+        "%s: scope %S declares %d evicted events but its sources are missing \
+         %d arrival resolutions (corrupted trace)"
+        t.path scope evicted (missing scope)
+    | None -> Ok ()
+  in
+  let kinds =
+    let counts = Hashtbl.create 8 in
+    let count name =
+      Hashtbl.replace counts name
+        (1 + Option.value (Hashtbl.find_opt counts name) ~default:0)
+    in
+    List.iter
+      (fun s ->
+        List.iter
+          (fun { event; _ } -> count (Event.kind_name event.Event.kind))
+          s.lines)
+      t.sources;
+    List.iter
+      (fun (_, evicted, _) ->
+        count (Event.kind_name (Event.Truncated { evicted })))
+      t.truncations;
+    List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [])
+  in
+  Ok
+    {
+      events = List.fold_left (fun n (_, k) -> n + k) 0 kinds;
+      kinds;
+      scopes;
+      deficits = List.map (fun (src, deficit, _) -> (src, deficit)) deficits;
+    }

@@ -201,3 +201,12 @@ let parse_flat line =
   | fields -> Ok fields
   | exception Bad (at, msg) ->
     Error (Printf.sprintf "byte %d: %s" at msg)
+
+let read_lines path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | data ->
+    Ok
+      (List.filter
+         (fun l -> String.trim l <> "")
+         (String.split_on_char '\n' data))

@@ -22,3 +22,7 @@ val obj : (string * value) list -> string
 val parse_flat : string -> ((string * value) list, string) result
 (** Parse a single flat JSON object.  Rejects nested objects and arrays,
     duplicate keys, and trailing garbage; errors carry a byte position. *)
+
+val read_lines : string -> (string list, string) result
+(** The non-blank lines of a JSONL file, in order; [Error] carries the
+    [Sys_error] message (which names the path) when it cannot be read. *)

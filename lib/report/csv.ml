@@ -16,12 +16,5 @@ let escape s =
 
 let row fields = String.concat "," (List.map escape fields)
 
-let write oc rows =
-  List.iter
-    (fun r ->
-      output_string oc (row r);
-      output_char oc '\n')
-    rows
-
 let of_table ~headers ~rows =
   String.concat "\n" (List.map row (headers :: rows)) ^ "\n"

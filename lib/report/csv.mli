@@ -7,8 +7,5 @@ val escape : string -> string
 val row : string list -> string
 (** One CSV line (no trailing newline). *)
 
-val write : out_channel -> string list list -> unit
-(** Write rows, one per line. *)
-
 val of_table : headers:string list -> rows:string list list -> string
 (** Full document with a header line. *)

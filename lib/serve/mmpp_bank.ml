@@ -51,11 +51,3 @@ let fill t batch =
     for i = 0 to Array.length shards - 1 do
       Arrival_batch.append batch shards.(i).batch
     done
-
-let mean_rate t =
-  Array.fold_left
-    (fun acc s ->
-      match (acc, Workload.mean_rate s.workload) with
-      | Some a, Some r -> Some (a +. r)
-      | _ -> None)
-    (Some 0.) t.shards

@@ -42,6 +42,3 @@ val fill : t -> Arrival_batch.t -> unit
     packets first).  One call consumes one slot from every shard. *)
 
 val shards : t -> int
-
-val mean_rate : t -> float option
-(** Aggregate long-run packets per slot (sum over shards). *)

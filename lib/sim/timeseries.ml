@@ -67,8 +67,8 @@ let occupancy t = series t ~suffix:"/occupancy" (fun s -> float_of_int s.occupan
 let throughput t = series t ~suffix:"/throughput" (fun s -> s.throughput)
 let drop_rate t = series t ~suffix:"/drop-rate" (fun s -> s.drop_rate)
 
-let to_csv t =
-  let rows =
+let table t =
+  ( [ "slot"; "occupancy"; "throughput"; "drop_rate" ],
     List.rev_map
       (fun (s : sample) ->
         [
@@ -77,8 +77,4 @@ let to_csv t =
           Printf.sprintf "%.6f" s.throughput;
           Printf.sprintf "%.6f" s.drop_rate;
         ])
-      t.samples
-  in
-  Smbm_report.Csv.of_table
-    ~headers:[ "slot"; "occupancy"; "throughput"; "drop_rate" ]
-    ~rows
+      t.samples )

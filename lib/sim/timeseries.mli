@@ -20,5 +20,6 @@ val throughput : t -> Smbm_report.Series.t
 val drop_rate : t -> Smbm_report.Series.t
 (** (slot, dropped / arrivals since the previous sample; 0 when idle). *)
 
-val to_csv : t -> string
-(** "slot,occupancy,throughput,drop_rate" document. *)
+val table : t -> string list * string list list
+(** Headers [slot, occupancy, throughput, drop_rate] and one row per
+    sample, oldest first. *)

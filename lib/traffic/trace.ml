@@ -86,14 +86,14 @@ module Compact = struct
   let of_slots slots =
     of_workload (Workload.of_slots slots) ~slots:(Array.length slots)
 
-  let save t oc =
+  let save t ~line =
+    let buf = Buffer.create 64 in
     for i = 0 to slots t - 1 do
-      let first = ref true in
+      Buffer.clear buf;
       iter_slot t i ~f:(fun ~dest ~value ->
-          if not !first then output_char oc ' ';
-          first := false;
-          Printf.fprintf oc "%d:%d" dest value);
-      output_char oc '\n'
+          if Buffer.length buf > 0 then Buffer.add_char buf ' ';
+          Printf.bprintf buf "%d:%d" dest value);
+      line (Buffer.contents buf)
     done
 
   let parse_cell cell =

@@ -40,9 +40,10 @@ module Compact : sig
       Replaying consumes no RNG and allocates nothing per slot, and the
       replayed stream is bit-identical to the recorded one. *)
 
-  val save : t -> out_channel -> unit
-  (** Write the text format: one line per slot, cells ["dest:value"]
-      separated by single spaces, an empty line for an idle slot. *)
+  val save : t -> line:(string -> unit) -> unit
+  (** Emit the text format, one [line] call per slot in order (the line
+      without its newline): cells ["dest:value"] separated by single
+      spaces, an empty line for an idle slot. *)
 
   val load : in_channel -> (t, int * string) result
   (** Read the text format back; [load] of what {!save} wrote for a trace

@@ -288,7 +288,7 @@ let binary_corner_events =
 let test_binary_round_trip_all_kinds () =
   let events = binary_corner_events in
   let path = Filename.temp_file "smbm_forensics" ".bin" in
-  (match Trace_file.write_binary path events with
+  (match Trace_file.write ~format:`Binary path events with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "written file is binary" true (Trace_file.is_binary path);
@@ -342,9 +342,12 @@ let test_convert_lossless () =
   let jsonl = List.map Event.to_json events in
   let bin = Trace_file.to_binary events in
   let jpath = Filename.temp_file "smbm_forensics" ".jsonl" in
-  let oc = open_out jpath in
-  List.iter (fun l -> output_string oc (l ^ "\n")) jsonl;
-  close_out oc;
+  (match Trace_file.write ~format:`Jsonl jpath events with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "jsonl file is one line per event"
+    (String.concat "" (List.map (fun l -> l ^ "\n") jsonl))
+    (In_channel.with_open_bin jpath In_channel.input_all);
   (* JSONL file and binary bytes decode to the same events... *)
   (match Trace_file.read_events jpath with
   | Error e -> Alcotest.fail e
@@ -353,7 +356,7 @@ let test_convert_lossless () =
       (List.map snd indexed = events));
   (* ...and re-encoding the decoded stream reproduces both byte-exactly. *)
   let bpath = Filename.temp_file "smbm_forensics" ".bin" in
-  (match Trace_file.write_binary bpath events with
+  (match Trace_file.write ~format:`Binary bpath events with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   (match Trace_file.read_events bpath with
@@ -365,6 +368,138 @@ let test_convert_lossless () =
       (Trace_file.to_binary (List.map snd indexed) = bin));
   Sys.remove jpath;
   Sys.remove bpath
+
+(* A failed open or write is an [Error] naming the path, never an
+   exception, in both encodings. *)
+let test_write_failures () =
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ()) "smbm-no-such-dir/t"
+  in
+  let paths =
+    missing :: (if Sys.file_exists "/dev/full" then [ "/dev/full" ] else [])
+  in
+  List.iter
+    (fun path ->
+      List.iter
+        (fun format ->
+          match Trace_file.write ~format path binary_corner_events with
+          | Ok () -> Alcotest.failf "write to %s succeeded" path
+          | Error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%S names the path" msg)
+              true
+              (String.starts_with ~prefix:(path ^ ": ") msg))
+        [ `Jsonl; `Binary ])
+    paths
+
+(* --- the structural audit behind trace-validate --- *)
+
+let audit_of ?allow_truncation events =
+  let path = Filename.temp_file "smbm_audit" ".jsonl" in
+  let r =
+    match Trace_file.write ~format:`Jsonl path events with
+    | Error e -> Alcotest.fail e
+    | Ok () -> (
+      match Trace_file.load path with
+      | Error e -> Alcotest.fail e
+      | Ok t -> Trace_file.audit ?allow_truncation t)
+  in
+  Sys.remove path;
+  (path, r)
+
+let ev slot src kind = Event.make ~src ~slot kind
+let arrival slot src = ev slot src (Event.Arrival { dest = 0 })
+let accept slot src = ev slot src (Event.Accept { dest = 0 })
+let marker slot scope evicted = ev slot scope (Event.Truncated { evicted })
+
+let audit_ok ?allow_truncation events =
+  match audit_of ?allow_truncation events with
+  | _, Ok a -> a
+  | _, Error e -> Alcotest.failf "audit rejected a sound trace: %s" e
+
+let audit_error ?allow_truncation events =
+  match audit_of ?allow_truncation events with
+  | _, Ok _ -> Alcotest.fail "audit accepted a faulty trace"
+  | path, Error e -> (path, e)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_audit_complete () =
+  let a =
+    audit_ok
+      [
+        arrival 0 "x/LWD"; accept 0 "x/LWD"; arrival 1 "x/LWD";
+        ev 1 "x/LWD" (Event.Drop { dest = 0; value = 1 });
+        ev 1 "x/LWD" (Event.Slot_end { occupancy = 1 });
+        arrival 1 "x/LQD"; accept 1 "x/LQD";
+      ]
+  in
+  Alcotest.(check int) "events" 7 a.Trace_file.events;
+  Alcotest.(check (list (pair string int)))
+    "kinds, sorted"
+    [ ("accept", 2); ("arrival", 3); ("drop", 1); ("slot_end", 1) ]
+    a.Trace_file.kinds;
+  Alcotest.(check int) "no truncated scope" 0
+    (List.length a.Trace_file.scopes);
+  Alcotest.(check (list (pair string int)))
+    "no deficit" [] a.Trace_file.deficits
+
+(* Two markers on one scope add up; the later oldest-surviving slot wins. *)
+let test_audit_truncated_covered () =
+  let a =
+    audit_ok
+      [
+        marker 4 "x" 1; marker 5 "x" 2; accept 5 "x/LWD"; accept 6 "x/LWD";
+        arrival 7 "x/LWD"; accept 7 "x/LWD"; arrival 7 "y"; accept 7 "y";
+      ]
+  in
+  Alcotest.(check int) "events, markers included" 8 a.Trace_file.events;
+  Alcotest.(check (list (pair string int)))
+    "markers counted as a kind"
+    [ ("accept", 4); ("arrival", 2); ("truncated", 2) ]
+    a.Trace_file.kinds;
+  Alcotest.(check bool) "one scope, budgets summed" true
+    (a.Trace_file.scopes = [ ("x", 3, 5) ]);
+  Alcotest.(check (list (pair string int)))
+    "the evicted prefix's resolutions" [ ("x/LWD", 2) ] a.Trace_file.deficits
+
+let test_audit_backwards_slot () =
+  let path, e =
+    audit_error [ arrival 3 "s"; accept 3 "s"; arrival 2 "s"; accept 2 "s" ]
+  in
+  Alcotest.(check string) "positioned as path:line"
+    (Printf.sprintf "%s:3: slot 2 of \"s\" goes backwards (last 3)" path)
+    e
+
+let test_audit_impossible_deficit () =
+  let _, e = audit_error [ arrival 0 "s"; arrival 0 "s"; accept 0 "s" ] in
+  Alcotest.(check bool) ("impossible: " ^ e) true
+    (contains ~sub:"has 2 arrivals but only 1 resolutions" e
+    && contains ~sub:"impossible" e)
+
+let test_audit_scope_over_budget () =
+  let _, e =
+    audit_error [ marker 0 "x" 1; accept 1 "x/LWD"; accept 1 "x/LWD" ]
+  in
+  Alcotest.(check bool) ("over budget: " ^ e) true
+    (contains
+       ~sub:"scope \"x\" declares 1 evicted events but its sources are missing 2"
+       e)
+
+let test_audit_uncovered_deficit () =
+  let events = [ marker 0 "x" 5; arrival 1 "y"; accept 1 "y"; accept 2 "y" ] in
+  let _, e = audit_error events in
+  Alcotest.(check bool) ("uncovered: " ^ e) true
+    (contains ~sub:"source \"y\" violates" e
+    && contains ~sub:"no truncation marker covering it" e);
+  let a = audit_ok ~allow_truncation:true events in
+  Alcotest.(check (list (pair string int)))
+    "waived for legacy traces" [ ("y", 1) ] a.Trace_file.deficits
 
 (* --- postmortem: write / load / certify --- *)
 
@@ -519,6 +654,19 @@ let suite =
       test_binary_rejects_corrupt;
     Alcotest.test_case "convert: lossless both ways" `Quick
       test_convert_lossless;
+    Alcotest.test_case "write: failures name the path" `Quick
+      test_write_failures;
+    Alcotest.test_case "audit: complete trace" `Quick test_audit_complete;
+    Alcotest.test_case "audit: truncation covered by markers" `Quick
+      test_audit_truncated_covered;
+    Alcotest.test_case "audit: backwards slot" `Quick
+      test_audit_backwards_slot;
+    Alcotest.test_case "audit: impossible deficit" `Quick
+      test_audit_impossible_deficit;
+    Alcotest.test_case "audit: scope over budget" `Quick
+      test_audit_scope_over_budget;
+    Alcotest.test_case "audit: uncovered deficit" `Quick
+      test_audit_uncovered_deficit;
     Alcotest.test_case "postmortem: write/load/certify" `Quick
       test_postmortem_write_load_certify;
     Alcotest.test_case "postmortem: evicted window verdict" `Quick

@@ -66,11 +66,10 @@ let test_csv_shape () =
   Experiment.run
     ~params:{ Experiment.slots = 3; flush_every = None; check_every = None }
     ~workload:w [ inst ];
-  let csv = Timeseries.to_csv ts in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check int) "header + 3 rows" 4 (List.length lines);
+  let headers, rows = Timeseries.table ts in
+  Alcotest.(check int) "3 rows" 3 (List.length rows);
   Alcotest.(check string) "header" "slot,occupancy,throughput,drop_rate"
-    (List.hd lines)
+    (Smbm_report.Csv.row headers)
 
 let test_wrapped_instance_transparent () =
   (* The wrapper must not change the instance's behaviour. *)

@@ -188,7 +188,9 @@ let test_trace_save_load_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out_bin path in
-      Trace.Compact.save trace oc;
+      Trace.Compact.save trace ~line:(fun l ->
+          output_string oc l;
+          output_char oc '\n');
       close_out oc;
       let ic = open_in_bin path in
       let bytes = really_input_string ic (in_channel_length ic) in
