@@ -56,6 +56,22 @@ let int_at_least ~min ~what =
 let positive = int_at_least ~min:1 ~what:"a positive integer"
 let non_negative = int_at_least ~min:0 ~what:"a non-negative integer"
 
+(* The same for a quantity: NaN, an infinity or a value out of range is a
+   usage error rather than an internal one or a silently different run. *)
+let finite_float ~ok ~what =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && ok x -> Ok x
+    | Some _ -> Error (`Msg (Printf.sprintf "%s: expected %s" s what))
+    | None -> Error (`Msg (Printf.sprintf "%s: not a number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let non_negative_float =
+  finite_float ~ok:(fun x -> x >= 0.0) ~what:"a finite number >= 0"
+
+let positive_float = finite_float ~ok:(fun x -> x > 0.0) ~what:"a finite number > 0"
+
 let jobs_term =
   Arg.(
     value
@@ -92,19 +108,8 @@ let common_term_with ~slots =
   let speedup =
     Arg.(value & opt positive 1 & info [ "c"; "speedup" ] ~docv:"C" ~doc:"Processing cycles (resp. transmissions) per queue per slot.")
   in
-  (* The traffic constructors reject a negative or non-finite load; refusing
-     it here makes it a usage error rather than an internal one. *)
-  let load_conv =
-    let parse s =
-      match float_of_string_opt s with
-      | Some x when Float.is_finite x && x >= 0.0 -> Ok x
-      | Some _ -> Error (`Msg (Printf.sprintf "%s: expected a finite load >= 0" s))
-      | None -> Error (`Msg (Printf.sprintf "%s: not a number" s))
-    in
-    Arg.conv (parse, Format.pp_print_float)
-  in
   let load =
-    Arg.(value & opt load_conv 2.0 & info [ "load" ] ~docv:"RHO" ~doc:"Normalized offered load (1.0 saturates the switch on average); finite and non-negative.")
+    Arg.(value & opt non_negative_float 2.0 & info [ "load" ] ~docv:"RHO" ~doc:"Normalized offered load (1.0 saturates the switch on average); finite and non-negative.")
   in
   let flush =
     Arg.(value & opt non_negative 10_000 & info [ "flush-every" ] ~docv:"F" ~doc:"Periodic flushout interval in slots (0 disables).")
@@ -285,7 +290,7 @@ let run_compare common model replications detail =
 let compare_cmd =
   let replications =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "replications" ] ~docv:"N"
           ~doc:"Repeat over N consecutive seeds and report mean and stddev.")
   in
@@ -947,7 +952,7 @@ let trace_diff_cmd =
   in
   let limit =
     Arg.(
-      value & opt int 20
+      value & opt non_negative 20
       & info [ "limit" ] ~docv:"N" ~doc:"Divergent slots to print (default 20).")
   in
   Cmd.v
@@ -1042,7 +1047,7 @@ let run_trace_explain file_a file_b src_a src_b top csv =
 let trace_explain_cmd =
   let top =
     Arg.(
-      value & opt int 15
+      value & opt non_negative 15
       & info [ "top" ] ~docv:"N" ~doc:"Ranked loss events to print (default 15).")
   in
   let csv =
@@ -1348,7 +1353,7 @@ let shards_term =
 
 let duration_term =
   Arg.(
-    value & opt float 0.
+    value & opt non_negative_float 0.
     & info [ "duration" ] ~docv:"SECS"
         ~doc:"Stop the ingest after $(docv) wall-clock seconds (0 = no limit).")
 
@@ -1370,7 +1375,7 @@ let serve_cmd =
   in
   let rate =
     Arg.(
-      value & opt float 0.
+      value & opt non_negative_float 0.
       & info [ "rate" ] ~docv:"SLOTS_PER_SEC"
           ~doc:"Pace the ingest at $(docv) slots per second (0 = unpaced).")
   in
@@ -1393,7 +1398,7 @@ let serve_cmd =
   in
   let max_p99 =
     Arg.(
-      value & opt float 0.
+      value & opt non_negative_float 0.
       & info [ "max-p99-us" ] ~docv:"US"
           ~doc:
             "Fail (exit 2) when the p99 engine slot time exceeds $(docv) \
@@ -1418,15 +1423,17 @@ let serve_cmd =
   in
   let stats_window =
     Arg.(
-      value & opt float 10.
+      value & opt positive_float 10.
       & info [ "stats-window" ] ~docv:"SECS"
           ~doc:
-            "Rolling window for telemetry rates and windowed quantiles, in \
-             seconds.")
+            "Telemetry window, in seconds: each published rate and slot-time \
+             quantile covers the slots since the newest earlier publication \
+             at least $(docv) old (kept a tenth of $(docv) apart), or since \
+             the run start while the run is younger than $(docv).")
   in
   let flight_cap =
     Arg.(
-      value & opt int 65536
+      value & opt non_negative 65536
       & info [ "flight-cap" ] ~docv:"N"
           ~doc:
             "Size of the always-on event ring (last $(docv) events, \
@@ -1516,7 +1523,7 @@ let query_retry ~timeout ~path cmd =
 
 let connect_timeout_arg =
   Cmdliner.Arg.(
-    value & opt float 5.
+    value & opt non_negative_float 5.
     & info [ "connect-timeout" ] ~docv:"SECS"
         ~doc:
           "Keep retrying the first connection for up to $(docv) seconds \
@@ -1561,9 +1568,8 @@ let stats_cmd =
 let run_watch sock interval connect_timeout =
   let module J = Smbm_obs.Json in
   let module T = Smbm_serve.Telemetry in
-  let module Delta = Smbm_obs.Rolling.Delta in
+  let module Delta = Smbm_obs.Registry.Delta in
   let module P = Smbm_obs.Progress in
-  if interval <= 0. then die "watch: --interval must be positive";
   let f_float fields k =
     match List.assoc_opt k fields with
     | Some (J.Float f) -> f
@@ -1682,7 +1688,7 @@ let run_watch sock interval connect_timeout =
 let watch_cmd =
   let interval =
     Arg.(
-      value & opt float 1.0
+      value & opt positive_float 1.0
       & info [ "interval" ] ~docv:"SECS"
           ~doc:"Seconds between polls (default 1).")
   in

@@ -38,13 +38,13 @@ let gauge t name =
   | Gauge g -> g
   | Counter _ | Histogram _ -> kind_error name
 
-let histogram t ?max_value ?buckets_per_decade name =
+let histogram t ?max_value name =
   match
     register t name (fun () ->
         Histogram
           {
             h_name = name;
-            hist = H.create ?max_value ?buckets_per_decade ();
+            hist = H.create ?max_value ();
             stats = Rs.create ();
           })
   with
@@ -155,3 +155,77 @@ let clear t =
         H.clear h.hist;
         Rs.clear h.stats)
     t.instruments
+
+(* ----- snapshot diffing ----- *)
+
+module Delta = struct
+  type entry =
+    | Dcount of int
+    | Dhist of { bpd : int; dbuckets : (int * int) list; dn : int }
+
+  type t = { dt : float; entries : (string * entry) list }
+
+  let diff_buckets earlier later =
+    (* Bucket-wise [later - earlier], clamped at zero (a racy snapshot
+       pair can transiently run a bucket backwards); both inputs are
+       sorted by index, so a single merge pass suffices. *)
+    let rec go acc es ls =
+      match (es, ls) with
+      | _, [] -> List.rev acc
+      | [], (i, c) :: ls' -> go (if c > 0 then (i, c) :: acc else acc) [] ls'
+      | (ei, ec) :: es', (li, lc) :: ls' ->
+        if ei < li then go acc es' ls
+        else if ei > li then
+          go (if lc > 0 then (li, lc) :: acc else acc) es ls'
+        else
+          let d = lc - ec in
+          go (if d > 0 then (li, d) :: acc else acc) es' ls'
+    in
+    go [] earlier later
+
+  let diff ~dt ~earlier ~later =
+    if not (dt > 0.0) then invalid_arg "Registry.Delta.diff: dt <= 0";
+    let entries =
+      List.filter_map
+        (fun (name, sample) ->
+          match (sample, List.assoc_opt name earlier) with
+          | Count b, Some (Count a) ->
+            Some (name, Dcount (max 0 (b - a)))
+          | Count b, (None | Some _) -> Some (name, Dcount (max 0 b))
+          | ( Summary { buckets_per_decade; buckets; _ },
+              Some (Summary { buckets = eb; _ }) ) ->
+            let db = diff_buckets eb buckets in
+            let dn = List.fold_left (fun acc (_, c) -> acc + c) 0 db in
+            Some (name, Dhist { bpd = buckets_per_decade; dbuckets = db; dn })
+          | ( Summary { buckets_per_decade; buckets; n; _ },
+              (None | Some _) ) ->
+            Some
+              ( name,
+                Dhist { bpd = buckets_per_decade; dbuckets = buckets; dn = n }
+              )
+          | Level _, _ -> None)
+        later
+    in
+    { dt; entries }
+
+  let names t = List.map fst t.entries
+
+  let delta t name =
+    match List.assoc_opt name t.entries with
+    | Some (Dcount d) -> Some d
+    | Some (Dhist _) | None -> None
+
+  let rate t name =
+    Option.map (fun d -> float_of_int d /. t.dt) (delta t name)
+
+  let hist_count t name =
+    match List.assoc_opt name t.entries with
+    | Some (Dhist { dn; _ }) -> Some dn
+    | Some (Dcount _) | None -> None
+
+  let quantile t name q =
+    match List.assoc_opt name t.entries with
+    | Some (Dhist { bpd; dbuckets; _ }) ->
+      Some (H.quantile_of_buckets ~buckets_per_decade:bpd dbuckets q)
+    | Some (Dcount _) | None -> None
+end

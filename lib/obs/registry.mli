@@ -19,11 +19,10 @@ val counter : t -> string -> counter
 
 val gauge : t -> string -> gauge
 
-val histogram :
-  t -> ?max_value:float -> ?buckets_per_decade:int -> string -> histogram
-(** Log-bucketed histogram (see {!Smbm_prelude.Histogram}) paired with
-    running moments; the optional arguments apply only on first
-    registration. *)
+val histogram : t -> ?max_value:float -> string -> histogram
+(** Log-bucketed histogram (see {!Smbm_prelude.Histogram}, at its default
+    10 buckets per decade) paired with running moments; [max_value]
+    applies only on first registration. *)
 
 (* ----- updates and reads ----- *)
 
@@ -70,7 +69,7 @@ type sample =
       buckets : (int * int) list;
           (** Non-empty log buckets as [(index, count)], sorted by index —
               the full shape, so two cumulative snapshots can be diffed
-              into a windowed distribution (see {!Rolling.Delta}). *)
+              into a windowed distribution (see {!Delta}). *)
     }
 
 val snapshot : t -> (string * sample) list
@@ -85,3 +84,37 @@ val to_jsonl : ?labels:(string * string) list -> t -> string list
 
 val clear : t -> unit
 (** Reset every instrument to its initial state (registrations survive). *)
+
+(** Rates from two cumulative snapshots taken [dt] seconds apart: the one
+    windowed-rate computation.  `smbm_cli watch` diffs two consecutive
+    polls of the stats socket with it, and the serve daemon's telemetry
+    window diffs a retained publication against the current one. *)
+module Delta : sig
+  type t
+
+  val diff :
+    dt:float ->
+    earlier:(string * sample) list ->
+    later:(string * sample) list ->
+    t
+  (** Instruments present only in [later] diff against zero; gauges are
+      skipped (levels are not diffable); counter and bucket regressions
+      (a racy snapshot pair) clamp to zero.
+      @raise Invalid_argument unless [dt > 0]. *)
+
+  val names : t -> string list
+
+  val delta : t -> string -> int option
+  (** Counter increase over the interval; [None] for non-counters. *)
+
+  val rate : t -> string -> float option
+  (** [delta /. dt]. *)
+
+  val hist_count : t -> string -> int option
+  (** Histogram observations during the interval. *)
+
+  val quantile : t -> string -> float -> float option
+  (** Quantile of the interval's observations, reconstructed from bucket
+      count differences (see
+      {!Smbm_prelude.Histogram.quantile_of_buckets}). *)
+end

@@ -2,7 +2,8 @@
     clock ([CLOCK_MONOTONIC] through bechamel's [Monotonic_clock]).
 
     Every slot-stage timer, the ring's blocked-since stamp, the ingest
-    deadline and pacing, and the rolling telemetry window read this clock.
+    deadline and pacing, and the telemetry publication instants (the
+    window's uptimes) read this clock.
     It never steps back, so a stage sample is never negative, and it
     returns an immediate [int], so a reading costs no allocation however
     far it travels. *)

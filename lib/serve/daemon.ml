@@ -3,7 +3,6 @@ open Smbm_sim
 open Smbm_traffic
 module Registry = Smbm_obs.Registry
 module Sink = Smbm_obs.Sink
-module Rolling = Smbm_obs.Rolling
 module Health = Smbm_obs.Health
 module Flight = Smbm_obs.Flight
 module Postmortem = Smbm_forensics.Postmortem
@@ -209,6 +208,13 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
     ?(stats_every = 500) ?(stats_window = 10.0) ?(telemetry = false)
     ?(p99_budget_us = 0.0) ?events ?(flight_cap = 65536) ?postmortem ~model
     ~policy ~ingest () =
+  (* Window bases are retained a tenth of the window apart: that spacing
+     must reach the clock's 1 ns resolution. *)
+  if not (stats_window >= 1e-8 && stats_window <= 1e9) then
+    invalid_arg
+      (Printf.sprintf
+         "Daemon.run: stats_window %g s is outside [1e-8, 1e9] seconds"
+         stats_window);
   (* One event ring, on unless explicitly disabled: a caller-supplied ring
      wins, otherwise [flight_cap] sizes a fresh one (0 turns it off). *)
   let events =
@@ -426,10 +432,26 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
     | None -> ()
     | Some ctl -> List.iter apply (drain ctl)
   in
+  (* Shed accounting lives in the ring's producer-side atomics; their
+     growth is mirrored into the server registry's cumulative counters
+     whenever that registry is read (a publication, a metrics flush). *)
+  let prev_shed = ref 0 and prev_shed_p = ref 0 in
+  let mirror_shed () =
+    match stages with
+    | None -> ()
+    | Some st ->
+      let s = Spsc_ring.shed_slots ring in
+      Registry.add st.shed_slots_ctr (max 0 (s - !prev_shed));
+      prev_shed := s;
+      let p = Spsc_ring.shed_packets ring in
+      Registry.add st.shed_packets_ctr (max 0 (p - !prev_shed_p));
+      prev_shed_p := p
+  in
   let flush_metrics () =
     (match metrics_sink with
     | None -> ()
     | Some sink ->
+      mirror_shed ();
       let labels =
         [ ("src", inst.Instance.name); ("slot", string_of_int !slot) ]
       in
@@ -455,22 +477,11 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
   let t_start = Clock.now_ns () in
   (* ----- telemetry plane (created always, fed only when on) ----- *)
   let m = inst.Instance.metrics in
-  let rolling =
-    match Rolling.create ~window:stats_window () with
-    | r -> r
-    | exception Invalid_argument m -> invalid_arg ("Daemon.run: " ^ m)
+  (* The window of the latest publication: the rules below are evaluated
+     right after it is computed, so they never read a clock. *)
+  let window =
+    ref (Telemetry.window_stats ~base:None ~uptime:0.0 ~engine:[] ~server:[])
   in
-  let r_slots = Rolling.counter rolling "slots" in
-  let r_arr = Rolling.counter rolling "arrivals" in
-  let r_acc = Rolling.counter rolling "accepted" in
-  let r_drop = Rolling.counter rolling "dropped" in
-  let r_shed = Rolling.counter rolling "shed_slots" in
-  let r_slot_us = Rolling.histogram rolling "slot_time_us" in
-  let prev_arr = ref 0 and prev_acc = ref 0 and prev_drop = ref 0 in
-  let prev_shed = ref 0 and prev_shed_p = ref 0 in
-  (* Rules are evaluated at publication instants; [eval_now] carries that
-     instant into the window reads so rules never read the clock. *)
-  let eval_now = ref 0 in
   let health =
     let on_transition (e : Health.event) =
       (match events with
@@ -493,7 +504,7 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
       else
         [
           Health.rule ~name:"p99_slot_time" (fun () ->
-              let p99 = Rolling.quantile r_slot_us ~now:!eval_now 0.99 in
+              let p99 = !window.Telemetry.p99_us in
               if p99 > p99_budget_us then
                 Health.Fail
                   (Printf.sprintf "windowed p99 %.1f us over budget %.1f us"
@@ -510,7 +521,10 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
     in
     let shed_rate =
       Health.rule ~name:"shed_rate" (fun () ->
-          match Rolling.total r_shed ~now:!eval_now with
+          let w = !window in
+          match
+            Float.to_int (Float.round (w.shed_slots_per_sec *. w.w_span))
+          with
           | 0 -> Health.Pass
           | s -> Health.Fail (Printf.sprintf "%d slots shed in window" s))
     in
@@ -520,70 +534,43 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
   health_states_now :=
     (fun () ->
       List.map (fun (n, s) -> (n, s.Health.v_tripped)) (Health.states health));
-  let feed_rolling st now slot_ns =
-    Rolling.incr r_slots ~now;
-    let a = Metrics.arrivals m in
-    Rolling.add r_arr ~now (a - !prev_arr);
-    prev_arr := a;
-    let ac = Metrics.accepted m in
-    Rolling.add r_acc ~now (ac - !prev_acc);
-    prev_acc := ac;
-    let d = Metrics.dropped m in
-    Rolling.add r_drop ~now (d - !prev_drop);
-    prev_drop := d;
-    (* Shed accounting lives in the ring's producer-side atomics; mirror
-       the deltas into window and cumulative server counters here so every
-       published rate flows from one snapshot mechanism. *)
-    let s = Spsc_ring.shed_slots ring in
-    let ds = max 0 (s - !prev_shed) in
-    Rolling.add r_shed ~now ds;
-    Registry.add st.shed_slots_ctr ds;
-    prev_shed := s;
-    let p = Spsc_ring.shed_packets ring in
-    Registry.add st.shed_packets_ctr (max 0 (p - !prev_shed_p));
-    prev_shed_p := p;
-    Rolling.observe_scaled r_slot_us ~now slot_ns 1e-3
-  in
   let published : Telemetry.view option Atomic.t = Atomic.make None in
+  (* Views retained as window bases (see [Telemetry.retain]). *)
+  let kept = ref [] in
   let publish now =
-    eval_now := now;
-    Health.evaluate health;
+    mirror_shed ();
+    let uptime = Clock.seconds (now - t_start) in
+    let engine_snap = Registry.snapshot (Metrics.registry m) in
     let server_snap = Registry.snapshot server in
-    let window =
+    window :=
+      Telemetry.window_stats
+        ~base:(Telemetry.window_base ~window:stats_window !kept ~uptime)
+        ~uptime ~engine:engine_snap ~server:server_snap;
+    Health.evaluate health;
+    let v =
       {
-        Telemetry.w_span = Rolling.span rolling ~now;
-        slots_per_sec = Rolling.rate r_slots ~now;
-        arrivals_per_sec = Rolling.rate r_arr ~now;
-        accepted_per_sec = Rolling.rate r_acc ~now;
-        drops_per_sec = Rolling.rate r_drop ~now;
-        shed_slots_per_sec = Rolling.rate r_shed ~now;
-        p50_us = Rolling.quantile r_slot_us ~now 0.5;
-        p95_us = Rolling.quantile r_slot_us ~now 0.95;
-        p99_us = Rolling.quantile r_slot_us ~now 0.99;
+        Telemetry.at = Unix.gettimeofday ();
+        slot = !slot;
+        uptime;
+        policy = engine.policy_name ();
+        buffer = engine.buffer_size ();
+        ring_occupancy = Spsc_ring.length ring;
+        ring_capacity;
+        ring_max = Spsc_ring.max_occupancy ring;
+        shed_slots = Spsc_ring.shed_slots ring;
+        shed_packets = Spsc_ring.shed_packets ring;
+        window = !window;
+        engine = engine_snap;
+        server = server_snap;
+        spans = Telemetry.stage_aggregates server_snap;
+        health = Health.states health;
+        degraded = Health.degraded health;
       }
     in
+    kept := Telemetry.retain ~window:stats_window !kept v;
     (* One atomic store publishes an immutable view; the stats server only
        ever [Atomic.get]s it — no lock is shared with this loop. *)
-    Atomic.set published
-      (Some
-         {
-           Telemetry.at = Unix.gettimeofday ();
-           slot = !slot;
-           uptime = Clock.seconds (now - t_start);
-           policy = engine.policy_name ();
-           buffer = engine.buffer_size ();
-           ring_occupancy = Spsc_ring.length ring;
-           ring_capacity;
-           ring_max = Spsc_ring.max_occupancy ring;
-           shed_slots = Spsc_ring.shed_slots ring;
-           shed_packets = Spsc_ring.shed_packets ring;
-           window;
-           engine = Registry.snapshot (Metrics.registry m);
-           server = server_snap;
-           spans = Telemetry.stage_aggregates server_snap;
-           health = Health.states health;
-           degraded = Health.degraded health;
-         })
+    Atomic.set published (Some v)
   in
   let stats_server =
     match stats_sock with
@@ -621,7 +608,6 @@ let run ?(ring_capacity = 64) ?(backpressure = Block) ?flush_every
     (match stages with
     | Some st ->
       Registry.observe_scaled st.engine_hist (t1 - t0) 1e-3;
-      feed_rolling st t_end (t_end - t0);
       if !slot mod stats_every = 0 then publish t_end
     | None -> ());
     drain_events ();

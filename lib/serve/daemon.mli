@@ -134,12 +134,17 @@ val run :
     [stats_sock] serves the {!Telemetry} protocol on a Unix socket at that
     path (from its own domain); [telemetry:true] turns the telemetry plane
     on without a socket (test hook).  With telemetry on, the slot loop
-    additionally feeds an {!Smbm_obs.Rolling} window of [stats_window]
-    seconds (default 10), times its stages into [stage/*] histograms,
-    evaluates {!Smbm_obs.Health} watchdogs (conservation; ring high-water;
-    shed rate; and, when [p99_budget_us > 0], windowed p99 slot time over
-    budget) and publishes a fresh view every [stats_every] slots (default
-    500).  Health transitions are recorded as {!Smbm_obs.Event.kind.Health}
+    additionally times its stages into [stage/*] histograms and publishes
+    a fresh view every [stats_every] slots (default 500).  Each
+    publication computes its window from cumulative registry snapshots
+    ({!Telemetry.window_stats}): the rates and slot-time quantiles since
+    the newest earlier publication at least [stats_window] seconds old
+    (default 10; views are kept a tenth of it apart), or since the run
+    start while the run is younger.  It then evaluates
+    {!Smbm_obs.Health} watchdogs against that window (conservation; ring
+    high-water; any shedding in the window; and, when
+    [p99_budget_us > 0], windowed p99 slot time over budget).  The slot
+    loop itself writes no window state.  Health transitions are recorded as {!Smbm_obs.Event.kind.Health}
     events into the ring.  With telemetry off, none of this
     runs — no extra clock reads, no extra instruments — so output is
     byte-identical to earlier versions.  Telemetry never alters engine
@@ -173,7 +178,8 @@ val run :
     dump failure never kills the run.
 
     @raise Invalid_argument if the initial [policy] is unknown for
-    [model], [ring_capacity < 1], [event_sink] is given with no ring
+    [model], [stats_window] lies outside [\[1e-8, 1e9\]] seconds (or is
+    NaN), [ring_capacity < 1], [event_sink] is given with no ring
     ([flight_cap <= 0] and no [events]), the stats socket cannot be
     bound, or a [Trace] ingest holds an arrival the model cannot accept (a
     dest with no port, or a value above a value model's [max_value]); the

@@ -169,7 +169,7 @@ let render_json v =
 
 (* Inverse of {!sample_fields}: reconstruct registry samples from a parsed
    [stats json] line, so a remote client (smbm_cli watch) can run
-   {!Smbm_obs.Rolling.Delta} over two polls exactly as if it held the
+   {!Registry.Delta} over two polls exactly as if it held the
    registry.  Scalar Int fields under the prefix are counters; dotted
    groups with a [.count] become summaries. *)
 let samples_of_json ~prefix fields =
@@ -240,6 +240,65 @@ let samples_of_json ~prefix fields =
                 } )
         | _ -> None)
     fields
+
+(* ----- the window ----- *)
+
+let window_stats ~base ~uptime ~engine ~server =
+  let t0, engine0, server0 =
+    match base with
+    | None -> (0.0, [], [])
+    | Some v -> (v.uptime, v.engine, v.server)
+  in
+  let dt = uptime -. t0 in
+  if not (dt > 0.0) then
+    {
+      w_span = 0.0;
+      slots_per_sec = 0.0;
+      arrivals_per_sec = 0.0;
+      accepted_per_sec = 0.0;
+      drops_per_sec = 0.0;
+      shed_slots_per_sec = 0.0;
+      p50_us = 0.0;
+      p95_us = 0.0;
+      p99_us = 0.0;
+    }
+  else
+    let e = Registry.Delta.diff ~dt ~earlier:engine0 ~later:engine in
+    let s = Registry.Delta.diff ~dt ~earlier:server0 ~later:server in
+    let rate d name = Option.value ~default:0.0 (Registry.Delta.rate d name) in
+    let q p =
+      Option.value ~default:0.0 (Registry.Delta.quantile s "slot_time_us" p)
+    in
+    {
+      w_span = dt;
+      slots_per_sec = rate s "slots";
+      arrivals_per_sec = rate e "arrivals";
+      accepted_per_sec = rate e "accepted";
+      drops_per_sec = rate e "dropped";
+      shed_slots_per_sec = rate s "shed_slots";
+      p50_us = q 0.5;
+      p95_us = q 0.95;
+      p99_us = q 0.99;
+    }
+
+(* Views are kept a tenth of the window apart, so about eleven cover it;
+   the oldest one kept lies at or before the window's start and is the
+   next window's base. *)
+let retain ~window kept v =
+  let kept =
+    match kept with
+    | newest :: _ when v.uptime -. newest.uptime < window /. 10.0 -> kept
+    | _ -> v :: kept
+  in
+  let rec prune = function
+    | [] -> []
+    | x :: rest ->
+      if x.uptime <= v.uptime -. window then [ x ] else x :: prune rest
+  in
+  prune kept
+
+let window_base ~window kept ~uptime =
+  List.find_opt (fun v -> v.uptime <= uptime -. window) kept
 
 (* ----- protocol ----- *)
 

@@ -39,7 +39,9 @@ type stage = {
 (** One slot stage's wall-time profile. *)
 
 type window_stats = {
-  w_span : float;  (** seconds the rolling window currently covers *)
+  w_span : float;
+      (** seconds the window covers: from its base publication (or the
+          run start) to this one *)
   slots_per_sec : float;
   arrivals_per_sec : float;
   accepted_per_sec : float;
@@ -88,7 +90,34 @@ val samples_of_json :
 (** Reconstruct registry samples from a parsed [stats json] line
     ([prefix] is ["engine"] or ["server"]) — the inverse of the JSON
     rendering, so a remote client can diff two polls with
-    {!Smbm_obs.Rolling.Delta}. *)
+    {!Smbm_obs.Registry.Delta}. *)
+
+(* ----- the window ----- *)
+
+val window_stats :
+  base:view option ->
+  uptime:float ->
+  engine:(string * Registry.sample) list ->
+  server:(string * Registry.sample) list ->
+  window_stats
+(** The window from [base] to the cumulative [engine]/[server] snapshots
+    taken at [uptime]: one {!Smbm_obs.Registry.Delta} per registry over
+    [dt = uptime - base.uptime].  [base = None] is the run start, at
+    uptime 0 with every counter zero.  The rates read [slots],
+    [shed_slots] and the [slot_time_us] quantiles from the server
+    snapshots, [arrivals], [accepted] and [dropped] from the engine
+    snapshots; [w_span] is [dt].  A [dt <= 0] gives an all-zero window. *)
+
+val retain : window:float -> view list -> view -> view list
+(** [retain ~window kept v] adds the publication [v] to the retained views
+    [kept] (newest first) when it lies at least [window /. 10] after the
+    newest of them, then drops every view older than the newest one at or
+    before [v.uptime -. window] — the only one the next window can still
+    need from that far back.  At most 12 views survive. *)
+
+val window_base : window:float -> view list -> uptime:float -> view option
+(** The newest retained view at or before [uptime -. window]; [None] (the
+    run start) while there is none. *)
 
 (* ----- server ----- *)
 

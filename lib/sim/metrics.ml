@@ -21,7 +21,7 @@ type t = {
    size: metrics that record distributions cost no extra word. *)
 let absent = Registry.histogram (Registry.create ()) "absent"
 
-let create ?(latency_cap = 1e7) ?(distributions = true) () =
+let create ?(distributions = true) () =
   let registry = Registry.create () in
   {
     registry;
@@ -34,7 +34,7 @@ let create ?(latency_cap = 1e7) ?(distributions = true) () =
     flushed = Registry.counter registry "flushed";
     latency =
       (if distributions then
-         Registry.histogram registry ~max_value:latency_cap "latency"
+         Registry.histogram registry ~max_value:1e7 "latency"
        else absent);
     occupancy =
       (if distributions then Registry.histogram registry "occupancy"

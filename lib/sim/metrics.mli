@@ -15,9 +15,9 @@ open Smbm_prelude
 
 type t
 
-val create : ?latency_cap:float -> ?distributions:bool -> unit -> t
-(** [latency_cap] bounds the latency histogram's bucketed range in slots
-    (default [1e7]); samples above it are clamped into the last bucket.
+val create : ?distributions:bool -> unit -> t
+(** The latency histogram's bucketed range ends at [1e7] slots; samples
+    above it are clamped into the last bucket.
 
     [distributions] (default [true]) registers the [latency] and
     [occupancy] histograms.  At [false] the metrics are counters-only:

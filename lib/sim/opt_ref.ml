@@ -133,26 +133,12 @@ let bag_instance ~name ~cores ?events ~distributions ~buffer ~k rule =
     check;
   }
 
-let cores ~who ~n ~speedup = function
-  | None -> n * speedup
-  | Some c ->
-    if c < 1 then invalid_arg ("Opt_ref." ^ who ^ ": cores must be >= 1");
-    c
-
-let proc_instance ?(name = "OPT") ?cores:c ?events ?(distributions = true)
-    config =
-  let cores =
-    cores ~who:"proc_instance" ~n:(Proc_config.n config)
-      ~speedup:config.Proc_config.speedup c
-  in
+let proc_instance ?(name = "OPT") ?events ?(distributions = true) config =
+  let cores = Proc_config.n config * config.Proc_config.speedup in
   bag_instance ~name ~cores ?events ~distributions
     ~buffer:config.Proc_config.buffer ~k:(Proc_config.k config) (Srpt config)
 
-let value_instance ?(name = "OPT") ?cores:c ?events ?(distributions = true)
-    config =
-  let cores =
-    cores ~who:"value_instance" ~n:(Value_config.n config)
-      ~speedup:config.Value_config.speedup c
-  in
+let value_instance ?(name = "OPT") ?events ?(distributions = true) config =
+  let cores = Value_config.n config * config.Value_config.speedup in
   bag_instance ~name ~cores ?events ~distributions
     ~buffer:config.Value_config.buffer ~k:(Value_config.k config) Top_values

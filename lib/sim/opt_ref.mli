@@ -20,13 +20,12 @@ open Smbm_core
 
 val proc_instance :
   ?name:string ->
-  ?cores:int ->
   ?events:Smbm_obs.Flight.t ->
   ?distributions:bool ->
   Proc_config.t ->
   Instance.t
-(** Processing model: smallest-residual-first.  [cores] defaults to
-    [n * speedup] ("kC cores" in the paper's contiguous configuration).
+(** Processing model: smallest-residual-first, with [n * speedup] cores
+    ("kC cores" in the paper's contiguous configuration).
 
     [events], when given, records the reference's admission decisions and
     per-slot aggregates so {!Smbm_forensics.Diff} can align a policy trace
@@ -42,10 +41,9 @@ val proc_instance :
 
 val value_instance :
   ?name:string ->
-  ?cores:int ->
   ?events:Smbm_obs.Flight.t ->
   ?distributions:bool ->
   Value_config.t ->
   Instance.t
-(** Value model: largest-value-first, unit work.  [cores] defaults to
-    [n * speedup].  [events] and [distributions] as in {!proc_instance}. *)
+(** Value model: largest-value-first, unit work, with [n * speedup]
+    cores.  [events] and [distributions] as in {!proc_instance}. *)

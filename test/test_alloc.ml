@@ -382,8 +382,8 @@ let daemon_value_trace =
 (* The benchmark's two daemon configurations at test scale: value MRD on a
    recorded trace, proc LWD on live MMPP sources with periodic flushouts.
    With telemetry on, [stats_every] lies beyond the run, so the loop feeds
-   the stage histograms and the rolling window every slot but publishes
-   only once, after the run (publication builds immutable snapshots by
+   the stage histograms every slot but publishes only once, after the run
+   (publication builds immutable snapshots and the window from them, by
    design). *)
 let daemon_cases =
   [

@@ -293,80 +293,6 @@ let test_registry_snapshot_buckets () =
   | lines ->
     Alcotest.fail (Printf.sprintf "expected 1 line, got %d" (List.length lines))
 
-(* --- Rolling --- *)
-
-(* Rolling instants are integer nanoseconds; the tests below name them in
-   seconds. *)
-let ns s = Float.to_int (Float.round (s *. 1e9))
-
-let test_rolling_window_expiry () =
-  (* All clocks injected: a 10s window over 10 one-second cells.  Writes
-     land in the cell of their instant and expire exactly when the window
-     slides past that cell — no wall-clock reads anywhere. *)
-  let r = Rolling.create ~window:10.0 ~buckets:10 () in
-  let c = Rolling.counter r "slots" in
-  Rolling.incr c ~now:(ns 100.0);
-  Rolling.add c ~now:(ns 104.9) 3;
-  Rolling.incr c ~now:(ns 109.9);
-  Alcotest.(check int) "all live inside the window" 5
-    (Rolling.total c ~now:(ns 109.9));
-  Alcotest.(check int) "oldest cell expires at the boundary" 4
-    (Rolling.total c ~now:(ns 110.0));
-  Alcotest.(check int) "mid cell expires in turn" 1
-    (Rolling.total c ~now:(ns 115.0));
-  (* A jump far past the window wipes everything in O(buckets). *)
-  Alcotest.(check int) "all expired after a jump" 0
-    (Rolling.total c ~now:(ns 1_000_000.0));
-  (* A clock running backwards is benign: the write lands in the freshest
-     cell instead of resurrecting an old one. *)
-  Rolling.incr c ~now:(ns 999_999.0);
-  Alcotest.(check int) "backwards write still counted" 1
-    (Rolling.total c ~now:(ns 1_000_000.0));
-  match Rolling.create ~window:0.0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "window <= 0 accepted"
-
-let test_rolling_rate_and_span () =
-  let r = Rolling.create ~window:10.0 ~buckets:10 () in
-  let c = Rolling.counter r "x" in
-  Rolling.add c ~now:(ns 100.0) 8;
-  (* The denominator clamps to one cell width at startup (finite early
-     rates), grows with coverage, and caps at the window. *)
-  Alcotest.(check (float 1e-9)) "startup span" 1.0
-    (Rolling.span r ~now:(ns 100.0));
-  Alcotest.(check (float 1e-9)) "startup rate" 8.0
-    (Rolling.rate c ~now:(ns 100.0));
-  Alcotest.(check (float 1e-9)) "growing span" 5.0
-    (Rolling.span r ~now:(ns 105.0));
-  Alcotest.(check (float 1e-9)) "rate over covered seconds" 1.6
-    (Rolling.rate c ~now:(ns 105.0));
-  Alcotest.(check (float 1e-9)) "span caps at the window" 10.0
-    (Rolling.span r ~now:(ns 200.0));
-  Alcotest.(check (float 1e-9)) "stale data expired from the rate" 0.0
-    (Rolling.rate c ~now:(ns 200.0))
-
-let test_rolling_histogram_window () =
-  let r = Rolling.create ~window:10.0 ~buckets:10 () in
-  let h = Rolling.histogram r "slot_us" in
-  List.iter
-    (Rolling.observe h ~now:(ns 100.0))
-    [ 10.0; 10.0; 10.0; 1000.0 ];
-  Alcotest.(check int) "count" 4 (Rolling.hist_count h ~now:(ns 100.0));
-  let p50 = Rolling.quantile h ~now:(ns 100.0) 0.5 in
-  Alcotest.(check bool) "p50 sits in the 10us bucket" true
-    (p50 >= 8.0 && p50 <= 14.0);
-  Rolling.observe h ~now:(ns 108.0) 1000.0;
-  (* Sliding past the t=100 cell leaves only the late observation, and the
-     windowed quantile follows the surviving mass. *)
-  Alcotest.(check int) "expired down to the late cell" 1
-    (Rolling.hist_count h ~now:(ns 111.0));
-  Alcotest.(check bool) "p50 follows the window" true
-    (Rolling.quantile h ~now:(ns 111.0) 0.5 > 500.0);
-  Alcotest.(check int) "empty after the window passes" 0
-    (Rolling.hist_count h ~now:(ns 200.0));
-  Alcotest.(check (float 1e-9)) "empty quantile" 0.0
-    (Rolling.quantile h ~now:(ns 200.0) 0.5)
-
 (* The slot loop's forms: a gauge set from an int and a histogram fed
    integer nanoseconds read back exactly what the float forms record. *)
 let test_int_entry_points () =
@@ -387,16 +313,9 @@ let test_int_entry_points () =
     | _ -> Alcotest.fail "not a histogram"
   in
   Alcotest.(check bool) "observe_scaled = observe" true
-    (summary "a_us" = summary "b_us");
-  let r = Rolling.create ~window:10.0 ~buckets:10 () in
-  let w1 = Rolling.histogram r "a_us" and w2 = Rolling.histogram r "b_us" in
-  Rolling.observe_scaled w1 ~now:(ns 100.0) 12_345 1e-3;
-  Rolling.observe w2 ~now:(ns 100.0) (float_of_int 12_345 *. 1e-3);
-  Alcotest.(check (float 0.0)) "rolling observe_scaled = observe"
-    (Rolling.quantile w2 ~now:(ns 100.0) 0.5)
-    (Rolling.quantile w1 ~now:(ns 100.0) 0.5)
+    (summary "a_us" = summary "b_us")
 
-let test_rolling_delta_rates () =
+let test_registry_delta_rates () =
   (* Two cumulative registry snapshots dt apart diff into counter rates and
      a windowed distribution — the stats-socket client's whole trick. *)
   let reg = Registry.create () in
@@ -411,31 +330,31 @@ let test_rolling_delta_rates () =
   Registry.set g 9.0;
   List.iter (Registry.observe h) [ 1000.0; 1000.0; 1000.0 ];
   let later = Registry.snapshot reg in
-  let d = Rolling.Delta.diff ~dt:5.0 ~earlier ~later in
+  let d = Registry.Delta.diff ~dt:5.0 ~earlier ~later in
   Alcotest.(check (option int)) "counter delta" (Some 50)
-    (Rolling.Delta.delta d "arrivals");
+    (Registry.Delta.delta d "arrivals");
   Alcotest.(check (option (float 1e-9))) "counter rate" (Some 10.0)
-    (Rolling.Delta.rate d "arrivals");
+    (Registry.Delta.rate d "arrivals");
   Alcotest.(check (option int)) "gauges are skipped" None
-    (Rolling.Delta.delta d "occupancy");
+    (Registry.Delta.delta d "occupancy");
   Alcotest.(check (option int)) "interval observation count" (Some 3)
-    (Rolling.Delta.hist_count d "lat");
-  (match Rolling.Delta.quantile d "lat" 0.5 with
+    (Registry.Delta.hist_count d "lat");
+  (match Registry.Delta.quantile d "lat" 0.5 with
   | Some q ->
     (* The cumulative p50 is ~10us; the interval's is all new mass. *)
     Alcotest.(check bool) "interval median is the new mass" true (q > 500.0)
   | None -> Alcotest.fail "no interval quantile");
   (* An instrument missing from [earlier] diffs against zero. *)
-  let d0 = Rolling.Delta.diff ~dt:2.0 ~earlier:[] ~later in
+  let d0 = Registry.Delta.diff ~dt:2.0 ~earlier:[] ~later in
   Alcotest.(check (option int)) "missing earlier diffs vs zero" (Some 150)
-    (Rolling.Delta.delta d0 "arrivals");
+    (Registry.Delta.delta d0 "arrivals");
   (* A racy regression clamps to zero rather than going negative. *)
-  let dneg = Rolling.Delta.diff ~dt:2.0 ~earlier:later ~later:earlier in
+  let dneg = Registry.Delta.diff ~dt:2.0 ~earlier:later ~later:earlier in
   Alcotest.(check (option int)) "regression clamps" (Some 0)
-    (Rolling.Delta.delta dneg "arrivals");
+    (Registry.Delta.delta dneg "arrivals");
   Alcotest.(check (option int)) "bucket regression clamps" (Some 0)
-    (Rolling.Delta.hist_count dneg "lat");
-  match Rolling.Delta.diff ~dt:0.0 ~earlier ~later with
+    (Registry.Delta.hist_count dneg "lat");
+  match Registry.Delta.diff ~dt:0.0 ~earlier ~later with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "dt <= 0 accepted"
 
@@ -629,11 +548,7 @@ let suite =
       test_registry_summary_edge_cases;
     Alcotest.test_case "registry snapshots carry buckets" `Quick
       test_registry_snapshot_buckets;
-    Alcotest.test_case "rolling window expiry" `Quick test_rolling_window_expiry;
-    Alcotest.test_case "rolling rate and span" `Quick test_rolling_rate_and_span;
-    Alcotest.test_case "rolling histogram quantiles" `Quick
-      test_rolling_histogram_window;
-    Alcotest.test_case "rolling delta rates" `Quick test_rolling_delta_rates;
+    Alcotest.test_case "registry delta rates" `Quick test_registry_delta_rates;
     Alcotest.test_case "int entry points match float forms" `Quick
       test_int_entry_points;
     Alcotest.test_case "progress bar" `Quick test_progress_bar;

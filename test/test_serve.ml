@@ -554,8 +554,9 @@ let test_daemon_unknown_policy_rejected () =
         (Daemon.run ~slots:1 ~model:(Model.Proc proc_config) ~policy:"bogus"
            ~ingest:(Daemon.Bank bank) ()))
 
-(* The rolling window holds whole nanoseconds per cell: a window it cannot
-   represent is an input error, reported like every other. *)
+(* Window bases are kept a tenth of the window apart, and that spacing
+   must reach the clock's 1 ns: a window outside [1e-8, 1e9] seconds is an
+   input error, reported like every other. *)
 let test_daemon_rejects_bad_stats_window () =
   List.iter
     (fun stats_window ->

@@ -183,8 +183,9 @@ let test_opt_proc_admission_evicts_largest () =
   opt.check ()
 
 let test_opt_value_largest_first () =
-  let config = Value_config.make ~ports:2 ~max_value:9 ~buffer:4 ~speedup:1 () in
-  let opt = Opt_ref.value_instance ~cores:1 config in
+  (* One port at speedup 1: one core. *)
+  let config = Value_config.make ~ports:1 ~max_value:9 ~buffer:4 ~speedup:1 () in
+  let opt = Opt_ref.value_instance config in
   opt.arrive_dv ~dest:0 ~value:2;
   opt.arrive_dv ~dest:0 ~value:7;
   opt.transmit ();

@@ -205,7 +205,7 @@ let test_stats_json_round_trip () =
       | _ -> Alcotest.fail "health field missing");
       (* The engine samples reconstruct exactly — %.17g floats round-trip,
          and bucket shapes ride the compact string — which is what lets a
-         remote watcher run Rolling.Delta over two polls. *)
+         remote watcher run Registry.Delta over two polls. *)
       let rebuilt = Telemetry.samples_of_json ~prefix:"engine" fields in
       Alcotest.(check int) "sample count"
         (List.length v.Telemetry.engine)
@@ -239,6 +239,138 @@ let test_stage_aggregates () =
     Alcotest.fail
       (Printf.sprintf "expected flush only, got %d aggregates"
          (List.length aggs))
+
+(* --- the window --- *)
+
+(* The daemon's two registries at one instant, as [publish] snapshots
+   them: engine counters, and the server's slot counter, shed mirror and
+   slot-time histogram. *)
+let registries () =
+  let e = Registry.create () and s = Registry.create () in
+  let add reg name n = Registry.add (Registry.counter reg name) n in
+  let slot_us = Registry.histogram s ~max_value:1e7 "slot_time_us" in
+  let record ~arrivals ~accepted ~slots ~shed slot_times =
+    add e "arrivals" arrivals;
+    add e "accepted" accepted;
+    add e "dropped" (arrivals - accepted);
+    add s "slots" slots;
+    add s "shed_slots" shed;
+    List.iter (Registry.observe slot_us) slot_times
+  in
+  let snap () = (Registry.snapshot e, Registry.snapshot s) in
+  (record, snap)
+
+let view_at ~uptime (engine, server) =
+  { (synthetic_view ()) with Telemetry.uptime; engine; server }
+
+let test_window_stats () =
+  let record, snap = registries () in
+  record ~arrivals:100 ~accepted:90 ~slots:40 ~shed:1 [ 5.0; 5.0; 7.0 ];
+  let earlier = snap () in
+  let window_samples = [ 200.0; 300.0; 12.0; 9000.0; 40.0 ] in
+  record ~arrivals:50 ~accepted:30 ~slots:20 ~shed:3 window_samples;
+  let later_engine, later_server = snap () in
+  let w =
+    Telemetry.window_stats
+      ~base:(Some (view_at ~uptime:2.0 earlier))
+      ~uptime:7.0 ~engine:later_engine ~server:later_server
+  in
+  let close = Alcotest.(check (float 1e-12)) in
+  close "span is the real dt" 5.0 w.Telemetry.w_span;
+  close "slots: server delta / dt" 4.0 w.Telemetry.slots_per_sec;
+  close "arrivals: engine delta / dt" 10.0 w.Telemetry.arrivals_per_sec;
+  close "accepted" 6.0 w.Telemetry.accepted_per_sec;
+  close "dropped" 4.0 w.Telemetry.drops_per_sec;
+  close "shed slots: server delta / dt" 0.6 w.Telemetry.shed_slots_per_sec;
+  (* The quantiles are those of the window's own samples, bucket for
+     bucket, not of the cumulative histogram. *)
+  let own = Smbm_prelude.Histogram.create ~max_value:1e7 () in
+  List.iter (Smbm_prelude.Histogram.add own) window_samples;
+  let expect q =
+    Smbm_prelude.Histogram.quantile_of_buckets
+      ~buckets_per_decade:(Smbm_prelude.Histogram.buckets_per_decade own)
+      (Smbm_prelude.Histogram.buckets own) q
+  in
+  Alcotest.(check (float 0.0)) "p50 of the window" (expect 0.5) w.Telemetry.p50_us;
+  Alcotest.(check (float 0.0)) "p95 of the window" (expect 0.95) w.Telemetry.p95_us;
+  Alcotest.(check (float 0.0)) "p99 of the window" (expect 0.99) w.Telemetry.p99_us;
+  (* No base: the run start, at uptime 0 with every counter zero. *)
+  let w0 =
+    Telemetry.window_stats ~base:None ~uptime:7.0 ~engine:later_engine
+      ~server:later_server
+  in
+  close "start-of-run span" 7.0 w0.Telemetry.w_span;
+  close "start-of-run rate is cumulative / uptime" (150.0 /. 7.0)
+    w0.Telemetry.arrivals_per_sec;
+  close "start-of-run slots" (60.0 /. 7.0) w0.Telemetry.slots_per_sec;
+  (* A base ahead of the current snapshots (a racy pair) clamps to zero. *)
+  let back =
+    Telemetry.window_stats
+      ~base:(Some (view_at ~uptime:2.0 (later_engine, later_server)))
+      ~uptime:7.0 ~engine:(fst earlier) ~server:(snd earlier)
+  in
+  close "regression clamps: rate" 0.0 back.Telemetry.arrivals_per_sec;
+  close "regression clamps: slots" 0.0 back.Telemetry.slots_per_sec;
+  close "regression clamps: quantile" 0.0 back.Telemetry.p99_us;
+  (* dt <= 0 is an empty window, never a raise. *)
+  List.iter
+    (fun uptime ->
+      let e =
+        Telemetry.window_stats
+          ~base:(Some (view_at ~uptime:7.0 earlier))
+          ~uptime ~engine:later_engine ~server:later_server
+      in
+      close "empty span" 0.0 e.Telemetry.w_span;
+      close "empty rate" 0.0 e.Telemetry.slots_per_sec;
+      close "empty quantile" 0.0 e.Telemetry.p99_us)
+    [ 7.0; 3.0; Float.nan ]
+
+let test_window_retention () =
+  let window = 10.0 in
+  let empty = (Registry.snapshot (Registry.create ()), []) in
+  let publish kept uptime =
+    Telemetry.retain ~window kept (view_at ~uptime empty)
+  in
+  let uptimes kept = List.map (fun v -> v.Telemetry.uptime) kept in
+  (* Publications every 0.5 s keep one a second: a tenth of the window. *)
+  let kept = List.fold_left publish [] [ 0.5; 1.0; 1.5; 2.0; 2.5; 3.0 ] in
+  Alcotest.(check (list (float 0.0))) "spaced a tenth of the window"
+    [ 2.5; 1.5; 0.5 ] (uptimes kept);
+  let base uptime =
+    Option.map
+      (fun v -> v.Telemetry.uptime)
+      (Telemetry.window_base ~window kept ~uptime)
+  in
+  Alcotest.(check (option (float 0.0))) "run younger than the window" None
+    (base 3.0);
+  Alcotest.(check (option (float 0.0))) "no view old enough yet" None
+    (base 10.4);
+  Alcotest.(check (option (float 0.0))) "newest view at or before now - w"
+    (Some 1.5) (base 12.2);
+  Alcotest.(check (option (float 0.0))) "at the boundary" (Some 2.5)
+    (base 12.5);
+  (* Over 10 000 publications 0.3 s apart, the retained views stay
+     bounded and every window reaches back at least the window, and at
+     most one spacing and one publication gap beyond it. *)
+  let kept = ref [] and most = ref 0 in
+  for i = 1 to 10_000 do
+    let uptime = 0.3 *. float_of_int i in
+    (match Telemetry.window_base ~window !kept ~uptime with
+    | None ->
+      Alcotest.(check bool) "start base only while young" true
+        (uptime < window +. 1.3)
+    | Some b ->
+      let span = uptime -. b.Telemetry.uptime in
+      Alcotest.(check bool)
+        (Printf.sprintf "span %g at %g" span uptime)
+        true
+        (span >= window && span <= window +. 1.3 +. 1e-9));
+    kept := publish !kept uptime;
+    most := max !most (List.length !kept)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 12 views kept (%d)" !most)
+    true (!most <= 12)
 
 (* --- the daemon, end to end --- *)
 
@@ -369,6 +501,8 @@ let suite =
     Alcotest.test_case "stats json round-trip" `Quick
       test_stats_json_round_trip;
     Alcotest.test_case "stage aggregates" `Quick test_stage_aggregates;
+    Alcotest.test_case "window from two snapshots" `Quick test_window_stats;
+    Alcotest.test_case "window base retention" `Quick test_window_retention;
     Alcotest.test_case "telemetry has no engine effect" `Slow
       test_daemon_telemetry_no_engine_effect;
     Alcotest.test_case "stats socket round-trip under load" `Slow
